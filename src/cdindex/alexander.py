@@ -160,7 +160,8 @@ def alexander_check(g: LabeledDigraph, subset: Iterable[Hashable]) -> AlexanderR
         raise PreconditionFailed("parity: source-to-sink path lengths have mixed parity")
     complement = _interior(g) - subset
     lhs = restrict(g, subset).falling_at_minus_one()
-    rhs = (-1) ** (parity.longest - 1) * restrict(g, complement).falling_at_minus_one()
+    sign = 1 if parity.longest % 2 else -1  # (-1) ** (longest - 1), as an int
+    rhs = sign * restrict(g, complement).falling_at_minus_one()
     return AlexanderResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

@@ -154,6 +154,8 @@ class Edge(NamedTuple):
 
 Path = tuple  # tuple of Edge with matching heads and tails
 
+_BITS_TO_AB = str.maketrans("01", "ab")
+
 
 class BalanceWitness(NamedTuple):
     x: Hashable
@@ -246,30 +248,33 @@ class LabeledDigraph:
         return tuple(order)
 
     def _find_cycle(self) -> list:
+        """Depth-first search with an explicit stack; 1 = on the stack, 2 = done."""
         color: dict[Hashable, int] = {}
-        stack: list = []
-
-        def visit(v):
-            color[v] = 1
-            stack.append(v)
-            for e in self._out[v]:
-                w = e.head
-                if color.get(w, 0) == 1:
-                    return stack[stack.index(w):] + [w]
-                if color.get(w, 0) == 0:
-                    found = visit(w)
-                    if found:
-                        return found
-            color[v] = 2
-            stack.pop()
-            return None
-
-        for v in self._vertices:
-            if color.get(v, 0) == 0:
-                found = visit(v)
-                if found:
-                    return found
+        for root in self._vertices:
+            if root in color:
+                continue
+            color[root] = 1
+            stack = [root]
+            pending = [iter(self._out[root])]
+            while pending:
+                for e in pending[-1]:
+                    w = e.head
+                    if color.get(w) == 1:
+                        return stack[stack.index(w):] + [w]
+                    if w not in color:
+                        color[w] = 1
+                        stack.append(w)
+                        pending.append(iter(self._out[w]))
+                        break
+                else:
+                    pending.pop()
+                    color[stack.pop()] = 2
         raise InternalError("cycle reported but none found")
+
+    def _require(self, *vertices) -> None:
+        for v in vertices:
+            if v not in self._topo_index:
+                raise GraphError(f"vertex {v!r} not in the graph")
 
     # -- basic structure -------------------------------------------------
 
@@ -314,6 +319,7 @@ class LabeledDigraph:
 
     def descendants(self, x) -> frozenset:
         """Vertices reachable from x, including x itself."""
+        self._require(x)
         seen = {x}
         stack = [x]
         while stack:
@@ -325,6 +331,8 @@ class LabeledDigraph:
         return frozenset(seen)
 
     def ancestors(self, y) -> frozenset:
+        """Vertices from which y is reachable, including y itself."""
+        self._require(y)
         seen = {y}
         stack = [y]
         while stack:
@@ -337,12 +345,12 @@ class LabeledDigraph:
 
     def leq(self, x, y) -> bool:
         """The reachability order: x <= y iff a directed path runs from x to y."""
+        self._require(y)
         return y in self.descendants(x)
 
     def interval(self, x, y) -> "LabeledDigraph":
         """Vertex-induced subgraph on {z : x <= z and z <= y}, same relation."""
-        if x not in self._topo_index or y not in self._topo_index:
-            raise GraphError(f"vertices {x!r}, {y!r} not both in the graph")
+        self._require(x, y)
         keep = self.descendants(x) & self.ancestors(y)
         vertices = [v for v in self._vertices if v in keep]
         edges = [
@@ -359,21 +367,27 @@ class LabeledDigraph:
 
         Exponential in general; the dynamic programming methods below avoid
         this, and enumeration is intended for small graphs and oracles.
+        The walk keeps an explicit stack, so path length is not bounded by
+        the recursion limit.
         """
-        if x not in self._topo_index or y not in self._topo_index:
-            raise GraphError(f"vertices {x!r}, {y!r} not both in the graph")
-        useful = self.ancestors(y)
-
-        def walk(v, acc):
-            for e in self._out[v]:
-                if e.head == y:
-                    yield acc + (e,)
-                elif e.head in useful:
-                    yield from walk(e.head, acc + (e,))
-
+        self._require(x, y)
         if x == y:
             return
-        yield from walk(x, ())
+        useful = self.ancestors(y)
+        trail: list[Edge] = []
+        pending = [iter(self._out[x])]
+        while pending:
+            for e in pending[-1]:
+                if e.head == y:
+                    yield (*trail, e)
+                elif e.head in useful:
+                    trail.append(e)
+                    pending.append(iter(self._out[e.head]))
+                    break
+            else:
+                pending.pop()
+                if trail:
+                    trail.pop()
 
     def descent_word(self, path: Path) -> str:
         """Word over {a, b} with an a at each ascent of the path's labels."""
@@ -393,33 +407,49 @@ class LabeledDigraph:
 
     # -- dynamic programming ----------------------------------------------
 
-    def ab_index_from(self, x) -> dict:
-        """ab-indexes of [x, v] for every v, by one pass in topological order.
+    def _ab_words_from(self, x) -> dict:
+        """Per vertex v, the (last label -> ab-index) table of paths from x to v.
 
         The state space is (vertex, label of the edge last used); paths are
-        summed as polynomials and never enumerated individually.
+        summed as polynomials and never enumerated individually.  A word is
+        an int: the empty word is 1 and appending a letter maps w to 2*w + 0
+        for a, 2*w + 1 for b.  Every coefficient counts paths, so it is
+        positive and no term ever cancels.
         """
         rel = self.relation.related
-        state: dict[Hashable, dict[Hashable, AbPoly]] = {v: {} for v in self._vertices}
+        state: dict[Hashable, dict[Hashable, dict[int, int]]] = {v: {} for v in self._vertices}
         for e in self._out[x]:
-            state[e.head][e.label] = state[e.head].get(e.label, AbPoly.zero()) + AbPoly.one()
-        start = self._topo_index[x]
-        for v in self._topo[start:]:
-            if v == x:
-                continue
+            words = state[e.head].setdefault(e.label, {})
+            words[1] = words.get(1, 0) + 1
+        for v in self._topo[self._topo_index[x] + 1:]:
             table = state[v]
             if not table:
                 continue
             for e in self._out[v]:
-                shifted = AbPoly.zero()
-                for label, poly in table.items():
-                    letter = "a" if rel(label, e.label) else "b"
-                    shifted = shifted + AbPoly({w + letter: c for w, c in poly.items()})
-                if shifted:
-                    state[e.head][e.label] = state[e.head].get(e.label, AbPoly.zero()) + shifted
-        return {
-            v: sum(state[v].values(), AbPoly.zero()) for v in self._vertices
-        }
+                target = state[e.head].setdefault(e.label, {})
+                for label, words in table.items():
+                    bit = 0 if rel(label, e.label) else 1
+                    for w, c in words.items():
+                        w = 2 * w + bit
+                        target[w] = target.get(w, 0) + c
+        return state
+
+    @staticmethod
+    def _decode(table: dict) -> AbPoly:
+        """Sum a vertex's (last label -> words) table into one AbPoly."""
+        total: dict[int, int] = {}
+        for words in table.values():
+            for w, c in words.items():
+                total[w] = total.get(w, 0) + c
+        return AbPoly._trusted(
+            {bin(w)[3:].translate(_BITS_TO_AB): c for w, c in total.items()}
+        )
+
+    def ab_index_from(self, x) -> dict:
+        """ab-indexes of [x, v] for every v, by one pass in topological order."""
+        self._require(x)
+        state = self._ab_words_from(x)
+        return {v: self._decode(state[v]) for v in self._vertices}
 
     def ab_index(self, x, y) -> AbPoly:
         """Sum of descent words over all paths from x to y.
@@ -427,13 +457,12 @@ class LabeledDigraph:
         Raises NoPath when y is not reachable from x; returns the zero
         polynomial for x == y (an empty sum).
         """
+        self._require(x, y)
         if x == y:
-            if x not in self._topo_index:
-                raise GraphError(f"vertex {x!r} not in the graph")
             return AbPoly.zero()
         if not self.leq(x, y):
             raise NoPath(f"no directed path from {x!r} to {y!r}")
-        return self.ab_index_from(x)[y]
+        return self._decode(self._ab_words_from(x)[y])
 
     def _run_polys_from(self, x, rising: bool) -> dict:
         """For every v: polynomial summing q^(len-1) over rising (or falling) x->v paths."""
@@ -479,9 +508,8 @@ class LabeledDigraph:
 
     def rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(r, f) where r sums q^(len-1) over rising x->y paths and f over falling ones."""
+        self._require(x, y)
         if x == y:
-            if x not in self._topo_index:
-                raise GraphError(f"vertex {x!r} not in the graph")
             return IntPoly.zero(), IntPoly.zero()
         if not self.leq(x, y):
             raise NoPath(f"no directed path from {x!r} to {y!r}")
@@ -705,7 +733,13 @@ def from_json_dict(data: dict) -> LabeledDigraph:
     if mode == "linear":
         relation = LinearRelation(rel.get("order", ()))
     elif mode == "pairs":
-        relation = PairsRelation(tuple(p) for p in rel.get("pairs", ()))
+        pairs = rel.get("pairs", ())
+        if not isinstance(pairs, (list, tuple)):
+            raise GraphError(f"relation pairs {pairs!r} is not a list")
+        for p in pairs:
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise GraphError(f"relation pair {p!r} is not a 2-element list")
+        relation = PairsRelation(tuple(p) for p in pairs)
         used = {label for _, _, label in edges}
         stray = relation.labels - used
         if stray:

@@ -87,6 +87,17 @@ class _WordPoly:
         self._terms = data
 
     @classmethod
+    def _trusted(cls, terms: dict):
+        """Wrap terms already known to be valid words with nonzero coefficients.
+
+        Skips the per-letter validation of ``__init__`` and takes ownership
+        of the dict; for results built inside the package only.
+        """
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -143,9 +154,7 @@ class _WordPoly:
         data = dict(self._terms)
         for w, c in other._terms.items():
             _merge(data, w, c)
-        result = type(self)()
-        result._terms = data
-        return result
+        return self._trusted(data)
 
     __radd__ = __add__
 
@@ -162,24 +171,19 @@ class _WordPoly:
         return other + (-self)
 
     def __neg__(self):
-        result = type(self)()
-        result._terms = {w: -c for w, c in self._terms.items()}
-        return result
+        return self._trusted({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            result = type(self)()
-            if other:
-                result._terms = {w: c * other for w, c in self._terms.items()}
-            return result
+            if not other:
+                return type(self)()
+            return self._trusted({w: c * other for w, c in self._terms.items()})
         if isinstance(other, type(self)):
             data: dict[str, int] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
                     _merge(data, w1 + w2, c1 * c2)
-            result = type(self)()
-            result._terms = data
-            return result
+            return self._trusted(data)
         return NotImplemented
 
     def __rmul__(self, other):

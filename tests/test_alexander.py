@@ -11,6 +11,7 @@ from cdindex.alexander import (
     restrict,
     signed_path_sums,
 )
+from cdindex.digraph import LabeledDigraph, LinearRelation
 from cdindex.ncpoly import IntPoly
 
 from conftest import chain
@@ -117,6 +118,12 @@ class TestParity:
 
 
 class TestAlexanderCheck:
+    def test_one_vertex_sign_is_int(self):
+        g = LabeledDigraph(["x"], [], LinearRelation([]))
+        result = alexander_check(g, set())
+        assert type(result.lhs) is int and type(result.rhs) is int
+        assert result == (0, 0, True)
+
     def test_fig3_partition(self, graph_b3):
         result = alexander_check(graph_b3, S_FIG3)
         assert result == (0, 0, True)

@@ -65,6 +65,36 @@ class TestCdIndexCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_unknown_vertex_is_input_error(self, capsys, fixture_dir):
+        code, out, err = run(
+            capsys,
+            "cdindex",
+            "--graph",
+            str(fixture_dir / "fig3_b3.json"),
+            "--interval",
+            "zz:1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'zz'" in err
+
+    def test_malformed_pair_is_input_error(self, capsys, tmp_path):
+        graph_file = tmp_path / "short_pair.json"
+        graph_file.write_text(
+            json.dumps(
+                {
+                    "vertices": ["x", "y"],
+                    "edges": [{"tail": "x", "head": "y", "label": "1"}],
+                    "relation": {"mode": "pairs", "pairs": [["1"]]},
+                }
+            )
+        )
+        code, _, err = run(capsys, "cdindex", "--graph", str(graph_file))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2-element" in err
+
     def test_json_mirror(self, capsys, fixture_dir):
         code, out, _ = run(
             capsys,

@@ -1,10 +1,13 @@
 """Graph loading, interval structure, DP-computed indexes and balance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdindex.digraph import (
     CycleDetected,
     DanglingVertex,
+    GraphError,
     LabeledDigraph,
     LinearRelation,
     NoPath,
@@ -74,6 +77,30 @@ class TestLoadAndValidate:
         }
         with pytest.raises(UnknownLabel):
             from_json_dict(data)
+
+    @pytest.mark.parametrize("pairs", [[["1"]], [["1", "1", "1"]], ["11"], [1], 5])
+    def test_malformed_pairs_in_json(self, pairs):
+        data = {
+            "vertices": ["x", "y"],
+            "edges": [{"tail": "x", "head": "y", "label": "1"}],
+            "relation": {"mode": "pairs", "pairs": pairs},
+        }
+        with pytest.raises(GraphError):
+            from_json_dict(data)
+
+    def test_unknown_vertex_is_graph_error(self, graph_b3):
+        for call in (
+            lambda: graph_b3.ab_index("zz", "123"),
+            lambda: graph_b3.ab_index("0", "zz"),
+            lambda: graph_b3.ab_index("zz", "zz"),
+            lambda: graph_b3.ab_index_from("zz"),
+            lambda: graph_b3.leq("zz", "123"),
+            lambda: graph_b3.leq("0", "zz"),
+            lambda: graph_b3.descendants("zz"),
+            lambda: graph_b3.ancestors("zz"),
+        ):
+            with pytest.raises(GraphError, match="zz"):
+                call()
 
     def test_json_roundtrip(self, graph_b3):
         again = from_json_dict(to_json_dict(graph_b3))
@@ -368,3 +395,94 @@ class TestDpOracle:
             verdicts.add(rep.verdict)
             assert rep.per_length == rep.even_length == rep.cd_span
         assert verdicts  # at least evaluated
+
+
+@st.composite
+def random_dags(draw):
+    """A small random DAG, half the time extended by a 70-edge chain.
+
+    Edges point from lower to higher vertex index and may be drawn twice,
+    so parallel edges occur; the relation is a linear order or an arbitrary
+    set of label pairs.  The chain hangs off the last vertex and gives
+    descent words longer than 64 letters.
+    """
+    n = draw(st.integers(1, 6))
+    labels = ["p", "q", "r"][: draw(st.integers(1, 3))]
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from(labels),
+                st.integers(1, 2),
+            ),
+            max_size=10,
+        )
+    )
+    vertices = [f"u{i}" for i in range(n)]
+    edges = [
+        (vertices[min(i, j)], vertices[max(i, j)], label)
+        for i, j, label, copies in drawn
+        if i != j
+        for _ in range(copies)
+    ]
+    if draw(st.booleans()):
+        tail = draw(st.lists(st.sampled_from(labels), min_size=70, max_size=70))
+        path = [vertices[-1]] + [f"c{i}" for i in range(1, 71)]
+        vertices += path[1:]
+        edges += [(path[i], path[i + 1], label) for i, label in enumerate(tail)]
+    if draw(st.booleans()):
+        relation = LinearRelation(draw(st.permutations(labels)))
+    else:
+        all_pairs = [(l, m) for l in labels for m in labels]
+        relation = PairsRelation(draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+    return LabeledDigraph(vertices, edges, relation)
+
+
+class TestIntWordKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(random_dags())
+    def test_every_interval_matches_brute_force(self, g):
+        for x in g.vertices:
+            psi = g.ab_index_from(x)
+            assert set(psi) == set(g.vertices)
+            for v in g.vertices:
+                if g.leq(x, v):
+                    assert psi[v] == brute_force_ab_index(g, x, v)
+                    assert AbPoly(psi[v].terms) == psi[v]
+                else:
+                    assert psi[v] == AbPoly.zero()
+        if "c70" in g.vertices:
+            junction = g.in_edges("c1")[0].tail
+            assert [len(w) for w, _ in g.ab_index(junction, "c70").items()] == [69]
+
+    def test_leading_a_letters_survive(self):
+        # a is the 0 bit; the sentinel keeps leading a's apart from the empty word
+        g = chain(["1", "2", "3", "1"])
+        assert g.ab_index("v0", "v1") == AbPoly.one()
+        assert g.ab_index("v0", "v3") == AbPoly.monomial("aa")
+        assert g.ab_index("v0", "v4") == AbPoly.monomial("aab")
+
+
+class TestDeepGraphs:
+    """Sizes past the default recursion limit of 1000 frames."""
+
+    N = 3000
+
+    def test_long_cycle_reported(self):
+        edges = [(i, (i + 1) % self.N, "1") for i in range(self.N)]
+        with pytest.raises(CycleDetected) as exc:
+            LabeledDigraph(range(self.N), edges, LinearRelation(["1"]))
+        cyc = exc.value.cycle
+        assert cyc[0] == cyc[-1] and len(cyc) == self.N + 1
+
+    def test_paths_on_long_chain(self):
+        g = chain(["1"] * self.N)
+        (path,) = g.paths("v0", f"v{self.N}")
+        assert len(path) == self.N
+        assert g.descent_word(path) == "a" * (self.N - 1)
+
+    def test_ab_index_on_long_chain(self):
+        g = chain(["2", "1"] * (self.N // 2))
+        expected = "ba" * (self.N // 2 - 1) + "b"
+        assert g.ab_index("v0", f"v{self.N}") == AbPoly.monomial(expected)
