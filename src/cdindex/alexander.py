@@ -102,20 +102,26 @@ def restrict(g: LabeledDigraph, subset: Iterable[Hashable]) -> RestrictedDigraph
     rel = g.relation.related
 
     edges = []
-
-    def grow(start, v, labels):
-        for e in g.out_edges(v):
-            if labels and not rel(labels[-1], e.label):
-                continue
-            extended = labels + [e.label]
-            if e.head in members:
-                edges.append((start, e.head, tuple(extended)))
-            else:
-                grow(start, e.head, extended)
-
     order = [v for v in g.topological_order if v in members]
-    for v in order:
-        grow(v, v, [])
+    for start in order:
+        # depth-first over rising segments; pending[i] walks the out-edges
+        # at the end of the first i labels of the trail
+        trail: list = []
+        pending = [iter(g.out_edges(start))]
+        while pending:
+            for e in pending[-1]:
+                if trail and not rel(trail[-1], e.label):
+                    continue
+                if e.head in members:
+                    edges.append((start, e.head, (*trail, e.label)))
+                else:
+                    trail.append(e.label)
+                    pending.append(iter(g.out_edges(e.head)))
+                    break
+            else:
+                pending.pop()
+                if trail:
+                    trail.pop()
 
     labels = {lab for _, _, lab in edges}
     pairs = [

@@ -3,8 +3,9 @@
 One subcommand per computation, all operating on the JSON graph format or
 on Coxeter group generators.  Exit status: 0 on success, 1 on a negative
 mathematical outcome (an unbalanced graph, a failed identity, a search
-hit), 2 on bad input.  Every textual output has a machine-readable mirror
-behind ``--json``.
+hit), 2 on bad input, 3 on an internal error (a bug, reported in one line
+instead of a traceback).  Every textual output has a machine-readable
+mirror behind ``--json``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from . import construct as construct_mod
 from . import coxeter as coxeter_mod
 from . import fixtures as fixtures_mod
 from . import qsym as qsym_mod
-from .digraph import GraphError, NoPath, load_graph, to_json_dict
+from .digraph import GraphError, InternalError, NoPath, load_graph, to_json_dict
 from .ncpoly import NotInSpan, ab_to_cd, parse_cd
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _emit_json(payload) -> None:
@@ -212,9 +214,13 @@ def cmd_bruhat(args) -> int:
 def cmd_construct(args) -> int:
     target = parse_cd(args.cd)
     graph = construct_mod.realize(target)
-    achieved = ab_to_cd(graph.ab_index(graph.zero_hat(), graph.one_hat()))
-    if achieved != target:
-        raise RuntimeError(f"realization failed: built {achieved}, wanted {target}")
+    report = graph.is_balanced()
+    achieved = report.cd_index
+    if not report.balanced or achieved != target:
+        raise InternalError(
+            f"realization failed: built a graph with balanced={report.balanced} "
+            f"and cd-index {achieved}, wanted {target}"
+        )
     data = to_json_dict(graph)
     payload = {
         "cd_index": str(achieved),
@@ -357,6 +363,9 @@ def main(argv=None) -> int:
     except (GraphError, alexander_mod.PreconditionFailed, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

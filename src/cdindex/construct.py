@@ -129,38 +129,32 @@ def d_join(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
     return _normalize(vertices, edges, order)
 
 
-def glue_sum(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
-    """Identify the sources and the sinks of two balanced linear graphs.
+def glue_sum(*graphs: LabeledDigraph) -> LabeledDigraph:
+    """Identify the sources and the sinks of two or more balanced linear graphs.
 
     Label sets are kept disjoint and concatenated into one linear order
     (any interleaving preserves within-graph comparisons, so the simplest
-    deterministic one is used).  The cd-index adds.
+    deterministic one is used).  The cd-index adds.  Gluing all parts at
+    once gives the same graph as gluing them one at a time from the left,
+    with one renaming instead of one per part.
     """
-    _require_joinable(g1, "left")
-    _require_joinable(g2, "right")
+    if len(graphs) < 2:
+        raise ValueError("glue_sum needs at least two graphs")
     bot, top = ("bot",), ("top",)
-
-    def place(tag, g, v):
-        if v == g.zero_hat():
-            return bot
-        if v == g.one_hat():
-            return top
-        return (tag, v)
-
     vertices = [bot]
-    vertices += [("1", v) for v in g1.vertices if v not in (g1.zero_hat(), g1.one_hat())]
-    vertices += [("2", v) for v in g2.vertices if v not in (g2.zero_hat(), g2.one_hat())]
+    edges = []
+    order = []
+    for i, g in enumerate(graphs, start=1):
+        _require_joinable(g, f"glue argument {i}")
+        tag = str(i)
+        ends = {g.zero_hat(): bot, g.one_hat(): top}
+        vertices += [(tag, v) for v in g.vertices if v not in ends]
+        edges += [
+            (ends.get(e.tail, (tag, e.tail)), ends.get(e.head, (tag, e.head)), (tag, e.label))
+            for e in g.edges
+        ]
+        order += [(tag, label) for label in g.relation.order]
     vertices.append(top)
-    edges = [
-        (place("1", g1, e.tail), place("1", g1, e.head), ("1", e.label))
-        for e in g1.edges
-    ]
-    edges += [
-        (place("2", g2, e.tail), place("2", g2, e.head), ("2", e.label))
-        for e in g2.edges
-    ]
-    order = [("1", label) for label in g1.relation.order]
-    order += [("2", label) for label in g2.relation.order]
     return _normalize(vertices, edges, order)
 
 
@@ -168,27 +162,22 @@ def realize(w: CdPoly) -> LabeledDigraph:
     """A bounded, balanced, linearly labeled digraph whose cd-index is w.
 
     Each monomial c^i0 d c^i1 d ... d c^ip becomes a chain of butterflies
-    joined by d-joins; multiplicities and distinct monomials are glued.
-    Requires w nonzero with nonnegative coefficients.
+    joined by d-joins; multiplicities and distinct monomials are glued in
+    one glue sum.  Requires w nonzero with nonnegative coefficients.
     """
     if w.is_zero():
         raise ZeroPolynomial("cannot realize the zero polynomial")
     negatives = {word: c for word, c in w.items() if c < 0}
     if negatives:
         raise NegativeCoefficient(f"negative coefficients: {negatives}")
-    result = None
+    parts = []
     for word in sorted(w.terms, key=cd_sort_key):
         runs = [len(part) for part in word.split("d")]
         monomial_graph = butterfly(runs[0])
         for run in runs[1:]:
             monomial_graph = d_join(monomial_graph, butterfly(run))
-        for _ in range(w.coefficient(word)):
-            result = (
-                monomial_graph
-                if result is None
-                else glue_sum(result, monomial_graph)
-            )
-    return result
+        parts += [monomial_graph] * w.coefficient(word)
+    return parts[0] if len(parts) == 1 else glue_sum(*parts)
 
 
 def random_labeled_dag(

@@ -229,6 +229,7 @@ class LabeledDigraph:
             self._in[e.head].append(e)
         self._topo = self._toposort()
         self._topo_index = {v: i for i, v in enumerate(self._topo)}
+        self._balance: BalanceReport | None = None
 
     def _toposort(self) -> tuple:
         indeg = {v: len(self._in[v]) for v in self._vertices}
@@ -464,58 +465,61 @@ class LabeledDigraph:
             raise NoPath(f"no directed path from {x!r} to {y!r}")
         return self._decode(self._ab_words_from(x)[y])
 
-    def _run_polys_from(self, x, rising: bool) -> dict:
-        """For every v: polynomial summing q^(len-1) over rising (or falling) x->v paths."""
+    def _run_counts(self, x) -> Iterator[tuple]:
+        """Rising and falling path counts from x, one reached vertex at a time.
+
+        A state (vertex, label of the last edge) holds two tables, length ->
+        number of rising (all ascents) and of falling (all descents) paths
+        from x that end in it; a one-edge path is both.  Vertices are taken
+        in topological order, so when the sweep reaches v its tables are
+        final: the generator yields (v, r, f) with r and f summed over v's
+        states, and only then extends v's paths along its out-edges.  Each
+        (out-edge, last label) pair compares the labels once and extends
+        the rising table on an ascent, the falling table on a descent.
+        Every vertex reachable from x, and no other, is yielded.
+        """
         rel = self.relation.related
-        state: dict[Hashable, dict[Hashable, list[int]]] = {v: {} for v in self._vertices}
+        state: dict[Hashable, dict[Hashable, tuple[dict, dict]]] = {}
         for e in self._out[x]:
-            counts = state[e.head].setdefault(e.label, [])
-            if not counts:
-                counts.append(0)
-            counts[0] += 1
-        start = self._topo_index[x]
-        for v in self._topo[start:]:
-            if v == x:
+            rise, fall = state.setdefault(e.head, {}).setdefault(e.label, ({}, {}))
+            rise[1] = rise.get(1, 0) + 1
+            fall[1] = fall.get(1, 0) + 1
+        for v in self._topo[self._topo_index[x] + 1:]:
+            table = state.pop(v, None)
+            if table is None:
                 continue
-            table = state[v]
-            if not table:
-                continue
+            r: dict[int, int] = {}
+            f: dict[int, int] = {}
+            for rise, fall in table.values():
+                for k, c in rise.items():
+                    r[k] = r.get(k, 0) + c
+                for k, c in fall.items():
+                    f[k] = f.get(k, 0) + c
+            yield v, r, f
             for e in self._out[v]:
-                extended: list[int] = []
-                for label, counts in table.items():
-                    if rel(label, e.label) != rising:
-                        continue
-                    if len(extended) < len(counts) + 1:
-                        extended.extend([0] * (len(counts) + 1 - len(extended)))
-                    for i, c in enumerate(counts):
-                        extended[i + 1] += c
-                if any(extended):
-                    target = state[e.head].setdefault(e.label, [])
-                    if len(target) < len(extended):
-                        target.extend([0] * (len(extended) - len(target)))
-                    for i, c in enumerate(extended):
-                        target[i] += c
-        out = {}
-        for v in self._vertices:
-            total: list[int] = []
-            for counts in state[v].values():
-                if len(total) < len(counts):
-                    total.extend([0] * (len(counts) - len(total)))
-                for i, c in enumerate(counts):
-                    total[i] += c
-            out[v] = IntPoly(total)
-        return out
+                rise_to, fall_to = state.setdefault(e.head, {}).setdefault(e.label, ({}, {}))
+                for label, (rise, fall) in table.items():
+                    if rel(label, e.label):
+                        src, dst = rise, rise_to
+                    else:
+                        src, dst = fall, fall_to
+                    for k, c in src.items():
+                        dst[k + 1] = dst.get(k + 1, 0) + c
+
+    @staticmethod
+    def _poly(counts: dict) -> IntPoly:
+        """The polynomial summing q^(len-1) over a length -> count table."""
+        return IntPoly(counts.get(k, 0) for k in range(1, max(counts, default=0) + 1))
 
     def rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(r, f) where r sums q^(len-1) over rising x->y paths and f over falling ones."""
         self._require(x, y)
         if x == y:
             return IntPoly.zero(), IntPoly.zero()
-        if not self.leq(x, y):
-            raise NoPath(f"no directed path from {x!r} to {y!r}")
-        r = self._run_polys_from(x, rising=True)[y]
-        f = self._run_polys_from(x, rising=False)[y]
-        return r, f
+        for v, r, f in self._run_counts(x):
+            if v == y:
+                return self._poly(r), self._poly(f)
+        raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     def capital_rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(R, F) with R = q*r and F = q*f for x < y; both 1 when x == y."""
@@ -529,19 +533,10 @@ class LabeledDigraph:
 
     def _balance_witness(self) -> BalanceWitness | None:
         for x in self._topo:
-            rising = self._run_polys_from(x, rising=True)
-            falling = self._run_polys_from(x, rising=False)
-            for y in self._topo:
-                if y == x:
-                    continue
-                r, f = rising[y], falling[y]
-                if r == f:
-                    continue
-                for k in range(max(r.degree(), f.degree()) + 2):
-                    if r.coefficient(k) != f.coefficient(k):
-                        return BalanceWitness(
-                            x, y, k + 1, r.coefficient(k), f.coefficient(k)
-                        )
+            for y, r, f in self._run_counts(x):
+                if r != f:
+                    k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
+                    return BalanceWitness(x, y, k, r.get(k, 0), f.get(k, 0))
         return None
 
     def is_balanced(self) -> BalanceReport:
@@ -550,16 +545,20 @@ class LabeledDigraph:
         The witness names the first interval (in topological order) and the
         first path length at which rising and falling counts differ.  The
         cd-index of [source, sink] is included when the graph is balanced
-        and bounded.
+        and bounded.  The graph is immutable, so the report is computed
+        once and returned again on every later call.
         """
-        witness = self._balance_witness()
-        if witness is not None:
-            return BalanceReport(balanced=False, witness=witness)
-        cd = None
-        if self.is_bounded():
-            bot, top = self.zero_hat(), self.one_hat()
-            cd = ab_to_cd(self.ab_index(bot, top)) if bot != top else CdPoly.zero()
-        return BalanceReport(balanced=True, cd_index=cd)
+        if self._balance is None:
+            witness = self._balance_witness()
+            if witness is not None:
+                self._balance = BalanceReport(balanced=False, witness=witness)
+            else:
+                cd = None
+                if self.is_bounded():
+                    bot, top = self.zero_hat(), self.one_hat()
+                    cd = ab_to_cd(self.ab_index(bot, top)) if bot != top else CdPoly.zero()
+                self._balance = BalanceReport(balanced=True, cd_index=cd)
+        return self._balance
 
     def check_balance_equivalence(self) -> BalanceEquivalenceReport:
         """Evaluate the three balance characterizations independently.
@@ -574,21 +573,11 @@ class LabeledDigraph:
         even_length = True
         cd_span = True
         for x in self._topo:
-            rising = self._run_polys_from(x, rising=True)
-            falling = self._run_polys_from(x, rising=False)
             psi = self.ab_index_from(x)
-            reachable = self.descendants(x)
-            for y in self._topo:
-                if y == x or y not in reachable:
-                    continue
-                r, f = rising[y], falling[y]
+            for y, r, f in self._run_counts(x):
                 if r != f:
                     per_length = False
-                top = max(r.degree(), f.degree())
-                if any(
-                    r.coefficient(k) != f.coefficient(k)
-                    for k in range(1, top + 1, 2)  # odd index = even path length
-                ):
+                if any(r.get(k, 0) != f.get(k, 0) for k in r.keys() | f.keys() if k % 2 == 0):
                     even_length = False
                 try:
                     ab_to_cd(psi[y])
@@ -715,6 +704,19 @@ def to_json_dict(g: LabeledDigraph) -> dict:
     }
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise GraphError(f"{what} {value!r} is not a list")
+    return value
+
+
+def _json_key(value, what: str):
+    """A vertex or label read from JSON: a string or an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise GraphError(f"{what} {value!r} is not a string or an integer")
+    return value
+
+
 def from_json_dict(data: dict) -> LabeledDigraph:
     """Validate and build a graph from its plain-dict description."""
     try:
@@ -724,22 +726,25 @@ def from_json_dict(data: dict) -> LabeledDigraph:
         mode = rel["mode"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph description: missing {exc}") from None
+    vertices = [_json_key(v, "vertex") for v in _json_list(vertices, "vertices")]
     edges = []
-    for d in edge_dicts:
+    for d in _json_list(edge_dicts, "edges"):
         try:
-            edges.append((d["tail"], d["head"], d["label"]))
+            tail, head, label = d["tail"], d["head"], d["label"]
         except (KeyError, TypeError):
             raise GraphError(f"malformed edge entry {d!r}") from None
+        edges.append(
+            (_json_key(tail, "edge tail"), _json_key(head, "edge head"), _json_key(label, "label"))
+        )
     if mode == "linear":
-        relation = LinearRelation(rel.get("order", ()))
+        order = _json_list(rel.get("order", ()), "linear order")
+        relation = LinearRelation(_json_key(label, "label") for label in order)
     elif mode == "pairs":
-        pairs = rel.get("pairs", ())
-        if not isinstance(pairs, (list, tuple)):
-            raise GraphError(f"relation pairs {pairs!r} is not a list")
+        pairs = _json_list(rel.get("pairs", ()), "relation pairs")
         for p in pairs:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
                 raise GraphError(f"relation pair {p!r} is not a 2-element list")
-        relation = PairsRelation(tuple(p) for p in pairs)
+        relation = PairsRelation((_json_key(l, "label"), _json_key(m, "label")) for l, m in pairs)
         used = {label for _, _, label in edges}
         stray = relation.labels - used
         if stray:

@@ -104,6 +104,19 @@ class TestRestrict:
         assert len(falling_restricted) == len(matching_base)
 
 
+    def test_long_chain(self):
+        # one rising segment of 3,000 edges, past the default recursion limit
+        n = 3000
+        g = chain(["1"] * n)
+        (edge,) = restrict(g, set()).graph.edges
+        assert (edge.tail, edge.head, edge.label) == ("v0", f"v{n}", ("1",) * n)
+        halves = restrict(g, {"v1000"}).graph.edges
+        assert [(e.tail, e.head, len(e.label)) for e in halves] == [
+            ("v0", "v1000", 1000),
+            ("v1000", f"v{n}", n - 1000),
+        ]
+
+
 class TestParity:
     def test_b3(self, graph_b3):
         assert parity_condition(graph_b3) == (True, 3)

@@ -95,6 +95,33 @@ class TestCdIndexCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "2-element" in err
 
+    def test_list_label_is_input_error(self, capsys, tmp_path):
+        graph_file = tmp_path / "list_label.json"
+        graph_file.write_text(
+            json.dumps(
+                {
+                    "vertices": ["x", "y"],
+                    "edges": [{"tail": "x", "head": "y", "label": ["1"]}],
+                    "relation": {"mode": "linear", "order": ["1"]},
+                }
+            )
+        )
+        code, out, err = run(capsys, "cdindex", "--graph", str(graph_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "['1']" in err
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(**kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("cdindex.construct.conjecture_search", broken)
+        code, out, err = run(capsys, "search", "--trials", "1", "--seed", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: KeyError: 'boom'\n"
+
     def test_json_mirror(self, capsys, fixture_dir):
         code, out, _ = run(
             capsys,

@@ -14,8 +14,10 @@ from cdindex.construct import (
     random_labeled_dag,
     realize,
 )
-from cdindex.digraph import LinearRelation, Unbounded, from_json_dict
-from cdindex.ncpoly import CdPoly, ab_to_cd, cd_words_of_degree, parse_cd
+from cdindex import construct as construct_mod
+from cdindex.cli import main
+from cdindex.digraph import LinearRelation, Unbounded, from_json_dict, to_json_dict
+from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_cd
 
 from conftest import brute_force_ab_index, chain
 
@@ -117,6 +119,47 @@ class TestGlueSum:
         glued = glue_sum(g1, g2)
         assert cd_index_of(glued) == cd_index_of(g1) + cd_index_of(g2)
         assert glued.is_balanced().balanced
+
+
+def realize_by_pairwise_glue(w: CdPoly):
+    """Oracle: the monomial graphs of realize, glued one at a time from the left."""
+    result = None
+    for word in sorted(w.terms, key=cd_sort_key):
+        runs = [len(part) for part in word.split("d")]
+        monomial_graph = butterfly(runs[0])
+        for run in runs[1:]:
+            monomial_graph = d_join(monomial_graph, butterfly(run))
+        for _ in range(w.coefficient(word)):
+            result = monomial_graph if result is None else glue_sum(result, monomial_graph)
+    return result
+
+
+class TestNaryGlue:
+    def test_realize_equals_pairwise_fold(self, rng):
+        for _ in range(40):
+            target = _random_nonneg_cd(rng, max_degree=4)
+            assert to_json_dict(realize(target)) == to_json_dict(realize_by_pairwise_glue(target))
+
+    def test_needs_two_graphs(self):
+        with pytest.raises(ValueError):
+            glue_sum()
+        with pytest.raises(ValueError):
+            glue_sum(butterfly(1))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_unbalanced_anywhere(self, position):
+        parts = [butterfly(1), butterfly(0), butterfly(2)]
+        parts[position] = chain(["2", "1"])
+        with pytest.raises(ValueError):
+            glue_sum(*parts)
+
+    def test_cli_rejects_unbalanced_realization(self, capsys, monkeypatch):
+        monkeypatch.setattr(construct_mod, "realize", lambda w: chain(["2", "1"]))
+        code = main(["construct", "--cd", "c"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
 
 
 class TestRealize:

@@ -464,6 +464,77 @@ class TestIntWordKernel:
         assert g.ab_index("v0", "v4") == AbPoly.monomial("aab")
 
 
+def length_counts(paths) -> dict:
+    counts: dict = {}
+    for p in paths:
+        counts[len(p)] = counts.get(len(p), 0) + 1
+    return counts
+
+
+def length_poly(paths) -> IntPoly:
+    """Sum of q^(len-1) over the given paths."""
+    counts = length_counts(paths)
+    return IntPoly(counts.get(k, 0) for k in range(1, max(counts, default=0) + 1))
+
+
+def brute_force_witness(g):
+    """Oracle: the first (x, y, length) in topological order with r != f."""
+    for x in g.topological_order:
+        for y in g.topological_order:
+            if x == y:
+                continue
+            paths = list(g.paths(x, y))
+            r = length_counts(filter(g.is_rising, paths))
+            f = length_counts(filter(g.is_falling, paths))
+            for k in sorted(r.keys() | f.keys()):
+                if r.get(k, 0) != f.get(k, 0):
+                    return (x, y, k, r.get(k, 0), f.get(k, 0))
+    return None
+
+
+class TestRisingFallingSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(random_dags())
+    def test_counts_match_path_enumeration(self, g):
+        for x in g.vertices:
+            for y in g.descendants(x) - {x}:
+                paths = list(g.paths(x, y))
+                assert g.rising_falling(x, y) == (
+                    length_poly(filter(g.is_rising, paths)),
+                    length_poly(filter(g.is_falling, paths)),
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_dags())
+    def test_witness_matches_brute_force(self, g):
+        report = g.is_balanced()
+        witness = brute_force_witness(g)
+        assert report.balanced == (witness is None)
+        if witness is not None:
+            assert tuple(report.witness) == witness
+
+    def test_witness_is_first_length(self):
+        # [s, c] is balanced (one rising, one falling 2-path); [s, y] has one
+        # more rising 2-path (via a) and one more falling 3-path (via b2, c)
+        g = LabeledDigraph(
+            ["s", "a", "b", "b2", "c", "y"],
+            [
+                ("s", "a", "1"), ("a", "y", "2"),
+                ("s", "b", "1"), ("b", "c", "2"),
+                ("s", "b2", "2"), ("b2", "c", "1"),
+                ("c", "y", "0"),
+            ],
+            LinearRelation(["0", "1", "2"]),
+        )
+        assert tuple(g.is_balanced().witness) == ("s", "y", 2, 1, 0) == brute_force_witness(g)
+        assert g.rising_falling("s", "y") == (IntPoly((0, 1)), IntPoly((0, 0, 1)))
+
+    def test_report_is_computed_once(self, graph_b3):
+        unbalanced = chain(["2", "1"])
+        for g in (graph_b3, unbalanced):
+            assert g.is_balanced() is g.is_balanced()
+
+
 class TestDeepGraphs:
     """Sizes past the default recursion limit of 1000 frames."""
 
