@@ -75,13 +75,8 @@ from .coxeter import (
     BruhatGraph,
     Permutation,
     bruhat_graph_sn,
-    bruhat_interval,
-    complete_cd_index,
     dihedral_bruhat_graph,
     dihedral_graph,
-    poset_cd_index,
-    r_polynomial_dyer,
-    r_polynomial_recursive,
     reflection_order_validate,
 )
 from .construct import (

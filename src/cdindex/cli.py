@@ -11,6 +11,7 @@ mirror behind ``--json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -286,7 +287,9 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="cdindex",
         description="ab/cd-indexes, balance, duality, quasisymmetric and "

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath
-from .ncpoly import CdPoly, IntPoly, NotInSpan, ab_to_cd
+from .ncpoly import CdPoly, FreeModule, IntPoly, NotInSpan, ab_to_cd
 
 __all__ = [
     "BruhatGraph",
@@ -34,15 +34,10 @@ __all__ = [
     "HalfPowerResidue",
     "Permutation",
     "bruhat_graph_sn",
-    "bruhat_interval",
     "bruhat_leq",
-    "complete_cd_index",
     "dihedral_bruhat_graph",
     "dihedral_graph",
     "parse_permutation",
-    "poset_cd_index",
-    "r_polynomial_dyer",
-    "r_polynomial_recursive",
     "reflection_order_validate",
     "transpositions",
     "DEFAULT_MAX_N",
@@ -117,52 +112,35 @@ class HalfPowerResidue(ArithmeticError):
     """A Dyer evaluation left a genuine half power of q behind."""
 
 
-class HalfPowerLaurent:
-    """Laurent polynomial in q^(1/2); exponents stored doubled as ints."""
+class HalfPowerLaurent(FreeModule):
+    """Laurent polynomial in q^(1/2); exponents stored doubled as ints.
 
-    __slots__ = ("terms",)
+    Keys are the doubled exponents, multiplied by addition.
+    """
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+    __slots__ = ()
+    _UNIT = 0
 
-    @classmethod
-    def zero(cls) -> "HalfPowerLaurent":
-        return cls()
+    @staticmethod
+    def _key(k):
+        if not isinstance(k, int):
+            raise ValueError(f"exponent {k!r} is not an int")
+        return k
 
-    @classmethod
-    def one(cls) -> "HalfPowerLaurent":
-        return cls({0: 1})
+    @staticmethod
+    def _sort_key(k: int) -> int:
+        return k
 
-    def __add__(self, other: "HalfPowerLaurent") -> "HalfPowerLaurent":
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            data[k] = data.get(k, 0) + c
-        return HalfPowerLaurent(data)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfPowerLaurent({k: c * other for k, c in self.terms.items()})
-        data: dict[int, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = k1 + k2
-                data[key] = data.get(key, 0) + c1 * c2
-        return HalfPowerLaurent(data)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "HalfPowerLaurent":
-        result = HalfPowerLaurent.one()
-        for _ in range(k):
-            result = result * self
-        return result
+    @staticmethod
+    def _render(k: int) -> str:
+        return f"q^({k}/2)" if k else ""
 
     def to_int_poly(self) -> IntPoly:
         """Collapse to an ordinary polynomial; any half power raises."""
-        if any(k % 2 or k < 0 for k in self.terms):
-            raise HalfPowerResidue(f"not an integer polynomial: {self.terms}")
-        coeffs = [0] * (max(self.terms, default=0) // 2 + 1)
-        for k, c in self.terms.items():
+        if any(k % 2 or k < 0 for k in self._terms):
+            raise HalfPowerResidue(f"not an integer polynomial: {self}")
+        coeffs = [0] * (max(self._terms, default=0) // 2 + 1)
+        for k, c in self._terms.items():
             coeffs[k // 2] = c
         return IntPoly(coeffs)
 
@@ -365,32 +343,6 @@ def bruhat_leq(u, v) -> bool:
             if a > b:
                 return False
     return True
-
-
-def bruhat_interval(u, v) -> LabeledDigraph:
-    """Bruhat-graph interval [u, v] of the symmetric group as a labeled digraph."""
-    u, v = _coerce_perm(u), _coerce_perm(v)
-    return bruhat_graph_sn(len(u)).interval(u, v)
-
-
-def complete_cd_index(u, v) -> CdPoly:
-    u, v = _coerce_perm(u), _coerce_perm(v)
-    return bruhat_graph_sn(len(u)).complete_cd_index(u, v)
-
-
-def poset_cd_index(u, v) -> CdPoly:
-    u, v = _coerce_perm(u), _coerce_perm(v)
-    return bruhat_graph_sn(len(u)).poset_cd_index(u, v)
-
-
-def r_polynomial_recursive(u, v) -> IntPoly:
-    u, v = _coerce_perm(u), _coerce_perm(v)
-    return bruhat_graph_sn(len(u)).r_polynomial_recursive(u, v)
-
-
-def r_polynomial_dyer(u, v) -> IntPoly:
-    u, v = _coerce_perm(u), _coerce_perm(v)
-    return bruhat_graph_sn(len(u)).r_polynomial_dyer(u, v)
 
 
 # -- the dihedral groups -----------------------------------------------------

@@ -1,11 +1,15 @@
 """Exact noncommutative polynomials over the alphabets {a, b} and {c, d}.
 
 Words are plain Python strings over the fixed two-letter alphabets; a
-polynomial is a finite integer combination of words, stored as a dict
-from word to nonzero coefficient.  The letters a and b have degree 1,
-while c has degree 1 and d has degree 2 (under the substitution
-c = a + b, d = ab + ba a cd-word of degree n expands into ab-words of
-length n).
+polynomial is a finite integer combination of words.  Every sparse
+integer combination in the package (these polynomials, their tensor
+squares, quasisymmetric elements, half-power Laurent polynomials) is a
+``FreeModule``: a dict from basis key to nonzero coefficient whose
+arithmetic, comparison and printing are written once.
+
+The letters a and b have degree 1, while c has degree 1 and d has
+degree 2 (under the substitution c = a + b, d = ab + ba a cd-word of
+degree n expands into ab-words of length n).
 
 Besides ring arithmetic the module provides the structural maps used
 throughout the package:
@@ -28,9 +32,11 @@ from typing import Iterable, Iterator, Mapping
 __all__ = [
     "AbPoly",
     "CdPoly",
+    "FreeModule",
     "IntPoly",
     "NotInSpan",
     "TensorPoly",
+    "TensorSquare",
     "ab_to_cd",
     "apply_kappa",
     "apply_lambda",
@@ -69,29 +75,92 @@ def _merge(target: dict, key, coeff: int) -> None:
         target.pop(key, None)
 
 
-class _WordPoly:
-    """Shared mechanics of AbPoly and CdPoly: a dict from word to int."""
+def _format_terms(terms: Mapping, sort_key, render) -> str:
+    """Print an integer combination as e.g. ``2*ab - b + 3``.
 
-    _LETTERS: str = ""
+    Keys appear in ``sort_key`` order; a key that ``render`` turns into the
+    empty string (the unit) prints as its bare coefficient.
+    """
+    if not terms:
+        return "0"
+    parts = []
+    for key in sorted(terms, key=sort_key):
+        coeff = terms[key]
+        name = render(key)
+        if not name:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = name
+        else:
+            body = f"{abs(coeff)}*{name}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+class FreeModule:
+    """A finite integer combination of basis keys: a dict from key to nonzero int.
+
+    Arithmetic, comparison, hashing and printing live here once.  A
+    subclass describes its basis through these hooks:
+
+    * ``_UNIT``: the key of the multiplicative identity; ints coerce to it.
+    * ``_key(key)``: validate and normalize a key given from outside
+      (raising ValueError).  Results built inside the package skip it
+      through ``_trusted``.
+    * ``_mul_keys(out, k1, k2, coeff)``: add coeff times the product of two
+      keys into the dict ``out``; ``out`` may be left holding zeros, which
+      the caller drops.
+    * ``word_degree(key)``: the grading behind ``degree`` and
+      ``homogeneous_part``.
+    * ``_sort_key(key)`` and ``_render(key)``: the printing order and the
+      printed form of a key, the empty string standing for the unit.
+
+    The defaults describe words over the letters ``_LETTERS`` under
+    concatenation, graded by length and printed as themselves.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[str, int] | None = None):
-        data: dict[str, int] = {}
+    _LETTERS: str = ""
+    _UNIT = ""
+
+    def __init__(self, terms: Mapping | None = None):
+        data: dict = {}
         if terms:
-            for word, coeff in terms.items():
-                if any(ch not in self._LETTERS for ch in word):
-                    raise ValueError(f"invalid word {word!r} over {{{self._LETTERS}}}")
+            key = self._key
+            for k, coeff in terms.items():
                 if coeff:
-                    _merge(data, word, coeff)
+                    _merge(data, key(k), coeff)
         self._terms = data
 
     @classmethod
-    def _trusted(cls, terms: dict):
-        """Wrap terms already known to be valid words with nonzero coefficients.
+    def _key(cls, word):
+        if not isinstance(word, str) or word.strip(cls._LETTERS):
+            raise ValueError(f"invalid word {word!r} over {{{cls._LETTERS}}}")
+        return word
 
-        Skips the per-letter validation of ``__init__`` and takes ownership
-        of the dict; for results built inside the package only.
+    @staticmethod
+    def _mul_keys(out: dict, k1, k2, coeff: int) -> None:
+        key = k1 + k2
+        out[key] = out.get(key, 0) + coeff
+
+    word_degree = staticmethod(len)
+
+    @classmethod
+    def _sort_key(cls, key):
+        return (cls.word_degree(key), key)
+
+    _render = staticmethod(str)
+
+    @classmethod
+    def _trusted(cls, terms: dict):
+        """Wrap terms already known to be valid keys with nonzero coefficients.
+
+        Skips the validation of ``__init__`` and takes ownership of the
+        dict; for results built inside the package only.
         """
         result = cls.__new__(cls)
         result._terms = terms
@@ -99,102 +168,91 @@ class _WordPoly:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls):
-        return cls({"": 1})
+        return cls._trusted({cls._UNIT: 1})
 
     @classmethod
-    def monomial(cls, word: str, coeff: int = 1):
-        return cls({word: coeff})
+    def monomial(cls, key, coeff: int = 1):
+        return cls({key: coeff})
 
     @property
-    def terms(self) -> dict[str, int]:
+    def terms(self) -> dict:
         return dict(self._terms)
-
-    def coefficient(self, word: str) -> int:
-        return self._terms.get(word, 0)
 
     def items(self):
         return self._terms.items()
 
-    def word_degree(self, word: str) -> int:
-        return len(word)
+    def coefficient(self, key) -> int:
+        return self._terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_homogeneous(self) -> bool:
-        degrees = {self.word_degree(w) for w in self._terms}
-        return len(degrees) <= 1
-
     def degree(self) -> int:
-        """Largest term degree; the zero polynomial has degree -1."""
-        if not self._terms:
-            return -1
-        return max(self.word_degree(w) for w in self._terms)
+        """Largest term degree; zero has degree -1."""
+        return max(map(self.word_degree, self._terms), default=-1)
 
     def homogeneous_part(self, n: int):
-        return type(self)(
-            {w: c for w, c in self._terms.items() if self.word_degree(w) == n}
-        )
+        degree = self.word_degree
+        return self._trusted({k: c for k, c in self._terms.items() if degree(k) == n})
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return type(self)({"": other})
+            return self._trusted({self._UNIT: other} if other else {})
         if isinstance(other, type(self)):
             return other
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         data = dict(self._terms)
-        for w, c in other._terms.items():
-            _merge(data, w, c)
+        for k, c in other._terms.items():
+            _merge(data, k, sign * c)
         return self._trusted(data)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._plus(other, 1)
 
     def __neg__(self):
-        return self._trusted({w: -c for w, c in self._terms.items()})
+        return self._trusted({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
-                return type(self)()
-            return self._trusted({w: c * other for w, c in self._terms.items()})
-        if isinstance(other, type(self)):
-            data: dict[str, int] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    _merge(data, w1 + w2, c1 * c2)
-            return self._trusted(data)
-        return NotImplemented
+                return self.zero()
+            return self._trusted({k: c * other for k, c in self._terms.items()})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        data: dict = {}
+        mul = self._mul_keys
+        right = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                mul(data, k1, k2, c1 * c2)
+        if 0 in data.values():  # terms that cancelled
+            data = {k: c for k, c in data.items() if c}
+        return self._trusted(data)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    # the reflected product is only defined for an int, which scales
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = type(self).one()
+        result = self.one()
         for _ in range(n):
             result = result * self
         return result
@@ -205,58 +263,38 @@ class _WordPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
         return bool(self._terms)
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def _sort_key(self, word: str):
-        return (self.word_degree(word), word)
-
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for word in sorted(self._terms, key=self._sort_key):
-            coeff = self._terms[word]
-            if word == "":
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = word
-            else:
-                body = f"{abs(coeff)}*{word}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        return _format_terms(self._terms, self._sort_key, self._render)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
 
-class AbPoly(_WordPoly):
+class AbPoly(FreeModule):
     """Integer polynomial in the noncommuting degree-1 variables a and b."""
 
+    __slots__ = ()
     _LETTERS = "ab"
 
 
-class CdPoly(_WordPoly):
+class CdPoly(FreeModule):
     """Integer polynomial in the noncommuting variables c (degree 1) and d (degree 2)."""
 
+    __slots__ = ()
     _LETTERS = "cd"
 
-    def word_degree(self, word: str) -> int:
+    @staticmethod
+    def word_degree(word: str) -> int:
         return cd_word_degree(word)
 
-    def _sort_key(self, word: str):
+    @staticmethod
+    def _sort_key(word: str):
         return cd_sort_key(word)
 
 
@@ -314,95 +352,60 @@ def _compositions_with_zeros(total: int, parts: int) -> Iterator[tuple[int, ...]
             yield (first,) + rest
 
 
-class TensorPoly:
+class TensorSquare(FreeModule):
+    """Integer combination of ordered pairs (u, v) of keys of ``_FACTOR``.
+
+    The product is componentwise, (u (x) v)(u' (x) v') = uu' (x) vv', with
+    each component multiplied in the factor class.
+    """
+
+    __slots__ = ()
+    _FACTOR: type = FreeModule
+    _UNIT = ("", "")
+
+    @classmethod
+    def tensor(cls, p, q):
+        """The tensor p (x) q of two factor elements, expanded bilinearly."""
+        return cls._trusted(
+            {(u, v): cu * cv for u, cu in p.items() for v, cv in q.items()}
+        )
+
+    @classmethod
+    def _key(cls, pair):
+        u, v = pair
+        return (cls._FACTOR._key(u), cls._FACTOR._key(v))
+
+    @classmethod
+    def _mul_keys(cls, out: dict, k1, k2, coeff: int) -> None:
+        mul = cls._FACTOR._mul_keys
+        left: dict = {}
+        mul(left, k1[0], k2[0], coeff)
+        right: dict = {}
+        mul(right, k1[1], k2[1], 1)
+        for u, cu in left.items():
+            for v, cv in right.items():
+                key = (u, v)
+                out[key] = out.get(key, 0) + cu * cv
+
+    @classmethod
+    def word_degree(cls, pair) -> int:
+        return cls._FACTOR.word_degree(pair[0]) + cls._FACTOR.word_degree(pair[1])
+
+    @classmethod
+    def _sort_key(cls, pair):
+        return (cls._FACTOR._sort_key(pair[0]), cls._FACTOR._sort_key(pair[1]))
+
+    @classmethod
+    def _render(cls, pair) -> str:
+        u, v = (cls._FACTOR._render(k) or "1" for k in pair)
+        return f"{u}(x){v}"
+
+
+class TensorPoly(TensorSquare):
     """Integer combination of ordered pairs of ab-words (u, v)."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[str, str], int] | None = None):
-        data: dict[tuple[str, str], int] = {}
-        if terms:
-            for pair, coeff in terms.items():
-                if coeff:
-                    _merge(data, pair, coeff)
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "TensorPoly":
-        return cls()
-
-    @classmethod
-    def tensor(cls, p: AbPoly, q: AbPoly) -> "TensorPoly":
-        """The tensor p (x) q, expanded bilinearly."""
-        data: dict[tuple[str, str], int] = {}
-        for w1, c1 in p.items():
-            for w2, c2 in q.items():
-                _merge(data, (w1, w2), c1 * c2)
-        return cls(data)
-
-    @property
-    def terms(self) -> dict[tuple[str, str], int]:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        data = dict(self._terms)
-        for pair, c in other._terms.items():
-            _merge(data, pair, c)
-        return TensorPoly(data)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorPoly({pair: -c for pair, c in self._terms.items()})
-
-    def __rmul__(self, scale: int):
-        if not isinstance(scale, int):
-            return NotImplemented
-        return TensorPoly({pair: scale * c for pair, c in self._terms.items()})
-
-    def lmul_first(self, p: AbPoly) -> "TensorPoly":
-        """Multiply the first tensor factor by p on the left: p*u (x) v."""
-        data: dict[tuple[str, str], int] = {}
-        for (u, v), c in self._terms.items():
-            for w, cw in p.items():
-                _merge(data, (w + u, v), c * cw)
-        return TensorPoly(data)
-
-    def rmul_second(self, p: AbPoly) -> "TensorPoly":
-        """Multiply the second tensor factor by p on the right: u (x) v*p."""
-        data: dict[tuple[str, str], int] = {}
-        for (u, v), c in self._terms.items():
-            for w, cw in p.items():
-                _merge(data, (u, v + w), c * cw)
-        return TensorPoly(data)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __repr__(self):
-        if not self._terms:
-            return "TensorPoly(0)"
-        parts = []
-        for (u, v) in sorted(self._terms, key=lambda p: (len(p[0]) + len(p[1]), p)):
-            c = self._terms[(u, v)]
-            parts.append(f"{c}*({u or '1'}(x){v or '1'})")
-        return "TensorPoly(" + " + ".join(parts) + ")"
+    __slots__ = ()
+    _FACTOR = AbPoly
 
 
 def coproduct(p: AbPoly) -> TensorPoly:
@@ -411,18 +414,18 @@ def coproduct(p: AbPoly) -> TensorPoly:
     for word, coeff in p.items():
         for i in range(len(word)):
             _merge(data, (word[:i], word[i + 1:]), coeff)
-    return TensorPoly(data)
+    return TensorPoly._trusted(data)
 
 
 def bar(p: AbPoly) -> AbPoly:
     """Exchange a and b uniformly in every word."""
     swap = str.maketrans("ab", "ba")
-    return AbPoly({w.translate(swap): c for w, c in p.items()})
+    return AbPoly._trusted({w.translate(swap): c for w, c in p.items()})
 
 
 def star(p: AbPoly) -> AbPoly:
     """Reverse every word."""
-    return AbPoly({w[::-1]: c for w, c in p.items()})
+    return AbPoly._trusted({w[::-1]: c for w, c in p.items()})
 
 
 _A = AbPoly.monomial("a")

@@ -23,10 +23,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .digraph import LabeledDigraph, Unbounded
-from .ncpoly import AbPoly, NotInSpan, ab_to_cd
+from .ncpoly import (
+    AbPoly,
+    FreeModule,
+    NotInSpan,
+    TensorSquare,
+    _format_terms,
+    _merge,
+    ab_to_cd,
+)
 
 __all__ = [
     "Composition",
@@ -151,73 +159,52 @@ def M_in_L(alpha: Sequence[int]) -> dict:
     return out
 
 
-def _merge(target: dict, key, coeff: int) -> None:
-    c = target.get(key, 0) + coeff
-    if c:
-        target[key] = c
-    else:
-        target.pop(key, None)
-
-
-def _quasi_shuffle(alpha: tuple, beta: tuple, out: dict, prefix: tuple, coeff: int):
+def _quasi_shuffle(out: dict, alpha: tuple, beta: tuple, coeff: int, prefix: tuple = ()):
     if not alpha:
         _merge(out, prefix + beta, coeff)
         return
     if not beta:
         _merge(out, prefix + alpha, coeff)
         return
-    _quasi_shuffle(alpha[1:], beta, out, prefix + (alpha[0],), coeff)
-    _quasi_shuffle(alpha, beta[1:], out, prefix + (beta[0],), coeff)
-    _quasi_shuffle(alpha[1:], beta[1:], out, prefix + (alpha[0] + beta[0],), coeff)
+    _quasi_shuffle(out, alpha[1:], beta, coeff, prefix + (alpha[0],))
+    _quasi_shuffle(out, alpha, beta[1:], coeff, prefix + (beta[0],))
+    _quasi_shuffle(out, alpha[1:], beta[1:], coeff, prefix + (alpha[0] + beta[0],))
 
 
-class QSymElement:
-    """Finite integer combination of monomial quasisymmetric elements."""
+def _render_composition(alpha: tuple, basis: str = "M") -> str:
+    return f"{basis}[{','.join(map(str, alpha))}]"
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple, int] | None = None):
-        data: dict[tuple, int] = {}
-        if terms:
-            for alpha, coeff in terms.items():
-                if coeff:
-                    _merge(data, _validate(alpha), coeff)
-        self._terms = data
+class QSymElement(FreeModule):
+    """Finite integer combination of monomial quasisymmetric elements M_alpha.
 
-    @classmethod
-    def zero(cls) -> "QSymElement":
-        return cls()
+    Keys are compositions, multiplied by the quasi-shuffle and graded by
+    their sum.
+    """
 
-    @classmethod
-    def one(cls) -> "QSymElement":
-        return cls({(): 1})
+    __slots__ = ()
+    _UNIT = ()
+    _key = staticmethod(_validate)
+    _mul_keys = staticmethod(_quasi_shuffle)
+    word_degree = staticmethod(sum)
+    _render = staticmethod(_render_composition)
+
+    @staticmethod
+    def _sort_key(alpha: tuple):
+        return (sum(alpha), len(alpha), alpha)
 
     @classmethod
     def M(cls, alpha: Sequence[int], coeff: int = 1) -> "QSymElement":
-        return cls({tuple(alpha): coeff})
+        return cls.monomial(tuple(alpha), coeff)
 
     @classmethod
     def L(cls, alpha: Sequence[int], coeff: int = 1) -> "QSymElement":
-        return cls({beta: c * coeff for beta, c in L_in_M(alpha).items()})
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def coefficient(self, alpha: Sequence[int]) -> int:
-        return self._terms.get(tuple(alpha), 0)
-
-    def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        if not coeff:
+            return cls.zero()
+        return cls._trusted(dict.fromkeys(L_in_M(alpha), coeff))
 
     def constant_term(self) -> int:
-        return self._terms.get((), 0)
-
-    def grades(self) -> frozenset:
-        return frozenset(sum(alpha) for alpha in self._terms)
+        return self.coefficient(())
 
     def l_coefficients(self) -> dict:
         """Coefficients in the fundamental basis."""
@@ -227,80 +214,6 @@ class QSymElement:
                 _merge(out, beta, coeff * c)
         return out
 
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return QSymElement({(): other})
-        if isinstance(other, QSymElement):
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        data = dict(self._terms)
-        for alpha, c in other._terms.items():
-            _merge(data, alpha, c)
-        result = QSymElement()
-        result._terms = data
-        return result
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        result = QSymElement()
-        result._terms = {alpha: -c for alpha, c in self._terms.items()}
-        return result
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            result = QSymElement()
-            if other:
-                result._terms = {a: c * other for a, c in self._terms.items()}
-            return result
-        if isinstance(other, QSymElement):
-            data: dict[tuple, int] = {}
-            for alpha, ca in self._terms.items():
-                for beta, cb in other._terms.items():
-                    _quasi_shuffle(alpha, beta, data, (), ca * cb)
-            result = QSymElement()
-            result._terms = data
-            return result
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    @staticmethod
-    def _comp_key(alpha: tuple):
-        return (sum(alpha), len(alpha), alpha)
-
     def to_string(self, basis: str = "L") -> str:
         """Render as e.g. ``3*L[1] + 2*L[2] + 2*L[1,1]`` (basis L or M)."""
         if basis == "L":
@@ -309,98 +222,17 @@ class QSymElement:
             coeffs = self._terms
         else:
             raise ValueError(f"unknown basis {basis!r}")
-        if not coeffs:
-            return "0"
-        parts = []
-        for alpha in sorted(coeffs, key=self._comp_key):
-            c = coeffs[alpha]
-            body = f"{basis}[{','.join(map(str, alpha))}]"
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __str__(self):
-        return self.to_string("M")
-
-    def __repr__(self):
-        return f"QSymElement({self})"
+        return _format_terms(
+            coeffs, self._sort_key, lambda alpha: _render_composition(alpha, basis)
+        )
 
 
-class QSymTensor:
+class QSymTensor(TensorSquare):
     """Integer combination of ordered pairs of compositions."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple, int] | None = None):
-        data: dict[tuple, int] = {}
-        if terms:
-            for pair, coeff in terms.items():
-                if coeff:
-                    _merge(data, (tuple(pair[0]), tuple(pair[1])), coeff)
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "QSymTensor":
-        return cls()
-
-    @classmethod
-    def tensor(cls, f: QSymElement, g: QSymElement) -> "QSymTensor":
-        data: dict[tuple, int] = {}
-        for alpha, ca in f.items():
-            for beta, cb in g.items():
-                _merge(data, (alpha, beta), ca * cb)
-        return cls(data)
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def __add__(self, other):
-        if not isinstance(other, QSymTensor):
-            return NotImplemented
-        data = dict(self._terms)
-        for pair, c in other._terms.items():
-            _merge(data, pair, c)
-        return QSymTensor(data)
-
-    def __sub__(self, other):
-        if not isinstance(other, QSymTensor):
-            return NotImplemented
-        return self + QSymTensor({p: -c for p, c in other._terms.items()})
-
-    def __mul__(self, other):
-        """Componentwise product: (a (x) b)(c (x) d) = ac (x) bd."""
-        if not isinstance(other, QSymTensor):
-            return NotImplemented
-        data: dict[tuple, int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                left: dict[tuple, int] = {}
-                _quasi_shuffle(a1, a2, left, (), 1)
-                right: dict[tuple, int] = {}
-                _quasi_shuffle(b1, b2, right, (), 1)
-                for la, lc in left.items():
-                    for ra, rc in right.items():
-                        _merge(data, (la, ra), c1 * c2 * lc * rc)
-        return QSymTensor(data)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSymTensor):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __repr__(self):
-        return f"QSymTensor({self._terms})"
+    __slots__ = ()
+    _FACTOR = QSymElement
+    _UNIT = ((), ())
 
 
 def qsym_coproduct(f: QSymElement) -> QSymTensor:
@@ -409,18 +241,25 @@ def qsym_coproduct(f: QSymElement) -> QSymTensor:
     for alpha, coeff in f.items():
         for i in range(len(alpha) + 1):
             _merge(data, (alpha[:i], alpha[i:]), coeff)
-    return QSymTensor(data)
+    return QSymTensor._trusted(data)
 
 
 def omega(f: QSymElement) -> QSymElement:
-    """The involution sending each fundamental element to its complement."""
-    out = QSymElement.zero()
-    for alpha, coeff in f.l_coefficients().items():
-        if alpha == ():
-            out = out + coeff
-        else:
-            out = out + QSymElement.L(complement(alpha), coeff)
-    return out
+    """The involution sending each fundamental element to its complement.
+
+    Computed in the monomial basis: omega(M_alpha) is (-1)^(n - k) times
+    the sum of M_beta over every beta coarser than alpha (one per subset of
+    alpha's descent set), where alpha has k parts summing to n.
+    """
+    data: dict[tuple, int] = {}
+    for alpha, coeff in f.items():
+        n = sum(alpha)
+        sign = -coeff if (n - len(alpha)) % 2 else coeff
+        cuts = sorted(descent_set(alpha))
+        for r in range(len(cuts) + 1):
+            for kept in itertools.combinations(cuts, r):
+                _merge(data, composition_from_descents(kept, n), sign)
+    return QSymElement._trusted(data)
 
 
 def antipode(f: QSymElement) -> QSymElement:

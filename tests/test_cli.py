@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cdindex.cli import main
+from cdindex.cli import build_parser, main
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.ncpoly import parse_cd
 
@@ -20,6 +20,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParser:
+    def test_one_parser_serves_successive_subcommands(self, capsys, fixture_dir):
+        graph = str(fixture_dir / "fig1_left.json")
+        assert build_parser() is build_parser()
+        code, out, _ = run(capsys, "qsym", "--graph", graph, "--basis", "M", "--json")
+        assert code == 0
+        assert json.loads(out)["rising"] == "3*M[1] + 2*M[2] + 4*M[1,1]"
+        code, out, _ = run(capsys, "balance", "--graph", graph)
+        assert code == 0
+        assert out.splitlines()[0] == "balanced"
+        # the options of the first call leave no trace on the next one
+        code, out, _ = run(capsys, "qsym", "--graph", graph)
+        assert code == 0
+        assert "F_rising: 3*L[1] + 2*L[2] + 2*L[1,1]" in out.splitlines()
 
 
 class TestCdIndexCommand:

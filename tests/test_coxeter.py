@@ -10,15 +10,10 @@ from cdindex.coxeter import (
     HalfPowerResidue,
     Permutation,
     bruhat_graph_sn,
-    bruhat_interval,
     bruhat_leq,
-    complete_cd_index,
     dihedral_bruhat_graph,
     dihedral_graph,
     parse_permutation,
-    poset_cd_index,
-    r_polynomial_dyer,
-    r_polynomial_recursive,
     reflection_order_validate,
     transpositions,
 )
@@ -85,7 +80,7 @@ class TestGraphShape:
 
     def test_interval_requires_comparable(self):
         with pytest.raises(NoPath):
-            bruhat_interval(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+            bruhat_graph_sn(3).interval(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
 
 
 class TestReflectionOrdering:
@@ -105,16 +100,18 @@ class TestReflectionOrdering:
 
 class TestCompleteCdIndex:
     def test_s3_full_interval(self):
-        assert complete_cd_index(E3, W3) == parse_cd("1 + cc")
+        assert bruhat_graph_sn(3).complete_cd_index(E3, W3) == parse_cd("1 + cc")
 
     def test_s2(self):
-        assert complete_cd_index((1, 2), (2, 1)) == parse_cd("1")
+        e2, w2 = Permutation((1, 2)), Permutation((2, 1))
+        assert bruhat_graph_sn(2).complete_cd_index(e2, w2) == parse_cd("1")
 
     def test_poset_cd_s3(self):
-        assert poset_cd_index(E3, W3) == parse_cd("cc")
+        assert bruhat_graph_sn(3).poset_cd_index(E3, W3) == parse_cd("cc")
 
     def test_rank_two_interval(self):
-        assert poset_cd_index((1, 2, 3), (2, 3, 1)) == parse_cd("c")
+        u, v = Permutation((1, 2, 3)), Permutation((2, 3, 1))
+        assert bruhat_graph_sn(3).poset_cd_index(u, v) == parse_cd("c")
 
     def test_top_part_matches_poset_all_s4(self):
         bg = bruhat_graph_sn(4)
@@ -161,18 +158,21 @@ class TestCompleteCdIndex:
 
 class TestRPolynomials:
     def test_equal_elements(self):
-        assert r_polynomial_recursive(W3, W3) == IntPoly.one()
-        assert r_polynomial_dyer(W3, W3) == IntPoly.one()
+        bg = bruhat_graph_sn(3)
+        assert bg.r_polynomial_recursive(W3, W3) == IntPoly.one()
+        assert bg.r_polynomial_dyer(W3, W3) == IntPoly.one()
 
     def test_incomparable(self):
+        bg = bruhat_graph_sn(3)
         u, v = Permutation((2, 1, 3)), Permutation((1, 3, 2))
-        assert r_polynomial_recursive(u, v) == IntPoly.zero()
-        assert r_polynomial_dyer(u, v) == IntPoly.zero()
+        assert bg.r_polynomial_recursive(u, v) == IntPoly.zero()
+        assert bg.r_polynomial_dyer(u, v) == IntPoly.zero()
 
     def test_e_to_w0_s3(self):
+        bg = bruhat_graph_sn(3)
         expected = IntPoly((-1, 2, -2, 1))  # q^3 - 2q^2 + 2q - 1
-        assert r_polynomial_recursive(E3, W3) == expected
-        assert r_polynomial_dyer(E3, W3) == expected
+        assert bg.r_polynomial_recursive(E3, W3) == expected
+        assert bg.r_polynomial_dyer(E3, W3) == expected
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_dyer_equals_recursion(self, n):

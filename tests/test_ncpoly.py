@@ -88,9 +88,9 @@ class TestCoproduct:
     @given(ab_polys, ab_polys)
     @settings(max_examples=60)
     def test_newtonian_condition(self, v, w):
-        lhs = coproduct(v * w)
-        rhs = coproduct(w).lmul_first(v) + coproduct(v).rmul_second(w)
-        assert lhs == rhs
+        left = TensorPoly.tensor(v, AbPoly.one()) * coproduct(w)
+        right = coproduct(v) * TensorPoly.tensor(AbPoly.one(), w)
+        assert coproduct(v * w) == left + right
 
 
 class TestKappaLambda:

@@ -123,7 +123,24 @@ class TestHopf:
         assert qsym_coproduct(f * g) == qsym_coproduct(f) * qsym_coproduct(g)
 
 
+def _omega_via_fundamental(f):
+    """Oracle: expand in the L basis, complement each index, and expand back."""
+    out = QSymElement.zero()
+    for alpha, coeff in f.l_coefficients().items():
+        if alpha == ():
+            out = out + coeff
+        else:
+            out = out + QSymElement.L(complement(alpha), coeff)
+    return out
+
+
 class TestOmegaAntipode:
+    @pytest.mark.parametrize("n", range(8))
+    def test_omega_matches_fundamental_basis_oracle(self, n):
+        for alpha in compositions(n):
+            f = QSymElement.M(alpha)
+            assert omega(f) == _omega_via_fundamental(f), alpha
+
     def test_omega_on_l(self):
         assert omega(QSymElement.L((3, 1, 2))) == QSymElement.L((1, 1, 3, 1))
 
