@@ -175,6 +175,7 @@ class BruhatGraph:
         self.name = name
         self._descendants: dict = {}
         self._rpoly_memo: dict = {}
+        self._last_interval: tuple | None = None
 
     def top(self):
         return max(self.graph.vertices, key=lambda v: self.lengths[v])
@@ -188,9 +189,20 @@ class BruhatGraph:
         return v in self._descendants[u]
 
     def interval(self, u, v) -> LabeledDigraph:
+        """The interval [u, v] of the Bruhat graph.
+
+        The most recent interval is kept in a single slot, so the complete
+        cd-index, the cover interval and the rising paths asked of one
+        (u, v) share one build.
+        """
+        last = self._last_interval
+        if last is not None and last[0] == u and last[1] == v:
+            return last[2]
         if not self.leq(u, v):
             raise NoPath(f"{u} is not below {v} in the Bruhat order")
-        return self.graph.interval(u, v)
+        sub = self.graph.interval(u, v)
+        self._last_interval = (u, v, sub)
+        return sub
 
     def cover_interval(self, u, v) -> LabeledDigraph:
         """The interval keeping only cover edges (length difference one)."""

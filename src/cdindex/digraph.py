@@ -23,8 +23,10 @@ checks it and reports either a witness interval or the cd-index.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ncpoly import AbPoly, CdPoly, IntPoly, NotInSpan, ab_to_cd
@@ -167,9 +169,24 @@ class BalanceWitness(NamedTuple):
 
 @dataclass(frozen=True)
 class BalanceReport:
+    """The verdict of a balance check, with a witness or the cd-index.
+
+    ``cd_index`` is the cd-index of [source, sink], computed on first read
+    and kept: callers that need only the verdict never pay for it.  It is
+    None for an unbalanced or unbounded graph.
+    """
+
     balanced: bool
     witness: BalanceWitness | None = None
-    cd_index: CdPoly | None = None
+    _graph: LabeledDigraph | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def cd_index(self) -> CdPoly | None:
+        g = self._graph
+        if not self.balanced or g is None or not g.is_bounded():
+            return None
+        bot, top = g.zero_hat(), g.one_hat()
+        return ab_to_cd(g.ab_index(bot, top)) if bot != top else CdPoly.zero()
 
 
 @dataclass(frozen=True)
@@ -544,20 +561,20 @@ class LabeledDigraph:
 
         The witness names the first interval (in topological order) and the
         first path length at which rising and falling counts differ.  The
-        cd-index of [source, sink] is included when the graph is balanced
-        and bounded.  The graph is immutable, so the report is computed
-        once and returned again on every later call.
+        cd-index of [source, sink] is available when the graph is balanced
+        and bounded, computed when the report's ``cd_index`` is first read.
+        The graph is immutable, so the report is computed once and returned
+        again on every later call.
         """
         if self._balance is None:
             witness = self._balance_witness()
             if witness is not None:
                 self._balance = BalanceReport(balanced=False, witness=witness)
             else:
-                cd = None
-                if self.is_bounded():
-                    bot, top = self.zero_hat(), self.one_hat()
-                    cd = ab_to_cd(self.ab_index(bot, top)) if bot != top else CdPoly.zero()
-                self._balance = BalanceReport(balanced=True, cd_index=cd)
+                # a shallow copy shares this graph's immutable tables but not
+                # the report, so graph and report form no reference cycle and
+                # are freed by reference counting
+                self._balance = BalanceReport(balanced=True, _graph=copy.copy(self))
         return self._balance
 
     def check_balance_equivalence(self) -> BalanceEquivalenceReport:

@@ -19,7 +19,7 @@ throughout the package:
   b -> b-a) that extract rising and falling chain counts,
 * the involutions bar (swap a and b) and star (reverse words),
 * the expansion of cd-polynomials into ab-polynomials and the exact
-  triangular elimination going the other way (``ab_to_cd``).
+  first-letter recursion going the other way (``ab_to_cd``).
 
 All coefficients are Python ints, so arithmetic never overflows.
 """
@@ -58,8 +58,8 @@ __all__ = [
 class NotInSpan(ValueError):
     """Raised when an ab-polynomial is not a cd-polynomial.
 
-    Carries the nonzero residual left after eliminating every cd-monomial,
-    so callers can report a witness.
+    Carries a nonzero residual r such that the polynomial minus r is a
+    cd-polynomial, so callers can report a witness.
     """
 
     def __init__(self, residual: "AbPoly"):
@@ -492,35 +492,66 @@ def cd_expand(p: CdPoly) -> AbPoly:
     return result
 
 
-def _pivot_word(cd_word: str) -> str:
-    # the ab-word a^i0 ba a^i1 ba ... ba a^ip occurs in the expansion of
-    # c^i0 d c^i1 d ... d c^ip and of no later cd-word in the linear order
-    return cd_word.replace("c", "a").replace("d", "ba")
-
-
 def ab_to_cd(p: AbPoly) -> CdPoly:
     """Write an ab-polynomial in terms of c and d, if possible.
 
-    Works degree by degree.  Within a degree the cd-monomials are
-    eliminated in increasing linear order (fewer d's first, then
-    lexicographic on the c-run vector); the coefficient of each pivot
-    ab-word is read off and the expanded monomial subtracted.  Raises
-    NotInSpan with the nonzero residual if p is not a cd-polynomial.
+    Uses the first-letter recursion.  A homogeneous p of degree n >= 1
+    splits as p = a*P_a + b*P_b; it is c*U + d*V exactly when
+    P_a - P_b = (b - a)*V, that is when the words of P_a - P_b starting
+    with a carry minus the coefficients of the words starting with b, and
+    then U = P_a - b*V.  U and V are rewritten the same way, prefixed by c
+    and d; in degree 1, P_a - P_b must vanish.  Each homogeneous part is
+    worked through with an explicit stack of (cd-prefix, degree, terms),
+    so long words cannot exhaust the recursion limit.
+
+    Where a check fails the node takes V = 0 and U = P_a, which leaves
+    -b*(P_a - P_b) behind.  If any check fails, p is not a cd-polynomial
+    and NotInSpan carries the nonzero residual p - cd_expand(q), where q
+    is the cd-polynomial so built; it is the sum of the leftovers, each
+    multiplied by the expansion of its cd-prefix.
     """
-    result = CdPoly.zero()
-    residual_total = AbPoly.zero()
-    degrees = sorted({len(w) for w in p.terms})
-    for n in degrees:
-        residual = p.homogeneous_part(n)
-        for cd_word in cd_words_of_degree(n):
-            coeff = residual.coefficient(_pivot_word(cd_word))
-            if coeff:
-                result = result + CdPoly.monomial(cd_word, coeff)
-                residual = residual - coeff * cd_expand(CdPoly.monomial(cd_word))
-        residual_total = residual_total + residual
-    if residual_total:
-        raise NotInSpan(residual_total)
-    return result
+    parts: dict[int, dict] = {}
+    for word, coeff in p.items():
+        parts.setdefault(len(word), {})[word] = coeff
+    result: dict[str, int] = {}
+    leftovers: list[tuple[str, dict]] = []
+    for n, terms in parts.items():
+        stack = [("", n, terms)]
+        while stack:
+            prefix, m, poly = stack.pop()
+            if m == 0:
+                result[prefix] = poly[""]
+                continue
+            u: dict[str, int] = {}  # P_a, then P_a - b*V
+            diff: dict[str, int] = {}  # P_a - P_b
+            for word, coeff in poly.items():
+                rest = word[1:]
+                if word[0] == "a":
+                    u[rest] = coeff
+                    diff[rest] = diff.get(rest, 0) + coeff
+                else:
+                    diff[rest] = diff.get(rest, 0) - coeff
+            if m == 1:
+                v: dict[str, int] = {}
+                exact = not diff[""]
+            else:
+                v = {w[1:]: c for w, c in diff.items() if c and w[0] == "b"}
+                exact = v == {w[1:]: -c for w, c in diff.items() if c and w[0] == "a"}
+            if exact:
+                for word, coeff in v.items():
+                    _merge(u, "b" + word, -coeff)
+                if v:
+                    stack.append((prefix + "d", m - 2, v))
+            else:
+                leftovers.append((prefix, {"b" + w: -c for w, c in diff.items() if c}))
+            if u:
+                stack.append((prefix + "c", m - 1, u))
+    if leftovers:
+        residual = AbPoly.zero()
+        for prefix, leftover in leftovers:
+            residual = residual + cd_expand(CdPoly.monomial(prefix)) * AbPoly._trusted(leftover)
+        raise NotInSpan(residual)
+    return CdPoly._trusted(result)
 
 
 class IntPoly:

@@ -22,6 +22,7 @@ corresponds to the peak algebra, which is how membership is tested.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Sequence
 
@@ -264,11 +265,11 @@ def omega(f: QSymElement) -> QSymElement:
 
 def antipode(f: QSymElement) -> QSymElement:
     """S(M_alpha) = (-1)^n omega(M of the reversed composition), extended linearly."""
-    out = QSymElement.zero()
-    for alpha, coeff in f.items():
-        sign = (-1) ** sum(alpha)
-        out = out + coeff * sign * omega(QSymElement.M(reverse_composition(alpha)))
-    return out
+    # reversal permutes compositions, so the reversed keys stay distinct
+    reversed_terms = {
+        alpha[::-1]: -coeff if sum(alpha) % 2 else coeff for alpha, coeff in f.items()
+    }
+    return omega(QSymElement._trusted(reversed_terms))
 
 
 def run_compositions(labels: Sequence[Hashable], relation) -> tuple[tuple, tuple]:
@@ -312,11 +313,20 @@ def _path_sum(g: LabeledDigraph, falling: bool) -> QSymElement:
     bot, top = g.zero_hat(), g.one_hat()
     if bot == top:
         return QSymElement.one()
-    total = QSymElement.zero()
+    counts: Counter = Counter()
     for path in g.paths(bot, top):
         rho_r, rho_f = run_compositions([e.label for e in path], g.relation)
-        total = total + QSymElement.L(rho_f if falling else rho_r)
-    return total
+        counts[rho_f if falling else rho_r] += 1
+    return _sum_of_L(counts)
+
+
+def _sum_of_L(coefficients) -> QSymElement:
+    """The sum of coeff * L_alpha over the (alpha, coeff) pairs, in one dict."""
+    data: dict[tuple, int] = {}
+    for alpha, coeff in coefficients.items():
+        for beta in L_in_M(alpha):
+            _merge(data, beta, coeff)
+    return QSymElement._trusted(data)
 
 
 def gamma(p: AbPoly) -> QSymElement:
@@ -327,25 +337,24 @@ def gamma(p: AbPoly) -> QSymElement:
     extension of sending (a-b)^(a1-1) b (a-b)^(a2-1) b ... to M of the
     composition (a1, a2, ...).
     """
-    out = QSymElement.zero()
+    fundamental: dict[tuple, int] = {}
     for word, coeff in p.items():
         n = len(word) + 1
         descents = {i + 1 for i, ch in enumerate(word) if ch == "b"}
-        out = out + QSymElement.L(composition_from_descents(descents, n), coeff)
-    return out
+        fundamental[composition_from_descents(descents, n)] = coeff
+    return _sum_of_L(fundamental)
 
 
 def gamma_inverse(f: QSymElement) -> AbPoly:
     """The inverse identification; requires zero constant term."""
     if f.constant_term():
         raise ValueError("gamma images have no constant term")
-    out = AbPoly.zero()
+    words: dict[str, int] = {}
     for alpha, coeff in f.l_coefficients().items():
         n = sum(alpha)
         descents = descent_set(alpha)
-        word = "".join("b" if i in descents else "a" for i in range(1, n))
-        out = out + AbPoly.monomial(word, coeff)
-    return out
+        words["".join("b" if i in descents else "a" for i in range(1, n))] = coeff
+    return AbPoly._trusted(words)
 
 
 def peak_membership(f: QSymElement) -> bool:

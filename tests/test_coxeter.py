@@ -82,6 +82,18 @@ class TestGraphShape:
         with pytest.raises(NoPath):
             bruhat_graph_sn(3).interval(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
 
+    def test_interval_build_is_shared_by_one_query(self):
+        bg = bruhat_graph_sn(4)
+        u, v = Permutation((1, 2, 3, 4)), Permutation((3, 4, 1, 2))
+        first = bg.interval(u, v)
+        assert bg.interval(u, v) is first
+        other = bg.interval(u, Permutation((4, 3, 2, 1)))
+        assert other is not first
+        assert len(other.vertices) > len(first.vertices)
+        again = bg.interval(u, v)
+        assert sorted(again.vertices) == sorted(first.vertices)
+        assert len(again.edges) == len(first.edges)
+
 
 class TestReflectionOrdering:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -534,6 +534,28 @@ class TestRisingFallingSweep:
         for g in (graph_b3, unbalanced):
             assert g.is_balanced() is g.is_balanced()
 
+    def test_cd_index_is_computed_on_first_read(self, graph_fig1_left, monkeypatch):
+        import cdindex.digraph as digraph_mod
+
+        calls = []
+
+        def counting_ab_to_cd(p):
+            calls.append(p)
+            return ab_to_cd(p)
+
+        monkeypatch.setattr(digraph_mod, "ab_to_cd", counting_ab_to_cd)
+        rep = graph_fig1_left.is_balanced()
+        assert rep.balanced and not calls
+        assert rep.cd_index == parse_cd("2*c + 3")
+        assert rep.cd_index is rep.cd_index
+        assert len(calls) == 1
+        unbounded = LabeledDigraph(
+            ["s1", "s2", "t"], [("s1", "t", "1"), ("s2", "t", "1")], LinearRelation(["1"])
+        )
+        assert unbounded.is_balanced().balanced
+        assert unbounded.is_balanced().cd_index is None
+        assert len(calls) == 1
+
 
 class TestDeepGraphs:
     """Sizes past the default recursion limit of 1000 frames."""

@@ -1,5 +1,7 @@
 """Exact arithmetic and the structural maps on ab/cd-polynomials."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,39 @@ class TestCdWordOrder:
         assert all(cd_word_degree(w) == 5 for w in words)
 
 
+def _pivot_word(cd_word: str) -> str:
+    # the ab-word a^i0 ba a^i1 ba ... ba a^ip occurs in the expansion of
+    # c^i0 d c^i1 d ... d c^ip and of no later cd-word in the linear order
+    return cd_word.replace("c", "a").replace("d", "ba")
+
+
+def _eliminate(p: AbPoly) -> CdPoly:
+    """Oracle for ab_to_cd: triangular elimination in the linear cd-word order.
+
+    Within each degree the cd-monomials are eliminated in increasing order;
+    the coefficient of each pivot ab-word is read off and the expanded
+    monomial subtracted.  Raises NotInSpan with what is left.
+    """
+    result = CdPoly.zero()
+    residual_total = AbPoly.zero()
+    for n in sorted({len(w) for w in p.terms}):
+        residual = p.homogeneous_part(n)
+        for cd_word in cd_words_of_degree(n):
+            coeff = residual.coefficient(_pivot_word(cd_word))
+            if coeff:
+                result = result + CdPoly.monomial(cd_word, coeff)
+                residual = residual - coeff * cd_expand(CdPoly.monomial(cd_word))
+        residual_total = residual_total + residual
+    if residual_total:
+        raise NotInSpan(residual_total)
+    return result
+
+
+deep_cd_polys = st.dictionaries(
+    st.text(alphabet="cd", max_size=6), st.integers(-5, 5), max_size=6
+).map(CdPoly)
+
+
 class TestAbToCd:
     def test_d(self):
         assert ab_to_cd(AbPoly({"ab": 1, "ba": 1})) == D
@@ -228,6 +263,41 @@ class TestAbToCd:
     def test_mixed_degrees(self):
         w = 2 * C + CdPoly.one() * 3 + D * C
         assert ab_to_cd(cd_expand(w)) == w
+
+    @given(deep_cd_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_in_span_matches_elimination(self, w):
+        p = cd_expand(w)
+        assert ab_to_cd(p) == _eliminate(p) == w
+
+    @given(cd_polys, ab_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_and_residual_against_elimination(self, w, noise):
+        p = cd_expand(w) + noise
+        try:
+            expected = _eliminate(p)
+        except NotInSpan:
+            expected = None
+        try:
+            got = ab_to_cd(p)
+        except NotInSpan as exc:
+            # the two residuals may differ; each is a valid witness
+            assert expected is None
+            assert not exc.residual.is_zero()
+            ab_to_cd(p - exc.residual)
+        else:
+            assert got == expected
+
+    def test_long_word_is_not_in_span(self):
+        # the elimination walks all Fib(n) cd-words of the degree (about 1 s
+        # at degree 26); the recursion must turn this 3,000-letter word
+        # down at once, without running into the recursion limit
+        p = AbPoly.monomial("ab" * 1500)
+        start = time.perf_counter()
+        with pytest.raises(NotInSpan) as exc:
+            ab_to_cd(p)
+        assert time.perf_counter() - start < 1.0
+        assert not exc.value.residual.is_zero()
 
 
 int_polys = st.lists(st.integers(-4, 4), max_size=4).map(IntPoly)
