@@ -13,7 +13,9 @@ same parity, the falling paths of G_S and of the complementary restriction
 G_T satisfy a duality: evaluating each falling-path generating polynomial
 at -1 gives values that agree up to the sign (-1)^(longest length - 1).
 The module checks this identity and also evaluates the underlying signed
-path sums directly on the base graph.
+path sums directly on the base graph.  Since the identity for S and for T
+compares the same two values, :func:`alexander_sweep` checks many splits
+with one pair of restrictions per complementary pair {S, T}.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "PreconditionFailed",
     "RestrictedDigraph",
     "alexander_check",
+    "alexander_sweep",
     "parity_condition",
     "restrict",
     "signed_path_sums",
@@ -83,6 +86,17 @@ def _interior(g: LabeledDigraph) -> frozenset:
     return frozenset(g.vertices) - {g.zero_hat(), g.one_hat()}
 
 
+def _checked_subset(g: LabeledDigraph, subset: Iterable[Hashable]) -> frozenset:
+    """The subset as a frozenset of interior vertices; ValueError otherwise."""
+    subset = frozenset(subset)
+    unknown = subset - set(g.vertices)
+    if unknown:
+        raise ValueError(f"subset contains unknown vertices: {sorted(map(str, unknown))}")
+    if g.zero_hat() in subset or g.one_hat() in subset:
+        raise ValueError("subset must avoid the source and the sink")
+    return subset
+
+
 def restrict(g: LabeledDigraph, subset: Iterable[Hashable]) -> RestrictedDigraph:
     """Build G_S for S a set of interior vertices of a bounded graph.
 
@@ -92,12 +106,7 @@ def restrict(g: LabeledDigraph, subset: Iterable[Hashable]) -> RestrictedDigraph
     between kept vertices are preserved by construction.
     """
     bot, top = g.zero_hat(), g.one_hat()
-    subset = frozenset(subset)
-    unknown = subset - set(g.vertices)
-    if unknown:
-        raise ValueError(f"subset contains unknown vertices: {sorted(map(str, unknown))}")
-    if bot in subset or top in subset:
-        raise ValueError("subset must avoid the source and the sink")
+    subset = _checked_subset(g, subset)
     members = subset | {bot, top}
     rel = g.relation.related
 
@@ -132,7 +141,17 @@ def restrict(g: LabeledDigraph, subset: Iterable[Hashable]) -> RestrictedDigraph
 
 
 def parity_condition(g: LabeledDigraph) -> ParityResult:
-    """Whether all source-to-sink path lengths agree mod 2, plus the longest one."""
+    """Whether all source-to-sink path lengths agree mod 2, plus the longest one.
+
+    The graph is immutable, so the result is computed once and kept on it;
+    the result holds no reference to the graph, so the two form no cycle.
+    """
+    if g._parity is None:
+        g._parity = _parity(g)
+    return g._parity
+
+
+def _parity(g: LabeledDigraph) -> ParityResult:
     bot, top = g.zero_hat(), g.one_hat()
     parities: dict[Hashable, set[int]] = {v: set() for v in g.vertices}
     longest: dict[Hashable, int] = {v: -1 for v in g.vertices}
@@ -166,9 +185,38 @@ def alexander_check(g: LabeledDigraph, subset: Iterable[Hashable]) -> AlexanderR
         raise PreconditionFailed("parity: source-to-sink path lengths have mixed parity")
     complement = _interior(g) - subset
     lhs = restrict(g, subset).falling_at_minus_one()
-    sign = 1 if parity.longest % 2 else -1  # (-1) ** (longest - 1), as an int
-    rhs = sign * restrict(g, complement).falling_at_minus_one()
+    rhs = _sign(parity) * restrict(g, complement).falling_at_minus_one()
     return AlexanderResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
+
+
+def _sign(parity: ParityResult) -> int:
+    """(-1) ** (longest length - 1), as an int."""
+    return 1 if parity.longest % 2 else -1
+
+
+def alexander_sweep(
+    g: LabeledDigraph, subsets: Iterable[Iterable[Hashable]]
+) -> list[AlexanderResult]:
+    """The rows of :func:`alexander_check` for every subset, in input order.
+
+    One check is made per complementary pair {S, T}: the row of T follows
+    exactly from the two values computed for S, lhs_T = sign * rhs_S and
+    rhs_T = sign * lhs_S with sign = (-1) ** (longest length - 1), so the
+    restrictions G_S and G_T are each built once whichever of S and T the
+    subsets name.  No use is made of the duality itself.
+    """
+    rows: dict[frozenset, AlexanderResult] = {}
+    result = []
+    for subset in map(frozenset, subsets):
+        if subset not in rows:
+            row = rows[subset] = alexander_check(g, subset)
+            sign = _sign(parity_condition(g))
+            rows.setdefault(
+                _interior(g) - subset,
+                AlexanderResult(lhs=sign * row.rhs, rhs=sign * row.lhs, equal=row.equal),
+            )
+        result.append(rows[subset])
+    return result
 
 
 def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int, int]:
@@ -184,7 +232,7 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
     ascent/descent pattern.
     """
     bot, top = g.zero_hat(), g.one_hat()
-    subset = frozenset(subset)
+    subset = _checked_subset(g, subset)
     tee = _interior(g) - subset
     rel = g.relation.related
     first = 0

@@ -114,17 +114,15 @@ def cmd_alexander(args) -> int:
         ]
     else:
         subsets = [_parse_subset(args.subset)]
-    rows = []
-    for subset in subsets:
-        result = alexander_mod.alexander_check(graph, subset)
-        rows.append(
-            {
-                "subset": sorted(map(str, subset)),
-                "lhs": result.lhs,
-                "rhs": result.rhs,
-                "equal": result.equal,
-            }
-        )
+    rows = [
+        {
+            "subset": sorted(map(str, subset)),
+            "lhs": result.lhs,
+            "rhs": result.rhs,
+            "equal": result.equal,
+        }
+        for subset, result in zip(subsets, alexander_mod.alexander_sweep(graph, subsets))
+    ]
     if args.json:
         _emit_json(rows)
     else:

@@ -247,6 +247,7 @@ class LabeledDigraph:
         self._topo = self._toposort()
         self._topo_index = {v: i for i, v in enumerate(self._topo)}
         self._balance: BalanceReport | None = None
+        self._parity = None  # kept by alexander.parity_condition
 
     def _toposort(self) -> tuple:
         indeg = {v: len(self._in[v]) for v in self._vertices}

@@ -1,16 +1,21 @@
 """Restricted digraphs, the parity condition, and the duality identity."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from cdindex import alexander
 from cdindex.alexander import (
     PreconditionFailed,
     alexander_check,
+    alexander_sweep,
     parity_condition,
     restrict,
     signed_path_sums,
 )
+from cdindex.coxeter import bruhat_graph_sn
 from cdindex.digraph import LabeledDigraph, LinearRelation
 from cdindex.ncpoly import IntPoly
 
@@ -129,6 +134,22 @@ class TestParity:
     def test_single_edge(self):
         assert parity_condition(chain(["1"])) == (True, 1)
 
+    def test_memoized(self, graph_b3):
+        assert parity_condition(graph_b3) is parity_condition(graph_b3)
+
+    def test_memo_leaves_graph_to_reference_counting(self):
+        g = chain(["1", "2"])
+        parity_condition(g)
+        ref = weakref.ref(g)
+        enabled = gc.isenabled()
+        gc.disable()  # a cycle would then outlive the del below
+        try:
+            del g
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestAlexanderCheck:
     def test_one_vertex_sign_is_int(self):
@@ -192,6 +213,81 @@ class TestAlexanderCheck:
             alexander_check(graph_fig1_left, set())
 
 
+def all_subsets(g):
+    interior = sorted(set(g.vertices) - {g.zero_hat(), g.one_hat()}, key=str)
+    return [
+        frozenset(c)
+        for k in range(len(interior) + 1)
+        for c in itertools.combinations(interior, k)
+    ]
+
+
+def bruhat_intervals(n, max_length):
+    """Every interval [u, v] of S_n with l(v) - l(u) <= max_length."""
+    bg = bruhat_graph_sn(n)
+    for u in bg.graph.vertices:
+        for v in bg.graph.vertices:
+            if bg.lengths[v] - bg.lengths[u] <= max_length and bg.leq(u, v):
+                yield f"S{n} [{u}, {v}]", bg.interval(u, v)
+
+
+class TestAlexanderSweep:
+    def sweep_counting(self, monkeypatch, g, subsets):
+        calls = []
+
+        def counted(graph, subset):
+            calls.append(subset)
+            return alexander_check(graph, subset)
+
+        monkeypatch.setattr(alexander, "alexander_check", counted)
+        rows = alexander_sweep(g, subsets)
+        monkeypatch.undo()
+        return rows, len(calls)
+
+    def assert_matches_oracle(self, monkeypatch, name, g):
+        subsets = all_subsets(g)
+        rows, calls = self.sweep_counting(monkeypatch, g, subsets)
+        assert rows == [alexander_check(g, s) for s in subsets], name
+        assert all(row.equal for row in rows), name
+        # 2^(k-1) checks for k >= 1 interior vertices, one for k = 0
+        assert calls == max(len(subsets) // 2, 1), name
+
+    def test_fixtures_match_per_subset_checks(
+        self, monkeypatch, graph_b3, graph_fig1_right, graph_fig2_i, graph_fig2_ii
+    ):
+        for name, g in (
+            ("fig3_b3", graph_b3),
+            ("fig1_right", graph_fig1_right),
+            ("fig2_relation_i", graph_fig2_i),
+            ("fig2_relation_ii", graph_fig2_ii),
+        ):
+            self.assert_matches_oracle(monkeypatch, name, g)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bruhat_intervals_match_per_subset_checks(self, monkeypatch, n):
+        for name, g in bruhat_intervals(n, 4):
+            self.assert_matches_oracle(monkeypatch, name, g)
+
+    def test_rows_in_input_order(self, monkeypatch, graph_b3):
+        subsets = all_subsets(graph_b3)[::-1]
+        subsets.insert(3, subsets[0])
+        rows, calls = self.sweep_counting(monkeypatch, graph_b3, subsets)
+        assert rows == [alexander_check(graph_b3, s) for s in subsets]
+        assert calls == 2 ** 5
+
+    def test_one_subset_one_check(self, monkeypatch, graph_b3):
+        rows, calls = self.sweep_counting(monkeypatch, graph_b3, [S_FIG3])
+        assert rows == [alexander_check(graph_b3, S_FIG3)]
+        assert calls == 1
+
+    def test_errors_raised(self, graph_b3, graph_fig1_left):
+        with pytest.raises(PreconditionFailed, match="parity"):
+            alexander_sweep(graph_fig1_left, [set()])
+        with pytest.raises(ValueError, match="unknown"):
+            alexander_sweep(graph_b3, [{"nope"}])
+        assert alexander_sweep(graph_b3, []) == []
+
+
 class TestSignedPathSums:
     def test_empty_subset_counts_rising_and_falling(self, graph_b3):
         first, second = signed_path_sums(graph_b3, set())
@@ -231,3 +327,12 @@ class TestSignedPathSums:
                 for subset in itertools.combinations(interior, k):
                     first, second = signed_path_sums(g, subset)
                     assert first == second, (g, subset)
+
+    @pytest.mark.parametrize(
+        "subset, message",
+        [({"zz"}, "unknown vertices"), ({"0"}, "avoid the source"), ({"123"}, "avoid the source")],
+    )
+    def test_rejects_subset_like_restrict(self, graph_b3, subset, message):
+        for fn in (restrict, signed_path_sums):
+            with pytest.raises(ValueError, match=message):
+                fn(graph_b3, subset)

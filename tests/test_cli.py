@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, JSON mirrors, fixtures."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -394,3 +395,26 @@ class TestFixturesCommand:
                 capsys, "balance", "--graph", str(tmp_path / f"{name}.json")
             )
             assert code == 0
+
+
+def readme_commands():
+    """The ``cdindex ...`` lines of the README's command-line example block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv for argv in lines if argv]
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        commands = readme_commands()
+        assert commands and all(argv[0] == "cdindex" for argv in commands)
+
+    def test_every_example_exits_zero(self, capsys, monkeypatch, tmp_path):
+        # the examples run in order from one directory: the first writes the
+        # fixture files the others read
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_commands():
+            code, _, err = run(capsys, *argv[1:])
+            assert code == 0, (argv, err)
