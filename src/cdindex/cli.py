@@ -42,10 +42,38 @@ def _parse_subset(text: str) -> frozenset:
     return frozenset(part.strip() for part in text.split(","))
 
 
+def _interval_names(text: str) -> tuple[str, str]:
+    """The two endpoint names of an interval given as 'x:y'."""
+    x, colon, y = text.partition(":")
+    if not colon:
+        raise GraphError(f"interval {text!r} is not of the form x:y")
+    return x, y
+
+
+def _vertices_named(graph, names) -> list:
+    """The vertex each name denotes, matched by str(v).
+
+    Vertices read from JSON may be strings or integers, and a name on the
+    command line is always a string.
+    """
+    by_name: dict = {}
+    for v in graph.vertices:
+        by_name.setdefault(str(v), []).append(v)
+    vertices = []
+    for name in names:
+        matches = by_name.get(name, ())
+        if not matches:
+            raise GraphError(f"vertex {name!r} not in the graph")
+        if len(matches) > 1:
+            raise GraphError(f"vertex name {name!r} is ambiguous: {matches!r}")
+        vertices.append(matches[0])
+    return vertices
+
+
 def cmd_cdindex(args) -> int:
     graph = load_graph(args.graph)
     if args.interval:
-        x, y = args.interval.split(":", 1)
+        x, y = _vertices_named(graph, _interval_names(args.interval))
     else:
         x, y = graph.zero_hat(), graph.one_hat()
     psi = graph.ab_index(x, y)
@@ -113,7 +141,7 @@ def cmd_alexander(args) -> int:
             for c in itertools.combinations(interior, k)
         ]
     else:
-        subsets = [_parse_subset(args.subset)]
+        subsets = [frozenset(_vertices_named(graph, _parse_subset(args.subset)))]
     rows = [
         {
             "subset": sorted(map(str, subset)),
@@ -168,7 +196,7 @@ def _bruhat_values(args):
     if args.type == "A":
         if not args.n or not args.interval:
             raise GraphError("type A needs --n and --interval \"u:v\"")
-        u_text, v_text = args.interval.split(":", 1)
+        u_text, v_text = _interval_names(args.interval)
         u = coxeter_mod.parse_permutation(u_text)
         v = coxeter_mod.parse_permutation(v_text)
         if len(u) != args.n or len(v) != args.n:

@@ -139,10 +139,7 @@ class HalfPowerLaurent(FreeModule):
         """Collapse to an ordinary polynomial; any half power raises."""
         if any(k % 2 or k < 0 for k in self._terms):
             raise HalfPowerResidue(f"not an integer polynomial: {self}")
-        coeffs = [0] * (max(self._terms, default=0) // 2 + 1)
-        for k, c in self._terms.items():
-            coeffs[k // 2] = c
-        return IntPoly(coeffs)
+        return IntPoly._trusted({k // 2: c for k, c in self._terms.items()})
 
 
 # q^(1/2) - q^(-1/2)
@@ -284,9 +281,8 @@ class BruhatGraph:
             return IntPoly.zero()
         ell = self.lengths[v] - self.lengths[u]
         total = HalfPowerLaurent.zero()
-        for k, count in enumerate(self.rtilde(u, v).coeffs):
-            if count:
-                total = total + count * _HALF_DIFF ** k
+        for k, count in self.rtilde(u, v).items():
+            total = total + count * _HALF_DIFF ** k
         total = total * HalfPowerLaurent({ell: 1})
         return total.to_int_poly()
 

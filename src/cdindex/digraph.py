@@ -426,49 +426,93 @@ class LabeledDigraph:
 
     # -- dynamic programming ----------------------------------------------
 
-    def _ab_words_from(self, x) -> dict:
-        """Per vertex v, the (last label -> ab-index) table of paths from x to v.
+    def _sweep(self, x, words: bool) -> Iterator[tuple]:
+        """The (vertex, last label) states of paths from x, one vertex at a time.
 
-        The state space is (vertex, label of the edge last used); paths are
-        summed as polynomials and never enumerated individually.  A word is
-        an int: the empty word is 1 and appending a letter maps w to 2*w + 0
-        for a, 2*w + 1 for b.  Every coefficient counts paths, so it is
-        positive and no term ever cancels.
+        A state holds a pair (asc, desc) of tables: the one read when the
+        next edge makes an ascent and the one read at a descent.  Extending
+        a path along an edge maps its entry w to s*w + bit.  With ``words``
+        an entry is an ab-word as an int (the empty word is 1), asc and desc
+        are one shared table, s = 2 and the bit is 0 for a, 1 for b.
+        Otherwise an entry is a path length, asc counts the rising paths and
+        desc the falling ones, s = 1 and the bit is 1; a one-edge path is in
+        both.  Every coefficient counts paths, so none ever cancels.
+
+        Vertices are taken in topological order, so when the sweep reaches v
+        its states are final: it yields (v, {last label: (asc, desc)}), drops
+        them, and only then extends v's paths along its out-edges, testing
+        the relation once per (out-edge, last label).  Every vertex reachable
+        from x, and no other, is yielded, so a caller may stop early.
         """
         rel = self.relation.related
-        state: dict[Hashable, dict[Hashable, dict[int, int]]] = {v: {} for v in self._vertices}
+        scale, asc_bit = (2, 0) if words else (1, 1)
+        state: dict[Hashable, dict[Hashable, tuple[dict, dict]]] = {}
         for e in self._out[x]:
-            words = state[e.head].setdefault(e.label, {})
-            words[1] = words.get(1, 0) + 1
+            row = state.setdefault(e.head, {})
+            pair = row.get(e.label)
+            if pair is None:
+                asc = {}
+                pair = row[e.label] = (asc, asc if words else {})
+            asc, desc = pair
+            asc[1] = asc.get(1, 0) + 1
+            if desc is not asc:
+                desc[1] = desc.get(1, 0) + 1
         for v in self._topo[self._topo_index[x] + 1:]:
-            table = state[v]
-            if not table:
+            table = state.pop(v, None)
+            if table is None:
                 continue
+            yield v, table
             for e in self._out[v]:
-                target = state[e.head].setdefault(e.label, {})
-                for label, words in table.items():
-                    bit = 0 if rel(label, e.label) else 1
-                    for w, c in words.items():
-                        w = 2 * w + bit
-                        target[w] = target.get(w, 0) + c
-        return state
+                last = e.label
+                row = state.setdefault(e.head, {})
+                pair = row.get(last)
+                if pair is None:
+                    asc_to = {}
+                    pair = row[last] = (asc_to, asc_to if words else {})
+                asc_to, desc_to = pair
+                for label, (asc, desc) in table.items():
+                    if rel(label, last):
+                        src, dst, bit = asc, asc_to, asc_bit
+                    else:
+                        src, dst, bit = desc, desc_to, 1
+                    for w, c in src.items():
+                        w = scale * w + bit
+                        dst[w] = dst.get(w, 0) + c
 
     @staticmethod
-    def _decode(table: dict) -> AbPoly:
-        """Sum a vertex's (last label -> words) table into one AbPoly."""
-        total: dict[int, int] = {}
-        for words in table.values():
-            for w, c in words.items():
-                total[w] = total.get(w, 0) + c
+    def _sums(table: dict) -> tuple[dict, dict]:
+        """A yielded vertex's (asc, desc) pair, each summed over its last labels.
+
+        With one last label the pair is returned itself, not copied.
+        """
+        if len(table) == 1:
+            return next(iter(table.values()))
+        asc_sum: dict[int, int] = {}
+        desc_sum: dict[int, int] = {}
+        for asc, desc in table.values():
+            for w, c in asc.items():
+                asc_sum[w] = asc_sum.get(w, 0) + c
+            if desc is asc:
+                desc_sum = asc_sum
+                continue
+            for w, c in desc.items():
+                desc_sum[w] = desc_sum.get(w, 0) + c
+        return asc_sum, desc_sum
+
+    @staticmethod
+    def _decode(words: dict) -> AbPoly:
+        """The AbPoly of an int-encoded (word -> count) table."""
         return AbPoly._trusted(
-            {bin(w)[3:].translate(_BITS_TO_AB): c for w, c in total.items()}
+            {bin(w)[3:].translate(_BITS_TO_AB): c for w, c in words.items()}
         )
 
     def ab_index_from(self, x) -> dict:
         """ab-indexes of [x, v] for every v, by one pass in topological order."""
         self._require(x)
-        state = self._ab_words_from(x)
-        return {v: self._decode(state[v]) for v in self._vertices}
+        psi = dict.fromkeys(self._vertices, AbPoly.zero())
+        for v, table in self._sweep(x, words=True):
+            psi[v] = self._decode(self._sums(table)[0])
+        return psi
 
     def ab_index(self, x, y) -> AbPoly:
         """Sum of descent words over all paths from x to y.
@@ -479,63 +523,24 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return AbPoly.zero()
-        if not self.leq(x, y):
-            raise NoPath(f"no directed path from {x!r} to {y!r}")
-        return self._decode(self._ab_words_from(x)[y])
-
-    def _run_counts(self, x) -> Iterator[tuple]:
-        """Rising and falling path counts from x, one reached vertex at a time.
-
-        A state (vertex, label of the last edge) holds two tables, length ->
-        number of rising (all ascents) and of falling (all descents) paths
-        from x that end in it; a one-edge path is both.  Vertices are taken
-        in topological order, so when the sweep reaches v its tables are
-        final: the generator yields (v, r, f) with r and f summed over v's
-        states, and only then extends v's paths along its out-edges.  Each
-        (out-edge, last label) pair compares the labels once and extends
-        the rising table on an ascent, the falling table on a descent.
-        Every vertex reachable from x, and no other, is yielded.
-        """
-        rel = self.relation.related
-        state: dict[Hashable, dict[Hashable, tuple[dict, dict]]] = {}
-        for e in self._out[x]:
-            rise, fall = state.setdefault(e.head, {}).setdefault(e.label, ({}, {}))
-            rise[1] = rise.get(1, 0) + 1
-            fall[1] = fall.get(1, 0) + 1
-        for v in self._topo[self._topo_index[x] + 1:]:
-            table = state.pop(v, None)
-            if table is None:
-                continue
-            r: dict[int, int] = {}
-            f: dict[int, int] = {}
-            for rise, fall in table.values():
-                for k, c in rise.items():
-                    r[k] = r.get(k, 0) + c
-                for k, c in fall.items():
-                    f[k] = f.get(k, 0) + c
-            yield v, r, f
-            for e in self._out[v]:
-                rise_to, fall_to = state.setdefault(e.head, {}).setdefault(e.label, ({}, {}))
-                for label, (rise, fall) in table.items():
-                    if rel(label, e.label):
-                        src, dst = rise, rise_to
-                    else:
-                        src, dst = fall, fall_to
-                    for k, c in src.items():
-                        dst[k + 1] = dst.get(k + 1, 0) + c
+        for v, table in self._sweep(x, words=True):
+            if v == y:
+                return self._decode(self._sums(table)[0])
+        raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     @staticmethod
     def _poly(counts: dict) -> IntPoly:
         """The polynomial summing q^(len-1) over a length -> count table."""
-        return IntPoly(counts.get(k, 0) for k in range(1, max(counts, default=0) + 1))
+        return IntPoly._trusted({k - 1: c for k, c in counts.items()})
 
     def rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(r, f) where r sums q^(len-1) over rising x->y paths and f over falling ones."""
         self._require(x, y)
         if x == y:
             return IntPoly.zero(), IntPoly.zero()
-        for v, r, f in self._run_counts(x):
+        for v, table in self._sweep(x, words=False):
             if v == y:
+                r, f = self._sums(table)
                 return self._poly(r), self._poly(f)
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
@@ -551,7 +556,8 @@ class LabeledDigraph:
 
     def _balance_witness(self) -> BalanceWitness | None:
         for x in self._topo:
-            for y, r, f in self._run_counts(x):
+            for y, table in self._sweep(x, words=False):
+                r, f = self._sums(table)
                 if r != f:
                     k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
                     return BalanceWitness(x, y, k, r.get(k, 0), f.get(k, 0))
@@ -591,14 +597,15 @@ class LabeledDigraph:
         even_length = True
         cd_span = True
         for x in self._topo:
-            psi = self.ab_index_from(x)
-            for y, r, f in self._run_counts(x):
+            sweeps = zip(self._sweep(x, words=False), self._sweep(x, words=True))
+            for (_, runs), (_, words) in sweeps:
+                r, f = self._sums(runs)
                 if r != f:
                     per_length = False
                 if any(r.get(k, 0) != f.get(k, 0) for k in r.keys() | f.keys() if k % 2 == 0):
                     even_length = False
                 try:
-                    ab_to_cd(psi[y])
+                    ab_to_cd(self._decode(self._sums(words)[0]))
                 except NotInSpan:
                     cd_span = False
         if not (per_length == even_length == cd_span):

@@ -3,8 +3,8 @@
 Words are plain Python strings over the fixed two-letter alphabets; a
 polynomial is a finite integer combination of words.  Every sparse
 integer combination in the package (these polynomials, their tensor
-squares, quasisymmetric elements, half-power Laurent polynomials) is a
-``FreeModule``: a dict from basis key to nonzero coefficient whose
+squares, quasisymmetric elements, Laurent and ordinary polynomials in q)
+is a ``FreeModule``: a dict from basis key to nonzero coefficient whose
 arithmetic, comparison and printing are written once.
 
 The letters a and b have degree 1, while c has degree 1 and d has
@@ -554,99 +554,47 @@ def ab_to_cd(p: AbPoly) -> CdPoly:
     return CdPoly._trusted(result)
 
 
-class IntPoly:
-    """Univariate integer polynomial, stored as a coefficient tuple."""
+class IntPoly(FreeModule):
+    """Univariate integer polynomial in q, keyed by exponent.
 
-    __slots__ = ("coeffs",)
+    Built from an (exponent -> coefficient) mapping like every
+    ``FreeModule``, or from the dense coefficient sequence c0, c1, ...
+    """
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    __slots__ = ()
+    _UNIT = 0
 
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls()
+    def __init__(self, coeffs: Mapping | Iterable[int] = ()):
+        if not isinstance(coeffs, Mapping):
+            coeffs = dict(enumerate(coeffs))
+        super().__init__(coeffs)
 
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
+    @staticmethod
+    def _key(k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent {k!r} is not a nonnegative int")
+        return k
+
+    @staticmethod
+    def word_degree(k: int) -> int:
+        return k
+
+    @staticmethod
+    def _sort_key(k: int) -> int:
+        return -k
+
+    @staticmethod
+    def _render(k: int) -> str:
+        return "" if k == 0 else "q" if k == 1 else f"q^{k}"
 
     @classmethod
     def q(cls) -> "IntPoly":
-        return cls((0, 1))
+        return cls._trusted({1: 1})
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "IntPoly":
-        return cls((0,) * exponent + (coeff,))
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return IntPoly((other,))
-        if isinstance(other, IntPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return IntPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        if isinstance(other, IntPoly):
-            out = [0] * (len(self.coeffs) + len(other.coeffs))
-            for i, ci in enumerate(self.coeffs):
-                if ci:
-                    for j, cj in enumerate(other.coeffs):
-                        out[i + j] += ci * cj
-            return IntPoly(out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficients c0, c1, ..., up to the degree."""
+        return tuple(self._terms.get(k, 0) for k in range(self.degree() + 1))
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be an int or any polynomial here."""
@@ -656,38 +604,7 @@ class IntPoly:
         return result
 
     def odd_part(self) -> "IntPoly":
-        return IntPoly(c if i % 2 else 0 for i, c in enumerate(self.coeffs))
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"IntPoly({self})"
+        return self._trusted({k: c for k, c in self._terms.items() if k % 2})
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>\d+)?(?P<star>\*)?(?P<word>[a-d1]+)?$")

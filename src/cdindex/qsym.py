@@ -428,9 +428,8 @@ def multichain_specialization(g: LabeledDigraph, m: int) -> MultichainComparison
                 if depth == m - 1 and w != top:
                     continue
                 poly = capitals[(v, w)][index]
-                for k, c in enumerate(poly.coeffs):
-                    if c:
-                        rec(w, depth + 1, exps + (k,), coeff * c)
+                for k, c in poly.items():
+                    rec(w, depth + 1, exps + (k,), coeff * c)
 
         rec(bot, 0, (), 1)
         return out

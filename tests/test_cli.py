@@ -235,6 +235,74 @@ class TestAlexanderCommand:
         assert "parity" in err
 
 
+class TestVertexNames:
+    """Names on the command line match vertices by str(v), ints included."""
+
+    @staticmethod
+    def write_graph(tmp_path, vertices, edges):
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text(json.dumps({
+            "vertices": vertices,
+            "edges": [{"tail": t, "head": h, "label": l} for t, h, l in edges],
+            "relation": {"mode": "linear", "order": ["1", "2"]},
+        }))
+        return str(graph_file)
+
+    @pytest.fixture
+    def diamond(self, tmp_path):
+        # the Boolean lattice of rank 2 on integer vertices: ab-index a + b
+        edges = [(0, 1, "1"), (1, 3, "2"), (0, 2, "2"), (2, 3, "1")]
+        return self.write_graph(tmp_path, [0, 1, 2, 3], edges)
+
+    @pytest.fixture
+    def twins(self, tmp_path):
+        # the vertices 1 and "1" print alike
+        edges = [(0, 1, "1"), (1, 3, "2"), (0, "1", "2"), ("1", 3, "1")]
+        return self.write_graph(tmp_path, [0, 1, "1", 3], edges)
+
+    def test_cdindex_interval(self, capsys, diamond):
+        assert run(capsys, "cdindex", "--graph", diamond, "--interval", "0:3") == (0, "c\n", "")
+        assert run(capsys, "cdindex", "--graph", diamond, "--interval", "0:1") == (0, "1\n", "")
+
+    def test_alexander_subset_matches_the_sweep(self, capsys, diamond):
+        code, out, err = run(capsys, "alexander", "--graph", diamond, "--subset", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("S={1} ")
+        code, sweep, _ = run(capsys, "alexander", "--graph", diamond, "--all")
+        assert code == 0
+        assert out in sweep.splitlines(keepends=True)
+
+    def test_unknown_name_is_input_error(self, capsys, diamond):
+        code, out, err = run(capsys, "alexander", "--graph", diamond, "--subset", "1,7")
+        assert (code, out) == (2, "")
+        assert err == "error: vertex '7' not in the graph\n"
+
+    @pytest.mark.parametrize("command", [
+        ["cdindex", "--interval", "1:3"],
+        ["cdindex", "--interval", "0:1"],
+        ["alexander", "--subset", "1"],
+    ])
+    def test_ambiguous_name_is_input_error(self, capsys, twins, command):
+        code, out, err = run(capsys, command[0], "--graph", twins, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: vertex name '1' is ambiguous") and err.count("\n") == 1
+
+    def test_other_names_still_match(self, capsys, twins):
+        assert run(capsys, "cdindex", "--graph", twins, "--interval", "0:3") == (0, "c\n", "")
+
+
+class TestIntervalForm:
+    @pytest.mark.parametrize("argv", [
+        ["cdindex", "--graph", "fig1_left.json", "--interval", "03"],
+        ["bruhat", "--type", "A", "--n", "3", "--interval", "123"],
+    ])
+    def test_interval_without_colon_is_input_error(self, capsys, fixture_dir, argv):
+        argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: interval '{argv[-1]}' is not of the form x:y\n"
+
+
 class TestQsymCommand:
     def test_fig1_left(self, capsys, fixture_dir):
         code, out, _ = run(

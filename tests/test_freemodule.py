@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdindex.coxeter import HalfPowerLaurent
-from cdindex.ncpoly import AbPoly, CdPoly, TensorPoly
+from cdindex.ncpoly import AbPoly, CdPoly, IntPoly, TensorPoly
 from cdindex.qsym import QSymElement, QSymTensor
 
 _ab_words = st.text(alphabet="ab", max_size=3)
@@ -18,6 +18,7 @@ MODULES = [
     (HalfPowerLaurent, st.integers(-4, 4)),
     (TensorPoly, st.tuples(_ab_words, _ab_words)),
     (QSymTensor, st.tuples(_compositions, _compositions)),
+    (IntPoly, st.integers(0, 4)),
 ]
 
 

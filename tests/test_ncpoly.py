@@ -341,6 +341,20 @@ class TestIntPoly:
         assert str(IntPoly((-1, 2, -2, 1))) == "q^3 - 2*q^2 + 2*q - 1"
         assert str(IntPoly.zero()) == "0"
 
+    def test_dense_and_sparse_forms_agree(self):
+        p = IntPoly((0, 3, 0, -2))
+        assert p == IntPoly({1: 3, 3: -2}) and p.coeffs == (0, 3, 0, -2)
+        assert str(p) == "-2*q^3 + 3*q" and p.degree() == 3
+        assert p.odd_part() == p and IntPoly((5, 1)).odd_part() == IntPoly.q()
+        assert IntPoly.monomial(2, 4) == IntPoly((0, 0, 4))
+        assert IntPoly.monomial(2, 0).is_zero() and IntPoly.zero().coeffs == ()
+        assert IntPoly((7,)) == 7 and hash(IntPoly((7,))) == hash(IntPoly({0: 7}))
+
+    @pytest.mark.parametrize("bad", [{-1: 1}, {"q": 1}, {1.0: 1}])
+    def test_exponents_are_nonnegative_ints(self, bad):
+        with pytest.raises(ValueError):
+            IntPoly(bad)
+
 
 class TestTextForms:
     @pytest.mark.parametrize(
