@@ -481,11 +481,8 @@ class LabeledDigraph:
 
     @staticmethod
     def _sums(table: dict) -> tuple[dict, dict]:
-        """A yielded vertex's (asc, desc) pair, each summed over its last labels.
-
-        With one last label the pair is returned itself, not copied.
-        """
-        if len(table) == 1:
+        """A yielded vertex's (asc, desc) pair, each summed over its last labels."""
+        if len(table) == 1:  # nothing to add: the pair itself, not a copy
             return next(iter(table.values()))
         asc_sum: dict[int, int] = {}
         desc_sum: dict[int, int] = {}

@@ -575,9 +575,7 @@ class IntPoly(FreeModule):
             raise ValueError(f"exponent {k!r} is not a nonnegative int")
         return k
 
-    @staticmethod
-    def word_degree(k: int) -> int:
-        return k
+    word_degree = staticmethod(int)  # q^k has degree k
 
     @staticmethod
     def _sort_key(k: int) -> int:
