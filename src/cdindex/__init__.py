@@ -68,7 +68,6 @@ from .qsym import (
     omega,
     peak_membership,
     qsym_coproduct,
-    run_compositions,
     sigma_leq,
 )
 from .coxeter import (

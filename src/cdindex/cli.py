@@ -164,7 +164,7 @@ def cmd_alexander(args) -> int:
 def cmd_qsym(args) -> int:
     graph = load_graph(args.graph)
     rising = qsym_mod.F_rising(graph)
-    falling = qsym_mod.F_falling(graph)
+    falling = qsym_mod.omega(rising)
     peak = qsym_mod.peak_membership(rising)
     payload = {
         "rising": rising.to_string(args.basis),

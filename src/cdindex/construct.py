@@ -34,7 +34,7 @@ from .digraph import (
     Unbounded,
     to_json_dict,
 )
-from .ncpoly import AbPoly, CdPoly, ab_to_cd, cd_sort_key
+from .ncpoly import CdPoly, ab_to_cd, cd_sort_key
 
 __all__ = [
     "Counterexample",
@@ -278,10 +278,7 @@ def conjecture_search(
         )
         if not negative:
             continue
-        brute = AbPoly.zero()
-        for path in g.paths(g.zero_hat(), g.one_hat()):
-            brute = brute + AbPoly.monomial(g.descent_word(path))
-        verified_cd = ab_to_cd(brute)
+        verified_cd = ab_to_cd(g.ab_index_by_paths(g.zero_hat(), g.one_hat()))
         still_negative = tuple(
             word for word, coeff in sorted(verified_cd.items()) if coeff < 0
         )

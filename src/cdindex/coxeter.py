@@ -14,9 +14,9 @@ the cd-index of the underlying graded order.
 R-polynomials are computed two independent ways: by the classical
 three-case recursion over a right descent, and from rising paths of the
 interval via q^((L - len)/2) * (q - 1)^len summed over rising paths of
-length len, where L is the length difference.  The latter is evaluated in
-exact half-integer powers of q and must collapse to integer powers; a
-leftover half power signals a broken reflection ordering and raises.
+length len, where L is the length difference.  A rising path whose length
+exceeds L or differs from it in parity would leave a half power of q; it
+signals a broken reflection ordering and raises.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath
-from .ncpoly import CdPoly, FreeModule, IntPoly, NotInSpan, ab_to_cd
+from .ncpoly import CdPoly, IntPoly, NotInSpan, ab_to_cd
 
 __all__ = [
     "BruhatGraph",
-    "HalfPowerLaurent",
     "HalfPowerResidue",
     "Permutation",
     "bruhat_graph_sn",
@@ -109,41 +108,7 @@ def reflection_order_validate(order: Sequence[tuple], n: int) -> bool:
 
 
 class HalfPowerResidue(ArithmeticError):
-    """A Dyer evaluation left a genuine half power of q behind."""
-
-
-class HalfPowerLaurent(FreeModule):
-    """Laurent polynomial in q^(1/2); exponents stored doubled as ints.
-
-    Keys are the doubled exponents, multiplied by addition.
-    """
-
-    __slots__ = ()
-    _UNIT = 0
-
-    @staticmethod
-    def _key(k):
-        if not isinstance(k, int):
-            raise ValueError(f"exponent {k!r} is not an int")
-        return k
-
-    @staticmethod
-    def _sort_key(k: int) -> int:
-        return k
-
-    @staticmethod
-    def _render(k: int) -> str:
-        return f"q^({k}/2)" if k else ""
-
-    def to_int_poly(self) -> IntPoly:
-        """Collapse to an ordinary polynomial; any half power raises."""
-        if any(k % 2 or k < 0 for k in self._terms):
-            raise HalfPowerResidue(f"not an integer polynomial: {self}")
-        return IntPoly._trusted({k // 2: c for k, c in self._terms.items()})
-
-
-# q^(1/2) - q^(-1/2)
-_HALF_DIFF = HalfPowerLaurent({1: 1, -1: -1})
+    """A Dyer evaluation would leave a genuine half power of q behind."""
 
 
 class BruhatGraph:
@@ -274,17 +239,25 @@ class BruhatGraph:
     def r_polynomial_dyer(self, u, v) -> IntPoly:
         """R-polynomial from rising paths: q^(L/2) * rtilde(q^(1/2) - q^(-1/2)).
 
-        Evaluated in exact half powers; every half power must cancel
-        because path lengths share the parity of the length difference L.
+        That is the sum of count_k * q^((L-k)/2) * (q-1)^k over the rising
+        paths, count_k of them of length k.  It is an integer polynomial
+        exactly when every such k has the parity of the length difference L
+        and k <= L: otherwise the top term of the wrong parity class, or the
+        lowest term, cannot cancel, and HalfPowerResidue is raised.
         """
         if not self.leq(u, v):
             return IntPoly.zero()
         ell = self.lengths[v] - self.lengths[u]
-        total = HalfPowerLaurent.zero()
+        q_minus_1 = IntPoly.q() - 1
+        total = IntPoly.zero()
         for k, count in self.rtilde(u, v).items():
-            total = total + count * _HALF_DIFF ** k
-        total = total * HalfPowerLaurent({ell: 1})
-        return total.to_int_poly()
+            if k > ell or (ell - k) % 2:
+                raise HalfPowerResidue(
+                    f"a rising path of length {k} in [{u}, {v}] of length {ell} "
+                    "leaves a half power of q"
+                )
+            total = total + IntPoly.monomial((ell - k) // 2, count) * q_minus_1 ** k
+        return total
 
     def __repr__(self):
         return f"BruhatGraph({self.name}, {len(self.graph.vertices)} elements)"

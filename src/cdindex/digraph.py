@@ -11,8 +11,10 @@ letter b otherwise (a descent).  Summing descent words over all directed
 paths from x to y gives the ab-index of the interval [x, y].  The ab-index
 is computed here by dynamic programming over states (vertex, label of the
 last edge used), so the exponentially many paths are never materialized;
-brute-force enumeration is kept available through :meth:`LabeledDigraph.paths`
-and serves as a test oracle.
+brute-force enumeration is kept available through :meth:`LabeledDigraph.paths`,
+and :meth:`LabeledDigraph.ab_index_by_paths` sums the descent words of the
+enumerated paths: the one place where paths become ab-words, and the
+oracle the dynamic programme is tested against.
 
 A graph is *balanced* when every interval has, for each length k, equally
 many rising paths (all ascents) and falling paths (all descents).  Balance
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -415,6 +418,14 @@ class LabeledDigraph:
             "a" if rel(e.label, f.label) else "b"
             for e, f in zip(path, path[1:])
         )
+
+    def ab_index_by_paths(self, x, y) -> AbPoly:
+        """The ab-index of [x, y] by enumerating its paths (zero if there are none).
+
+        Exponential in general: the oracle for :meth:`ab_index`, and the
+        enumeration behind the rising and falling quasisymmetric functions.
+        """
+        return AbPoly._trusted(Counter(map(self.descent_word, self.paths(x, y))))
 
     def is_rising(self, path: Path) -> bool:
         rel = self.relation.related

@@ -595,11 +595,9 @@ class IntPoly(FreeModule):
         return tuple(self._terms.get(k, 0) for k in range(self.degree() + 1))
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; x may be an int or any polynomial here."""
-        result = 0 if isinstance(x, int) else type(x).zero()
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+        """Evaluate term by term; x may be an int or any polynomial here."""
+        zero = 0 if isinstance(x, int) else type(x).zero()
+        return sum((c * x**k for k, c in self._terms.items()), zero)
 
     def odd_part(self) -> "IntPoly":
         return self._trusted({k: c for k, c in self._terms.items() if k % 2})

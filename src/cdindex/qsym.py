@@ -7,24 +7,29 @@ descent set with its complement.
 
 A quasisymmetric element is stored as a finite integer combination of
 monomial basis elements M_alpha.  The product is the quasi-shuffle of
-monomial indices and the coproduct splits an index in two; the fundamental
-basis L_alpha = sum of M over refinements connects to digraphs: every
-source-to-sink path of a bounded labeled digraph contributes the
-fundamental element indexed by its rising-run composition to F_rising
-(and the falling-run composition to F_falling).
+monomial indices and the coproduct splits an index in two.  The
+fundamental basis L_alpha = sum of M over refinements is reached by one
+transform over descent-set bitmasks, one descent position at a time, in
+either direction; omega complements descent sets in that basis.
 
 The linear map gamma identifies ab-polynomials with zero-constant
 quasisymmetric functions by sending the degree n-1 word with descents D to
 L of the composition of n with descent set D.  Under gamma the cd-span
 corresponds to the peak algebra, which is how membership is tested.
+
+A path's rising-run composition has its descent set at the path's
+descents, and its falling-run composition is the complement.  So for a
+bounded labeled digraph, F_rising (the sum of L over the rising-run
+compositions of the source-to-sink paths) is gamma of the ab-index, and
+F_falling is omega(F_rising), for any relation on the labels.  F_rising
+still enumerates the paths, through ``LabeledDigraph.ab_index_by_paths``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .digraph import LabeledDigraph, Unbounded
 from .ncpoly import (
@@ -57,12 +62,13 @@ __all__ = [
     "omega",
     "peak_membership",
     "reverse_composition",
-    "run_compositions",
     "sigma_involution",
     "sigma_leq",
 ]
 
 Composition = tuple
+
+_AB_TO_BITS = str.maketrans("ab", "01")
 
 
 def _validate(alpha: Sequence[int]) -> tuple:
@@ -85,11 +91,14 @@ def descent_set(alpha: Sequence[int]) -> frozenset:
 
 def composition_from_descents(descents, n: int) -> tuple:
     """The composition of n whose descent set is the given subset of {1..n-1}."""
+    cuts = list(descents)
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n={n!r} is not a nonnegative int")
+    if not all(isinstance(c, int) and 0 < c < n for c in cuts) or len(set(cuts)) < len(cuts):
+        raise ValueError(f"descents {cuts} are not distinct ints in 1..{n - 1}")
     if n == 0:
         return ()
-    cuts = sorted(descents)
-    if cuts and (cuts[0] < 1 or cuts[-1] > n - 1):
-        raise ValueError(f"descents {cuts} out of range for n={n}")
+    cuts.sort()
     prev = 0
     parts = []
     for c in cuts:
@@ -134,30 +143,61 @@ def compositions(n: int) -> Iterator[tuple]:
             yield composition_from_descents(cuts, n)
 
 
+def _masks(terms) -> dict:
+    """Group (composition, coeff) pairs by degree n, keyed by descent-set bitmask.
+
+    Bit i of a mask is set when i is a descent, for i in 1..n-1.
+    """
+    tables: dict[int, dict[int, int]] = {}
+    for alpha, coeff in terms:
+        mask = total = 0
+        for part in alpha[:-1]:
+            total += part
+            mask |= 1 << total
+        tables.setdefault(sum(alpha), {})[mask] = coeff
+    return tables
+
+
+def _refine(tables: dict, sign: int) -> dict:
+    """Spread every coefficient over the refinements of its composition.
+
+    With sign 1 this sends fundamental coefficients to monomial ones
+    (L_alpha is the sum of M_beta over the refinements beta of alpha);
+    with sign -1 it is the inverse, Moebius inversion.  The tables of
+    ``_masks`` are transformed in place one descent position at a time, so
+    each position costs one pass over the masks of its degree rather than
+    one term per (term, refinement) pair.  Returns the nonzero results
+    keyed by composition.
+    """
+    out: dict[tuple, int] = {}
+    for n, table in tables.items():
+        for i in range(1, n):
+            bit = 1 << i
+            for mask, coeff in list(table.items()):
+                if coeff and not mask & bit:
+                    finer = mask | bit
+                    table[finer] = table.get(finer, 0) + sign * coeff
+        for mask, coeff in table.items():
+            if coeff:
+                parts = []
+                prev = 0
+                while mask:
+                    low = mask & -mask
+                    cut = low.bit_length() - 1
+                    parts.append(cut - prev)
+                    prev, mask = cut, mask ^ low
+                out[(*parts, n - prev) if n else ()] = coeff
+    return out
+
+
 def L_in_M(alpha: Sequence[int]) -> dict:
     """Monomial-basis coefficients of the fundamental element L_alpha."""
-    alpha = _validate(alpha)
-    n = sum(alpha)
-    base = descent_set(alpha)
-    rest = sorted(set(range(1, n)) - base)
-    out = {}
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            out[composition_from_descents(base | set(extra), n)] = 1
-    return out
+    return _refine(_masks([(_validate(alpha), 1)]), 1)
 
 
 def M_in_L(alpha: Sequence[int]) -> dict:
     """Fundamental-basis coefficients of M_alpha, by inclusion-exclusion."""
-    alpha = _validate(alpha)
-    n = sum(alpha)
-    base = descent_set(alpha)
-    rest = sorted(set(range(1, n)) - base)
-    out = {}
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            out[composition_from_descents(base | set(extra), n)] = (-1) ** r
-    return out
+    return _refine(_masks([(_validate(alpha), 1)]), -1)
 
 
 def _quasi_shuffle(out: dict, alpha: tuple, beta: tuple, coeff: int, prefix: tuple = ()):
@@ -209,11 +249,7 @@ class QSymElement(FreeModule):
 
     def l_coefficients(self) -> dict:
         """Coefficients in the fundamental basis."""
-        out: dict[tuple, int] = {}
-        for alpha, coeff in self._terms.items():
-            for beta, c in M_in_L(alpha).items():
-                _merge(out, beta, coeff * c)
-        return out
+        return _refine(_masks(self._terms.items()), -1)
 
     def to_string(self, basis: str = "L") -> str:
         """Render as e.g. ``3*L[1] + 2*L[2] + 2*L[1,1]`` (basis L or M)."""
@@ -248,19 +284,14 @@ def qsym_coproduct(f: QSymElement) -> QSymTensor:
 def omega(f: QSymElement) -> QSymElement:
     """The involution sending each fundamental element to its complement.
 
-    Computed in the monomial basis: omega(M_alpha) is (-1)^(n - k) times
-    the sum of M_beta over every beta coarser than alpha (one per subset of
-    alpha's descent set), where alpha has k parts summing to n.
+    Computed in the fundamental basis, where it complements each descent
+    set; it fixes the constant term.
     """
-    data: dict[tuple, int] = {}
-    for alpha, coeff in f.items():
-        n = sum(alpha)
-        sign = -coeff if (n - len(alpha)) % 2 else coeff
-        cuts = sorted(descent_set(alpha))
-        for r in range(len(cuts) + 1):
-            for kept in itertools.combinations(cuts, r):
-                _merge(data, composition_from_descents(kept, n), sign)
-    return QSymElement._trusted(data)
+    tables = _masks(f.l_coefficients().items())
+    for n, table in tables.items():
+        full = (1 << n) - 2 if n else 0  # the bits 1..n-1
+        tables[n] = {mask ^ full: coeff for mask, coeff in table.items()}
+    return QSymElement._trusted(_refine(tables, 1))
 
 
 def antipode(f: QSymElement) -> QSymElement:
@@ -272,61 +303,28 @@ def antipode(f: QSymElement) -> QSymElement:
     return omega(QSymElement._trusted(reversed_terms))
 
 
-def run_compositions(labels: Sequence[Hashable], relation) -> tuple[tuple, tuple]:
-    """Rising-run and falling-run compositions of a nonempty label sequence.
-
-    The two results are complements of each other in the refinement order.
-    """
-    labels = list(labels)
-    if not labels:
-        raise ValueError("label sequence must be nonempty")
-
-    def runs(extend) -> tuple:
-        parts = []
-        current = 1
-        for prev, cur in zip(labels, labels[1:]):
-            if extend(prev, cur):
-                current += 1
-            else:
-                parts.append(current)
-                current = 1
-        parts.append(current)
-        return tuple(parts)
-
-    rel = relation.related
-    return runs(rel), runs(lambda x, y: not rel(x, y))
-
-
 def F_rising(g: LabeledDigraph) -> QSymElement:
-    """Sum of fundamental elements over all source-to-sink paths (rising runs)."""
-    return _path_sum(g, falling=False)
+    """Sum over all source-to-sink paths of L of the path's rising-run composition.
 
-
-def F_falling(g: LabeledDigraph) -> QSymElement:
-    """Sum of fundamental elements over all source-to-sink paths (falling runs)."""
-    return _path_sum(g, falling=True)
-
-
-def _path_sum(g: LabeledDigraph, falling: bool) -> QSymElement:
+    The rising runs of a path break exactly at its descents, which is how
+    gamma reads the path's descent word, so this is gamma of the ab-index,
+    here summed over the enumerated paths.
+    """
     if not g.is_bounded():
         raise Unbounded("rising/falling quasisymmetric functions need a bounded graph")
     bot, top = g.zero_hat(), g.one_hat()
     if bot == top:
         return QSymElement.one()
-    counts: Counter = Counter()
-    for path in g.paths(bot, top):
-        rho_r, rho_f = run_compositions([e.label for e in path], g.relation)
-        counts[rho_f if falling else rho_r] += 1
-    return _sum_of_L(counts)
+    return gamma(g.ab_index_by_paths(bot, top))
 
 
-def _sum_of_L(coefficients) -> QSymElement:
-    """The sum of coeff * L_alpha over the (alpha, coeff) pairs, in one dict."""
-    data: dict[tuple, int] = {}
-    for alpha, coeff in coefficients.items():
-        for beta in L_in_M(alpha):
-            _merge(data, beta, coeff)
-    return QSymElement._trusted(data)
+def F_falling(g: LabeledDigraph) -> QSymElement:
+    """Sum over all source-to-sink paths of L of the path's falling-run composition.
+
+    A path's falling-run composition is the complement of its rising-run
+    composition, so this is omega(F_rising(g)).
+    """
+    return omega(F_rising(g))
 
 
 def gamma(p: AbPoly) -> QSymElement:
@@ -337,12 +335,12 @@ def gamma(p: AbPoly) -> QSymElement:
     extension of sending (a-b)^(a1-1) b (a-b)^(a2-1) b ... to M of the
     composition (a1, a2, ...).
     """
-    fundamental: dict[tuple, int] = {}
+    tables: dict[int, dict[int, int]] = {}
     for word, coeff in p.items():
-        n = len(word) + 1
-        descents = {i + 1 for i, ch in enumerate(word) if ch == "b"}
-        fundamental[composition_from_descents(descents, n)] = coeff
-    return _sum_of_L(fundamental)
+        # bit i + 1 for a b at position i
+        mask = int(word[::-1].translate(_AB_TO_BITS) or "0", 2) << 1
+        tables.setdefault(len(word) + 1, {})[mask] = coeff
+    return QSymElement._trusted(_refine(tables, 1))
 
 
 def gamma_inverse(f: QSymElement) -> AbPoly:
@@ -412,32 +410,38 @@ def multichain_specialization(g: LabeledDigraph, m: int) -> MultichainComparison
         raise Unbounded("multichain specialization needs a bounded graph")
     bot, top = g.zero_hat(), g.one_hat()
 
-    capitals: dict[tuple, tuple] = {}
-    for x in g.vertices:
-        for y in g.descendants(x):
-            capitals[(x, y)] = g.capital_rising_falling(x, y)
+    reach = {x: g.descendants(x) for x in g.vertices}
+    capitals = {
+        (x, y): g.capital_rising_falling(x, y) for x in g.vertices for y in reach[x]
+    }
 
     def chain_sum(index: int) -> dict:
+        # (v, nonzero exponents of the first d variables as (variable,
+        # exponent) pairs) -> summed coefficient of the multichains
+        # source = x0 <= ... <= xd = v; one step per variable, and a step
+        # that stays at v (exponent 0) leaves the key's tuple as it is
+        states: dict[tuple, int] = {(bot, ()): 1}
+        for depth in range(m):
+            step: dict[tuple, int] = {}
+            for (v, sparse), coeff in states.items():
+                for w in (top,) if depth == m - 1 else reach[v]:
+                    for k, c in capitals[(v, w)][index].items():
+                        key = (w, sparse + ((depth, k),) if k else sparse)
+                        _merge(step, key, coeff * c)
+            states = step
         out: dict[tuple, int] = {}
-
-        def rec(v, depth, exps, coeff):
-            if depth == m:
-                _merge(out, exps, coeff)
-                return
-            for w in g.descendants(v):
-                if depth == m - 1 and w != top:
-                    continue
-                poly = capitals[(v, w)][index]
-                for k, c in poly.items():
-                    rec(w, depth + 1, exps + (k,), coeff * c)
-
-        rec(bot, 0, (), 1)
+        for (_, sparse), coeff in states.items():
+            exps = [0] * m
+            for i, k in sparse:
+                exps[i] = k
+            out[tuple(exps)] = coeff
         return out
 
+    rising = F_rising(g)
     return MultichainComparison(
-        rising_lhs=_truncate(F_rising(g), m),
+        rising_lhs=_truncate(rising, m),
         rising_rhs=chain_sum(0),
-        falling_lhs=_truncate(F_falling(g), m),
+        falling_lhs=_truncate(omega(rising), m),
         falling_rhs=chain_sum(1),
     )
 

@@ -12,15 +12,32 @@ from cdindex.fixtures import (
     fig2_relation_ii,
     fig3_b3,
 )
-from cdindex.ncpoly import AbPoly
 
 
-def brute_force_ab_index(graph, x, y) -> AbPoly:
-    """Oracle: sum descent words over explicitly enumerated paths."""
-    total = AbPoly.zero()
-    for path in graph.paths(x, y):
-        total = total + AbPoly.monomial(graph.descent_word(path))
-    return total
+def run_compositions(labels, relation) -> tuple[tuple, tuple]:
+    """Oracle: rising-run and falling-run compositions of a nonempty label sequence.
+
+    The rising runs extend while consecutive labels are related, the
+    falling runs while they are not; the two are complements of each other.
+    """
+    labels = list(labels)
+    if not labels:
+        raise ValueError("label sequence must be nonempty")
+
+    def runs(extend) -> tuple:
+        parts = []
+        current = 1
+        for prev, cur in zip(labels, labels[1:]):
+            if extend(prev, cur):
+                current += 1
+            else:
+                parts.append(current)
+                current = 1
+        parts.append(current)
+        return tuple(parts)
+
+    rel = relation.related
+    return runs(rel), runs(lambda x, y: not rel(x, y))
 
 
 def chain(labels, order=None) -> LabeledDigraph:

@@ -19,7 +19,7 @@ from cdindex.cli import main
 from cdindex.digraph import LinearRelation, Unbounded, from_json_dict, to_json_dict
 from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_cd
 
-from conftest import brute_force_ab_index, chain
+from conftest import chain
 
 
 def cd_index_of(g) -> CdPoly:
@@ -196,7 +196,7 @@ class TestRealize:
     def test_brute_force_agreement(self, rng):
         target = parse_cd("c + d + 2")
         g = realize(target)
-        brute = brute_force_ab_index(g, g.zero_hat(), g.one_hat())
+        brute = g.ab_index_by_paths(g.zero_hat(), g.one_hat())
         assert ab_to_cd(brute) == target
 
 

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from cdindex.coxeter import (
-    HalfPowerLaurent,
+    BruhatGraph,
     HalfPowerResidue,
     Permutation,
     bruhat_graph_sn,
@@ -17,7 +17,7 @@ from cdindex.coxeter import (
     reflection_order_validate,
     transpositions,
 )
-from cdindex.digraph import NoPath
+from cdindex.digraph import LabeledDigraph, LinearRelation, NoPath
 from cdindex.ncpoly import IntPoly, bar, parse_cd
 
 E3 = Permutation((1, 2, 3))
@@ -209,10 +209,18 @@ class TestRPolynomials:
                 assert r.coefficient(ell) == 1
 
     def test_half_power_residue_raises(self):
-        # a fake evaluation with mismatched parities leaves half powers
-        leftover = HalfPowerLaurent({1: 1})
-        with pytest.raises(HalfPowerResidue):
-            leftover.to_int_poly()
+        # hand-built graphs whose rising paths fit no reflection ordering
+        cases = [
+            # a rising path of length 1 in an interval of length 2: odd L - k
+            ([("u", "v", 1)], {"u": 0, "v": 2}),
+            # a rising path of length 2 in an interval of length 0: k > L
+            ([("u", "w", 1), ("w", "v", 2)], {"u": 0, "w": 0, "v": 0}),
+        ]
+        for edges, lengths in cases:
+            graph = LabeledDigraph(list(lengths), edges, LinearRelation([1, 2]))
+            bg = BruhatGraph(graph, lengths, "u", [], (), "broken")
+            with pytest.raises(HalfPowerResidue):
+                bg.r_polynomial_dyer("u", "v")
 
 
 def _relabel_by_rank(graph, order):

@@ -32,7 +32,7 @@ from cdindex.ncpoly import (
     star,
 )
 
-from conftest import brute_force_ab_index, chain
+from conftest import chain
 
 
 class TestLoadAndValidate:
@@ -168,6 +168,11 @@ class TestAbIndex:
         g = chain(["1"])
         assert g.ab_index("v0", "v1") == AbPoly.one()
 
+    def test_by_paths(self, graph_fig1_left, graph_b3):
+        assert graph_fig1_left.ab_index_by_paths("0", "1") == parse_ab("2*a + 2*b + 3")
+        assert graph_b3.ab_index_by_paths("123", "0").is_zero()
+        assert graph_b3.ab_index_by_paths("1", "1").is_zero()
+
     def test_no_path(self, graph_b3):
         with pytest.raises(NoPath):
             graph_b3.ab_index("123", "0")
@@ -180,7 +185,7 @@ class TestAbIndex:
             for x in g.vertices:
                 for y in g.vertices:
                     if x != y and g.leq(x, y):
-                        assert g.ab_index(x, y) == brute_force_ab_index(g, x, y)
+                        assert g.ab_index(x, y) == g.ab_index_by_paths(x, y)
 
 
 class TestRisingFalling:
@@ -291,7 +296,7 @@ class TestStanleyProduct:
             "0", "1"
         )
         assert psi == expected
-        assert psi == brute_force_ab_index(g, g.zero_hat(), g.one_hat())
+        assert psi == g.ab_index_by_paths(g.zero_hat(), g.one_hat())
 
     def test_multiplicative_on_fixture_pairs(self, all_fixture_graphs):
         graphs = list(all_fixture_graphs.values())
@@ -383,7 +388,7 @@ class TestDpOracle:
         for _ in range(60):
             g = random_labeled_dag(rng, max_vertices=9)
             x, y = g.zero_hat(), g.one_hat()
-            assert g.ab_index(x, y) == brute_force_ab_index(g, x, y)
+            assert g.ab_index(x, y) == g.ab_index_by_paths(x, y)
 
     def test_equivalence_on_random_graphs(self, rng):
         from cdindex.construct import random_labeled_dag
@@ -448,7 +453,7 @@ class TestIntWordKernel:
             assert set(psi) == set(g.vertices)
             for v in g.vertices:
                 if g.leq(x, v):
-                    assert psi[v] == brute_force_ab_index(g, x, v)
+                    assert psi[v] == g.ab_index_by_paths(x, v)
                     assert AbPoly(psi[v].terms) == psi[v]
                 else:
                     assert psi[v] == AbPoly.zero()

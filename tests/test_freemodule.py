@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex.coxeter import HalfPowerLaurent
 from cdindex.ncpoly import AbPoly, CdPoly, IntPoly, TensorPoly
 from cdindex.qsym import QSymElement, QSymTensor
 
@@ -15,7 +14,6 @@ MODULES = [
     (AbPoly, _ab_words),
     (CdPoly, st.text(alphabet="cd", max_size=3)),
     (QSymElement, _compositions),
-    (HalfPowerLaurent, st.integers(-4, 4)),
     (TensorPoly, st.tuples(_ab_words, _ab_words)),
     (QSymTensor, st.tuples(_compositions, _compositions)),
     (IntPoly, st.integers(0, 4)),

@@ -1,12 +1,13 @@
 """Compositions, the quasisymmetric Hopf structure, and digraph invariants."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex.digraph import LinearRelation, cartesian_product
+from cdindex.digraph import LabeledDigraph, LinearRelation, PairsRelation, cartesian_product
 from cdindex.ncpoly import AbPoly, IntPoly, parse_ab
 from cdindex.qsym import (
     F_falling,
@@ -17,6 +18,7 @@ from cdindex.qsym import (
     QSymTensor,
     antipode,
     complement,
+    composition_from_descents,
     compositions,
     gamma,
     gamma_inverse,
@@ -25,12 +27,11 @@ from cdindex.qsym import (
     peak_membership,
     qsym_coproduct,
     reverse_composition,
-    run_compositions,
     sigma_involution,
     sigma_leq,
 )
 
-from conftest import chain
+from conftest import chain, run_compositions
 
 compositions_st = st.lists(st.integers(1, 4), max_size=4).map(tuple)
 qsym_elements = st.dictionaries(
@@ -67,6 +68,18 @@ class TestCompositions:
         assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
         assert list(compositions(0)) == [()]
 
+    def test_from_descents(self):
+        assert composition_from_descents({1, 3}, 4) == (1, 2, 1)
+        assert composition_from_descents([], 0) == ()
+
+    @pytest.mark.parametrize(
+        "descents,n",
+        [([1, 1], 3), ([1.5], 3), ([2], 0), ([0], 3), ([3], 3), ([], -1)],
+    )
+    def test_from_descents_rejects_bad_input(self, descents, n):
+        with pytest.raises(ValueError):
+            composition_from_descents(descents, n)
+
 
 class TestBases:
     def test_L_of_2(self):
@@ -74,6 +87,17 @@ class TestBases:
 
     def test_L_of_11(self):
         assert L_in_M((1, 1)) == {(1, 1): 1}
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_refinement_sums(self, n):
+        # L_alpha sums M over the refinements of alpha; M_alpha is the
+        # alternating sum of L over them
+        for alpha in compositions(n):
+            finer = [beta for beta in compositions(n) if sigma_leq(alpha, beta)]
+            assert L_in_M(alpha) == dict.fromkeys(finer, 1)
+            assert M_in_L(alpha) == {
+                beta: (-1) ** (len(beta) - len(alpha)) for beta in finer
+            }
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_inversion_roundtrip(self, n):
@@ -134,12 +158,22 @@ def _omega_via_fundamental(f):
     return out
 
 
+def _omega_of_monomial(alpha):
+    """Oracle: omega(M_alpha) is (-1)^(n - k) times the sum of M over every
+    composition coarser than alpha, which has k parts summing to n."""
+    n = sum(alpha)
+    return (-1) ** (n - len(alpha)) * sum(
+        (QSymElement.M(beta) for beta in compositions(n) if sigma_leq(beta, alpha)),
+        QSymElement.zero(),
+    )
+
+
 class TestOmegaAntipode:
     @pytest.mark.parametrize("n", range(8))
     def test_omega_matches_fundamental_basis_oracle(self, n):
         for alpha in compositions(n):
             f = QSymElement.M(alpha)
-            assert omega(f) == _omega_via_fundamental(f), alpha
+            assert omega(f) == _omega_via_fundamental(f) == _omega_of_monomial(alpha), alpha
 
     def test_omega_on_l(self):
         assert omega(QSymElement.L((3, 1, 2))) == QSymElement.L((1, 1, 3, 1))
@@ -195,6 +229,60 @@ class TestRunCompositions:
         assert complement(rho_r) == rho_f
 
 
+@st.composite
+def bounded_dags(draw):
+    """A random bounded DAG, sometimes a single vertex.
+
+    Edges point from lower to higher vertex index and may be drawn twice,
+    so parallel edges occur; the relation is a linear order or an
+    arbitrary set of label pairs.  An edge from the first to the last
+    vertex makes the interval between them, which is the graph returned,
+    contain every vertex on a path between the two.
+    """
+    n = draw(st.integers(1, 6))
+    labels = ["p", "q", "r"][: draw(st.integers(1, 3))]
+    vertices = [f"u{i}" for i in range(n)]
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from(labels),
+                st.integers(1, 2),
+            ),
+            max_size=12,
+        )
+    )
+    edges = [
+        (vertices[min(i, j)], vertices[max(i, j)], label)
+        for i, j, label, copies in drawn
+        if i != j
+        for _ in range(copies)
+    ]
+    if n > 1:
+        edges.append((vertices[0], vertices[-1], draw(st.sampled_from(labels))))
+    if draw(st.booleans()):
+        relation = LinearRelation(draw(st.permutations(labels)))
+    else:
+        all_pairs = [(l, m) for l in labels for m in labels]
+        relation = PairsRelation(draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+    g = LabeledDigraph(vertices, edges, relation)
+    return g.interval(vertices[0], vertices[-1])
+
+
+def _assert_run_composition_oracle(g):
+    """F_rising and F_falling against the sum of L over each enumerated
+    path's rising-run and falling-run compositions (1 for a single vertex)."""
+    bot, top = g.zero_hat(), g.one_hat()
+    rising = falling = QSymElement.one() if bot == top else QSymElement.zero()
+    for path in g.paths(bot, top):
+        rho_r, rho_f = run_compositions([e.label for e in path], g.relation)
+        rising = rising + QSymElement.L(rho_r)
+        falling = falling + QSymElement.L(rho_f)
+    assert F_rising(g) == rising
+    assert F_falling(g) == falling
+
+
 class TestPathFunctions:
     def test_single_edge(self):
         g = chain(["1"])
@@ -210,9 +298,20 @@ class TestPathFunctions:
         assert F_rising(graph_fig1_left) == expected
         assert F_falling(graph_fig1_left) == expected
 
-    def test_omega_swaps_rising_falling(self, all_fixture_graphs):
+    @given(bounded_dags())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_run_composition_oracle(self, g):
+        _assert_run_composition_oracle(g)
+
+    def test_run_composition_oracle_on_fixtures(self, all_fixture_graphs):
         for g in all_fixture_graphs.values():
-            assert omega(F_rising(g)) == F_falling(g)
+            _assert_run_composition_oracle(g)
+
+    def test_run_composition_oracle_on_20_edge_chain(self):
+        labels = random.Random(20).choices(range(4), k=20)
+        g = chain(labels, order=range(4))
+        assert len(list(g.paths("v0", "v20"))[0]) == 20
+        _assert_run_composition_oracle(g)
 
     def test_hopf_homomorphism_on_intervals(self, all_fixture_graphs):
         for g in all_fixture_graphs.values():
@@ -327,6 +426,12 @@ class TestMultichain:
     def test_other_fixtures(self, all_fixture_graphs, m):
         for g in all_fixture_graphs.values():
             assert multichain_specialization(g, m).agree
+
+    def test_many_variables_do_not_recurse(self):
+        # one step per variable, not one stack frame
+        cmp = multichain_specialization(chain(["1"]), 1200)
+        assert cmp.agree
+        assert len(cmp.rising_rhs) == 1200
 
     def test_monomial_coefficient_counts_coarse_paths(self, graph_b3):
         # the coefficient of each monomial element counts paths whose
