@@ -11,6 +11,17 @@ trusted.  With such an ordering every interval is balanced, so complete
 cd-indexes exist; restricting to the covers (length difference one) gives
 the cd-index of the underlying graded order.
 
+Each group's graph is built once per process: ``bruhat_graph_sn`` checks its
+size cap and then reads a cache keyed on n alone, so every caller shares one
+graph whatever cap it passed.  At construction a :class:`BruhatGraph` stores
+two reachability bitsets per element, one bit per vertex position: the
+elements above it and the elements below it, each filled by one pass over
+the graph in (reverse) topological order that ORs Python ints together.
+``leq`` is then one bit test, and ``interval(u, v)`` reads its members from
+the AND of u's upper set and v's lower set and extracts the induced
+subgraph from the members' out-edges, so a query costs the size of its
+interval, not of the group.
+
 R-polynomials are computed two independent ways: by the classical
 three-case recursion over a right descent, and from rising paths of the
 interval via q^((L - len)/2) * (q - 1)^len summed over rising paths of
@@ -25,7 +36,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath
+from .digraph import GraphError, InternalError, LabeledDigraph, LinearRelation, NoPath
 from .ncpoly import CdPoly, IntPoly, NotInSpan, ab_to_cd
 
 __all__ = [
@@ -62,10 +73,17 @@ class Permutation(tuple):
         )
 
     def swap(self, i: int, j: int) -> "Permutation":
-        """Right multiplication by the transposition (i, j): swap positions i, j."""
+        """Right multiplication by the transposition (i, j): swap positions i, j.
+
+        Raises ValueError unless i != j and both lie in 1..n.
+        """
+        n = len(self)
+        if i == j or not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"({i}, {j}) is not a transposition of 1..{n}")
         values = list(self)
         values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
-        return Permutation(values)
+        # a rearrangement of a permutation needs no second validation
+        return tuple.__new__(Permutation, values)
 
     def __str__(self):
         if len(self) <= 9:
@@ -135,34 +153,67 @@ class BruhatGraph:
         self.gen_action = gen_action
         self.reflection_order = reflection_order
         self.name = name
-        self._descendants: dict = {}
         self._rpoly_memo: dict = {}
         self._last_interval: tuple | None = None
+        # bit i stands for graph.vertices[i]; _above[i] holds every element
+        # reachable from element i and _below[i] every element reaching it
+        vertices = graph.vertices
+        self._pos = pos = {v: i for i, v in enumerate(vertices)}
+        above = [0] * len(vertices)
+        below = [0] * len(vertices)
+        for v in reversed(graph.topological_order):
+            i = pos[v]
+            bits = 1 << i
+            for e in graph.out_edges(v):
+                bits |= above[pos[e.head]]
+            above[i] = bits
+        for v in graph.topological_order:
+            i = pos[v]
+            bits = 1 << i
+            for e in graph.in_edges(v):
+                bits |= below[pos[e.tail]]
+            below[i] = bits
+        self._above = above
+        self._below = below
+
+    def _position(self, u) -> int:
+        try:
+            return self._pos[u]
+        except (KeyError, TypeError):
+            raise GraphError(f"{u!r} is not an element of {self.name}") from None
 
     def top(self):
         return max(self.graph.vertices, key=lambda v: self.lengths[v])
 
     def leq(self, u, v) -> bool:
-        """Bruhat order: u <= v iff the graph has a directed path."""
-        if self.lengths[u] > self.lengths[v]:
-            return False
-        if u not in self._descendants:
-            self._descendants[u] = self.graph.descendants(u)
-        return v in self._descendants[u]
+        """Bruhat order: u <= v iff the graph has a directed path.
+
+        Raises GraphError when u or v is not an element of the group.
+        """
+        return bool(self._above[self._position(u)] >> self._position(v) & 1)
 
     def interval(self, u, v) -> LabeledDigraph:
         """The interval [u, v] of the Bruhat graph.
 
-        The most recent interval is kept in a single slot, so the complete
-        cd-index, the cover interval and the rising paths asked of one
-        (u, v) share one build.
+        Its members are the elements both above u and below v, in vertex
+        order.  The most recent interval is kept in a single slot, so the
+        complete cd-index, the cover interval and the rising paths asked of
+        one (u, v) share one build.
         """
         last = self._last_interval
         if last is not None and last[0] == u and last[1] == v:
             return last[2]
-        if not self.leq(u, v):
+        above, j = self._above[self._position(u)], self._position(v)
+        if not above >> j & 1:
             raise NoPath(f"{u} is not below {v} in the Bruhat order")
-        sub = self.graph.interval(u, v)
+        bits = bin(above & self._below[j])[:1:-1]
+        vertices = self.graph.vertices
+        members = []
+        i = bits.find("1")
+        while i >= 0:
+            members.append(vertices[i])
+            i = bits.find("1", i + 1)
+        sub = self.graph.induced(members)
         self._last_interval = (u, v, sub)
         return sub
 
@@ -263,13 +314,13 @@ class BruhatGraph:
         return f"BruhatGraph({self.name}, {len(self.graph.vertices)} elements)"
 
 
-@lru_cache(maxsize=None)
 def bruhat_graph_sn(n: int, max_n: int = DEFAULT_MAX_N) -> BruhatGraph:
     """Bruhat graph of the symmetric group on n letters.
 
     Labels are transpositions (i, j) ordered lexicographically; the order
     is checked to be a reflection ordering before use.  n is capped (raise
-    the cap explicitly for larger groups; the graph has n! vertices).
+    the cap explicitly for larger groups; the graph has n! vertices).  The
+    graph is built once per n and process, whatever cap admitted it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -277,22 +328,27 @@ def bruhat_graph_sn(n: int, max_n: int = DEFAULT_MAX_N) -> BruhatGraph:
         raise ValueError(
             f"n={n} exceeds the configured bound {max_n}; pass max_n to override"
         )
+    return _bruhat_graph_sn(n)
+
+
+@lru_cache(maxsize=None)
+def _bruhat_graph_sn(n: int) -> BruhatGraph:
     refl = transpositions(n)
     if n >= 3 and not reflection_order_validate(refl, n):
         raise InternalError("lexicographic transposition order failed validation")
-    perms = sorted(
-        (Permutation(p) for p in itertools.permutations(range(1, n + 1))),
-        key=lambda u: (u.length, u),
-    )
+    lengths = {
+        u: u.length
+        for u in map(Permutation, itertools.permutations(range(1, n + 1)))
+    }
+    perms = sorted(lengths, key=lambda u: (lengths[u], u))
     edges = []
     for u in perms:
-        lu = u.length
+        lu = lengths[u]
         for (i, j) in refl:
             v = u.swap(i, j)
-            if v.length > lu:
+            if lengths[v] > lu:
                 edges.append((u, v, (i, j)))
     graph = LabeledDigraph(perms, edges, LinearRelation(refl))
-    lengths = {u: u.length for u in perms}
     gen_action = [
         {u: u.swap(i, i + 1) for u in perms} for i in range(1, n)
     ]

@@ -30,6 +30,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ncpoly import AbPoly, CdPoly, IntPoly, NotInSpan, ab_to_cd
@@ -158,6 +159,8 @@ class Edge(NamedTuple):
 
 
 Path = tuple  # tuple of Edge with matching heads and tails
+
+_eid = attrgetter("eid")
 
 _BITS_TO_AB = str.maketrans("01", "ab")
 
@@ -374,13 +377,25 @@ class LabeledDigraph:
         """Vertex-induced subgraph on {z : x <= z and z <= y}, same relation."""
         self._require(x, y)
         keep = self.descendants(x) & self.ancestors(y)
-        vertices = [v for v in self._vertices if v in keep]
-        edges = [
-            (e.tail, e.head, e.label)
-            for e in self._edges
-            if e.tail in keep and e.head in keep
-        ]
-        return LabeledDigraph(vertices, edges, self.relation)
+        return self.induced([v for v in self._vertices if v in keep])
+
+    def induced(self, members: Sequence[Hashable]) -> "LabeledDigraph":
+        """The subgraph on ``members`` and every edge between two of them.
+
+        Vertices keep the order given and edges the order of this graph, so
+        members listed in vertex order give the subgraph that filtering
+        ``vertices`` and ``edges`` would.  The work is proportional to the
+        members' out-edges, not to the whole graph.
+        """
+        members = tuple(members)
+        self._require(*members)
+        keep = set(members)
+        out = self._out
+        kept = [e for v in members for e in out[v] if e.head in keep]
+        kept.sort(key=_eid)
+        return LabeledDigraph(
+            members, [(e.tail, e.head, e.label) for e in kept], self.relation
+        )
 
     # -- paths and descent words -----------------------------------------
 

@@ -40,6 +40,30 @@ def run_compositions(labels, relation) -> tuple[tuple, tuple]:
     return runs(rel), runs(lambda x, y: not rel(x, y))
 
 
+def interval_by_filter(g: LabeledDigraph, x, y) -> LabeledDigraph:
+    """Oracle: the interval [x, y] by a reachability fixpoint and edge filtering.
+
+    Reachability is closed under every edge until nothing changes; the
+    interval keeps the vertices z with x <= z <= y in vertex order and every
+    edge of the graph, in order, with both ends kept.
+    """
+    reach = {v: {v} for v in g.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            new = reach[e.head] - reach[e.tail]
+            if new:
+                reach[e.tail] |= new
+                changed = True
+    keep = {z for z in g.vertices if z in reach[x] and y in reach[z]}
+    return LabeledDigraph(
+        [v for v in g.vertices if v in keep],
+        [(e.tail, e.head, e.label) for e in g.edges if e.tail in keep and e.head in keep],
+        g.relation,
+    )
+
+
 def chain(labels, order=None) -> LabeledDigraph:
     """A path graph v0 -> v1 -> ... with the given edge labels."""
     n = len(labels)

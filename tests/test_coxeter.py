@@ -1,5 +1,6 @@
 """Bruhat graphs, reflection orderings, cd-indexes and R-polynomials."""
 
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -17,7 +18,7 @@ from cdindex.coxeter import (
     reflection_order_validate,
     transpositions,
 )
-from cdindex.digraph import LabeledDigraph, LinearRelation, NoPath
+from cdindex.digraph import GraphError, LabeledDigraph, LinearRelation, NoPath
 from cdindex.ncpoly import IntPoly, bar, parse_cd
 
 E3 = Permutation((1, 2, 3))
@@ -33,6 +34,20 @@ class TestPermutation:
     def test_swap(self):
         assert Permutation((1, 2, 3)).swap(1, 3) == (3, 2, 1)
 
+    def test_swap_every_transposition(self):
+        u = Permutation((2, 4, 1, 3))
+        for i, j in transpositions(4):
+            values = list(u)
+            values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
+            for v in (u.swap(i, j), u.swap(j, i)):
+                assert type(v) is Permutation
+                assert v == Permutation(values)
+
+    @pytest.mark.parametrize("i,j", [(0, 2), (2, 2), (1, 4), (4, 1), (-1, 1)])
+    def test_swap_rejects_non_transpositions(self, i, j):
+        with pytest.raises(ValueError):
+            E3.swap(i, j)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
@@ -41,8 +56,9 @@ class TestPermutation:
         assert parse_permutation("312") == Permutation((3, 1, 2))
         assert parse_permutation("3,1,2") == Permutation((3, 1, 2))
 
-    def test_bruhat_leq_criterion_matches_graph(self):
-        bg = bruhat_graph_sn(4)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bruhat_leq_criterion_matches_graph(self, n):
+        bg = bruhat_graph_sn(n)
         for u in bg.graph.vertices:
             for v in bg.graph.vertices:
                 assert bruhat_leq(u, v) == bg.leq(u, v)
@@ -93,6 +109,86 @@ class TestGraphShape:
         again = bg.interval(u, v)
         assert sorted(again.vertices) == sorted(first.vertices)
         assert len(again.edges) == len(first.edges)
+
+
+def _same_subgraph(got, want):
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert got.relation is want.relation
+
+
+class TestIntervalExtraction:
+    """The bitset interval against the whole-graph search of LabeledDigraph."""
+
+    def test_all_s4_pairs(self):
+        bg = bruhat_graph_sn(4)
+        for u in bg.graph.vertices:
+            for v in bg.graph.vertices:
+                want = bg.graph.interval(u, v)
+                if bg.leq(u, v):
+                    _same_subgraph(bg.interval(u, v), want)
+                else:
+                    assert want.vertices == ()
+                    with pytest.raises(NoPath):
+                        bg.interval(u, v)
+
+    def test_sampled_s6_pairs(self):
+        bg = bruhat_graph_sn(6)
+        rng = random.Random(6)
+        vertices = bg.graph.vertices
+        compared = 0
+        while compared < 40:
+            u, v = rng.choice(vertices), rng.choice(vertices)
+            if bg.leq(u, v):
+                _same_subgraph(bg.interval(u, v), bg.graph.interval(u, v))
+                compared += 1
+        _same_subgraph(bg.interval(bg.identity, bg.top()), bg.graph)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_dihedral_pairs(self, m):
+        bg = dihedral_bruhat_graph(m)
+        for u in bg.graph.vertices:
+            for v in bg.graph.vertices:
+                if bg.leq(u, v):
+                    _same_subgraph(bg.interval(u, v), bg.graph.interval(u, v))
+
+    def test_leq_is_reachability(self):
+        bg = dihedral_bruhat_graph(5)
+        for u in bg.graph.vertices:
+            for v in bg.graph.vertices:
+                assert bg.leq(u, v) == (v in bg.graph.descendants(u))
+
+
+class TestGroupCache:
+    def test_one_graph_per_n(self):
+        assert bruhat_graph_sn(4) is bruhat_graph_sn(4, max_n=4) is bruhat_graph_sn(4, max_n=8)
+
+    def test_cap_still_checked(self):
+        bruhat_graph_sn(5)
+        with pytest.raises(ValueError):
+            bruhat_graph_sn(5, max_n=4)
+        with pytest.raises(ValueError):
+            bruhat_graph_sn(0)
+
+
+class TestOutsideTheGroup:
+    @pytest.mark.parametrize(
+        "stranger", [Permutation((1, 2, 3)), Permutation((1, 2, 3, 4, 5)), "1234", None]
+    )
+    def test_typed_error(self, stranger):
+        bg = bruhat_graph_sn(4)
+        w0 = Permutation((4, 3, 2, 1))
+        for query in (
+            bg.leq,
+            bg.interval,
+            bg.rtilde,
+            bg.r_polynomial_recursive,
+            bg.r_polynomial_dyer,
+        ):
+            with pytest.raises(GraphError):
+                query(stranger, w0)
+            with pytest.raises(GraphError):
+                query(bg.identity, stranger)
 
 
 class TestReflectionOrdering:

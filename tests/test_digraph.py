@@ -32,7 +32,7 @@ from cdindex.ncpoly import (
     star,
 )
 
-from conftest import chain
+from conftest import chain, interval_by_filter
 
 
 class TestLoadAndValidate:
@@ -135,6 +135,40 @@ class TestInterval:
         sub = graph_b3.interval("1", "123")
         assert set(sub.vertices) == {"1", "12", "13", "123"}
         assert len(sub.edges) == 4
+
+
+    def test_matches_edge_filter_on_random_dags(self, rng):
+        # vertices listed out of topological order, parallel edges drawn twice
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            hidden = [f"w{i}" for i in range(n)]
+            vertices = hidden[:]
+            rng.shuffle(vertices)
+            edges = []
+            for _ in range(rng.randint(0, 3 * n)):
+                i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+                if i != j:
+                    label = rng.choice("pqr")
+                    edges += [(hidden[i], hidden[j], label)] * rng.randint(1, 2)
+            g = LabeledDigraph(vertices, edges, LinearRelation("pqr"))
+            for x in g.vertices:
+                for y in g.vertices:
+                    got, want = g.interval(x, y), interval_by_filter(g, x, y)
+                    assert got.vertices == want.vertices
+                    assert got.edges == want.edges
+                    assert got.relation is g.relation
+
+    def test_induced_keeps_given_vertex_order(self, graph_b3):
+        sub = graph_b3.induced(["123", "12", "1"])
+        assert sub.vertices == ("123", "12", "1")
+        assert [(e.tail, e.head, e.eid) for e in sub.edges] == [
+            ("1", "12", 0),
+            ("12", "123", 1),
+        ]
+
+    def test_induced_rejects_unknown_vertex(self, graph_b3):
+        with pytest.raises(GraphError):
+            graph_b3.induced(["1", "nowhere"])
 
 
 class TestDescentWord:
