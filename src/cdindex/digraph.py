@@ -160,8 +160,6 @@ class Edge(NamedTuple):
 
 Path = tuple  # tuple of Edge with matching heads and tails
 
-_eid = attrgetter("eid")
-
 _BITS_TO_AB = str.maketrans("01", "ab")
 
 
@@ -390,9 +388,8 @@ class LabeledDigraph:
         members = tuple(members)
         self._require(*members)
         keep = set(members)
-        out = self._out
-        kept = [e for v in members for e in out[v] if e.head in keep]
-        kept.sort(key=_eid)
+        kept = [e for v in members for e in self._out[v] if e.head in keep]
+        kept.sort(key=attrgetter("eid"))
         return LabeledDigraph(
             members, [(e.tail, e.head, e.label) for e in kept], self.relation
         )
