@@ -11,12 +11,13 @@ trusted.  With such an ordering every interval is balanced, so complete
 cd-indexes exist; restricting to the covers (length difference one) gives
 the cd-index of the underlying graded order.
 
-Each group's graph is built once per process: ``bruhat_graph_sn`` checks its
-size cap and then reads a cache keyed on n alone, so every caller shares one
-graph whatever cap it passed.  At construction a :class:`BruhatGraph` stores
-two reachability bitsets per element, one bit per vertex position: the
-elements above it and the elements below it, each filled by one pass over
-the graph in (reverse) topological order that ORs Python ints together.
+Each group's graph is built once per process: ``bruhat_graph_sn`` and
+``dihedral_bruhat_graph`` check their size caps and then read a cache keyed
+on n (or m) alone, so every caller shares one graph whatever cap it passed.
+At construction a :class:`BruhatGraph` stores two reachability bitsets per
+element, one bit per vertex position: the elements above it and the
+elements below it, each filled by one pass over the graph in (reverse)
+topological order that ORs Python ints together.
 ``leq`` is then one bit test, and ``interval(u, v)`` reads its members from
 the AND of u's upper set and v's lower set and extracts the induced
 subgraph from the members' out-edges, so a query costs the size of its
@@ -50,9 +51,11 @@ __all__ = [
     "parse_permutation",
     "reflection_order_validate",
     "transpositions",
+    "DEFAULT_MAX_M",
     "DEFAULT_MAX_N",
 ]
 
+DEFAULT_MAX_M = 512
 DEFAULT_MAX_N = 6
 
 
@@ -395,16 +398,26 @@ def _dihedral_mult(m: int):
     return mult
 
 
-@lru_cache(maxsize=None)
-def dihedral_bruhat_graph(m: int) -> BruhatGraph:
+def dihedral_bruhat_graph(m: int, max_m: int = DEFAULT_MAX_M) -> BruhatGraph:
     """Bruhat graph of the dihedral group with 2m elements (m >= 2).
 
     The m reflections are ordered s, sts, ststs, ..., t, giving a
     reflection ordering; edge labels are the 1-based positions in that
-    order, compared as integers.
+    order, compared as integers.  m is capped (raise the cap explicitly
+    for larger groups; the graph has m^2 edges).  The graph is built once
+    per m and process, whatever cap admitted it.
     """
     if m < 2:
         raise ValueError("the dihedral group needs m >= 2")
+    if m > max_m:
+        raise ValueError(
+            f"m={m} exceeds the configured bound {max_m}; pass max_m to override"
+        )
+    return _dihedral_bruhat_graph(m)
+
+
+@lru_cache(maxsize=None)
+def _dihedral_bruhat_graph(m: int) -> BruhatGraph:
     mult = _dihedral_mult(m)
     s = (-1, 0)
     t = (-1, 1 % m)

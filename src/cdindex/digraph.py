@@ -16,6 +16,16 @@ and :meth:`LabeledDigraph.ab_index_by_paths` sums the descent words of the
 enumerated paths: the one place where paths become ab-words, and the
 oracle the dynamic programme is tested against.
 
+The sweep behind the ab-index keeps, per state, a table from path length
+(and the letters past the first ``_LOW``) to one Python int that packs the
+counts of many ab-words, one fixed-width slot per word.  A descent moves
+every word's count at once by one big-int shift.  The slot width comes from
+a prepass that counts the paths from the source to every vertex: no slot
+can exceed that count, since coefficients count paths and never cancel, so
+no slot carries into the next.  Each result is decoded once, and its
+coefficients must sum to the prepass's path count, or InternalError is
+raised.
+
 A graph is *balanced* when every interval has, for each length k, equally
 many rising paths (all ascents) and falling paths (all descents).  Balance
 is exactly the condition under which every interval's ab-index can be
@@ -29,7 +39,7 @@ import copy
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -161,6 +171,16 @@ class Edge(NamedTuple):
 Path = tuple  # tuple of Edge with matching heads and tails
 
 _BITS_TO_AB = str.maketrans("01", "ab")
+
+# letters of an ab-word packed into the slot index of a sweep table; the
+# rest ride in the table key (see LabeledDigraph._sweep)
+_LOW = 10
+
+
+@lru_cache(maxsize=None)
+def _low_words(m: int) -> tuple:
+    """The m-letter ab-words by slot index: letter i is bit i, a = 0 and b = 1."""
+    return tuple(bin(w | 1 << m)[:2:-1].translate(_BITS_TO_AB) for w in range(1 << m))
 
 
 class BalanceWitness(NamedTuple):
@@ -449,26 +469,47 @@ class LabeledDigraph:
 
     # -- dynamic programming ----------------------------------------------
 
-    def _sweep(self, x, words: bool) -> Iterator[tuple]:
+    def _sweep(self, x, width: int = 0) -> Iterator[tuple]:
         """The (vertex, last label) states of paths from x, one vertex at a time.
 
         A state holds a pair (asc, desc) of tables: the one read when the
-        next edge makes an ascent and the one read at a descent.  Extending
-        a path along an edge maps its entry w to s*w + bit.  With ``words``
-        an entry is an ab-word as an int (the empty word is 1), asc and desc
-        are one shared table, s = 2 and the bit is 0 for a, 1 for b.
-        Otherwise an entry is a path length, asc counts the rising paths and
-        desc the falling ones, s = 1 and the bit is 1; a one-edge path is in
-        both.  Every coefficient counts paths, so none ever cancels.
+        next edge makes an ascent and the one read at a descent.  With a
+        slot ``width`` (in bits) the two are one ab-word table; with width 0
+        they are run-count tables.
+
+        An ab-word table maps a key to one int that packs the counts of many
+        words.  A path of k edges has k - 1 letters; the first ``_LOW`` of
+        them pick the slot, letter i being bit i of the slot index (a = 0,
+        b = 1), and slot w sits at bits ``w*width`` up to ``(w+1)*width``.
+        The key is k + n*hi, with n the number of vertices (more than any
+        path length) and bit j of hi the letter ``_LOW + j``; hi is 0, and
+        the key just k, for paths of at most ``_LOW + 1`` edges.  An ascent
+        maps key k to k + 1 and keeps the int.  A descent at letter position
+        p = k - 1 < ``_LOW`` also shifts the int by ``width << p``, which
+        moves every word's count to the slot with bit p set in one big-int
+        operation; a descent at a later position sets bit p - ``_LOW`` of
+        hi instead.  The cap keeps an int to at most ``2**_LOW`` slots, so a
+        long chain costs one entry per length, not one slot per word.
+
+        A slot counts paths from x to one vertex, and coefficients never
+        cancel, so no slot exceeds the number of paths from x to any vertex.
+        A width at least that count's bit length therefore never carries
+        one slot into the next: the caller's duty (see :meth:`_path_counts`).
+
+        A run-count table maps a path length to a count: asc counts the
+        rising paths and desc the falling ones, and a one-edge path is in
+        both.  They are never packed.
 
         Vertices are taken in topological order, so when the sweep reaches v
         its states are final: it yields (v, {last label: (asc, desc)}), drops
         them, and only then extends v's paths along its out-edges, testing
-        the relation once per (out-edge, last label).  Every vertex reachable
-        from x, and no other, is yielded, so a caller may stop early.
+        the relation and choosing the table once per (out-edge, last
+        label).  Every vertex reachable from x, and no other, is yielded,
+        so a caller may stop early.
         """
         rel = self.relation.related
-        scale, asc_bit = (2, 0) if words else (1, 1)
+        words = width > 0
+        stride = len(self._vertices)
         state: dict[Hashable, dict[Hashable, tuple[dict, dict]]] = {}
         for e in self._out[x]:
             row = state.setdefault(e.head, {})
@@ -495,12 +536,23 @@ class LabeledDigraph:
                 asc_to, desc_to = pair
                 for label, (asc, desc) in table.items():
                     if rel(label, last):
-                        src, dst, bit = asc, asc_to, asc_bit
+                        src, dst = asc, asc_to
+                    elif words:
+                        for key, n in desc.items():
+                            # a key with high letters exceeds n > _LOW + 1, so
+                            # key <= _LOW means hi = 0 and p = key - 1 < _LOW
+                            if key <= _LOW:
+                                n <<= width << (key - 1)
+                                key += 1
+                            else:
+                                key += 1 + (stride << (key % stride - 1 - _LOW))
+                            desc_to[key] = desc_to.get(key, 0) + n
+                        continue
                     else:
-                        src, dst, bit = desc, desc_to, 1
-                    for w, c in src.items():
-                        w = scale * w + bit
-                        dst[w] = dst.get(w, 0) + c
+                        src, dst = desc, desc_to
+                    for k, c in src.items():
+                        k += 1
+                        dst[k] = dst.get(k, 0) + c
 
     @staticmethod
     def _sums(table: dict) -> tuple[dict, dict]:
@@ -519,19 +571,63 @@ class LabeledDigraph:
                 desc_sum[w] = desc_sum.get(w, 0) + c
         return asc_sum, desc_sum
 
-    @staticmethod
-    def _decode(words: dict) -> AbPoly:
-        """The AbPoly of an int-encoded (word -> count) table."""
-        return AbPoly._trusted(
-            {bin(w)[3:].translate(_BITS_TO_AB): c for w, c in words.items()}
-        )
+    def _path_counts(self, x) -> tuple[dict, int]:
+        """Paths from x to every vertex reachable from it (1 for x), and a slot width.
+
+        The width is the bit length of the largest count, rounded up to
+        whole bytes: no slot of a packed table exceeds it, so none carries.
+        """
+        counts = {x: 1}
+        get = counts.get
+        for v in self._topo[self._topo_index[x]:]:
+            c = get(v)
+            if c is not None:
+                for e in self._out[v]:
+                    head = e.head
+                    counts[head] = get(head, 0) + c
+        return counts, (max(counts.values()).bit_length() + 7) & -8
+
+    def _ab_sweep(self, x) -> Iterator[tuple]:
+        """(v, ab-index of [x, v]) for every v reachable from x, in topological order."""
+        counts, width = self._path_counts(x)
+        for v, table in self._sweep(x, width):
+            yield v, self._decode(self._sums(table)[0], width, counts[v])
+
+    def _decode(self, table: dict, width: int, paths: int) -> AbPoly:
+        """The AbPoly of a packed ab-word table, checked against its number of paths."""
+        size = width >> 3
+        stride = len(self._vertices)
+        terms = {}
+        total = 0
+        for key, packed in table.items():
+            if key <= _LOW + 1:  # every letter is in the slot index
+                k, tail = key, ""
+            else:
+                hi, k = divmod(key, stride)
+                tail = bin(hi | 1 << (k - 1 - _LOW))[:2:-1].translate(_BITS_TO_AB)
+            low = min(k - 1, _LOW)
+            try:
+                raw = packed.to_bytes(size << low, "little")
+            except OverflowError:
+                raise InternalError("a packed ab-word table overflowed its slots") from None
+            counts = raw if size == 1 else [
+                int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)
+            ]
+            total += sum(counts)
+            for head, c in zip(_low_words(low), counts):
+                if c:
+                    terms[head + tail] = c
+        if total != paths:
+            raise InternalError(
+                f"ab-word coefficients sum to {total}, but {paths} paths were counted"
+            )
+        return AbPoly._trusted(terms)
 
     def ab_index_from(self, x) -> dict:
         """ab-indexes of [x, v] for every v, by one pass in topological order."""
         self._require(x)
         psi = dict.fromkeys(self._vertices, AbPoly.zero())
-        for v, table in self._sweep(x, words=True):
-            psi[v] = self._decode(self._sums(table)[0])
+        psi.update(self._ab_sweep(x))
         return psi
 
     def ab_index(self, x, y) -> AbPoly:
@@ -543,9 +639,10 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return AbPoly.zero()
-        for v, table in self._sweep(x, words=True):
+        counts, width = self._path_counts(x)
+        for v, table in self._sweep(x, width):
             if v == y:
-                return self._decode(self._sums(table)[0])
+                return self._decode(self._sums(table)[0], width, counts[y])
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     @staticmethod
@@ -558,7 +655,7 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return IntPoly.zero(), IntPoly.zero()
-        for v, table in self._sweep(x, words=False):
+        for v, table in self._sweep(x):
             if v == y:
                 r, f = self._sums(table)
                 return self._poly(r), self._poly(f)
@@ -572,11 +669,20 @@ class LabeledDigraph:
         q = IntPoly.q()
         return q * r, q * f
 
+    def capital_rising_falling_from(self, x) -> dict:
+        """(R, F) of [x, v] for x and every v reachable from it, by one sweep from x."""
+        self._require(x)
+        capitals = {x: (IntPoly.one(), IntPoly.one())}
+        for v, table in self._sweep(x):
+            r, f = self._sums(table)
+            capitals[v] = IntPoly._trusted(dict(r)), IntPoly._trusted(dict(f))
+        return capitals
+
     # -- balance -----------------------------------------------------------
 
     def _balance_witness(self) -> BalanceWitness | None:
         for x in self._topo:
-            for y, table in self._sweep(x, words=False):
+            for y, table in self._sweep(x):
                 r, f = self._sums(table)
                 if r != f:
                     k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
@@ -617,15 +723,14 @@ class LabeledDigraph:
         even_length = True
         cd_span = True
         for x in self._topo:
-            sweeps = zip(self._sweep(x, words=False), self._sweep(x, words=True))
-            for (_, runs), (_, words) in sweeps:
+            for (_, runs), (_, psi) in zip(self._sweep(x), self._ab_sweep(x)):
                 r, f = self._sums(runs)
                 if r != f:
                     per_length = False
                 if any(r.get(k, 0) != f.get(k, 0) for k in r.keys() | f.keys() if k % 2 == 0):
                     even_length = False
                 try:
-                    ab_to_cd(self._decode(self._sums(words)[0]))
+                    ab_to_cd(psi)
                 except NotInSpan:
                     cd_span = False
         if not (per_length == even_length == cd_span):

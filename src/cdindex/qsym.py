@@ -410,10 +410,8 @@ def multichain_specialization(g: LabeledDigraph, m: int) -> MultichainComparison
         raise Unbounded("multichain specialization needs a bounded graph")
     bot, top = g.zero_hat(), g.one_hat()
 
-    reach = {x: g.descendants(x) for x in g.vertices}
-    capitals = {
-        (x, y): g.capital_rising_falling(x, y) for x in g.vertices for y in reach[x]
-    }
+    # capitals[x][y] = (R, F) of [x, y] for every y >= x, one sweep per x
+    capitals = {x: g.capital_rising_falling_from(x) for x in g.vertices}
 
     def chain_sum(index: int) -> dict:
         # (v, nonzero exponents of the first d variables as (variable,
@@ -424,8 +422,8 @@ def multichain_specialization(g: LabeledDigraph, m: int) -> MultichainComparison
         for depth in range(m):
             step: dict[tuple, int] = {}
             for (v, sparse), coeff in states.items():
-                for w in (top,) if depth == m - 1 else reach[v]:
-                    for k, c in capitals[(v, w)][index].items():
+                for w in (top,) if depth == m - 1 else capitals[v]:
+                    for k, c in capitals[v][w][index].items():
                         key = (w, sparse + ((depth, k),) if k else sparse)
                         _merge(step, key, coeff * c)
             states = step

@@ -402,6 +402,13 @@ class TestBruhatCommand:
         assert code == 2
         assert "exceeds" in err
 
+    def test_m_cap(self, capsys):
+        code, out, err = run(capsys, "bruhat", "--type", "I2", "--m", "3000", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "exceeds" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestConstructCommand:
     def test_realize_and_reload(self, capsys, tmp_path):

@@ -6,7 +6,9 @@ from itertools import permutations
 
 import pytest
 
+from cdindex import coxeter
 from cdindex.coxeter import (
+    DEFAULT_MAX_M,
     BruhatGraph,
     HalfPowerResidue,
     Permutation,
@@ -169,6 +171,22 @@ class TestGroupCache:
             bruhat_graph_sn(5, max_n=4)
         with pytest.raises(ValueError):
             bruhat_graph_sn(0)
+
+    def test_one_graph_per_m(self):
+        assert dihedral_bruhat_graph(5) is dihedral_bruhat_graph(5, max_m=5)
+        assert dihedral_bruhat_graph(5) is dihedral_bruhat_graph(5, max_m=DEFAULT_MAX_M + 1)
+
+    def test_m_cap_checked_before_the_build(self):
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
+        with pytest.raises(ValueError, match="exceeds"):
+            dihedral_bruhat_graph(DEFAULT_MAX_M + 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            dihedral_bruhat_graph(6, max_m=5)
+        with pytest.raises(ValueError, match="exceeds"):
+            dihedral_graph(3000, 1)
+        with pytest.raises(ValueError):
+            dihedral_bruhat_graph(1)
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
 
 
 class TestOutsideTheGroup:

@@ -1,13 +1,19 @@
 """Graph loading, interval structure, DP-computed indexes and balance."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdindex.coxeter import bruhat_graph_sn
 from cdindex.digraph import (
+    _LOW,
     CycleDetected,
     DanglingVertex,
     GraphError,
+    InternalError,
     LabeledDigraph,
     LinearRelation,
     NoPath,
@@ -257,6 +263,18 @@ class TestRisingFalling:
         g = chain(["1"])
         assert g.capital_rising_falling("v0", "v1") == (IntPoly.q(), IntPoly.q())
 
+    def test_capitals_from_one_sweep_match_per_pair_calls(self, all_fixture_graphs):
+        # the whole S4 graph holds every S4 interval [x, y]; its cover graph too
+        bg = bruhat_graph_sn(4)
+        top = bg.top()
+        graphs = [*all_fixture_graphs.values(), bg.graph, bg.cover_interval(bg.identity, top)]
+        for g in graphs:
+            for x in g.vertices:
+                capitals = g.capital_rising_falling_from(x)
+                assert set(capitals) == g.descendants(x)
+                for y, pair in capitals.items():
+                    assert pair == g.capital_rising_falling(x, y)
+
 
 class TestBalance:
     def test_fig1_graphs(self, graph_fig1_left, graph_fig1_right):
@@ -496,11 +514,130 @@ class TestIntWordKernel:
             assert [len(w) for w, _ in g.ab_index(junction, "c70").items()] == [69]
 
     def test_leading_a_letters_survive(self):
-        # a is the 0 bit; the sentinel keeps leading a's apart from the empty word
+        # a is the 0 bit; the path length in the key keeps leading a's apart
+        # from the empty word
         g = chain(["1", "2", "3", "1"])
         assert g.ab_index("v0", "v1") == AbPoly.one()
         assert g.ab_index("v0", "v3") == AbPoly.monomial("aa")
         assert g.ab_index("v0", "v4") == AbPoly.monomial("aab")
+
+
+def ladder(steps, relation=None) -> LabeledDigraph:
+    """v0 -> v1 -> ... with one bundle of parallel edges per step, one per label."""
+    vertices = [f"v{i}" for i in range(len(steps) + 1)]
+    edges = [
+        (f"v{i}", f"v{i + 1}", label) for i, labels in enumerate(steps) for label in labels
+    ]
+    if relation is None:
+        relation = LinearRelation(sorted({label for labels in steps for label in labels}))
+    return LabeledDigraph(vertices, edges, relation)
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPackedTables:
+    """The sweep packs many ab-word counts into one int per (length, high letters)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_chains_longer_than_the_packed_letters(self, seed):
+        rng = random.Random(seed)
+        labels = [rng.choice("1234") for _ in range(3 * _LOW)]
+        g = chain(labels)
+        psi = g.ab_index_from("v0")
+        for i in range(1, len(labels) + 1):
+            assert psi[f"v{i}"] == g.ab_index_by_paths("v0", f"v{i}")
+        (word, _), = psi[f"v{len(labels)}"].items()
+        assert len(word) == len(labels) - 1 > _LOW
+
+    @pytest.mark.parametrize("steps", [16, 17])
+    def test_lo_hi_ladders(self, steps):
+        # 2^steps paths; a descent is 2 -> 1, so the words are those of
+        # steps - 1 letters without bb, a Fibonacci number of them
+        g = ladder([["1", "2"]] * steps)
+        psi = g.ab_index("v0", f"v{steps}")
+        assert psi == g.ab_index_by_paths("v0", f"v{steps}")
+        assert sum(c for _, c in psi.items()) == 2 ** steps
+        assert len(psi.items()) == {16: 1597, 17: 2584}[steps]
+
+    def test_ladder_with_mixed_bundles(self):
+        rng = random.Random(7)
+        steps = [rng.sample("12345", rng.choice((1, 2, 2, 3))) for _ in range(18)]
+        g = ladder(steps)
+        for x in ("v0", "v3"):
+            psi = g.ab_index_from(x)
+            for v in g.vertices:
+                if g.leq(x, v):
+                    assert psi[v] == g.ab_index_by_paths(x, v)
+
+    def test_pairs_relation_ladder(self):
+        # x ~ y and y ~ x but neither label is related to itself
+        g = ladder([["x", "y"]] * 16, PairsRelation([("x", "y"), ("y", "x")]))
+        psi = g.ab_index_from("v0")
+        for v in ("v1", "v2", "v11", "v12", "v16"):
+            assert psi[v] == g.ab_index_by_paths("v0", v)
+        assert len(psi["v16"].items()) == 2 ** 15
+        r, f = g.rising_falling("v0", "v16")
+        assert r.coefficient(15) == psi["v16"].coefficient("a" * 15) == 2
+        assert f.coefficient(15) == psi["v16"].coefficient("b" * 15) == 2
+
+    @pytest.mark.parametrize("count", [255, 256, 65535, 65536])
+    def test_counts_on_a_slot_width_boundary(self, count):
+        # one word carrying every path, and a split between two words
+        whole = ladder([["3"] * count, ["1"]])
+        assert whole.ab_index("v0", "v2") == AbPoly({"b": count})
+        half = count // 2
+        split = ladder([["2"], ["3"] * half + ["1"] * (count - half), ["2"]])
+        psi = split.ab_index("v0", "v3")
+        assert psi == AbPoly({"ab": half, "ba": count - half})
+        if count <= 256:
+            assert psi == split.ab_index_by_paths("v0", "v3")
+
+    @pytest.mark.parametrize("count", [255, 256, 65535, 65536])
+    def test_bundle_product_on_a_slot_width_boundary(self, count):
+        # count = p*q paths through a bundle of p and a mixed bundle of q
+        p = next(d for d in (255, 256, 257) if count % d == 0)
+        q = count // p
+        g = ladder([["3"] * p, ["1"] * (q // 2) + ["4"] * (q - q // 2)])
+        expected = AbPoly({"b": p * (q // 2), "a": p * (q - q // 2)})
+        assert g.ab_index("v0", "v2") == expected == g.ab_index_by_paths("v0", "v2")
+
+    def test_too_narrow_slots_are_caught(self):
+        # 256 descents and 256 ascents: a one-byte slot for "a" carries into "b"
+        g = ladder([["2"] * 256, ["1", "3"]])
+
+        def packed(width):
+            (table,) = (t for v, t in g._sweep("v0", width) if v == "v2")
+            return g._sums(table)[0]
+
+        with pytest.raises(InternalError):
+            g._decode(packed(8), 8, 512)
+        with pytest.raises(InternalError):
+            g._decode(packed(16), 16, 511)
+        assert g._decode(packed(16), 16, 512) == AbPoly({"a": 256, "b": 256})
+
+    def test_long_descending_chain_is_one_term(self):
+        n = 1200
+        g = LabeledDigraph(
+            range(n + 1), [(i, i + 1, n - i) for i in range(n)], LinearRelation(range(1, n + 1))
+        )
+        psi, peak = traced_peak(lambda: g.ab_index(0, n))
+        assert psi == AbPoly.monomial("b" * (n - 1))
+        assert peak < 1 << 20
+
+    def test_descending_ladder_of_two_to_the_sixty_paths(self):
+        n = 60
+        g = ladder([[2 * (n - i), 2 * (n - i) + 1] for i in range(n)])
+        psi, peak = traced_peak(lambda: g.ab_index("v0", f"v{n}"))
+        assert psi == AbPoly({"b" * (n - 1): 2 ** n})
+        assert peak < 1 << 20
 
 
 def length_counts(paths) -> dict:
