@@ -30,6 +30,8 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+MAX_M = 512
+
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -206,6 +208,9 @@ def _bruhat_values(args):
     else:
         if not args.m or args.k is None:
             raise GraphError("type I2 needs --m and --k")
+        if args.m > MAX_M:
+            # the group graph has m^2 edges and stays cached for the process
+            raise GraphError(f"--m {args.m} exceeds the bound {MAX_M}")
         bg = coxeter_mod.dihedral_bruhat_graph(args.m)
         u = bg.identity
         v = coxeter_mod.dihedral_graph(args.m, args.k).one_hat()

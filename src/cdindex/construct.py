@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .coxeter import dihedral_bruhat_graph, dihedral_graph
+from .coxeter import dihedral_cover_interval
 from .digraph import (
     LabeledDigraph,
     LinearRelation,
@@ -91,10 +91,7 @@ def butterfly(k: int) -> LabeledDigraph:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    m = k + 2
-    bg = dihedral_bruhat_graph(m)
-    top = dihedral_graph(m, k + 1).one_hat()
-    cover = bg.cover_interval(bg.identity, top)
+    cover = dihedral_cover_interval(k + 2, k + 1)
     used = sorted({e.label for e in cover.edges})
     return _normalize(
         cover.vertices,

@@ -11,13 +11,12 @@ trusted.  With such an ordering every interval is balanced, so complete
 cd-indexes exist; restricting to the covers (length difference one) gives
 the cd-index of the underlying graded order.
 
-Each group's graph is built once per process: ``bruhat_graph_sn`` and
-``dihedral_bruhat_graph`` check their size caps and then read a cache keyed
-on n (or m) alone, so every caller shares one graph whatever cap it passed.
-At construction a :class:`BruhatGraph` stores two reachability bitsets per
-element, one bit per vertex position: the elements above it and the
-elements below it, each filled by one pass over the graph in (reverse)
-topological order that ORs Python ints together.
+Each group's graph is built once per process: ``bruhat_graph_sn`` checks its
+size cap and then reads a cache keyed on n alone, so every caller shares one
+graph whatever cap it passed.  At construction a :class:`BruhatGraph` stores
+two reachability bitsets per element, one bit per vertex position: the
+elements above it and the elements below it, each filled by one pass over
+the graph in (reverse) topological order that ORs Python ints together.
 ``leq`` is then one bit test, and ``interval(u, v)`` reads its members from
 the AND of u's upper set and v's lower set and extracts the induced
 subgraph from the members' out-edges, so a query costs the size of its
@@ -47,15 +46,14 @@ __all__ = [
     "bruhat_graph_sn",
     "bruhat_leq",
     "dihedral_bruhat_graph",
+    "dihedral_cover_interval",
     "dihedral_graph",
     "parse_permutation",
     "reflection_order_validate",
     "transpositions",
-    "DEFAULT_MAX_M",
     "DEFAULT_MAX_N",
 ]
 
-DEFAULT_MAX_M = 512
 DEFAULT_MAX_N = 6
 
 
@@ -398,26 +396,39 @@ def _dihedral_mult(m: int):
     return mult
 
 
-def dihedral_bruhat_graph(m: int, max_m: int = DEFAULT_MAX_M) -> BruhatGraph:
+def _dihedral_reflections(m: int) -> list:
+    """The m reflections in the order s, sts, ststs, ..., t."""
+    mult = _dihedral_mult(m)
+    s = (-1, 0)
+    ts = mult((-1, 1 % m), s)
+    reflections = []
+    power = (1, 0)
+    for _ in range(m):
+        reflections.append(mult(s, power))
+        power = mult(ts, power)
+    assert len(set(reflections)) == m
+    return reflections
+
+
+def _dihedral_top(m: int, k: int):
+    """The alternating word s t s ... of length k."""
+    mult = _dihedral_mult(m)
+    w = (1, 0)
+    for i in range(k):
+        w = mult(w, (-1, 0) if i % 2 == 0 else (-1, 1 % m))
+    return w
+
+
+@lru_cache(maxsize=None)
+def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     """Bruhat graph of the dihedral group with 2m elements (m >= 2).
 
     The m reflections are ordered s, sts, ststs, ..., t, giving a
     reflection ordering; edge labels are the 1-based positions in that
-    order, compared as integers.  m is capped (raise the cap explicitly
-    for larger groups; the graph has m^2 edges).  The graph is built once
-    per m and process, whatever cap admitted it.
+    order, compared as integers.
     """
     if m < 2:
         raise ValueError("the dihedral group needs m >= 2")
-    if m > max_m:
-        raise ValueError(
-            f"m={m} exceeds the configured bound {max_m}; pass max_m to override"
-        )
-    return _dihedral_bruhat_graph(m)
-
-
-@lru_cache(maxsize=None)
-def _dihedral_bruhat_graph(m: int) -> BruhatGraph:
     mult = _dihedral_mult(m)
     s = (-1, 0)
     t = (-1, 1 % m)
@@ -436,14 +447,7 @@ def _dihedral_bruhat_graph(m: int) -> BruhatGraph:
         frontier = new
     assert len(lengths) == 2 * m
 
-    reflections = []
-    ts = mult(t, s)
-    power = identity
-    for _ in range(m):
-        reflections.append(mult(s, power))
-        power = mult(ts, power)
-    assert len(set(reflections)) == m
-
+    reflections = _dihedral_reflections(m)
     vertices = sorted(elements, key=lambda u: (lengths[u], u))
     edges = []
     for u in vertices:
@@ -468,11 +472,40 @@ def dihedral_graph(m: int, k: int) -> LabeledDigraph:
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     bg = dihedral_bruhat_graph(m)
-    mult = _dihedral_mult(m)
-    s = (-1, 0)
-    t = (-1, 1 % m)
-    w = bg.identity
-    for i in range(k):
-        w = mult(w, s if i % 2 == 0 else t)
+    w = _dihedral_top(m, k)
     assert bg.lengths[w] == k
     return bg.interval(bg.identity, w)
+
+
+def dihedral_cover_interval(m: int, k: int) -> LabeledDigraph:
+    """The cover edges of ``dihedral_graph(m, k)``, without the group's graph.
+
+    Equal to ``cover_interval`` of that interval in ``dihedral_bruhat_graph(m)``
+    (same vertex order, edge order and labels), but built from the
+    interval's 2k elements: every element shorter than the top is below it,
+    and any two elements whose lengths differ by one differ by a reflection.
+    The m^2 edges of the group graph are never built.
+    """
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    mult = _dihedral_mult(m)
+    rank = {refl: i for i, refl in enumerate(_dihedral_reflections(m), start=1)}
+    levels = [[(1, 0)]]
+    seen = {(1, 0)}
+    while len(levels) < k:
+        new = sorted(
+            {mult(u, g) for u in levels[-1] for g in ((-1, 0), (-1, 1 % m))} - seen
+        )
+        seen.update(new)
+        levels.append(new)
+    levels.append([_dihedral_top(m, k)])
+    edges = []
+    for below, above in zip(levels, levels[1:]):
+        for u in below:
+            # u^-1 v, with (eps, j)^-1 = (eps, -eps*j)
+            inverse = (u[0], -u[0] * u[1] % m)
+            edges += sorted(
+                ((u, v, rank[mult(inverse, v)]) for v in above), key=lambda e: e[2]
+            )
+    vertices = [u for level in levels for u in level]
+    return LabeledDigraph(vertices, edges, LinearRelation(range(1, m + 1)))

@@ -571,21 +571,28 @@ class LabeledDigraph:
                 desc_sum[w] = desc_sum.get(w, 0) + c
         return asc_sum, desc_sum
 
-    def _path_counts(self, x) -> tuple[dict, int]:
+    def _path_counts(self, x, stop=None) -> tuple[dict, int]:
         """Paths from x to every vertex reachable from it (1 for x), and a slot width.
 
         The width is the bit length of the largest count, rounded up to
         whole bytes: no slot of a packed table exceeds it, so none carries.
+        With a ``stop`` vertex the pass ends there: only the vertices up to
+        it in topological order feed its table, so only their counts are
+        final and only they set the width.
         """
         counts = {x: 1}
         get = counts.get
-        for v in self._topo[self._topo_index[x]:]:
+        largest = 1
+        end = None if stop is None else self._topo_index[stop] + 1
+        for v in self._topo[self._topo_index[x]:end]:
             c = get(v)
             if c is not None:
+                if c > largest:
+                    largest = c
                 for e in self._out[v]:
                     head = e.head
                     counts[head] = get(head, 0) + c
-        return counts, (max(counts.values()).bit_length() + 7) & -8
+        return counts, (largest.bit_length() + 7) & -8
 
     def _ab_sweep(self, x) -> Iterator[tuple]:
         """(v, ab-index of [x, v]) for every v reachable from x, in topological order."""
@@ -639,7 +646,7 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return AbPoly.zero()
-        counts, width = self._path_counts(x)
+        counts, width = self._path_counts(x, y)
         for v, table in self._sweep(x, width):
             if v == y:
                 return self._decode(self._sums(table)[0], width, counts[y])

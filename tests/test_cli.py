@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cdindex.cli import build_parser, main
+from cdindex.coxeter import dihedral_bruhat_graph
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.ncpoly import parse_cd
 
@@ -403,7 +404,9 @@ class TestBruhatCommand:
         assert "exceeds" in err
 
     def test_m_cap(self, capsys):
+        built = dihedral_bruhat_graph.cache_info().currsize
         code, out, err = run(capsys, "bruhat", "--type", "I2", "--m", "3000", "--k", "1")
+        assert dihedral_bruhat_graph.cache_info().currsize == built
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "exceeds" in err

@@ -46,6 +46,12 @@ class TestButterfly:
         assert g.is_balanced().balanced
         assert isinstance(g.relation, LinearRelation)
 
+    def test_long_butterfly(self):
+        # m = 513 would give the group graph 263,169 edges; none is built
+        g = butterfly(511)
+        assert len(g.vertices) == 1024 and len(g.edges) == 2044
+        assert realize(CdPoly.monomial("c" * 511)).edges == g.edges
+
 
 class TestDJoin:
     def test_two_points(self):

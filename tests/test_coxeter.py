@@ -8,13 +8,13 @@ import pytest
 
 from cdindex import coxeter
 from cdindex.coxeter import (
-    DEFAULT_MAX_M,
     BruhatGraph,
     HalfPowerResidue,
     Permutation,
     bruhat_graph_sn,
     bruhat_leq,
     dihedral_bruhat_graph,
+    dihedral_cover_interval,
     dihedral_graph,
     parse_permutation,
     reflection_order_validate,
@@ -173,20 +173,34 @@ class TestGroupCache:
             bruhat_graph_sn(0)
 
     def test_one_graph_per_m(self):
-        assert dihedral_bruhat_graph(5) is dihedral_bruhat_graph(5, max_m=5)
-        assert dihedral_bruhat_graph(5) is dihedral_bruhat_graph(5, max_m=DEFAULT_MAX_M + 1)
-
-    def test_m_cap_checked_before_the_build(self):
-        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
-        with pytest.raises(ValueError, match="exceeds"):
-            dihedral_bruhat_graph(DEFAULT_MAX_M + 1)
-        with pytest.raises(ValueError, match="exceeds"):
-            dihedral_bruhat_graph(6, max_m=5)
-        with pytest.raises(ValueError, match="exceeds"):
-            dihedral_graph(3000, 1)
+        assert dihedral_bruhat_graph(5) is dihedral_bruhat_graph(5)
         with pytest.raises(ValueError):
             dihedral_bruhat_graph(1)
-        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
+
+
+class TestDihedralCoverInterval:
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 12])
+    def test_equals_the_cover_interval_of_the_group_graph(self, m):
+        bg = dihedral_bruhat_graph(m)
+        for k in range(1, m + 1):
+            expected = bg.cover_interval(bg.identity, dihedral_graph(m, k).one_hat())
+            got = dihedral_cover_interval(m, k)
+            assert got.vertices == expected.vertices
+            assert [(e.tail, e.head, e.label) for e in got.edges] == [
+                (e.tail, e.head, e.label) for e in expected.edges
+            ]
+            assert got.relation.order == expected.relation.order
+
+    def test_large_m_builds_no_group_graph(self):
+        built = coxeter.dihedral_bruhat_graph.cache_info().currsize
+        g = dihedral_cover_interval(3000, 2999)
+        assert len(g.vertices) == 2 * 2999 and len(g.edges) == 4 * 2997 + 4
+        assert coxeter.dihedral_bruhat_graph.cache_info().currsize == built
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            dihedral_cover_interval(3, k)
 
 
 class TestOutsideTheGroup:

@@ -623,6 +623,17 @@ class TestPackedTables:
             g._decode(packed(16), 16, 511)
         assert g._decode(packed(16), 16, 512) == AbPoly({"a": 256, "b": 256})
 
+    def test_width_from_the_vertices_up_to_the_target(self):
+        # 4 paths to v2, then 1,200 and 360,000 paths past it
+        g = ladder([["1", "2"], ["1", "2"], ["3"] * 300, ["1"] * 300])
+        counts, width = g._path_counts("v0", "v2")
+        assert (counts["v2"], width) == (4, 8)
+        assert g._path_counts("v0")[1] == 24
+        assert g.ab_index("v0", "v2") == g.ab_index_by_paths("v0", "v2")
+        assert g.ab_index("v0", "v3") == g.ab_index_by_paths("v0", "v3")
+        with pytest.raises(NoPath):
+            g.ab_index("v2", "v1")
+
     def test_long_descending_chain_is_one_term(self):
         n = 1200
         g = LabeledDigraph(
