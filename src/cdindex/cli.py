@@ -4,8 +4,9 @@ One subcommand per computation, all operating on the JSON graph format or
 on Coxeter group generators.  Exit status: 0 on success, 1 on a negative
 mathematical outcome (an unbalanced graph, a failed identity, a search
 hit), 2 on bad input, 3 on an internal error (a bug, reported in one line
-instead of a traceback).  Every textual output has a machine-readable
-mirror behind ``--json``.
+instead of a traceback).  Every command returns its exit status, a JSON
+payload and its text lines, and ``main`` alone prints them: the payload
+behind ``--json``, the lines otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import construct as construct_mod
 from . import coxeter as coxeter_mod
 from . import fixtures as fixtures_mod
 from . import qsym as qsym_mod
-from .digraph import GraphError, InternalError, NoPath, load_graph, to_json_dict
+from .digraph import GraphError, InternalError, load_graph, to_json_dict
 from .ncpoly import NotInSpan, ab_to_cd, parse_cd
 
 EXIT_OK = 0
@@ -31,10 +32,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 MAX_M = 512
-
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _parse_subset(text: str) -> frozenset:
@@ -72,7 +69,7 @@ def _vertices_named(graph, names) -> list:
     return vertices
 
 
-def cmd_cdindex(args) -> int:
+def cmd_cdindex(args):
     graph = load_graph(args.graph)
     if args.interval:
         x, y = _vertices_named(graph, _interval_names(args.interval))
@@ -84,22 +81,13 @@ def cmd_cdindex(args) -> int:
         cd = ab_to_cd(psi)
     except NotInSpan as exc:
         payload.update(cd_index=None, residual=str(exc.residual))
-        if args.json:
-            _emit_json(payload)
-        elif args.ab:
-            print(psi)
-        else:
-            print(f"not a cd-polynomial; residual: {exc.residual}")
-        return EXIT_NEGATIVE
+        text = psi if args.ab else f"not a cd-polynomial; residual: {exc.residual}"
+        return EXIT_NEGATIVE, payload, [text]
     payload.update(cd_index=str(cd), residual=None)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(psi if args.ab else cd)
-    return EXIT_OK
+    return EXIT_OK, payload, [psi if args.ab else cd]
 
 
-def cmd_balance(args) -> int:
+def cmd_balance(args):
     graph = load_graph(args.graph)
     report = graph.is_balanced()
     payload = {
@@ -107,31 +95,26 @@ def cmd_balance(args) -> int:
         "witness": None,
         "cd_index": str(report.cd_index) if report.cd_index is not None else None,
     }
-    if report.witness:
-        w = report.witness
-        payload["witness"] = {
-            "interval": [str(w.x), str(w.y)],
-            "length": w.length,
-            "rising": w.rising,
-            "falling": w.falling,
-        }
-    if args.json:
-        _emit_json(payload)
-    elif report.balanced:
-        print("balanced")
+    if report.balanced:
+        lines = ["balanced"]
         if report.cd_index is not None:
-            print(f"cd-index: {report.cd_index}")
-    else:
-        w = report.witness
-        print("unbalanced")
-        print(
-            f"witness: interval [{w.x}, {w.y}] length {w.length}: "
-            f"{w.rising} rising vs {w.falling} falling"
-        )
-    return EXIT_OK if report.balanced else EXIT_NEGATIVE
+            lines.append(f"cd-index: {report.cd_index}")
+        return EXIT_OK, payload, lines
+    w = report.witness
+    payload["witness"] = {
+        "interval": [str(w.x), str(w.y)],
+        "length": w.length,
+        "rising": w.rising,
+        "falling": w.falling,
+    }
+    return EXIT_NEGATIVE, payload, [
+        "unbalanced",
+        f"witness: interval [{w.x}, {w.y}] length {w.length}: "
+        f"{w.rising} rising vs {w.falling} falling",
+    ]
 
 
-def cmd_alexander(args) -> int:
+def cmd_alexander(args):
     graph = load_graph(args.graph)
     interior = sorted(
         set(graph.vertices) - {graph.zero_hat(), graph.one_hat()}, key=str
@@ -153,17 +136,17 @@ def cmd_alexander(args) -> int:
         }
         for subset, result in zip(subsets, alexander_mod.alexander_sweep(graph, subsets))
     ]
-    if args.json:
-        _emit_json(rows)
-    else:
-        for row in rows:
-            mark = "equal" if row["equal"] else "UNEQUAL"
-            subset_text = ",".join(row["subset"]) or "(empty)"
-            print(f"S={{{subset_text}}} lhs={row['lhs']} rhs={row['rhs']} {mark}")
-    return EXIT_OK if all(r["equal"] for r in rows) else EXIT_NEGATIVE
+
+    def line(row):
+        mark = "equal" if row["equal"] else "UNEQUAL"
+        subset_text = ",".join(row["subset"]) or "(empty)"
+        return f"S={{{subset_text}}} lhs={row['lhs']} rhs={row['rhs']} {mark}"
+
+    code = EXIT_OK if all(r["equal"] for r in rows) else EXIT_NEGATIVE
+    return code, rows, map(line, rows)
 
 
-def cmd_qsym(args) -> int:
+def cmd_qsym(args):
     graph = load_graph(args.graph)
     rising = qsym_mod.F_rising(graph)
     falling = qsym_mod.omega(rising)
@@ -173,16 +156,14 @@ def cmd_qsym(args) -> int:
         "falling": falling.to_string(args.basis),
         "peak_algebra": peak,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"F_rising: {payload['rising']}")
-        print(f"F_falling: {payload['falling']}")
-        print(f"peak algebra member: {'yes' if peak else 'no'}")
-    return EXIT_OK if peak else EXIT_NEGATIVE
+    return EXIT_OK if peak else EXIT_NEGATIVE, payload, [
+        f"F_rising: {payload['rising']}",
+        f"F_falling: {payload['falling']}",
+        f"peak algebra member: {'yes' if peak else 'no'}",
+    ]
 
 
-def _bruhat_values(args):
+def cmd_bruhat(args):
     wanted = [
         name
         for name, flag in (
@@ -225,25 +206,14 @@ def _bruhat_values(args):
             values[name] = str(bg.r_polynomial_recursive(u, v))
         else:
             values[name] = str(bg.r_polynomial_dyer(u, v))
-    return label, wanted, values
-
-
-def cmd_bruhat(args) -> int:
-    try:
-        label, wanted, values = _bruhat_values(args)
-    except NoPath as exc:
-        raise GraphError(str(exc)) from None
-    if args.json:
-        _emit_json({"interval": label, **values})
-    elif len(wanted) == 1:
-        print(values[wanted[0]])
+    if len(wanted) == 1:
+        lines = [values[wanted[0]]]
     else:
-        for name in wanted:
-            print(f"{name}: {values[name]}")
-    return EXIT_OK
+        lines = [f"{name}: {values[name]}" for name in wanted]
+    return EXIT_OK, {"interval": label, **values}, lines
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     target = parse_cd(args.cd)
     graph = construct_mod.realize(target)
     report = graph.is_balanced()
@@ -260,21 +230,19 @@ def cmd_construct(args) -> int:
         "edges": len(graph.edges),
         "graph": data,
     }
+    lines = [
+        f"cd-index: {achieved}",
+        f"vertices: {len(graph.vertices)}",
+        f"edges: {len(graph.edges)}",
+    ]
     if args.out:
         Path(args.out).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
         payload["written"] = args.out
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"cd-index: {achieved}")
-        print(f"vertices: {len(graph.vertices)}")
-        print(f"edges: {len(graph.edges)}")
-        if args.out:
-            print(f"written: {args.out}")
-    return EXIT_OK
+        lines.append(f"written: {args.out}")
+    return EXIT_OK, payload, lines
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     report = construct_mod.conjecture_search(
         seed=args.seed, trials=args.trials, max_vertices=args.max_vertices
     )
@@ -294,28 +262,21 @@ def cmd_search(args) -> int:
             for c in report.counterexamples
         ],
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"trials: {report.trials}")
-        print(f"balanced: {report.balanced_found}")
-        print(f"counterexamples: {len(report.counterexamples)}")
-        for c in report.counterexamples:
-            print(
-                f"  trial {c.trial}: cd-index {c.cd_index} "
-                f"(negative at {', '.join(c.negative_words)}; verified={c.verified})"
-            )
-    return EXIT_OK if report.clean else EXIT_NEGATIVE
+    lines = [
+        f"trials: {report.trials}",
+        f"balanced: {report.balanced_found}",
+        f"counterexamples: {len(report.counterexamples)}",
+    ] + [
+        f"  trial {c.trial}: cd-index {c.cd_index} "
+        f"(negative at {', '.join(c.negative_words)}; verified={c.verified})"
+        for c in report.counterexamples
+    ]
+    return EXIT_OK if report.clean else EXIT_NEGATIVE, payload, lines
 
 
-def cmd_fixtures(args) -> int:
-    paths = fixtures_mod.write_fixture_files(args.out_dir)
-    if args.json:
-        _emit_json({"written": [str(p) for p in paths]})
-    else:
-        for p in paths:
-            print(p)
-    return EXIT_OK
+def cmd_fixtures(args):
+    written = [str(p) for p in fixtures_mod.write_fixture_files(args.out_dir)]
+    return EXIT_OK, {"written": written}, written
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,12 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--interval", help="interval endpoints as 'x:y' (default whole graph)")
     p.add_argument("--ab", action="store_true", help="print the ab-index instead")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cdindex)
 
     p = sub.add_parser("balance", help="balance certificate for a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("alexander", help="duality check for restricted digraphs")
@@ -345,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--subset", help="comma separated interior vertices")
     group.add_argument("--all", action="store_true", help="sweep every interior subset")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_alexander)
 
     p = sub.add_parser("qsym", help="rising/falling quasisymmetric functions")
     p.add_argument("--graph", required=True)
     p.add_argument("--basis", choices=["L", "M"], default="L")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_qsym)
 
     p = sub.add_parser("bruhat", help="Bruhat graph computations")
@@ -365,27 +322,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset-cd", action="store_true", dest="poset_cd")
     p.add_argument("--r-poly", action="store_true", dest="r_poly")
     p.add_argument("--r-poly-dyer", action="store_true", dest="r_poly_dyer")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bruhat)
 
     p = sub.add_parser("construct", help="realize a nonnegative cd-polynomial")
     p.add_argument("--cd", required=True, help="target polynomial, e.g. '2*c + 3'")
     p.add_argument("--out", help="write the graph JSON here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("search", help="randomized negative-coefficient search")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fixtures", help="regenerate the bundled example graphs")
     p.add_argument("--out-dir", default="fixtures")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fixtures)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="print the result as JSON")
     return parser
 
 
@@ -393,8 +348,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (GraphError, alexander_mod.PreconditionFailed, ValueError, OSError) as exc:
+        code, payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

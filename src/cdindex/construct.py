@@ -36,6 +36,8 @@ from .digraph import (
 )
 from .ncpoly import CdPoly, ab_to_cd, cd_sort_key
 
+MAX_LABELS = 4
+
 __all__ = [
     "Counterexample",
     "NegativeCoefficient",
@@ -177,16 +179,13 @@ def realize(w: CdPoly) -> LabeledDigraph:
     return parts[0] if len(parts) == 1 else glue_sum(*parts)
 
 
-def random_labeled_dag(
-    rng: random.Random,
-    max_vertices: int = 8,
-    max_labels: int = 4,
-) -> LabeledDigraph:
+def random_labeled_dag(rng: random.Random, max_vertices: int = 8) -> LabeledDigraph:
     """A random bounded layered DAG with a random linear labeling.
 
     Vertices sit on levels; edges point to strictly later levels, with skip
     edges and occasional parallel edges allowed, so source-to-sink path
-    lengths usually mix parities.  Labels repeat freely.
+    lengths usually mix parities.  Labels repeat freely; at most
+    ``MAX_LABELS`` distinct ones are drawn.
     """
     if max_vertices < 2:
         raise ValueError("need at least a source and a sink")
@@ -221,7 +220,7 @@ def random_labeled_dag(
         later = [v for v in vertices if level_of[v] > level_of[tail]]
         edges.append((tail, rng.choice(later), None))
 
-    label_count = rng.randint(1, max_labels)
+    label_count = rng.randint(1, MAX_LABELS)
     order = [str(i) for i in range(1, label_count + 1)]
     labeled = [
         (tail, head, rng.choice(order)) for tail, head, _ in edges
@@ -251,21 +250,26 @@ class SearchReport:
         return not self.counterexamples
 
 
-def conjecture_search(
-    seed: int, trials: int, max_vertices: int = 8, max_labels: int = 4
-) -> SearchReport:
+def conjecture_search(seed: int, trials: int, max_vertices: int = 8) -> SearchReport:
     """Search random balanced linear labelings for a negative cd-coefficient.
 
     Every candidate is re-verified by recomputing the ab-index through
     explicit path enumeration before it is reported; the report never
     asserts the nonnegativity statement, it only records what was found.
-    Identical seeds give identical reports.
+    Identical seeds give identical reports.  A negative trial count or a
+    vertex bound below 2 raises ``ValueError`` before the first trial.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+    if max_vertices < 2:
+        raise ValueError(
+            f"max_vertices must be at least 2 (a source and a sink), got {max_vertices}"
+        )
     rng = random.Random(seed)
     balanced_found = 0
     counterexamples = []
     for trial in range(trials):
-        g = random_labeled_dag(rng, max_vertices=max_vertices, max_labels=max_labels)
+        g = random_labeled_dag(rng, max_vertices=max_vertices)
         report = g.is_balanced()
         if not report.balanced:
             continue

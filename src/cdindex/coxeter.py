@@ -327,7 +327,8 @@ def bruhat_graph_sn(n: int, max_n: int = DEFAULT_MAX_N) -> BruhatGraph:
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise ValueError(
-            f"n={n} exceeds the configured bound {max_n}; pass max_n to override"
+            f"n={n} exceeds the configured bound {max_n}; "
+            "pass max_n (--max-n on the command line) to override"
         )
     return _bruhat_graph_sn(n)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cdindex.cli import build_parser, main
+from cdindex.construct import SearchReport
 from cdindex.coxeter import dihedral_bruhat_graph
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.ncpoly import parse_cd
@@ -38,6 +39,45 @@ class TestParser:
         code, out, _ = run(capsys, "qsym", "--graph", graph)
         assert code == 0
         assert "F_rising: 3*L[1] + 2*L[2] + 2*L[1,1]" in out.splitlines()
+
+
+# one invocation of every subcommand, run from the fixture directory
+EVERY_COMMAND = [
+    ["cdindex", "--graph", "fig1_left.json"],
+    ["balance", "--graph", "fig2_relation_ii.json"],
+    ["alexander", "--graph", "fig3_b3.json", "--all"],
+    ["qsym", "--graph", "fig1_left.json"],
+    ["bruhat", "--n", "3", "--interval", "123:321", "--poset-cd", "--r-poly"],
+    ["construct", "--cd", "2*c + 3", "--out", "g.json"],
+    ["search", "--trials", "20", "--seed", "1"],
+    ["fixtures", "--out-dir", "fx"],
+]
+
+
+class TestOutputPath:
+    """Text and --json output both come from main, one renderer for all."""
+
+    def test_every_subcommand_listed(self):
+        usage = build_parser().format_usage()
+        names = usage.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert sorted(names) == sorted(argv[0] for argv in EVERY_COMMAND)
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_text_and_json_exit_alike(self, capsys, monkeypatch, fixture_dir, argv):
+        monkeypatch.chdir(fixture_dir)
+        code, text, err = run(capsys, *argv)
+        json_code, out, json_err = run(capsys, *argv, "--json")
+        assert code == json_code
+        assert text and err == json_err == ""
+        json.loads(out)
+
+    def test_unencodable_payload_is_internal_error(self, capsys, monkeypatch):
+        report = SearchReport(seed={1}, trials=0, max_vertices=8, balanced_found=0)
+        monkeypatch.setattr("cdindex.construct.conjecture_search", lambda **kwargs: report)
+        assert run(capsys, "search", "--trials", "0", "--seed", "1")[0] == 0
+        code, out, err = run(capsys, "search", "--trials", "0", "--seed", "1", "--json")
+        assert (code, out) == (3, "")
+        assert err == "internal error: TypeError: Object of type set is not JSON serializable\n"
 
 
 class TestCdIndexCommand:
@@ -401,7 +441,7 @@ class TestBruhatCommand:
             "--interval", "1234567:7654321",
         )
         assert code == 2
-        assert "exceeds" in err
+        assert "exceeds" in err and "--max-n" in err
 
     def test_m_cap(self, capsys):
         built = dihedral_bruhat_graph.cache_info().currsize
@@ -438,6 +478,16 @@ class TestSearchCommand:
         )
         assert code == 0
         assert "counterexamples: 0" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "-5"],
+        ["--trials", "0", "--max-vertices", "1"],
+        ["--trials", "3", "--max-vertices", "1"],
+    ])
+    def test_bounds_are_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, "search", "--seed", "1", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_byte_stable(self, capsys):
         _, out1, _ = run(

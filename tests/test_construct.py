@@ -233,6 +233,16 @@ class TestRandomDag:
 
 
 class TestConjectureSearch:
+    @pytest.mark.parametrize("trials, max_vertices", [(-5, 8), (-1, 2), (0, 1), (3, 1)])
+    def test_bounds_checked_before_the_first_trial(self, monkeypatch, trials, max_vertices):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(construct_mod, "random_labeled_dag", no_trial)
+        with pytest.raises(ValueError):
+            conjecture_search(seed=1, trials=trials, max_vertices=max_vertices)
+        assert conjecture_search(seed=1, trials=0, max_vertices=2).trials == 0
+
     def test_small_run_clean(self):
         report = conjecture_search(seed=42, trials=300, max_vertices=7)
         assert report.trials == 300
