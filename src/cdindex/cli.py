@@ -177,8 +177,10 @@ def cmd_bruhat(args):
     if not wanted:
         wanted = ["complete_cd"]
     if args.type == "A":
-        if not args.n or not args.interval:
+        if args.n is None or not args.interval:
             raise GraphError("type A needs --n and --interval \"u:v\"")
+        if args.n < 1:
+            raise GraphError(f"--n must be at least 1, got {args.n}")
         u_text, v_text = _interval_names(args.interval)
         u = coxeter_mod.parse_permutation(u_text)
         v = coxeter_mod.parse_permutation(v_text)
@@ -187,7 +189,7 @@ def cmd_bruhat(args):
         bg = coxeter_mod.bruhat_graph_sn(args.n, max_n=args.max_n)
         label = f"[{u}, {v}]"
     else:
-        if not args.m or args.k is None:
+        if args.m is None or args.k is None:
             raise GraphError("type I2 needs --m and --k")
         if args.m > MAX_M:
             # the group graph has m^2 edges and stays cached for the process

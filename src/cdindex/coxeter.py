@@ -20,7 +20,8 @@ the graph in (reverse) topological order that ORs Python ints together.
 ``leq`` is then one bit test, and ``interval(u, v)`` reads its members from
 the AND of u's upper set and v's lower set and extracts the induced
 subgraph from the members' out-edges, so a query costs the size of its
-interval, not of the group.
+interval, not of the group.  ``cover_interval(u, v)`` takes the same members
+from the group's graph of cover edges, built on first use.
 
 R-polynomials are computed two independent ways: by the classical
 three-case recursion over a right descent, and from rising paths of the
@@ -33,7 +34,7 @@ signals a broken reflection ordering and raises.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .digraph import GraphError, InternalError, LabeledDigraph, LinearRelation, NoPath
@@ -218,15 +219,24 @@ class BruhatGraph:
         self._last_interval = (u, v, sub)
         return sub
 
-    def cover_interval(self, u, v) -> LabeledDigraph:
-        """The interval keeping only cover edges (length difference one)."""
-        sub = self.interval(u, v)
+    @cached_property
+    def _cover_graph(self) -> LabeledDigraph:
+        """The Bruhat graph keeping only cover edges (length difference one)."""
+        lengths = self.lengths
         edges = [
             (e.tail, e.head, e.label)
-            for e in sub.edges
-            if self.lengths[e.head] - self.lengths[e.tail] == 1
+            for e in self.graph.edges
+            if lengths[e.head] - lengths[e.tail] == 1
         ]
-        return LabeledDigraph(sub.vertices, edges, sub.relation)
+        return LabeledDigraph(self.graph.vertices, edges, self.graph.relation)
+
+    def cover_interval(self, u, v) -> LabeledDigraph:
+        """The interval keeping only cover edges (length difference one).
+
+        It is the cover graph's subgraph on the interval's members, so it
+        has the interval's vertices and its cover edges in the same order.
+        """
+        return self._cover_graph.induced(self.interval(u, v).vertices)
 
     def complete_cd_index(self, u, v) -> CdPoly:
         """cd-index of the full interval in the Bruhat graph.

@@ -16,6 +16,20 @@ and :meth:`LabeledDigraph.ab_index_by_paths` sums the descent words of the
 enumerated paths: the one place where paths become ab-words, and the
 oracle the dynamic programme is tested against.
 
+The dynamic programme runs on an int form of the graph that the
+constructor builds in place of hashed edge lists.  A vertex is its
+position in the topological order, a label is an id, and each position
+lists its out-edges as (head position, label id, key) tuples, the key
+rising with the eid.  The relation supplies, per label id, an ascent
+mask: bit i of ``masks[j]`` is set iff label i ~ label j.  So the
+kernel indexes lists by position and tests ``masks[last] >> label & 1``
+for a linear order and for a list of pairs alike, with no call to
+``relation.related``; that predicate stays behind :meth:`descent_word` and
+the path oracle, which therefore do not share the masks they check.
+:meth:`LabeledDigraph.induced` reads a subgraph's int form off its
+parent's.  The :class:`Edge` tuples are built from the int form on first
+use.
+
 The sweep behind the ab-index keeps, per state, a table from path length
 (and the letters past the first ``_LOW``) to one Python int that packs the
 counts of many ab-words, one fixed-width slot per word.  A descent moves
@@ -40,7 +54,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ncpoly import AbPoly, CdPoly, IntPoly, NotInSpan, ab_to_cd
@@ -122,6 +135,22 @@ class LinearRelation:
     def related(self, x, y) -> bool:
         return self._rank[x] <= self._rank[y]
 
+    def ascent_masks(self, labels: Sequence[Hashable]) -> list[int]:
+        """Bit i of entry j is set iff labels[i] ~ labels[j].
+
+        Raises UnknownLabel when a label is missing from the order.
+        """
+        rank = self._rank
+        missing = [label for label in labels if label not in rank]
+        if missing:
+            raise UnknownLabel(f"labels {sorted(map(str, missing))} missing from the linear order")
+        masks = [0] * len(labels)
+        below = 0
+        for i in sorted(range(len(labels)), key=lambda i: rank[labels[i]]):
+            below |= 1 << i
+            masks[i] = below
+        return masks
+
     def reverse(self) -> "LinearRelation":
         return LinearRelation(self._order[::-1])
 
@@ -150,6 +179,18 @@ class PairsRelation:
 
     def related(self, x, y) -> bool:
         return (x, y) in self._pairs
+
+    def ascent_masks(self, labels: Sequence[Hashable]) -> list[int]:
+        """Bit i of entry j is set iff labels[i] ~ labels[j], from one pass over the pairs."""
+        get = {label: i for i, label in enumerate(labels)}.get
+        masks = [0] * len(labels)
+        for x, y in self._pairs:
+            i = get(x)
+            if i is not None:
+                j = get(y)
+                if j is not None:
+                    masks[j] |= 1 << i
+        return masks
 
     def reverse(self) -> "PairsRelation":
         return PairsRelation((y, x) for x, y in self._pairs)
@@ -181,6 +222,34 @@ _LOW = 10
 def _low_words(m: int) -> tuple:
     """The m-letter ab-words by slot index: letter i is bit i, a = 0 and b = 1."""
     return tuple(bin(w | 1 << m)[:2:-1].translate(_BITS_TO_AB) for w in range(1 << m))
+
+
+def _find_cycle(vertices: tuple, out: list) -> list:
+    """A directed cycle, by depth-first search over vertex indices.
+
+    ``out[i]`` lists (head index, ...) tuples.  The search keeps an explicit
+    stack; colour 1 means on the stack and 2 means done.
+    """
+    color = [0] * len(vertices)
+    for root in range(len(vertices)):
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [root]
+        pending = [iter(out[root])]
+        while pending:
+            for w, *_ in pending[-1]:
+                if color[w] == 1:
+                    return [vertices[i] for i in stack[stack.index(w):]] + [vertices[w]]
+                if not color[w]:
+                    color[w] = 1
+                    stack.append(w)
+                    pending.append(iter(out[w]))
+                    break
+            else:
+                pending.pop()
+                color[stack.pop()] = 2
+    raise InternalError("cycle reported but none found")
 
 
 class BalanceWitness(NamedTuple):
@@ -240,6 +309,9 @@ class LabeledDigraph:
     Construction validates that edge endpoints exist, that under a linear
     relation every edge label appears in the order, and that there are no
     directed cycles (a witness cycle is reported otherwise).
+
+    Construction builds the int form described in the module docstring;
+    each position's out-edges are listed in eid order.
     """
 
     def __init__(
@@ -248,76 +320,99 @@ class LabeledDigraph:
         edges: Iterable[tuple],
         relation,
     ):
-        self._vertices = tuple(vertices)
-        vset = set(self._vertices)
-        if len(vset) != len(self._vertices):
+        vertices = tuple(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise GraphError("duplicate vertex identifier")
-        self._edges = tuple(
-            Edge(t, h, l, i) for i, (t, h, l) in enumerate(edges)
-        )
+        ids: dict = {}
+        out: list[list] = [[] for _ in vertices]
+        for eid, (tail, head, label) in enumerate(edges):
+            try:
+                t, h = index[tail], index[head]
+            except KeyError:
+                raise DanglingVertex(f"edge {tail!r} -> {head!r} leaves the vertex set") from None
+            lab = ids.get(label)
+            if lab is None:
+                lab = ids[label] = len(ids)
+            out[t].append((h, lab, eid))
+        labels = tuple(ids)
+        self._build(vertices, out, labels, relation.ascent_masks(labels), relation)
+
+    def _build(self, vertices: tuple, out: list, labels: tuple, masks: list, relation) -> None:
+        """Fill the int form from out-lists indexed like ``vertices``.
+
+        ``out[i]`` lists vertex i's out-edges as (head index, label id, key)
+        in key order.  Kahn's algorithm takes the sources in vertex order and
+        then the vertices in the order their last in-edge is removed.
+        """
+        n = len(vertices)
+        indeg = [0] * n
+        for row in out:
+            for h, _, _ in row:
+                indeg[h] += 1
+        order = [i for i in range(n) if not indeg[i]]
+        self._nsources = len(order)
+        for i in order:  # the list grows while it is read: a FIFO queue
+            for h, _, _ in out[i]:
+                indeg[h] -= 1
+                if not indeg[h]:
+                    order.append(h)
+        if len(order) != n:
+            raise CycleDetected(_find_cycle(vertices, out))
+        self._vertices = vertices
+        if order == [*range(n)]:  # positions are the indices already
+            self._topo = topo = vertices
+            self._out = out
+        else:
+            position = [0] * n
+            for p, i in enumerate(order):
+                position[i] = p
+            self._topo = topo = tuple([vertices[i] for i in order])
+            self._out = [[(position[h], lab, key) for h, lab, key in out[i]] for i in order]
+        self._pos = dict(zip(topo, range(n)))
+        self._labels = labels
+        self._masks = masks
         self.relation = relation
-        for e in self._edges:
-            if e.tail not in vset or e.head not in vset:
-                raise DanglingVertex(f"edge {e.tail!r} -> {e.head!r} leaves the vertex set")
-        if isinstance(relation, LinearRelation):
-            missing = {e.label for e in self._edges} - relation.labels
-            if missing:
-                raise UnknownLabel(f"labels {sorted(map(str, missing))} missing from the linear order")
-        self._out: dict[Hashable, list[Edge]] = {v: [] for v in self._vertices}
-        self._in: dict[Hashable, list[Edge]] = {v: [] for v in self._vertices}
-        for e in self._edges:
-            self._out[e.tail].append(e)
-            self._in[e.head].append(e)
-        self._topo = self._toposort()
-        self._topo_index = {v: i for i, v in enumerate(self._topo)}
+        self._view: tuple | None = None
         self._balance: BalanceReport | None = None
         self._parity = None  # kept by alexander.parity_condition
 
-    def _toposort(self) -> tuple:
-        indeg = {v: len(self._in[v]) for v in self._vertices}
-        queue = [v for v in self._vertices if indeg[v] == 0]
-        order = []
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            order.append(v)
-            for e in self._out[v]:
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    queue.append(e.head)
-        if len(order) != len(self._vertices):
-            raise CycleDetected(self._find_cycle())
-        return tuple(order)
-
-    def _find_cycle(self) -> list:
-        """Depth-first search with an explicit stack; 1 = on the stack, 2 = done."""
-        color: dict[Hashable, int] = {}
-        for root in self._vertices:
-            if root in color:
-                continue
-            color[root] = 1
-            stack = [root]
-            pending = [iter(self._out[root])]
-            while pending:
-                for e in pending[-1]:
-                    w = e.head
-                    if color.get(w) == 1:
-                        return stack[stack.index(w):] + [w]
-                    if w not in color:
-                        color[w] = 1
-                        stack.append(w)
-                        pending.append(iter(self._out[w]))
-                        break
-                else:
-                    pending.pop()
-                    color[stack.pop()] = 2
-        raise InternalError("cycle reported but none found")
-
     def _require(self, *vertices) -> None:
         for v in vertices:
-            if v not in self._topo_index:
+            if v not in self._pos:
                 raise GraphError(f"vertex {v!r} not in the graph")
+
+    def _edge_view(self) -> tuple:
+        """(edges, out-edges by position, in-edges by position), built once.
+
+        Each position's out-edges come out in the order of its int out-list.
+        """
+        if self._view is None:
+            topo, labels = self._topo, self._labels
+            found = [(key, p, h, lab) for p, row in enumerate(self._out) for h, lab, key in row]
+            found.sort()
+            outs: list[list] = [[] for _ in topo]
+            ins: list[list] = [[] for _ in topo]
+            edges = []
+            new = tuple.__new__  # the fields need no check: skip Edge's Python-level __new__
+            for eid, (_, p, h, lab) in enumerate(found):
+                e = new(Edge, (topo[p], topo[h], labels[lab], eid))
+                edges.append(e)
+                outs[p].append(e)
+                ins[h].append(e)
+            self._view = (tuple(edges), outs, ins)
+        return self._view
+
+    def _below(self, p: int, lo: int = 0) -> set:
+        """Positions from ``lo`` on from which position p is reachable, p included."""
+        seen = {p}
+        out = self._out
+        for q in range(p - 1, lo - 1, -1):
+            for h, _, _ in out[q]:
+                if h in seen:
+                    seen.add(q)
+                    break
+        return seen
 
     # -- basic structure -------------------------------------------------
 
@@ -327,23 +422,25 @@ class LabeledDigraph:
 
     @property
     def edges(self) -> tuple:
-        return self._edges
+        return self._edge_view()[0]
 
     @property
     def topological_order(self) -> tuple:
         return self._topo
 
     def out_edges(self, v) -> tuple:
-        return tuple(self._out[v])
+        return tuple(self._edge_view()[1][self._pos[v]])
 
     def in_edges(self, v) -> tuple:
-        return tuple(self._in[v])
+        return tuple(self._edge_view()[2][self._pos[v]])
 
     def sources(self) -> tuple:
-        return tuple(v for v in self._vertices if not self._in[v])
+        # Kahn's queue starts with the sources, in vertex order
+        return self._topo[:self._nsources]
 
     def sinks(self) -> tuple:
-        return tuple(v for v in self._vertices if not self._out[v])
+        out, pos = self._out, self._pos
+        return tuple(v for v in self._vertices if not out[pos[v]])
 
     def is_bounded(self) -> bool:
         return len(self.sources()) == 1 and len(self.sinks()) == 1
@@ -363,28 +460,23 @@ class LabeledDigraph:
     def descendants(self, x) -> frozenset:
         """Vertices reachable from x, including x itself."""
         self._require(x)
-        seen = {x}
-        stack = [x]
+        out = self._out
+        start = self._pos[x]
+        seen = {start}
+        stack = [start]
         while stack:
-            v = stack.pop()
-            for e in self._out[v]:
-                if e.head not in seen:
-                    seen.add(e.head)
-                    stack.append(e.head)
-        return frozenset(seen)
+            for h, _, _ in out[stack.pop()]:
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+        topo = self._topo
+        return frozenset(topo[p] for p in seen)
 
     def ancestors(self, y) -> frozenset:
         """Vertices from which y is reachable, including y itself."""
         self._require(y)
-        seen = {y}
-        stack = [y]
-        while stack:
-            v = stack.pop()
-            for e in self._in[v]:
-                if e.tail not in seen:
-                    seen.add(e.tail)
-                    stack.append(e.tail)
-        return frozenset(seen)
+        topo = self._topo
+        return frozenset(topo[p] for p in self._below(self._pos[y]))
 
     def leq(self, x, y) -> bool:
         """The reachability order: x <= y iff a directed path runs from x to y."""
@@ -402,17 +494,32 @@ class LabeledDigraph:
 
         Vertices keep the order given and edges the order of this graph, so
         members listed in vertex order give the subgraph that filtering
-        ``vertices`` and ``edges`` would.  The work is proportional to the
+        ``vertices`` and ``edges`` would.  The int form is read off this
+        graph's, sharing its label ids and ascent masks; endpoints, labels
+        and acyclicity hold already and are not checked again.  Apart from
+        one list of this graph's length, the work is proportional to the
         members' out-edges, not to the whole graph.
         """
         members = tuple(members)
-        self._require(*members)
-        keep = set(members)
-        kept = [e for v in members for e in self._out[v] if e.head in keep]
-        kept.sort(key=attrgetter("eid"))
-        return LabeledDigraph(
-            members, [(e.tail, e.head, e.label) for e in kept], self.relation
-        )
+        pos = self._pos
+        try:
+            places = [pos[v] for v in members]
+        except KeyError:
+            self._require(*members)  # names the first vertex missing
+            raise
+        local = [-1] * len(self._out)
+        for i, p in enumerate(places):
+            if local[p] >= 0:
+                raise GraphError("duplicate vertex identifier")
+            local[p] = i
+        parent = self._out
+        out = [
+            [(local[h], lab, key) for h, lab, key in parent[p] if local[h] >= 0]
+            for p in places
+        ]
+        sub = LabeledDigraph.__new__(LabeledDigraph)
+        sub._build(members, out, self._labels, self._masks, self.relation)
+        return sub
 
     # -- paths and descent words -----------------------------------------
 
@@ -427,16 +534,20 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return
-        useful = self.ancestors(y)
+        start, end = self._pos[x], self._pos[y]
+        if end < start:
+            return
+        useful = self._below(end, start)
+        out, outs = self._out, self._edge_view()[1]
         trail: list[Edge] = []
-        pending = [iter(self._out[x])]
+        pending = [zip(out[start], outs[start])]
         while pending:
-            for e in pending[-1]:
-                if e.head == y:
+            for (h, _, _), e in pending[-1]:
+                if h == end:
                     yield (*trail, e)
-                elif e.head in useful:
+                elif h in useful:
                     trail.append(e)
-                    pending.append(iter(self._out[e.head]))
+                    pending.append(zip(out[h], outs[h]))
                     break
             else:
                 pending.pop()
@@ -470,7 +581,7 @@ class LabeledDigraph:
     # -- dynamic programming ----------------------------------------------
 
     def _sweep(self, x, width: int = 0) -> Iterator[tuple]:
-        """The (vertex, last label) states of paths from x, one vertex at a time.
+        """The (position, last label) states of paths from x, one position at a time.
 
         A state holds a pair (asc, desc) of tables: the one read when the
         next edge makes an ascent and the one read at a descent.  With a
@@ -500,47 +611,55 @@ class LabeledDigraph:
         rising paths and desc the falling ones, and a one-edge path is in
         both.  They are never packed.
 
-        Vertices are taken in topological order, so when the sweep reaches v
-        its states are final: it yields (v, {last label: (asc, desc)}), drops
-        them, and only then extends v's paths along its out-edges, testing
-        the relation and choosing the table once per (out-edge, last
-        label).  Every vertex reachable from x, and no other, is yielded,
-        so a caller may stop early.
+        Positions are taken in order, so when the sweep reaches position p
+        its states are final: it yields (p, {last label id: (asc, desc)}),
+        drops them, and only then extends p's paths along its out-edges.
+        An edge with label id ``last`` continues a path whose last label id
+        is ``label`` by an ascent iff bit ``label`` of ``masks[last]`` is
+        set; the test and the choice of table are made once per (out-edge,
+        last label).  Every position reachable from x, and no other, is
+        yielded, so a caller may stop early.
         """
-        rel = self.relation.related
+        out, masks = self._out, self._masks
         words = width > 0
-        stride = len(self._vertices)
-        state: dict[Hashable, dict[Hashable, tuple[dict, dict]]] = {}
-        for e in self._out[x]:
-            row = state.setdefault(e.head, {})
-            pair = row.get(e.label)
+        stride = len(out)
+        start = self._pos[x]
+        state: list = [None] * stride
+        for h, last, _ in out[start]:
+            row = state[h]
+            if row is None:
+                row = state[h] = {}
+            pair = row.get(last)
             if pair is None:
                 asc = {}
-                pair = row[e.label] = (asc, asc if words else {})
+                pair = row[last] = (asc, asc if words else {})
             asc, desc = pair
             asc[1] = asc.get(1, 0) + 1
             if desc is not asc:
                 desc[1] = desc.get(1, 0) + 1
-        for v in self._topo[self._topo_index[x] + 1:]:
-            table = state.pop(v, None)
+        for p in range(start + 1, stride):
+            table = state[p]
             if table is None:
                 continue
-            yield v, table
-            for e in self._out[v]:
-                last = e.label
-                row = state.setdefault(e.head, {})
+            state[p] = None
+            yield p, table
+            for h, last, _ in out[p]:
+                mask = masks[last]
+                row = state[h]
+                if row is None:
+                    row = state[h] = {}
                 pair = row.get(last)
                 if pair is None:
                     asc_to = {}
                     pair = row[last] = (asc_to, asc_to if words else {})
                 asc_to, desc_to = pair
                 for label, (asc, desc) in table.items():
-                    if rel(label, last):
+                    if mask >> label & 1:
                         src, dst = asc, asc_to
                     elif words:
                         for key, n in desc.items():
                             # a key with high letters exceeds n > _LOW + 1, so
-                            # key <= _LOW means hi = 0 and p = key - 1 < _LOW
+                            # key <= _LOW means hi = 0 and a letter at key - 1 < _LOW
                             if key <= _LOW:
                                 n <<= width << (key - 1)
                                 key += 1
@@ -556,7 +675,7 @@ class LabeledDigraph:
 
     @staticmethod
     def _sums(table: dict) -> tuple[dict, dict]:
-        """A yielded vertex's (asc, desc) pair, each summed over its last labels."""
+        """A yielded position's (asc, desc) pair, each summed over its last labels."""
         if len(table) == 1:  # nothing to add: the pair itself, not a copy
             return next(iter(table.values()))
         asc_sum: dict[int, int] = {}
@@ -571,34 +690,35 @@ class LabeledDigraph:
                 desc_sum[w] = desc_sum.get(w, 0) + c
         return asc_sum, desc_sum
 
-    def _path_counts(self, x, stop=None) -> tuple[dict, int]:
-        """Paths from x to every vertex reachable from it (1 for x), and a slot width.
+    def _path_counts(self, x, stop=None) -> tuple[list, int]:
+        """Paths from x to every position (1 at x, 0 where unreachable), and a slot width.
 
         The width is the bit length of the largest count, rounded up to
         whole bytes: no slot of a packed table exceeds it, so none carries.
-        With a ``stop`` vertex the pass ends there: only the vertices up to
-        it in topological order feed its table, so only their counts are
-        final and only they set the width.
+        With a ``stop`` vertex the pass ends there: only the positions up to
+        it feed its table, so only their counts are final and only they set
+        the width.
         """
-        counts = {x: 1}
-        get = counts.get
+        out = self._out
+        start = self._pos[x]
+        end = len(out) if stop is None else self._pos[stop] + 1
+        counts = [0] * len(out)
+        counts[start] = 1
         largest = 1
-        end = None if stop is None else self._topo_index[stop] + 1
-        for v in self._topo[self._topo_index[x]:end]:
-            c = get(v)
-            if c is not None:
+        for p in range(start, end):
+            c = counts[p]
+            if c:
                 if c > largest:
                     largest = c
-                for e in self._out[v]:
-                    head = e.head
-                    counts[head] = get(head, 0) + c
+                for h, _, _ in out[p]:
+                    counts[h] += c
         return counts, (largest.bit_length() + 7) & -8
 
     def _ab_sweep(self, x) -> Iterator[tuple]:
-        """(v, ab-index of [x, v]) for every v reachable from x, in topological order."""
+        """(p, ab-index of [x, v]) for the position p of every v reachable from x, in order."""
         counts, width = self._path_counts(x)
-        for v, table in self._sweep(x, width):
-            yield v, self._decode(self._sums(table)[0], width, counts[v])
+        for p, table in self._sweep(x, width):
+            yield p, self._decode(self._sums(table)[0], width, counts[p])
 
     def _decode(self, table: dict, width: int, paths: int) -> AbPoly:
         """The AbPoly of a packed ab-word table, checked against its number of paths."""
@@ -633,8 +753,9 @@ class LabeledDigraph:
     def ab_index_from(self, x) -> dict:
         """ab-indexes of [x, v] for every v, by one pass in topological order."""
         self._require(x)
+        topo = self._topo
         psi = dict.fromkeys(self._vertices, AbPoly.zero())
-        psi.update(self._ab_sweep(x))
+        psi.update((topo[p], poly) for p, poly in self._ab_sweep(x))
         return psi
 
     def ab_index(self, x, y) -> AbPoly:
@@ -647,9 +768,10 @@ class LabeledDigraph:
         if x == y:
             return AbPoly.zero()
         counts, width = self._path_counts(x, y)
-        for v, table in self._sweep(x, width):
-            if v == y:
-                return self._decode(self._sums(table)[0], width, counts[y])
+        end = self._pos[y]
+        for p, table in self._sweep(x, width):
+            if p == end:
+                return self._decode(self._sums(table)[0], width, counts[end])
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     @staticmethod
@@ -662,8 +784,9 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return IntPoly.zero(), IntPoly.zero()
-        for v, table in self._sweep(x):
-            if v == y:
+        end = self._pos[y]
+        for p, table in self._sweep(x):
+            if p == end:
                 r, f = self._sums(table)
                 return self._poly(r), self._poly(f)
         raise NoPath(f"no directed path from {x!r} to {y!r}")
@@ -679,21 +802,23 @@ class LabeledDigraph:
     def capital_rising_falling_from(self, x) -> dict:
         """(R, F) of [x, v] for x and every v reachable from it, by one sweep from x."""
         self._require(x)
+        topo = self._topo
         capitals = {x: (IntPoly.one(), IntPoly.one())}
-        for v, table in self._sweep(x):
+        for p, table in self._sweep(x):
             r, f = self._sums(table)
-            capitals[v] = IntPoly._trusted(dict(r)), IntPoly._trusted(dict(f))
+            capitals[topo[p]] = IntPoly._trusted(dict(r)), IntPoly._trusted(dict(f))
         return capitals
 
     # -- balance -----------------------------------------------------------
 
     def _balance_witness(self) -> BalanceWitness | None:
-        for x in self._topo:
-            for y, table in self._sweep(x):
+        topo = self._topo
+        for x in topo:
+            for p, table in self._sweep(x):
                 r, f = self._sums(table)
                 if r != f:
                     k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
-                    return BalanceWitness(x, y, k, r.get(k, 0), f.get(k, 0))
+                    return BalanceWitness(x, topo[p], k, r.get(k, 0), f.get(k, 0))
         return None
 
     def is_balanced(self) -> BalanceReport:
@@ -752,7 +877,7 @@ class LabeledDigraph:
     def __repr__(self):
         return (
             f"LabeledDigraph({len(self._vertices)} vertices, "
-            f"{len(self._edges)} edges, {self.relation!r})"
+            f"{sum(map(len, self._out))} edges, {self.relation!r})"
         )
 
 

@@ -443,6 +443,18 @@ class TestBruhatCommand:
         assert code == 2
         assert "exceeds" in err and "--max-n" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0", "--interval", "1:1"], "--n must be at least 1, got 0"),
+        (["--n", "-2", "--interval", "12:21"], "--n must be at least 1, got -2"),
+        (["--n", "-2", "--interval", "12"], "--n must be at least 1, got -2"),
+        (["--type", "I2", "--m", "0", "--k", "1"], "the dihedral group needs m >= 2"),
+        (["--type", "I2", "--m", "-3", "--k", "1"], "the dihedral group needs m >= 2"),
+        (["--type", "A", "--interval", "12:21"], 'type A needs --n and --interval "u:v"'),
+        (["--type", "I2", "--k", "1"], "type I2 needs --m and --k"),
+    ])
+    def test_group_size_errors(self, capsys, argv, message):
+        assert run(capsys, "bruhat", *argv) == (2, "", f"error: {message}\n")
+
     def test_m_cap(self, capsys):
         built = dihedral_bruhat_graph.cache_info().currsize
         code, out, err = run(capsys, "bruhat", "--type", "I2", "--m", "3000", "--k", "1")

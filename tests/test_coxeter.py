@@ -117,6 +117,34 @@ def _same_subgraph(got, want):
     assert got.vertices == want.vertices
     assert got.edges == want.edges
     assert got.relation is want.relation
+    _same_as_built(got)
+
+
+def _same_as_built(got):
+    """An extracted subgraph against the graph built from its vertices and edges."""
+    built = LabeledDigraph(got.vertices, [(e.tail, e.head, e.label) for e in got.edges], got.relation)
+    assert got.topological_order == built.topological_order
+    assert [got.out_edges(v) for v in got.vertices] == [built.out_edges(v) for v in got.vertices]
+    assert [got.in_edges(v) for v in got.vertices] == [built.in_edges(v) for v in got.vertices]
+    if got.is_bounded():
+        ends = got.zero_hat(), got.one_hat()
+        assert got.ab_index(*ends) == built.ab_index(*ends)
+        assert got.rising_falling(*ends) == built.rising_falling(*ends)
+
+
+def _same_cover_interval(bg, u, v):
+    """The cover interval against the interval's edges filtered by length difference."""
+    sub = bg.interval(u, v)
+    want = LabeledDigraph(
+        sub.vertices,
+        [(e.tail, e.head, e.label) for e in sub.edges if bg.lengths[e.head] - bg.lengths[e.tail] == 1],
+        sub.relation,
+    )
+    got = bg.cover_interval(u, v)
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert got.topological_order == want.topological_order
+    assert got.ab_index(u, v) == want.ab_index(u, v)
 
 
 class TestIntervalExtraction:
@@ -129,6 +157,7 @@ class TestIntervalExtraction:
                 want = bg.graph.interval(u, v)
                 if bg.leq(u, v):
                     _same_subgraph(bg.interval(u, v), want)
+                    _same_cover_interval(bg, u, v)
                 else:
                     assert want.vertices == ()
                     with pytest.raises(NoPath):
@@ -153,6 +182,7 @@ class TestIntervalExtraction:
             for v in bg.graph.vertices:
                 if bg.leq(u, v):
                     _same_subgraph(bg.interval(u, v), bg.graph.interval(u, v))
+                    _same_cover_interval(bg, u, v)
 
     def test_leq_is_reachability(self):
         bg = dihedral_bruhat_graph(5)
