@@ -24,6 +24,7 @@ reproducible from their seed.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -186,46 +187,63 @@ def random_labeled_dag(rng: random.Random, max_vertices: int = 8) -> LabeledDigr
     edges and occasional parallel edges allowed, so source-to-sink path
     lengths usually mix parities.  Labels repeat freely; at most
     ``MAX_LABELS`` distinct ones are drawn.
+
+    The draws, in stream order: the number of interior vertices, then the
+    width of each interior level; for each non-sink vertex a later level and
+    a head on it; for each non-source vertex no such head reached, an
+    earlier level and a tail on it; the number of extra edges, and for each
+    a tail (any non-sink) and a head on a later level; the number of labels;
+    one label per edge, in edge order.  Each draw of a value below m takes
+    ``m.bit_length()`` bits from ``rng.getrandbits`` and draws again while
+    the value is at least m, as ``random.Random`` does for ``randint`` and
+    ``choice``, so a seed gives the graph (and leaves the generator in the
+    state) that those calls gave.  Vertices are ints while drawing: a level
+    is a contiguous range, so the work is linear in the vertex count.  A
+    ``max_vertices`` that is not an int raises ``TypeError``.
     """
+    max_vertices = operator.index(max_vertices)
     if max_vertices < 2:
         raise ValueError("need at least a source and a sink")
-    n_interior = rng.randint(0, max_vertices - 2)
-    layers = [["v0"]]
-    next_id = 1
-    remaining = n_interior
-    while remaining:
-        width = rng.randint(1, remaining)
-        layers.append([f"v{next_id + i}" for i in range(width)])
-        next_id += width
-        remaining -= width
-    sink = f"v{next_id}"
-    layers.append([sink])
+    getrandbits = rng.getrandbits
 
-    level_of = {v: i for i, layer in enumerate(layers) for v in layer}
-    vertices = [v for layer in layers for v in layer]
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
+    # level i holds the vertices starts[i] .. starts[i + 1] - 1
+    n = below(max_vertices - 1) + 2
+    starts = [0, 1]
+    while starts[-1] < n - 1:
+        starts.append(starts[-1] + 1 + below(n - 1 - starts[-1]))
+    starts.append(n)
+    top = len(starts) - 2  # the sink's level
+    level = [i for i in range(top + 1) for _ in range(starts[i], starts[i + 1])]
+
     edges = []
     # every non-sink vertex escapes upward; every non-source vertex is entered
-    for i, layer in enumerate(layers[:-1]):
-        for v in layer:
-            target_level = rng.randint(i + 1, len(layers) - 1)
-            edges.append((v, rng.choice(layers[target_level]), None))
-    for i, layer in enumerate(layers[1:], start=1):
-        for v in layer:
-            if not any(head == v for _, head, _ in edges):
-                source_level = rng.randint(0, i - 1)
-                edges.append((rng.choice(layers[source_level]), v, None))
-    extra = rng.randint(0, max(2, len(vertices)))
-    for _ in range(extra):
-        tail = rng.choice(vertices[:-1])
-        later = [v for v in vertices if level_of[v] > level_of[tail]]
-        edges.append((tail, rng.choice(later), None))
+    entered = [False] * n
+    for v in range(n - 1):
+        i = level[v] + 1 + below(top - level[v])
+        head = starts[i] + below(starts[i + 1] - starts[i])
+        edges.append((v, head))
+        entered[head] = True
+    for v in range(1, n):
+        if not entered[v]:
+            i = below(level[v])
+            edges.append((starts[i] + below(starts[i + 1] - starts[i]), v))
+    for _ in range(below(max(2, n) + 1)):
+        tail = below(n - 1)
+        later = starts[level[tail] + 1]
+        edges.append((tail, later + below(n - later)))
 
-    label_count = rng.randint(1, MAX_LABELS)
+    label_count = 1 + below(MAX_LABELS)
     order = [str(i) for i in range(1, label_count + 1)]
-    labeled = [
-        (tail, head, rng.choice(order)) for tail, head, _ in edges
-    ]
-    return LabeledDigraph(vertices, labeled, LinearRelation(order))
+    names = [f"v{i}" for i in range(n)]
+    labeled = [(names[t], names[h], order[below(label_count)]) for t, h in edges]
+    return LabeledDigraph(names, labeled, LinearRelation(order))
 
 
 @dataclass(frozen=True)

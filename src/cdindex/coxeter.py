@@ -158,23 +158,23 @@ class BruhatGraph:
         self._rpoly_memo: dict = {}
         self._last_interval: tuple | None = None
         # bit i stands for graph.vertices[i]; _above[i] holds every element
-        # reachable from element i and _below[i] every element reaching it
-        vertices = graph.vertices
+        # reachable from element i and _below[i] every element reaching it.
+        # Both are filled from the int form, vertex[p] being the vertex index
+        # of topological position p, so no Edge tuple is built.
+        vertices, out = graph.vertices, graph._out
         self._pos = pos = {v: i for i, v in enumerate(vertices)}
+        self._vertex = vertex = [pos[v] for v in graph.topological_order]
         above = [0] * len(vertices)
-        below = [0] * len(vertices)
-        for v in reversed(graph.topological_order):
-            i = pos[v]
-            bits = 1 << i
-            for e in graph.out_edges(v):
-                bits |= above[pos[e.head]]
-            above[i] = bits
-        for v in graph.topological_order:
-            i = pos[v]
-            bits = 1 << i
-            for e in graph.in_edges(v):
-                bits |= below[pos[e.tail]]
-            below[i] = bits
+        below = [1 << i for i in range(len(vertices))]
+        for p in reversed(range(len(out))):
+            bits = 1 << vertex[p]
+            for h, _, _ in out[p]:
+                bits |= above[vertex[h]]
+            above[vertex[p]] = bits
+        for p, row in enumerate(out):  # a vertex's below is whole before its turn
+            bits = below[vertex[p]]
+            for h, _, _ in row:
+                below[vertex[h]] |= bits
         self._above = above
         self._below = below
 
@@ -221,14 +221,22 @@ class BruhatGraph:
 
     @cached_property
     def _cover_graph(self) -> LabeledDigraph:
-        """The Bruhat graph keeping only cover edges (length difference one)."""
-        lengths = self.lengths
-        edges = [
-            (e.tail, e.head, e.label)
-            for e in self.graph.edges
-            if lengths[e.head] - lengths[e.tail] == 1
-        ]
-        return LabeledDigraph(self.graph.vertices, edges, self.graph.relation)
+        """The Bruhat graph keeping only cover edges (length difference one).
+
+        Read off the int form, as ``LabeledDigraph.induced`` reads a
+        subgraph: the same vertices, labels and masks, and each kept edge
+        keeps its key, so the cover edges come in the group graph's order.
+        """
+        graph, vertex = self.graph, self._vertex
+        length = [self.lengths[v] for v in graph.topological_order]
+        out: list[list] = [[] for _ in vertex]
+        for p, row in enumerate(graph._out):
+            out[vertex[p]] = [
+                (vertex[h], lab, key) for h, lab, key in row if length[h] - length[p] == 1
+            ]
+        cover = LabeledDigraph.__new__(LabeledDigraph)
+        cover._build(graph.vertices, out, graph._labels, graph._masks, graph.relation)
+        return cover
 
     def cover_interval(self, u, v) -> LabeledDigraph:
         """The interval keeping only cover edges (length difference one).

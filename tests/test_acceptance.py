@@ -302,7 +302,8 @@ def test_criterion_11_search_harness():
     elapsed = time.perf_counter() - start
     rerun = conjecture_search(seed=1111, trials=10_000, max_vertices=8)
     candidates_ok = all(c.verified for c in report.counterexamples)
-    ok = elapsed < 300.0 and report == rerun and candidates_ok
+    # the balanced count pins the random graph generator's stream at this seed
+    ok = elapsed < 300.0 and report == rerun and candidates_ok and report.balanced_found == 1817
     _report(
         11,
         ok,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cdindex.construct import (
+    MAX_LABELS,
     NegativeCoefficient,
     ZeroPolynomial,
     butterfly,
@@ -16,7 +17,13 @@ from cdindex.construct import (
 )
 from cdindex import construct as construct_mod
 from cdindex.cli import main
-from cdindex.digraph import LinearRelation, Unbounded, from_json_dict, to_json_dict
+from cdindex.digraph import (
+    LabeledDigraph,
+    LinearRelation,
+    Unbounded,
+    from_json_dict,
+    to_json_dict,
+)
 from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_cd
 
 from conftest import chain
@@ -215,7 +222,91 @@ def _random_nonneg_cd(rng, max_degree):
     return CdPoly(terms)
 
 
+def _randint_choice_dag(rng, max_vertices):
+    """The generator as first written, with randint and choice on vertex names.
+
+    Frozen as the oracle of the stream contract: ``random_labeled_dag`` must
+    give the same graph and leave ``rng`` in the same state.  Quadratic in
+    the vertex count, so only for small caps.
+    """
+    n_interior = rng.randint(0, max_vertices - 2)
+    layers = [["v0"]]
+    next_id = 1
+    remaining = n_interior
+    while remaining:
+        width = rng.randint(1, remaining)
+        layers.append([f"v{next_id + i}" for i in range(width)])
+        next_id += width
+        remaining -= width
+    layers.append([f"v{next_id}"])
+
+    level_of = {v: i for i, layer in enumerate(layers) for v in layer}
+    vertices = [v for layer in layers for v in layer]
+    edges = []
+    for i, layer in enumerate(layers[:-1]):
+        for v in layer:
+            target_level = rng.randint(i + 1, len(layers) - 1)
+            edges.append((v, rng.choice(layers[target_level])))
+    for i, layer in enumerate(layers[1:], start=1):
+        for v in layer:
+            if not any(head == v for _, head in edges):
+                source_level = rng.randint(0, i - 1)
+                edges.append((rng.choice(layers[source_level]), v))
+    extra = rng.randint(0, max(2, len(vertices)))
+    for _ in range(extra):
+        tail = rng.choice(vertices[:-1])
+        later = [v for v in vertices if level_of[v] > level_of[tail]]
+        edges.append((tail, rng.choice(later)))
+
+    label_count = rng.randint(1, MAX_LABELS)
+    order = [str(i) for i in range(1, label_count + 1)]
+    labeled = [(tail, head, rng.choice(order)) for tail, head in edges]
+    return LabeledDigraph(vertices, labeled, LinearRelation(order))
+
+
+def _triples(g):
+    return [(e.tail, e.head, e.label) for e in g.edges]
+
+
 class TestRandomDag:
+    def test_same_stream_as_randint_and_choice(self):
+        for seed in range(500):
+            for cap in (2, 3, 5, 8, 12):
+                ours, oracle = random.Random(seed), random.Random(seed)
+                for _ in range(2):  # the second graph starts where the first left off
+                    g = random_labeled_dag(ours, max_vertices=cap)
+                    want = _randint_choice_dag(oracle, cap)
+                    assert g.vertices == want.vertices, (seed, cap)
+                    assert _triples(g) == _triples(want), (seed, cap)
+                    assert g.relation.order == want.relation.order, (seed, cap)
+                assert ours.random() == oracle.random(), (seed, cap)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_cap_structure(self, seed):
+        cap = 20_000
+        g = random_labeled_dag(random.Random(seed), max_vertices=cap)
+        # the first draws lay out the levels: the interior count, then each width
+        layout = random.Random(seed)
+        n = layout.randint(0, cap - 2) + 2
+        level = [0]
+        while len(level) < n - 1:
+            level += [level[-1] + 1] * layout.randint(1, n - 1 - len(level))
+        level.append(level[-1] + 1)
+        assert g.is_bounded() and len(g.topological_order) == len(g.vertices) == n <= cap
+        index = {v: i for i, v in enumerate(g.vertices)}
+        source, sink = g.zero_hat(), g.one_hat()
+        assert {e.head for e in g.edges} == set(g.vertices) - {source}
+        assert {e.tail for e in g.edges} == set(g.vertices) - {sink}
+        assert all(level[index[e.tail]] < level[index[e.head]] for e in g.edges)
+        order = g.relation.order
+        assert len(order) <= MAX_LABELS and {e.label for e in g.edges} <= set(order)
+
+    def test_vertex_cap_must_be_an_int(self):
+        with pytest.raises(TypeError):
+            random_labeled_dag(random.Random(1), max_vertices=8.0)
+        with pytest.raises(ValueError):
+            random_labeled_dag(random.Random(1), max_vertices=1)
+
     def test_always_bounded_and_acyclic(self, rng):
         for _ in range(100):
             g = random_labeled_dag(rng, max_vertices=8)
@@ -248,6 +339,14 @@ class TestConjectureSearch:
         assert report.trials == 300
         assert report.balanced_found > 0
         assert report.clean
+
+    @pytest.mark.parametrize(
+        "seed, trials, max_vertices, balanced", [(42, 1000, 8, 178), (11, 150, 6, 32)]
+    )
+    def test_pinned_balanced_counts(self, seed, trials, max_vertices, balanced):
+        # a change to the draws changes these counts
+        report = conjecture_search(seed=seed, trials=trials, max_vertices=max_vertices)
+        assert report.balanced_found == balanced
 
     def test_seed_reproducibility(self):
         a = conjecture_search(seed=11, trials=150, max_vertices=6)
