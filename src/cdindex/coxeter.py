@@ -13,15 +13,12 @@ the cd-index of the underlying graded order.
 
 Each group's graph is built once per process: ``bruhat_graph_sn`` checks its
 size cap and then reads a cache keyed on n alone, so every caller shares one
-graph whatever cap it passed.  At construction a :class:`BruhatGraph` stores
-two reachability bitsets per element, one bit per vertex position: the
-elements above it and the elements below it, each filled by one pass over
-the graph in (reverse) topological order that ORs Python ints together.
-``leq`` is then one bit test, and ``interval(u, v)`` reads its members from
-the AND of u's upper set and v's lower set and extracts the induced
-subgraph from the members' out-edges, so a query costs the size of its
-interval, not of the group.  ``cover_interval(u, v)`` takes the same members
-from the group's graph of cover edges, built on first use.
+graph whatever cap it passed.  A :class:`BruhatGraph` is group data over two
+graphs that its builder makes with the public constructor: ``graph``, with
+every edge, and ``cover``, with the cover edges only.  The Bruhat order is
+reachability in ``graph``, so ``leq`` and ``interval`` are the graph's own
+queries (see :mod:`cdindex.digraph` for their index), and
+``cover_interval(u, v)`` takes the interval's members from ``cover``.
 
 R-polynomials are computed two independent ways: by the classical
 three-case recursion over a right descent, and from rising paths of the
@@ -34,10 +31,10 @@ signals a broken reflection ordering and raises.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .digraph import GraphError, InternalError, LabeledDigraph, LinearRelation, NoPath
+from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath
 from .ncpoly import CdPoly, IntPoly, NotInSpan, ab_to_cd
 
 __all__ = [
@@ -134,15 +131,18 @@ class HalfPowerResidue(ArithmeticError):
 class BruhatGraph:
     """The full Bruhat graph of one finite group, with group metadata.
 
-    ``graph`` is the labeled digraph on all group elements; ``lengths``
-    maps each element to its Coxeter length; ``gen_action`` lists, per
-    generator, the right-multiplication table used by the R-polynomial
-    recursion.  Reachability in the graph is the Bruhat order.
+    ``graph`` is the labeled digraph on all group elements and ``cover`` the
+    one keeping only its cover edges (length difference one), with the same
+    vertices and relation; ``lengths`` maps each element to its Coxeter
+    length; ``gen_action`` lists, per generator, the right-multiplication
+    table used by the R-polynomial recursion.  Reachability in the graph is
+    the Bruhat order.
     """
 
     def __init__(
         self,
         graph: LabeledDigraph,
+        cover: LabeledDigraph,
         lengths: dict,
         identity,
         gen_action: list[dict],
@@ -150,6 +150,7 @@ class BruhatGraph:
         name: str,
     ):
         self.graph = graph
+        self.cover = cover
         self.lengths = lengths
         self.identity = identity
         self.gen_action = gen_action
@@ -157,32 +158,6 @@ class BruhatGraph:
         self.name = name
         self._rpoly_memo: dict = {}
         self._last_interval: tuple | None = None
-        # bit i stands for graph.vertices[i]; _above[i] holds every element
-        # reachable from element i and _below[i] every element reaching it.
-        # Both are filled from the int form, vertex[p] being the vertex index
-        # of topological position p, so no Edge tuple is built.
-        vertices, out = graph.vertices, graph._out
-        self._pos = pos = {v: i for i, v in enumerate(vertices)}
-        self._vertex = vertex = [pos[v] for v in graph.topological_order]
-        above = [0] * len(vertices)
-        below = [1 << i for i in range(len(vertices))]
-        for p in reversed(range(len(out))):
-            bits = 1 << vertex[p]
-            for h, _, _ in out[p]:
-                bits |= above[vertex[h]]
-            above[vertex[p]] = bits
-        for p, row in enumerate(out):  # a vertex's below is whole before its turn
-            bits = below[vertex[p]]
-            for h, _, _ in row:
-                below[vertex[h]] |= bits
-        self._above = above
-        self._below = below
-
-    def _position(self, u) -> int:
-        try:
-            return self._pos[u]
-        except (KeyError, TypeError):
-            raise GraphError(f"{u!r} is not an element of {self.name}") from None
 
     def top(self):
         return max(self.graph.vertices, key=lambda v: self.lengths[v])
@@ -192,51 +167,23 @@ class BruhatGraph:
 
         Raises GraphError when u or v is not an element of the group.
         """
-        return bool(self._above[self._position(u)] >> self._position(v) & 1)
+        return self.graph.leq(u, v)
 
     def interval(self, u, v) -> LabeledDigraph:
-        """The interval [u, v] of the Bruhat graph.
+        """The interval [u, v] of the Bruhat graph, its members in vertex order.
 
-        Its members are the elements both above u and below v, in vertex
-        order.  The most recent interval is kept in a single slot, so the
-        complete cd-index, the cover interval and the rising paths asked of
-        one (u, v) share one build.
+        The most recent interval is kept in a single slot, so the complete
+        cd-index, the cover interval and the rising paths asked of one
+        (u, v) share one build.
         """
         last = self._last_interval
         if last is not None and last[0] == u and last[1] == v:
             return last[2]
-        above, j = self._above[self._position(u)], self._position(v)
-        if not above >> j & 1:
+        if not self.graph.leq(u, v):
             raise NoPath(f"{u} is not below {v} in the Bruhat order")
-        bits = bin(above & self._below[j])[:1:-1]
-        vertices = self.graph.vertices
-        members = []
-        i = bits.find("1")
-        while i >= 0:
-            members.append(vertices[i])
-            i = bits.find("1", i + 1)
-        sub = self.graph.induced(members)
+        sub = self.graph.interval(u, v)
         self._last_interval = (u, v, sub)
         return sub
-
-    @cached_property
-    def _cover_graph(self) -> LabeledDigraph:
-        """The Bruhat graph keeping only cover edges (length difference one).
-
-        Read off the int form, as ``LabeledDigraph.induced`` reads a
-        subgraph: the same vertices, labels and masks, and each kept edge
-        keeps its key, so the cover edges come in the group graph's order.
-        """
-        graph, vertex = self.graph, self._vertex
-        length = [self.lengths[v] for v in graph.topological_order]
-        out: list[list] = [[] for _ in vertex]
-        for p, row in enumerate(graph._out):
-            out[vertex[p]] = [
-                (vertex[h], lab, key) for h, lab, key in row if length[h] - length[p] == 1
-            ]
-        cover = LabeledDigraph.__new__(LabeledDigraph)
-        cover._build(graph.vertices, out, graph._labels, graph._masks, graph.relation)
-        return cover
 
     def cover_interval(self, u, v) -> LabeledDigraph:
         """The interval keeping only cover edges (length difference one).
@@ -244,7 +191,7 @@ class BruhatGraph:
         It is the cover graph's subgraph on the interval's members, so it
         has the interval's vertices and its cover edges in the same order.
         """
-        return self._cover_graph.induced(self.interval(u, v).vertices)
+        return self.cover.induced(self.interval(u, v).vertices)
 
     def complete_cd_index(self, u, v) -> CdPoly:
         """cd-index of the full interval in the Bruhat graph.
@@ -281,11 +228,12 @@ class BruhatGraph:
 
     def r_polynomial_recursive(self, u, v) -> IntPoly:
         """The unique R-polynomial family, by the right-descent recursion."""
+        below = self.leq(u, v)  # raises GraphError for a non-element before the memo hashes it
         key = (u, v)
         memo = self._rpoly_memo
         if key in memo:
             return memo[key]
-        if not self.leq(u, v):
+        if not below:
             result = IntPoly.zero()
         elif u == v:
             result = IntPoly.one()
@@ -368,18 +316,26 @@ def _bruhat_graph_sn(n: int) -> BruhatGraph:
             v = u.swap(i, j)
             if lengths[v] > lu:
                 edges.append((u, v, (i, j)))
-    graph = LabeledDigraph(perms, edges, LinearRelation(refl))
+    relation = LinearRelation(refl)
+    graph = LabeledDigraph(perms, edges, relation)
+    cover = LabeledDigraph(perms, _cover_edges(edges, lengths), relation)
     gen_action = [
         {u: u.swap(i, i + 1) for u in perms} for i in range(1, n)
     ]
     return BruhatGraph(
         graph,
+        cover,
         lengths,
         Permutation(range(1, n + 1)),
         gen_action,
         refl,
         name=f"S{n}",
     )
+
+
+def _cover_edges(edges: list, lengths: dict) -> list:
+    """The edges whose head is one longer than their tail, in the order given."""
+    return [e for e in edges if lengths[e[1]] - lengths[e[0]] == 1]
 
 
 def _coerce_perm(u) -> Permutation:
@@ -474,11 +430,13 @@ def dihedral_bruhat_graph(m: int) -> BruhatGraph:
             v = mult(u, refl)
             if lengths[v] > lengths[u]:
                 edges.append((u, v, rank))
-    graph = LabeledDigraph(vertices, edges, LinearRelation(range(1, m + 1)))
+    relation = LinearRelation(range(1, m + 1))
+    graph = LabeledDigraph(vertices, edges, relation)
+    cover = LabeledDigraph(vertices, _cover_edges(edges, lengths), relation)
     gen_action = [
         {u: mult(u, g) for u in vertices} for g in (s, t)
     ]
-    return BruhatGraph(graph, lengths, identity, gen_action, tuple(reflections), name=f"I2({m})")
+    return BruhatGraph(graph, cover, lengths, identity, gen_action, tuple(reflections), f"I2({m})")
 
 
 def dihedral_graph(m: int, k: int) -> LabeledDigraph:

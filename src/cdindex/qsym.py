@@ -200,16 +200,27 @@ def M_in_L(alpha: Sequence[int]) -> dict:
     return _refine(_masks([(_validate(alpha), 1)]), -1)
 
 
-def _quasi_shuffle(out: dict, alpha: tuple, beta: tuple, coeff: int, prefix: tuple = ()):
-    if not alpha:
-        _merge(out, prefix + beta, coeff)
-        return
-    if not beta:
-        _merge(out, prefix + alpha, coeff)
-        return
-    _quasi_shuffle(out, alpha[1:], beta, coeff, prefix + (alpha[0],))
-    _quasi_shuffle(out, alpha, beta[1:], coeff, prefix + (beta[0],))
-    _quasi_shuffle(out, alpha[1:], beta[1:], coeff, prefix + (alpha[0] + beta[0],))
+def _quasi_shuffle(out: dict, alpha: tuple, beta: tuple, coeff: int) -> None:
+    """Add coeff times each quasi-shuffle of alpha and beta into ``out``.
+
+    An explicit stack takes alpha's next part, beta's, or their sum, depth
+    first in that order, so no composition is too long for the recursion limit.
+    """
+    m, n = len(alpha), len(beta)
+    stack = [(0, 0, ())]
+    while stack:
+        i, j, prefix = stack.pop()
+        if i == m:
+            _merge(out, prefix + beta[j:], coeff)
+        elif j == n:
+            _merge(out, prefix + alpha[i:], coeff)
+        else:
+            a, b = alpha[i], beta[j]
+            stack += (
+                (i + 1, j + 1, prefix + (a + b,)),
+                (i, j + 1, prefix + (b,)),
+                (i + 1, j, prefix + (a,)),
+            )
 
 
 def _render_composition(alpha: tuple, basis: str = "M") -> str:

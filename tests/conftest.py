@@ -40,12 +40,11 @@ def run_compositions(labels, relation) -> tuple[tuple, tuple]:
     return runs(rel), runs(lambda x, y: not rel(x, y))
 
 
-def interval_by_filter(g: LabeledDigraph, x, y) -> LabeledDigraph:
-    """Oracle: the interval [x, y] by a reachability fixpoint and edge filtering.
+def reach_by_fixpoint(g: LabeledDigraph) -> dict:
+    """Oracle: each vertex's set of vertices reachable from it, itself included.
 
-    Reachability is closed under every edge until nothing changes; the
-    interval keeps the vertices z with x <= z <= y in vertex order and every
-    edge of the graph, in order, with both ends kept.
+    The sets are closed under every edge until nothing changes, using
+    nothing of the graph but its vertices and edges.
     """
     reach = {v: {v} for v in g.vertices}
     changed = True
@@ -56,6 +55,16 @@ def interval_by_filter(g: LabeledDigraph, x, y) -> LabeledDigraph:
             if new:
                 reach[e.tail] |= new
                 changed = True
+    return reach
+
+
+def interval_by_filter(g: LabeledDigraph, x, y) -> LabeledDigraph:
+    """Oracle: the interval [x, y] by a reachability fixpoint and edge filtering.
+
+    The interval keeps the vertices z with x <= z <= y in vertex order and
+    every edge of the graph, in order, with both ends kept.
+    """
+    reach = reach_by_fixpoint(g)
     keep = {z for z in g.vertices if z in reach[x] and y in reach[z]}
     return LabeledDigraph(
         [v for v in g.vertices if v in keep],

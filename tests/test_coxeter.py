@@ -23,6 +23,8 @@ from cdindex.coxeter import (
 from cdindex.digraph import GraphError, LabeledDigraph, LinearRelation, NoPath
 from cdindex.ncpoly import IntPoly, bar, parse_cd
 
+from conftest import reach_by_fixpoint
+
 E3 = Permutation((1, 2, 3))
 W3 = Permutation((3, 2, 1))
 
@@ -186,9 +188,28 @@ class TestIntervalExtraction:
 
     def test_leq_is_reachability(self):
         bg = dihedral_bruhat_graph(5)
+        reach = reach_by_fixpoint(bg.graph)
         for u in bg.graph.vertices:
             for v in bg.graph.vertices:
-                assert bg.leq(u, v) == (v in bg.graph.descendants(u))
+                assert bg.leq(u, v) == (v in reach[u])
+
+    @pytest.mark.parametrize(
+        "build, k",
+        [(bruhat_graph_sn, n) for n in range(1, 6)] + [(dihedral_bruhat_graph, m) for m in range(2, 13)],
+        ids=[f"S{n}" for n in range(1, 6)] + [f"I2({m})" for m in range(2, 13)],
+    )
+    def test_cover_graph_is_the_filtered_group_graph(self, build, k):
+        bg = build(k)
+        lengths = bg.lengths
+        want = LabeledDigraph(
+            bg.graph.vertices,
+            [(e.tail, e.head, e.label) for e in bg.graph.edges if lengths[e.head] - lengths[e.tail] == 1],
+            bg.graph.relation,
+        )
+        assert bg.cover.vertices == want.vertices
+        assert bg.cover.edges == want.edges
+        assert bg.cover.topological_order == want.topological_order
+        assert bg.cover.relation is bg.graph.relation
 
 
 class TestGroupCache:
@@ -235,7 +256,8 @@ class TestDihedralCoverInterval:
 
 class TestOutsideTheGroup:
     @pytest.mark.parametrize(
-        "stranger", [Permutation((1, 2, 3)), Permutation((1, 2, 3, 4, 5)), "1234", None]
+        "stranger",
+        [Permutation((1, 2, 3)), Permutation((1, 2, 3, 4, 5)), "1234", None, [1, 2, 3, 4]],
     )
     def test_typed_error(self, stranger):
         bg = bruhat_graph_sn(4)
@@ -375,8 +397,11 @@ class TestRPolynomials:
             ([("u", "w", 1), ("w", "v", 2)], {"u": 0, "w": 0, "v": 0}),
         ]
         for edges, lengths in cases:
-            graph = LabeledDigraph(list(lengths), edges, LinearRelation([1, 2]))
-            bg = BruhatGraph(graph, lengths, "u", [], (), "broken")
+            relation = LinearRelation([1, 2])
+            graph = LabeledDigraph(list(lengths), edges, relation)
+            covers = [e for e in edges if lengths[e[1]] - lengths[e[0]] == 1]
+            cover = LabeledDigraph(list(lengths), covers, relation)
+            bg = BruhatGraph(graph, cover, lengths, "u", [], (), "broken")
             with pytest.raises(HalfPowerResidue):
                 bg.r_polynomial_dyer("u", "v")
 

@@ -1,6 +1,7 @@
 """Graph loading, interval structure, DP-computed indexes and balance."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -38,7 +39,7 @@ from cdindex.ncpoly import (
     star,
 )
 
-from conftest import chain, interval_by_filter
+from conftest import chain, interval_by_filter, reach_by_fixpoint
 
 
 class TestLoadAndValidate:
@@ -95,18 +96,28 @@ class TestLoadAndValidate:
             from_json_dict(data)
 
     def test_unknown_vertex_is_graph_error(self, graph_b3):
-        for call in (
-            lambda: graph_b3.ab_index("zz", "123"),
-            lambda: graph_b3.ab_index("0", "zz"),
-            lambda: graph_b3.ab_index("zz", "zz"),
-            lambda: graph_b3.ab_index_from("zz"),
-            lambda: graph_b3.leq("zz", "123"),
-            lambda: graph_b3.leq("0", "zz"),
-            lambda: graph_b3.descendants("zz"),
-            lambda: graph_b3.ancestors("zz"),
-        ):
-            with pytest.raises(GraphError, match="zz"):
-                call()
+        # an unhashable value is no vertex either, and raises no TypeError
+        g = graph_b3
+        for zz in ("zz", ["x"], {}):
+            for call in (
+                lambda: g.ab_index(zz, "123"),
+                lambda: g.ab_index("0", zz),
+                lambda: g.ab_index(zz, zz),
+                lambda: g.ab_index_from(zz),
+                lambda: g.leq(zz, "123"),
+                lambda: g.leq("0", zz),
+                lambda: g.descendants(zz),
+                lambda: g.ancestors(zz),
+                lambda: g.interval(zz, "123"),
+                lambda: g.interval("0", zz),
+                lambda: g.induced(["1", zz]),
+                lambda: g.out_edges(zz),
+                lambda: g.in_edges(zz),
+                lambda: next(g.paths(zz, "123")),
+                lambda: g.rising_falling("0", zz),
+            ):
+                with pytest.raises(GraphError, match=re.escape(repr(zz))):
+                    call()
 
     def test_json_roundtrip(self, graph_b3):
         again = from_json_dict(to_json_dict(graph_b3))
@@ -157,8 +168,12 @@ class TestInterval:
                     label = rng.choice("pqr")
                     edges += [(hidden[i], hidden[j], label)] * rng.randint(1, 2)
             g = LabeledDigraph(vertices, edges, LinearRelation("pqr"))
+            reach = reach_by_fixpoint(g)
             for x in g.vertices:
+                assert g.descendants(x) == reach[x]
+                assert g.ancestors(x) == {z for z in g.vertices if x in reach[z]}
                 for y in g.vertices:
+                    assert g.leq(x, y) == (y in reach[x])
                     # the oracle builds its graph from scratch, checking everything
                     got, want = g.interval(x, y), interval_by_filter(g, x, y)
                     assert got.vertices == want.vertices

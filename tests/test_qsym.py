@@ -120,6 +120,14 @@ class TestHopf:
         got = QSymElement.M((1,)) * QSymElement.M((1,))
         assert got == QSymElement({(1, 1): 2, (2,): 1})
 
+    def test_product_of_a_long_composition(self):
+        # 1,200 parts, more than a part-by-part recursion fits in the recursion limit
+        want = {(1,) * 1201: 1201}
+        want.update({(1,) * k + (2,) + (1,) * (1199 - k): 1 for k in range(1200)})
+        assert QSymElement.M((1,) * 1200) * QSymElement.M((1,)) == QSymElement(want)
+        got = QSymTensor({((), (1,) * 1200): 1}) * QSymTensor({((), (1,)): 1})
+        assert got == QSymTensor({((), alpha): c for alpha, c in want.items()})
+
     def test_product_truncation_cross_check(self):
         # in two variables: (w1 + w2)^2 = w1^2 + w2^2 + 2*w1*w2
         from cdindex.qsym import _truncate
