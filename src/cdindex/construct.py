@@ -27,6 +27,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .coxeter import dihedral_cover_interval
 from .digraph import (
@@ -90,8 +91,16 @@ def butterfly(k: int) -> LabeledDigraph:
 
     Two vertices per interior rank, all cover edges present; the labeling
     comes from a dihedral reflection ordering, so the cd-index is c^k.
-    k = 0 gives a single edge.
+    k = 0 gives a single edge.  Each k is built once per process and the
+    same immutable graph returned after that, so repeated parts of a
+    realization also share its balance report.  A k that is not an int
+    raises ``TypeError``, a negative one ``ValueError``.
     """
+    return _butterfly(operator.index(k))
+
+
+@lru_cache(maxsize=None)
+def _butterfly(k: int) -> LabeledDigraph:
     if k < 0:
         raise ValueError("k must be nonnegative")
     cover = dihedral_cover_interval(k + 2, k + 1)

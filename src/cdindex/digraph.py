@@ -56,6 +56,25 @@ many rising paths (all ascents) and falling paths (all descents).  Balance
 is exactly the condition under which every interval's ab-index can be
 rewritten in the variables c = a+b, d = ab+ba; :meth:`LabeledDigraph.is_balanced`
 checks it and reports either a witness interval or the cd-index.
+
+The balance check runs the same sweep on run counts (a length -> count
+table for rising paths and one for falling paths) from many sources at
+once.  The first position in topological order goes alone, with plain
+counts, so a graph unbalanced there (most random graphs) costs one sweep.
+The rest but the last, a sink, go in chunks of ``_CHUNK`` consecutive
+positions.  Source i of a chunk is seeded with ``1 << block*i`` along its
+out-edges, so every count holds one ``block``-bit field per source, and
+each addition of the sweep adds all the fields at once; a chunk of one
+source is not packed.  ``block`` is the bit length of the largest
+N(y) = 1 + the sum of N(t) over the in-edges t -> y, the number of paths
+ending at y from any start, found by one pass over the edges.  A field
+counts paths from one source to y, fewer than N(y), so it stays below
+``2**block`` and never carries into the next.  The XOR of the rising and
+falling counts at a position has its lowest set bit in the field of the
+lowest source that differs there; its first such position and the
+smallest differing length, read from its fields, are the witness.
+``check_balance_equivalence`` compares the same packed counts, in chunks
+from position 0, since it never stops early.
 """
 
 from __future__ import annotations
@@ -227,6 +246,13 @@ _BITS_TO_AB = str.maketrans("01", "ab")
 # letters of an ab-word packed into the slot index of a sweep table; the
 # rest ride in the table key (see LabeledDigraph._sweep)
 _LOW = 10
+
+# sources sharing one run-count sweep of the balance check, after the lone
+# first one (see LabeledDigraph._balance_witness).  On the whole S6 Bruhat graph and
+# on a 15,942-vertex realized graph, chunks of 32, 64 and 128 took 0.25,
+# 0.19 and 0.16 s and 0.73, 0.63 and 0.60 s (medians of 7, Python 3.11.7,
+# 2 vCPUs); 256 gained no more
+_CHUNK = 128
 
 
 @lru_cache(maxsize=None)
@@ -496,21 +522,35 @@ class LabeledDigraph:
         return snk[0]
 
     def descendants(self, x) -> frozenset:
-        """Vertices reachable from x, including x itself."""
+        """Vertices reachable from x, including x itself.
+
+        The first call of this, ``ancestors``, ``leq`` or ``interval``
+        builds the reachability index: about V**2/8 bytes per direction for
+        V vertices, 16 MB for 8,785.  ``paths`` does not build it.
+        """
         return frozenset(self._members(self._reach[0][self._place(x)]))
 
     def ancestors(self, y) -> frozenset:
-        """Vertices from which y is reachable, including y itself."""
+        """Vertices from which y is reachable, including y itself.
+
+        The first call builds the reachability index (see ``descendants``).
+        """
         return frozenset(self._members(self._reach[1][self._place(y)]))
 
     def leq(self, x, y) -> bool:
-        """The reachability order: x <= y iff a directed path runs from x to y."""
+        """The reachability order: x <= y iff a directed path runs from x to y.
+
+        One bit test, but the first call builds the reachability index of
+        about V**2/8 bytes per direction (see ``descendants``).
+        """
         return bool(self._reach[0][self._place(x)] >> self._index[self._place(y)] & 1)
 
     def interval(self, x, y) -> "LabeledDigraph":
         """Vertex-induced subgraph on {z : x <= z and z <= y}, same relation.
 
         Its vertices come in this graph's vertex order; it is empty unless x <= y.
+        The first call builds the reachability index of about V**2/8 bytes
+        per direction (see ``descendants``).
         """
         above, below = self._reach
         return self.induced(self._members(above[self._place(x)] & below[self._place(y)]))
@@ -555,7 +595,8 @@ class LabeledDigraph:
         Exponential in general; the dynamic programming methods below avoid
         this, and enumeration is intended for small graphs and oracles.
         The walk keeps an explicit stack, so path length is not bounded by
-        the recursion limit.
+        the recursion limit.  It prunes by a linear scan and does not build
+        the reachability index that ``leq`` and ``interval`` use.
         """
         start, end = self._place(x), self._place(y)
         if end <= start:
@@ -610,7 +651,7 @@ class LabeledDigraph:
 
     # -- dynamic programming ----------------------------------------------
 
-    def _sweep(self, x, width: int = 0) -> Iterator[tuple]:
+    def _sweep(self, x, width: int = 0, count: int = 1, block: int = 0) -> Iterator[tuple]:
         """The (position, last label) states of paths from x, one position at a time.
 
         A state holds a pair (asc, desc) of tables: the one read when the
@@ -639,34 +680,46 @@ class LabeledDigraph:
 
         A run-count table maps a path length to a count: asc counts the
         rising paths and desc the falling ones, and a one-edge path is in
-        both.  They are never packed.
+        both.  A run-count sweep may start from ``count`` sources at once:
+        the positions of x and the ``count - 1`` positions after it.  Source
+        i owns bits ``block*i`` up to ``block*(i+1)`` of every count, seeded
+        with ``1 << block*i`` along its out-edges at length 1, and the
+        additions below then count every source's paths in one int.  A
+        field counts paths from its source to one vertex, so a ``block`` at
+        least the bit length of the number of paths ending at any vertex
+        never carries one field into the next: the caller's duty (see
+        :meth:`_field_width`).  An ab-word sweep has one source.
 
+        The sources are seeded before the walk; additions commute, so a
+        state is the same as when each source is seeded on reaching it.
         Positions are taken in order, so when the sweep reaches position p
         its states are final: it yields (p, {last label id: (asc, desc)}),
         drops them, and only then extends p's paths along its out-edges.
         An edge with label id ``last`` continues a path whose last label id
         is ``label`` by an ascent iff bit ``label`` of ``masks[last]`` is
         set; the test and the choice of table are made once per (out-edge,
-        last label).  Every position reachable from x, and no other, is
-        yielded, so a caller may stop early.
+        last label).  Every position reachable from a source, and no other,
+        is yielded, so a caller may stop early.
         """
         out, masks = self._out, self._masks
         words = width > 0
         stride = len(out)
         start = self._pos[x]
         state: list = [None] * stride
-        for h, last, _ in out[start]:
-            row = state[h]
-            if row is None:
-                row = state[h] = {}
-            pair = row.get(last)
-            if pair is None:
-                asc = {}
-                pair = row[last] = (asc, asc if words else {})
-            asc, desc = pair
-            asc[1] = asc.get(1, 0) + 1
-            if desc is not asc:
-                desc[1] = desc.get(1, 0) + 1
+        for i in range(count):
+            seed = 1 << block * i
+            for h, last, _ in out[start + i]:
+                row = state[h]
+                if row is None:
+                    row = state[h] = {}
+                pair = row.get(last)
+                if pair is None:
+                    asc = {}
+                    pair = row[last] = (asc, asc if words else {})
+                asc, desc = pair
+                asc[1] = asc.get(1, 0) + seed
+                if desc is not asc:
+                    desc[1] = desc.get(1, 0) + seed
         for p in range(start + 1, stride):
             table = state[p]
             if table is None:
@@ -841,14 +894,68 @@ class LabeledDigraph:
 
     # -- balance -----------------------------------------------------------
 
+    def _field_width(self) -> int:
+        """The bit length of the largest N(y), the number of paths ending at y.
+
+        N(y) = 1 + the sum of N(t) over the in-edges t -> y, the 1 being
+        the empty path at y, by one pass in topological order.  A run-count
+        field counts paths from one source to y, fewer than N(y), so a
+        field of this width never carries into the next.
+        """
+        out = self._out
+        counts = [1] * len(out)
+        for p, row in enumerate(out):
+            c = counts[p]
+            for h, _, _ in row:
+                counts[h] += c
+        return max(counts, default=0).bit_length()
+
     def _balance_witness(self) -> BalanceWitness | None:
+        """The first source in topological order with an unbalanced interval, and its first one.
+
+        Position 0 goes alone and unpacked, so a graph that is unbalanced
+        there costs one plain sweep, as most random graphs are; then
+        ``_CHUNK`` consecutive positions share each sweep, and the field
+        width is computed once, before the first sweep of two or more
+        sources.  The last position is a sink and starts no interval, so
+        it is never a source.  At each position a chunk's differing
+        sources are the fields set in the XOR of the rising and falling
+        counts over the lengths; the lowest set bit names the lowest such
+        source.  Positions come in order, so the first position at which
+        the lowest source differs is kept, and the sweep stops once the
+        chunk's first source differs.
+        """
         topo = self._topo
-        for x in topo:
-            for p, table in self._sweep(x):
+        last = len(topo) - 1
+        start, count, block = 0, min(1, last), 0
+        while count > 0:
+            found = None  # (source, position, r, f) of the lowest differing source
+            for p, table in self._sweep(topo[start], 0, count, block):
                 r, f = self._sums(table)
-                if r != f:
-                    k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
-                    return BalanceWitness(x, topo[p], k, r.get(k, 0), f.get(k, 0))
+                if r == f:
+                    continue
+                i = 0
+                if block:
+                    diff = 0
+                    for k in r.keys() | f.keys():
+                        diff |= r.get(k, 0) ^ f.get(k, 0)
+                    i = ((diff & -diff).bit_length() - 1) // block
+                if found is None or i < found[0]:
+                    found = i, p, r, f
+                    if not i:
+                        break
+            if found is not None:
+                i, p, r, f = found
+                if block:  # the lowest differing source's own counts
+                    shift, mask = block * i, (1 << block) - 1
+                    r = {k: c >> shift & mask for k, c in r.items()}
+                    f = {k: c >> shift & mask for k, c in f.items()}
+                k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
+                return BalanceWitness(topo[start + i], topo[p], k, r.get(k, 0), f.get(k, 0))
+            start += count
+            count = min(_CHUNK, last - start)
+            if count > 1 and not block:
+                block = self._field_width()
         return None
 
     def is_balanced(self) -> BalanceReport:
@@ -879,18 +986,26 @@ class LabeledDigraph:
         and every path length; (even length) same restricted to even
         lengths; (cd span) the ab-index of every interval is a
         cd-polynomial.  Raises InternalError if the three disagree, since
-        they are provably equivalent.
+        they are provably equivalent.  The two counting verdicts compare
+        the packed counts of run-count sweeps from ``_CHUNK`` sources each,
+        every source's field at once (this check never stops early, so
+        position 0 does not go alone as in :meth:`is_balanced`); the
+        cd-span verdict decodes one ab-word sweep per source.
         """
+        topo = self._topo
         per_length = True
         even_length = True
-        cd_span = True
-        for x in self._topo:
-            for (_, runs), (_, psi) in zip(self._sweep(x), self._ab_sweep(x)):
-                r, f = self._sums(runs)
+        block = self._field_width()
+        for start in range(0, len(topo), _CHUNK):
+            for _, table in self._sweep(topo[start], 0, min(_CHUNK, len(topo) - start), block):
+                r, f = self._sums(table)
                 if r != f:
                     per_length = False
                 if any(r.get(k, 0) != f.get(k, 0) for k in r.keys() | f.keys() if k % 2 == 0):
                     even_length = False
+        cd_span = True
+        for x in topo:
+            for _, psi in self._ab_sweep(x):
                 try:
                     ab_to_cd(psi)
                 except NotInSpan:

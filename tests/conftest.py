@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cdindex.digraph import LabeledDigraph, LinearRelation
+from cdindex.digraph import LabeledDigraph, LinearRelation, NoPath
 from cdindex.fixtures import (
     fig1_left,
     fig1_right,
@@ -71,6 +71,25 @@ def interval_by_filter(g: LabeledDigraph, x, y) -> LabeledDigraph:
         [(e.tail, e.head, e.label) for e in g.edges if e.tail in keep and e.head in keep],
         g.relation,
     )
+
+
+def witness_by_pairs(g: LabeledDigraph):
+    """Oracle: the first (x, y, length, rising, falling) with r != f, one pair at a time.
+
+    Pairs come in topological order, x first, and each asks
+    ``rising_falling(x, y)`` alone, so no sweep is shared between sources.
+    """
+    topo = g.topological_order
+    for i, x in enumerate(topo):
+        for y in topo[i + 1:]:
+            try:
+                r, f = g.rising_falling(x, y)
+            except NoPath:
+                continue
+            if r != f:
+                k = min(k for k in r.terms.keys() | f.terms.keys() if r.coefficient(k) != f.coefficient(k))
+                return (x, y, k + 1, r.coefficient(k), f.coefficient(k))
+    return None
 
 
 def chain(labels, order=None) -> LabeledDigraph:

@@ -1,6 +1,7 @@
 """Butterflies, joins, glue sums, realization, and the search harness."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -16,6 +17,7 @@ from cdindex.construct import (
     realize,
 )
 from cdindex import construct as construct_mod
+from cdindex import digraph as digraph_mod
 from cdindex.cli import main
 from cdindex.digraph import (
     LabeledDigraph,
@@ -26,7 +28,7 @@ from cdindex.digraph import (
 )
 from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_cd
 
-from conftest import chain
+from conftest import chain, witness_by_pairs
 
 
 def cd_index_of(g) -> CdPoly:
@@ -52,6 +54,26 @@ class TestButterfly:
         assert cd_index_of(g) == CdPoly.monomial("c" * k)
         assert g.is_balanced().balanced
         assert isinstance(g.relation, LinearRelation)
+
+    def test_built_once_per_k(self):
+        assert butterfly(3) is butterfly(3)
+        assert butterfly(True) is butterfly(1)
+        assert len(butterfly(True).vertices) == 4
+
+    def test_rejects_a_non_int_or_negative_k_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                butterfly(1.0)
+            with pytest.raises(ValueError):
+                butterfly(-1)
+
+    def test_realize_is_unchanged_by_shared_butterflies(self, monkeypatch):
+        target = parse_cd("3*cc + 2*dc + cdc + 4")
+        shared = realize(target)
+        monkeypatch.setattr(construct_mod, "butterfly", construct_mod._butterfly.__wrapped__)
+        fresh = realize(target)
+        assert shared.vertices == fresh.vertices and shared.edges == fresh.edges
+        assert to_json_dict(shared) == to_json_dict(fresh)
 
     def test_long_butterfly(self):
         # m = 513 would give the group graph 263,169 edges; none is built
@@ -211,6 +233,38 @@ class TestRealize:
         g = realize(target)
         brute = g.ab_index_by_paths(g.zero_hat(), g.one_hat())
         assert ab_to_cd(brute) == target
+
+
+class TestChunkedBalance:
+    """A realized graph wide enough for several run-count sweeps of the balance check."""
+
+    def realized(self):
+        g = realize(parse_cd("20*cccc + 9*dcc"))
+        assert len(g.vertices) == 216 > 1 + digraph_mod._CHUNK
+        return g
+
+    def test_balanced_across_chunks(self):
+        assert self.realized().is_balanced().balanced
+
+    def test_witness_in_the_third_chunk(self):
+        # exchanging the labels of the sink's in-edges from v213 and v214
+        # leaves every interval from a source below v155 balanced
+        g = self.realized()
+        label = {e.tail: e.label for e in g.in_edges("v215")}
+        swap = {"v213": label["v214"], "v214": label["v213"]}
+        edges = [
+            (e.tail, e.head, swap.get(e.tail, e.label) if e.head == "v215" else e.label)
+            for e in g.edges
+        ]
+        h = LabeledDigraph(g.vertices, edges, g.relation)
+        witness = h.is_balanced().witness
+        position = h.topological_order.index(witness.x)
+        assert 1 + digraph_mod._CHUNK <= position < 1 + 2 * digraph_mod._CHUNK
+        expected = witness_by_pairs(h)
+        assert tuple(witness) == expected == ("v155", "v215", 2, 0, 2)
+        for chunk in (1, 64):
+            with mock.patch.object(digraph_mod, "_CHUNK", chunk):
+                assert tuple(h._balance_witness()) == expected
 
 
 def _random_nonneg_cd(rng, max_degree):

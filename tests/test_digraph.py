@@ -3,11 +3,13 @@
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdindex.digraph as digraph_mod
 from cdindex.coxeter import bruhat_graph_sn
 from cdindex.digraph import (
     _LOW,
@@ -39,7 +41,7 @@ from cdindex.ncpoly import (
     star,
 )
 
-from conftest import chain, interval_by_filter, reach_by_fixpoint
+from conftest import chain, interval_by_filter, reach_by_fixpoint, witness_by_pairs
 
 
 class TestLoadAndValidate:
@@ -487,6 +489,21 @@ class TestDpOracle:
             assert rep.per_length == rep.even_length == rep.cd_span
         assert verdicts  # at least evaluated
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_equivalence_in_small_chunks(self, rng, chunk):
+        from cdindex.construct import random_labeled_dag
+
+        verdicts = set()
+        with mock.patch.object(digraph_mod, "_CHUNK", chunk):
+            for _ in range(50):
+                g = random_labeled_dag(rng, max_vertices=8)
+                rep = g.check_balance_equivalence()
+                assert rep.per_length == rep.even_length == rep.cd_span == (
+                    brute_force_witness(g) is None
+                )
+                verdicts.add(rep.verdict)
+        assert verdicts == {True, False}
+
 
 @st.composite
 def random_dags(draw):
@@ -714,6 +731,14 @@ def brute_force_witness(g):
     return None
 
 
+def assert_witness_is_brute_force(g):
+    report = g.is_balanced()
+    witness = brute_force_witness(g)
+    assert report.balanced == (witness is None)
+    if witness is not None:
+        assert tuple(report.witness) == witness
+
+
 class TestRisingFallingSweep:
     @settings(max_examples=40, deadline=None)
     @given(random_dags())
@@ -729,11 +754,64 @@ class TestRisingFallingSweep:
     @settings(max_examples=60, deadline=None)
     @given(random_dags())
     def test_witness_matches_brute_force(self, g):
-        report = g.is_balanced()
-        witness = brute_force_witness(g)
-        assert report.balanced == (witness is None)
-        if witness is not None:
-            assert tuple(report.witness) == witness
+        assert_witness_is_brute_force(g)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(g=random_dags())
+    def test_witness_matches_brute_force_in_small_chunks(self, chunk, g):
+        # every graph of more than chunk + 1 vertices spans several sweeps
+        with mock.patch.object(digraph_mod, "_CHUNK", chunk):
+            assert_witness_is_brute_force(g)
+
+    def test_lowest_source_of_a_chunk_wins(self):
+        # r goes alone; a and b share the next sweep.  [b, y] holds one
+        # rising 2-path and y comes before z, the end of a's first unbalanced
+        # interval [a, z]: a rising 3-path (1, 2, 3) and none falling
+        g = LabeledDigraph(
+            ["r", "a", "b", "p", "q", "w", "z", "m", "y"],
+            [
+                ("a", "p", "1"), ("a", "q", "2"), ("p", "w", "2"), ("q", "w", "1"),
+                ("w", "z", "3"), ("b", "m", "1"), ("m", "y", "2"),
+            ],
+            LinearRelation(["1", "2", "3"]),
+        )
+        topo = g.topological_order
+        assert topo[:3] == ("r", "a", "b") and topo.index("y") < topo.index("z")
+        assert tuple(g.is_balanced().witness) == ("a", "z", 3, 1, 0) == brute_force_witness(g)
+
+    @pytest.mark.parametrize("related", ["alternating", "all"])
+    def test_fields_near_their_width(self, related):
+        # the ladder of 16 doubling rungs: 2**k paths from v0 to vk, and with
+        # every label related to every label all of them rise.  An isolated r
+        # takes position 0, so v0 .. v16 share one sweep with 17-bit fields,
+        # and v0's count of rising 16-paths fills the top bit of its field
+        pairs = [("x", "y"), ("y", "x")] if related == "alternating" else [
+            (l, m) for l in "xy" for m in "xy"
+        ]
+        base = ladder([["x", "y"]] * 16, PairsRelation(pairs))
+        g = LabeledDigraph(["r", *base.vertices], [e[:3] for e in base.edges], base.relation)
+        topo = g.topological_order
+        block = g._field_width()
+        assert topo[:2] == ("r", "v0") and block == 17
+        fields = 0
+        for p, table in g._sweep("v0", count=17, block=block):
+            for i, x in enumerate(topo[1:p]):
+                r, f = (
+                    IntPoly({k - 1: c >> block * i & (1 << block) - 1 for k, c in t.items()})
+                    for t in g._sums(table)
+                )
+                assert (r, f) == g.rising_falling(x, topo[p])
+                fields += 1
+        assert fields == 16 * 17 // 2
+        if related == "all":
+            assert g.rising_falling("v0", "v16")[0].coefficient(15) == 2 ** 16
+        expected = witness_by_pairs(g)
+        assert expected == (None if related == "alternating" else ("v0", "v2", 2, 4, 0))
+        for chunk in (1, 2, 3, 64):
+            with mock.patch.object(digraph_mod, "_CHUNK", chunk):
+                witness = g._balance_witness()
+            assert (witness and tuple(witness)) == expected
 
     def test_witness_is_first_length(self):
         # [s, c] is balanced (one rising, one falling 2-path); [s, y] has one
