@@ -163,19 +163,18 @@ def cmd_qsym(args):
     ]
 
 
+# the values `bruhat` prints, by flag, and the BruhatGraph method of each; a
+# method is looked up by name on the graph, so one replaced on the class is seen
+_BRUHAT_VALUES = {
+    "complete_cd": "complete_cd_index",
+    "poset_cd": "poset_cd_index",
+    "r_poly": "r_polynomial_recursive",
+    "r_poly_dyer": "r_polynomial_dyer",
+}
+
+
 def cmd_bruhat(args):
-    wanted = [
-        name
-        for name, flag in (
-            ("complete_cd", args.complete_cd),
-            ("poset_cd", args.poset_cd),
-            ("r_poly", args.r_poly),
-            ("r_poly_dyer", args.r_poly_dyer),
-        )
-        if flag
-    ]
-    if not wanted:
-        wanted = ["complete_cd"]
+    wanted = [name for name in _BRUHAT_VALUES if getattr(args, name)] or ["complete_cd"]
     if args.type == "A":
         if args.n is None or not args.interval:
             raise GraphError("type A needs --n and --interval \"u:v\"")
@@ -198,16 +197,7 @@ def cmd_bruhat(args):
         u = bg.identity
         v = coxeter_mod.dihedral_graph(args.m, args.k).one_hat()
         label = f"[identity, length-{args.k} element]"
-    values = {}
-    for name in wanted:
-        if name == "complete_cd":
-            values[name] = str(bg.complete_cd_index(u, v))
-        elif name == "poset_cd":
-            values[name] = str(bg.poset_cd_index(u, v))
-        elif name == "r_poly":
-            values[name] = str(bg.r_polynomial_recursive(u, v))
-        else:
-            values[name] = str(bg.r_polynomial_dyer(u, v))
+    values = {name: str(getattr(bg, _BRUHAT_VALUES[name])(u, v)) for name in wanted}
     if len(wanted) == 1:
         lines = [values[wanted[0]]]
     else:

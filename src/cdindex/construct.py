@@ -4,16 +4,17 @@ Butterfly graphs (two vertices per interior rank, every cover edge present,
 labels inherited from a dihedral reflection ordering) realize the powers of
 c.  Two constructions combine them:
 
-* the d-join hangs one graph above another through two parallel edges
+* the d-join hangs each graph above the last through two parallel edges
   labeled by a fresh global minimum and a fresh global maximum, which
   multiplies the cd-indexes with a d in between;
-* the glue sum identifies the sources and the sinks of two graphs, which
+* the glue sum identifies the sources and the sinks of its graphs, which
   adds the cd-indexes.
 
 Any nonzero cd-polynomial with nonnegative coefficients is realized by
-joining butterflies along each monomial and gluing the monomial graphs
-(with multiplicity) together.  All emitted graphs carry a linear label
-relation and are balanced.
+joining the butterflies of each monomial in one d-join and gluing the
+monomial graphs (with multiplicity) in one glue sum; each graph is built
+once, already renamed in topological order.  All emitted graphs carry a
+linear label relation and are balanced.
 
 The module also houses the randomized search harness looking for a
 balanced, linearly labeled, bounded digraph whose cd-index has a negative
@@ -34,6 +35,7 @@ from .digraph import (
     LabeledDigraph,
     LinearRelation,
     Unbounded,
+    _kahn,
     to_json_dict,
 )
 from .ncpoly import CdPoly, ab_to_cd, cd_sort_key
@@ -62,18 +64,20 @@ class NegativeCoefficient(ValueError):
     pass
 
 
-def _normalize(vertices, edges, order) -> LabeledDigraph:
-    """Rename vertices to v0, v1, ... and labels to L0, L1, ... (order kept)."""
+def _normalize(vertices: list, edges: list, order: list) -> LabeledDigraph:
+    """The graph with vertices renamed v0, v1, ... in topological order and
+    labels L0, L1, ... in ``order``, edges kept in order; built once.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    out = [[] for _ in vertices]
+    for tail, head, _ in edges:
+        out[index[tail]].append((index[head], None, None))  # _kahn reads heads only
+    vertex_names = {vertices[i]: f"v{p}" for p, i in enumerate(_kahn(out)[0])}
     label_names = {label: f"L{i}" for i, label in enumerate(order)}
-    staged = LabeledDigraph(vertices, edges, LinearRelation(order))
-    vertex_names = {v: f"v{i}" for i, v in enumerate(staged.topological_order)}
     return LabeledDigraph(
-        [vertex_names[v] for v in staged.topological_order],
-        [
-            (vertex_names[e.tail], vertex_names[e.head], label_names[e.label])
-            for e in staged.edges
-        ],
-        LinearRelation([label_names[label] for label in order]),
+        vertex_names.values(),
+        [(vertex_names[t], vertex_names[h], label_names[label]) for t, h, label in edges],
+        LinearRelation(label_names.values()),
     )
 
 
@@ -112,29 +116,32 @@ def _butterfly(k: int) -> LabeledDigraph:
     )
 
 
-def d_join(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
-    """Join two balanced linear graphs through a fresh minimum/maximum edge pair.
+def d_join(*graphs: LabeledDigraph) -> LabeledDigraph:
+    """Join two or more balanced linear graphs in a chain, each above the last.
 
-    The sink of the first graph is wired to the source of the second by two
+    The sink of each graph is wired to the source of the next by two
     parallel edges; one carries a label below everything, the other a label
     above everything, so exactly one of the two crossings descends on each
-    side.  The cd-index multiplies with a d between the factors.
+    side.  The cd-index multiplies with a d between consecutive factors.
+    Joining all graphs at once gives the same graph as joining them one at
+    a time from the left, with one renaming: labels run lo_(k-1), ..., lo_1,
+    then each graph's own, each but the first followed by its hi_i, and the
+    junction edges lo_i, hi_i follow graph i's edges.
     """
-    _require_joinable(g1, "left")
-    _require_joinable(g2, "right")
-    vertices = [("1", v) for v in g1.vertices] + [("2", v) for v in g2.vertices]
-    lo, hi = ("lo",), ("hi",)
-    edges = [(("1", e.tail), ("1", e.head), ("1", e.label)) for e in g1.edges]
-    edges += [(("2", e.tail), ("2", e.head), ("2", e.label)) for e in g2.edges]
-    junction_tail, junction_head = ("1", g1.one_hat()), ("2", g2.zero_hat())
-    edges.append((junction_tail, junction_head, lo))
-    edges.append((junction_tail, junction_head, hi))
-    order = (
-        [lo]
-        + [("1", label) for label in g1.relation.order]
-        + [("2", label) for label in g2.relation.order]
-        + [hi]
-    )
+    if len(graphs) < 2:
+        raise ValueError("d_join needs at least two graphs")
+    vertices = []
+    edges = []
+    order = [("lo", i) for i in reversed(range(1, len(graphs)))]
+    for i, g in enumerate(graphs):
+        _require_joinable(g, f"d_join argument {i + 1}")
+        vertices += [(i, v) for v in g.vertices]
+        edges += [((i, e.tail), (i, e.head), (i, e.label)) for e in g.edges]
+        order += [(i, label) for label in g.relation.order]
+        if i:
+            junction = (i - 1, graphs[i - 1].one_hat()), (i, g.zero_hat())
+            edges += [(*junction, ("lo", i)), (*junction, ("hi", i))]
+            order.append(("hi", i))
     return _normalize(vertices, edges, order)
 
 
@@ -170,9 +177,9 @@ def glue_sum(*graphs: LabeledDigraph) -> LabeledDigraph:
 def realize(w: CdPoly) -> LabeledDigraph:
     """A bounded, balanced, linearly labeled digraph whose cd-index is w.
 
-    Each monomial c^i0 d c^i1 d ... d c^ip becomes a chain of butterflies
-    joined by d-joins; multiplicities and distinct monomials are glued in
-    one glue sum.  Requires w nonzero with nonnegative coefficients.
+    Each monomial c^i0 d c^i1 d ... d c^ip becomes its butterflies joined
+    by one d-join; multiplicities and distinct monomials are glued in one
+    glue sum.  Requires w nonzero with nonnegative coefficients.
     """
     if w.is_zero():
         raise ZeroPolynomial("cannot realize the zero polynomial")
@@ -181,11 +188,8 @@ def realize(w: CdPoly) -> LabeledDigraph:
         raise NegativeCoefficient(f"negative coefficients: {negatives}")
     parts = []
     for word in sorted(w.terms, key=cd_sort_key):
-        runs = [len(part) for part in word.split("d")]
-        monomial_graph = butterfly(runs[0])
-        for run in runs[1:]:
-            monomial_graph = d_join(monomial_graph, butterfly(run))
-        parts += [monomial_graph] * w.coefficient(word)
+        chain = [butterfly(len(run)) for run in word.split("d")]
+        parts += [d_join(*chain) if len(chain) > 1 else chain[0]] * w.coefficient(word)
     return parts[0] if len(parts) == 1 else glue_sum(*parts)
 
 

@@ -304,38 +304,41 @@ def _bruhat_graph_sn(n: int) -> BruhatGraph:
     refl = transpositions(n)
     if n >= 3 and not reflection_order_validate(refl, n):
         raise InternalError("lexicographic transposition order failed validation")
-    lengths = {
-        u: u.length
-        for u in map(Permutation, itertools.permutations(range(1, n + 1)))
-    }
-    perms = sorted(lengths, key=lambda u: (lengths[u], u))
-    edges = []
-    for u in perms:
-        lu = lengths[u]
-        for (i, j) in refl:
-            v = u.swap(i, j)
-            if lengths[v] > lu:
-                edges.append((u, v, (i, j)))
-    relation = LinearRelation(refl)
-    graph = LabeledDigraph(perms, edges, relation)
-    cover = LabeledDigraph(perms, _cover_edges(edges, lengths), relation)
-    gen_action = [
-        {u: u.swap(i, i + 1) for u in perms} for i in range(1, n)
-    ]
-    return BruhatGraph(
-        graph,
-        cover,
-        lengths,
-        Permutation(range(1, n + 1)),
-        gen_action,
+    return _bruhat_graph(
+        {u: u.length for u in map(Permutation, itertools.permutations(range(1, n + 1)))},
+        lambda u, t: u.swap(*t),
         refl,
-        name=f"S{n}",
+        refl,
+        [(i, i + 1) for i in range(1, n)],
+        Permutation(range(1, n + 1)),
+        f"S{n}",
     )
 
 
-def _cover_edges(edges: list, lengths: dict) -> list:
-    """The edges whose head is one longer than their tail, in the order given."""
-    return [e for e in edges if lengths[e[1]] - lengths[e[0]] == 1]
+def _bruhat_graph(
+    lengths: dict, act, reflections, labels, generators, identity, name: str
+) -> BruhatGraph:
+    """The Bruhat graph of a group given by its lengths and right action ``act``.
+
+    Vertices are sorted by (length, element).  Each u, in that order, gets
+    an edge to ``act(u, t)`` for each reflection t in order, labeled by t's
+    entry of ``labels``, when the length rises; ``labels`` is also the label
+    order.  ``gen_action`` lists ``act(u, g)`` for each generator g.
+    """
+    vertices = sorted(lengths, key=lambda u: (lengths[u], u))
+    edges = []
+    for u in vertices:
+        lu = lengths[u]
+        for t, label in zip(reflections, labels):
+            v = act(u, t)
+            if lengths[v] > lu:
+                edges.append((u, v, label))
+    relation = LinearRelation(labels)
+    graph = LabeledDigraph(vertices, edges, relation)
+    cover_edges = [e for e in edges if lengths[e[1]] - lengths[e[0]] == 1]
+    cover = LabeledDigraph(vertices, cover_edges, relation)
+    gen_action = [{u: act(u, g) for u in vertices} for g in generators]
+    return BruhatGraph(graph, cover, lengths, identity, gen_action, tuple(reflections), name)
 
 
 def _coerce_perm(u) -> Permutation:
@@ -394,6 +397,20 @@ def _dihedral_top(m: int, k: int):
     return w
 
 
+def _dihedral_levels(m: int) -> list:
+    """The 2m elements by length, each level sorted: 1, 2, ..., 2, 1 of them."""
+    mult = _dihedral_mult(m)
+    levels = [[(1, 0)]]
+    seen = {(1, 0)}
+    while len(seen) < 2 * m:
+        new = sorted(
+            {mult(u, g) for u in levels[-1] for g in ((-1, 0), (-1, 1 % m))} - seen
+        )
+        seen.update(new)
+        levels.append(new)
+    return levels
+
+
 @lru_cache(maxsize=None)
 def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     """Bruhat graph of the dihedral group with 2m elements (m >= 2).
@@ -404,39 +421,15 @@ def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     """
     if m < 2:
         raise ValueError("the dihedral group needs m >= 2")
-    mult = _dihedral_mult(m)
-    s = (-1, 0)
-    t = (-1, 1 % m)
-    identity = (1, 0)
-    elements = [(eps, j) for eps in (1, -1) for j in range(m)]
-    lengths = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for u in frontier:
-            for g in (s, t):
-                v = mult(u, g)
-                if v not in lengths:
-                    lengths[v] = lengths[u] + 1
-                    new.append(v)
-        frontier = new
-    assert len(lengths) == 2 * m
-
-    reflections = _dihedral_reflections(m)
-    vertices = sorted(elements, key=lambda u: (lengths[u], u))
-    edges = []
-    for u in vertices:
-        for rank, refl in enumerate(reflections, start=1):
-            v = mult(u, refl)
-            if lengths[v] > lengths[u]:
-                edges.append((u, v, rank))
-    relation = LinearRelation(range(1, m + 1))
-    graph = LabeledDigraph(vertices, edges, relation)
-    cover = LabeledDigraph(vertices, _cover_edges(edges, lengths), relation)
-    gen_action = [
-        {u: mult(u, g) for u in vertices} for g in (s, t)
-    ]
-    return BruhatGraph(graph, cover, lengths, identity, gen_action, tuple(reflections), f"I2({m})")
+    return _bruhat_graph(
+        {u: k for k, level in enumerate(_dihedral_levels(m)) for u in level},
+        _dihedral_mult(m),
+        _dihedral_reflections(m),
+        range(1, m + 1),
+        [(-1, 0), (-1, 1 % m)],
+        (1, 0),
+        f"I2({m})",
+    )
 
 
 def dihedral_graph(m: int, k: int) -> LabeledDigraph:
@@ -467,15 +460,7 @@ def dihedral_cover_interval(m: int, k: int) -> LabeledDigraph:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     mult = _dihedral_mult(m)
     rank = {refl: i for i, refl in enumerate(_dihedral_reflections(m), start=1)}
-    levels = [[(1, 0)]]
-    seen = {(1, 0)}
-    while len(levels) < k:
-        new = sorted(
-            {mult(u, g) for u in levels[-1] for g in ((-1, 0), (-1, 1 % m))} - seen
-        )
-        seen.update(new)
-        levels.append(new)
-    levels.append([_dihedral_top(m, k)])
+    levels = _dihedral_levels(m)[:k] + [[_dihedral_top(m, k)]]
     edges = []
     for below, above in zip(levels, levels[1:]):
         for u in below:

@@ -289,6 +289,27 @@ def _find_cycle(vertices: tuple, out: list) -> list:
     raise InternalError("cycle reported but none found")
 
 
+def _kahn(out: list) -> tuple[list, int]:
+    """Kahn's topological order of vertex indices, and how many sources lead it.
+
+    ``out[i]`` lists (head index, _, _) triples.  The sources come in index
+    order, then each vertex as its last in-edge is removed; a cycle leaves
+    the order short.
+    """
+    indeg = [0] * len(out)
+    for row in out:
+        for h, _, _ in row:
+            indeg[h] += 1
+    order = [i for i in range(len(out)) if not indeg[i]]
+    nsources = len(order)
+    for i in order:  # the list grows while it is read: a FIFO queue
+        for h, _, _ in out[i]:
+            indeg[h] -= 1
+            if not indeg[h]:
+                order.append(h)
+    return order, nsources
+
+
 class BalanceWitness(NamedTuple):
     x: Hashable
     y: Hashable
@@ -379,21 +400,10 @@ class LabeledDigraph:
         """Fill the int form from out-lists indexed like ``vertices``.
 
         ``out[i]`` lists vertex i's out-edges as (head index, label id, key)
-        in key order.  Kahn's algorithm takes the sources in vertex order and
-        then the vertices in the order their last in-edge is removed.
+        in key order; positions are the topological order of ``_kahn``.
         """
         n = len(vertices)
-        indeg = [0] * n
-        for row in out:
-            for h, _, _ in row:
-                indeg[h] += 1
-        order = [i for i in range(n) if not indeg[i]]
-        self._nsources = len(order)
-        for i in order:  # the list grows while it is read: a FIFO queue
-            for h, _, _ in out[i]:
-                indeg[h] -= 1
-                if not indeg[h]:
-                    order.append(h)
+        order, self._nsources = _kahn(out)
         if len(order) != n:
             raise CycleDetected(_find_cycle(vertices, out))
         self._vertices = vertices

@@ -430,16 +430,18 @@ def star(p: AbPoly) -> AbPoly:
 
 _A = AbPoly.monomial("a")
 _B = AbPoly.monomial("b")
-_A_MINUS_B = _A - _B
-_B_MINUS_A = _B - _A
+_KAPPA = {"a": _A - _B, "b": AbPoly.zero()}
+_LAMBDA = {"a": AbPoly.zero(), "b": _B - _A}
+_CD_EXPANSION = {"c": _A + _B, "d": AbPoly({"ab": 1, "ba": 1})}
 
 
-def _algebra_map(p: AbPoly, image_a: AbPoly, image_b: AbPoly) -> AbPoly:
+def _algebra_map(p: FreeModule, images: dict) -> AbPoly:
+    """Substitute ``images[letter]`` for every letter of every word of p and expand."""
     result = AbPoly.zero()
     for word, coeff in p.items():
         factor = AbPoly.one()
         for letter in word:
-            factor = factor * (image_a if letter == "a" else image_b)
+            factor = factor * images[letter]
             if factor.is_zero():
                 break
         result = result + coeff * factor
@@ -448,12 +450,21 @@ def _algebra_map(p: AbPoly, image_a: AbPoly, image_b: AbPoly) -> AbPoly:
 
 def apply_kappa(p: AbPoly) -> AbPoly:
     """Algebra map sending a to a-b and b to 0; kills words containing b."""
-    return _algebra_map(p, _A_MINUS_B, AbPoly.zero())
+    return _algebra_map(p, _KAPPA)
 
 
 def apply_lambda(p: AbPoly) -> AbPoly:
     """Algebra map sending a to 0 and b to b-a; kills words containing a."""
-    return _algebra_map(p, AbPoly.zero(), _B_MINUS_A)
+    return _algebra_map(p, _LAMBDA)
+
+
+def _counit_residual(p: AbPoly, images: dict, letter: AbPoly) -> AbPoly:
+    """kappa_counit_check for the algebra map by ``images`` and the inserted ``letter``."""
+    total = _algebra_map(p, images)
+    for (u, v), coeff in coproduct(p).items():
+        piece = _algebra_map(AbPoly.monomial(u), images) * letter * AbPoly.monomial(v)
+        total = total + coeff * piece
+    return p - total
 
 
 def kappa_counit_check(p: AbPoly) -> AbPoly:
@@ -461,35 +472,17 @@ def kappa_counit_check(p: AbPoly) -> AbPoly:
 
     Computes p - kappa(p) - sum over the coproduct of kappa(p_(1)) * b * p_(2).
     """
-    total = apply_kappa(p)
-    for (u, v), coeff in coproduct(p).items():
-        piece = apply_kappa(AbPoly.monomial(u)) * _B * AbPoly.monomial(v)
-        total = total + coeff * piece
-    return p - total
+    return _counit_residual(p, _KAPPA, _B)
 
 
 def lambda_counit_check(p: AbPoly) -> AbPoly:
     """Twin of kappa_counit_check with lambda and the letter a."""
-    total = apply_lambda(p)
-    for (u, v), coeff in coproduct(p).items():
-        piece = apply_lambda(AbPoly.monomial(u)) * _A * AbPoly.monomial(v)
-        total = total + coeff * piece
-    return p - total
-
-
-_C_EXPANDED = _A + _B
-_D_EXPANDED = AbPoly({"ab": 1, "ba": 1})
+    return _counit_residual(p, _LAMBDA, _A)
 
 
 def cd_expand(p: CdPoly) -> AbPoly:
     """Substitute c -> a+b and d -> ab+ba and expand."""
-    result = AbPoly.zero()
-    for word, coeff in p.items():
-        factor = AbPoly.one()
-        for letter in word:
-            factor = factor * (_C_EXPANDED if letter == "c" else _D_EXPANDED)
-        result = result + coeff * factor
-    return result
+    return _algebra_map(p, _CD_EXPANSION)
 
 
 def ab_to_cd(p: AbPoly) -> CdPoly:

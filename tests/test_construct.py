@@ -1,5 +1,6 @@
 """Butterflies, joins, glue sums, realization, and the search harness."""
 
+import itertools
 import random
 from unittest import mock
 
@@ -17,6 +18,7 @@ from cdindex.construct import (
     realize,
 )
 from cdindex import construct as construct_mod
+from cdindex import fixtures
 from cdindex import digraph as digraph_mod
 from cdindex.cli import main
 from cdindex.digraph import (
@@ -133,6 +135,56 @@ class TestDJoin:
             d_join(chain(["2", "1"]), butterfly(0))
 
 
+def _reversed_fig1_left():
+    """fig1_left with its vertex list reversed: not in topological order, not v0, v1, ..."""
+    g = fixtures.fig1_left()
+    edges = [(e.tail, e.head, e.label) for e in g.edges]
+    return LabeledDigraph(g.vertices[::-1], edges, g.relation)
+
+
+class TestNaryJoin:
+    def test_equals_left_fold(self):
+        odd = _reversed_fig1_left()
+        assert odd.vertices != odd.topological_order
+        parts = [butterfly(k) for k in range(4)] + [odd]
+        for a, b, c in itertools.product(parts, repeat=3):
+            joined = d_join(a, b, c)
+            assert joined.vertices == joined.topological_order  # renamed in that order
+            assert to_json_dict(joined) == to_json_dict(d_join(d_join(a, b), c))
+        a, b, c, d = parts[1], odd, parts[0], parts[3]
+        fold = d_join(d_join(d_join(a, b), c), d)
+        assert to_json_dict(d_join(a, b, c, d)) == to_json_dict(fold)
+
+    def test_layout_of_three_edges(self):
+        # labels lo_2, lo_1, the three edges' own with hi_1 and hi_2 between;
+        # each junction pair follows the edge of the graph it leads to
+        g = d_join(butterfly(0), butterfly(0), butterfly(0))
+        assert g.vertices == ("v0", "v1", "v2", "v3", "v4", "v5")
+        assert [tuple(e[:3]) for e in g.edges] == [
+            ("v0", "v1", "L2"),
+            ("v2", "v3", "L3"),
+            ("v1", "v2", "L1"),
+            ("v1", "v2", "L4"),
+            ("v4", "v5", "L5"),
+            ("v3", "v4", "L0"),
+            ("v3", "v4", "L6"),
+        ]
+        assert g.relation.order == tuple(f"L{i}" for i in range(7))
+
+    def test_needs_two_graphs(self):
+        with pytest.raises(ValueError):
+            d_join()
+        with pytest.raises(ValueError):
+            d_join(butterfly(1))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_unbalanced_anywhere(self, position):
+        parts = [butterfly(1), butterfly(0), butterfly(2)]
+        parts[position] = chain(["2", "1"])
+        with pytest.raises(ValueError):
+            d_join(*parts)
+
+
 class TestGlueSum:
     def test_two_edges(self):
         g = glue_sum(butterfly(0), butterfly(0))
@@ -210,6 +262,24 @@ class TestRealize:
     def test_mixed_monomials(self):
         target = parse_cd("cdc + 2*dd")
         g = realize(target)
+        assert cd_index_of(g) == target
+
+    @pytest.mark.parametrize("text, builds", [("cdc", 1), ("2*cdc + d", 3), ("dd + 3*c + 2", 2)])
+    def test_each_graph_built_once(self, monkeypatch, text, builds):
+        # one graph per distinct monomial with a d, and one for the glue
+        target = parse_cd(text)
+        for k in range(4):
+            butterfly(k)
+        init = LabeledDigraph.__init__
+        calls = []
+
+        def counted(self, *args):
+            calls.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(LabeledDigraph, "__init__", counted)
+        g = realize(target)
+        assert len(calls) == builds
         assert cd_index_of(g) == target
 
     def test_rejects_zero(self):

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -113,6 +113,80 @@ class TestGraphShape:
         again = bg.interval(u, v)
         assert sorted(again.vertices) == sorted(first.vertices)
         assert len(again.edges) == len(first.edges)
+
+
+def _assert_built_by_definition(bg, vertices, length, times, reflections, labels, generators):
+    """A Bruhat graph against its definition.
+
+    Vertices sorted by (length, element); u -> u*t for each reflection t in
+    order, labeled by t's entry of ``labels``, when the length rises.
+    """
+    vertices = sorted(vertices, key=lambda u: (length(u), u))
+    edges = [
+        (u, times(u, t), label)
+        for u in vertices
+        for t, label in zip(reflections, labels)
+        if length(times(u, t)) > length(u)
+    ]
+    assert bg.graph.vertices == bg.cover.vertices == tuple(vertices)
+    assert [tuple(e[:3]) for e in bg.graph.edges] == edges
+    cover = [e for e in edges if length(e[1]) == length(e[0]) + 1]
+    assert [tuple(e[:3]) for e in bg.cover.edges] == cover
+    assert bg.graph.relation.order == bg.cover.relation.order == tuple(labels)
+    assert bg.gen_action == [{u: times(u, g) for u in vertices} for g in generators]
+    assert bg.lengths == {u: length(u) for u in vertices}
+    assert bg.reflection_order == tuple(reflections)
+
+
+class TestBuiltFromTheDefinition:
+    def test_s4(self):
+        n = 4
+
+        def length(w):  # inversions
+            return sum(w[i] > w[j] for i, j in combinations(range(n), 2))
+
+        def times(w, t):  # right multiplication by the transposition t swaps positions
+            w = list(w)
+            w[t[0] - 1], w[t[1] - 1] = w[t[1] - 1], w[t[0] - 1]
+            return tuple(w)
+
+        refl = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        gens = [(i, i + 1) for i in range(1, n)]
+        bg = bruhat_graph_sn(n)
+        perms = permutations(range(1, n + 1))
+        _assert_built_by_definition(bg, perms, length, times, refl, refl, gens)
+        assert bg.identity == (1, 2, 3, 4) and bg.name == "S4"
+
+    def test_dihedral_5(self):
+        # the symmetries of the m-gon on Z/m, composed as tuples of images
+        # right to left; an element is named by its affine form x -> eps*x + j
+        m = 5
+
+        def images(u):
+            return tuple((u[0] * x + u[1]) % m for x in range(m))
+
+        def times(u, v):
+            w = tuple(images(u)[x] for x in images(v))
+            return (1 if w[1] == (w[0] + 1) % m else -1, w[0])
+
+        identity, s, t = (1, 0), (-1, 0), (-1, 1)  # s: x -> -x, t: x -> 1 - x
+        length = {identity: 0}
+        queue = [identity]
+        for u in queue:  # word length in s and t, breadth first
+            for g in (s, t):
+                v = times(u, g)
+                if v not in length:
+                    length[v] = length[u] + 1
+                    queue.append(v)
+        # s, sts, ststs, ...: the alternating words of odd length from s
+        reflections = [s]
+        while len(reflections) < m:
+            reflections.append(times(times(reflections[-1], t), s))
+        assert len(length) == 2 * m and reflections[-1] == t
+        bg = dihedral_bruhat_graph(m)
+        labels = range(1, m + 1)
+        _assert_built_by_definition(bg, length, length.get, times, reflections, labels, (s, t))
+        assert bg.identity == identity and bg.name == "I2(5)"
 
 
 def _same_subgraph(got, want):
