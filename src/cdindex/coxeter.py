@@ -128,6 +128,18 @@ class HalfPowerResidue(ArithmeticError):
     """A Dyer evaluation would leave a genuine half power of q behind."""
 
 
+def _checked_cd(sub: LabeledDigraph, u, v, failure: str) -> CdPoly:
+    """The cd-index of [u, v] in sub; InternalError if there is none.
+
+    ``failure`` is the message, formatted with u and v and followed by the
+    residual of the conversion.
+    """
+    try:
+        return ab_to_cd(sub.ab_index(u, v))
+    except NotInSpan as exc:
+        raise InternalError(f"{failure.format(u=u, v=v)} (residual {exc.residual})") from None
+
+
 class BruhatGraph:
     """The full Bruhat graph of one finite group, with group metadata.
 
@@ -199,24 +211,16 @@ class BruhatGraph:
         Conversion failure is impossible for a genuine reflection ordering,
         so it aborts loudly instead of returning a residual.
         """
-        sub = self.interval(u, v)
-        try:
-            return ab_to_cd(sub.ab_index(u, v))
-        except NotInSpan as exc:
-            raise InternalError(
-                f"interval [{u}, {v}] has no cd-index; "
-                f"the reflection ordering is broken (residual {exc.residual})"
-            ) from None
+        return _checked_cd(
+            self.interval(u, v), u, v,
+            "interval [{u}, {v}] has no cd-index; the reflection ordering is broken",
+        )
 
     def poset_cd_index(self, u, v) -> CdPoly:
         """cd-index of the graded order underneath (cover edges only)."""
-        sub = self.cover_interval(u, v)
-        try:
-            return ab_to_cd(sub.ab_index(u, v))
-        except NotInSpan as exc:
-            raise InternalError(
-                f"cover interval [{u}, {v}] has no cd-index (residual {exc.residual})"
-            ) from None
+        return _checked_cd(
+            self.cover_interval(u, v), u, v, "cover interval [{u}, {v}] has no cd-index"
+        )
 
     def rtilde(self, u, v) -> IntPoly:
         """Sum of q^len over rising paths from u to v (1 when u == v)."""

@@ -45,11 +45,11 @@ The sweep behind the ab-index keeps, per state, a table from path length
 (and the letters past the first ``_LOW``) to one Python int that packs the
 counts of many ab-words, one fixed-width slot per word.  A descent moves
 every word's count at once by one big-int shift.  The slot width comes from
-a prepass that counts the paths from the source to every vertex: no slot
-can exceed that count, since coefficients count paths and never cancel, so
-no slot carries into the next.  Each result is decoded once, and its
-coefficients must sum to the prepass's path count, or InternalError is
-raised.
+a prepass, :meth:`LabeledDigraph._path_counts`, that counts the paths from
+the source to every vertex: no slot can exceed that count, since
+coefficients count paths and never cancel, so no slot carries into the
+next.  Each result is decoded once, and its coefficients must sum to the
+prepass's path count, or InternalError is raised.
 
 A graph is *balanced* when every interval has, for each length k, equally
 many rising paths (all ascents) and falling paths (all descents).  Balance
@@ -67,7 +67,7 @@ out-edges, so every count holds one ``block``-bit field per source, and
 each addition of the sweep adds all the fields at once; a chunk of one
 source is not packed.  ``block`` is the bit length of the largest
 N(y) = 1 + the sum of N(t) over the in-edges t -> y, the number of paths
-ending at y from any start, found by one pass over the edges.  A field
+ending at y from any start, found by the same prepass.  A field
 counts paths from one source to y, fewer than N(y), so it stays below
 ``2**block`` and never carries into the next.  The XOR of the rising and
 falling counts at a position has its lowest set bit in the field of the
@@ -513,6 +513,11 @@ class LabeledDigraph:
         return self._topo[:self._nsources]
 
     def sinks(self) -> tuple:
+        return self._sinks
+
+    @cached_property
+    def _sinks(self) -> tuple:
+        """The vertices without out-edges, in vertex order, found on first use."""
         out, pos = self._out, self._pos
         return tuple(v for v in self._vertices if not out[pos[v]])
 
@@ -652,12 +657,10 @@ class LabeledDigraph:
         return AbPoly._trusted(Counter(map(self.descent_word, self.paths(x, y))))
 
     def is_rising(self, path: Path) -> bool:
-        rel = self.relation.related
-        return all(rel(e.label, f.label) for e, f in zip(path, path[1:]))
+        return "b" not in self.descent_word(path)
 
     def is_falling(self, path: Path) -> bool:
-        rel = self.relation.related
-        return not any(rel(e.label, f.label) for e, f in zip(path, path[1:]))
+        return "a" not in self.descent_word(path)
 
     # -- dynamic programming ----------------------------------------------
 
@@ -698,7 +701,7 @@ class LabeledDigraph:
         field counts paths from its source to one vertex, so a ``block`` at
         least the bit length of the number of paths ending at any vertex
         never carries one field into the next: the caller's duty (see
-        :meth:`_field_width`).  An ab-word sweep has one source.
+        :meth:`_path_counts`).  An ab-word sweep has one source.
 
         The sources are seeded before the walk; additions commute, so a
         state is the same as when each source is seeded on reaching it.
@@ -783,20 +786,26 @@ class LabeledDigraph:
                 desc_sum[w] = desc_sum.get(w, 0) + c
         return asc_sum, desc_sum
 
-    def _path_counts(self, x, stop=None) -> tuple[list, int]:
-        """Paths from x to every position (1 at x, 0 where unreachable), and a slot width.
+    def _path_counts(self, x=None, stop=None) -> tuple[list, int]:
+        """Paths ending at every position, by one pass in topological order, and the largest count.
 
-        The width is the bit length of the largest count, rounded up to
-        whole bytes: no slot of a packed table exceeds it, so none carries.
-        With a ``stop`` vertex the pass ends there: only the positions up to
-        it feed its table, so only their counts are final and only they set
-        the width.
+        Seeded 1 at x, a count is the number of paths from x (0 where
+        unreachable); no slot of a packed ab-word table exceeds it, so a
+        slot as wide as the largest count, in whole bytes, never carries.
+        With a ``stop`` vertex the pass ends there, and only the counts up
+        to it, the ones feeding its table, are final and compared.  Seeded
+        1 at every position (no x), a count is N(y), the number of paths
+        ending at y from any start, the empty one included; a run-count
+        field counts fewer, so a field as wide as the largest N(y) in bits
+        never carries into the next.
         """
         out = self._out
-        start = self._pos[x]
+        if x is None:
+            start, counts = 0, [1] * len(out)
+        else:
+            start, counts = self._pos[x], [0] * len(out)
+            counts[start] = 1
         end = len(out) if stop is None else self._pos[stop] + 1
-        counts = [0] * len(out)
-        counts[start] = 1
         largest = 1
         for p in range(start, end):
             c = counts[p]
@@ -805,11 +814,12 @@ class LabeledDigraph:
                     largest = c
                 for h, _, _ in out[p]:
                     counts[h] += c
-        return counts, (largest.bit_length() + 7) & -8
+        return counts, largest
 
     def _ab_sweep(self, x) -> Iterator[tuple]:
         """(p, ab-index of [x, v]) for the position p of every v reachable from x, in order."""
-        counts, width = self._path_counts(x)
+        counts, largest = self._path_counts(x)
+        width = (largest.bit_length() + 7) & -8
         for p, table in self._sweep(x, width):
             yield p, self._decode(self._sums(table)[0], width, counts[p])
 
@@ -860,37 +870,41 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return AbPoly.zero()
-        counts, width = self._path_counts(x, y)
+        counts, largest = self._path_counts(x, y)
+        width = (largest.bit_length() + 7) & -8
+        return self._decode(self._end_state(x, y, width)[0], width, counts[self._pos[y]])
+
+    def _end_state(self, x, y, width: int = 0) -> tuple[dict, dict]:
+        """y's (asc, desc) pair in the sweep from x, summed over its last labels.
+
+        The sweep stops at y; NoPath is raised when it never reaches y.
+        """
         end = self._pos[y]
         for p, table in self._sweep(x, width):
             if p == end:
-                return self._decode(self._sums(table)[0], width, counts[end])
+                return self._sums(table)
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     @staticmethod
-    def _poly(counts: dict) -> IntPoly:
-        """The polynomial summing q^(len-1) over a length -> count table."""
-        return IntPoly._trusted({k - 1: c for k, c in counts.items()})
+    def _poly(counts: dict, shift: int) -> IntPoly:
+        """The polynomial summing q^(len - shift) over a length -> count table."""
+        return IntPoly._trusted({k - shift: c for k, c in counts.items()})
 
     def rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(r, f) where r sums q^(len-1) over rising x->y paths and f over falling ones."""
         self._require(x, y)
         if x == y:
             return IntPoly.zero(), IntPoly.zero()
-        end = self._pos[y]
-        for p, table in self._sweep(x):
-            if p == end:
-                r, f = self._sums(table)
-                return self._poly(r), self._poly(f)
-        raise NoPath(f"no directed path from {x!r} to {y!r}")
+        r, f = self._end_state(x, y)
+        return self._poly(r, 1), self._poly(f, 1)
 
     def capital_rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(R, F) with R = q*r and F = q*f for x < y; both 1 when x == y."""
         if x == y:
             return IntPoly.one(), IntPoly.one()
-        r, f = self.rising_falling(x, y)
-        q = IntPoly.q()
-        return q * r, q * f
+        self._require(x, y)
+        r, f = self._end_state(x, y)
+        return self._poly(r, 0), self._poly(f, 0)
 
     def capital_rising_falling_from(self, x) -> dict:
         """(R, F) of [x, v] for x and every v reachable from it, by one sweep from x."""
@@ -899,26 +913,10 @@ class LabeledDigraph:
         capitals = {x: (IntPoly.one(), IntPoly.one())}
         for p, table in self._sweep(x):
             r, f = self._sums(table)
-            capitals[topo[p]] = IntPoly._trusted(dict(r)), IntPoly._trusted(dict(f))
+            capitals[topo[p]] = self._poly(r, 0), self._poly(f, 0)
         return capitals
 
     # -- balance -----------------------------------------------------------
-
-    def _field_width(self) -> int:
-        """The bit length of the largest N(y), the number of paths ending at y.
-
-        N(y) = 1 + the sum of N(t) over the in-edges t -> y, the 1 being
-        the empty path at y, by one pass in topological order.  A run-count
-        field counts paths from one source to y, fewer than N(y), so a
-        field of this width never carries into the next.
-        """
-        out = self._out
-        counts = [1] * len(out)
-        for p, row in enumerate(out):
-            c = counts[p]
-            for h, _, _ in row:
-                counts[h] += c
-        return max(counts, default=0).bit_length()
 
     def _balance_witness(self) -> BalanceWitness | None:
         """The first source in topological order with an unbalanced interval, and its first one.
@@ -965,7 +963,7 @@ class LabeledDigraph:
             start += count
             count = min(_CHUNK, last - start)
             if count > 1 and not block:
-                block = self._field_width()
+                block = self._path_counts()[1].bit_length()
         return None
 
     def is_balanced(self) -> BalanceReport:
@@ -999,13 +997,14 @@ class LabeledDigraph:
         they are provably equivalent.  The two counting verdicts compare
         the packed counts of run-count sweeps from ``_CHUNK`` sources each,
         every source's field at once (this check never stops early, so
-        position 0 does not go alone as in :meth:`is_balanced`); the
-        cd-span verdict decodes one ab-word sweep per source.
+        position 0 does not go alone as in :meth:`is_balanced`), with the
+        field width of :meth:`_path_counts`; the cd-span verdict decodes
+        one ab-word sweep per source.
         """
         topo = self._topo
         per_length = True
         even_length = True
-        block = self._field_width()
+        block = self._path_counts()[1].bit_length()
         for start in range(0, len(topo), _CHUNK):
             for _, table in self._sweep(topo[start], 0, min(_CHUNK, len(topo) - start), block):
                 r, f = self._sums(table)
@@ -1043,6 +1042,12 @@ def dual(g: LabeledDigraph) -> LabeledDigraph:
         [(e.head, e.tail, e.label) for e in g.edges],
         g.relation.reverse(),
     )
+
+
+def _pairs_on_used_labels(edges: list, related) -> PairsRelation:
+    """The relation ``related`` restricted to the labels the edges carry, as pairs."""
+    labels = {lab for _, _, lab in edges}
+    return PairsRelation((l, m) for l in labels for m in labels if related(l, m))
 
 
 def stanley_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
@@ -1087,9 +1092,7 @@ def stanley_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
             return h.relation.related(l[1], m[1])
         return False
 
-    labels = {lab for _, _, lab in edges}
-    pairs = [(l, m) for l in labels for m in labels if related(l, m)]
-    return LabeledDigraph(vertices, edges, PairsRelation(pairs))
+    return LabeledDigraph(vertices, edges, _pairs_on_used_labels(edges, related))
 
 
 def cartesian_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
@@ -1116,9 +1119,7 @@ def cartesian_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
             return h.relation.related(l[1], m[1])
         return False
 
-    labels = {lab for _, _, lab in edges}
-    pairs = [(l, m) for l in labels for m in labels if related(l, m)]
-    return LabeledDigraph(vertices, edges, PairsRelation(pairs))
+    return LabeledDigraph(vertices, edges, _pairs_on_used_labels(edges, related))
 
 
 # -- JSON interchange -------------------------------------------------------

@@ -21,8 +21,9 @@ A path's rising-run composition has its descent set at the path's
 descents, and its falling-run composition is the complement.  So for a
 bounded labeled digraph, F_rising (the sum of L over the rising-run
 compositions of the source-to-sink paths) is gamma of the ab-index, and
-F_falling is omega(F_rising), for any relation on the labels.  F_rising
-still enumerates the paths, through ``LabeledDigraph.ab_index_by_paths``.
+F_falling, equal to omega(F_rising), is gamma of the ab-index with a and b
+swapped, for any relation on the labels.  Both still enumerate the paths,
+through ``LabeledDigraph.ab_index_by_paths``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .ncpoly import (
     _format_terms,
     _merge,
     ab_to_cd,
+    bar,
 )
 
 __all__ = [
@@ -78,15 +80,31 @@ def _validate(alpha: Sequence[int]) -> tuple:
     return alpha
 
 
-def descent_set(alpha: Sequence[int]) -> frozenset:
-    """Partial sums of alpha except the last; a subset of {1, ..., n-1}."""
-    alpha = _validate(alpha)
-    total = 0
-    out = []
+def _mask(alpha: tuple) -> int:
+    """The descent set of alpha as a bitmask: bit i is set when i is a descent."""
+    mask = total = 0
     for part in alpha[:-1]:
         total += part
-        out.append(total)
-    return frozenset(out)
+        mask |= 1 << total
+    return mask
+
+
+def _composition(mask: int, n: int) -> tuple:
+    """The composition of n whose descent set is the bitmask's (bits 1..n-1)."""
+    parts = []
+    prev = 0
+    while mask:
+        low = mask & -mask
+        cut = low.bit_length() - 1
+        parts.append(cut - prev)
+        prev, mask = cut, mask ^ low
+    return (*parts, n - prev) if n else ()
+
+
+def descent_set(alpha: Sequence[int]) -> frozenset:
+    """Partial sums of alpha except the last; a subset of {1, ..., n-1}."""
+    mask = _mask(_validate(alpha))
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def composition_from_descents(descents, n: int) -> tuple:
@@ -96,16 +114,7 @@ def composition_from_descents(descents, n: int) -> tuple:
         raise ValueError(f"n={n!r} is not a nonnegative int")
     if not all(isinstance(c, int) and 0 < c < n for c in cuts) or len(set(cuts)) < len(cuts):
         raise ValueError(f"descents {cuts} are not distinct ints in 1..{n - 1}")
-    if n == 0:
-        return ()
-    cuts.sort()
-    prev = 0
-    parts = []
-    for c in cuts:
-        parts.append(c - prev)
-        prev = c
-    parts.append(n - prev)
-    return tuple(parts)
+    return _composition(sum(1 << c for c in cuts), n)
 
 
 def complement(alpha: Sequence[int]) -> tuple:
@@ -117,8 +126,7 @@ def complement(alpha: Sequence[int]) -> tuple:
     n = sum(alpha)
     if n == 0:
         raise ValueError("the empty composition has no complement")
-    full = set(range(1, n))
-    return composition_from_descents(full - descent_set(alpha), n)
+    return _composition(_mask(alpha) ^ (1 << n) - 2, n)
 
 
 def reverse_composition(alpha: Sequence[int]) -> tuple:
@@ -130,7 +138,7 @@ def sigma_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
     alpha, beta = _validate(alpha), _validate(beta)
     if sum(alpha) != sum(beta):
         raise ValueError(f"{alpha} and {beta} compose different integers")
-    return descent_set(alpha) <= descent_set(beta)
+    return not _mask(alpha) & ~_mask(beta)
 
 
 def compositions(n: int) -> Iterator[tuple]:
@@ -150,11 +158,7 @@ def _masks(terms) -> dict:
     """
     tables: dict[int, dict[int, int]] = {}
     for alpha, coeff in terms:
-        mask = total = 0
-        for part in alpha[:-1]:
-            total += part
-            mask |= 1 << total
-        tables.setdefault(sum(alpha), {})[mask] = coeff
+        tables.setdefault(sum(alpha), {})[_mask(alpha)] = coeff
     return tables
 
 
@@ -179,14 +183,7 @@ def _refine(tables: dict, sign: int) -> dict:
                     table[finer] = table.get(finer, 0) + sign * coeff
         for mask, coeff in table.items():
             if coeff:
-                parts = []
-                prev = 0
-                while mask:
-                    low = mask & -mask
-                    cut = low.bit_length() - 1
-                    parts.append(cut - prev)
-                    prev, mask = cut, mask ^ low
-                out[(*parts, n - prev) if n else ()] = coeff
+                out[_composition(mask, n)] = coeff
     return out
 
 
@@ -314,6 +311,14 @@ def antipode(f: QSymElement) -> QSymElement:
     return omega(QSymElement._trusted(reversed_terms))
 
 
+def _source_to_sink_by_paths(g: LabeledDigraph) -> AbPoly | None:
+    """The ab-index of [source, sink] summed over the enumerated paths; None if source == sink."""
+    if not g.is_bounded():
+        raise Unbounded("rising/falling quasisymmetric functions need a bounded graph")
+    bot, top = g.zero_hat(), g.one_hat()
+    return None if bot == top else g.ab_index_by_paths(bot, top)
+
+
 def F_rising(g: LabeledDigraph) -> QSymElement:
     """Sum over all source-to-sink paths of L of the path's rising-run composition.
 
@@ -321,21 +326,21 @@ def F_rising(g: LabeledDigraph) -> QSymElement:
     gamma reads the path's descent word, so this is gamma of the ab-index,
     here summed over the enumerated paths.
     """
-    if not g.is_bounded():
-        raise Unbounded("rising/falling quasisymmetric functions need a bounded graph")
-    bot, top = g.zero_hat(), g.one_hat()
-    if bot == top:
-        return QSymElement.one()
-    return gamma(g.ab_index_by_paths(bot, top))
+    psi = _source_to_sink_by_paths(g)
+    return QSymElement.one() if psi is None else gamma(psi)
 
 
 def F_falling(g: LabeledDigraph) -> QSymElement:
     """Sum over all source-to-sink paths of L of the path's falling-run composition.
 
     A path's falling-run composition is the complement of its rising-run
-    composition, so this is omega(F_rising(g)).
+    composition: its descent set is the path's ascents.  So this is gamma
+    of bar of the ab-index.  It equals omega(F_rising(g)) but never builds
+    F_rising, whose monomial terms can be exponentially many: L of (n)
+    alone has 2**(n-1).
     """
-    return omega(F_rising(g))
+    psi = _source_to_sink_by_paths(g)
+    return QSymElement.one() if psi is None else gamma(bar(psi))
 
 
 def gamma(p: AbPoly) -> QSymElement:
@@ -360,9 +365,8 @@ def gamma_inverse(f: QSymElement) -> AbPoly:
         raise ValueError("gamma images have no constant term")
     words: dict[str, int] = {}
     for alpha, coeff in f.l_coefficients().items():
-        n = sum(alpha)
-        descents = descent_set(alpha)
-        words["".join("b" if i in descents else "a" for i in range(1, n))] = coeff
+        mask = _mask(alpha)
+        words["".join("ab"[mask >> i & 1] for i in range(1, sum(alpha)))] = coeff
     return AbPoly._trusted(words)
 
 

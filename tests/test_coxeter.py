@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 
@@ -20,8 +21,8 @@ from cdindex.coxeter import (
     reflection_order_validate,
     transpositions,
 )
-from cdindex.digraph import GraphError, LabeledDigraph, LinearRelation, NoPath
-from cdindex.ncpoly import IntPoly, bar, parse_cd
+from cdindex.digraph import GraphError, InternalError, LabeledDigraph, LinearRelation, NoPath
+from cdindex.ncpoly import IntPoly, NotInSpan, ab_to_cd, bar, parse_ab, parse_cd
 
 from conftest import reach_by_fixpoint
 
@@ -420,6 +421,24 @@ class TestCompleteCdIndex:
     def test_max_n_guard(self):
         with pytest.raises(ValueError):
             bruhat_graph_sn(7)
+
+    def test_no_cd_index_aborts_with_the_residual(self):
+        bg = bruhat_graph_sn(3)
+        with pytest.raises(NotInSpan) as caught:
+            ab_to_cd(parse_ab("a"))
+        residual = caught.value.residual
+        with mock.patch.object(LabeledDigraph, "ab_index", return_value=parse_ab("a")):
+            with pytest.raises(InternalError) as full:
+                bg.complete_cd_index(E3, W3)
+            with pytest.raises(InternalError) as cover:
+                bg.poset_cd_index(E3, W3)
+        assert str(full.value) == (
+            f"interval [{E3}, {W3}] has no cd-index; "
+            f"the reflection ordering is broken (residual {residual})"
+        )
+        assert str(cover.value) == (
+            f"cover interval [{E3}, {W3}] has no cd-index (residual {residual})"
+        )
 
 
 class TestRPolynomials:

@@ -208,6 +208,26 @@ class TestInterval:
             ("12", "123", 1),
         ]
 
+    def test_sinks_of_subgraphs_and_unordered_vertex_lists(self, graph_b3, graph_fig1_left):
+        def by_scan(g):
+            return tuple(v for v in g.vertices if not g.out_edges(v))
+
+        backwards = LabeledDigraph(
+            graph_b3.vertices[::-1],
+            [(e.tail, e.head, e.label) for e in graph_b3.edges],
+            graph_b3.relation,
+        )
+        assert backwards.vertices != backwards.topological_order
+        graphs = [graph_b3, graph_fig1_left, backwards]
+        for g in (graph_b3, backwards):
+            graphs += [g.interval("1", "123"), g.interval("0", "12"), g.interval("13", "1")]
+            graphs += [g.induced(["123", "12", "1"]), g.induced(["1", "2", "3", "0"])]
+        for g in graphs:
+            assert g.sinks() == by_scan(g)
+            assert g.sinks() is g.sinks()  # found once, then kept
+        assert backwards.sinks() == ("123",)
+        assert backwards.induced(["1", "2", "3", "0"]).sinks() == ("1", "2", "3")
+
     def test_induced_rejects_unknown_vertex(self, graph_b3):
         with pytest.raises(GraphError):
             graph_b3.induced(["1", "nowhere"])
@@ -231,6 +251,25 @@ class TestDescentWord:
         g = chain(["2", "1"])
         (path,) = g.paths("v0", "v2")
         assert g.descent_word(path) == "b"
+
+    def test_rising_and_falling_against_the_relation(self, all_fixture_graphs):
+        # a path of one edge is both; a loop on one label under pairs makes
+        # a long path rise, and no pairs at all make it fall
+        graphs = [*all_fixture_graphs.values()]
+        graphs += [chain(["1"] * 4)]
+        for pairs in ([], [("x", "x")]):
+            graphs.append(ladder([["x"]] * 3, PairsRelation(pairs)))
+        seen = set()
+        for g in graphs:
+            related = g.relation.related
+            for x in g.vertices:
+                for y in g.vertices:
+                    for path in g.paths(x, y):
+                        steps = [related(e.label, f.label) for e, f in zip(path, path[1:])]
+                        assert g.is_rising(path) == all(steps)
+                        assert g.is_falling(path) == (not any(steps))
+                        seen.add((g.is_rising(path), g.is_falling(path)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestAbIndex:
@@ -434,6 +473,19 @@ class TestCartesianProduct:
         assert stripped == sorted(
             (e.tail, e.head, e.label) for e in graph_fig1_left.edges
         )
+
+    def test_relation_on_the_used_labels(self, graph_fig1_left, graph_b3):
+        g, h = graph_fig1_left, graph_b3
+        for prod in (cartesian_product(g, h), stanley_product(g, h)):
+            assert prod.relation.labels <= {e.label for e in prod.edges}
+        prod = cartesian_product(g, h)
+        used = {e.label for e in prod.edges}
+        assert len(used) == len({e.label for e in g.edges}) + len({e.label for e in h.edges})
+        for l in used:
+            for m in used:
+                own = g.relation if l[0] == "G" else h.relation
+                expected = l[0] < m[0] or (l[0] == m[0] and own.related(l[1], m[1]))
+                assert prod.relation.related(l, m) == expected
 
     def test_acyclic_and_balanced_product(self, graph_fig2_i):
         prod = cartesian_product(graph_fig2_i, graph_fig2_i)
@@ -678,9 +730,13 @@ class TestPackedTables:
     def test_width_from_the_vertices_up_to_the_target(self):
         # 4 paths to v2, then 1,200 and 360,000 paths past it
         g = ladder([["1", "2"], ["1", "2"], ["3"] * 300, ["1"] * 300])
-        counts, width = g._path_counts("v0", "v2")
-        assert (counts[g.topological_order.index("v2")], width) == (4, 8)
-        assert g._path_counts("v0")[1] == 24
+
+        def slot_width(largest):  # the largest count's bit length in whole bytes
+            return (largest.bit_length() + 7) & -8
+
+        counts, largest = g._path_counts("v0", "v2")
+        assert (counts[g.topological_order.index("v2")], slot_width(largest)) == (4, 8)
+        assert slot_width(g._path_counts("v0")[1]) == 24
         assert g.ab_index("v0", "v2") == g.ab_index_by_paths("v0", "v2")
         assert g.ab_index("v0", "v3") == g.ab_index_by_paths("v0", "v3")
         with pytest.raises(NoPath):
@@ -792,7 +848,9 @@ class TestRisingFallingSweep:
         base = ladder([["x", "y"]] * 16, PairsRelation(pairs))
         g = LabeledDigraph(["r", *base.vertices], [e[:3] for e in base.edges], base.relation)
         topo = g.topological_order
-        block = g._field_width()
+        counts, largest = g._path_counts()
+        block = largest.bit_length()
+        assert counts[topo.index("v16")] == largest == 2 ** 17 - 1
         assert topo[:2] == ("r", "v0") and block == 17
         fields = 0
         for p, table in g._sweep("v0", count=17, block=block):

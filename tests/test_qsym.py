@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex.digraph import LabeledDigraph, LinearRelation, PairsRelation, cartesian_product
+from cdindex.digraph import (
+    LabeledDigraph,
+    LinearRelation,
+    PairsRelation,
+    Unbounded,
+    cartesian_product,
+)
 from cdindex.ncpoly import AbPoly, IntPoly, parse_ab
 from cdindex.qsym import (
     F_falling,
@@ -20,6 +26,7 @@ from cdindex.qsym import (
     complement,
     composition_from_descents,
     compositions,
+    descent_set,
     gamma,
     gamma_inverse,
     multichain_specialization,
@@ -71,6 +78,20 @@ class TestCompositions:
     def test_from_descents(self):
         assert composition_from_descents({1, 3}, 4) == (1, 2, 1)
         assert composition_from_descents([], 0) == ()
+
+    def test_descent_sets_against_their_definitions(self):
+        # partial sums, cuts back to parts, set complement and set inclusion
+        for n in range(8):
+            full = set(range(1, n))
+            for alpha in compositions(n):
+                sums = set(itertools.accumulate(alpha[:-1]))
+                assert descent_set(alpha) == sums
+                assert composition_from_descents(sums, n) == alpha
+                if n:
+                    assert complement(alpha) == composition_from_descents(full - sums, n)
+                if n <= 5:
+                    for beta in compositions(n):
+                        assert sigma_leq(alpha, beta) == (sums <= descent_set(beta))
 
     @pytest.mark.parametrize(
         "descents,n",
@@ -296,6 +317,22 @@ class TestPathFunctions:
         g = chain(["1"])
         assert F_rising(g) == QSymElement.L((1,))
         assert F_falling(g) == QSymElement.L((1,))
+
+    def test_falling_of_a_long_rising_chain(self):
+        # one path with 39 ascents: its falling runs are 40 single edges, and
+        # L of (1, ..., 1) is one monomial element, not 2**39 of them
+        g = chain(range(40), order=range(40))
+        assert F_falling(g) == QSymElement.M((1,) * 40)
+
+    def test_both_need_a_bounded_graph(self):
+        two_sinks = LabeledDigraph(
+            ["x", "y", "z"], [("x", "y", "1"), ("x", "z", "1")], LinearRelation(["1"])
+        )
+        point = LabeledDigraph(["x"], [], LinearRelation([]))
+        for fn in (F_rising, F_falling):
+            with pytest.raises(Unbounded):
+                fn(two_sinks)
+            assert fn(point) == QSymElement.one()
 
     def test_fig1_left(self, graph_fig1_left):
         expected = (
