@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from . import coxeter as coxeter_mod
 from . import fixtures as fixtures_mod
 from . import qsym as qsym_mod
 from .digraph import GraphError, InternalError, load_graph, to_json_dict
+from .jsontext import json_text
 from .ncpoly import NotInSpan, ab_to_cd, parse_cd
 
 EXIT_OK = 0
@@ -228,7 +228,7 @@ def cmd_construct(args):
         f"edges: {len(graph.edges)}",
     ]
     if args.out:
-        Path(args.out).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(json_text(data) + "\n", encoding="utf-8")
         payload["written"] = args.out
         lines.append(f"written: {args.out}")
     return EXIT_OK, payload, lines
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json_text(payload, sort_keys=True))
         else:
             for line in lines:
                 print(line)

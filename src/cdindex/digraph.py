@@ -900,9 +900,9 @@ class LabeledDigraph:
 
     def capital_rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(R, F) with R = q*r and F = q*f for x < y; both 1 when x == y."""
+        self._require(x, y)
         if x == y:
             return IntPoly.one(), IntPoly.one()
-        self._require(x, y)
         r, f = self._end_state(x, y)
         return self._poly(r, 0), self._poly(f, 0)
 

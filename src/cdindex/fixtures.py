@@ -21,10 +21,10 @@ shipped files are reproducible from code.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .digraph import LabeledDigraph, LinearRelation, PairsRelation, to_json_dict
+from .jsontext import json_text
 
 __all__ = [
     "FIXTURE_BUILDERS",
@@ -122,8 +122,7 @@ FIXTURE_BUILDERS = {
 def fixture_bytes(name: str) -> bytes:
     """Canonical file contents for a named fixture graph."""
     graph = FIXTURE_BUILDERS[name]()
-    text = json.dumps(to_json_dict(graph), indent=2)
-    return (text + "\n").encode("ascii")
+    return (json_text(to_json_dict(graph)) + "\n").encode("ascii")
 
 
 def write_fixture_files(directory) -> list[Path]:

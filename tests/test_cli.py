@@ -69,7 +69,7 @@ class TestOutputPath:
         json_code, out, json_err = run(capsys, *argv, "--json")
         assert code == json_code
         assert text and err == json_err == ""
-        json.loads(out)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     def test_unencodable_payload_is_internal_error(self, capsys, monkeypatch):
         report = SearchReport(seed={1}, trials=0, max_vertices=8, balanced_found=0)
@@ -473,6 +473,9 @@ class TestConstructCommand:
         )
         assert code == 0
         assert "cd-index: 3 + 2*c" in out
+        data = json.loads(out_file.read_text(encoding="utf-8"))
+        assert list(data) == ["vertices", "edges", "relation"]
+        assert out_file.read_text(encoding="utf-8") == json.dumps(data, indent=2) + "\n"
         code, out, _ = run(capsys, "cdindex", "--graph", str(out_file))
         assert code == 0
         assert out.strip() == "3 + 2*c"

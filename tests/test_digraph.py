@@ -117,6 +117,9 @@ class TestLoadAndValidate:
                 lambda: g.in_edges(zz),
                 lambda: next(g.paths(zz, "123")),
                 lambda: g.rising_falling("0", zz),
+                lambda: g.rising_falling(zz, zz),
+                lambda: g.capital_rising_falling("0", zz),
+                lambda: g.capital_rising_falling(zz, zz),
             ):
                 with pytest.raises(GraphError, match=re.escape(repr(zz))):
                     call()
