@@ -16,14 +16,22 @@ The module checks this identity and also evaluates the underlying signed
 path sums directly on the base graph.  Since the identity for S and for T
 compares the same two values, :func:`alexander_sweep` checks many splits
 with one pair of restrictions per complementary pair {S, T}.
+
+A falling path of G_S is the same thing as a base source-to-sink path that
+descends at every vertex of S and ascends at every other interior vertex,
+so each side of the identity is one signed sweep over the base graph's
+(position, last label) states, and no check builds G_S.  :func:`restrict`
+stays the paper's construction: it validates at once, and builds G_S on
+the first read of :attr:`RestrictedDigraph.graph`, which the tests use as
+the sweep's oracle beside :func:`signed_path_sums`.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple
 
-from .digraph import LabeledDigraph, NoPath, PairsRelation
-from .ncpoly import IntPoly
+from .digraph import LabeledDigraph, PairsRelation
 
 __all__ = [
     "AlexanderResult",
@@ -56,30 +64,103 @@ class AlexanderResult(NamedTuple):
 
 
 class RestrictedDigraph:
-    """The digraph G_S: kept vertices joined by maximal rising segments."""
+    """The digraph G_S: kept vertices joined by maximal rising segments.
 
-    def __init__(self, base: LabeledDigraph, kept: frozenset, graph: LabeledDigraph):
+    ``kept`` is S.  G_S itself is built on the first read of :attr:`graph`;
+    :meth:`falling_at_minus_one` reads only the base graph.
+    """
+
+    def __init__(self, base: LabeledDigraph, kept: frozenset):
         self.base = base
         self.kept = kept
-        self.graph = graph
+
+    @cached_property
+    def graph(self) -> LabeledDigraph:
+        """G_S, with one edge per rising base segment between kept vertices.
+
+        One edge is created per rising base path that starts and ends in
+        S + {source, sink} and whose interior vertices all avoid S; its label
+        is the tuple of base labels along the path.  Rising-path counts
+        between kept vertices are preserved by construction.
+        """
+        g = self.base
+        members = self.kept | {g.zero_hat(), g.one_hat()}
+        rel = g.relation.related
+
+        edges = []
+        order = [v for v in g.topological_order if v in members]
+        for start in order:
+            # depth-first over rising segments; pending[i] walks the out-edges
+            # at the end of the first i labels of the trail
+            trail: list = []
+            pending = [iter(g.out_edges(start))]
+            while pending:
+                for e in pending[-1]:
+                    if trail and not rel(trail[-1], e.label):
+                        continue
+                    if e.head in members:
+                        edges.append((start, e.head, (*trail, e.label)))
+                    else:
+                        trail.append(e.label)
+                        pending.append(iter(g.out_edges(e.head)))
+                        break
+                else:
+                    pending.pop()
+                    if trail:
+                        trail.pop()
+
+        labels = {lab for _, _, lab in edges}
+        pairs = [
+            (l, m) for l in labels for m in labels if rel(l[-1], m[0])
+        ]
+        return LabeledDigraph(order, edges, PairsRelation(pairs))
 
     def falling_at_minus_one(self) -> int:
-        """Falling-path generating polynomial of [source, sink], evaluated at -1.
+        """Falling-path generating polynomial of [source, sink] in G_S, at -1.
 
-        Source and sink are the base graph's; the restriction may leave some
-        kept vertex without rising in- or out-segments, so the restricted
-        graph itself need not be bounded and may even disconnect the two
-        (an empty falling sum then evaluates to zero).
+        Source and sink are the base graph's.  A falling path of G_S is a
+        base source-to-sink path that descends at every vertex of S and
+        ascends at every other interior vertex, and its length in G_S is one
+        more than the number of S vertices on it.  So the value is one
+        signed sweep over the base graph's (position, last label) states:
+        an S vertex passes only descents, each with its count negated, and
+        any other interior vertex passes only ascents.  The restriction may
+        disconnect the source from the sink; the empty sum is then zero.
         """
-        bot, top = self.base.zero_hat(), self.base.one_hat()
-        try:
-            _, f = self.graph.rising_falling(bot, top)
-        except NoPath:
-            f = IntPoly.zero()
-        return f(-1)
+        g = self.base
+        out, masks, pos = g._out, g._masks, g._pos
+        start, end = pos[g.zero_hat()], pos[g.one_hat()]
+        inside = {pos[v] for v in self.kept}
+        state: list = [None] * len(out)  # {last label id: signed count} per position
+        for h, last, _ in out[start]:
+            row = state[h]
+            if row is None:
+                row = state[h] = {}
+            row[last] = row.get(last, 0) + 1
+        for p in range(start + 1, end):
+            table = state[p]
+            if table is None:
+                continue
+            state[p] = None
+            items = table.items()
+            # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
+            want, sign = (0, -1) if p in inside else (1, 1)
+            for h, last, _ in out[p]:
+                mask = masks[last]
+                n = 0
+                for label, c in items:
+                    if mask >> label & 1 == want:
+                        n += c
+                if n:
+                    row = state[h]
+                    if row is None:
+                        row = state[h] = {}
+                    row[last] = row.get(last, 0) + sign * n
+        table = state[end]
+        return sum(table.values()) if table else 0
 
     def __repr__(self):
-        return f"RestrictedDigraph(kept={sorted(map(str, self.kept))}, {self.graph!r})"
+        return f"RestrictedDigraph(kept={sorted(map(str, self.kept))}, base={self.base!r})"
 
 
 def _interior(g: LabeledDigraph) -> frozenset:
@@ -98,46 +179,14 @@ def _checked_subset(g: LabeledDigraph, subset: Iterable[Hashable]) -> frozenset:
 
 
 def restrict(g: LabeledDigraph, subset: Iterable[Hashable]) -> RestrictedDigraph:
-    """Build G_S for S a set of interior vertices of a bounded graph.
+    """G_S for S a set of interior vertices of a bounded graph.
 
-    One edge is created per rising base path that starts and ends in
-    S + {source, sink} and whose interior vertices all avoid S; its label
-    is the tuple of base labels along the path.  Rising-path counts
-    between kept vertices are preserved by construction.
+    Checks the graph and the subset now (``Unbounded``, or ``ValueError``
+    for an unknown vertex, the source or the sink) and builds nothing:
+    :attr:`RestrictedDigraph.graph` is built on its first read.
     """
-    bot, top = g.zero_hat(), g.one_hat()
-    subset = _checked_subset(g, subset)
-    members = subset | {bot, top}
-    rel = g.relation.related
-
-    edges = []
-    order = [v for v in g.topological_order if v in members]
-    for start in order:
-        # depth-first over rising segments; pending[i] walks the out-edges
-        # at the end of the first i labels of the trail
-        trail: list = []
-        pending = [iter(g.out_edges(start))]
-        while pending:
-            for e in pending[-1]:
-                if trail and not rel(trail[-1], e.label):
-                    continue
-                if e.head in members:
-                    edges.append((start, e.head, (*trail, e.label)))
-                else:
-                    trail.append(e.label)
-                    pending.append(iter(g.out_edges(e.head)))
-                    break
-            else:
-                pending.pop()
-                if trail:
-                    trail.pop()
-
-    labels = {lab for _, _, lab in edges}
-    pairs = [
-        (l, m) for l in labels for m in labels if rel(l[-1], m[0])
-    ]
-    graph = LabeledDigraph(order, edges, PairsRelation(pairs))
-    return RestrictedDigraph(g, subset, graph)
+    g.zero_hat(), g.one_hat()  # raise Unbounded here, not on a later read
+    return RestrictedDigraph(g, _checked_subset(g, subset))
 
 
 def parity_condition(g: LabeledDigraph) -> ParityResult:

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import random
+import time
 import weakref
 
 import pytest
@@ -15,8 +17,9 @@ from cdindex.alexander import (
     restrict,
     signed_path_sums,
 )
+from cdindex.construct import random_labeled_dag
 from cdindex.coxeter import bruhat_graph_sn
-from cdindex.digraph import LabeledDigraph, LinearRelation
+from cdindex.digraph import LabeledDigraph, LinearRelation, NoPath, Unbounded
 from cdindex.ncpoly import IntPoly
 
 from conftest import chain
@@ -27,6 +30,16 @@ T_FIG3 = {"2", "3", "12", "23"}
 
 def count_rising_paths(g, x, y):
     return sum(1 for p in g.paths(x, y) if g.is_rising(p))
+
+
+def built_falling_at_minus_one(r):
+    """The falling polynomial of the built G_S at -1 (zero without a path)."""
+    bot, top = r.base.zero_hat(), r.base.one_hat()
+    try:
+        _, f = r.graph.rising_falling(bot, top)
+    except NoPath:
+        f = IntPoly.zero()
+    return f(-1)
 
 
 class TestRestrict:
@@ -286,6 +299,60 @@ class TestAlexanderSweep:
         with pytest.raises(ValueError, match="unknown"):
             alexander_sweep(graph_b3, [{"nope"}])
         assert alexander_sweep(graph_b3, []) == []
+
+
+class TestFallingSweep:
+    """The sweep on the base graph against the built G_S and the path sums."""
+
+    def assert_matches_oracles(self, name, g):
+        for subset in all_subsets(g):
+            r = restrict(g, subset)
+            value = r.falling_at_minus_one()
+            assert "graph" not in vars(r), name
+            assert value == built_falling_at_minus_one(r), (name, sorted(subset))
+            assert value == signed_path_sums(g, subset)[0], (name, sorted(subset))
+
+    def test_fixtures(self, graph_b3, graph_fig1_right, graph_fig2_i, graph_fig2_ii):
+        for name, g in (
+            ("fig3_b3", graph_b3),
+            ("fig1_right", graph_fig1_right),
+            ("fig2_relation_i", graph_fig2_i),
+            ("fig2_relation_ii", graph_fig2_ii),
+        ):
+            self.assert_matches_oracles(name, g)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bruhat_intervals(self, n):
+        for name, g in bruhat_intervals(n, 4):
+            self.assert_matches_oracles(name, g)
+
+    def test_unbalanced_graphs(self):
+        # the two signed path sums agree on balanced graphs, so only an
+        # unbalanced one tells the sweep's descents at S from its ascents
+        self.assert_matches_oracles("falling chain", chain(["2", "1"]))
+        for seed in range(60):
+            self.assert_matches_oracles(f"seed {seed}", random_labeled_dag(random.Random(seed), 7))
+
+    def test_ladder_builds_no_segments(self):
+        # two parallel edges per rung, labels increasing along the ladder:
+        # G_S for S empty has one edge per rising path, 2**40 of them
+        n = 40
+        vertices = [f"v{i}" for i in range(n + 1)]
+        edges = [(f"v{i}", f"v{i + 1}", 2 * i + j) for i in range(n) for j in (0, 1)]
+        g = LabeledDigraph(vertices, edges, LinearRelation(range(2 * n)))
+        start = time.perf_counter()
+        r = restrict(g, set())
+        value = r.falling_at_minus_one()
+        assert time.perf_counter() - start < 1.0
+        assert value == 2 ** n
+        assert "graph" not in vars(r)
+        assert "80 edges" in repr(r)  # the base graph's: printing builds nothing
+        assert "graph" not in vars(r)
+
+    def test_unbounded_raises_at_restrict(self):
+        g = LabeledDigraph(["x", "y", "z"], [("x", "y", "1"), ("x", "z", "1")], LinearRelation(["1"]))
+        with pytest.raises(Unbounded):
+            restrict(g, set())
 
 
 class TestSignedPathSums:
