@@ -24,6 +24,11 @@ so each side of the identity is one signed sweep over the base graph's
 stays the paper's construction: it validates at once, and builds G_S on
 the first read of :attr:`RestrictedDigraph.graph`, which the tests use as
 the sweep's oracle beside :func:`signed_path_sums`.
+
+Everything a check needs to know of the graph itself, the source and sink
+positions, the interior vertices and the parity condition, is the graph's
+frame: one pass over the int form computes it on first use, and it is kept
+on the graph, so each check reads it instead of working it out again.
 """
 
 from __future__ import annotations
@@ -44,9 +49,6 @@ __all__ = [
     "restrict",
     "signed_path_sums",
 ]
-
-SignedPathSum = int
-
 
 class PreconditionFailed(ValueError):
     """A hypothesis of the duality statement does not hold; names which one."""
@@ -129,20 +131,13 @@ class RestrictedDigraph:
         """
         g = self.base
         out, masks, pos = g._out, g._masks, g._pos
-        start, end = pos[g.zero_hat()], pos[g.one_hat()]
+        start, end, _, _ = _frame(g)
         inside = {pos[v] for v in self.kept}
-        state: list = [None] * len(out)  # {last label id: signed count} per position
+        state = [{} for _ in out]  # {last label id: signed count} per position
         for h, last, _ in out[start]:
-            row = state[h]
-            if row is None:
-                row = state[h] = {}
-            row[last] = row.get(last, 0) + 1
+            state[h][last] = state[h].get(last, 0) + 1
         for p in range(start + 1, end):
-            table = state[p]
-            if table is None:
-                continue
-            state[p] = None
-            items = table.items()
+            items = state[p].items()
             # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
             want, sign = (0, -1) if p in inside else (1, 1)
             for h, last, _ in out[p]:
@@ -153,27 +148,55 @@ class RestrictedDigraph:
                         n += c
                 if n:
                     row = state[h]
-                    if row is None:
-                        row = state[h] = {}
                     row[last] = row.get(last, 0) + sign * n
-        table = state[end]
-        return sum(table.values()) if table else 0
+        return sum(state[end].values())
 
     def __repr__(self):
         return f"RestrictedDigraph(kept={sorted(map(str, self.kept))}, base={self.base!r})"
 
 
-def _interior(g: LabeledDigraph) -> frozenset:
-    return frozenset(g.vertices) - {g.zero_hat(), g.one_hat()}
+class _Frame(NamedTuple):
+    start: int  # the source's position
+    end: int  # the sink's position
+    interior: frozenset
+    parity: ParityResult
+
+
+def _frame(g: LabeledDigraph) -> _Frame:
+    """The source and sink positions, interior and parity of a bounded graph.
+
+    Raises ``Unbounded`` otherwise.  A bounded graph's source comes first
+    in the topological order and its sink last, so the interior is every
+    position between them.  One pass over the int form finds, for each
+    position, the lengths of the paths from the source mod 2 (bit k set
+    for k) and the longest one.  The graph is immutable, so the frame is
+    computed once and kept on it; the frame holds no reference to the
+    graph, so the two form no cycle.
+    """
+    frame = g._frame
+    if frame is None:
+        g.zero_hat(), g.one_hat()  # raise Unbounded, naming the sources or sinks
+        out = g._out
+        end = len(out) - 1
+        seen, longest = [1] + [0] * end, [0] * len(out)
+        for p in range(end):
+            bits, n = seen[p], longest[p] + 1
+            bits = (bits << 1 | bits >> 1) & 3  # one edge longer: the parities swap
+            for h, _, _ in out[p]:
+                seen[h] |= bits
+                longest[h] = max(longest[h], n)
+        parity = ParityResult(uniform=seen[end] != 3, longest=longest[end])
+        frame = g._frame = _Frame(0, end, frozenset(g.topological_order[1:end]), parity)
+    return frame
 
 
 def _checked_subset(g: LabeledDigraph, subset: Iterable[Hashable]) -> frozenset:
     """The subset as a frozenset of interior vertices; ValueError otherwise."""
     subset = frozenset(subset)
-    unknown = subset - set(g.vertices)
-    if unknown:
-        raise ValueError(f"subset contains unknown vertices: {sorted(map(str, unknown))}")
-    if g.zero_hat() in subset or g.one_hat() in subset:
+    if not subset <= _frame(g).interior:
+        unknown = subset - set(g.vertices)
+        if unknown:
+            raise ValueError(f"subset contains unknown vertices: {sorted(map(str, unknown))}")
         raise ValueError("subset must avoid the source and the sink")
     return subset
 
@@ -185,34 +208,15 @@ def restrict(g: LabeledDigraph, subset: Iterable[Hashable]) -> RestrictedDigraph
     for an unknown vertex, the source or the sink) and builds nothing:
     :attr:`RestrictedDigraph.graph` is built on its first read.
     """
-    g.zero_hat(), g.one_hat()  # raise Unbounded here, not on a later read
     return RestrictedDigraph(g, _checked_subset(g, subset))
 
 
 def parity_condition(g: LabeledDigraph) -> ParityResult:
     """Whether all source-to-sink path lengths agree mod 2, plus the longest one.
 
-    The graph is immutable, so the result is computed once and kept on it;
-    the result holds no reference to the graph, so the two form no cycle.
+    Read from the graph's frame, computed once and kept on the graph.
     """
-    if g._parity is None:
-        g._parity = _parity(g)
-    return g._parity
-
-
-def _parity(g: LabeledDigraph) -> ParityResult:
-    bot, top = g.zero_hat(), g.one_hat()
-    parities: dict[Hashable, set[int]] = {v: set() for v in g.vertices}
-    longest: dict[Hashable, int] = {v: -1 for v in g.vertices}
-    parities[bot] = {0}
-    longest[bot] = 0
-    for v in g.topological_order:
-        if not parities[v]:
-            continue
-        for e in g.out_edges(v):
-            parities[e.head] |= {(p + 1) % 2 for p in parities[v]}
-            longest[e.head] = max(longest[e.head], longest[v] + 1)
-    return ParityResult(uniform=len(parities[top]) <= 1, longest=max(longest[top], 0))
+    return _frame(g).parity
 
 
 def alexander_check(g: LabeledDigraph, subset: Iterable[Hashable]) -> AlexanderResult:
@@ -232,7 +236,7 @@ def alexander_check(g: LabeledDigraph, subset: Iterable[Hashable]) -> AlexanderR
     parity = parity_condition(g)
     if not parity.uniform:
         raise PreconditionFailed("parity: source-to-sink path lengths have mixed parity")
-    complement = _interior(g) - subset
+    complement = _frame(g).interior - subset
     lhs = restrict(g, subset).falling_at_minus_one()
     rhs = _sign(parity) * restrict(g, complement).falling_at_minus_one()
     return AlexanderResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
@@ -261,7 +265,7 @@ def alexander_sweep(
             row = rows[subset] = alexander_check(g, subset)
             sign = _sign(parity_condition(g))
             rows.setdefault(
-                _interior(g) - subset,
+                _frame(g).interior - subset,
                 AlexanderResult(lhs=sign * row.rhs, rhs=sign * row.lhs, equal=row.equal),
             )
         result.append(rows[subset])
@@ -282,7 +286,7 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
     """
     bot, top = g.zero_hat(), g.one_hat()
     subset = _checked_subset(g, subset)
-    tee = _interior(g) - subset
+    tee = _frame(g).interior - subset
     rel = g.relation.related
     first = 0
     second = 0

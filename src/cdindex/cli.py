@@ -32,6 +32,9 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 MAX_M = 512
+# alexander --all checks 2**k subsets of k interior vertices: 18 takes about
+# 10 s and 0.5 GB, and each further vertex doubles both
+MAX_ALL_INTERIOR = 18
 
 
 def _parse_subset(text: str) -> frozenset:
@@ -120,6 +123,11 @@ def cmd_alexander(args):
         set(graph.vertices) - {graph.zero_hat(), graph.one_hat()}, key=str
     )
     if args.all:
+        if len(interior) > MAX_ALL_INTERIOR:
+            raise GraphError(
+                f"--all on {len(interior)} interior vertices exceeds the bound "
+                f"{MAX_ALL_INTERIOR}; check single subsets with --subset"
+            )
         subsets = [
             frozenset(c)
             for k in range(len(interior) + 1)

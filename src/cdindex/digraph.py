@@ -421,9 +421,7 @@ class LabeledDigraph:
         self._labels = labels
         self._masks = masks
         self.relation = relation
-        self._view: tuple | None = None
-        self._balance: BalanceReport | None = None
-        self._parity = None  # kept by alexander.parity_condition
+        self._frame = None  # kept by alexander._frame
 
     def _place(self, v) -> int:
         """The position of vertex v; GraphError names v when it is none."""
@@ -436,26 +434,25 @@ class LabeledDigraph:
         for v in vertices:
             self._place(v)
 
-    def _edge_view(self) -> tuple:
-        """(edges, out-edges by position, in-edges by position), built once.
+    @cached_property
+    def _view(self) -> tuple:
+        """(edges, out-edges by position, in-edges by position), built on first use.
 
         Each position's out-edges come out in the order of its int out-list.
         """
-        if self._view is None:
-            topo, labels = self._topo, self._labels
-            found = [(key, p, h, lab) for p, row in enumerate(self._out) for h, lab, key in row]
-            found.sort()
-            outs: list[list] = [[] for _ in topo]
-            ins: list[list] = [[] for _ in topo]
-            edges = []
-            new = tuple.__new__  # the fields need no check: skip Edge's Python-level __new__
-            for eid, (_, p, h, lab) in enumerate(found):
-                e = new(Edge, (topo[p], topo[h], labels[lab], eid))
-                edges.append(e)
-                outs[p].append(e)
-                ins[h].append(e)
-            self._view = (tuple(edges), outs, ins)
-        return self._view
+        topo, labels = self._topo, self._labels
+        found = [(key, p, h, lab) for p, row in enumerate(self._out) for h, lab, key in row]
+        found.sort()
+        outs: list[list] = [[] for _ in topo]
+        ins: list[list] = [[] for _ in topo]
+        edges = []
+        new = tuple.__new__  # the fields need no check: skip Edge's Python-level __new__
+        for eid, (_, p, h, lab) in enumerate(found):
+            e = new(Edge, (topo[p], topo[h], labels[lab], eid))
+            edges.append(e)
+            outs[p].append(e)
+            ins[h].append(e)
+        return tuple(edges), outs, ins
 
     @cached_property
     def _reach(self) -> tuple[list, list]:
@@ -496,17 +493,17 @@ class LabeledDigraph:
 
     @property
     def edges(self) -> tuple:
-        return self._edge_view()[0]
+        return self._view[0]
 
     @property
     def topological_order(self) -> tuple:
         return self._topo
 
     def out_edges(self, v) -> tuple:
-        return tuple(self._edge_view()[1][self._place(v)])
+        return tuple(self._view[1][self._place(v)])
 
     def in_edges(self, v) -> tuple:
-        return tuple(self._edge_view()[2][self._place(v)])
+        return tuple(self._view[2][self._place(v)])
 
     def sources(self) -> tuple:
         # Kahn's queue starts with the sources, in vertex order
@@ -618,7 +615,7 @@ class LabeledDigraph:
             return
         # the positions from which y is reachable, by one backward scan down
         # to x: linear in memory, and independent of the reachability index
-        out, outs = self._out, self._edge_view()[1]
+        out, outs = self._out, self._view[1]
         useful = {end}
         for q in range(end - 1, start - 1, -1):
             for h, _, _ in out[q]:
@@ -976,16 +973,17 @@ class LabeledDigraph:
         The graph is immutable, so the report is computed once and returned
         again on every later call.
         """
-        if self._balance is None:
-            witness = self._balance_witness()
-            if witness is not None:
-                self._balance = BalanceReport(balanced=False, witness=witness)
-            else:
-                # a shallow copy shares this graph's immutable tables but not
-                # the report, so graph and report form no reference cycle and
-                # are freed by reference counting
-                self._balance = BalanceReport(balanced=True, _graph=copy.copy(self))
         return self._balance
+
+    @cached_property
+    def _balance(self) -> BalanceReport:
+        witness = self._balance_witness()
+        if witness is not None:
+            return BalanceReport(balanced=False, witness=witness)
+        # a shallow copy shares this graph's immutable tables but not the
+        # report, so graph and report form no reference cycle and are freed
+        # by reference counting
+        return BalanceReport(balanced=True, _graph=copy.copy(self))
 
     def check_balance_equivalence(self) -> BalanceEquivalenceReport:
         """Evaluate the three balance characterizations independently.

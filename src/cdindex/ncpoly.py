@@ -27,6 +27,7 @@ All coefficients are Python ints, so arithmetic never overflows.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -58,13 +59,28 @@ __all__ = [
 class NotInSpan(ValueError):
     """Raised when an ab-polynomial is not a cd-polynomial.
 
-    Carries a nonzero residual r such that the polynomial minus r is a
-    cd-polynomial, so callers can report a witness.
+    Carries the leftovers of the conversion, a list of (cd-prefix,
+    {ab-word: coefficient}) pairs.  ``residual`` is the nonzero r, the sum
+    of the leftovers each multiplied by the expansion of its cd-prefix, such
+    that the polynomial minus r is a cd-polynomial, so callers can report a
+    witness.  It can have exponentially many terms, so it is built on its
+    first read, and the message names only the number of leftovers and the
+    first prefix.
     """
 
-    def __init__(self, residual: "AbPoly"):
-        super().__init__(f"not in the span of cd-words; residual {residual}")
-        self.residual = residual
+    def __init__(self, leftovers: list):
+        super().__init__(
+            f"not in the span of cd-words: {len(leftovers)} leftover(s), "
+            f"the first at cd-prefix {leftovers[0][0]!r}"
+        )
+        self.leftovers = leftovers
+
+    @cached_property
+    def residual(self) -> "AbPoly":
+        residual = AbPoly.zero()
+        for prefix, leftover in self.leftovers:
+            residual = residual + cd_expand(CdPoly.monomial(prefix)) * AbPoly._trusted(leftover)
+        return residual
 
 
 def _merge(target: dict, key, coeff: int) -> None:
@@ -499,9 +515,8 @@ def ab_to_cd(p: AbPoly) -> CdPoly:
 
     Where a check fails the node takes V = 0 and U = P_a, which leaves
     -b*(P_a - P_b) behind.  If any check fails, p is not a cd-polynomial
-    and NotInSpan carries the nonzero residual p - cd_expand(q), where q
-    is the cd-polynomial so built; it is the sum of the leftovers, each
-    multiplied by the expansion of its cd-prefix.
+    and NotInSpan carries the leftovers; its residual p - cd_expand(q),
+    where q is the cd-polynomial so built, is computed from them when read.
     """
     parts: dict[int, dict] = {}
     for word, coeff in p.items():
@@ -540,10 +555,7 @@ def ab_to_cd(p: AbPoly) -> CdPoly:
             if u:
                 stack.append((prefix + "c", m - 1, u))
     if leftovers:
-        residual = AbPoly.zero()
-        for prefix, leftover in leftovers:
-            residual = residual + cd_expand(CdPoly.monomial(prefix)) * AbPoly._trusted(leftover)
-        raise NotInSpan(residual)
+        raise NotInSpan(leftovers)
     return CdPoly._trusted(result)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from cdindex import alexander
 from cdindex.alexander import (
+    ParityResult,
     PreconditionFailed,
     alexander_check,
     alexander_sweep,
@@ -149,6 +150,33 @@ class TestParity:
 
     def test_memoized(self, graph_b3):
         assert parity_condition(graph_b3) is parity_condition(graph_b3)
+
+    def assert_matches_paths(self, name, g):
+        result = parity_condition(g)
+        # the frame reads the int form only: no Edge tuple is built for it
+        assert vars(g).get("_view") is None, name
+        bot, top = g.zero_hat(), g.one_hat()
+        lengths = {len(p) for p in g.paths(bot, top)} or {0}
+        assert result == ParityResult(len({k % 2 for k in lengths}) == 1, max(lengths)), name
+        frame = alexander._frame(g)
+        assert frame.interior == frozenset(g.vertices) - {bot, top}, name
+        order = g.topological_order
+        assert (order[frame.start], order[frame.end]) == (bot, top), name
+        return result.uniform
+
+    def test_against_path_lengths(self, all_fixture_graphs):
+        for name, g in all_fixture_graphs.items():
+            self.assert_matches_paths(name, g)
+        for n in (3, 4):
+            for name, g in bruhat_intervals(n, 6):
+                self.assert_matches_paths(name, g)
+        verdicts = {
+            self.assert_matches_paths(f"seed {seed}", random_labeled_dag(random.Random(seed), 7))
+            for seed in range(60)
+        }
+        assert verdicts == {True, False}  # some random graphs mix parities, some do not
+        self.assert_matches_paths("one vertex", LabeledDigraph(["x"], [], LinearRelation([])))
+        self.assert_matches_paths("long chain", chain(["1"] * 3000))
 
     def test_memo_leaves_graph_to_reference_counting(self):
         g = chain(["1", "2"])
@@ -293,6 +321,23 @@ class TestAlexanderSweep:
         assert rows == [alexander_check(graph_b3, S_FIG3)]
         assert calls == 1
 
+    def test_one_frame_for_all_subsets(self, monkeypatch, graph_b3):
+        subsets = all_subsets(graph_b3)
+        assert len(subsets) == 64 and vars(graph_b3).get("_view") is None
+        calls = []
+        zero_hat = LabeledDigraph.zero_hat
+
+        def counted(g):
+            calls.append(g)
+            return zero_hat(g)
+
+        monkeypatch.setattr(LabeledDigraph, "zero_hat", counted)
+        rows = alexander_sweep(graph_b3, subsets)
+        monkeypatch.undo()
+        assert all(row.equal for row in rows)
+        assert len(calls) == 1
+        assert vars(graph_b3).get("_view") is None  # no Edge tuple was built
+
     def test_errors_raised(self, graph_b3, graph_fig1_left):
         with pytest.raises(PreconditionFailed, match="parity"):
             alexander_sweep(graph_fig1_left, [set()])
@@ -353,6 +398,19 @@ class TestFallingSweep:
         g = LabeledDigraph(["x", "y", "z"], [("x", "y", "1"), ("x", "z", "1")], LinearRelation(["1"]))
         with pytest.raises(Unbounded):
             restrict(g, set())
+
+    def test_unbounded_comes_before_a_bad_subset(self):
+        g = LabeledDigraph(["x", "y", "z"], [("x", "y", "1"), ("x", "z", "1")], LinearRelation(["1"]))
+        for subset in ({"nope"}, {"x"}, {"y"}, set()):
+            with pytest.raises(PreconditionFailed, match="^bounded"):
+                alexander_check(g, subset)
+            with pytest.raises(PreconditionFailed, match="^bounded"):
+                alexander_sweep(g, [subset])
+            for fn in (restrict, signed_path_sums):
+                with pytest.raises(Unbounded, match="^graph has 2 sinks$"):
+                    fn(g, subset)
+        with pytest.raises(Unbounded, match="^graph has 2 sinks$"):
+            parity_condition(g)
 
 
 class TestSignedPathSums:

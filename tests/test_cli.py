@@ -2,11 +2,13 @@
 
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
-from cdindex.cli import build_parser, main
+from cdindex import cli
+from cdindex.cli import MAX_ALL_INTERIOR, build_parser, main
 from cdindex.construct import SearchReport
 from cdindex.coxeter import dihedral_bruhat_graph
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
@@ -274,6 +276,32 @@ class TestAlexanderCommand:
         )
         assert code == 2
         assert "parity" in err
+
+    def test_all_is_bounded_by_the_interior_size(self, capsys, tmp_path):
+        # 40 interior vertices: 2**40 subsets, refused before any is built
+        graph = str(tmp_path / "big.json")
+        assert run(capsys, "construct", "--cd", "5*cccc", "--out", graph)[0] == 0
+        start = time.perf_counter()
+        code, out, err = run(capsys, "alexander", "--graph", graph, "--all", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --all on 40 interior vertices exceeds the bound {MAX_ALL_INTERIOR}; "
+            "check single subsets with --subset\n"
+        )
+        code, out, err = run(capsys, "alexander", "--graph", graph, "--subset", "")
+        assert (code, err) == (0, "")
+        assert out.startswith("S={(empty)} ") and out.endswith(" equal\n")
+
+    def test_bound_admits_its_own_size(self, capsys, fixture_dir, monkeypatch):
+        graph = str(fixture_dir / "fig3_b3.json")  # 6 interior vertices
+        monkeypatch.setattr(cli, "MAX_ALL_INTERIOR", 6)
+        code, out, _ = run(capsys, "alexander", "--graph", graph, "--all", "--json")
+        assert code == 0 and len(json.loads(out)) == 64
+        monkeypatch.setattr(cli, "MAX_ALL_INTERIOR", 5)
+        code, out, err = run(capsys, "alexander", "--graph", graph, "--all", "--json")
+        assert (code, out) == (2, "")
+        assert "--all on 6 interior vertices exceeds the bound 5" in err
 
 
 class TestVertexNames:

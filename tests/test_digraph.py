@@ -1,8 +1,11 @@
 """Graph loading, interval structure, DP-computed indexes and balance."""
 
+import gc
 import random
 import re
+import time
 import tracemalloc
+import weakref
 from unittest import mock
 
 import pytest
@@ -40,6 +43,7 @@ from cdindex.ncpoly import (
     parse_cd,
     star,
 )
+from cdindex.fixtures import fig3_b3
 
 from conftest import chain, interval_by_filter, reach_by_fixpoint, witness_by_pairs
 
@@ -388,6 +392,15 @@ class TestBalance:
     def test_equivalence_unbalanced(self):
         rep = chain(["2", "1"]).check_balance_equivalence()
         assert not rep.per_length and not rep.even_length and not rep.cd_span
+
+    def test_equivalence_on_a_long_rising_chain(self):
+        # each interval's ab-index is a lone word a^k, which ab_to_cd rejects
+        # without expanding its 2^k - 1 term residual
+        g = chain(list(range(40)))
+        start = time.perf_counter()
+        rep = g.check_balance_equivalence()
+        assert time.perf_counter() - start < 1.0
+        assert (rep.per_length, rep.even_length, rep.cd_span) == (False, False, False)
 
 
 class TestCoalgebraHomomorphism:
@@ -894,6 +907,25 @@ class TestRisingFallingSweep:
         unbalanced = chain(["2", "1"])
         for g in (graph_b3, unbalanced):
             assert g.is_balanced() is g.is_balanced()
+
+    def test_memos_form_no_reference_cycle(self):
+        g = fig3_b3()
+        report = g.is_balanced()
+        assert report.balanced and report.cd_index == parse_cd("cc + d")
+        assert g.out_edges("0") == tuple(e for e in g.edges if e.tail == "0")
+        sub = g.interval("1", "123")
+        # a subgraph starts with none of its parent's memos
+        assert vars(sub).get("_balance") is None and vars(sub).get("_view") is None
+        assert sub.is_balanced() is not report
+        ref = weakref.ref(g)
+        enabled = gc.isenabled()
+        gc.disable()  # a cycle would then outlive the del below
+        try:
+            del g
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cd_index_is_computed_on_first_read(self, graph_fig1_left, monkeypatch):
         import cdindex.digraph as digraph_mod

@@ -220,7 +220,7 @@ def _eliminate(p: AbPoly) -> CdPoly:
                 residual = residual - coeff * cd_expand(CdPoly.monomial(cd_word))
         residual_total = residual_total + residual
     if residual_total:
-        raise NotInSpan(residual_total)
+        raise NotInSpan([("", dict(residual_total.items()))])
     return result
 
 
@@ -287,6 +287,29 @@ class TestAbToCd:
             ab_to_cd(p - exc.residual)
         else:
             assert got == expected
+
+    def test_leftovers_and_residual_on_first_read(self):
+        p = AbPoly({"aa": 1, "ba": 1})  # (a + b) * a: c * a
+        with pytest.raises(NotInSpan) as caught:
+            ab_to_cd(p)
+        exc = caught.value
+        assert str(exc) == "not in the span of cd-words: 1 leftover(s), the first at cd-prefix 'c'"
+        assert exc.leftovers == [("c", {"b": -1})]
+        assert "residual" not in vars(exc)
+        assert exc.residual == -(A + B) * B
+        assert exc.residual is exc.residual
+        assert ab_to_cd(p - exc.residual) == C * C
+
+    def test_lone_long_word_rejected_at_once(self):
+        # the residual of a^n has 2^n - 1 terms; the rejection builds none
+        start = time.perf_counter()
+        with pytest.raises(NotInSpan) as caught:
+            ab_to_cd(AbPoly({"a" * 3000: 1}))
+        assert time.perf_counter() - start < 0.5
+        assert str(caught.value) == (
+            "not in the span of cd-words: 3000 leftover(s), the first at cd-prefix ''"
+        )
+        assert "residual" not in vars(caught.value)
 
     def test_long_word_is_not_in_span(self):
         # the elimination walks all Fib(n) cd-words of the degree (about 1 s
