@@ -18,7 +18,10 @@ linear label relation and are balanced.
 
 The module also houses the randomized search harness looking for a
 balanced, linearly labeled, bounded digraph whose cd-index has a negative
-coefficient.  No such graph is expected; any candidate is re-verified by
+coefficient.  Each trial is drawn as ints, and its balance verdict is read
+off that int form, so unbalanced trials (most of them) are rejected before
+any vertex is named or any graph built; only balanced trials are built.
+No counterexample is expected; any candidate is re-verified by
 brute-force path enumeration before being reported, and reports are
 reproducible from their seed.
 """
@@ -32,10 +35,12 @@ from functools import lru_cache
 
 from .coxeter import dihedral_cover_interval
 from .digraph import (
+    InternalError,
     LabeledDigraph,
     LinearRelation,
     Unbounded,
     _kahn,
+    _witness,
     to_json_dict,
 )
 from .ncpoly import CdPoly, ab_to_cd, cd_sort_key
@@ -199,20 +204,32 @@ def random_labeled_dag(rng: random.Random, max_vertices: int = 8) -> LabeledDigr
     Vertices sit on levels; edges point to strictly later levels, with skip
     edges and occasional parallel edges allowed, so source-to-sink path
     lengths usually mix parities.  Labels repeat freely; at most
-    ``MAX_LABELS`` distinct ones are drawn.
+    ``MAX_LABELS`` distinct ones are drawn.  The vertices are ``v0, v1,
+    ...`` in level order and the labels ``"1", "2", ...`` in their linear
+    order; the draws are those of :func:`_draw_dag`.  A ``max_vertices``
+    that is not an int raises ``TypeError``.
+    """
+    return _named_dag(_draw_dag(rng, max_vertices))
 
-    The draws, in stream order: the number of interior vertices, then the
-    width of each interior level; for each non-sink vertex a later level and
-    a head on it; for each non-source vertex no such head reached, an
-    earlier level and a tail on it; the number of extra edges, and for each
-    a tail (any non-sink) and a head on a later level; the number of labels;
-    one label per edge, in edge order.  Each draw of a value below m takes
-    ``m.bit_length()`` bits from ``rng.getrandbits`` and draws again while
-    the value is at least m, as ``random.Random`` does for ``randint`` and
-    ``choice``, so a seed gives the graph (and leaves the generator in the
-    state) that those calls gave.  Vertices are ints while drawing: a level
-    is a contiguous range, so the work is linear in the vertex count.  A
-    ``max_vertices`` that is not an int raises ``TypeError``.
+
+def _draw_dag(rng: random.Random, max_vertices: int) -> tuple:
+    """The draws of one random graph: (n, edges, labels, label count), all ints.
+
+    Vertices are 0 .. n - 1, an edge is a (tail, head) pair with tail <
+    head, and ``labels`` holds one label rank per edge, in edge order, below
+    the label count.  The draws, in stream order: the number of interior
+    vertices, then the width of each interior level; for each non-sink
+    vertex a later level and a head on it; for each non-source vertex no
+    such head reached, an earlier level and a tail on it; the number of
+    extra edges, and for each a tail (any non-sink) and a head on a later
+    level; the number of labels; one label per edge, in edge order.  Each
+    draw of a value below m takes ``m.bit_length()`` bits from
+    ``rng.getrandbits`` and draws again while the value is at least m, as
+    ``random.Random`` does for ``randint`` and ``choice``, so a seed gives
+    the graph (and leaves the generator in the state) that those calls
+    gave.  A level is a contiguous range of vertices, so the work is
+    linear in the vertex count, and every edge points to a later level, so
+    the vertex order is a topological order.
     """
     max_vertices = operator.index(max_vertices)
     if max_vertices < 2:
@@ -253,10 +270,52 @@ def random_labeled_dag(rng: random.Random, max_vertices: int = 8) -> LabeledDigr
         edges.append((tail, later + below(n - later)))
 
     label_count = 1 + below(MAX_LABELS)
-    order = [str(i) for i in range(1, label_count + 1)]
-    names = [f"v{i}" for i in range(n)]
-    labeled = [(names[t], names[h], order[below(label_count)]) for t, h in edges]
-    return LabeledDigraph(names, labeled, LinearRelation(order))
+    return n, edges, [below(label_count) for _ in edges], label_count
+
+
+@lru_cache(maxsize=None)
+def _linear(label_count: int) -> tuple:
+    """The linear relation on "1" .. ``str(label_count)`` and its ascent masks by label rank.
+
+    Built once per label count, at most ``MAX_LABELS`` of them, and shared
+    by every drawn graph.
+    """
+    relation = LinearRelation(str(i) for i in range(1, label_count + 1))
+    return relation, relation.ascent_masks(relation.order)
+
+# v0, v1, ...: replaced by a longer list when a larger graph is named, never
+# changed in place, so a list once read stays right
+_vertex_names: list = []
+
+
+def _named_dag(draw: tuple) -> LabeledDigraph:
+    """The graph of a draw, built through the public constructor."""
+    global _vertex_names
+    n, edges, labels, label_count = draw
+    names = _vertex_names
+    if len(names) < n:
+        names = _vertex_names = [f"v{i}" for i in range(n)]
+    relation = _linear(label_count)[0]
+    order = relation.order
+    return LabeledDigraph(
+        names[:n],
+        [(names[t], names[h], order[label]) for (t, h), label in zip(edges, labels)],
+        relation,
+    )
+
+
+def _draw_is_balanced(draw: tuple) -> bool:
+    """The balance verdict of a draw, from the witness on its int form; no graph is built.
+
+    The vertex ints are a topological order and the label ranks are label
+    ids, so the out-lists by vertex and the masks of the label count are
+    the int form :func:`digraph._witness` reads.
+    """
+    n, edges, labels, label_count = draw
+    out = [[] for _ in range(n)]
+    for (t, h), label in zip(edges, labels):
+        out[t].append((h, label, None))  # the kernels read heads and label ids only
+    return _witness(out, _linear(label_count)[1]) is None
 
 
 @dataclass(frozen=True)
@@ -284,11 +343,16 @@ class SearchReport:
 def conjecture_search(seed: int, trials: int, max_vertices: int = 8) -> SearchReport:
     """Search random balanced linear labelings for a negative cd-coefficient.
 
-    Every candidate is re-verified by recomputing the ab-index through
-    explicit path enumeration before it is reported; the report never
-    asserts the nonnegativity statement, it only records what was found.
-    Identical seeds give identical reports.  A negative trial count or a
-    vertex bound below 2 raises ``ValueError`` before the first trial.
+    Each trial draws the graph of :func:`random_labeled_dag` as ints and
+    runs the balance witness on that int form; an unbalanced trial (most
+    of them) ends there, and only a balanced one is named and built
+    through the public constructor, then checked again by ``is_balanced``,
+    which also gives its cd-index.  Every candidate is re-verified by
+    recomputing the ab-index through explicit path enumeration before it
+    is reported; the report never asserts the nonnegativity statement, it
+    only records what was found.  Identical seeds give identical reports.
+    A negative trial count or a vertex bound below 2 raises ``ValueError``
+    before the first trial.
     """
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
@@ -300,10 +364,13 @@ def conjecture_search(seed: int, trials: int, max_vertices: int = 8) -> SearchRe
     balanced_found = 0
     counterexamples = []
     for trial in range(trials):
-        g = random_labeled_dag(rng, max_vertices=max_vertices)
+        draw = _draw_dag(rng, max_vertices)
+        if not _draw_is_balanced(draw):
+            continue
+        g = _named_dag(draw)
         report = g.is_balanced()
         if not report.balanced:
-            continue
+            raise InternalError(f"trial {trial}: the drawn graph's two balance verdicts disagree")
         balanced_found += 1
         negative = tuple(
             word for word, coeff in sorted(report.cd_index.items()) if coeff < 0

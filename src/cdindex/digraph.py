@@ -26,6 +26,10 @@ kernel indexes lists by position and tests ``masks[last] >> label & 1``
 for a linear order and for a list of pairs alike, with no call to
 ``relation.related``; that predicate stays behind :meth:`descent_word` and
 the path oracle, which therefore do not share the masks they check.
+The kernels on the int form, :func:`_sweep`, :func:`_path_counts` and
+:func:`_witness`, take the out-lists and masks themselves, so the search
+in :mod:`cdindex.construct` runs the balance verdict on its draws before
+it builds any graph.
 :meth:`LabeledDigraph.induced` reads a subgraph's int form off its
 parent's.  The :class:`Edge` tuples are built from the int form on first
 use.
@@ -45,7 +49,7 @@ The sweep behind the ab-index keeps, per state, a table from path length
 (and the letters past the first ``_LOW``) to one Python int that packs the
 counts of many ab-words, one fixed-width slot per word.  A descent moves
 every word's count at once by one big-int shift.  The slot width comes from
-a prepass, :meth:`LabeledDigraph._path_counts`, that counts the paths from
+a prepass, :func:`_path_counts`, that counts the paths from
 the source to every vertex: no slot can exceed that count, since
 coefficients count paths and never cancel, so no slot carries into the
 next.  Each result is decoded once, and its coefficients must sum to the
@@ -244,11 +248,11 @@ Path = tuple  # tuple of Edge with matching heads and tails
 _BITS_TO_AB = str.maketrans("01", "ab")
 
 # letters of an ab-word packed into the slot index of a sweep table; the
-# rest ride in the table key (see LabeledDigraph._sweep)
+# rest ride in the table key (see _sweep)
 _LOW = 10
 
 # sources sharing one run-count sweep of the balance check, after the lone
-# first one (see LabeledDigraph._balance_witness).  On the whole S6 Bruhat graph and
+# first one (see _witness).  On the whole S6 Bruhat graph and
 # on a 15,942-vertex realized graph, chunks of 32, 64 and 128 took 0.25,
 # 0.19 and 0.16 s and 0.73, 0.63 and 0.60 s (medians of 7, Python 3.11.7,
 # 2 vCPUs); 256 gained no more
@@ -359,6 +363,211 @@ class BalanceEquivalenceReport:
         return self.per_length
 
 
+def _sweep(
+    out: list, masks: list, start: int, width: int = 0, count: int = 1, block: int = 0
+) -> Iterator[tuple]:
+    """The (position, last label) states of paths from ``start``, one position at a time.
+
+    ``out`` and ``masks`` are an int form (see the module docstring):
+    positions in topological order, out-edges as (head position, label id,
+    key).  A state holds a pair (asc, desc) of tables: the one read when the
+    next edge makes an ascent and the one read at a descent.  With a slot
+    ``width`` (in bits) the two are one ab-word table; with width 0 they
+    are run-count tables.
+
+    An ab-word table maps a key to one int that packs the counts of many
+    words.  A path of k edges has k - 1 letters; the first ``_LOW`` of
+    them pick the slot, letter i being bit i of the slot index (a = 0,
+    b = 1), and slot w sits at bits ``w*width`` up to ``(w+1)*width``.
+    The key is k + n*hi, with n the number of vertices (more than any
+    path length) and bit j of hi the letter ``_LOW + j``; hi is 0, and
+    the key just k, for paths of at most ``_LOW + 1`` edges.  An ascent
+    maps key k to k + 1 and keeps the int.  A descent at letter position
+    p = k - 1 < ``_LOW`` also shifts the int by ``width << p``, which
+    moves every word's count to the slot with bit p set in one big-int
+    operation; a descent at a later position sets bit p - ``_LOW`` of
+    hi instead.  The cap keeps an int to at most ``2**_LOW`` slots, so a
+    long chain costs one entry per length, not one slot per word.
+
+    A slot counts paths from the start to one vertex, and coefficients
+    never cancel, so no slot exceeds the number of paths from the start
+    to any vertex.  A width at least that count's bit length therefore
+    never carries one slot into the next: the caller's duty (see
+    :func:`_path_counts`).
+
+    A run-count table maps a path length to a count: asc counts the
+    rising paths and desc the falling ones, and a one-edge path is in
+    both.  A run-count sweep may start from ``count`` sources at once:
+    positions ``start`` up to ``start + count - 1``.  Source i owns bits
+    ``block*i`` up to ``block*(i+1)`` of every count, seeded with
+    ``1 << block*i`` along its out-edges at length 1, and the additions
+    below then count every source's paths in one int.  A field counts
+    paths from its source to one vertex, so a ``block`` at least the bit
+    length of the number of paths ending at any vertex never carries one
+    field into the next: the caller's duty (see :func:`_path_counts`).
+    An ab-word sweep has one source.
+
+    The sources are seeded before the walk; additions commute, so a
+    state is the same as when each source is seeded on reaching it.
+    Positions are taken in order, so when the sweep reaches position p
+    its states are final: it yields (p, {last label id: (asc, desc)}),
+    drops them, and only then extends p's paths along its out-edges.
+    An edge with label id ``last`` continues a path whose last label id
+    is ``label`` by an ascent iff bit ``label`` of ``masks[last]`` is
+    set; the test and the choice of table are made once per (out-edge,
+    last label).  Every position reachable from a source, and no other,
+    is yielded, so a caller may stop early.
+    """
+    words = width > 0
+    stride = len(out)
+    state: list = [None] * stride
+    for i in range(count):
+        seed = 1 << block * i
+        for h, last, _ in out[start + i]:
+            row = state[h]
+            if row is None:
+                row = state[h] = {}
+            pair = row.get(last)
+            if pair is None:
+                asc = {}
+                pair = row[last] = (asc, asc if words else {})
+            asc, desc = pair
+            asc[1] = asc.get(1, 0) + seed
+            if desc is not asc:
+                desc[1] = desc.get(1, 0) + seed
+    for p in range(start + 1, stride):
+        table = state[p]
+        if table is None:
+            continue
+        state[p] = None
+        yield p, table
+        for h, last, _ in out[p]:
+            mask = masks[last]
+            row = state[h]
+            if row is None:
+                row = state[h] = {}
+            pair = row.get(last)
+            if pair is None:
+                asc_to = {}
+                pair = row[last] = (asc_to, asc_to if words else {})
+            asc_to, desc_to = pair
+            for label, (asc, desc) in table.items():
+                if mask >> label & 1:
+                    src, dst = asc, asc_to
+                elif words:
+                    for key, n in desc.items():
+                        # a key with high letters exceeds n > _LOW + 1, so
+                        # key <= _LOW means hi = 0 and a letter at key - 1 < _LOW
+                        if key <= _LOW:
+                            n <<= width << (key - 1)
+                            key += 1
+                        else:
+                            key += 1 + (stride << (key % stride - 1 - _LOW))
+                        desc_to[key] = desc_to.get(key, 0) + n
+                    continue
+                else:
+                    src, dst = desc, desc_to
+                for k, c in src.items():
+                    k += 1
+                    dst[k] = dst.get(k, 0) + c
+
+
+def _sums(table: dict) -> tuple[dict, dict]:
+    """A yielded position's (asc, desc) pair, each summed over its last labels."""
+    if len(table) == 1:  # nothing to add: the pair itself, not a copy
+        return next(iter(table.values()))
+    asc_sum: dict[int, int] = {}
+    desc_sum: dict[int, int] = {}
+    for asc, desc in table.values():
+        for w, c in asc.items():
+            asc_sum[w] = asc_sum.get(w, 0) + c
+        if desc is asc:
+            desc_sum = asc_sum
+            continue
+        for w, c in desc.items():
+            desc_sum[w] = desc_sum.get(w, 0) + c
+    return asc_sum, desc_sum
+
+
+def _path_counts(out: list, start: int | None = None, end: int | None = None) -> tuple[list, int]:
+    """Paths ending at every position of an int form, by one pass in order, and the largest count.
+
+    Seeded 1 at position ``start``, a count is the number of paths from it
+    (0 where unreachable); no slot of a packed ab-word table exceeds it, so
+    a slot as wide as the largest count, in whole bytes, never carries.
+    With an ``end`` position the pass ends there, and only the counts up
+    to it, the ones feeding its table, are final and compared.  Seeded 1
+    at every position (no start), a count is N(y), the number of paths
+    ending at y from any start, the empty one included; a run-count field
+    counts fewer, so a field as wide as the largest N(y) in bits never
+    carries into the next.
+    """
+    if start is None:
+        start, counts = 0, [1] * len(out)
+    else:
+        counts = [0] * len(out)
+        counts[start] = 1
+    largest = 1
+    for p in range(start, len(out) if end is None else end + 1):
+        c = counts[p]
+        if c:
+            if c > largest:
+                largest = c
+            for h, _, _ in out[p]:
+                counts[h] += c
+    return counts, largest
+
+
+def _witness(out: list, masks: list) -> BalanceWitness | None:
+    """The first source position with an unbalanced interval, and its first one, on an int form.
+
+    The witness names positions; :meth:`LabeledDigraph._balance_witness`
+    names vertices, and ``construct.conjecture_search`` reads the verdict
+    off its draws before it builds a graph.  Position 0 goes alone and
+    unpacked, so a graph that is unbalanced there costs one plain sweep,
+    as most random graphs are; then ``_CHUNK`` consecutive positions share
+    each sweep, and the field width is computed once, before the first
+    sweep of two or more sources.  The last position is a sink and starts
+    no interval, so it is never a source.  At each position a chunk's
+    differing sources are the fields set in the XOR of the rising and
+    falling counts over the lengths; the lowest set bit names the lowest
+    such source.  Positions come in order, so the first position at which
+    the lowest source differs is kept, and the sweep stops once the
+    chunk's first source differs.
+    """
+    last = len(out) - 1
+    start, count, block = 0, min(1, last), 0
+    while count > 0:
+        found = None  # (source, position, r, f) of the lowest differing source
+        for p, table in _sweep(out, masks, start, 0, count, block):
+            r, f = _sums(table)
+            if r == f:
+                continue
+            i = 0
+            if block:
+                diff = 0
+                for k in r.keys() | f.keys():
+                    diff |= r.get(k, 0) ^ f.get(k, 0)
+                i = ((diff & -diff).bit_length() - 1) // block
+            if found is None or i < found[0]:
+                found = i, p, r, f
+                if not i:
+                    break
+        if found is not None:
+            i, p, r, f = found
+            if block:  # the lowest differing source's own counts
+                shift, mask = block * i, (1 << block) - 1
+                r = {k: c >> shift & mask for k, c in r.items()}
+                f = {k: c >> shift & mask for k, c in f.items()}
+            k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
+            return BalanceWitness(start + i, p, k, r.get(k, 0), f.get(k, 0))
+        start += count
+        count = min(_CHUNK, last - start)
+        if count > 1 and not block:
+            block = _path_counts(out)[1].bit_length()
+    return None
+
+
 class LabeledDigraph:
     """Finite acyclic multidigraph with labeled edges and a label relation.
 
@@ -422,6 +631,7 @@ class LabeledDigraph:
         self._masks = masks
         self.relation = relation
         self._frame = None  # kept by alexander._frame
+        self._balance = None  # kept by is_balanced
 
     def _place(self, v) -> int:
         """The position of vertex v; GraphError names v when it is none."""
@@ -661,164 +871,12 @@ class LabeledDigraph:
 
     # -- dynamic programming ----------------------------------------------
 
-    def _sweep(self, x, width: int = 0, count: int = 1, block: int = 0) -> Iterator[tuple]:
-        """The (position, last label) states of paths from x, one position at a time.
-
-        A state holds a pair (asc, desc) of tables: the one read when the
-        next edge makes an ascent and the one read at a descent.  With a
-        slot ``width`` (in bits) the two are one ab-word table; with width 0
-        they are run-count tables.
-
-        An ab-word table maps a key to one int that packs the counts of many
-        words.  A path of k edges has k - 1 letters; the first ``_LOW`` of
-        them pick the slot, letter i being bit i of the slot index (a = 0,
-        b = 1), and slot w sits at bits ``w*width`` up to ``(w+1)*width``.
-        The key is k + n*hi, with n the number of vertices (more than any
-        path length) and bit j of hi the letter ``_LOW + j``; hi is 0, and
-        the key just k, for paths of at most ``_LOW + 1`` edges.  An ascent
-        maps key k to k + 1 and keeps the int.  A descent at letter position
-        p = k - 1 < ``_LOW`` also shifts the int by ``width << p``, which
-        moves every word's count to the slot with bit p set in one big-int
-        operation; a descent at a later position sets bit p - ``_LOW`` of
-        hi instead.  The cap keeps an int to at most ``2**_LOW`` slots, so a
-        long chain costs one entry per length, not one slot per word.
-
-        A slot counts paths from x to one vertex, and coefficients never
-        cancel, so no slot exceeds the number of paths from x to any vertex.
-        A width at least that count's bit length therefore never carries
-        one slot into the next: the caller's duty (see :meth:`_path_counts`).
-
-        A run-count table maps a path length to a count: asc counts the
-        rising paths and desc the falling ones, and a one-edge path is in
-        both.  A run-count sweep may start from ``count`` sources at once:
-        the positions of x and the ``count - 1`` positions after it.  Source
-        i owns bits ``block*i`` up to ``block*(i+1)`` of every count, seeded
-        with ``1 << block*i`` along its out-edges at length 1, and the
-        additions below then count every source's paths in one int.  A
-        field counts paths from its source to one vertex, so a ``block`` at
-        least the bit length of the number of paths ending at any vertex
-        never carries one field into the next: the caller's duty (see
-        :meth:`_path_counts`).  An ab-word sweep has one source.
-
-        The sources are seeded before the walk; additions commute, so a
-        state is the same as when each source is seeded on reaching it.
-        Positions are taken in order, so when the sweep reaches position p
-        its states are final: it yields (p, {last label id: (asc, desc)}),
-        drops them, and only then extends p's paths along its out-edges.
-        An edge with label id ``last`` continues a path whose last label id
-        is ``label`` by an ascent iff bit ``label`` of ``masks[last]`` is
-        set; the test and the choice of table are made once per (out-edge,
-        last label).  Every position reachable from a source, and no other,
-        is yielded, so a caller may stop early.
-        """
-        out, masks = self._out, self._masks
-        words = width > 0
-        stride = len(out)
-        start = self._pos[x]
-        state: list = [None] * stride
-        for i in range(count):
-            seed = 1 << block * i
-            for h, last, _ in out[start + i]:
-                row = state[h]
-                if row is None:
-                    row = state[h] = {}
-                pair = row.get(last)
-                if pair is None:
-                    asc = {}
-                    pair = row[last] = (asc, asc if words else {})
-                asc, desc = pair
-                asc[1] = asc.get(1, 0) + seed
-                if desc is not asc:
-                    desc[1] = desc.get(1, 0) + seed
-        for p in range(start + 1, stride):
-            table = state[p]
-            if table is None:
-                continue
-            state[p] = None
-            yield p, table
-            for h, last, _ in out[p]:
-                mask = masks[last]
-                row = state[h]
-                if row is None:
-                    row = state[h] = {}
-                pair = row.get(last)
-                if pair is None:
-                    asc_to = {}
-                    pair = row[last] = (asc_to, asc_to if words else {})
-                asc_to, desc_to = pair
-                for label, (asc, desc) in table.items():
-                    if mask >> label & 1:
-                        src, dst = asc, asc_to
-                    elif words:
-                        for key, n in desc.items():
-                            # a key with high letters exceeds n > _LOW + 1, so
-                            # key <= _LOW means hi = 0 and a letter at key - 1 < _LOW
-                            if key <= _LOW:
-                                n <<= width << (key - 1)
-                                key += 1
-                            else:
-                                key += 1 + (stride << (key % stride - 1 - _LOW))
-                            desc_to[key] = desc_to.get(key, 0) + n
-                        continue
-                    else:
-                        src, dst = desc, desc_to
-                    for k, c in src.items():
-                        k += 1
-                        dst[k] = dst.get(k, 0) + c
-
-    @staticmethod
-    def _sums(table: dict) -> tuple[dict, dict]:
-        """A yielded position's (asc, desc) pair, each summed over its last labels."""
-        if len(table) == 1:  # nothing to add: the pair itself, not a copy
-            return next(iter(table.values()))
-        asc_sum: dict[int, int] = {}
-        desc_sum: dict[int, int] = {}
-        for asc, desc in table.values():
-            for w, c in asc.items():
-                asc_sum[w] = asc_sum.get(w, 0) + c
-            if desc is asc:
-                desc_sum = asc_sum
-                continue
-            for w, c in desc.items():
-                desc_sum[w] = desc_sum.get(w, 0) + c
-        return asc_sum, desc_sum
-
-    def _path_counts(self, x=None, stop=None) -> tuple[list, int]:
-        """Paths ending at every position, by one pass in topological order, and the largest count.
-
-        Seeded 1 at x, a count is the number of paths from x (0 where
-        unreachable); no slot of a packed ab-word table exceeds it, so a
-        slot as wide as the largest count, in whole bytes, never carries.
-        With a ``stop`` vertex the pass ends there, and only the counts up
-        to it, the ones feeding its table, are final and compared.  Seeded
-        1 at every position (no x), a count is N(y), the number of paths
-        ending at y from any start, the empty one included; a run-count
-        field counts fewer, so a field as wide as the largest N(y) in bits
-        never carries into the next.
-        """
-        out = self._out
-        if x is None:
-            start, counts = 0, [1] * len(out)
-        else:
-            start, counts = self._pos[x], [0] * len(out)
-            counts[start] = 1
-        end = len(out) if stop is None else self._pos[stop] + 1
-        largest = 1
-        for p in range(start, end):
-            c = counts[p]
-            if c:
-                if c > largest:
-                    largest = c
-                for h, _, _ in out[p]:
-                    counts[h] += c
-        return counts, largest
-
-    def _ab_sweep(self, x) -> Iterator[tuple]:
-        """(p, ab-index of [x, v]) for the position p of every v reachable from x, in order."""
-        counts, largest = self._path_counts(x)
+    def _ab_sweep(self, start: int) -> Iterator[tuple]:
+        """(p, ab-index of [x, v]) for the position p of every v that x, at ``start``, reaches."""
+        counts, largest = _path_counts(self._out, start)
         width = (largest.bit_length() + 7) & -8
-        for p, table in self._sweep(x, width):
-            yield p, self._decode(self._sums(table)[0], width, counts[p])
+        for p, table in _sweep(self._out, self._masks, start, width):
+            yield p, self._decode(_sums(table)[0], width, counts[p])
 
     def _decode(self, table: dict, width: int, paths: int) -> AbPoly:
         """The AbPoly of a packed ab-word table, checked against its number of paths."""
@@ -855,7 +913,7 @@ class LabeledDigraph:
         self._require(x)
         topo = self._topo
         psi = dict.fromkeys(self._vertices, AbPoly.zero())
-        psi.update((topo[p], poly) for p, poly in self._ab_sweep(x))
+        psi.update((topo[p], poly) for p, poly in self._ab_sweep(self._pos[x]))
         return psi
 
     def ab_index(self, x, y) -> AbPoly:
@@ -867,9 +925,10 @@ class LabeledDigraph:
         self._require(x, y)
         if x == y:
             return AbPoly.zero()
-        counts, largest = self._path_counts(x, y)
+        end = self._pos[y]
+        counts, largest = _path_counts(self._out, self._pos[x], end)
         width = (largest.bit_length() + 7) & -8
-        return self._decode(self._end_state(x, y, width)[0], width, counts[self._pos[y]])
+        return self._decode(self._end_state(x, y, width)[0], width, counts[end])
 
     def _end_state(self, x, y, width: int = 0) -> tuple[dict, dict]:
         """y's (asc, desc) pair in the sweep from x, summed over its last labels.
@@ -877,9 +936,9 @@ class LabeledDigraph:
         The sweep stops at y; NoPath is raised when it never reaches y.
         """
         end = self._pos[y]
-        for p, table in self._sweep(x, width):
+        for p, table in _sweep(self._out, self._masks, self._pos[x], width):
             if p == end:
-                return self._sums(table)
+                return _sums(table)
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     @staticmethod
@@ -908,60 +967,12 @@ class LabeledDigraph:
         self._require(x)
         topo = self._topo
         capitals = {x: (IntPoly.one(), IntPoly.one())}
-        for p, table in self._sweep(x):
-            r, f = self._sums(table)
+        for p, table in _sweep(self._out, self._masks, self._pos[x]):
+            r, f = _sums(table)
             capitals[topo[p]] = self._poly(r, 0), self._poly(f, 0)
         return capitals
 
     # -- balance -----------------------------------------------------------
-
-    def _balance_witness(self) -> BalanceWitness | None:
-        """The first source in topological order with an unbalanced interval, and its first one.
-
-        Position 0 goes alone and unpacked, so a graph that is unbalanced
-        there costs one plain sweep, as most random graphs are; then
-        ``_CHUNK`` consecutive positions share each sweep, and the field
-        width is computed once, before the first sweep of two or more
-        sources.  The last position is a sink and starts no interval, so
-        it is never a source.  At each position a chunk's differing
-        sources are the fields set in the XOR of the rising and falling
-        counts over the lengths; the lowest set bit names the lowest such
-        source.  Positions come in order, so the first position at which
-        the lowest source differs is kept, and the sweep stops once the
-        chunk's first source differs.
-        """
-        topo = self._topo
-        last = len(topo) - 1
-        start, count, block = 0, min(1, last), 0
-        while count > 0:
-            found = None  # (source, position, r, f) of the lowest differing source
-            for p, table in self._sweep(topo[start], 0, count, block):
-                r, f = self._sums(table)
-                if r == f:
-                    continue
-                i = 0
-                if block:
-                    diff = 0
-                    for k in r.keys() | f.keys():
-                        diff |= r.get(k, 0) ^ f.get(k, 0)
-                    i = ((diff & -diff).bit_length() - 1) // block
-                if found is None or i < found[0]:
-                    found = i, p, r, f
-                    if not i:
-                        break
-            if found is not None:
-                i, p, r, f = found
-                if block:  # the lowest differing source's own counts
-                    shift, mask = block * i, (1 << block) - 1
-                    r = {k: c >> shift & mask for k, c in r.items()}
-                    f = {k: c >> shift & mask for k, c in f.items()}
-                k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
-                return BalanceWitness(topo[start + i], topo[p], k, r.get(k, 0), f.get(k, 0))
-            start += count
-            count = min(_CHUNK, last - start)
-            if count > 1 and not block:
-                block = self._path_counts()[1].bit_length()
-        return None
 
     def is_balanced(self) -> BalanceReport:
         """Check that every interval has r = f; report a witness or the cd-index.
@@ -973,17 +984,24 @@ class LabeledDigraph:
         The graph is immutable, so the report is computed once and returned
         again on every later call.
         """
-        return self._balance
+        report = self._balance
+        if report is None:
+            witness = self._balance_witness()
+            # a shallow copy, made before the report is kept, shares this
+            # graph's immutable tables but not the report, so graph and
+            # report form no reference cycle and are freed by reference counting
+            report = self._balance = BalanceReport(
+                witness is None, witness, copy.copy(self) if witness is None else None
+            )
+        return report
 
-    @cached_property
-    def _balance(self) -> BalanceReport:
-        witness = self._balance_witness()
-        if witness is not None:
-            return BalanceReport(balanced=False, witness=witness)
-        # a shallow copy shares this graph's immutable tables but not the
-        # report, so graph and report form no reference cycle and are freed
-        # by reference counting
-        return BalanceReport(balanced=True, _graph=copy.copy(self))
+    def _balance_witness(self) -> BalanceWitness | None:
+        """The witness of :func:`_witness` on this graph's int form, with vertices for positions."""
+        witness = _witness(self._out, self._masks)
+        if witness is None:
+            return None
+        topo = self._topo
+        return witness._replace(x=topo[witness.x], y=topo[witness.y])
 
     def check_balance_equivalence(self) -> BalanceEquivalenceReport:
         """Evaluate the three balance characterizations independently.
@@ -996,23 +1014,24 @@ class LabeledDigraph:
         the packed counts of run-count sweeps from ``_CHUNK`` sources each,
         every source's field at once (this check never stops early, so
         position 0 does not go alone as in :meth:`is_balanced`), with the
-        field width of :meth:`_path_counts`; the cd-span verdict decodes
+        field width of :func:`_path_counts`; the cd-span verdict decodes
         one ab-word sweep per source.
         """
-        topo = self._topo
+        out = self._out
         per_length = True
         even_length = True
-        block = self._path_counts()[1].bit_length()
-        for start in range(0, len(topo), _CHUNK):
-            for _, table in self._sweep(topo[start], 0, min(_CHUNK, len(topo) - start), block):
-                r, f = self._sums(table)
+        block = _path_counts(out)[1].bit_length()
+        for start in range(0, len(out), _CHUNK):
+            count = min(_CHUNK, len(out) - start)
+            for _, table in _sweep(out, self._masks, start, 0, count, block):
+                r, f = _sums(table)
                 if r != f:
                     per_length = False
                 if any(r.get(k, 0) != f.get(k, 0) for k in r.keys() | f.keys() if k % 2 == 0):
                     even_length = False
         cd_span = True
-        for x in topo:
-            for _, psi in self._ab_sweep(x):
+        for start in range(len(out)):
+            for _, psi in self._ab_sweep(start):
                 try:
                     ab_to_cd(psi)
                 except NotInSpan:

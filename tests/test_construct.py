@@ -438,6 +438,19 @@ class TestRandomDag:
             assert 2 <= len(g.vertices) <= 8
             assert isinstance(g.relation, LinearRelation)
 
+    def test_int_form_verdict_matches_the_built_graph(self):
+        verdicts = set()
+        for seed in range(500):
+            for cap in (2, 3, 5, 8, 12):
+                drawn, built = random.Random(seed), random.Random(seed)
+                for _ in range(2):  # the second graph starts where the first left off
+                    balanced = construct_mod._draw_is_balanced(construct_mod._draw_dag(drawn, cap))
+                    g = random_labeled_dag(built, max_vertices=cap)
+                    assert balanced == g.is_balanced().balanced, (seed, cap)
+                    verdicts.add(balanced)
+                assert drawn.random() == built.random(), (seed, cap)
+        assert verdicts == {True, False}
+
     def test_deterministic(self):
         g1 = random_labeled_dag(random.Random(7), max_vertices=8)
         g2 = random_labeled_dag(random.Random(7), max_vertices=8)
@@ -447,16 +460,51 @@ class TestRandomDag:
         ]
 
 
+def balanced_found_by_building(seed, trials, max_vertices):
+    """Oracle for the search's count: build every trial's graph, then ask ``is_balanced``."""
+    rng = random.Random(seed)
+    return sum(
+        random_labeled_dag(rng, max_vertices=max_vertices).is_balanced().balanced
+        for _ in range(trials)
+    )
+
+
 class TestConjectureSearch:
     @pytest.mark.parametrize("trials, max_vertices", [(-5, 8), (-1, 2), (0, 1), (3, 1)])
     def test_bounds_checked_before_the_first_trial(self, monkeypatch, trials, max_vertices):
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(construct_mod, "random_labeled_dag", no_trial)
+        monkeypatch.setattr(construct_mod, "_draw_dag", no_trial)
         with pytest.raises(ValueError):
             conjecture_search(seed=1, trials=trials, max_vertices=max_vertices)
         assert conjecture_search(seed=1, trials=0, max_vertices=2).trials == 0
+        # the patched step is the one every trial takes
+        with pytest.raises(AssertionError, match="a trial ran"):
+            conjecture_search(seed=1, trials=1, max_vertices=2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_vertices", [2, 3, 5, 8, 12])
+    def test_balanced_count_matches_building_every_trial(self, seed, max_vertices):
+        report = conjecture_search(seed=seed, trials=300, max_vertices=max_vertices)
+        assert report.balanced_found == balanced_found_by_building(seed, 300, max_vertices)
+
+    def test_builds_only_balanced_trials(self, monkeypatch):
+        built = []
+        named = construct_mod._named_dag
+
+        def counted(draw):
+            built.append(draw)
+            return named(draw)
+
+        monkeypatch.setattr(construct_mod, "_named_dag", counted)
+        report = conjecture_search(seed=42, trials=1000, max_vertices=8)
+        assert len(built) == report.balanced_found == 178
+
+    def test_disagreeing_verdicts_raise(self, monkeypatch):
+        monkeypatch.setattr(construct_mod, "_draw_is_balanced", lambda draw: True)
+        with pytest.raises(digraph_mod.InternalError, match="trial 0: .* disagree"):
+            conjecture_search(seed=42, trials=1000, max_vertices=8)
 
     def test_small_run_clean(self):
         report = conjecture_search(seed=42, trials=300, max_vertices=7)

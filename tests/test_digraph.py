@@ -734,8 +734,8 @@ class TestPackedTables:
 
         def packed(width):
             end = g.topological_order.index("v2")
-            (table,) = (t for p, t in g._sweep("v0", width) if p == end)
-            return g._sums(table)[0]
+            (table,) = (t for p, t in digraph_mod._sweep(g._out, g._masks, 0, width) if p == end)
+            return digraph_mod._sums(table)[0]
 
         with pytest.raises(InternalError):
             g._decode(packed(8), 8, 512)
@@ -750,9 +750,10 @@ class TestPackedTables:
         def slot_width(largest):  # the largest count's bit length in whole bytes
             return (largest.bit_length() + 7) & -8
 
-        counts, largest = g._path_counts("v0", "v2")
-        assert (counts[g.topological_order.index("v2")], slot_width(largest)) == (4, 8)
-        assert slot_width(g._path_counts("v0")[1]) == 24
+        end = g.topological_order.index("v2")
+        counts, largest = digraph_mod._path_counts(g._out, 0, end)
+        assert (counts[end], slot_width(largest)) == (4, 8)
+        assert slot_width(digraph_mod._path_counts(g._out, 0)[1]) == 24
         assert g.ab_index("v0", "v2") == g.ab_index_by_paths("v0", "v2")
         assert g.ab_index("v0", "v3") == g.ab_index_by_paths("v0", "v3")
         with pytest.raises(NoPath):
@@ -828,6 +829,12 @@ class TestRisingFallingSweep:
     def test_witness_matches_brute_force(self, g):
         assert_witness_is_brute_force(g)
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_dags())
+    def test_equivalence_matches_brute_force(self, g):
+        rep = g.check_balance_equivalence()
+        assert rep.per_length == rep.even_length == rep.cd_span == (brute_force_witness(g) is None)
+
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     @settings(max_examples=60, deadline=None)
     @given(g=random_dags())
@@ -864,16 +871,16 @@ class TestRisingFallingSweep:
         base = ladder([["x", "y"]] * 16, PairsRelation(pairs))
         g = LabeledDigraph(["r", *base.vertices], [e[:3] for e in base.edges], base.relation)
         topo = g.topological_order
-        counts, largest = g._path_counts()
+        counts, largest = digraph_mod._path_counts(g._out)
         block = largest.bit_length()
         assert counts[topo.index("v16")] == largest == 2 ** 17 - 1
         assert topo[:2] == ("r", "v0") and block == 17
         fields = 0
-        for p, table in g._sweep("v0", count=17, block=block):
+        for p, table in digraph_mod._sweep(g._out, g._masks, 1, count=17, block=block):
             for i, x in enumerate(topo[1:p]):
                 r, f = (
                     IntPoly({k - 1: c >> block * i & (1 << block) - 1 for k, c in t.items()})
-                    for t in g._sums(table)
+                    for t in digraph_mod._sums(table)
                 )
                 assert (r, f) == g.rising_falling(x, topo[p])
                 fields += 1
@@ -886,6 +893,20 @@ class TestRisingFallingSweep:
             with mock.patch.object(digraph_mod, "_CHUNK", chunk):
                 witness = g._balance_witness()
             assert (witness and tuple(witness)) == expected
+
+    def test_a_count_filling_the_top_bit_of_its_field(self):
+        # an isolated r goes alone, so s and y share one sweep.  N(z) = 2**16 + 2
+        # gives 17-bit fields, and the 2**16 rising 2-paths from s to z fill
+        # the top bit of s's field: one bit less would carry them into y's
+        m = 2 ** 16
+        g = LabeledDigraph(
+            ["r", "s", "y", "z"],
+            [("s", "y", "1")] * m + [("y", "z", "2")],
+            LinearRelation(["1", "2"]),
+        )
+        assert g.topological_order == ("r", "s", "y", "z")
+        assert digraph_mod._path_counts(g._out)[1].bit_length() == 17
+        assert tuple(g.is_balanced().witness) == ("s", "z", 2, m, 0)
 
     def test_witness_is_first_length(self):
         # [s, c] is balanced (one rising, one falling 2-path); [s, y] has one
