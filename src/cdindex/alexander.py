@@ -13,9 +13,7 @@ same parity, the falling paths of G_S and of the complementary restriction
 G_T satisfy a duality: evaluating each falling-path generating polynomial
 at -1 gives values that agree up to the sign (-1)^(longest length - 1).
 The module checks this identity and also evaluates the underlying signed
-path sums directly on the base graph.  Since the identity for S and for T
-compares the same two values, :func:`alexander_sweep` checks many splits
-with one pair of restrictions per complementary pair {S, T}.
+path sums directly on the base graph.
 
 A falling path of G_S is the same thing as a base source-to-sink path that
 descends at every vertex of S and ascends at every other interior vertex,
@@ -24,6 +22,17 @@ so each side of the identity is one signed sweep over the base graph's
 stays the paper's construction: it validates at once, and builds G_S on
 the first read of :attr:`RestrictedDigraph.graph`, which the tests use as
 the sweep's oracle beside :func:`signed_path_sums`.
+
+The sweep's factor at an interior vertex v is the same for every S once
+written with s_v = [v in S]: a path passes v with weight [ascent at v] -
+s_v, since exactly one of ascent and descent holds.  So the falling value
+of G_S at -1 is a multilinear integer polynomial in the s_v, the sum over
+T within S of its coefficients c_T.  :func:`alexander_sweep`, behind
+``cdindex alexander --all``, computes every coefficient in one sweep and
+every split's value by one subset-sum pass over the 2^k splits of k
+interior vertices, and checks the empty split against
+:func:`alexander_check`; ``--subset`` calls :func:`alexander_check`, two
+plain signed sweeps, so one split of a graph of any size stays cheap.
 
 Everything a check needs to know of the graph itself, the source and sink
 positions, the interior vertices and the parity condition, is the graph's
@@ -34,11 +43,13 @@ on the graph, so each check reads it instead of working it out again.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add
 from typing import Hashable, Iterable, NamedTuple
 
-from .digraph import LabeledDigraph, PairsRelation
+from .digraph import GraphError, InternalError, LabeledDigraph, PairsRelation
 
 __all__ = [
+    "MAX_SWEEP_INTERIOR",
     "AlexanderResult",
     "ParityResult",
     "PreconditionFailed",
@@ -49,6 +60,10 @@ __all__ = [
     "restrict",
     "signed_path_sums",
 ]
+
+# alexander_sweep tabulates 2**k values for k interior vertices
+MAX_SWEEP_INTERIOR = 18
+
 
 class PreconditionFailed(ValueError):
     """A hypothesis of the duality statement does not hold; names which one."""
@@ -252,24 +267,111 @@ def alexander_sweep(
 ) -> list[AlexanderResult]:
     """The rows of :func:`alexander_check` for every subset, in input order.
 
-    One check is made per complementary pair {S, T}: the row of T follows
-    exactly from the two values computed for S, lhs_T = sign * rhs_S and
-    rhs_T = sign * lhs_S with sign = (-1) ** (longest length - 1), so the
-    restrictions G_S and G_T are each built once whichever of S and T the
-    subsets name.  No use is made of the duality itself.
+    Checks the hypotheses, then every subset, as :func:`alexander_check`
+    would, and reads every row off one table of the falling values of all
+    2^k splits (:func:`_falling_table`): the row of S is (value(S),
+    sign * value(T)) with sign = (-1) ** (longest length - 1).  No use is
+    made of the duality itself.  The row of the empty split is also
+    computed by :func:`alexander_check`, from two signed sweeps, and a
+    disagreement raises ``InternalError``.  A graph with more than
+    ``MAX_SWEEP_INTERIOR`` interior vertices raises ``GraphError``.
     """
-    rows: dict[frozenset, AlexanderResult] = {}
-    result = []
-    for subset in map(frozenset, subsets):
-        if subset not in rows:
-            row = rows[subset] = alexander_check(g, subset)
-            sign = _sign(parity_condition(g))
-            rows.setdefault(
-                _frame(g).interior - subset,
-                AlexanderResult(lhs=sign * row.rhs, rhs=sign * row.lhs, equal=row.equal),
-            )
-        result.append(rows[subset])
-    return result
+    subsets = list(subsets)
+    if not subsets:
+        return []
+    guard = alexander_check(g, ())
+    interior = _frame(g).interior
+    pos = g._pos
+    bit = {v: 1 << pos[v] - 1 for v in interior}  # the source has position 0
+    picks = [sum(map(bit.__getitem__, _checked_subset(g, s))) for s in subsets]
+    if len(interior) > MAX_SWEEP_INTERIOR:
+        raise GraphError(
+            f"alexander_sweep on {len(interior)} interior vertices exceeds the bound "
+            f"{MAX_SWEEP_INTERIOR}; check single subsets with alexander_check"
+        )
+    table = _falling_table(g)
+    sign = _sign(parity_condition(g))
+    full = len(table) - 1
+
+    def row(m: int) -> AlexanderResult:
+        lhs, rhs = table[m], sign * table[full ^ m]
+        return AlexanderResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
+
+    if row(0) != guard:
+        raise InternalError(
+            f"the falling table gives {row(0)} for the empty split, "
+            f"alexander_check {guard}"
+        )
+    return [row(m) for m in picks]
+
+
+def _falling_table(g: LabeledDigraph) -> list[int]:
+    """The falling count of G_S at -1 for every interior subset S, by bitmask.
+
+    Entry m is ``restrict(g, S).falling_at_minus_one()`` for the S holding
+    the vertex at topological position p exactly when bit p - 1 of m is set;
+    g need only be bounded.  A path's weight in that sweep is the product
+    over its interior vertices v of [ascent at v] - s_v, so the value is a
+    multilinear polynomial in the s_v.  One pass over the int form carries,
+    for each (position, last label) state, the polynomial of the paths
+    reaching it as {T bitmask: coefficient}: an out-edge of p takes the sum
+    of the polynomials whose last label ascends into its own, plus the
+    shared term -s_p times the sum of all of p's polynomials.  A subset-sum
+    pass then turns the sink's coefficients c_T into the sums over T within
+    S, one per S.
+    """
+    out, masks = g._out, g._masks
+    start, end, interior, _ = _frame(g)
+    state = [{} for _ in out]  # {last label id: {T bitmask: coefficient}} per position
+    for h, last, _ in out[start]:
+        poly = state[h].setdefault(last, {})
+        poly[0] = poly.get(0, 0) + 1
+    for p in range(start + 1, end):
+        items = state[p].items()
+        bit = 1 << p - 1
+        shared: dict[int, int] = {}
+        for poly in state[p].values():
+            for t, c in poly.items():
+                t |= bit
+                shared[t] = shared.get(t, 0) - c
+        for h, last, _ in out[p]:
+            # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
+            mask = masks[last]
+            row = state[h].setdefault(last, {})
+            for label, poly in items:
+                if mask >> label & 1:
+                    for t, c in poly.items():
+                        row[t] = row.get(t, 0) + c
+            for t, c in shared.items():
+                row[t] = row.get(t, 0) + c
+        state[p] = None
+    table = [0] * (1 << len(interior))
+    for poly in state[end].values():
+        for t, c in poly.items():
+            table[t] += c
+    _subset_sums(table)
+    return table
+
+
+def _subset_sums(table: list[int]) -> None:
+    """Replace each entry m by the sum of the entries at the submasks of m.
+
+    In place, one bit at a time: entry m | b gains entry m for each m
+    without bit b.  The slices of one step are either the 2b-wide blocks
+    (their upper halves gain their lower) or the b residues mod 2b,
+    whichever are fewer.
+    """
+    n = len(table)
+    b = 1
+    while b < n:
+        step = 2 * b
+        if b <= n // step:
+            for r in range(b):
+                table[b + r::step] = map(add, table[b + r::step], table[r::step])
+        else:
+            for lo in range(0, n, step):
+                table[lo + b:lo + step] = map(add, table[lo + b:lo + step], table[lo:lo + b])
+        b = step
 
 
 def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int, int]:

@@ -33,8 +33,9 @@ EXIT_INTERNAL = 3
 
 MAX_M = 512
 # alexander --all checks 2**k subsets of k interior vertices: 18 takes about
-# 10 s and 0.5 GB, and each further vertex doubles both
-MAX_ALL_INTERIOR = 18
+# 5 s and 0.45 GB, most of it for the rows, and each further vertex doubles
+# both; the library's sweep has the same bound
+MAX_ALL_INTERIOR = alexander_mod.MAX_SWEEP_INTERIOR
 
 
 def _parse_subset(text: str) -> frozenset:
@@ -83,8 +84,8 @@ def cmd_cdindex(args):
     try:
         cd = ab_to_cd(psi)
     except NotInSpan as exc:
-        payload.update(cd_index=None, residual=str(exc.residual))
-        text = psi if args.ab else f"not a cd-polynomial; residual: {exc.residual}"
+        payload.update(cd_index=None, residual=exc.factored_residual)
+        text = psi if args.ab else f"not a cd-polynomial; residual: {exc.factored_residual}"
         return EXIT_NEGATIVE, payload, [text]
     payload.update(cd_index=str(cd), residual=None)
     return EXIT_OK, payload, [psi if args.ab else cd]
@@ -133,8 +134,10 @@ def cmd_alexander(args):
             for k in range(len(interior) + 1)
             for c in itertools.combinations(interior, k)
         ]
+        results = alexander_mod.alexander_sweep(graph, subsets)
     else:
         subsets = [frozenset(_vertices_named(graph, _parse_subset(args.subset)))]
+        results = [alexander_mod.alexander_check(graph, subsets[0])]
     rows = [
         {
             "subset": sorted(map(str, subset)),
@@ -142,7 +145,7 @@ def cmd_alexander(args):
             "rhs": result.rhs,
             "equal": result.equal,
         }
-        for subset, result in zip(subsets, alexander_mod.alexander_sweep(graph, subsets))
+        for subset, result in zip(subsets, results)
     ]
 
     def line(row):

@@ -132,12 +132,13 @@ def _checked_cd(sub: LabeledDigraph, u, v, failure: str) -> CdPoly:
     """The cd-index of [u, v] in sub; InternalError if there is none.
 
     ``failure`` is the message, formatted with u and v and followed by the
-    residual of the conversion.
+    residual of the conversion in factored form.
     """
     try:
         return ab_to_cd(sub.ab_index(u, v))
     except NotInSpan as exc:
-        raise InternalError(f"{failure.format(u=u, v=v)} (residual {exc.residual})") from None
+        residual = exc.factored_residual
+        raise InternalError(f"{failure.format(u=u, v=v)} (residual {residual})") from None
 
 
 class BruhatGraph:

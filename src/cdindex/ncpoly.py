@@ -65,7 +65,7 @@ class NotInSpan(ValueError):
     that the polynomial minus r is a cd-polynomial, so callers can report a
     witness.  It can have exponentially many terms, so it is built on its
     first read, and the message names only the number of leftovers and the
-    first prefix.
+    first prefix.  ``factored_residual`` prints r without the expansion.
     """
 
     def __init__(self, leftovers: list):
@@ -81,6 +81,24 @@ class NotInSpan(ValueError):
         for prefix, leftover in self.leftovers:
             residual = residual + cd_expand(CdPoly.monomial(prefix)) * AbPoly._trusted(leftover)
         return residual
+
+    @cached_property
+    def factored_residual(self) -> str:
+        """The residual as text, one term per leftover term: its cd-prefix, then its ab-word.
+
+        The letters c and d of a term stand for a + b and ab + ba, so the
+        text is r itself, e.g. ``-cb`` for -(a + b)b, with as many terms as
+        the leftovers hold: n for the word a^n, whose expanded residual has
+        2^n - 1.  Terms come in order of degree, then of the text.  No two
+        leftover terms give the same text: a prefix names one step of the
+        recursion, and within one degree one step leaves one leftover.
+        """
+        terms = {
+            prefix + word: coeff
+            for prefix, leftover in self.leftovers
+            for word, coeff in leftover.items()
+        }
+        return _format_terms(terms, lambda w: (cd_word_degree(w), w), str)
 
 
 def _merge(target: dict, key, coeff: int) -> None:

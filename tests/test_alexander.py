@@ -18,15 +18,24 @@ from cdindex.alexander import (
     restrict,
     signed_path_sums,
 )
-from cdindex.construct import random_labeled_dag
+from cdindex.construct import random_labeled_dag, realize
 from cdindex.coxeter import bruhat_graph_sn
-from cdindex.digraph import LabeledDigraph, LinearRelation, NoPath, Unbounded
-from cdindex.ncpoly import IntPoly
+from cdindex.digraph import (
+    GraphError,
+    InternalError,
+    LabeledDigraph,
+    LinearRelation,
+    NoPath,
+    Unbounded,
+)
+from cdindex.ncpoly import IntPoly, parse_cd
 
 from conftest import chain
 
 S_FIG3 = {"1", "13"}
 T_FIG3 = {"2", "3", "12", "23"}
+# realized cd-polynomials; their graphs have 2 to 10 interior vertices
+REALIZED = ("c", "d", "cc + d", "cd + dc", "d + 2*cc", "cdc + dd")
 
 
 def count_rising_paths(g, x, y):
@@ -290,8 +299,8 @@ class TestAlexanderSweep:
         rows, calls = self.sweep_counting(monkeypatch, g, subsets)
         assert rows == [alexander_check(g, s) for s in subsets], name
         assert all(row.equal for row in rows), name
-        # 2^(k-1) checks for k >= 1 interior vertices, one for k = 0
-        assert calls == max(len(subsets) // 2, 1), name
+        # one check, of the empty split, guards the table of all 2^k splits
+        assert calls == 1, name
 
     def test_fixtures_match_per_subset_checks(
         self, monkeypatch, graph_b3, graph_fig1_right, graph_fig2_i, graph_fig2_ii
@@ -314,7 +323,7 @@ class TestAlexanderSweep:
         subsets.insert(3, subsets[0])
         rows, calls = self.sweep_counting(monkeypatch, graph_b3, subsets)
         assert rows == [alexander_check(graph_b3, s) for s in subsets]
-        assert calls == 2 ** 5
+        assert calls == 1
 
     def test_one_subset_one_check(self, monkeypatch, graph_b3):
         rows, calls = self.sweep_counting(monkeypatch, graph_b3, [S_FIG3])
@@ -344,6 +353,107 @@ class TestAlexanderSweep:
         with pytest.raises(ValueError, match="unknown"):
             alexander_sweep(graph_b3, [{"nope"}])
         assert alexander_sweep(graph_b3, []) == []
+
+    def test_smallest_graphs_keep_their_rows(self):
+        # source = sink, and one edge with an empty interior
+        one = LabeledDigraph(["x"], [], LinearRelation([]))
+        assert alexander_sweep(one, [set()]) == [(0, 0, True)]
+        assert alexander_sweep(chain(["1"]), [(), set()]) == [(1, 1, True)] * 2
+        for g in (one, chain(["1"])):
+            assert alexander_sweep(g, [()]) == [alexander_check(g, ())]
+
+    def test_realized_graphs_match_per_subset_checks(self, monkeypatch):
+        for text in REALIZED:
+            self.assert_matches_oracle(monkeypatch, text, realize(parse_cd(text)))
+
+    def test_disagreeing_table_raises(self, monkeypatch, graph_b3):
+        table = alexander._falling_table
+
+        def off_by_one_at_the_empty_split(g):
+            values = table(g)
+            values[0] += 1
+            return values
+
+        monkeypatch.setattr(alexander, "_falling_table", off_by_one_at_the_empty_split)
+        with pytest.raises(InternalError, match="empty split"):
+            alexander_sweep(graph_b3, [S_FIG3])
+
+    def test_bounded_by_the_interior_size(self, monkeypatch, graph_b3):
+        # 40 interior vertices: refused before any table of 2**40 is made
+        wide = realize(parse_cd("5*cccc"))
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match="40 interior vertices exceeds the bound 18"):
+            alexander_sweep(wide, [()])
+        assert time.perf_counter() - start < 1.0
+        assert alexander_check(wide, ()).equal  # one split stays cheap
+        monkeypatch.setattr(alexander, "MAX_SWEEP_INTERIOR", 6)
+        assert len(alexander_sweep(graph_b3, all_subsets(graph_b3))) == 64
+        monkeypatch.setattr(alexander, "MAX_SWEEP_INTERIOR", 5)
+        with pytest.raises(GraphError, match="6 interior vertices exceeds the bound 5"):
+            alexander_sweep(graph_b3, [()])
+
+
+class TestFallingTable:
+    """Every entry of the one-sweep table against a signed sweep per split."""
+
+    def assert_matches_sweeps(self, name, g):
+        """Every entry, or above 12 interior vertices a seeded sample of 300."""
+        table = alexander._falling_table(g)
+        interior = g.topological_order[1:-1]  # bit i is the vertex at position i + 1
+        assert len(table) == 2 ** len(interior), name
+        masks = range(len(table))
+        if len(interior) > 12:
+            masks = [0, len(table) - 1] + random.Random(len(table)).sample(masks, 300)
+        for m in masks:
+            subset = {v for i, v in enumerate(interior) if m >> i & 1}
+            assert table[m] == restrict(g, subset).falling_at_minus_one(), (name, sorted(subset))
+        return table
+
+    def test_fixtures(self, all_fixture_graphs):
+        for name, g in all_fixture_graphs.items():
+            self.assert_matches_sweeps(name, g)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bruhat_intervals(self, n):
+        # every interval within the sweep's bound
+        for name, g in bruhat_intervals(n, 6):
+            if len(g.vertices) - 2 <= alexander.MAX_SWEEP_INTERIOR:
+                self.assert_matches_sweeps(name, g)
+
+    def test_realized_graphs(self):
+        for text in REALIZED:
+            self.assert_matches_sweeps(text, realize(parse_cd(text)))
+
+    def test_unbalanced_graphs(self):
+        # only an unbalanced graph tells descents at S from ascents (the
+        # two signed path sums agree on balanced ones)
+        self.assert_matches_sweeps("falling chain", chain(["2", "1"]))
+        uneven = 0
+        for seed in range(60):
+            g = random_labeled_dag(random.Random(seed), 7)
+            self.assert_matches_sweeps(f"seed {seed}", g)
+            uneven += not g.is_balanced().balanced
+        assert uneven > 20
+
+    def test_bit_order(self):
+        # one path v0 -> v1 -> v2 -> v3 ascending at v1 and descending at v2
+        # weighs (1 - s1)(0 - s2): only S = {v2} is nonzero, so a table
+        # indexed with the bits reversed reads -1 at {v1}
+        assert self.assert_matches_sweeps("chain 1 2 1", chain(["1", "2", "1"])) == [0, 0, -1, 0]
+
+    def test_smallest_graphs(self):
+        assert alexander._falling_table(LabeledDigraph(["x"], [], LinearRelation([]))) == [0]
+        assert alexander._falling_table(chain(["1"])) == [1]
+
+    def test_subset_sums(self):
+        rng = random.Random(3)
+        for k in range(9):
+            coeffs = [rng.randint(-5, 5) for _ in range(2 ** k)]
+            table = list(coeffs)
+            alexander._subset_sums(table)
+            assert table == [
+                sum(c for t, c in enumerate(coeffs) if t & m == t) for m in range(2 ** k)
+            ], k
 
 
 class TestFallingSweep:

@@ -120,6 +120,24 @@ class TestCdIndexCommand:
         assert code == 0
         assert out.strip() == "3 + 2*a + 2*b"
 
+    def test_residual_of_a_long_rising_chain_is_factored(self, capsys, tmp_path):
+        # the ab-index a^19 leaves 19 leftovers; expanded, its residual has
+        # 2^19 - 1 terms (seconds, about 150 MiB and 11.5M characters to print)
+        n = 20
+        graph = tmp_path / "rising20.json"
+        graph.write_text(json.dumps({
+            "vertices": [f"v{i}" for i in range(n + 1)],
+            "edges": [{"tail": f"v{i}", "head": f"v{i + 1}", "label": "1"} for i in range(n)],
+            "relation": {"mode": "linear", "order": ["1"]},
+        }))
+        residual = "-" + " - ".join("c" * k + "b" + "a" * (n - 2 - k) for k in range(n - 1))
+        start = time.perf_counter()
+        text = run(capsys, "cdindex", "--graph", str(graph))
+        payload = run(capsys, "cdindex", "--graph", str(graph), "--json")
+        assert time.perf_counter() - start < 1.0
+        assert text == (1, f"not a cd-polynomial; residual: {residual}\n", "")
+        assert payload[0] == 1 and json.loads(payload[1])["residual"] == residual
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "cdindex", "--graph", "/nonexistent.json")
         assert code == 2

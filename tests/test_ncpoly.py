@@ -224,6 +224,23 @@ def _eliminate(p: AbPoly) -> CdPoly:
     return result
 
 
+def read_factored(text: str) -> AbPoly:
+    """The ab-polynomial a factored residual denotes, c and d read as a + b and ab + ba.
+
+    Each term is an optional ``k*`` and a word whose cd-letters come first.
+    """
+    total = AbPoly.zero()
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        count, star_, word = term.lstrip("-").rpartition("*")
+        prefix = word.rstrip("ab")
+        assert set(prefix) <= set("cd"), text
+        total = total + sign * int(count if star_ else 1) * (
+            cd_expand(CdPoly.monomial(prefix)) * AbPoly.monomial(word[len(prefix):])
+        )
+    return total
+
+
 deep_cd_polys = st.dictionaries(
     st.text(alphabet="cd", max_size=6), st.integers(-5, 5), max_size=6
 ).map(CdPoly)
@@ -285,6 +302,7 @@ class TestAbToCd:
             assert expected is None
             assert not exc.residual.is_zero()
             ab_to_cd(p - exc.residual)
+            assert read_factored(exc.factored_residual) == exc.residual
         else:
             assert got == expected
 
@@ -299,6 +317,33 @@ class TestAbToCd:
         assert exc.residual == -(A + B) * B
         assert exc.residual is exc.residual
         assert ab_to_cd(p - exc.residual) == C * C
+
+    @pytest.mark.parametrize(
+        "text, factored, expanded",
+        [
+            ("a", "-b", "-b"),
+            ("a + 3*bb", "-b + 3*bb", "-b + 3*bb"),
+            ("aba + baa", "-db", "-abb - bab"),  # d*a
+            ("aaa", "-baa - cba - ccb", "-aab - aba - abb - baa - bab - bba - bbb"),
+        ],
+    )
+    def test_factored_residual(self, text, factored, expanded):
+        with pytest.raises(NotInSpan) as caught:
+            ab_to_cd(parse_ab(text))
+        exc = caught.value
+        assert exc.factored_residual == factored
+        assert "residual" not in vars(exc)  # printing expands nothing
+        assert str(exc.residual) == expanded
+        assert read_factored(factored) == exc.residual
+
+    def test_factored_residual_of_a_long_word(self):
+        # a^n leaves n terms, where the expanded residual has 2^n - 1
+        start = time.perf_counter()
+        with pytest.raises(NotInSpan) as caught:
+            ab_to_cd(AbPoly({"a" * 3000: 1}))
+        text = caught.value.factored_residual
+        assert time.perf_counter() - start < 0.5
+        assert text == "-" + " - ".join("c" * k + "b" + "a" * (2999 - k) for k in range(3000))
 
     def test_lone_long_word_rejected_at_once(self):
         # the residual of a^n has 2^n - 1 terms; the rejection builds none
