@@ -31,8 +31,11 @@ T within S of its coefficients c_T.  :func:`alexander_sweep`, behind
 ``cdindex alexander --all``, computes every coefficient in one sweep and
 every split's value by one subset-sum pass over the 2^k splits of k
 interior vertices, and checks the empty split against
-:func:`alexander_check`; ``--subset`` calls :func:`alexander_check`, two
-plain signed sweeps, so one split of a graph of any size stays cheap.
+:func:`alexander_check`.  It returns the interior in topological order
+and the rows indexed by bitmask, bit i for the i-th interior vertex, and
+it alone bounds k (``MAX_SWEEP_INTERIOR``).  ``--subset`` calls
+:func:`alexander_check`, two plain signed sweeps, so one split of a graph
+of any size stays cheap.
 
 Everything a check needs to know of the graph itself, the source and sink
 positions, the interior vertices and the parity condition, is the graph's
@@ -61,7 +64,9 @@ __all__ = [
     "signed_path_sums",
 ]
 
-# alexander_sweep tabulates 2**k values for k interior vertices
+# alexander_sweep tabulates 2**k values for k interior vertices, and
+# alexander --all prints a row for each: 18 take about 4 s and 0.45 GB,
+# most of it for the rows, and each further vertex doubles both
 MAX_SWEEP_INTERIOR = 18
 
 
@@ -262,47 +267,44 @@ def _sign(parity: ParityResult) -> int:
     return 1 if parity.longest % 2 else -1
 
 
-def alexander_sweep(
-    g: LabeledDigraph, subsets: Iterable[Iterable[Hashable]]
-) -> list[AlexanderResult]:
-    """The rows of :func:`alexander_check` for every subset, in input order.
+def alexander_sweep(g: LabeledDigraph) -> tuple[tuple, list[AlexanderResult]]:
+    """The rows of :func:`alexander_check` for all 2^k splits of the interior.
 
-    Checks the hypotheses, then every subset, as :func:`alexander_check`
-    would, and reads every row off one table of the falling values of all
-    2^k splits (:func:`_falling_table`): the row of S is (value(S),
-    sign * value(T)) with sign = (-1) ** (longest length - 1).  No use is
-    made of the duality itself.  The row of the empty split is also
-    computed by :func:`alexander_check`, from two signed sweeps, and a
-    disagreement raises ``InternalError``.  A graph with more than
-    ``MAX_SWEEP_INTERIOR`` interior vertices raises ``GraphError``.
+    Returns the k interior vertices in topological order and the 2^k rows
+    indexed by bitmask: bit i of m stands for ``interior[i]`` in S.  An
+    unbounded graph raises PreconditionFailed, and more than
+    ``MAX_SWEEP_INTERIOR`` interior vertices raise ``GraphError`` before
+    any balance check or sweep; the other hypotheses are checked as
+    :func:`alexander_check` would.  Every row is read off one table of the
+    falling values of all splits (:func:`_falling_table`): the row of S is
+    (value(S), sign * value(T)) with sign = (-1) ** (longest length - 1).
+    No use is made of the duality itself.  The row of the empty split is
+    also computed by :func:`alexander_check`, from two signed sweeps, and a
+    disagreement raises ``InternalError``.
     """
-    subsets = list(subsets)
-    if not subsets:
-        return []
-    guard = alexander_check(g, ())
-    interior = _frame(g).interior
-    pos = g._pos
-    bit = {v: 1 << pos[v] - 1 for v in interior}  # the source has position 0
-    picks = [sum(map(bit.__getitem__, _checked_subset(g, s))) for s in subsets]
+    if not g.is_bounded():
+        raise PreconditionFailed("bounded: the graph must have a unique source and sink")
+    _, end, _, parity = _frame(g)
+    interior = g.topological_order[1:end]  # bit i is the vertex at position i + 1
     if len(interior) > MAX_SWEEP_INTERIOR:
         raise GraphError(
-            f"alexander_sweep on {len(interior)} interior vertices exceeds the bound "
-            f"{MAX_SWEEP_INTERIOR}; check single subsets with alexander_check"
+            f"sweeping the splits of {len(interior)} interior vertices exceeds the bound "
+            f"{MAX_SWEEP_INTERIOR}; check single subsets instead"
         )
+    guard = alexander_check(g, ())
     table = _falling_table(g)
-    sign = _sign(parity_condition(g))
-    full = len(table) - 1
-
-    def row(m: int) -> AlexanderResult:
-        lhs, rhs = table[m], sign * table[full ^ m]
-        return AlexanderResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
-
-    if row(0) != guard:
+    sign = _sign(parity)
+    # the complement of split m is split 2^k - 1 - m: entry m of the reversed table
+    rows = [
+        AlexanderResult(lhs, rhs, lhs == rhs)
+        for lhs, rhs in zip(table, [sign * v for v in reversed(table)])
+    ]
+    if rows[0] != guard:
         raise InternalError(
-            f"the falling table gives {row(0)} for the empty split, "
+            f"the falling table gives {rows[0]} for the empty split, "
             f"alexander_check {guard}"
         )
-    return [row(m) for m in picks]
+    return interior, rows
 
 
 def _falling_table(g: LabeledDigraph) -> list[int]:

@@ -32,10 +32,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 MAX_M = 512
-# alexander --all checks 2**k subsets of k interior vertices: 18 takes about
-# 5 s and 0.45 GB, most of it for the rows, and each further vertex doubles
-# both; the library's sweep has the same bound
-MAX_ALL_INTERIOR = alexander_mod.MAX_SWEEP_INTERIOR
 
 
 def _parse_subset(text: str) -> frozenset:
@@ -120,32 +116,23 @@ def cmd_balance(args):
 
 def cmd_alexander(args):
     graph = load_graph(args.graph)
-    interior = sorted(
-        set(graph.vertices) - {graph.zero_hat(), graph.one_hat()}, key=str
-    )
+    graph.zero_hat(), graph.one_hat()  # an unbounded graph: name its sources or sinks
     if args.all:
-        if len(interior) > MAX_ALL_INTERIOR:
-            raise GraphError(
-                f"--all on {len(interior)} interior vertices exceeds the bound "
-                f"{MAX_ALL_INTERIOR}; check single subsets with --subset"
-            )
-        subsets = [
-            frozenset(c)
-            for k in range(len(interior) + 1)
-            for c in itertools.combinations(interior, k)
+        # the sweep refuses more than alexander.MAX_SWEEP_INTERIOR interior vertices
+        interior, results = alexander_mod.alexander_sweep(graph)
+        # by name, then by bit: vertices that print alike keep their topological order
+        named = sorted((str(v), 1 << i) for i, v in enumerate(interior))
+        splits = [
+            ([name for name, _ in c], results[sum(bit for _, bit in c)])
+            for k in range(len(named) + 1)
+            for c in itertools.combinations(named, k)
         ]
-        results = alexander_mod.alexander_sweep(graph, subsets)
     else:
-        subsets = [frozenset(_vertices_named(graph, _parse_subset(args.subset)))]
-        results = [alexander_mod.alexander_check(graph, subsets[0])]
+        subset = _vertices_named(graph, _parse_subset(args.subset))
+        splits = [(sorted(map(str, subset)), alexander_mod.alexander_check(graph, subset))]
     rows = [
-        {
-            "subset": sorted(map(str, subset)),
-            "lhs": result.lhs,
-            "rhs": result.rhs,
-            "equal": result.equal,
-        }
-        for subset, result in zip(subsets, results)
+        {"subset": names, "lhs": result.lhs, "rhs": result.rhs, "equal": result.equal}
+        for names, result in splits
     ]
 
     def line(row):

@@ -1218,4 +1218,6 @@ def load_graph(path) -> LabeledDigraph:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError(f"{path}: invalid JSON ({exc})") from None
+        except RecursionError:
+            raise GraphError(f"{path}: JSON nested too deeply to read") from None
     return from_json_dict(data)

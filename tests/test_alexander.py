@@ -282,7 +282,7 @@ def bruhat_intervals(n, max_length):
 
 
 class TestAlexanderSweep:
-    def sweep_counting(self, monkeypatch, g, subsets):
+    def sweep_counting(self, monkeypatch, g):
         calls = []
 
         def counted(graph, subset):
@@ -290,14 +290,17 @@ class TestAlexanderSweep:
             return alexander_check(graph, subset)
 
         monkeypatch.setattr(alexander, "alexander_check", counted)
-        rows = alexander_sweep(g, subsets)
+        interior, rows = alexander_sweep(g)
         monkeypatch.undo()
-        return rows, len(calls)
+        return interior, rows, len(calls)
 
     def assert_matches_oracle(self, monkeypatch, name, g):
-        subsets = all_subsets(g)
-        rows, calls = self.sweep_counting(monkeypatch, g, subsets)
-        assert rows == [alexander_check(g, s) for s in subsets], name
+        interior, rows, calls = self.sweep_counting(monkeypatch, g)
+        assert interior == g.topological_order[1:-1], name
+        assert len(rows) == 2 ** len(interior), name
+        for m, row in enumerate(rows):
+            subset = {v for i, v in enumerate(interior) if m >> i & 1}
+            assert row == alexander_check(g, subset), (name, sorted(subset))
         assert all(row.equal for row in rows), name
         # one check, of the empty split, guards the table of all 2^k splits
         assert calls == 1, name
@@ -318,21 +321,17 @@ class TestAlexanderSweep:
         for name, g in bruhat_intervals(n, 4):
             self.assert_matches_oracle(monkeypatch, name, g)
 
-    def test_rows_in_input_order(self, monkeypatch, graph_b3):
-        subsets = all_subsets(graph_b3)[::-1]
-        subsets.insert(3, subsets[0])
-        rows, calls = self.sweep_counting(monkeypatch, graph_b3, subsets)
-        assert rows == [alexander_check(graph_b3, s) for s in subsets]
-        assert calls == 1
-
-    def test_one_subset_one_check(self, monkeypatch, graph_b3):
-        rows, calls = self.sweep_counting(monkeypatch, graph_b3, [S_FIG3])
-        assert rows == [alexander_check(graph_b3, S_FIG3)]
-        assert calls == 1
+    def test_bit_i_is_the_ith_interior_vertex(self):
+        g = realize(parse_cd("cc + d"))
+        interior, rows = alexander_sweep(g)
+        assert interior == ("v1", "v2", "v3", "v4", "v5", "v6")
+        # {v3, v6} and its mirror image {v2, v5} differ, so rows indexed
+        # with the bits reversed would swap them
+        assert rows[0b100100] == alexander_check(g, {"v3", "v6"}) == (1, 1, True)
+        assert rows[0b010010] == alexander_check(g, {"v2", "v5"}) == (0, 0, True)
 
     def test_one_frame_for_all_subsets(self, monkeypatch, graph_b3):
-        subsets = all_subsets(graph_b3)
-        assert len(subsets) == 64 and vars(graph_b3).get("_view") is None
+        assert vars(graph_b3).get("_view") is None
         calls = []
         zero_hat = LabeledDigraph.zero_hat
 
@@ -341,26 +340,25 @@ class TestAlexanderSweep:
             return zero_hat(g)
 
         monkeypatch.setattr(LabeledDigraph, "zero_hat", counted)
-        rows = alexander_sweep(graph_b3, subsets)
+        _, rows = alexander_sweep(graph_b3)
         monkeypatch.undo()
-        assert all(row.equal for row in rows)
+        assert len(rows) == 64 and all(row.equal for row in rows)
         assert len(calls) == 1
         assert vars(graph_b3).get("_view") is None  # no Edge tuple was built
 
-    def test_errors_raised(self, graph_b3, graph_fig1_left):
+    def test_errors_raised(self, graph_fig1_left):
         with pytest.raises(PreconditionFailed, match="parity"):
-            alexander_sweep(graph_fig1_left, [set()])
-        with pytest.raises(ValueError, match="unknown"):
-            alexander_sweep(graph_b3, [{"nope"}])
-        assert alexander_sweep(graph_b3, []) == []
+            alexander_sweep(graph_fig1_left)
+        with pytest.raises(PreconditionFailed, match="balanced"):
+            alexander_sweep(chain(["2", "1"]))
 
     def test_smallest_graphs_keep_their_rows(self):
         # source = sink, and one edge with an empty interior
         one = LabeledDigraph(["x"], [], LinearRelation([]))
-        assert alexander_sweep(one, [set()]) == [(0, 0, True)]
-        assert alexander_sweep(chain(["1"]), [(), set()]) == [(1, 1, True)] * 2
+        assert alexander_sweep(one) == ((), [(0, 0, True)])
+        assert alexander_sweep(chain(["1"])) == ((), [(1, 1, True)])
         for g in (one, chain(["1"])):
-            assert alexander_sweep(g, [()]) == [alexander_check(g, ())]
+            assert alexander_sweep(g)[1] == [alexander_check(g, ())]
 
     def test_realized_graphs_match_per_subset_checks(self, monkeypatch):
         for text in REALIZED:
@@ -376,21 +374,27 @@ class TestAlexanderSweep:
 
         monkeypatch.setattr(alexander, "_falling_table", off_by_one_at_the_empty_split)
         with pytest.raises(InternalError, match="empty split"):
-            alexander_sweep(graph_b3, [S_FIG3])
+            alexander_sweep(graph_b3)
 
     def test_bounded_by_the_interior_size(self, monkeypatch, graph_b3):
-        # 40 interior vertices: refused before any table of 2**40 is made
+        # 40 interior vertices: refused before any balance check or table of 2**40
         wide = realize(parse_cd("5*cccc"))
+
+        def no_balance_check(g):
+            raise AssertionError("is_balanced called on an over-size graph")
+
         start = time.perf_counter()
-        with pytest.raises(GraphError, match="40 interior vertices exceeds the bound 18"):
-            alexander_sweep(wide, [()])
+        with monkeypatch.context() as patch:
+            patch.setattr(LabeledDigraph, "is_balanced", no_balance_check)
+            with pytest.raises(GraphError, match="40 interior vertices exceeds the bound 18"):
+                alexander_sweep(wide)
         assert time.perf_counter() - start < 1.0
         assert alexander_check(wide, ()).equal  # one split stays cheap
         monkeypatch.setattr(alexander, "MAX_SWEEP_INTERIOR", 6)
-        assert len(alexander_sweep(graph_b3, all_subsets(graph_b3))) == 64
+        assert len(alexander_sweep(graph_b3)[1]) == 64
         monkeypatch.setattr(alexander, "MAX_SWEEP_INTERIOR", 5)
         with pytest.raises(GraphError, match="6 interior vertices exceeds the bound 5"):
-            alexander_sweep(graph_b3, [()])
+            alexander_sweep(graph_b3)
 
 
 class TestFallingTable:
@@ -514,11 +518,11 @@ class TestFallingSweep:
         for subset in ({"nope"}, {"x"}, {"y"}, set()):
             with pytest.raises(PreconditionFailed, match="^bounded"):
                 alexander_check(g, subset)
-            with pytest.raises(PreconditionFailed, match="^bounded"):
-                alexander_sweep(g, [subset])
             for fn in (restrict, signed_path_sums):
                 with pytest.raises(Unbounded, match="^graph has 2 sinks$"):
                     fn(g, subset)
+        with pytest.raises(PreconditionFailed, match="^bounded"):
+            alexander_sweep(g)
         with pytest.raises(Unbounded, match="^graph has 2 sinks$"):
             parity_condition(g)
 

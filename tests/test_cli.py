@@ -1,18 +1,25 @@
 """Command-line behavior: outputs, exit codes, JSON mirrors, fixtures."""
 
+import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from cdindex import cli
-from cdindex.cli import MAX_ALL_INTERIOR, build_parser, main
+from cdindex import alexander
+from cdindex.cli import build_parser, main
 from cdindex.construct import SearchReport
 from cdindex.coxeter import dihedral_bruhat_graph
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.ncpoly import parse_cd
+
+# the directory the cdindex package is imported from, for child processes
+SRC_DIR = str(Path(alexander.__file__).parents[1])
 
 
 @pytest.fixture
@@ -190,6 +197,14 @@ class TestCdIndexCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "['1']" in err
 
+    @pytest.mark.parametrize("command", ["cdindex", "balance"])
+    def test_deeply_nested_file_is_input_error(self, capsys, tmp_path, command):
+        graph_file = tmp_path / "nested.json"
+        graph_file.write_text("[" * 100_000)
+        code, out, err = run(capsys, command, "--graph", str(graph_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: {graph_file}: JSON nested too deeply to read\n"
+
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(**kwargs):
             raise KeyError("boom")
@@ -304,8 +319,8 @@ class TestAlexanderCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == (
-            f"error: --all on 40 interior vertices exceeds the bound {MAX_ALL_INTERIOR}; "
-            "check single subsets with --subset\n"
+            "error: sweeping the splits of 40 interior vertices exceeds the bound "
+            f"{alexander.MAX_SWEEP_INTERIOR}; check single subsets instead\n"
         )
         code, out, err = run(capsys, "alexander", "--graph", graph, "--subset", "")
         assert (code, err) == (0, "")
@@ -313,13 +328,37 @@ class TestAlexanderCommand:
 
     def test_bound_admits_its_own_size(self, capsys, fixture_dir, monkeypatch):
         graph = str(fixture_dir / "fig3_b3.json")  # 6 interior vertices
-        monkeypatch.setattr(cli, "MAX_ALL_INTERIOR", 6)
+        monkeypatch.setattr(alexander, "MAX_SWEEP_INTERIOR", 6)
         code, out, _ = run(capsys, "alexander", "--graph", graph, "--all", "--json")
         assert code == 0 and len(json.loads(out)) == 64
-        monkeypatch.setattr(cli, "MAX_ALL_INTERIOR", 5)
+        monkeypatch.setattr(alexander, "MAX_SWEEP_INTERIOR", 5)
         code, out, err = run(capsys, "alexander", "--graph", graph, "--all", "--json")
         assert (code, out) == (2, "")
-        assert "--all on 6 interior vertices exceeds the bound 5" in err
+        assert "6 interior vertices exceeds the bound 5" in err
+
+    def test_all_rows_are_the_combinations_of_the_sorted_names(self, capsys, fixture_dir):
+        graph = str(fixture_dir / "fig3_b3.json")
+        code, out, _ = run(capsys, "alexander", "--graph", graph, "--all", "--json")
+        assert code == 0
+        names = ["1", "12", "13", "2", "23", "3"]
+        assert [row["subset"] for row in json.loads(out)] == [
+            list(c) for k in range(len(names) + 1) for c in itertools.combinations(names, k)
+        ]
+
+    @pytest.mark.parametrize("graph", ["fig3_b3", "cc + d"])
+    def test_each_all_line_is_the_subset_line(self, capsys, fixture_dir, graph):
+        # the realized cc + d has splits whose mirror images differ in value
+        if graph in FIXTURE_BUILDERS:
+            path = str(fixture_dir / f"{graph}.json")
+        else:
+            path = str(fixture_dir / "realized.json")
+            assert run(capsys, "construct", "--cd", graph, "--out", path)[0] == 0
+        code, out, _ = run(capsys, "alexander", "--graph", path, "--all")
+        lines = out.splitlines(keepends=True)
+        assert code == 0 and len(lines) == 64
+        for line in lines:
+            names = line[len("S={"):line.index("}")].replace("(empty)", "")
+            assert run(capsys, "alexander", "--graph", path, "--subset", names) == (0, line, "")
 
 
 class TestVertexNames:
@@ -358,6 +397,25 @@ class TestVertexNames:
         code, sweep, _ = run(capsys, "alexander", "--graph", diamond, "--all")
         assert code == 0
         assert out in sweep.splitlines(keepends=True)
+
+    def test_all_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # fig3_b3 with the vertex "12" renamed to the int 1: two interior
+        # vertices print as 1, and their rows keep the topological order
+        graph_file = tmp_path / "twins.json"
+        graph_file.write_bytes(fixture_bytes("fig3_b3").replace(b'"12"', b"1"))
+        outputs = []
+        for seed in ("0", "24"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_DIR)
+            done = subprocess.run(
+                [sys.executable, "-m", "cdindex.cli", "alexander", "--graph", str(graph_file),
+                 "--all", "--json"],
+                capture_output=True, env=env, timeout=60,
+            )
+            assert (done.returncode, done.stderr) == (0, b"")
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        rows = json.loads(outputs[0])
+        assert [row["subset"] for row in rows[1:3]] == [["1"], ["1"]]
 
     def test_unknown_name_is_input_error(self, capsys, diamond):
         code, out, err = run(capsys, "alexander", "--graph", diamond, "--subset", "1,7")
