@@ -18,9 +18,11 @@ linear label relation and are balanced.
 
 The module also houses the randomized search harness looking for a
 balanced, linearly labeled, bounded digraph whose cd-index has a negative
-coefficient.  Each trial is drawn as ints, and its balance verdict is read
-off that int form, so unbalanced trials (most of them) are rejected before
-any vertex is named or any graph built; only balanced trials are built.
+coefficient.  Each trial is drawn as ints, and the draw writes each edge
+into its tail's out-list as its label is drawn, so the balance witness
+reads the draw as it comes: unbalanced trials (most of them) are rejected
+before any vertex is named or any graph built; only balanced trials are
+built.  The search refuses a vertex cap above ``MAX_SEARCH_VERTICES``.
 No counterexample is expected; any candidate is re-verified by
 brute-force path enumeration before being reported, and reports are
 reproducible from their seed.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -46,6 +49,10 @@ from .digraph import (
 from .ncpoly import CdPoly, ab_to_cd, cd_sort_key
 
 MAX_LABELS = 4
+# a search trial costs time and memory linear in its vertex count: one at
+# n = 19,994 takes 0.18 s and a 43 MiB peak RSS, the import included
+# (Python 3.11.7, 2 vCPUs); unbounded, a cap of 10**9 ran out of memory
+MAX_SEARCH_VERTICES = 20_000
 
 __all__ = [
     "Counterexample",
@@ -213,64 +220,120 @@ def random_labeled_dag(rng: random.Random, max_vertices: int = 8) -> LabeledDigr
 
 
 def _draw_dag(rng: random.Random, max_vertices: int) -> tuple:
-    """The draws of one random graph: (n, edges, labels, label count), all ints.
+    """The draws of one random graph: (n, edges, labels, label count, out-lists), all ints.
 
     Vertices are 0 .. n - 1, an edge is a (tail, head) pair with tail <
     head, and ``labels`` holds one label rank per edge, in edge order, below
-    the label count.  The draws, in stream order: the number of interior
-    vertices, then the width of each interior level; for each non-sink
-    vertex a later level and a head on it; for each non-source vertex no
-    such head reached, an earlier level and a tail on it; the number of
-    extra edges, and for each a tail (any non-sink) and a head on a later
-    level; the number of labels; one label per edge, in edge order.  Each
-    draw of a value below m takes ``m.bit_length()`` bits from
-    ``rng.getrandbits`` and draws again while the value is at least m, as
-    ``random.Random`` does for ``randint`` and ``choice``, so a seed gives
-    the graph (and leaves the generator in the state) that those calls
-    gave.  A level is a contiguous range of vertices, so the work is
-    linear in the vertex count, and every edge points to a later level, so
-    the vertex order is a topological order.
+    the label count.  ``out[t]`` lists the (head, label rank, None) triple
+    of each edge leaving t, in edge order, written as its label is drawn:
+    the int form :func:`digraph._witness` reads.  The draws, in stream
+    order: the number of interior vertices, then the width of each
+    interior level; for each non-sink vertex a later level and a head on
+    it; for each non-source vertex no such head reached, an earlier level
+    and a tail on it; the number of extra edges, and for each a tail (any
+    non-sink) and a head on a later level; the number of labels; one label
+    per edge, in edge order.  Each draw of a value below m takes
+    ``m.bit_length()`` bits from ``rng.getrandbits`` and draws again while
+    the value is at least m, as ``random.Random`` does for ``randint`` and
+    ``choice``, so a seed gives the graph (and leaves the generator in the
+    state) that those calls gave.  Each draw is written in place, with no
+    Python call per value.  A level is a contiguous range of vertices, so
+    the work is linear in the vertex count, and every edge points to a
+    later level, so the vertex order is a topological order.
     """
     max_vertices = operator.index(max_vertices)
     if max_vertices < 2:
         raise ValueError("need at least a source and a sink")
     getrandbits = rng.getrandbits
-
-    def below(m: int) -> int:
+    m = max_vertices - 1
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    n = r + 2
+    # level i holds the vertices starts[i] .. starts[i + 1] - 1
+    starts = [0, 1]
+    s = 1
+    while s < n - 1:
+        m = n - 1 - s
         k = m.bit_length()
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
-        return r
-
-    # level i holds the vertices starts[i] .. starts[i + 1] - 1
-    n = below(max_vertices - 1) + 2
-    starts = [0, 1]
-    while starts[-1] < n - 1:
-        starts.append(starts[-1] + 1 + below(n - 1 - starts[-1]))
+        s += 1 + r
+        starts.append(s)
     starts.append(n)
     top = len(starts) - 2  # the sink's level
-    level = [i for i in range(top + 1) for _ in range(starts[i], starts[i + 1])]
 
     edges = []
     # every non-sink vertex escapes upward; every non-source vertex is entered
     entered = [False] * n
-    for v in range(n - 1):
-        i = level[v] + 1 + below(top - level[v])
-        head = starts[i] + below(starts[i + 1] - starts[i])
-        edges.append((v, head))
-        entered[head] = True
-    for v in range(1, n):
-        if not entered[v]:
-            i = below(level[v])
-            edges.append((starts[i] + below(starts[i + 1] - starts[i]), v))
-    for _ in range(below(max(2, n) + 1)):
-        tail = below(n - 1)
-        later = starts[level[tail] + 1]
-        edges.append((tail, later + below(n - later)))
+    for i in range(top):
+        m = top - i
+        k = m.bit_length()
+        for v in range(starts[i], starts[i + 1]):
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            head = starts[i + 1 + j]
+            w = starts[i + 2 + j] - head
+            kw = w.bit_length()
+            r = getrandbits(kw)
+            while r >= w:
+                r = getrandbits(kw)
+            head += r
+            edges.append((v, head))
+            entered[head] = True
+    for i in range(1, top + 1):
+        k = i.bit_length()
+        for v in range(starts[i], starts[i + 1]):
+            if entered[v]:
+                continue
+            j = getrandbits(k)
+            while j >= i:
+                j = getrandbits(k)
+            tail = starts[j]
+            w = starts[j + 1] - tail
+            kw = w.bit_length()
+            r = getrandbits(kw)
+            while r >= w:
+                r = getrandbits(kw)
+            edges.append((tail + r, v))
+    m = max(2, n) + 1
+    k = m.bit_length()
+    extra = getrandbits(k)
+    while extra >= m:
+        extra = getrandbits(k)
+    m = n - 1
+    k = m.bit_length()
+    for _ in range(extra):
+        tail = getrandbits(k)
+        while tail >= m:
+            tail = getrandbits(k)
+        later = starts[bisect_right(starts, tail)]  # the first vertex above tail's level
+        w = n - later
+        kw = w.bit_length()
+        r = getrandbits(kw)
+        while r >= w:
+            r = getrandbits(kw)
+        edges.append((tail, later + r))
 
-    label_count = 1 + below(MAX_LABELS)
-    return n, edges, [below(label_count) for _ in edges], label_count
+    m = MAX_LABELS
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    label_count = r + 1
+    k = label_count.bit_length()
+    labels = []
+    out = [[] for _ in range(n)]
+    for t, h in edges:
+        r = getrandbits(k)
+        while r >= label_count:
+            r = getrandbits(k)
+        labels.append(r)
+        out[t].append((h, r, None))  # the kernels read heads and label ids only
+    return n, edges, labels, label_count, out
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +354,7 @@ _vertex_names: list = []
 def _named_dag(draw: tuple) -> LabeledDigraph:
     """The graph of a draw, built through the public constructor."""
     global _vertex_names
-    n, edges, labels, label_count = draw
+    n, edges, labels, label_count, _ = draw
     names = _vertex_names
     if len(names) < n:
         names = _vertex_names = [f"v{i}" for i in range(n)]
@@ -308,13 +371,10 @@ def _draw_is_balanced(draw: tuple) -> bool:
     """The balance verdict of a draw, from the witness on its int form; no graph is built.
 
     The vertex ints are a topological order and the label ranks are label
-    ids, so the out-lists by vertex and the masks of the label count are
-    the int form :func:`digraph._witness` reads.
+    ids, so the draw's out-lists and the masks of its label count are the
+    int form :func:`digraph._witness` reads.
     """
-    n, edges, labels, label_count = draw
-    out = [[] for _ in range(n)]
-    for (t, h), label in zip(edges, labels):
-        out[t].append((h, label, None))  # the kernels read heads and label ids only
+    _, _, _, label_count, out = draw
     return _witness(out, _linear(label_count)[1]) is None
 
 
@@ -351,14 +411,18 @@ def conjecture_search(seed: int, trials: int, max_vertices: int = 8) -> SearchRe
     recomputing the ab-index through explicit path enumeration before it
     is reported; the report never asserts the nonnegativity statement, it
     only records what was found.  Identical seeds give identical reports.
-    A negative trial count or a vertex bound below 2 raises ``ValueError``
-    before the first trial.
+    A negative trial count, or a vertex bound below 2 or above
+    ``MAX_SEARCH_VERTICES``, raises ``ValueError`` before the first trial.
     """
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if max_vertices < 2:
         raise ValueError(
             f"max_vertices must be at least 2 (a source and a sink), got {max_vertices}"
+        )
+    if max_vertices > MAX_SEARCH_VERTICES:
+        raise ValueError(
+            f"max_vertices must be at most {MAX_SEARCH_VERTICES}, got {max_vertices}"
         )
     rng = random.Random(seed)
     balanced_found = 0

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cdindex import alexander
+from cdindex import alexander, construct
 from cdindex.cli import build_parser, main
 from cdindex.construct import SearchReport
 from cdindex.coxeter import dihedral_bruhat_graph
@@ -602,8 +602,14 @@ class TestSearchCommand:
         ["--trials", "-5"],
         ["--trials", "0", "--max-vertices", "1"],
         ["--trials", "3", "--max-vertices", "1"],
+        ["--trials", "1", "--max-vertices", str(construct.MAX_SEARCH_VERTICES + 1)],
+        ["--trials", "1", "--max-vertices", "1000000000"],
     ])
-    def test_bounds_are_input_errors(self, capsys, argv):
+    def test_bounds_are_input_errors(self, capsys, monkeypatch, argv):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(construct, "_draw_dag", no_trial)
         code, out, err = run(capsys, "search", "--seed", "1", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1

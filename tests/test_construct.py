@@ -394,16 +394,29 @@ def _triples(g):
 
 class TestRandomDag:
     def test_same_stream_as_randint_and_choice(self):
-        for seed in range(500):
-            for cap in (2, 3, 5, 8, 12):
-                ours, oracle = random.Random(seed), random.Random(seed)
-                for _ in range(2):  # the second graph starts where the first left off
-                    g = random_labeled_dag(ours, max_vertices=cap)
-                    want = _randint_choice_dag(oracle, cap)
-                    assert g.vertices == want.vertices, (seed, cap)
-                    assert _triples(g) == _triples(want), (seed, cap)
-                    assert g.relation.order == want.relation.order, (seed, cap)
-                assert ours.random() == oracle.random(), (seed, cap)
+        cases = [(seed, cap) for seed in range(500) for cap in (2, 3, 5, 8, 12)]
+        # wide levels and draws of several bits reach every draw written in place
+        cases += [(seed, cap) for seed in range(100) for cap in (20, 64)]
+        for seed, cap in cases:
+            ours, oracle = random.Random(seed), random.Random(seed)
+            for _ in range(2):  # the second graph starts where the first left off
+                g = random_labeled_dag(ours, max_vertices=cap)
+                want = _randint_choice_dag(oracle, cap)
+                assert g.vertices == want.vertices, (seed, cap)
+                assert _triples(g) == _triples(want), (seed, cap)
+                assert g.relation.order == want.relation.order, (seed, cap)
+            assert ours.random() == oracle.random(), (seed, cap)
+
+    def test_out_lists_match_the_edges_and_labels(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            for cap in range(2, 65):
+                n, edges, labels, _, out = construct_mod._draw_dag(rng, cap)
+                assert len(labels) == len(edges), (seed, cap)
+                rebuilt = [[] for _ in range(n)]
+                for (t, h), label in zip(edges, labels):
+                    rebuilt[t].append((h, label, None))
+                assert out == rebuilt, (seed, cap)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_cap_structure(self, seed):
@@ -470,7 +483,10 @@ def balanced_found_by_building(seed, trials, max_vertices):
 
 
 class TestConjectureSearch:
-    @pytest.mark.parametrize("trials, max_vertices", [(-5, 8), (-1, 2), (0, 1), (3, 1)])
+    @pytest.mark.parametrize(
+        "trials, max_vertices",
+        [(-5, 8), (-1, 2), (0, 1), (3, 1), (1, construct_mod.MAX_SEARCH_VERTICES + 1), (1, 10**9)],
+    )
     def test_bounds_checked_before_the_first_trial(self, monkeypatch, trials, max_vertices):
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
@@ -482,6 +498,12 @@ class TestConjectureSearch:
         # the patched step is the one every trial takes
         with pytest.raises(AssertionError, match="a trial ran"):
             conjecture_search(seed=1, trials=1, max_vertices=2)
+
+    def test_largest_admitted_vertex_bound_runs(self):
+        report = conjecture_search(
+            seed=1, trials=1, max_vertices=construct_mod.MAX_SEARCH_VERTICES
+        )
+        assert report.trials == 1 and report.clean
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("max_vertices", [2, 3, 5, 8, 12])
@@ -513,7 +535,8 @@ class TestConjectureSearch:
         assert report.clean
 
     @pytest.mark.parametrize(
-        "seed, trials, max_vertices, balanced", [(42, 1000, 8, 178), (11, 150, 6, 32)]
+        "seed, trials, max_vertices, balanced",
+        [(42, 1000, 8, 178), (11, 150, 6, 32), (42, 200, 40, 8)],
     )
     def test_pinned_balanced_counts(self, seed, trials, max_vertices, balanced):
         # a change to the draws changes these counts
