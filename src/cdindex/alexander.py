@@ -49,7 +49,7 @@ from functools import cached_property
 from operator import add
 from typing import Hashable, Iterable, NamedTuple
 
-from .digraph import GraphError, InternalError, LabeledDigraph, PairsRelation
+from .digraph import GraphError, InternalError, LabeledDigraph, _pairs_on_used_labels
 
 __all__ = [
     "MAX_SWEEP_INTERIOR",
@@ -131,11 +131,9 @@ class RestrictedDigraph:
                     if trail:
                         trail.pop()
 
-        labels = {lab for _, _, lab in edges}
-        pairs = [
-            (l, m) for l in labels for m in labels if rel(l[-1], m[0])
-        ]
-        return LabeledDigraph(order, edges, PairsRelation(pairs))
+        return LabeledDigraph(
+            order, edges, _pairs_on_used_labels(edges, lambda l, m: rel(l[-1], m[0]))
+        )
 
     def falling_at_minus_one(self) -> int:
         """Falling-path generating polynomial of [source, sink] in G_S, at -1.

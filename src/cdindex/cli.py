@@ -12,6 +12,7 @@ behind ``--json``, the lines otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import sys
@@ -236,22 +237,6 @@ def cmd_search(args):
     report = construct_mod.conjecture_search(
         seed=args.seed, trials=args.trials, max_vertices=args.max_vertices
     )
-    payload = {
-        "seed": report.seed,
-        "trials": report.trials,
-        "max_vertices": report.max_vertices,
-        "balanced_found": report.balanced_found,
-        "counterexamples": [
-            {
-                "trial": c.trial,
-                "graph": c.graph,
-                "cd_index": c.cd_index,
-                "negative_words": list(c.negative_words),
-                "verified": c.verified,
-            }
-            for c in report.counterexamples
-        ],
-    }
     lines = [
         f"trials: {report.trials}",
         f"balanced: {report.balanced_found}",
@@ -261,7 +246,7 @@ def cmd_search(args):
         f"(negative at {', '.join(c.negative_words)}; verified={c.verified})"
         for c in report.counterexamples
     ]
-    return EXIT_OK if report.clean else EXIT_NEGATIVE, payload, lines
+    return EXIT_OK if report.clean else EXIT_NEGATIVE, dataclasses.asdict(report), lines
 
 
 def cmd_fixtures(args):

@@ -10,11 +10,13 @@ c.  Two constructions combine them:
 * the glue sum identifies the sources and the sinks of its graphs, which
   adds the cd-indexes.
 
-Any nonzero cd-polynomial with nonnegative coefficients is realized by
-joining the butterflies of each monomial in one d-join and gluing the
-monomial graphs (with multiplicity) in one glue sum; each graph is built
-once, already renamed in topological order.  All emitted graphs carry a
-linear label relation and are balanced.
+Both are one layout, the glue sum of the d-joins of a list of rows: a
+d-join is its one row, a glue sum one row per graph.  Any nonzero
+cd-polynomial with nonnegative coefficients is realized by joining the
+butterflies of each monomial in one d-join and gluing the monomial graphs
+(with multiplicity) in one glue sum; each graph is built once, already
+renamed in topological order.  All emitted graphs carry a linear label
+relation and are balanced.
 
 The module also houses the randomized search harness looking for a
 balanced, linearly labeled, bounded digraph whose cd-index has a negative
@@ -76,14 +78,21 @@ class NegativeCoefficient(ValueError):
     pass
 
 
-def _normalize(vertices: list, edges: list, order: list) -> LabeledDigraph:
-    """The graph with vertices renamed v0, v1, ... in topological order and
-    labels L0, L1, ... in ``order``, edges kept in order; built once.
+def _normalize(edges: list, order: list) -> LabeledDigraph:
+    """The graph of ``edges`` with vertices renamed v0, v1, ... in topological
+    order and labels L0, L1, ... in ``order``, edges kept in order; built once.
+
+    Every vertex lies on an edge, as in a bounded graph with source != sink.
+    Such a graph has one source, so the renaming reads only the edge order.
     """
-    index = {v: i for i, v in enumerate(vertices)}
-    out = [[] for _ in vertices]
+    index: dict = {}
+    for tail, head, _ in edges:
+        index.setdefault(tail, len(index))
+        index.setdefault(head, len(index))
+    out = [[] for _ in index]
     for tail, head, _ in edges:
         out[index[tail]].append((index[head], None, None))  # _kahn reads heads only
+    vertices = [*index]
     vertex_names = {vertices[i]: f"v{p}" for p, i in enumerate(_kahn(out)[0])}
     label_names = {label: f"L{i}" for i, label in enumerate(order)}
     return LabeledDigraph(
@@ -121,69 +130,71 @@ def _butterfly(k: int) -> LabeledDigraph:
         raise ValueError("k must be nonnegative")
     cover = dihedral_cover_interval(k + 2, k + 1)
     used = sorted({e.label for e in cover.edges})
-    return _normalize(
-        cover.vertices,
-        [(e.tail, e.head, e.label) for e in cover.edges],
-        used,
-    )
+    return _normalize([(e.tail, e.head, e.label) for e in cover.edges], used)
+
+
+def _layout(side: str, rows: list) -> LabeledDigraph:
+    """The glue sum of the d-joins of ``rows``, each a list of graphs; built once.
+
+    Every graph is checked joinable first, as ``side`` argument 1, 2, ...
+    in row order.  Each row is one d-join: graph i + 1 hangs above graph i
+    through two parallel edges from the sink of i to the source of i + 1,
+    labeled lo_i below everything and hi_i above everything, so exactly
+    one of the two crossings descends on each side.  A row's labels run
+    lo_(k-1), ..., lo_1, then each graph's own, each but the first followed
+    by its hi_i, and the junction edges lo_i, hi_i follow graph i's edges.
+    The rows then share one source and one sink, their edges and labels
+    concatenated in row order: label sets stay disjoint, and any
+    interleaving would keep the comparisons within a row.
+    """
+    for i, g in enumerate((g for row in rows for g in row), start=1):
+        _require_joinable(g, f"{side} argument {i}")
+    edges = []
+    order = []
+    for r, row in enumerate(rows):
+        order += [("lo", r, i) for i in reversed(range(1, len(row)))]
+        for i, g in enumerate(row):
+            name = {v: (r, i, v) for v in g.vertices}
+            if not i:
+                name[g.zero_hat()] = "bot"
+            if i == len(row) - 1:
+                name[g.one_hat()] = "top"
+            edges += [(name[e.tail], name[e.head], (r, i, e.label)) for e in g.edges]
+            order += [(r, i, label) for label in g.relation.order]
+            if i:
+                junction = (r, i - 1, row[i - 1].one_hat()), name[g.zero_hat()]
+                edges += [(*junction, ("lo", r, i)), (*junction, ("hi", r, i))]
+                order.append(("hi", r, i))
+    return _normalize(edges, order)
 
 
 def d_join(*graphs: LabeledDigraph) -> LabeledDigraph:
     """Join two or more balanced linear graphs in a chain, each above the last.
 
     The sink of each graph is wired to the source of the next by two
-    parallel edges; one carries a label below everything, the other a label
-    above everything, so exactly one of the two crossings descends on each
-    side.  The cd-index multiplies with a d between consecutive factors.
-    Joining all graphs at once gives the same graph as joining them one at
-    a time from the left, with one renaming: labels run lo_(k-1), ..., lo_1,
-    then each graph's own, each but the first followed by its hi_i, and the
-    junction edges lo_i, hi_i follow graph i's edges.
+    parallel edges, one labeled below everything and one above everything,
+    so the cd-index multiplies with a d between consecutive factors.  It
+    is the one-row layout of :func:`_layout`: joining all graphs at once
+    gives the same graph as joining them one at a time from the left, with
+    one renaming.
     """
     if len(graphs) < 2:
         raise ValueError("d_join needs at least two graphs")
-    vertices = []
-    edges = []
-    order = [("lo", i) for i in reversed(range(1, len(graphs)))]
-    for i, g in enumerate(graphs):
-        _require_joinable(g, f"d_join argument {i + 1}")
-        vertices += [(i, v) for v in g.vertices]
-        edges += [((i, e.tail), (i, e.head), (i, e.label)) for e in g.edges]
-        order += [(i, label) for label in g.relation.order]
-        if i:
-            junction = (i - 1, graphs[i - 1].one_hat()), (i, g.zero_hat())
-            edges += [(*junction, ("lo", i)), (*junction, ("hi", i))]
-            order.append(("hi", i))
-    return _normalize(vertices, edges, order)
+    return _layout("d_join", [graphs])
 
 
 def glue_sum(*graphs: LabeledDigraph) -> LabeledDigraph:
     """Identify the sources and the sinks of two or more balanced linear graphs.
 
-    Label sets are kept disjoint and concatenated into one linear order
-    (any interleaving preserves within-graph comparisons, so the simplest
-    deterministic one is used).  The cd-index adds.  Gluing all parts at
-    once gives the same graph as gluing them one at a time from the left,
-    with one renaming instead of one per part.
+    Label sets are kept disjoint and concatenated into one linear order.
+    The cd-index adds.  It is the layout of :func:`_layout` with one row
+    per graph: gluing all parts at once gives the same graph as gluing
+    them one at a time from the left, with one renaming instead of one per
+    part.
     """
     if len(graphs) < 2:
         raise ValueError("glue_sum needs at least two graphs")
-    bot, top = ("bot",), ("top",)
-    vertices = [bot]
-    edges = []
-    order = []
-    for i, g in enumerate(graphs, start=1):
-        _require_joinable(g, f"glue argument {i}")
-        tag = str(i)
-        ends = {g.zero_hat(): bot, g.one_hat(): top}
-        vertices += [(tag, v) for v in g.vertices if v not in ends]
-        edges += [
-            (ends.get(e.tail, (tag, e.tail)), ends.get(e.head, (tag, e.head)), (tag, e.label))
-            for e in g.edges
-        ]
-        order += [(tag, label) for label in g.relation.order]
-    vertices.append(top)
-    return _normalize(vertices, edges, order)
+    return _layout("glue", [[g] for g in graphs])
 
 
 def realize(w: CdPoly) -> LabeledDigraph:
@@ -412,8 +423,10 @@ def conjecture_search(seed: int, trials: int, max_vertices: int = 8) -> SearchRe
     is reported; the report never asserts the nonnegativity statement, it
     only records what was found.  Identical seeds give identical reports.
     A negative trial count, or a vertex bound below 2 or above
-    ``MAX_SEARCH_VERTICES``, raises ``ValueError`` before the first trial.
+    ``MAX_SEARCH_VERTICES``, raises ``ValueError``, and a vertex bound that
+    is not an int ``TypeError``, before the first trial.
     """
+    max_vertices = operator.index(max_vertices)
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if max_vertices < 2:

@@ -265,32 +265,25 @@ def _low_words(m: int) -> tuple:
     return tuple(bin(w | 1 << m)[:2:-1].translate(_BITS_TO_AB) for w in range(1 << m))
 
 
-def _find_cycle(vertices: tuple, out: list) -> list:
-    """A directed cycle, by depth-first search over vertex indices.
+def _find_cycle(vertices: tuple, out: list, order: list) -> list:
+    """A directed cycle, read off the vertices Kahn's pass left out of ``order``.
 
-    ``out[i]`` lists (head index, ...) tuples.  The search keeps an explicit
-    stack; colour 1 means on the stack and 2 means done.
+    ``out[i]`` lists (head index, _, _) triples.  A leftover vertex keeps an
+    in-edge from a leftover (itself, for a loop), else its in-degree would
+    have reached zero; so stepping back along such in-edges from any
+    leftover revisits a vertex, and that stretch, reversed, is a cycle.  It
+    is returned closed, its first vertex repeated at the end.
     """
-    color = [0] * len(vertices)
-    for root in range(len(vertices)):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [root]
-        pending = [iter(out[root])]
-        while pending:
-            for w, *_ in pending[-1]:
-                if color[w] == 1:
-                    return [vertices[i] for i in stack[stack.index(w):]] + [vertices[w]]
-                if not color[w]:
-                    color[w] = 1
-                    stack.append(w)
-                    pending.append(iter(out[w]))
-                    break
-            else:
-                pending.pop()
-                color[stack.pop()] = 2
-    raise InternalError("cycle reported but none found")
+    done = set(order)
+    # a leftover's out-edges lead to leftovers only: their in-degrees never reach zero
+    back = {h: t for t, row in enumerate(out) if t not in done for h, _, _ in row}
+    step = {}  # leftover -> its place in the walk back
+    v = next(iter(back))
+    while v not in step:
+        step[v] = len(step)
+        v = back[v]
+    cycle = [*step][step[v]:][::-1]
+    return [vertices[i] for i in cycle + cycle[:1]]
 
 
 def _kahn(out: list) -> tuple[list, int]:
@@ -614,7 +607,7 @@ class LabeledDigraph:
         n = len(vertices)
         order, self._nsources = _kahn(out)
         if len(order) != n:
-            raise CycleDetected(_find_cycle(vertices, out))
+            raise CycleDetected(_find_cycle(vertices, out, order))
         self._vertices = vertices
         self._index = order  # the vertex index of each position
         if order == [*range(n)]:  # positions are the indices already
@@ -1071,9 +1064,11 @@ def stanley_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
     """Glue the sink of g to the source of h through paired edges.
 
     Edges into the sink of g and out of the source of h are fused into
-    single edges carrying label pairs; the relation compares a pair by its
-    g-component on the left and its h-component on the right.  The ab-index
-    of the result is the product of the factors' ab-indexes.
+    single edges carrying label pairs, listed after g's other edges and
+    before h's.  The relation has one rule: a g-label before a g-label or a
+    pair compares g-labels, a pair or an h-label before an h-label compares
+    h-labels, and nothing else is related.  The ab-index of the result is
+    the product of the factors' ab-indexes.
     """
     for graph in (g, h):
         if not graph.is_bounded():
@@ -1083,31 +1078,18 @@ def stanley_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
     g_top, h_bot = g.one_hat(), h.zero_hat()
     vertices = [("G", v) for v in g.vertices if v != g_top]
     vertices += [("H", v) for v in h.vertices if v != h_bot]
-    edges = []
-    for e in g.edges:
-        if e.head != g_top:
-            edges.append((("G", e.tail), ("G", e.head), ("G", e.label)))
-    for e in g.edges:
-        if e.head != g_top:
-            continue
-        for f in h.edges:
-            if f.tail != h_bot:
-                continue
-            edges.append((("G", e.tail), ("H", f.head), ("GH", e.label, f.label)))
-    for f in h.edges:
-        if f.tail != h_bot:
-            edges.append((("H", f.tail), ("H", f.head), ("H", f.label)))
+    edges = [(("G", e.tail), ("G", e.head), ("G", e.label)) for e in g.edges if e.head != g_top]
+    edges += [
+        (("G", e.tail), ("H", f.head), ("GH", e.label, f.label))
+        for e in g.edges if e.head == g_top
+        for f in h.edges if f.tail == h_bot
+    ]
+    edges += [(("H", f.tail), ("H", f.head), ("H", f.label)) for f in h.edges if f.tail != h_bot]
 
     def related(l, m) -> bool:
-        if l[0] == "G" and m[0] == "G":
-            return g.relation.related(l[1], m[1])
-        if l[0] == "G" and m[0] == "GH":
-            return g.relation.related(l[1], m[1])
-        if l[0] == "GH" and m[0] == "H":
-            return h.relation.related(l[2], m[1])
-        if l[0] == "H" and m[0] == "H":
-            return h.relation.related(l[1], m[1])
-        return False
+        if l[0] == "G":
+            return m[0] != "H" and g.relation.related(l[1], m[1])
+        return m[0] == "H" and h.relation.related(l[-1], m[1])  # l[-1]: l's h-label
 
     return LabeledDigraph(vertices, edges, _pairs_on_used_labels(edges, related))
 
@@ -1115,26 +1097,18 @@ def stanley_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
 def cartesian_product(g: LabeledDigraph, h: LabeledDigraph) -> LabeledDigraph:
     """Box product: vertices are pairs, each edge moves in one coordinate.
 
-    Labels keep their origin; a g-label relates to every h-label but never
-    the other way around, so rising paths must exhaust their g-steps first.
+    Labels keep their origin.  Two labels of one origin compare in that
+    factor; a g-label relates to every h-label but never the other way
+    around, so rising paths must exhaust their g-steps first.
     """
     vertices = [(x, z) for x in g.vertices for z in h.vertices]
-    edges = []
-    for x in g.vertices:
-        for f in h.edges:
-            edges.append(((x, f.tail), (x, f.head), ("H", f.label)))
-    for e in g.edges:
-        for z in h.vertices:
-            edges.append(((e.tail, z), (e.head, z), ("G", e.label)))
+    edges = [((x, f.tail), (x, f.head), ("H", f.label)) for x in g.vertices for f in h.edges]
+    edges += [((e.tail, z), (e.head, z), ("G", e.label)) for e in g.edges for z in h.vertices]
 
     def related(l, m) -> bool:
-        if l[0] == "G" and m[0] == "G":
-            return g.relation.related(l[1], m[1])
-        if l[0] == "G" and m[0] == "H":
-            return True
-        if l[0] == "H" and m[0] == "H":
-            return h.relation.related(l[1], m[1])
-        return False
+        if l[0] != m[0]:
+            return l[0] == "G"
+        return (g if l[0] == "G" else h).relation.related(l[1], m[1])
 
     return LabeledDigraph(vertices, edges, _pairs_on_used_labels(edges, related))
 

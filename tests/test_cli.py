@@ -13,8 +13,9 @@ import pytest
 
 from cdindex import alexander, construct
 from cdindex.cli import build_parser, main
-from cdindex.construct import SearchReport
+from cdindex.construct import Counterexample, SearchReport
 from cdindex.coxeter import dihedral_bruhat_graph
+from cdindex.digraph import to_json_dict
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.ncpoly import parse_cd
 
@@ -613,6 +614,42 @@ class TestSearchCommand:
         code, out, err = run(capsys, "search", "--seed", "1", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_counterexample_report(self, capsys, monkeypatch):
+        graph = to_json_dict(FIXTURE_BUILDERS["fig1_left"]())
+        found = Counterexample(
+            trial=7, graph=graph, cd_index="c^2 - d", negative_words=("d", "dc"), verified=True
+        )
+        report = SearchReport(
+            seed=3, trials=9, max_vertices=5, balanced_found=2, counterexamples=(found,)
+        )
+        monkeypatch.setattr("cdindex.construct.conjecture_search", lambda **kwargs: report)
+        argv = ("search", "--trials", "9", "--seed", "3", "--max-vertices", "5")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "seed": 3,
+            "trials": 9,
+            "max_vertices": 5,
+            "balanced_found": 2,
+            "counterexamples": [
+                {
+                    "trial": 7,
+                    "graph": graph,
+                    "cd_index": "c^2 - d",
+                    "negative_words": ["d", "dc"],
+                    "verified": True,
+                }
+            ],
+        }
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "trials: 9",
+            "balanced: 2",
+            "counterexamples: 1",
+            "  trial 7: cd-index c^2 - d (negative at d, dc; verified=True)",
+        ]
 
     def test_byte_stable(self, capsys):
         _, out1, _ = run(

@@ -181,7 +181,8 @@ class TestNaryJoin:
     def test_rejects_unbalanced_anywhere(self, position):
         parts = [butterfly(1), butterfly(0), butterfly(2)]
         parts[position] = chain(["2", "1"])
-        with pytest.raises(ValueError):
+        message = f"^d_join argument {position + 1} graph must be balanced$"
+        with pytest.raises(ValueError, match=message):
             d_join(*parts)
 
 
@@ -222,6 +223,14 @@ def realize_by_pairwise_glue(w: CdPoly):
 
 
 class TestNaryGlue:
+    def test_equals_left_fold(self):
+        odd = _reversed_fig1_left()
+        parts = [butterfly(k) for k in range(4)] + [odd]
+        for a, b, c in itertools.product(parts, repeat=3):
+            glued = glue_sum(a, b, c)
+            assert glued.vertices == glued.topological_order  # renamed in that order
+            assert to_json_dict(glued) == to_json_dict(glue_sum(glue_sum(a, b), c))
+
     def test_realize_equals_pairwise_fold(self, rng):
         for _ in range(40):
             target = _random_nonneg_cd(rng, max_degree=4)
@@ -237,7 +246,8 @@ class TestNaryGlue:
     def test_rejects_unbalanced_anywhere(self, position):
         parts = [butterfly(1), butterfly(0), butterfly(2)]
         parts[position] = chain(["2", "1"])
-        with pytest.raises(ValueError):
+        message = f"^glue argument {position + 1} graph must be balanced$"
+        with pytest.raises(ValueError, match=message):
             glue_sum(*parts)
 
     def test_cli_rejects_unbalanced_realization(self, capsys, monkeypatch):
@@ -485,14 +495,18 @@ def balanced_found_by_building(seed, trials, max_vertices):
 class TestConjectureSearch:
     @pytest.mark.parametrize(
         "trials, max_vertices",
-        [(-5, 8), (-1, 2), (0, 1), (3, 1), (1, construct_mod.MAX_SEARCH_VERTICES + 1), (1, 10**9)],
+        [
+            (-5, 8), (-1, 2), (0, 1), (3, 1),
+            (1, construct_mod.MAX_SEARCH_VERTICES + 1), (1, 10**9),
+            (0, 8.5), (1, 8.5), (0, "8"), (1, "8"),
+        ],
     )
     def test_bounds_checked_before_the_first_trial(self, monkeypatch, trials, max_vertices):
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(construct_mod, "_draw_dag", no_trial)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError if isinstance(max_vertices, int) else TypeError):
             conjecture_search(seed=1, trials=trials, max_vertices=max_vertices)
         assert conjecture_search(seed=1, trials=0, max_vertices=2).trials == 0
         # the patched step is the one every trial takes

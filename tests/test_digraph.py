@@ -67,6 +67,31 @@ class TestLoadAndValidate:
         cyc = exc.value.cycle
         assert cyc[0] == cyc[-1] and len(set(cyc)) == 3
 
+    def test_cycle_witness_walks_graph_edges(self):
+        rng = random.Random(1729)
+        found = 0
+        for _ in range(400):
+            vertices = list(range(rng.randint(1, 8)))
+            edges = [
+                (rng.choice(vertices), rng.choice(vertices), "1")
+                for _ in range(rng.randint(1, 2 * len(vertices)))
+            ]
+            if len(vertices) > 1 and rng.random() < 0.3:  # a parallel 2-cycle
+                x, y = rng.sample(vertices, 2)
+                edges += [(x, y, "1"), (y, x, "1"), (x, y, "1")]
+            rng.shuffle(edges)
+            try:
+                LabeledDigraph(vertices, edges, LinearRelation(["1"]))
+            except CycleDetected as exc:
+                cyc = exc.cycle
+            else:
+                continue
+            found += 1
+            arcs = {(t, h) for t, h, _ in edges}
+            assert cyc[0] == cyc[-1] and len(set(cyc)) == len(cyc) - 1
+            assert all(step in arcs for step in zip(cyc, cyc[1:]))
+        assert found > 200
+
     def test_parallel_edges(self):
         g = LabeledDigraph(
             ["x", "y"], [("x", "y", "1"), ("x", "y", "1")], LinearRelation(["1"])
@@ -506,6 +531,84 @@ class TestCartesianProduct:
     def test_acyclic_and_balanced_product(self, graph_fig2_i):
         prod = cartesian_product(graph_fig2_i, graph_fig2_i)
         assert prod.is_balanced().balanced
+
+
+def stanley_by_branches(g, h) -> tuple:
+    """Oracle: the Stanley product's parts, one edge loop each, four-branch relation."""
+    g_top, h_bot = g.one_hat(), h.zero_hat()
+    vertices = [("G", v) for v in g.vertices if v != g_top]
+    vertices += [("H", v) for v in h.vertices if v != h_bot]
+    edges = []
+    for e in g.edges:
+        if e.head != g_top:
+            edges.append((("G", e.tail), ("G", e.head), ("G", e.label)))
+    for e in g.edges:
+        if e.head == g_top:
+            for f in h.edges:
+                if f.tail == h_bot:
+                    edges.append((("G", e.tail), ("H", f.head), ("GH", e.label, f.label)))
+    for f in h.edges:
+        if f.tail != h_bot:
+            edges.append((("H", f.tail), ("H", f.head), ("H", f.label)))
+
+    def related(l, m) -> bool:
+        if l[0] == "G" and m[0] == "G":
+            return g.relation.related(l[1], m[1])
+        if l[0] == "G" and m[0] == "GH":
+            return g.relation.related(l[1], m[1])
+        if l[0] == "GH" and m[0] == "H":
+            return h.relation.related(l[2], m[1])
+        if l[0] == "H" and m[0] == "H":
+            return h.relation.related(l[1], m[1])
+        return False
+
+    return vertices, edges, related
+
+
+def cartesian_by_branches(g, h) -> tuple:
+    """Oracle: the box product's parts, one edge loop each, three-branch relation."""
+    vertices = [(x, z) for x in g.vertices for z in h.vertices]
+    edges = []
+    for x in g.vertices:
+        for f in h.edges:
+            edges.append(((x, f.tail), (x, f.head), ("H", f.label)))
+    for e in g.edges:
+        for z in h.vertices:
+            edges.append(((e.tail, z), (e.head, z), ("G", e.label)))
+
+    def related(l, m) -> bool:
+        if l[0] == "G" and m[0] == "G":
+            return g.relation.related(l[1], m[1])
+        if l[0] == "G" and m[0] == "H":
+            return True
+        if l[0] == "H" and m[0] == "H":
+            return h.relation.related(l[1], m[1])
+        return False
+
+    return vertices, edges, related
+
+
+class TestProductsAgainstBranches:
+    @pytest.mark.parametrize(
+        "product, oracle",
+        [(stanley_product, stanley_by_branches), (cartesian_product, cartesian_by_branches)],
+        ids=["stanley", "cartesian"],
+    )
+    def test_every_ordered_pair(self, all_fixture_graphs, product, oracle):
+        from cdindex.construct import butterfly
+
+        graphs = [*all_fixture_graphs.values()] + [butterfly(k) for k in range(3)]
+        for g in graphs:
+            for h in graphs:
+                prod = product(g, h)
+                vertices, edges, related = oracle(g, h)
+                labels = {label for _, _, label in edges}
+                pairs = {(l, m) for l in labels for m in labels if related(l, m)}
+                assert prod.vertices == tuple(vertices)
+                assert [tuple(e[:3]) for e in prod.edges] == edges
+                assert prod.relation.pairs == pairs
+                expected = LabeledDigraph(vertices, edges, PairsRelation(pairs))
+                assert prod.topological_order == expected.topological_order
 
 
 class TestDual:
