@@ -32,8 +32,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-MAX_M = 512
-
 
 def _parse_subset(text: str) -> frozenset:
     text = text.strip()
@@ -189,9 +187,6 @@ def cmd_bruhat(args):
     else:
         if args.m is None or args.k is None:
             raise GraphError("type I2 needs --m and --k")
-        if args.m > MAX_M:
-            # the group graph has m^2 edges and stays cached for the process
-            raise GraphError(f"--m {args.m} exceeds the bound {MAX_M}")
         bg = coxeter_mod.dihedral_bruhat_graph(args.m)
         u = bg.identity
         v = coxeter_mod.dihedral_graph(args.m, args.k).one_hat()

@@ -16,7 +16,9 @@ cd-polynomial with nonnegative coefficients is realized by joining the
 butterflies of each monomial in one d-join and gluing the monomial graphs
 (with multiplicity) in one glue sum; each graph is built once, already
 renamed in topological order.  All emitted graphs carry a linear label
-relation and are balanced.
+relation and are balanced.  The edge count is known from the
+polynomial, and ``realize`` refuses one above ``MAX_REALIZE_EDGES``
+before building anything.
 
 The module also houses the randomized search harness looking for a
 balanced, linearly labeled, bounded digraph whose cd-index has a negative
@@ -55,8 +57,18 @@ MAX_LABELS = 4
 # n = 19,994 takes 0.18 s and a 43 MiB peak RSS, the import included
 # (Python 3.11.7, 2 vCPUs); unbounded, a cap of 10**9 ran out of memory
 MAX_SEARCH_VERTICES = 20_000
+# every glued part has an edge, so bounding the edges bounds the parts too;
+# at low degree `construct --json` (realize, the balance check, the JSON)
+# costs time and memory about linear in the edge count: 14,999*c, 14,999*d
+# and the constant 60,000 (about 60,000 edges each) take 1.7-2.4 s and a
+# 205-309 MiB peak RSS, 1,499*c^10 2.6 s and 82 MiB, the import included
+# (Python 3.11.7, 2 vCPUs); the balance check's time grows exponentially
+# with a monomial's degree (c^18 takes 0.6-0.9 s), which this bound does not limit
+MAX_REALIZE_EDGES = 60_000
 
 __all__ = [
+    "MAX_REALIZE_EDGES",
+    "MAX_SEARCH_VERTICES",
     "Counterexample",
     "NegativeCoefficient",
     "SearchReport",
@@ -203,12 +215,23 @@ def realize(w: CdPoly) -> LabeledDigraph:
     Each monomial c^i0 d c^i1 d ... d c^ip becomes its butterflies joined
     by one d-join; multiplicities and distinct monomials are glued in one
     glue sum.  Requires w nonzero with nonnegative coefficients.
+
+    A monomial's part has 4 edges per c, 1 per empty run of c's and 2 per
+    d, and gluing keeps every edge, so the edge count is known from w;
+    above ``MAX_REALIZE_EDGES`` a ``ValueError`` is raised before anything
+    is built.
     """
     if w.is_zero():
         raise ZeroPolynomial("cannot realize the zero polynomial")
     negatives = {word: c for word, c in w.items() if c < 0}
     if negatives:
         raise NegativeCoefficient(f"negative coefficients: {negatives}")
+    edges = sum(
+        c * (2 * word.count("d") + sum(4 * len(run) or 1 for run in word.split("d")))
+        for word, c in w.items()
+    )
+    if edges > MAX_REALIZE_EDGES:
+        raise ValueError(f"a realization of {edges} edges exceeds the bound {MAX_REALIZE_EDGES}")
     parts = []
     for word in sorted(w.terms, key=cd_sort_key):
         chain = [butterfly(len(run)) for run in word.split("d")]

@@ -63,6 +63,7 @@ __all__ = [
     "multichain_specialization",
     "omega",
     "peak_membership",
+    "qsym_coproduct",
     "reverse_composition",
     "sigma_involution",
     "sigma_leq",

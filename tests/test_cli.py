@@ -585,6 +585,21 @@ class TestConstructCommand:
         assert code == 0
         assert out.strip() == "3 + 2*c"
 
+    @pytest.mark.parametrize(
+        "text, edges",
+        [
+            ("99999999999999999999*c", 4 * (10**20 - 1)),
+            ("99999999999999999999", 10**20 - 1),
+            ("99999999999999999999 + 2*c", 10**20 + 7),
+        ],
+    )
+    def test_size_bound_is_an_input_error(self, capsys, monkeypatch, text, edges):
+        monkeypatch.setattr(construct, "butterfly", lambda k: pytest.fail("a butterfly was built"))
+        code, out, err = run(capsys, "construct", "--cd", text)
+        assert (code, out) == (2, "")
+        bound = construct.MAX_REALIZE_EDGES
+        assert err == f"error: a realization of {edges} edges exceeds the bound {bound}\n"
+
     def test_negative_rejected(self, capsys):
         code, _, err = run(capsys, "construct", "--cd", "cc - d")
         assert code == 2

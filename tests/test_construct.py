@@ -315,6 +315,61 @@ class TestRealize:
         assert ab_to_cd(brute) == target
 
 
+class TestRealizeBound:
+    """realize counts its edges from the polynomial and refuses a graph above the bound."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1", "7", "c", "d", "2*c + 3", "dcd + 2*cdd + c", "20*cccc + 9*dcc", "3*dd + cdc + 2"],
+    )
+    def test_both_sides_of_the_bound(self, monkeypatch, text):
+        target = parse_cd(text)
+        edges = len(realize(target).edges)
+        monkeypatch.setattr(construct_mod, "MAX_REALIZE_EDGES", edges)
+        assert len(realize(target).edges) == edges
+        monkeypatch.setattr(construct_mod, "MAX_REALIZE_EDGES", edges - 1)
+        message = f"^a realization of {edges} edges exceeds the bound {edges - 1}$"
+        with pytest.raises(ValueError, match=message):
+            realize(target)
+
+    @pytest.mark.parametrize(
+        "text, edges",
+        [
+            (lambda k: f"{k // 4}*c", lambda k: 4 * (k // 4)),  # c is 4 edges
+            (lambda k: f"{k}", lambda k: k),  # the constant is one edge per part
+            (lambda k: f"{k // 4}*d", lambda k: 4 * (k // 4)),  # d is two 1-edge runs and 2
+            (lambda k: f"{k // 8 - 1}*cc + 8", lambda k: 8 * (k // 8 - 1) + 8),
+        ],
+    )
+    def test_real_bound_on_both_sides_without_building(self, monkeypatch, text, edges):
+        built = mock.Mock(return_value="built")
+        for name in ("butterfly", "d_join", "glue_sum"):
+            monkeypatch.setattr(construct_mod, name, built)
+        bound = construct_mod.MAX_REALIZE_EDGES
+        assert edges(bound) == bound
+        assert realize(parse_cd(text(bound))) == "built"
+        built.reset_mock()
+        with pytest.raises(ValueError, match=f"of {edges(bound + 8)} edges exceeds the bound"):
+            realize(parse_cd(text(bound + 8)))
+        built.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "text", ["99999999999999999999", "99999999999999999999*c", "99999999999999999999 + 2*c"]
+    )
+    def test_huge_coefficient_refused_without_building(self, monkeypatch, text):
+        built = mock.Mock(side_effect=AssertionError("built"))
+        monkeypatch.setattr(construct_mod, "butterfly", built)
+        with pytest.raises(ValueError, match="edges exceeds the bound"):
+            realize(parse_cd(text))
+
+    def test_admits_the_largest_measured_polynomial(self):
+        target = parse_cd(
+            "200*cccccccccc + 150*cdcdcccc + 120*ddddcc + 90*ccdccdcc + 70*dcccccccc + 300*ccccdcccc"
+        )
+        g = realize(target)
+        assert (len(g.vertices), len(g.edges)) == (15_942, 29_770)
+
+
 class TestChunkedBalance:
     """A realized graph wide enough for several run-count sweeps of the balance check."""
 

@@ -9,6 +9,7 @@ import pytest
 
 from cdindex import coxeter
 from cdindex.coxeter import (
+    MAX_M,
     BruhatGraph,
     HalfPowerResidue,
     Permutation,
@@ -302,6 +303,23 @@ class TestGroupCache:
         assert dihedral_bruhat_graph(5) is dihedral_bruhat_graph(5)
         with pytest.raises(ValueError):
             dihedral_bruhat_graph(1)
+
+    @pytest.mark.parametrize("n", ["3", 6.5, None])
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(TypeError):
+            bruhat_graph_sn(n)
+
+    def test_m_bound_checked_before_the_build(self, monkeypatch):
+        built = dihedral_bruhat_graph.cache_info().currsize
+        with mock.patch.object(coxeter, "_dihedral_levels", side_effect=AssertionError("built")):
+            with pytest.raises(ValueError, match=f"^m={MAX_M + 1} exceeds the bound {MAX_M}$"):
+                dihedral_bruhat_graph(MAX_M + 1)
+        assert dihedral_bruhat_graph.cache_info().currsize == built
+        # both sides of the bound, past the cache: the bound is read on each build
+        monkeypatch.setattr(coxeter, "MAX_M", 5)
+        assert len(dihedral_bruhat_graph.__wrapped__(5).graph.vertices) == 10
+        with pytest.raises(ValueError, match="^m=6 exceeds the bound 5$"):
+            dihedral_bruhat_graph.__wrapped__(6)
 
 
 class TestDihedralCoverInterval:
