@@ -201,6 +201,7 @@ def cmd_bruhat(args):
 
 def cmd_construct(args):
     target = parse_cd(args.cd)
+    construct_mod._check_construct_cost(target)
     graph = construct_mod.realize(target)
     report = graph.is_balanced()
     achieved = report.cd_index

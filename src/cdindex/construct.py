@@ -18,7 +18,9 @@ butterflies of each monomial in one d-join and gluing the monomial graphs
 renamed in topological order.  All emitted graphs carry a linear label
 relation and are balanced.  The edge count is known from the
 polynomial, and ``realize`` refuses one above ``MAX_REALIZE_EDGES``
-before building anything.
+before building anything.  ``cdindex construct`` checks what it builds,
+at a cost exponential in a monomial's length, and first refuses a
+polynomial weighing more than ``MAX_CHECK_AB_WORDS`` ab-words.
 
 The module also houses the randomized search harness looking for a
 balanced, linearly labeled, bounded digraph whose cd-index has a negative
@@ -61,12 +63,23 @@ MAX_SEARCH_VERTICES = 20_000
 # at low degree `construct --json` (realize, the balance check, the JSON)
 # costs time and memory about linear in the edge count: 14,999*c, 14,999*d
 # and the constant 60,000 (about 60,000 edges each) take 1.7-2.4 s and a
-# 205-309 MiB peak RSS, 1,499*c^10 2.6 s and 82 MiB, the import included
-# (Python 3.11.7, 2 vCPUs); the balance check's time grows exponentially
-# with a monomial's degree (c^18 takes 0.6-0.9 s), which this bound does not limit
+# 205-309 MiB peak RSS, the import included (Python 3.11.7, 2 vCPUs); the
+# check's exponential part is bounded by MAX_CHECK_AB_WORDS
 MAX_REALIZE_EDGES = 60_000
+# the cd-index of a realization has 2^(letters) ab-words per distinct
+# monomial, and converting them costs far more than sweeping a further
+# glued copy (300*d^16 took 7.3 s and 1.8 GiB, d^16 alone 1.0 s), so a
+# monomial weighs its 2^(letters) ab-words once plus an eighth of them per
+# further copy; at this bound the slowest admitted cases measured, all
+# with `--json` and the import included (Python 3.11.7, 2 vCPUs), were
+# d^15 + 14,988*c and 2,033*d^8 (2.2-2.3 s, 205-261 MiB), d^16 and
+# d^8 c^8 (0.8-1.0 s, 41-43 MiB); 200*c^10 + 150*cdcdc^4 + 120*d^4 c^2
+# + 90*c^2 d c^2 d c^2 + 70*d c^8 + 300*c^4 d c^4, weighing 60,216 (15,942
+# vertices), took 0.8 s and 53 MiB
+MAX_CHECK_AB_WORDS = 2**16
 
 __all__ = [
+    "MAX_CHECK_AB_WORDS",
     "MAX_REALIZE_EDGES",
     "MAX_SEARCH_VERTICES",
     "Counterexample",
@@ -221,6 +234,16 @@ def realize(w: CdPoly) -> LabeledDigraph:
     above ``MAX_REALIZE_EDGES`` a ``ValueError`` is raised before anything
     is built.
     """
+    _check_realizable(w)
+    parts = []
+    for word in sorted(w.terms, key=cd_sort_key):
+        chain = [butterfly(len(run)) for run in word.split("d")]
+        parts += [d_join(*chain) if len(chain) > 1 else chain[0]] * w.coefficient(word)
+    return parts[0] if len(parts) == 1 else glue_sum(*parts)
+
+
+def _check_realizable(w: CdPoly) -> None:
+    """The refusals of :func:`realize`, all before anything is built."""
     if w.is_zero():
         raise ZeroPolynomial("cannot realize the zero polynomial")
     negatives = {word: c for word, c in w.items() if c < 0}
@@ -232,11 +255,22 @@ def realize(w: CdPoly) -> LabeledDigraph:
     )
     if edges > MAX_REALIZE_EDGES:
         raise ValueError(f"a realization of {edges} edges exceeds the bound {MAX_REALIZE_EDGES}")
-    parts = []
-    for word in sorted(w.terms, key=cd_sort_key):
-        chain = [butterfly(len(run)) for run in word.split("d")]
-        parts += [d_join(*chain) if len(chain) > 1 else chain[0]] * w.coefficient(word)
-    return parts[0] if len(parts) == 1 else glue_sum(*parts)
+
+
+def _check_construct_cost(w: CdPoly) -> None:
+    """Refuse w before ``cdindex construct`` realizes it and checks the result.
+
+    The refusals of :func:`realize` come first; then w is refused when its
+    monomials weigh more than ``MAX_CHECK_AB_WORDS`` ab-words, each
+    2^(letters) once and an eighth of that per further copy.
+    """
+    _check_realizable(w)
+    words = sum(2 ** len(word) + (c - 1) * 2 ** len(word) // 8 for word, c in w.items())
+    if words > MAX_CHECK_AB_WORDS:
+        raise ValueError(
+            f"checking a realization of {words} weighted ab-words "
+            f"exceeds the bound {MAX_CHECK_AB_WORDS}"
+        )
 
 
 def random_labeled_dag(rng: random.Random, max_vertices: int = 8) -> LabeledDigraph:

@@ -376,73 +376,53 @@ def bruhat_leq(u, v) -> bool:
 
 # -- the dihedral groups -----------------------------------------------------
 
-
-def _dihedral_mult(m: int):
-    # elements are maps x -> eps*x + shift on Z/m, composed right-to-left
-    def mult(u, v):
-        eu, ju = u
-        ev, jv = v
-        return (eu * ev, (eu * jv + ju) % m)
-
-    return mult
+# An element of I2(m) is the map x -> eps*x + j on Z/m, written (eps, j);
+# products compose right to left.  With s = (-1, 0) and t = (-1, 1), (ts)^i
+# is (1, i), so the reflection s(ts)^i is (-1, -i), and the alternating words
+# of length k starting with s and with t are ((-1)^k, -floor(k/2)) and
+# ((-1)^k, ceil(k/2)).
 
 
 def _dihedral_reflections(m: int) -> list:
     """The m reflections in the order s, sts, ststs, ..., t."""
-    mult = _dihedral_mult(m)
-    s = (-1, 0)
-    ts = mult((-1, 1 % m), s)
-    reflections = []
-    power = (1, 0)
-    for _ in range(m):
-        reflections.append(mult(s, power))
-        power = mult(ts, power)
-    assert len(set(reflections)) == m
-    return reflections
+    return [(-1, -i % m) for i in range(m)]
 
 
 def _dihedral_top(m: int, k: int):
     """The alternating word s t s ... of length k."""
-    mult = _dihedral_mult(m)
-    w = (1, 0)
-    for i in range(k):
-        w = mult(w, (-1, 0) if i % 2 == 0 else (-1, 1 % m))
-    return w
+    return ((-1) ** k, -(k // 2) % m)
 
 
 def _dihedral_levels(m: int) -> list:
-    """The 2m elements by length, each level sorted: 1, 2, ..., 2, 1 of them."""
-    mult = _dihedral_mult(m)
-    levels = [[(1, 0)]]
-    seen = {(1, 0)}
-    while len(seen) < 2 * m:
-        new = sorted(
-            {mult(u, g) for u in levels[-1] for g in ((-1, 0), (-1, 1 % m))} - seen
-        )
-        seen.update(new)
-        levels.append(new)
-    return levels
+    """The 2m elements by length, each level sorted: 1, 2, ..., 2, 1 of them.
+
+    Level k holds the two alternating words of length k, which are one
+    element at k = 0 and at k = m.
+    """
+    return [sorted({_dihedral_top(m, k), ((-1) ** k, -(-k // 2) % m)}) for k in range(m + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     """Bruhat graph of the dihedral group with 2m elements (m >= 2).
 
     The m reflections are ordered s, sts, ststs, ..., t, giving a
     reflection ordering; edge labels are the 1-based positions in that
-    order, compared as integers.  An m above ``MAX_M`` raises
-    ``ValueError`` before anything is built, and nothing is cached for it.
+    order, compared as integers.  An m that is not an int raises
+    ``TypeError``, and one below 2 or above ``MAX_M`` raises ``ValueError``,
+    before anything is built; nothing is cached for any of them.
     """
+    m = operator.index(m)
     if m < 2:
         raise ValueError("the dihedral group needs m >= 2")
     if m > MAX_M:
         raise ValueError(f"m={m} exceeds the bound {MAX_M}")
     return _bruhat_graph(
         {u: k for k, level in enumerate(_dihedral_levels(m)) for u in level},
-        _dihedral_mult(m),
+        lambda u, v: (u[0] * v[0], (u[0] * v[1] + u[1]) % m),
         _dihedral_reflections(m),
         range(1, m + 1),
-        [(-1, 0), (-1, 1 % m)],
+        [(-1, 0), (-1, 1)],
         (1, 0),
         f"I2({m})",
     )
@@ -474,16 +454,13 @@ def dihedral_cover_interval(m: int, k: int) -> LabeledDigraph:
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    mult = _dihedral_mult(m)
-    rank = {refl: i for i, refl in enumerate(_dihedral_reflections(m), start=1)}
     levels = _dihedral_levels(m)[:k] + [[_dihedral_top(m, k)]]
     edges = []
     for below, above in zip(levels, levels[1:]):
         for u in below:
-            # u^-1 v, with (eps, j)^-1 = (eps, -eps*j)
-            inverse = (u[0], -u[0] * u[1] % m)
+            # u^-1 v = (-1, eps_u * (j_v - j_u)), the reflection labeled eps_u * (j_u - j_v) + 1
             edges += sorted(
-                ((u, v, rank[mult(inverse, v)]) for v in above), key=lambda e: e[2]
+                ((u, v, u[0] * (u[1] - v[1]) % m + 1) for v in above), key=lambda e: e[2]
             )
     vertices = [u for level in levels for u in level]
     return LabeledDigraph(vertices, edges, LinearRelation(range(1, m + 1)))

@@ -26,6 +26,7 @@ All coefficients are Python ints, so arithmetic never overflows.
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -367,23 +368,17 @@ def cd_word_cmp(u: str, v: str) -> int:
 
 
 def cd_words_of_degree(n: int) -> Iterator[str]:
-    """All cd-words of degree n, in increasing linear order."""
-    if n < 0:
-        return
-    for dcount in range(n // 2 + 1):
-        rest = n - 2 * dcount
-        for runs in _compositions_with_zeros(rest, dcount + 1):
-            yield "d".join("c" * i for i in runs)
+    """All cd-words of degree n, in increasing linear order.
 
-
-def _compositions_with_zeros(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # lexicographically increasing tuples of `parts` nonnegative ints summing to total
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_with_zeros(total - first, parts - 1):
-            yield (first,) + rest
+    A word with j d's has n - j letters.  Its d places in lexicographic
+    order give its c-runs in lexicographic order.
+    """
+    for j in range(n // 2 + 1):
+        for places in itertools.combinations(range(n - j), j):
+            word = ["c"] * (n - j)
+            for i in places:
+                word[i] = "d"
+            yield "".join(word)
 
 
 class TensorSquare(FreeModule):

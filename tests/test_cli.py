@@ -600,6 +600,29 @@ class TestConstructCommand:
         bound = construct.MAX_REALIZE_EDGES
         assert err == f"error: a realization of {edges} edges exceeds the bound {bound}\n"
 
+    def test_check_cost_bound_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(construct, "butterfly", lambda k: pytest.fail("a butterfly was built"))
+        code, out, err = run(capsys, "construct", "--cd", "c" * 30)
+        assert (code, out) == (2, "")
+        bound = construct.MAX_CHECK_AB_WORDS
+        message = f"checking a realization of {2**30} weighted ab-words exceeds the bound {bound}"
+        assert err == f"error: {message}\n"
+
+    def test_check_cost_bound_on_both_sides(self, capsys, monkeypatch):
+        monkeypatch.setattr(construct, "MAX_CHECK_AB_WORDS", 2**5)
+        code, out, _ = run(capsys, "construct", "--cd", "ccccc")
+        assert code == 0 and "cd-index: ccccc" in out
+        code, out, err = run(capsys, "construct", "--cd", "cccccc")
+        assert (code, out) == (2, "")
+        message = f"checking a realization of {2**6} weighted ab-words exceeds the bound {2**5}"
+        assert err == f"error: {message}\n"
+
+    def test_check_cost_bound_admits_the_largest_measured_polynomial(self, capsys):
+        text = "200*cccccccccc + 150*cdcdcccc + 120*ddddcc + 90*ccdccdcc + 70*dcccccccc + 300*ccccdcccc"
+        code, out, _ = run(capsys, "construct", "--cd", text)
+        assert code == 0
+        assert out.splitlines()[1:] == ["vertices: 15942", "edges: 29770"]
+
     def test_negative_rejected(self, capsys):
         code, _, err = run(capsys, "construct", "--cd", "cc - d")
         assert code == 2

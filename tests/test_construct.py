@@ -370,6 +370,51 @@ class TestRealizeBound:
         assert (len(g.vertices), len(g.edges)) == (15_942, 29_770)
 
 
+class TestConstructCost:
+    """_check_construct_cost weighs a monomial's ab-words once, and an eighth per further copy."""
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("1", 1),
+            ("3*c", 2),
+            ("9*ccc", 8 + 8),
+            ("dd + 2*cdc", 4 + 8 + 1),
+            ("c" * 30, 2**30),
+            ("300*" + "d" * 16, 2**16 + 299 * 2**13),
+            (
+                "200*cccccccccc + 150*cdcdcccc + 120*ddddcc + 90*ccdccdcc + 70*dcccccccc + 300*ccccdcccc",
+                26_496 + 5_024 + 1_016 + 3_104 + 4_928 + 19_648,
+            ),
+        ],
+    )
+    def test_both_sides_of_the_bound(self, monkeypatch, text, words):
+        monkeypatch.setattr(construct_mod, "butterfly", mock.Mock(side_effect=AssertionError("built")))
+        target = parse_cd(text)
+        monkeypatch.setattr(construct_mod, "MAX_CHECK_AB_WORDS", words)
+        construct_mod._check_construct_cost(target)
+        monkeypatch.setattr(construct_mod, "MAX_CHECK_AB_WORDS", words - 1)
+        message = f"^checking a realization of {words} weighted ab-words exceeds the bound {words - 1}$"
+        with pytest.raises(ValueError, match=message):
+            construct_mod._check_construct_cost(target)
+
+    def test_real_bound(self):
+        assert construct_mod.MAX_CHECK_AB_WORDS == 2**16
+        for text in ["d" * 16, "121*" + "d" * 12, "2033*" + "d" * 8]:
+            construct_mod._check_construct_cost(parse_cd(text))
+        for text in ["c" * 17, "2*" + "d" * 16, "d" * 16 + " + 1", "122*" + "d" * 12]:
+            with pytest.raises(ValueError, match="weighted ab-words exceeds the bound"):
+                construct_mod._check_construct_cost(parse_cd(text))
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("0", ZeroPolynomial), ("cc - d", NegativeCoefficient), ("99999999999999999999*c", ValueError)],
+    )
+    def test_refusals_of_realize_first(self, text, error):
+        with pytest.raises(error, match="zero|negative|edges exceeds"):
+            construct_mod._check_construct_cost(parse_cd(text))
+
+
 class TestChunkedBalance:
     """A realized graph wide enough for several run-count sweeps of the balance check."""
 

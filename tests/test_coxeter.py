@@ -309,6 +309,14 @@ class TestGroupCache:
         with pytest.raises(TypeError):
             bruhat_graph_sn(n)
 
+    def test_m_must_be_an_int(self):
+        dihedral_bruhat_graph(7)
+        built = dihedral_bruhat_graph.cache_info().currsize
+        for m, error in [(7.0, TypeError), ("7", TypeError), (True, ValueError)]:
+            with pytest.raises(error):
+                dihedral_bruhat_graph(m)
+        assert dihedral_bruhat_graph.cache_info().currsize == built
+
     def test_m_bound_checked_before_the_build(self, monkeypatch):
         built = dihedral_bruhat_graph.cache_info().currsize
         with mock.patch.object(coxeter, "_dihedral_levels", side_effect=AssertionError("built")):
@@ -320,6 +328,58 @@ class TestGroupCache:
         assert len(dihedral_bruhat_graph.__wrapped__(5).graph.vertices) == 10
         with pytest.raises(ValueError, match="^m=6 exceeds the bound 5$"):
             dihedral_bruhat_graph.__wrapped__(6)
+
+
+def _walk_mult(m: int):
+    # oracle: elements are maps x -> eps*x + shift on Z/m, composed right-to-left
+    def mult(u, v):
+        eu, ju = u
+        ev, jv = v
+        return (eu * ev, (eu * jv + ju) % m)
+
+    return mult
+
+
+def _walk_reflections(m: int) -> list:
+    """Oracle: s(ts)^i for i = 0 .. m - 1, one product at a time."""
+    mult = _walk_mult(m)
+    s = (-1, 0)
+    ts = mult((-1, 1), s)
+    reflections = []
+    power = (1, 0)
+    for _ in range(m):
+        reflections.append(mult(s, power))
+        power = mult(ts, power)
+    return reflections
+
+
+def _walk_tops(m: int) -> list:
+    """Oracle: the alternating words s t s ... of length 0 .. m, one product at a time."""
+    mult = _walk_mult(m)
+    tops = [(1, 0)]
+    for i in range(m):
+        tops.append(mult(tops[-1], (-1, 0) if i % 2 == 0 else (-1, 1)))
+    return tops
+
+
+def _walk_levels(m: int) -> list:
+    """Oracle: the elements by length, by a breadth-first walk over the group."""
+    mult = _walk_mult(m)
+    levels = [[(1, 0)]]
+    seen = {(1, 0)}
+    while len(seen) < 2 * m:
+        new = sorted({mult(u, g) for u in levels[-1] for g in ((-1, 0), (-1, 1))} - seen)
+        seen.update(new)
+        levels.append(new)
+    return levels
+
+
+class TestDihedralClosedForms:
+    def test_equal_to_the_walks(self):
+        for m in range(2, MAX_M + 2):
+            assert coxeter._dihedral_reflections(m) == _walk_reflections(m)
+            assert coxeter._dihedral_levels(m) == _walk_levels(m)
+            assert [coxeter._dihedral_top(m, k) for k in range(m + 1)] == _walk_tops(m)
 
 
 class TestDihedralCoverInterval:

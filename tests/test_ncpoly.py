@@ -195,6 +195,24 @@ class TestCdWordOrder:
         assert all(cd_word_cmp(u, v) == -1 for u, v in zip(words, words[1:]))
         assert all(cd_word_degree(w) == 5 for w in words)
 
+    def test_enumeration_matches_the_compositions(self):
+        def compositions(total, parts):
+            # oracle: lexicographically increasing runs of `parts` nonnegative ints summing to total
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(total + 1):
+                for rest in compositions(total - first, parts - 1):
+                    yield (first,) + rest
+
+        for n in range(-2, 17):
+            expected = [
+                "d".join("c" * i for i in runs)
+                for j in range(n // 2 + 1)
+                for runs in compositions(n - 2 * j, j + 1)
+            ]
+            assert list(cd_words_of_degree(n)) == expected
+
 
 def _pivot_word(cd_word: str) -> str:
     # the ab-word a^i0 ba a^i1 ba ... ba a^ip occurs in the expansion of
