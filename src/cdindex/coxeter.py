@@ -13,7 +13,8 @@ the cd-index of the underlying graded order.
 
 Each group's graph is built once per process: ``bruhat_graph_sn`` checks its
 size cap and then reads a cache keyed on n alone, so every caller shares one
-graph whatever cap it passed.  A :class:`BruhatGraph` is group data over two
+graph whatever cap it passed, and ``dihedral_bruhat_graph`` checks m and then
+reads a cache keyed on the plain int.  A :class:`BruhatGraph` is group data over two
 graphs that its builder makes with the public constructor: ``graph``, with
 every edge, and ``cover``, with the cover edges only.  The Bruhat order is
 reachability in ``graph``, so ``leq`` and ``interval`` are the graph's own
@@ -402,7 +403,6 @@ def _dihedral_levels(m: int) -> list:
     return [sorted({_dihedral_top(m, k), ((-1) ** k, -(-k // 2) % m)}) for k in range(m + 1)]
 
 
-@lru_cache(maxsize=None, typed=True)
 def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     """Bruhat graph of the dihedral group with 2m elements (m >= 2).
 
@@ -410,13 +410,20 @@ def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     reflection ordering; edge labels are the 1-based positions in that
     order, compared as integers.  An m that is not an int raises
     ``TypeError``, and one below 2 or above ``MAX_M`` raises ``ValueError``,
-    before anything is built; nothing is cached for any of them.
+    before anything is built; nothing is cached for any of them.  The graph
+    is built once per m and process, an int subclass such as an ``IntEnum``
+    member sharing the int's graph.
     """
     m = operator.index(m)
     if m < 2:
         raise ValueError("the dihedral group needs m >= 2")
     if m > MAX_M:
         raise ValueError(f"m={m} exceeds the bound {MAX_M}")
+    return _dihedral_bruhat_graph(m)
+
+
+@lru_cache(maxsize=None)
+def _dihedral_bruhat_graph(m: int) -> BruhatGraph:
     return _bruhat_graph(
         {u: k for k, level in enumerate(_dihedral_levels(m)) for u in level},
         lambda u, v: (u[0] * v[0], (u[0] * v[1] + u[1]) % m),

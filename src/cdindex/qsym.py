@@ -6,11 +6,14 @@ splitting parts gives a partial order isomorphic to the subsets of
 descent set with its complement.
 
 A quasisymmetric element is stored as a finite integer combination of
-monomial basis elements M_alpha.  The product is the quasi-shuffle of
-monomial indices and the coproduct splits an index in two.  The
-fundamental basis L_alpha = sum of M over refinements is reached by one
-transform over descent-set bitmasks, one descent position at a time, in
-either direction; omega complements descent sets in that basis.
+fundamental elements L_alpha, the basis in which the path invariants
+below are sums.  There omega complements each index, the antipode sends
+L_alpha to (-1)^n L of the complement of the reversed index, gamma is a
+change of key, and the product sums L over the descent sets of shuffles.
+The monomial basis M, with L_alpha the sum of M over the refinements of
+alpha, is where the coproduct splits an index in two and the product is
+the quasi-shuffle of indices; an element reaches it, and comes back, by
+one transform over descent-set bitmasks, one descent position at a time.
 
 The linear map gamma identifies ab-polynomials with zero-constant
 quasisymmetric functions by sending the degree n-1 word with descents D to
@@ -38,7 +41,6 @@ from .ncpoly import (
     FreeModule,
     NotInSpan,
     TensorSquare,
-    _format_terms,
     _merge,
     ab_to_cd,
     bar,
@@ -71,9 +73,6 @@ __all__ = [
 
 Composition = tuple
 
-_AB_TO_BITS = str.maketrans("ab", "01")
-
-
 def _validate(alpha: Sequence[int]) -> tuple:
     alpha = tuple(alpha)
     if any(part < 1 for part in alpha):
@@ -102,6 +101,22 @@ def _composition(mask: int, n: int) -> tuple:
     return (*parts, n - prev) if n else ()
 
 
+def _complement(alpha: tuple) -> tuple:
+    """The complement of a nonempty composition, unchecked."""
+    n = sum(alpha)
+    return _composition(_mask(alpha) ^ (1 << n) - 2, n)
+
+
+def _word(alpha: tuple) -> str:
+    """The ab-word of degree n-1 with a b at each descent of alpha (gamma's key map, inverted)."""
+    return "b".join(["a" * (part - 1) for part in alpha])
+
+
+def _from_word(word: str) -> tuple:
+    """The composition of len(word) + 1 with a descent after each b of the word."""
+    return tuple([len(run) + 1 for run in word.split("b")])
+
+
 def descent_set(alpha: Sequence[int]) -> frozenset:
     """Partial sums of alpha except the last; a subset of {1, ..., n-1}."""
     mask = _mask(_validate(alpha))
@@ -124,10 +139,9 @@ def complement(alpha: Sequence[int]) -> tuple:
     Equivalently, complement the descent set inside {1, ..., n-1}.
     """
     alpha = _validate(alpha)
-    n = sum(alpha)
-    if n == 0:
+    if not alpha:
         raise ValueError("the empty composition has no complement")
-    return _composition(_mask(alpha) ^ (1 << n) - 2, n)
+    return _complement(alpha)
 
 
 def reverse_composition(alpha: Sequence[int]) -> tuple:
@@ -198,6 +212,69 @@ def M_in_L(alpha: Sequence[int]) -> dict:
     return _refine(_masks([(_validate(alpha), 1)]), -1)
 
 
+def _shuffle_masks(acc: dict, du: int, n: int, dv: int, m: int, coeff: int) -> None:
+    """Add coeff times L_alpha L_beta into ``acc``, keyed by descent-set bitmask.
+
+    alpha composes n with descent mask du, beta composes m with mask dv.
+    Take a word u with descent composition alpha and a word v with descent
+    composition beta whose letters all exceed u's; L_alpha L_beta is the sum
+    of L over the descent compositions of the shuffles of u and v.  A
+    shuffle places u's or v's next letter at each step, making a descent
+    within u or v at their own descents, always from v to u, and never from
+    u to v.  Shuffles are merged by (letters of u placed, side of the last
+    letter, descent mask so far), one step at a time.
+    """
+    # (letters of u placed, last side: 0 for u, 1 for v, None at the start) -> {mask: coeff}
+    layer: dict = {(0, None): {0: coeff}}
+    for t in range(n + m):
+        bit = 1 << t  # a descent between letters t and t + 1
+        step: dict = {}
+        for (i, last), masks in layer.items():
+            if i < n:
+                down = last == 1 or last == 0 and du >> i & 1
+                _spread(step, (i + 1, 0), masks, bit if down else 0)
+            if t - i < m:
+                down = last == 1 and dv >> t - i & 1
+                _spread(step, (i, 1), masks, bit if down else 0)
+        layer = step
+    for masks in layer.values():
+        for mask, c in masks.items():
+            acc[mask] = acc.get(mask, 0) + c
+
+
+def _spread(step: dict, state: tuple, masks: dict, bit: int) -> None:
+    """Add each mask of ``masks``, with ``bit`` set, into step[state].
+
+    No mask has the bit yet, so setting it keeps them apart.
+    """
+    target = step.get(state)
+    if target is None:
+        step[state] = {mask | bit: c for mask, c in masks.items()}
+    else:
+        for mask, c in masks.items():
+            target[mask | bit] = target.get(mask | bit, 0) + c
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The product of two fundamental expansions, summed over shuffles.
+
+    Each pair of terms is shuffled by ``_shuffle_masks`` into one table
+    per total degree, keyed by descent mask, so a composition is built
+    once per result term rather than once per (pair, result) pair.
+    """
+    tables: dict[int, dict[int, int]] = {}
+    right_tables = _masks(right.items())
+    for n, left_table in _masks(left.items()).items():
+        for m, right_table in right_tables.items():
+            acc = tables.setdefault(n + m, {})
+            for du, a in left_table.items():
+                for dv, b in right_table.items():
+                    _shuffle_masks(acc, du, n, dv, m, a * b)
+    return {
+        _composition(mask, n): c for n, acc in tables.items() for mask, c in acc.items() if c
+    }
+
+
 def _quasi_shuffle(out: dict, alpha: tuple, beta: tuple, coeff: int) -> None:
     """Add coeff times each quasi-shuffle of alpha and beta into ``out``.
 
@@ -225,11 +302,15 @@ def _render_composition(alpha: tuple, basis: str = "M") -> str:
     return f"{basis}[{','.join(map(str, alpha))}]"
 
 
-class QSymElement(FreeModule):
-    """Finite integer combination of monomial quasisymmetric elements M_alpha.
+def _composition_order(alpha: tuple):
+    return (sum(alpha), len(alpha), alpha)
 
-    Keys are compositions, multiplied by the quasi-shuffle and graded by
-    their sum.
+
+class _Monomials(FreeModule):
+    """Integer combination of monomial elements M_alpha, under the quasi-shuffle.
+
+    The basis the coproduct is defined in: ``QSymTensor`` is its tensor
+    square, and ``to_string("M")`` prints through it.
     """
 
     __slots__ = ()
@@ -237,54 +318,81 @@ class QSymElement(FreeModule):
     _key = staticmethod(_validate)
     _mul_keys = staticmethod(_quasi_shuffle)
     word_degree = staticmethod(sum)
+    _sort_key = staticmethod(_composition_order)
     _render = staticmethod(_render_composition)
 
+
+class QSymElement(FreeModule):
+    """Finite integer combination of fundamental quasisymmetric elements L_alpha.
+
+    Keys are compositions, graded by their sum; the raw constructor,
+    ``items()`` and ``coefficient()`` read fundamental coefficients, and
+    ``M`` and ``m_coefficients()`` the monomial ones.  A product is taken
+    in the fundamental basis, by shuffles.
+    """
+
+    __slots__ = ()
+    _UNIT = ()
+    _key = staticmethod(_validate)
+    word_degree = staticmethod(sum)
+    _sort_key = staticmethod(_composition_order)
+
     @staticmethod
-    def _sort_key(alpha: tuple):
-        return (sum(alpha), len(alpha), alpha)
+    def _render(alpha: tuple) -> str:
+        return _render_composition(alpha, "L")
+
+    def __mul__(self, other):
+        if not isinstance(other, QSymElement):
+            return super().__mul__(other)
+        return QSymElement._trusted(_product(self._terms, other._terms))
 
     @classmethod
     def M(cls, alpha: Sequence[int], coeff: int = 1) -> "QSymElement":
-        return cls.monomial(tuple(alpha), coeff)
+        if not coeff:
+            return cls.zero()
+        return cls._trusted({beta: c * coeff for beta, c in M_in_L(alpha).items()})
 
     @classmethod
     def L(cls, alpha: Sequence[int], coeff: int = 1) -> "QSymElement":
-        if not coeff:
-            return cls.zero()
-        return cls._trusted(dict.fromkeys(L_in_M(alpha), coeff))
+        return cls.monomial(tuple(alpha), coeff)
 
     def constant_term(self) -> int:
         return self.coefficient(())
 
     def l_coefficients(self) -> dict:
         """Coefficients in the fundamental basis."""
-        return _refine(_masks(self._terms.items()), -1)
+        return dict(self._terms)
+
+    def m_coefficients(self) -> dict:
+        """Coefficients in the monomial basis."""
+        return _refine(_masks(self._terms.items()), 1)
 
     def to_string(self, basis: str = "L") -> str:
         """Render as e.g. ``3*L[1] + 2*L[2] + 2*L[1,1]`` (basis L or M)."""
         if basis == "L":
-            coeffs = self.l_coefficients()
-        elif basis == "M":
-            coeffs = self._terms
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        return _format_terms(
-            coeffs, self._sort_key, lambda alpha: _render_composition(alpha, basis)
-        )
+            return str(self)
+        if basis == "M":
+            return str(_Monomials._trusted(self.m_coefficients()))
+        raise ValueError(f"unknown basis {basis!r}")
 
 
 class QSymTensor(TensorSquare):
-    """Integer combination of ordered pairs of compositions."""
+    """Integer combination of ordered pairs of compositions, in the basis M (x) M."""
 
     __slots__ = ()
-    _FACTOR = QSymElement
+    _FACTOR = _Monomials
     _UNIT = ((), ())
+
+    @classmethod
+    def tensor(cls, f: QSymElement, g: QSymElement) -> "QSymTensor":
+        """The tensor f (x) g of two quasisymmetric elements, expanded in M (x) M."""
+        return super().tensor(f.m_coefficients(), g.m_coefficients())
 
 
 def qsym_coproduct(f: QSymElement) -> QSymTensor:
     """Deconcatenation of monomial indices."""
     data: dict[tuple, int] = {}
-    for alpha, coeff in f.items():
+    for alpha, coeff in f.m_coefficients().items():
         for i in range(len(alpha) + 1):
             _merge(data, (alpha[:i], alpha[i:]), coeff)
     return QSymTensor._trusted(data)
@@ -293,23 +401,26 @@ def qsym_coproduct(f: QSymElement) -> QSymTensor:
 def omega(f: QSymElement) -> QSymElement:
     """The involution sending each fundamental element to its complement.
 
-    Computed in the fundamental basis, where it complements each descent
-    set; it fixes the constant term.
+    It complements each descent set and fixes the constant term.
     """
-    tables = _masks(f.l_coefficients().items())
-    for n, table in tables.items():
-        full = (1 << n) - 2 if n else 0  # the bits 1..n-1
-        tables[n] = {mask ^ full: coeff for mask, coeff in table.items()}
-    return QSymElement._trusted(_refine(tables, 1))
+    return QSymElement._trusted(
+        {_complement(alpha) if alpha else alpha: coeff for alpha, coeff in f.items()}
+    )
 
 
 def antipode(f: QSymElement) -> QSymElement:
-    """S(M_alpha) = (-1)^n omega(M of the reversed composition), extended linearly."""
-    # reversal permutes compositions, so the reversed keys stay distinct
-    reversed_terms = {
-        alpha[::-1]: -coeff if sum(alpha) % 2 else coeff for alpha, coeff in f.items()
-    }
-    return omega(QSymElement._trusted(reversed_terms))
+    """S(L_alpha) = (-1)^n L of the complement of the reversed alpha, extended linearly.
+
+    In the monomial basis this is S(M_alpha) = (-1)^n omega(M of the
+    reversed alpha): reversal commutes with refinement, so it reverses
+    fundamental indices too.
+    """
+    return QSymElement._trusted(
+        {
+            _complement(alpha[::-1]) if alpha else alpha: -coeff if sum(alpha) % 2 else coeff
+            for alpha, coeff in f.items()
+        }
+    )
 
 
 def _source_to_sink_by_paths(g: LabeledDigraph) -> AbPoly | None:
@@ -336,9 +447,7 @@ def F_falling(g: LabeledDigraph) -> QSymElement:
 
     A path's falling-run composition is the complement of its rising-run
     composition: its descent set is the path's ascents.  So this is gamma
-    of bar of the ab-index.  It equals omega(F_rising(g)) but never builds
-    F_rising, whose monomial terms can be exponentially many: L of (n)
-    alone has 2**(n-1).
+    of bar of the ab-index, and it equals omega(F_rising(g)).
     """
     psi = _source_to_sink_by_paths(g)
     return QSymElement.one() if psi is None else gamma(bar(psi))
@@ -352,23 +461,14 @@ def gamma(p: AbPoly) -> QSymElement:
     extension of sending (a-b)^(a1-1) b (a-b)^(a2-1) b ... to M of the
     composition (a1, a2, ...).
     """
-    tables: dict[int, dict[int, int]] = {}
-    for word, coeff in p.items():
-        # bit i + 1 for a b at position i
-        mask = int(word[::-1].translate(_AB_TO_BITS) or "0", 2) << 1
-        tables.setdefault(len(word) + 1, {})[mask] = coeff
-    return QSymElement._trusted(_refine(tables, 1))
+    return QSymElement._trusted({_from_word(word): coeff for word, coeff in p.items()})
 
 
 def gamma_inverse(f: QSymElement) -> AbPoly:
     """The inverse identification; requires zero constant term."""
     if f.constant_term():
         raise ValueError("gamma images have no constant term")
-    words: dict[str, int] = {}
-    for alpha, coeff in f.l_coefficients().items():
-        mask = _mask(alpha)
-        words["".join("ab"[mask >> i & 1] for i in range(1, sum(alpha)))] = coeff
-    return AbPoly._trusted(words)
+    return AbPoly._trusted({_word(alpha): coeff for alpha, coeff in f.items()})
 
 
 def peak_membership(f: QSymElement) -> bool:
@@ -405,16 +505,29 @@ class MultichainComparison:
 
 
 def _truncate(f: QSymElement, m: int) -> dict:
+    """f in the first m variables, as a dict from exponent tuple to coefficient.
+
+    L_alpha there is the sum of M_beta over the refinements beta of alpha
+    with at most m parts, and M_beta the sum of x^beta over the ways to
+    place beta's parts, in order, on m variables.  The refinements are
+    generated from alpha's descent set by adding at most m - len(alpha) of
+    its other positions, so none with more parts is ever built.
+    """
     out: dict[tuple, int] = {}
     for alpha, coeff in f.items():
-        k = len(alpha)
-        if k > m:
+        spare = m - len(alpha)
+        if spare < 0:
             continue
-        for positions in itertools.combinations(range(m), k):
-            exps = [0] * m
-            for pos, part in zip(positions, alpha):
-                exps[pos] = part
-            _merge(out, tuple(exps), coeff)
+        n, descents = sum(alpha), _mask(alpha)
+        free = [i for i in range(1, n) if not descents >> i & 1]
+        for r in range(min(spare, len(free)) + 1):
+            for cuts in itertools.combinations(free, r):
+                beta = _composition(descents | sum(1 << c for c in cuts), n)
+                for positions in itertools.combinations(range(m), len(beta)):
+                    exps = [0] * m
+                    for pos, part in zip(positions, beta):
+                        exps[pos] = part
+                    _merge(out, tuple(exps), coeff)
     return out
 
 

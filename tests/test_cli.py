@@ -14,7 +14,7 @@ import pytest
 from cdindex import alexander, construct
 from cdindex.cli import build_parser, main
 from cdindex.construct import Counterexample, SearchReport
-from cdindex.coxeter import dihedral_bruhat_graph
+from cdindex.coxeter import _dihedral_bruhat_graph
 from cdindex.digraph import to_json_dict
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.ncpoly import parse_cd
@@ -561,9 +561,9 @@ class TestBruhatCommand:
         assert run(capsys, "bruhat", *argv) == (2, "", f"error: {message}\n")
 
     def test_m_cap(self, capsys):
-        built = dihedral_bruhat_graph.cache_info().currsize
+        built = _dihedral_bruhat_graph.cache_info().currsize
         code, out, err = run(capsys, "bruhat", "--type", "I2", "--m", "3000", "--k", "1")
-        assert dihedral_bruhat_graph.cache_info().currsize == built
+        assert _dihedral_bruhat_graph.cache_info().currsize == built
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "exceeds" in err

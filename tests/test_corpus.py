@@ -17,7 +17,12 @@ Each group has its own manifest under ``corpus/``:
   interval [identity, length-k element] of I2(m), 2 <= m <= 8, each as
   text and as ``--json``;
 * ``realized``: ``construct --json`` on c^0, ..., c^10 and on 20 seeded
-  nonnegative cd-polynomials of degree at most 5.
+  nonnegative cd-polynomials of degree at most 5;
+* ``qsym``: ``qsym`` and ``qsym --basis M`` on every Bruhat interval
+  [u, v] of S4 with u < v, each as text and as ``--json``.  The intervals
+  are written to a temporary directory with vertices in one-line notation,
+  labels ``"ij"`` for the transposition (i, j), and the lexicographic
+  linear order on the labels.
 """
 
 import contextlib
@@ -26,11 +31,14 @@ import io
 import json
 import random
 import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from cdindex.cli import main
+from cdindex.coxeter import bruhat_graph_sn
 from cdindex.ncpoly import CdPoly, cd_words_of_degree
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -87,13 +95,58 @@ def realized_cases() -> list:
     return [(f"{p}/json", ["construct", "--cd", str(p), "--json"]) for p in realized_polynomials()]
 
 
+def s4_intervals() -> dict:
+    """Every S4 Bruhat interval [u, v] with u < v in graph-file form, by "u-v"."""
+    bg = bruhat_graph_sn(4)
+    order = [f"{i}{j}" for i in range(1, 5) for j in range(i + 1, 5)]
+    return {
+        f"{u}-{v}": {
+            "vertices": [str(x) for x in sub.vertices],
+            "edges": [
+                {"tail": str(e.tail), "head": str(e.head), "label": "".join(map(str, e.label))}
+                for e in sub.edges
+            ],
+            "relation": {"mode": "linear", "order": order},
+        }
+        for u in bg.graph.vertices
+        for v in bg.graph.vertices
+        if u != v and bg.leq(u, v)
+        for sub in [bg.interval(u, v)]
+    }
+
+
+def write_intervals(root: Path) -> None:
+    for name, data in s4_intervals().items():
+        (root / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+
+
+def qsym_cases() -> list:
+    """(case id, argv) for every S4 interval, basis and output form.
+
+    The graph file is named relative to the directory ``write_intervals`` fills.
+    """
+    return [
+        (f"{name}/{command}/{form}", [*argv, "--graph", f"{name}.json", *extra])
+        for name in s4_intervals()
+        for command, argv in (("qsym", ["qsym"]), ("qsym-M", ["qsym", "--basis", "M"]))
+        for form, extra in (("text", []), ("json", ["--json"]))
+    ]
+
+
+def in_dir(root: Path, argv: list) -> list:
+    """argv with a relative graph file name resolved inside ``root``; absolute ones stay."""
+    return [str(root / a) if a.endswith(".json") else a for a in argv]
+
+
 GROUPS = {
     "fixtures": fixture_cases(),
     "dihedral": dihedral_cases(),
     "realized": realized_cases(),
+    "qsym": qsym_cases(),
 }
 
 
+@lru_cache(maxsize=None)
 def manifest(group: str) -> dict:
     """The recorded digests of a group's cases, by case id."""
     recorded = json.loads((CORPUS_DIR / f"{group}.json").read_text(encoding="utf-8"))
@@ -121,9 +174,9 @@ def test_manifest_lists_every_case_once():
         assert [*manifest(group)] == [case_id for case_id, _ in cases], group
 
 
-def check_case(group: str, case_id: str, argv: list) -> None:
+def check_case(group: str, case_id: str, argv: list, root: Path = FIXTURE_DIR) -> None:
     code, out, err = run_case(argv)
-    assert str(FIXTURE_DIR) not in out + err  # no output depends on the checkout path
+    assert str(root) not in out + err  # no output depends on where the graph file is
     assert {"id": case_id, **digest(code, out, err)} == manifest(group)[case_id]
 
 
@@ -146,12 +199,26 @@ def test_realized_case(case_id, argv):
     check_case("realized", case_id, argv)
 
 
+@pytest.fixture(scope="module")
+def interval_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("s4")
+    write_intervals(root)
+    return root
+
+
+@pytest.mark.parametrize("case_id, argv", GROUPS["qsym"], ids=_ids("qsym"))
+def test_qsym_case(case_id, argv, interval_dir):
+    check_case("qsym", case_id, in_dir(interval_dir, argv), interval_dir)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --write")
     CORPUS_DIR.mkdir(exist_ok=True)
-    for group, group_cases in GROUPS.items():
-        cases = [{"id": case_id, **digest(*run_case(argv))} for case_id, argv in group_cases]
-        path = CORPUS_DIR / f"{group}.json"
-        path.write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {len(cases)} cases to {path.name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_intervals(Path(tmp))
+        for group, group_cases in GROUPS.items():
+            cases = [{"id": case_id, **digest(*run_case(in_dir(Path(tmp), argv)))} for case_id, argv in group_cases]
+            path = CORPUS_DIR / f"{group}.json"
+            path.write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
+            print(f"wrote {len(cases)} cases to {path.name}")

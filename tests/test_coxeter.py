@@ -1,5 +1,6 @@
 """Bruhat graphs, reflection orderings, cd-indexes and R-polynomials."""
 
+import enum
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -311,23 +312,34 @@ class TestGroupCache:
 
     def test_m_must_be_an_int(self):
         dihedral_bruhat_graph(7)
-        built = dihedral_bruhat_graph.cache_info().currsize
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
         for m, error in [(7.0, TypeError), ("7", TypeError), (True, ValueError)]:
             with pytest.raises(error):
                 dihedral_bruhat_graph(m)
-        assert dihedral_bruhat_graph.cache_info().currsize == built
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
+
+    def test_int_subclass_shares_the_graph(self):
+        class Order(enum.IntEnum):
+            SEVEN = 7
+
+        bg = dihedral_bruhat_graph(7)
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
+        assert dihedral_bruhat_graph(Order.SEVEN) is bg
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
+        assert bg.name == "I2(7)"
 
     def test_m_bound_checked_before_the_build(self, monkeypatch):
-        built = dihedral_bruhat_graph.cache_info().currsize
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
         with mock.patch.object(coxeter, "_dihedral_levels", side_effect=AssertionError("built")):
             with pytest.raises(ValueError, match=f"^m={MAX_M + 1} exceeds the bound {MAX_M}$"):
                 dihedral_bruhat_graph(MAX_M + 1)
-        assert dihedral_bruhat_graph.cache_info().currsize == built
-        # both sides of the bound, past the cache: the bound is read on each build
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
+        # both sides of the bound, I2(6) already cached: the bound is read on each call
+        dihedral_bruhat_graph(6)
         monkeypatch.setattr(coxeter, "MAX_M", 5)
-        assert len(dihedral_bruhat_graph.__wrapped__(5).graph.vertices) == 10
+        assert len(dihedral_bruhat_graph(5).graph.vertices) == 10
         with pytest.raises(ValueError, match="^m=6 exceeds the bound 5$"):
-            dihedral_bruhat_graph.__wrapped__(6)
+            dihedral_bruhat_graph(6)
 
 
 def _walk_mult(m: int):
@@ -396,10 +408,10 @@ class TestDihedralCoverInterval:
             assert got.relation.order == expected.relation.order
 
     def test_large_m_builds_no_group_graph(self):
-        built = coxeter.dihedral_bruhat_graph.cache_info().currsize
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
         g = dihedral_cover_interval(3000, 2999)
         assert len(g.vertices) == 2 * 2999 and len(g.edges) == 4 * 2997 + 4
-        assert coxeter.dihedral_bruhat_graph.cache_info().currsize == built
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_k_out_of_range(self, k):

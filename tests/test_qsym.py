@@ -37,6 +37,7 @@ from cdindex.qsym import (
     sigma_involution,
     sigma_leq,
 )
+from cdindex.qsym import _truncate
 
 from conftest import chain, run_compositions
 
@@ -48,6 +49,59 @@ small_compositions_st = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 small_qsym_elements = st.dictionaries(
     small_compositions_st, st.integers(-2, 2), max_size=2
 ).map(QSymElement)
+# The raw constructor reads L, and the L expansion of a product grows with
+# its degree whatever the factors' shapes, so three laws draw smaller
+# factors than the rest.  Commutativity draws small_qsym_elements: a pair
+# of degree 26, L[1,4,4,4] * L[4,4,4,1], has 1,665,079 terms.  Three
+# factors of degree 6 take 21 s ((L[3,3] - L[2,3])^3 has 116,332 terms),
+# so associativity draws degree at most 4.  The coproduct law multiplies
+# two coproducts in M (x) M, where the coproduct of L[3,3] - L[3,2]
+# already has 116 terms; a pair of degree-9 factors took over 6 minutes,
+# so it draws degree at most 6 (about 2 s for the largest pair).
+tiny_qsym_elements = st.dictionaries(
+    st.lists(st.integers(1, 2), max_size=2).map(tuple), st.integers(-2, 2), max_size=2
+).map(QSymElement)
+degree6_qsym_elements = st.dictionaries(
+    st.lists(st.integers(1, 3), max_size=2).map(tuple), st.integers(-2, 2), max_size=2
+).map(QSymElement)
+
+
+def _word(alpha, low):
+    """A word on low+1..low+n with descent composition alpha: its runs rise and step down."""
+    top, word = low + sum(alpha), []
+    for part in alpha:
+        top -= part
+        word.extend(range(top + 1, top + part + 1))
+    return word
+
+
+def _shuffle_of_words(alpha, beta):
+    """Oracle: L_alpha L_beta summed over the shuffles of two words, v's letters above u's."""
+    u, v = _word(alpha, 0), _word(beta, sum(alpha))
+    size, out = len(u) + len(v), {}
+    for spots in itertools.combinations(range(size), len(u)):
+        left, right = iter(u), iter(v)
+        taken = set(spots)
+        w = [next(left) if k in taken else next(right) for k in range(size)]
+        descents = [k + 1 for k in range(size - 1) if w[k] > w[k + 1]]
+        key = composition_from_descents(descents, size)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _quasi_shuffle(alpha, beta):
+    """Oracle: the monomial product M_alpha M_beta, part by part."""
+    if not alpha or not beta:
+        return {alpha + beta: 1}
+    out = {}
+    for head, rests in (
+        (alpha[0], (alpha[1:], beta)),
+        (beta[0], (alpha, beta[1:])),
+        (alpha[0] + beta[0], (alpha[1:], beta[1:])),
+    ):
+        for key, c in _quasi_shuffle(*rests).items():
+            out[(head,) + key] = out.get((head,) + key, 0) + c
+    return out
 
 
 class TestCompositions:
@@ -128,6 +182,9 @@ class TestBases:
                 back = back + QSymElement.L(beta, c)
             assert back == QSymElement.M(alpha)
             assert QSymElement.L(alpha).l_coefficients() == {alpha: 1}
+            # elements are stored in the fundamental basis
+            assert QSymElement.M(alpha).terms == M_in_L(alpha)
+            assert QSymElement.L(alpha).m_coefficients() == L_in_M(alpha)
 
 
 class TestHopf:
@@ -137,22 +194,39 @@ class TestHopf:
             {((), (2, 1)): 1, ((2,), (1,)): 1, ((2, 1), ()): 1}
         )
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_shuffle_product_matches_quasi_shuffle(self, n):
+        # oracle: the quasi-shuffle of the two monomial expansions, each of
+        # its terms brought back to the fundamental basis
+        for alpha in compositions(n):
+            for beta in compositions(8 - n):
+                want = QSymElement.zero()
+                for a, ca in L_in_M(alpha).items():
+                    for b, cb in L_in_M(beta).items():
+                        for key, c in _quasi_shuffle(a, b).items():
+                            want = want + QSymElement.M(key, ca * cb * c)
+                assert QSymElement.L(alpha) * QSymElement.L(beta) == want, (alpha, beta)
+
+    @given(small_compositions_st, small_compositions_st)
+    @settings(max_examples=25, deadline=None)
+    def test_product_is_the_shuffle_of_words(self, alpha, beta):
+        assert (QSymElement.L(alpha) * QSymElement.L(beta)).terms == _shuffle_of_words(alpha, beta)
+
     def test_product_m1_m1(self):
         got = QSymElement.M((1,)) * QSymElement.M((1,))
-        assert got == QSymElement({(1, 1): 2, (2,): 1})
+        assert got.m_coefficients() == {(1, 1): 2, (2,): 1}
 
     def test_product_of_a_long_composition(self):
         # 1,200 parts, more than a part-by-part recursion fits in the recursion limit
         want = {(1,) * 1201: 1201}
         want.update({(1,) * k + (2,) + (1,) * (1199 - k): 1 for k in range(1200)})
-        assert QSymElement.M((1,) * 1200) * QSymElement.M((1,)) == QSymElement(want)
+        got = QSymElement.M((1,) * 1200) * QSymElement.M((1,))
+        assert got.m_coefficients() == want
         got = QSymTensor({((), (1,) * 1200): 1}) * QSymTensor({((), (1,)): 1})
         assert got == QSymTensor({((), alpha): c for alpha, c in want.items()})
 
     def test_product_truncation_cross_check(self):
         # in two variables: (w1 + w2)^2 = w1^2 + w2^2 + 2*w1*w2
-        from cdindex.qsym import _truncate
-
         square = QSymElement.M((1,)) * QSymElement.M((1,))
         assert _truncate(square, 2) == {(2, 0): 1, (0, 2): 1, (1, 1): 2}
 
@@ -160,17 +234,17 @@ class TestHopf:
     def test_one_is_identity(self, f):
         assert QSymElement.one() * f == f
 
-    @given(small_qsym_elements, small_qsym_elements, small_qsym_elements)
+    @given(tiny_qsym_elements, tiny_qsym_elements, tiny_qsym_elements)
     @settings(max_examples=20, deadline=None)
     def test_associative(self, f, g, h):
         assert (f * g) * h == f * (g * h)
 
-    @given(qsym_elements, qsym_elements)
+    @given(small_qsym_elements, small_qsym_elements)
     @settings(max_examples=25, deadline=None)
     def test_commutative(self, f, g):
         assert f * g == g * f
 
-    @given(small_qsym_elements, small_qsym_elements)
+    @given(degree6_qsym_elements, degree6_qsym_elements)
     @settings(max_examples=20, deadline=None)
     def test_coproduct_is_algebra_map(self, f, g):
         assert qsym_coproduct(f * g) == qsym_coproduct(f) * qsym_coproduct(g)
@@ -197,6 +271,16 @@ def _omega_of_monomial(alpha):
     )
 
 
+def _antipode_of_monomial(alpha):
+    """Oracle: S(M_alpha) is (-1)^k times the sum of M over every composition
+    coarser than the reversed alpha, which has k parts."""
+    n = sum(alpha)
+    return (-1) ** len(alpha) * sum(
+        (QSymElement.M(beta) for beta in compositions(n) if sigma_leq(beta, alpha[::-1])),
+        QSymElement.zero(),
+    )
+
+
 class TestOmegaAntipode:
     @pytest.mark.parametrize("n", range(8))
     def test_omega_matches_fundamental_basis_oracle(self, n):
@@ -209,6 +293,11 @@ class TestOmegaAntipode:
 
     def test_antipode_on_m1(self):
         assert antipode(QSymElement.M((1,))) == -QSymElement.M((1,))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_antipode_matches_monomial_oracle(self, n):
+        for alpha in compositions(n):
+            assert antipode(QSymElement.M(alpha)) == _antipode_of_monomial(alpha), alpha
 
     @given(qsym_elements)
     @settings(max_examples=30, deadline=None)
@@ -324,6 +413,16 @@ class TestPathFunctions:
         g = chain(range(40), order=range(40))
         assert F_falling(g) == QSymElement.M((1,) * 40)
 
+    def test_long_rising_chain_has_one_fundamental_term(self):
+        # L of (40) has 2**39 monomial terms; neither side, nor omega between
+        # them, nor the two-variable truncation may expand it
+        g = chain(range(40), order=range(40))
+        rising, falling = F_rising(g), F_falling(g)
+        assert rising == QSymElement.L((40,))
+        assert omega(rising) == falling
+        assert len(rising.terms) == len(falling.terms) == 1
+        assert multichain_specialization(g, 2).agree
+
     def test_both_need_a_bounded_graph(self):
         two_sinks = LabeledDigraph(
             ["x", "y", "z"], [("x", "y", "1"), ("x", "z", "1")], LinearRelation(["1"])
@@ -405,9 +504,7 @@ class TestGamma:
     def test_small_values(self):
         assert gamma(AbPoly.one()) == QSymElement.M((1,))
         assert gamma(AbPoly.monomial("b")) == QSymElement.M((1, 1))
-        assert gamma(AbPoly.monomial("a")) == QSymElement(
-            {(2,): 1, (1, 1): 1}
-        )
+        assert gamma(AbPoly.monomial("a")).m_coefficients() == {(2,): 1, (1, 1): 1}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_defining_basis_correspondence(self, n):
@@ -472,6 +569,20 @@ class TestMultichain:
         for g in all_fixture_graphs.values():
             assert multichain_specialization(g, m).agree
 
+    @given(small_qsym_elements, st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_matches_the_monomial_expansion(self, f, m):
+        # oracle: expand f in the monomial basis, then place each M_beta's
+        # parts, in order, on m variables
+        want: dict = {}
+        for beta, coeff in f.m_coefficients().items():
+            for positions in itertools.combinations(range(m), len(beta)):
+                exps = [0] * m
+                for pos, part in zip(positions, beta):
+                    exps[pos] = part
+                want[tuple(exps)] = want.get(tuple(exps), 0) + coeff
+        assert _truncate(f, m) == {k: c for k, c in want.items() if c}
+
     def test_many_variables_do_not_recurse(self):
         # one step per variable, not one stack frame
         cmp = multichain_specialization(chain(["1"]), 1200)
@@ -489,7 +600,7 @@ class TestMultichain:
         ]
         for alpha in compositions(3):
             expected = sum(1 for rho in rhos if sigma_leq(rho, alpha))
-            assert f.coefficient(alpha) == expected
+            assert f.m_coefficients().get(alpha, 0) == expected
 
 
 def _convolution_delta(g, x, y):
