@@ -18,10 +18,13 @@ path sums directly on the base graph.
 A falling path of G_S is the same thing as a base source-to-sink path that
 descends at every vertex of S and ascends at every other interior vertex,
 so each side of the identity is one signed sweep over the base graph's
-(position, last label) states, and no check builds G_S.  :func:`restrict`
-stays the paper's construction: it validates at once, and builds G_S on
-the first read of :attr:`RestrictedDigraph.graph`, which the tests use as
-the sweep's oracle beside :func:`signed_path_sums`.
+(position, last label) states, and no check builds G_S.  The sweep takes
+the positions where a path must descend and those where its count is
+negated, so the two signed path sums of a split are two more sweeps of
+the same kind, linear in the graph.  :func:`restrict` stays the paper's
+construction: it validates at once, and builds G_S on the first read of
+:attr:`RestrictedDigraph.graph`, which the tests use as the sweep's oracle
+beside an enumeration of the base graph's paths.
 
 The sweep's factor at an interior vertex v is the same for every S once
 written with s_v = [v in S]: a path passes v with weight [ascent at v] -
@@ -141,33 +144,14 @@ class RestrictedDigraph:
         Source and sink are the base graph's.  A falling path of G_S is a
         base source-to-sink path that descends at every vertex of S and
         ascends at every other interior vertex, and its length in G_S is one
-        more than the number of S vertices on it.  So the value is one
-        signed sweep over the base graph's (position, last label) states:
-        an S vertex passes only descents, each with its count negated, and
-        any other interior vertex passes only ascents.  The restriction may
-        disconnect the source from the sink; the empty sum is then zero.
+        more than the number of S vertices on it.  So the value is the
+        signed sweep (:func:`_signed_sweep`) that descends and negates at S.
+        The restriction may disconnect the source from the sink; the empty
+        sum is then zero.
         """
-        g = self.base
-        out, masks, pos = g._out, g._masks, g._pos
-        start, end, _, _ = _frame(g)
+        pos = self.base._pos
         inside = {pos[v] for v in self.kept}
-        state = [{} for _ in out]  # {last label id: signed count} per position
-        for h, last, _ in out[start]:
-            state[h][last] = state[h].get(last, 0) + 1
-        for p in range(start + 1, end):
-            items = state[p].items()
-            # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
-            want, sign = (0, -1) if p in inside else (1, 1)
-            for h, last, _ in out[p]:
-                mask = masks[last]
-                n = 0
-                for label, c in items:
-                    if mask >> label & 1 == want:
-                        n += c
-                if n:
-                    row = state[h]
-                    row[last] = row.get(last, 0) + sign * n
-        return sum(state[end].values())
+        return _signed_sweep(self.base, inside, inside)
 
     def __repr__(self):
         return f"RestrictedDigraph(kept={sorted(map(str, self.kept))}, base={self.base!r})"
@@ -206,6 +190,38 @@ def _frame(g: LabeledDigraph) -> _Frame:
         parity = ParityResult(uniform=seen[end] != 3, longest=longest[end])
         frame = g._frame = _Frame(0, end, frozenset(g.topological_order[1:end]), parity)
     return frame
+
+
+def _signed_sweep(g: LabeledDigraph, descend: set, negate: set) -> int:
+    """A signed count of the source-to-sink paths of a bounded graph.
+
+    A path counts if it descends at every interior position in ``descend``
+    and ascends at every other one, and its count is negated once for each
+    position in ``negate`` it passes.  Both its weight and whether it
+    counts are decided vertex by vertex, so one pass over the int form's
+    (position, last label) states sums every path: each state holds the
+    signed count of the paths reaching it.
+    """
+    out, masks = g._out, g._masks
+    start, end, _, _ = _frame(g)
+    state = [{} for _ in out]  # {last label id: signed count} per position
+    for h, last, _ in out[start]:
+        state[h][last] = state[h].get(last, 0) + 1
+    for p in range(start + 1, end):
+        items = state[p].items()
+        # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
+        want = 0 if p in descend else 1
+        sign = -1 if p in negate else 1
+        for h, last, _ in out[p]:
+            mask = masks[last]
+            n = 0
+            for label, c in items:
+                if mask >> label & 1 == want:
+                    n += c
+            if n:
+                row = state[h]
+                row[last] = row.get(last, 0) + sign * n
+    return sum(state[end].values())
 
 
 def _checked_subset(g: LabeledDigraph, subset: Iterable[Hashable]) -> frozenset:
@@ -383,23 +399,12 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
     vertices in S).  The two agree whenever every interval of g has equally
     many rising and falling paths (no per-length matching is needed).
 
-    Paths are enumerated explicitly since the weight depends on the global
-    ascent/descent pattern.
+    Every interior vertex of a path is an ascent or a descent, so each sum
+    is one signed sweep over the base graph, linear in its size: the first
+    descends at S, the second at T, and both negate at S.
     """
-    bot, top = g.zero_hat(), g.one_hat()
     subset = _checked_subset(g, subset)
-    tee = _frame(g).interior - subset
-    rel = g.relation.related
-    first = 0
-    second = 0
-    for path in g.paths(bot, top):
-        asc = set()
-        des = set()
-        for e, f in zip(path, path[1:]):
-            (asc if rel(e.label, f.label) else des).add(e.head)
-        sign = (-1) ** len({e.head for e in path[:-1]} & subset)
-        if asc <= tee and des <= subset:
-            first += sign
-        if asc <= subset and des <= tee:
-            second += sign
-    return first, second
+    pos = g._pos
+    s = {pos[v] for v in subset}
+    t = set(range(1, _frame(g).end)) - s
+    return _signed_sweep(g, s, s), _signed_sweep(g, t, s)

@@ -119,8 +119,10 @@ def cmd_alexander(args):
     if args.all:
         # the sweep refuses more than alexander.MAX_SWEEP_INTERIOR interior vertices
         interior, results = alexander_mod.alexander_sweep(graph)
-        # by name, then by bit: vertices that print alike keep their topological order
-        named = sorted((str(v), 1 << i) for i, v in enumerate(interior))
+        # a row names its vertices by str(v): refuse names that print alike, as --subset does
+        names = [str(v) for v in interior]
+        _vertices_named(graph, names)
+        named = sorted((name, 1 << i) for i, name in enumerate(names))
         splits = [
             ([name for name, _ in c], results[sum(bit for _, bit in c)])
             for k in range(len(named) + 1)

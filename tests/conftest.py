@@ -92,6 +92,40 @@ def witness_by_pairs(g: LabeledDigraph):
     return None
 
 
+def signed_path_sums_by_paths(g: LabeledDigraph):
+    """Oracle: the function giving ``signed_path_sums(g, S)`` for each split S.
+
+    The source-to-sink paths are enumerated once, and each is kept as the
+    sets of its ascent and descent vertices.  For a split S, T of the
+    interior, the first sum counts the paths with ascents in T and descents
+    in S, the second those with ascents in S and descents in T, each path
+    weighted by (-1)^(number of its interior vertices in S).
+    """
+    bot, top = g.zero_hat(), g.one_hat()
+    rel = g.relation.related
+    patterns = []
+    for path in g.paths(bot, top):
+        asc, des = set(), set()
+        for e, f in zip(path, path[1:]):
+            (asc if rel(e.label, f.label) else des).add(e.head)
+        patterns.append((frozenset(asc), frozenset(des)))
+    interior = frozenset(g.vertices) - {bot, top}
+
+    def sums(subset) -> tuple[int, int]:
+        subset = frozenset(subset)
+        tee = interior - subset
+        first = second = 0
+        for asc, des in patterns:
+            sign = (-1) ** len((asc | des) & subset)
+            if asc <= tee and des <= subset:
+                first += sign
+            if asc <= subset and des <= tee:
+                second += sign
+        return first, second
+
+    return sums
+
+
 def chain(labels, order=None) -> LabeledDigraph:
     """A path graph v0 -> v1 -> ... with the given edge labels."""
     n = len(labels)

@@ -26,11 +26,12 @@ from cdindex.digraph import (
     LabeledDigraph,
     LinearRelation,
     NoPath,
+    PairsRelation,
     Unbounded,
 )
 from cdindex.ncpoly import IntPoly, parse_cd
 
-from conftest import chain
+from conftest import chain, signed_path_sums_by_paths
 
 S_FIG3 = {"1", "13"}
 T_FIG3 = {"2", "3", "12", "23"}
@@ -40,6 +41,22 @@ REALIZED = ("c", "d", "cc + d", "cd + dc", "d + 2*cc", "cdc + dd")
 
 def count_rising_paths(g, x, y):
     return sum(1 for p in g.paths(x, y) if g.is_rising(p))
+
+
+def rising_ladder(n):
+    """Two parallel edges per rung, labels increasing along the ladder: 2**n paths, all rising."""
+    vertices = [f"v{i}" for i in range(n + 1)]
+    edges = [(f"v{i}", f"v{i + 1}", 2 * i + j) for i in range(n) for j in (0, 1)]
+    return LabeledDigraph(vertices, edges, LinearRelation(range(2 * n)))
+
+
+def under_random_pairs(seed):
+    """A seeded random graph with its labels related by a random set of pairs."""
+    rng = random.Random(seed)
+    g = random_labeled_dag(rng, 7)
+    labels = sorted({e.label for e in g.edges})
+    pairs = [(l, m) for l in labels for m in labels if rng.random() < 0.5]
+    return LabeledDigraph(g.vertices, [(e.tail, e.head, e.label) for e in g.edges], PairsRelation(pairs))
 
 
 def built_falling_at_minus_one(r):
@@ -464,12 +481,13 @@ class TestFallingSweep:
     """The sweep on the base graph against the built G_S and the path sums."""
 
     def assert_matches_oracles(self, name, g):
+        by_paths = signed_path_sums_by_paths(g)
         for subset in all_subsets(g):
             r = restrict(g, subset)
             value = r.falling_at_minus_one()
             assert "graph" not in vars(r), name
             assert value == built_falling_at_minus_one(r), (name, sorted(subset))
-            assert value == signed_path_sums(g, subset)[0], (name, sorted(subset))
+            assert value == by_paths(subset)[0], (name, sorted(subset))
 
     def test_fixtures(self, graph_b3, graph_fig1_right, graph_fig2_i, graph_fig2_ii):
         for name, g in (
@@ -493,12 +511,9 @@ class TestFallingSweep:
             self.assert_matches_oracles(f"seed {seed}", random_labeled_dag(random.Random(seed), 7))
 
     def test_ladder_builds_no_segments(self):
-        # two parallel edges per rung, labels increasing along the ladder:
         # G_S for S empty has one edge per rising path, 2**40 of them
         n = 40
-        vertices = [f"v{i}" for i in range(n + 1)]
-        edges = [(f"v{i}", f"v{i + 1}", 2 * i + j) for i in range(n) for j in (0, 1)]
-        g = LabeledDigraph(vertices, edges, LinearRelation(range(2 * n)))
+        g = rising_ladder(n)
         start = time.perf_counter()
         r = restrict(g, set())
         value = r.falling_at_minus_one()
@@ -528,6 +543,43 @@ class TestFallingSweep:
 
 
 class TestSignedPathSums:
+    def assert_matches_paths(self, name, g):
+        """Both sums of every split against the enumeration; whether the two differ somewhere."""
+        by_paths = signed_path_sums_by_paths(g)
+        differ = False
+        for subset in all_subsets(g):
+            sums = signed_path_sums(g, subset)
+            assert sums == by_paths(subset), (name, sorted(subset))
+            differ |= sums[0] != sums[1]
+        return differ
+
+    def test_fixtures_match_path_enumeration(self, all_fixture_graphs):
+        for name, g in all_fixture_graphs.items():
+            self.assert_matches_paths(name, g)
+
+    def test_bruhat_intervals_match_path_enumeration(self):
+        for name, g in bruhat_intervals(4, 4):
+            assert not self.assert_matches_paths(name, g), name  # balanced: the sums agree
+
+    def test_random_graphs_match_path_enumeration(self):
+        # the two sums differ only on unbalanced graphs, which most of these are
+        differ = sum(
+            self.assert_matches_paths(f"seed {seed}", random_labeled_dag(random.Random(seed), 7))
+            for seed in range(60)
+        )
+        assert differ > 20
+
+    def test_pairs_relations_match_path_enumeration(self):
+        differ = sum(self.assert_matches_paths(f"seed {seed}", under_random_pairs(seed)) for seed in range(60))
+        assert differ > 20
+
+    def test_ladder_is_linear(self):
+        # 2**40 paths, all rising: none descends at T, the whole interior
+        g = rising_ladder(40)
+        start = time.perf_counter()
+        assert signed_path_sums(g, set()) == (2 ** 40, 0)
+        assert time.perf_counter() - start < 1.0
+
     def test_empty_subset_counts_rising_and_falling(self, graph_b3):
         first, second = signed_path_sums(graph_b3, set())
         rising = sum(1 for p in graph_b3.paths("0", "123") if graph_b3.is_rising(p))

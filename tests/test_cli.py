@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cdindex import alexander, construct
+from cdindex import alexander, construct, qsym
 from cdindex.cli import build_parser, main
 from cdindex.construct import Counterexample, SearchReport
 from cdindex.coxeter import _dihedral_bruhat_graph
@@ -399,24 +399,39 @@ class TestVertexNames:
         assert code == 0
         assert out in sweep.splitlines(keepends=True)
 
-    def test_all_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
+    @pytest.fixture
+    def renamed_b3(self, tmp_path):
         # fig3_b3 with the vertex "12" renamed to the int 1: two interior
-        # vertices print as 1, and their rows keep the topological order
+        # vertices print as 1
         graph_file = tmp_path / "twins.json"
         graph_file.write_bytes(fixture_bytes("fig3_b3").replace(b'"12"', b"1"))
-        outputs = []
-        for seed in ("0", "24"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_DIR)
-            done = subprocess.run(
-                [sys.executable, "-m", "cdindex.cli", "alexander", "--graph", str(graph_file),
-                 "--all", "--json"],
-                capture_output=True, env=env, timeout=60,
-            )
-            assert (done.returncode, done.stderr) == (0, b"")
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1]
-        rows = json.loads(outputs[0])
-        assert [row["subset"] for row in rows[1:3]] == [["1"], ["1"]]
+        return str(graph_file)
+
+    def test_all_rows_do_not_depend_on_the_hash_seed(self, tmp_path, renamed_b3):
+        # the rows of fig3_b3, and the refusal of its renamed copy
+        plain = tmp_path / "fig3_b3.json"
+        plain.write_bytes(fixture_bytes("fig3_b3"))
+        outputs = {}
+        for graph_file in (plain, renamed_b3):
+            for seed in ("0", "24"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_DIR)
+                done = subprocess.run(
+                    [sys.executable, "-m", "cdindex.cli", "alexander", "--graph", str(graph_file),
+                     "--all", "--json"],
+                    capture_output=True, env=env, timeout=60,
+                )
+                outputs.setdefault(graph_file, set()).add((done.returncode, done.stdout, done.stderr))
+        ((code, out, err),) = outputs[plain]
+        assert (code, err, len(json.loads(out))) == (0, b"", 64)
+        ((code, out, err),) = outputs[renamed_b3]
+        assert (code, out) == (2, b"") and err.startswith(b"error: vertex name '1' is ambiguous")
+
+    def test_all_refuses_names_that_print_alike(self, capsys, renamed_b3):
+        code, out, err = run(capsys, "alexander", "--graph", renamed_b3, "--all")
+        assert (code, out) == (2, "")
+        assert err == "error: vertex name '1' is ambiguous: ['1', 1]\n"
+        # the split the refused rows would have named twice is refused alone too
+        assert run(capsys, "alexander", "--graph", renamed_b3, "--subset", "1") == (2, "", err)
 
     def test_unknown_name_is_input_error(self, capsys, diamond):
         code, out, err = run(capsys, "alexander", "--graph", diamond, "--subset", "1,7")
@@ -427,6 +442,7 @@ class TestVertexNames:
         ["cdindex", "--interval", "1:3"],
         ["cdindex", "--interval", "0:1"],
         ["alexander", "--subset", "1"],
+        ["alexander", "--all"],
     ])
     def test_ambiguous_name_is_input_error(self, capsys, twins, command):
         code, out, err = run(capsys, command[0], "--graph", twins, *command[1:])
@@ -469,6 +485,40 @@ class TestQsymCommand:
         )
         assert code == 0
         assert "M[" in out
+
+    @staticmethod
+    def rising_chain(tmp_path, n):
+        """A chain of n edges with increasing labels: F_rising = L[n], 2^(n-1) terms in M."""
+        f = tmp_path / f"rising{n}.json"
+        f.write_text(json.dumps({
+            "vertices": [f"v{i}" for i in range(n + 1)],
+            "edges": [{"tail": f"v{i}", "head": f"v{i + 1}", "label": str(i)} for i in range(n)],
+            "relation": {"mode": "linear", "order": [str(i) for i in range(n)]},
+        }))
+        return str(f)
+
+    def test_m_basis_at_the_bound(self, capsys, tmp_path):
+        assert qsym.MAX_M_TERMS == 2 ** 16
+        code, out, err = run(capsys, "qsym", "--graph", self.rising_chain(tmp_path, 17), "--basis", "M")
+        assert (code, err) == (1, "")  # L[17] is not in the peak algebra
+        rising = out.splitlines()[0]
+        assert rising.count("M[") == 2 ** 16 and rising.startswith("F_rising: M[17] + ")
+
+    @pytest.mark.parametrize("n", [18, 40])
+    def test_m_basis_over_the_bound_is_input_error(self, capsys, tmp_path, n):
+        graph = self.rising_chain(tmp_path, n)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "qsym", "--graph", graph, "--basis", "M", "--json")
+        assert time.perf_counter() - start < 1.0  # refused before any expansion
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: printing in the basis M expands into {2 ** (n - 1)} terms, more than the "
+            "bound 65536; print in the basis L instead\n"
+        )
+        # the basis L prints the one term of each side
+        code, out, _ = run(capsys, "qsym", "--graph", graph)
+        assert code == 1
+        assert out.splitlines()[:2] == [f"F_rising: L[{n}]", f"F_falling: L[{','.join('1' * n)}]"]
 
     def test_unbalanced_exits_negative(self, capsys, tmp_path):
         f = tmp_path / "c.json"

@@ -22,7 +22,11 @@ Each group has its own manifest under ``corpus/``:
   [u, v] of S4 with u < v, each as text and as ``--json``.  The intervals
   are written to a temporary directory with vertices in one-line notation,
   labels ``"ij"`` for the transposition (i, j), and the lexicographic
-  linear order on the labels.
+  linear order on the labels;
+* ``alexander``: on the same S4 intervals, ``alexander --all`` on those
+  with at most 12 interior vertices, and ``alexander --subset`` on the
+  others, with a seeded split of half the interior; each as text and as
+  ``--json``.
 """
 
 import contextlib
@@ -133,6 +137,30 @@ def qsym_cases() -> list:
     ]
 
 
+# the largest interior ``alexander --all`` runs on in the ``alexander`` group
+SWEPT_INTERIOR = 12
+
+
+def alexander_cases() -> list:
+    """(case id, argv) for every S4 interval and output form.
+
+    An interval with at most ``SWEPT_INTERIOR`` interior vertices runs
+    ``--all``; a larger one checks one split, half its interior drawn by a
+    generator seeded with the interval's name.
+    """
+    cases = []
+    for name, data in s4_intervals().items():
+        interior = [x for x in data["vertices"] if x not in name.split("-")]
+        if len(interior) <= SWEPT_INTERIOR:
+            command, argv = "alexander-all", ["alexander", "--all"]
+        else:
+            split = random.Random(name).sample(interior, len(interior) // 2)
+            command, argv = "alexander-subset", ["alexander", "--subset", ",".join(sorted(split))]
+        for form, extra in (("text", []), ("json", ["--json"])):
+            cases.append((f"{name}/{command}/{form}", [*argv, "--graph", f"{name}.json", *extra]))
+    return cases
+
+
 def in_dir(root: Path, argv: list) -> list:
     """argv with a relative graph file name resolved inside ``root``; absolute ones stay."""
     return [str(root / a) if a.endswith(".json") else a for a in argv]
@@ -143,6 +171,7 @@ GROUPS = {
     "dihedral": dihedral_cases(),
     "realized": realized_cases(),
     "qsym": qsym_cases(),
+    "alexander": alexander_cases(),
 }
 
 
@@ -209,6 +238,11 @@ def interval_dir(tmp_path_factory):
 @pytest.mark.parametrize("case_id, argv", GROUPS["qsym"], ids=_ids("qsym"))
 def test_qsym_case(case_id, argv, interval_dir):
     check_case("qsym", case_id, in_dir(interval_dir, argv), interval_dir)
+
+
+@pytest.mark.parametrize("case_id, argv", GROUPS["alexander"], ids=_ids("alexander"))
+def test_alexander_case(case_id, argv, interval_dir):
+    check_case("alexander", case_id, in_dir(interval_dir, argv), interval_dir)
 
 
 if __name__ == "__main__":

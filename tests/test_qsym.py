@@ -37,18 +37,19 @@ from cdindex.qsym import (
     sigma_involution,
     sigma_leq,
 )
-from cdindex.qsym import _truncate
+from cdindex.qsym import _Monomials, _truncate
 
 from conftest import chain, run_compositions
 
 compositions_st = st.lists(st.integers(1, 4), max_size=4).map(tuple)
-qsym_elements = st.dictionaries(
-    compositions_st, st.integers(-3, 3), max_size=3
-).map(QSymElement)
+qsym_dicts = st.dictionaries(compositions_st, st.integers(-3, 3), max_size=3)
+qsym_elements = qsym_dicts.map(QSymElement)
 small_compositions_st = st.lists(st.integers(1, 3), max_size=3).map(tuple)
-small_qsym_elements = st.dictionaries(
-    small_compositions_st, st.integers(-2, 2), max_size=2
-).map(QSymElement)
+small_qsym_dicts = st.dictionaries(small_compositions_st, st.integers(-2, 2), max_size=2)
+small_qsym_elements = small_qsym_dicts.map(QSymElement)
+# the same draws read in the monomial basis, where they are sparse
+monomial_elements = qsym_dicts.map(_Monomials)
+small_monomial_elements = small_qsym_dicts.map(_Monomials)
 # The raw constructor reads L, and the L expansion of a product grows with
 # its degree whatever the factors' shapes, so three laws draw smaller
 # factors than the rest.  Commutativity draws small_qsym_elements: a pair
@@ -87,6 +88,16 @@ def _shuffle_of_words(alpha, beta):
         key = composition_from_descents(descents, size)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def _deconcatenation(f):
+    """Oracle: the coproduct of a monomial combination, each index cut at every place."""
+    out = {}
+    for alpha, c in f.items():
+        for i in range(len(alpha) + 1):
+            key = (alpha[:i], alpha[i:])
+            out[key] = out.get(key, 0) + c
+    return QSymTensor(out)
 
 
 def _quasi_shuffle(alpha, beta):
@@ -248,6 +259,35 @@ class TestHopf:
     @settings(max_examples=20, deadline=None)
     def test_coproduct_is_algebra_map(self, f, g):
         assert qsym_coproduct(f * g) == qsym_coproduct(f) * qsym_coproduct(g)
+
+    # The same three laws on the monomial basis, which multiplies by
+    # quasi-shuffles and is the factor of QSymTensor, at the factor sizes
+    # the L-basis laws cannot afford.
+
+    @given(small_monomial_elements, small_monomial_elements, small_monomial_elements)
+    @settings(max_examples=20, deadline=None)
+    def test_monomial_associative(self, f, g, h):
+        assert (f * g) * h == f * (g * h)
+
+    @given(monomial_elements, monomial_elements)
+    @settings(max_examples=25, deadline=None)
+    def test_monomial_commutative(self, f, g):
+        assert f * g == g * f
+
+    @given(small_monomial_elements, small_monomial_elements)
+    @settings(max_examples=20, deadline=None)
+    def test_monomial_coproduct_is_algebra_map(self, f, g):
+        assert _deconcatenation(f * g) == _deconcatenation(f) * _deconcatenation(g)
+
+    # the factors of the L-basis associativity and coproduct laws; in M a
+    # factor of degree 9 is dense (L[3,3,3] * L[3,3] takes 3.4 s there)
+    @pytest.mark.parametrize("elements", [tiny_qsym_elements, degree6_qsym_elements])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_product_agrees_with_the_monomial_product(self, elements, data):
+        f, g = data.draw(elements), data.draw(elements)
+        want = _Monomials(f.m_coefficients()) * _Monomials(g.m_coefficients())
+        assert (f * g).m_coefficients() == dict(want.items())
 
 
 def _omega_via_fundamental(f):
