@@ -17,28 +17,33 @@ path sums directly on the base graph.
 
 A falling path of G_S is the same thing as a base source-to-sink path that
 descends at every vertex of S and ascends at every other interior vertex,
-so each side of the identity is one signed sweep over the base graph's
-(position, last label) states, and no check builds G_S.  The sweep takes
-the positions where a path must descend and those where its count is
-negated, so the two signed path sums of a split are two more sweeps of
-the same kind, linear in the graph.  :func:`restrict` stays the paper's
-construction: it validates at once, and builds G_S on the first read of
-:attr:`RestrictedDigraph.graph`, which the tests use as the sweep's oracle
-beside an enumeration of the base graph's paths.
+and its length in G_S is one more than the number of S vertices on it.
+Written with s_v = [v in S], a path's weight at -1 is the product over its
+interior vertices v of [ascent at v] - s_v, since exactly one of ascent
+and descent holds.  So the falling value of G_S at -1 is a multilinear
+integer polynomial in the s_v, the same for every S, and one sweep over
+the base graph's (position, last label) states computes it
+(:func:`_falling_polynomial`).  The sweep leaves each s_v at 0, at 1, or
+free as a variable:
 
-The sweep's factor at an interior vertex v is the same for every S once
-written with s_v = [v in S]: a path passes v with weight [ascent at v] -
-s_v, since exactly one of ascent and descent holds.  So the falling value
-of G_S at -1 is a multilinear integer polynomial in the s_v, the sum over
-T within S of its coefficients c_T.  :func:`alexander_sweep`, behind
-``cdindex alexander --all``, computes every coefficient in one sweep and
-every split's value by one subset-sum pass over the 2^k splits of k
-interior vertices, and checks the empty split against
-:func:`alexander_check`.  It returns the interior in topological order
-and the rows indexed by bitmask, bit i for the i-th interior vertex, and
-it alone bounds k (``MAX_SWEEP_INTERIOR``).  ``--subset`` calls
-:func:`alexander_check`, two plain signed sweeps, so one split of a graph
-of any size stays cheap.
+- one split is one point of the polynomial, every s_v fixed, so
+  :meth:`RestrictedDigraph.falling_at_minus_one` is a sweep linear in the
+  graph that never builds G_S, and the two signed path sums of a split
+  are that point and the same point with ascent and descent exchanged;
+- :func:`alexander_sweep`, behind ``cdindex alexander --all``, leaves
+  every s_v free, gets the coefficient c_T of every monomial, and turns
+  them into every split's value, the sum over T within S of c_T, by one
+  subset-sum pass over the 2^k splits of k interior vertices.  It checks
+  the empty split against :func:`alexander_check`, returns the interior
+  in topological order and the rows indexed by bitmask, bit i for the
+  i-th interior vertex, and it alone bounds k (``MAX_SWEEP_INTERIOR``).
+  ``--subset`` calls :func:`alexander_check`, two point sweeps, so one
+  split of a graph of any size stays cheap.
+
+:func:`restrict` stays the paper's construction: it validates at once,
+and builds G_S on the first read of :attr:`RestrictedDigraph.graph`, which
+the tests use as the sweep's oracle beside an enumeration of the base
+graph's paths.
 
 Everything a check needs to know of the graph itself, the source and sink
 positions, the interior vertices and the parity condition, is the graph's
@@ -52,7 +57,7 @@ from functools import cached_property
 from operator import add
 from typing import Hashable, Iterable, NamedTuple
 
-from .digraph import GraphError, InternalError, LabeledDigraph, _pairs_on_used_labels
+from .digraph import GraphError, InternalError, LabeledDigraph, PairsRelation
 
 __all__ = [
     "MAX_SWEEP_INTERIOR",
@@ -106,7 +111,10 @@ class RestrictedDigraph:
         One edge is created per rising base path that starts and ends in
         S + {source, sink} and whose interior vertices all avoid S; its label
         is the tuple of base labels along the path.  Rising-path counts
-        between kept vertices are preserved by construction.
+        between kept vertices are preserved by construction.  Two sequence
+        labels are related when the base relation relates the last label
+        of the first to the first label of the second, so the base relation
+        is asked once per pair of base labels that end and start them.
         """
         g = self.base
         members = self.kept | {g.zero_hat(), g.one_hat()}
@@ -134,24 +142,32 @@ class RestrictedDigraph:
                     if trail:
                         trail.pop()
 
-        return LabeledDigraph(
-            order, edges, _pairs_on_used_labels(edges, lambda l, m: rel(l[-1], m[0]))
-        )
+        ending, starting = {}, {}
+        for label in {label for _, _, label in edges}:
+            ending.setdefault(label[-1], []).append(label)
+            starting.setdefault(label[0], []).append(label)
+        pairs = [
+            (l, m)
+            for a, ls in ending.items()
+            for b, ms in starting.items()
+            if rel(a, b)
+            for l in ls
+            for m in ms
+        ]
+        return LabeledDigraph(order, edges, PairsRelation(pairs))
 
     def falling_at_minus_one(self) -> int:
         """Falling-path generating polynomial of [source, sink] in G_S, at -1.
 
-        Source and sink are the base graph's.  A falling path of G_S is a
-        base source-to-sink path that descends at every vertex of S and
-        ascends at every other interior vertex, and its length in G_S is one
-        more than the number of S vertices on it.  So the value is the
-        signed sweep (:func:`_signed_sweep`) that descends and negates at S.
-        The restriction may disconnect the source from the sink; the empty
-        sum is then zero.
+        Source and sink are the base graph's.  The value is the falling
+        polynomial (:func:`_falling_polynomial`) at the point s_v = [v in S]:
+        a base source-to-sink path counts when it descends at every vertex
+        of S and ascends at every other interior vertex, negated once per S
+        vertex it passes.  The restriction may disconnect the source from
+        the sink; the empty sum is then zero.
         """
         pos = self.base._pos
-        inside = {pos[v] for v in self.kept}
-        return _signed_sweep(self.base, inside, inside)
+        return _falling_polynomial(self.base, {pos[v]: 0 for v in self.kept}).get(0, 0)
 
     def __repr__(self):
         return f"RestrictedDigraph(kept={sorted(map(str, self.kept))}, base={self.base!r})"
@@ -192,36 +208,50 @@ def _frame(g: LabeledDigraph) -> _Frame:
     return frame
 
 
-def _signed_sweep(g: LabeledDigraph, descend: set, negate: set) -> int:
-    """A signed count of the source-to-sink paths of a bounded graph.
+def _falling_polynomial(g: LabeledDigraph, split: dict[int, int], ascent: int = 1) -> dict:
+    """The falling polynomial of a bounded graph, with some variables fixed.
 
-    A path counts if it descends at every interior position in ``descend``
-    and ascends at every other one, and its count is negated once for each
-    position in ``negate`` it passes.  Both its weight and whether it
-    counts are decided vertex by vertex, so one pass over the int form's
-    (position, last label) states sums every path: each state holds the
-    signed count of the paths reaching it.
+    The sum over source-to-sink paths of the product over their interior
+    positions p of ([ascent at p] - s_p), as {T bitmask: coefficient} for
+    the monomial of the variables in T.  s_p is 0 for p not in ``split``,
+    1 where ``split[p]`` is 0, and otherwise the variable of the single
+    bit ``split[p]``; no two positions may share a bit.  ``ascent=0``
+    exchanges ascent and descent.  Both a path's weight and whether it
+    counts are decided position by position, so one pass over the int
+    form's (position, last label) states sums every path: each state holds
+    the polynomial of the paths reaching it.  A state is kept T outermost,
+    so where every s_p is fixed it holds one T and one int per last label.
     """
     out, masks = g._out, g._masks
     start, end, _, _ = _frame(g)
-    state = [{} for _ in out]  # {last label id: signed count} per position
+    state = [{} for _ in out]  # {T: {last label id: coefficient}} per position
     for h, last, _ in out[start]:
-        state[h][last] = state[h].get(last, 0) + 1
+        row = state[h].setdefault(0, {})
+        row[last] = row.get(last, 0) + 1
     for p in range(start + 1, end):
-        items = state[p].items()
-        # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
-        want = 0 if p in descend else 1
-        sign = -1 if p in negate else 1
-        for h, last, _ in out[p]:
-            mask = masks[last]
-            n = 0
-            for label, c in items:
-                if mask >> label & 1 == want:
-                    n += c
-            if n:
-                row = state[h]
-                row[last] = row.get(last, 0) + sign * n
-    return sum(state[end].values())
+        bit = split.get(p)
+        # a path through p gains [ascent], or -[descent] where s_p is 1
+        want, sign = (1 - ascent, -1) if bit == 0 else (ascent, 1)
+        for t, row in state[p].items():
+            items = row.items()
+            # and -s_p where s_p is a variable, whatever its next step
+            free = -sum(row.values()) if bit else 0
+            for h, last, _ in out[p]:
+                # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
+                mask = masks[last]
+                n = 0
+                for label, c in items:
+                    if mask >> label & 1 == want:
+                        n += c
+                polys = state[h]
+                if n:
+                    row_h = polys.get(t) or polys.setdefault(t, {})
+                    row_h[last] = row_h.get(last, 0) + sign * n
+                if free:
+                    row_h = polys.get(t | bit) or polys.setdefault(t | bit, {})
+                    row_h[last] = row_h.get(last, 0) + free
+        state[p] = None
+    return {t: sum(row.values()) for t, row in state[end].items()}
 
 
 def _checked_subset(g: LabeledDigraph, subset: Iterable[Hashable]) -> frozenset:
@@ -293,7 +323,7 @@ def alexander_sweep(g: LabeledDigraph) -> tuple[tuple, list[AlexanderResult]]:
     falling values of all splits (:func:`_falling_table`): the row of S is
     (value(S), sign * value(T)) with sign = (-1) ** (longest length - 1).
     No use is made of the duality itself.  The row of the empty split is
-    also computed by :func:`alexander_check`, from two signed sweeps, and a
+    also computed by :func:`alexander_check`, from two point sweeps, and a
     disagreement raises ``InternalError``.
     """
     if not g.is_bounded():
@@ -326,45 +356,16 @@ def _falling_table(g: LabeledDigraph) -> list[int]:
 
     Entry m is ``restrict(g, S).falling_at_minus_one()`` for the S holding
     the vertex at topological position p exactly when bit p - 1 of m is set;
-    g need only be bounded.  A path's weight in that sweep is the product
-    over its interior vertices v of [ascent at v] - s_v, so the value is a
-    multilinear polynomial in the s_v.  One pass over the int form carries,
-    for each (position, last label) state, the polynomial of the paths
-    reaching it as {T bitmask: coefficient}: an out-edge of p takes the sum
-    of the polynomials whose last label ascends into its own, plus the
-    shared term -s_p times the sum of all of p's polynomials.  A subset-sum
-    pass then turns the sink's coefficients c_T into the sums over T within
-    S, one per S.
+    g need only be bounded.  That value is the falling polynomial at the
+    point s_v = [v in S], so one sweep with every s_v free, the vertex at
+    position p as bit p - 1, gives the coefficients c_T of every monomial,
+    and a subset-sum pass turns them into the sums over T within S, one
+    per S.
     """
-    out, masks = g._out, g._masks
-    start, end, interior, _ = _frame(g)
-    state = [{} for _ in out]  # {last label id: {T bitmask: coefficient}} per position
-    for h, last, _ in out[start]:
-        poly = state[h].setdefault(last, {})
-        poly[0] = poly.get(0, 0) + 1
-    for p in range(start + 1, end):
-        items = state[p].items()
-        bit = 1 << p - 1
-        shared: dict[int, int] = {}
-        for poly in state[p].values():
-            for t, c in poly.items():
-                t |= bit
-                shared[t] = shared.get(t, 0) - c
-        for h, last, _ in out[p]:
-            # bit ``label`` of ``masks[last]`` is set iff label -> last ascends
-            mask = masks[last]
-            row = state[h].setdefault(last, {})
-            for label, poly in items:
-                if mask >> label & 1:
-                    for t, c in poly.items():
-                        row[t] = row.get(t, 0) + c
-            for t, c in shared.items():
-                row[t] = row.get(t, 0) + c
-        state[p] = None
+    _, end, interior, _ = _frame(g)
     table = [0] * (1 << len(interior))
-    for poly in state[end].values():
-        for t, c in poly.items():
-            table[t] += c
+    for t, c in _falling_polynomial(g, {p: 1 << p - 1 for p in range(1, end)}).items():
+        table[t] = c
     _subset_sums(table)
     return table
 
@@ -399,12 +400,13 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
     vertices in S).  The two agree whenever every interval of g has equally
     many rising and falling paths (no per-length matching is needed).
 
-    Every interior vertex of a path is an ascent or a descent, so each sum
-    is one signed sweep over the base graph, linear in its size: the first
-    descends at S, the second at T, and both negate at S.
+    Every interior vertex of a path is an ascent or a descent, so the first
+    sum is the falling polynomial at the point s_v = [v in S], the value
+    of :meth:`RestrictedDigraph.falling_at_minus_one`, and the second is
+    the same point with ascent and descent exchanged: two sweeps over the
+    base graph, each linear in its size.
     """
-    subset = _checked_subset(g, subset)
     pos = g._pos
-    s = {pos[v] for v in subset}
-    t = set(range(1, _frame(g).end)) - s
-    return _signed_sweep(g, s, s), _signed_sweep(g, t, s)
+    split = {pos[v]: 0 for v in _checked_subset(g, subset)}
+    first = _falling_polynomial(g, split).get(0, 0)
+    return first, _falling_polynomial(g, split, ascent=0).get(0, 0)

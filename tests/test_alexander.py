@@ -415,11 +415,16 @@ class TestAlexanderSweep:
 
 
 class TestFallingTable:
-    """Every entry of the one-sweep table against a signed sweep per split."""
+    """Every entry of the one-sweep table against a point sweep and the paths, per split."""
 
     def assert_matches_sweeps(self, name, g):
-        """Every entry, or above 12 interior vertices a seeded sample of 300."""
+        """Every entry, or above 12 interior vertices a seeded sample of 300.
+
+        The point sweep shares the table's kernel; the path enumeration
+        shares nothing with it.
+        """
         table = alexander._falling_table(g)
+        by_paths = signed_path_sums_by_paths(g)
         interior = g.topological_order[1:-1]  # bit i is the vertex at position i + 1
         assert len(table) == 2 ** len(interior), name
         masks = range(len(table))
@@ -428,6 +433,7 @@ class TestFallingTable:
         for m in masks:
             subset = {v for i, v in enumerate(interior) if m >> i & 1}
             assert table[m] == restrict(g, subset).falling_at_minus_one(), (name, sorted(subset))
+            assert table[m] == by_paths(subset)[0], (name, sorted(subset))
         return table
 
     def test_fixtures(self, all_fixture_graphs):
