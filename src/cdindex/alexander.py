@@ -57,7 +57,7 @@ from functools import cached_property
 from operator import add
 from typing import Hashable, Iterable, NamedTuple
 
-from .digraph import GraphError, InternalError, LabeledDigraph, PairsRelation
+from .digraph import GraphError, InternalError, LabeledDigraph
 
 __all__ = [
     "MAX_SWEEP_INTERIOR",
@@ -73,8 +73,9 @@ __all__ = [
 ]
 
 # alexander_sweep tabulates 2**k values for k interior vertices, and
-# alexander --all prints a row for each: 18 take about 4 s and 0.45 GB,
-# most of it for the rows, and each further vertex doubles both
+# alexander --all prints a row for each: 18 take about 1.2 to 1.9 s and
+# 0.2 GB with --json, most of it for the rows, and each further vertex
+# doubles both
 MAX_SWEEP_INTERIOR = 18
 
 
@@ -91,6 +92,41 @@ class AlexanderResult(NamedTuple):
     lhs: int
     rhs: int
     equal: bool
+
+
+class _SequenceRelation:
+    """The relation of G_S's sequence labels: l ~ m iff the base relates l[-1] to m[0].
+
+    ``related`` is the base relation's predicate; no pair of sequence
+    labels is listed.
+    """
+
+    def __init__(self, related):
+        self._related = related
+
+    def related(self, l, m) -> bool:
+        return self._related(l[-1], m[0])
+
+    def ascent_masks(self, labels) -> list[int]:
+        """Bit i of entry j is set iff labels[i] ~ labels[j].
+
+        The labels are grouped by their last and by their first base
+        label, so the base relation is asked once per pair of base labels
+        that end and start them.
+        """
+        ending, starting = {}, {}
+        for i, label in enumerate(labels):
+            ending[label[-1]] = ending.get(label[-1], 0) | 1 << i
+            starting.setdefault(label[0], []).append(i)
+        masks = [0] * len(labels)
+        for b, js in starting.items():
+            mask = 0
+            for a, below in ending.items():
+                if self._related(a, b):
+                    mask |= below
+            for j in js:
+                masks[j] = mask
+        return masks
 
 
 class RestrictedDigraph:
@@ -113,8 +149,8 @@ class RestrictedDigraph:
         is the tuple of base labels along the path.  Rising-path counts
         between kept vertices are preserved by construction.  Two sequence
         labels are related when the base relation relates the last label
-        of the first to the first label of the second, so the base relation
-        is asked once per pair of base labels that end and start them.
+        of the first to the first label of the second
+        (:class:`_SequenceRelation`).
         """
         g = self.base
         members = self.kept | {g.zero_hat(), g.one_hat()}
@@ -141,20 +177,7 @@ class RestrictedDigraph:
                     pending.pop()
                     if trail:
                         trail.pop()
-
-        ending, starting = {}, {}
-        for label in {label for _, _, label in edges}:
-            ending.setdefault(label[-1], []).append(label)
-            starting.setdefault(label[0], []).append(label)
-        pairs = [
-            (l, m)
-            for a, ls in ending.items()
-            for b, ms in starting.items()
-            if rel(a, b)
-            for l in ls
-            for m in ms
-        ]
-        return LabeledDigraph(order, edges, PairsRelation(pairs))
+        return LabeledDigraph(order, edges, _SequenceRelation(rel))
 
     def falling_at_minus_one(self) -> int:
         """Falling-path generating polynomial of [source, sink] in G_S, at -1.

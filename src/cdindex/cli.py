@@ -6,7 +6,9 @@ mathematical outcome (an unbalanced graph, a failed identity, a search
 hit), 2 on bad input, 3 on an internal error (a bug, reported in one line
 instead of a traceback).  Every command returns its exit status, a JSON
 payload and its text lines, and ``main`` alone prints them: the payload
-behind ``--json``, the lines otherwise.
+behind ``--json``, the lines otherwise.  ``alexander --all`` fills in only
+the form asked for, and its payload is already JSON text (a
+``jsontext.JsonText``, which ``json_text`` returns as it is).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import coxeter as coxeter_mod
 from . import fixtures as fixtures_mod
 from . import qsym as qsym_mod
 from .digraph import GraphError, InternalError, load_graph, to_json_dict
-from .jsontext import json_text
+from .jsontext import alexander_rows, json_text, quote
 from .ncpoly import NotInSpan, ab_to_cd, parse_cd
 
 EXIT_OK = 0
@@ -113,36 +115,43 @@ def cmd_balance(args):
     ]
 
 
+def _splits(names, bits, results):
+    """(the names of S, S's row) for every split, by size and then in the order of ``names``.
+
+    ``bits[i]`` is the bitmask bit of ``names[i]``, and ``results`` holds
+    the rows by bitmask.
+    """
+    for k in range(len(names) + 1):
+        for c, m in zip(itertools.combinations(names, k), itertools.combinations(bits, k)):
+            yield c, results[sum(m)]
+
+
+def _alexander_line(names, result) -> str:
+    lhs, rhs, equal = result
+    subset_text = ",".join(names) or "(empty)"
+    return f"S={{{subset_text}}} lhs={lhs} rhs={rhs} {'equal' if equal else 'UNEQUAL'}"
+
+
 def cmd_alexander(args):
     graph = load_graph(args.graph)
     graph.zero_hat(), graph.one_hat()  # an unbounded graph: name its sources or sinks
-    if args.all:
-        # the sweep refuses more than alexander.MAX_SWEEP_INTERIOR interior vertices
-        interior, results = alexander_mod.alexander_sweep(graph)
-        # a row names its vertices by str(v): refuse names that print alike, as --subset does
-        names = [str(v) for v in interior]
-        _vertices_named(graph, names)
-        named = sorted((name, 1 << i) for i, name in enumerate(names))
-        splits = [
-            ([name for name, _ in c], results[sum(bit for _, bit in c)])
-            for k in range(len(named) + 1)
-            for c in itertools.combinations(named, k)
-        ]
-    else:
+    if not args.all:
         subset = _vertices_named(graph, _parse_subset(args.subset))
-        splits = [(sorted(map(str, subset)), alexander_mod.alexander_check(graph, subset))]
-    rows = [
-        {"subset": names, "lhs": result.lhs, "rhs": result.rhs, "equal": result.equal}
-        for names, result in splits
-    ]
-
-    def line(row):
-        mark = "equal" if row["equal"] else "UNEQUAL"
-        subset_text = ",".join(row["subset"]) or "(empty)"
-        return f"S={{{subset_text}}} lhs={row['lhs']} rhs={row['rhs']} {mark}"
-
-    code = EXIT_OK if all(r["equal"] for r in rows) else EXIT_NEGATIVE
-    return code, rows, map(line, rows)
+        names = sorted(map(str, subset))
+        result = alexander_mod.alexander_check(graph, subset)
+        row = {"subset": names, "lhs": result.lhs, "rhs": result.rhs, "equal": result.equal}
+        return EXIT_OK if result.equal else EXIT_NEGATIVE, [row], [_alexander_line(names, result)]
+    # the sweep refuses more than alexander.MAX_SWEEP_INTERIOR interior vertices
+    interior, results = alexander_mod.alexander_sweep(graph)
+    # a row names its vertices by str(v): refuse names that print alike, as --subset does
+    _vertices_named(graph, map(str, interior))
+    named = sorted((str(v), 1 << i) for i, v in enumerate(interior))
+    names, bits = [name for name, _ in named], [bit for _, bit in named]
+    code = EXIT_OK if all(equal for _, _, equal in results) else EXIT_NEGATIVE
+    # only the form asked for is written; the JSON rows quote each name once
+    if args.json:
+        return code, alexander_rows(_splits(list(map(quote, names)), bits, results)), ()
+    return code, None, itertools.starmap(_alexander_line, _splits(names, bits, results))
 
 
 def cmd_qsym(args):

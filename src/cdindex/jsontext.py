@@ -9,14 +9,25 @@ sort_keys=...)``, which drops to json's pure-Python encoder whenever
 that escapes strings with json's C escaper and appends one piece per item.
 The recursion follows the nesting of the value, a few levels for every
 payload the package writes, not its size.
+
+``alexander --all`` prints 2^k rows of one shape, so :func:`alexander_rows`
+writes them from one template instead: the text ``json_text`` gives for
+the list of row dicts with sorted keys, from names escaped once each by
+:func:`quote`.  It returns a :class:`JsonText`, which ``json_text``
+returns as is.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote  # the C escaper when built
+# a string as a JSON string literal, non-ASCII escaped: json's C escaper when built
+from json.encoder import encode_basestring_ascii as quote
 
-__all__ = ["json_text"]
+__all__ = ["JsonText", "alexander_rows", "json_text", "quote"]
+
+
+class JsonText(str):
+    """Text that is already indented JSON; :func:`json_text` returns it unchanged."""
 
 
 def json_text(value, sort_keys: bool = False) -> str:
@@ -25,8 +36,12 @@ def json_text(value, sort_keys: bool = False) -> str:
     A leaf other than a string, an exact int, a bool or None goes to
     ``json.dumps(leaf)``, which prints floats and int or float subclasses
     as json does and raises json's own TypeError for anything it cannot
-    encode; a cycle raises json's ValueError.
+    encode; a cycle raises json's ValueError.  A :class:`JsonText` given
+    as ``value`` is returned as it is; inside a list or dict it is a
+    string like any other.
     """
+    if type(value) is JsonText:
+        return value
     out: list = []
     _walk(value, "", "\n", sort_keys, out, set())
     return "".join(out)
@@ -34,7 +49,7 @@ def json_text(value, sort_keys: bool = False) -> str:
 
 def _leaf(value) -> str:
     if isinstance(value, str):
-        return _quote(value)
+        return quote(value)
     if type(value) is int:
         return int.__repr__(value)
     if value is None:
@@ -49,9 +64,9 @@ def _leaf(value) -> str:
 def _key(key) -> str:
     """A dict key as json.dumps prints it: a string, or a str/int/float/bool/None key quoted."""
     if isinstance(key, str):
-        return _quote(key)
+        return quote(key)
     if key is None or isinstance(key, (int, float)):
-        return _quote(json.dumps(key))
+        return quote(json.dumps(key))
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
@@ -81,7 +96,7 @@ def _walk(value, head: str, indent: str, sort_keys: bool, out: list, open_ids: s
     if items is None:
         for item in value:
             if type(item) is str:
-                out.append(sep + _quote(item))
+                out.append(sep + quote(item))
             elif isinstance(item, (list, tuple, dict)):
                 _walk(item, sep, inner, sort_keys, out, open_ids)
             else:
@@ -91,7 +106,7 @@ def _walk(value, head: str, indent: str, sort_keys: bool, out: list, open_ids: s
         for key, item in items:
             key = sep + _key(key) + ": "
             if type(item) is str:
-                out.append(key + _quote(item))
+                out.append(key + quote(item))
             elif isinstance(item, (list, tuple, dict)):
                 _walk(item, key, inner, sort_keys, out, open_ids)
             else:
@@ -99,3 +114,28 @@ def _walk(value, head: str, indent: str, sort_keys: bool, out: list, open_ids: s
             sep = comma
     out.append(indent + brackets[1])
     open_ids.discard(id(value))
+
+
+# a row of json_text(rows, sort_keys=True), rows a list of {"equal", "lhs",
+# "rhs", "subset"} dicts: its indent and its keys in sorted order, with the
+# quoted names of a nonempty subset joined by _NEXT_NAME
+_ROW = '{\n    "equal": %s,\n    "lhs": %d,\n    "rhs": %d,\n    "subset": [\n      %s\n    ]\n  }'
+_EMPTY_ROW = '{\n    "equal": %s,\n    "lhs": %d,\n    "rhs": %d,\n    "subset": []\n  }'
+_NEXT_NAME = ",\n      "
+_EQUAL = ("false", "true")
+
+
+def alexander_rows(splits) -> JsonText:
+    """``json_text(rows, sort_keys=True)`` for the rows of ``alexander``, one template each.
+
+    ``splits`` yields (names, (lhs, rhs, equal)) with the names of S
+    already quoted by :func:`quote`, lhs and rhs exact ints and equal a
+    bool; the row of each split is ``{"subset": [...names], "lhs": lhs,
+    "rhs": rhs, "equal": equal}``.
+    """
+    join = _NEXT_NAME.join
+    rows = [
+        _ROW % (_EQUAL[equal], lhs, rhs, join(names)) if names else _EMPTY_ROW % (_EQUAL[equal], lhs, rhs)
+        for names, (lhs, rhs, equal) in splits
+    ]
+    return JsonText("[\n  " + ",\n  ".join(rows) + "\n]" if rows else "[]")

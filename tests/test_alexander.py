@@ -148,6 +148,35 @@ class TestRestrict:
                 matching_base.append(p)
         assert len(falling_restricted) == len(matching_base)
 
+    @staticmethod
+    def assert_relation_is_the_listed_pairs(name, g, subsets):
+        # G_S's relation against a PairsRelation listing every related pair
+        rel = g.relation.related
+        for subset in subsets:
+            gs = restrict(g, subset).graph
+            labels = gs._labels
+            pairs = [(l, m) for l in labels for m in labels if rel(l[-1], m[0])]
+            related = gs.relation.related
+            assert [(l, m) for l in labels for m in labels if related(l, m)] == pairs, name
+            assert gs._masks == PairsRelation(pairs).ascent_masks(labels), (name, sorted(subset))
+
+    def test_relation_is_the_listed_pairs(self, graph_b3, graph_fig1_left, graph_fig1_right,
+                                          graph_fig2_i, graph_fig2_ii):
+        # every split of a graph with at most 256 (the fixtures and the S4
+        # intervals of length at most 3), else 256 seeded ones: the S4
+        # intervals of length 4 have 53,248 splits, seconds of G_S builds
+        for name, g in (
+            ("fig3_b3", graph_b3),
+            ("fig1_left", graph_fig1_left),
+            ("fig1_right", graph_fig1_right),
+            ("fig2_relation_i", graph_fig2_i),
+            ("fig2_relation_ii", graph_fig2_ii),
+            *bruhat_intervals(4, 4),
+        ):
+            subsets = all_subsets(g)
+            if len(subsets) > 256:
+                subsets = random.Random(name).sample(subsets, 256)
+            self.assert_relation_is_the_listed_pairs(name, g, subsets)
 
     def test_long_chain(self):
         # one rising segment of 3,000 edges, past the default recursion limit

@@ -15,7 +15,7 @@ from cdindex import alexander, construct, qsym
 from cdindex.cli import build_parser, main
 from cdindex.construct import Counterexample, SearchReport
 from cdindex.coxeter import _dihedral_bruhat_graph
-from cdindex.digraph import to_json_dict
+from cdindex.digraph import load_graph, to_json_dict
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.ncpoly import parse_cd
 
@@ -346,11 +346,26 @@ class TestAlexanderCommand:
             list(c) for k in range(len(names) + 1) for c in itertools.combinations(names, k)
         ]
 
-    @pytest.mark.parametrize("graph", ["fig3_b3", "cc + d"])
-    def test_each_all_line_is_the_subset_line(self, capsys, fixture_dir, graph):
+    @pytest.fixture
+    def escaped_b3(self, tmp_path):
+        # fig3_b3 with interior names that JSON escapes, and two that are JSON ints
+        names = {"1": 'q"uote', "2": "back\\slash", "3": "\u00e9\U0001f600", "12": "\x07bell", "13": 10, "23": 2}
+        data = json.loads(fixture_bytes("fig3_b3"))
+        data["vertices"] = [names.get(v, v) for v in data["vertices"]]
+        for edge in data["edges"]:
+            for end in ("tail", "head"):
+                edge[end] = names.get(edge[end], edge[end])
+        path = tmp_path / "escaped.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("graph", ["fig3_b3", "cc + d", "escaped"])
+    def test_each_all_line_is_the_subset_line(self, capsys, fixture_dir, escaped_b3, graph):
         # the realized cc + d has splits whose mirror images differ in value
         if graph in FIXTURE_BUILDERS:
             path = str(fixture_dir / f"{graph}.json")
+        elif graph == "escaped":
+            path = escaped_b3
         else:
             path = str(fixture_dir / "realized.json")
             assert run(capsys, "construct", "--cd", graph, "--out", path)[0] == 0
@@ -360,6 +375,35 @@ class TestAlexanderCommand:
         for line in lines:
             names = line[len("S={"):line.index("}")].replace("(empty)", "")
             assert run(capsys, "alexander", "--graph", path, "--subset", names) == (0, line, "")
+
+    def test_unequal_row(self, capsys, monkeypatch, escaped_b3):
+        # no graph the sweep accepts has an unequal row, so one is planted
+        sweep = alexander.alexander_sweep
+
+        def one_unequal(graph):
+            interior, rows = sweep(graph)
+            lhs, rhs, _ = rows[5]  # the split of interior[0] and interior[2]
+            rows[5] = alexander.AlexanderResult(lhs, rhs + 1, False)
+            return interior, rows
+
+        monkeypatch.setattr(alexander, "alexander_sweep", one_unequal)
+        interior, rows = one_unequal(load_graph(escaped_b3))
+        named = sorted((str(v), 1 << i) for i, v in enumerate(interior))
+        want = [
+            {"subset": [name for name, _ in c], "lhs": row.lhs, "rhs": row.rhs, "equal": row.equal}
+            for k in range(len(named) + 1)
+            for c in itertools.combinations(named, k)
+            for row in [rows[sum(bit for _, bit in c)]]
+        ]
+        code, out, err = run(capsys, "alexander", "--graph", escaped_b3, "--all", "--json")
+        assert (code, out, err) == (1, json.dumps(want, indent=2, sort_keys=True) + "\n", "")
+        code, out, err = run(capsys, "alexander", "--graph", escaped_b3, "--all")
+        (unequal,) = [row for row in want if not row["equal"]]
+        assert (code, err) == (1, "")
+        assert [line for line in out.splitlines() if line.endswith(" UNEQUAL")] == [
+            f"S={{{','.join(unequal['subset'])}}} lhs={unequal['lhs']} rhs={unequal['rhs']} UNEQUAL"
+        ]
+        assert sorted(unequal["subset"]) == sorted(map(str, (interior[0], interior[2])))
 
 
 class TestVertexNames:

@@ -26,7 +26,15 @@ Each group has its own manifest under ``corpus/``:
 * ``alexander``: on the same S4 intervals, ``alexander --all`` on those
   with at most 12 interior vertices, and ``alexander --subset`` on the
   others, with a seeded split of half the interior; each as text and as
-  ``--json``.
+  ``--json``;
+* ``sweep``: ``alexander --all``, each as text and as ``--json``, on the
+  realized c^1, ..., c^7, on a seeded sample of S5 intervals with 14 and
+  16 interior vertices, on the Boolean lattice B3 renamed so that its
+  vertex names need JSON escapes or are JSON ints, and on four graphs it
+  refuses with exit status 2: the realized c^10 (20 interior vertices),
+  B3 with two vertices that print alike, an unbalanced chain and the
+  mixed-parity ``fig1_left``.  The graphs are written to a temporary
+  directory beside the S4 intervals.
 """
 
 import contextlib
@@ -42,7 +50,9 @@ from pathlib import Path
 import pytest
 
 from cdindex.cli import main
+from cdindex.construct import realize
 from cdindex.coxeter import bruhat_graph_sn
+from cdindex.digraph import to_json_dict
 from cdindex.ncpoly import CdPoly, cd_words_of_degree
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -99,10 +109,10 @@ def realized_cases() -> list:
     return [(f"{p}/json", ["construct", "--cd", str(p), "--json"]) for p in realized_polynomials()]
 
 
-def s4_intervals() -> dict:
-    """Every S4 Bruhat interval [u, v] with u < v in graph-file form, by "u-v"."""
-    bg = bruhat_graph_sn(4)
-    order = [f"{i}{j}" for i in range(1, 5) for j in range(i + 1, 5)]
+def bruhat_intervals(n: int) -> dict:
+    """Every Bruhat interval [u, v] of Sn with u < v in graph-file form, by "u-v"."""
+    bg = bruhat_graph_sn(n)
+    order = [f"{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return {
         f"{u}-{v}": {
             "vertices": [str(x) for x in sub.vertices],
@@ -119,8 +129,14 @@ def s4_intervals() -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def s4_intervals() -> dict:
+    """Every S4 Bruhat interval [u, v] with u < v in graph-file form, by "u-v"."""
+    return bruhat_intervals(4)
+
+
 def write_intervals(root: Path) -> None:
-    for name, data in s4_intervals().items():
+    for name, data in {**s4_intervals(), **sweep_graphs()}.items():
         (root / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
 
 
@@ -161,6 +177,57 @@ def alexander_cases() -> list:
     return cases
 
 
+# the interior sizes of the S5 intervals in the ``sweep`` group, one interval drawn per entry
+SWEEP_S5_INTERIOR = (14, 14, 16)
+
+
+def _renamed(data: dict, names: dict) -> dict:
+    """A graph file with its vertices renamed; a vertex missing from ``names`` keeps its name."""
+    def name(v):
+        return names.get(v, v)
+
+    return {
+        "vertices": [name(v) for v in data["vertices"]],
+        "edges": [{**e, "tail": name(e["tail"]), "head": name(e["head"])} for e in data["edges"]],
+        "relation": data["relation"],
+    }
+
+
+@lru_cache(maxsize=None)
+def sweep_graphs() -> dict:
+    """The graphs of the ``sweep`` group in graph-file form, by file name."""
+    graphs = {f"c{i}": to_json_dict(realize(CdPoly({"c" * i: 1}))) for i in (*range(1, 8), 10)}
+    s5 = bruhat_intervals(5)
+    by_size: dict = {}
+    for name, data in s5.items():
+        by_size.setdefault(len(data["vertices"]) - 2, []).append(name)
+    rng = random.Random(31)
+    for size in SWEEP_S5_INTERIOR:
+        name = rng.choice([n for n in by_size[size] if n not in graphs])  # no interval twice
+        graphs[name] = s5[name]
+    b3 = json.loads((FIXTURE_DIR / "fig3_b3.json").read_text(encoding="utf-8"))
+    graphs["escaped"] = _renamed(b3, {
+        "1": 'q"uote', "2": "back\\slash", "3": "\u00e9\U0001f600", "12": "\x07bell", "13": 10, "23": 2,
+    })
+    graphs["alike"] = _renamed(b3, {"2": 1})
+    graphs["unbalanced"] = {
+        "vertices": ["x", "y", "z"],
+        "edges": [{"tail": "x", "head": "y", "label": "1"}, {"tail": "y", "head": "z", "label": "2"}],
+        "relation": {"mode": "linear", "order": ["1", "2"]},
+    }
+    graphs["parity"] = json.loads((FIXTURE_DIR / "fig1_left.json").read_text(encoding="utf-8"))
+    return graphs
+
+
+def sweep_cases() -> list:
+    """(case id, argv) of ``alexander --all`` on every ``sweep`` graph and output form."""
+    return [
+        (f"{name}/alexander-all/{form}", ["alexander", "--all", "--graph", f"{name}.json", *extra])
+        for name in sweep_graphs()
+        for form, extra in (("text", []), ("json", ["--json"]))
+    ]
+
+
 def in_dir(root: Path, argv: list) -> list:
     """argv with a relative graph file name resolved inside ``root``; absolute ones stay."""
     return [str(root / a) if a.endswith(".json") else a for a in argv]
@@ -172,6 +239,7 @@ GROUPS = {
     "realized": realized_cases(),
     "qsym": qsym_cases(),
     "alexander": alexander_cases(),
+    "sweep": sweep_cases(),
 }
 
 
@@ -243,6 +311,11 @@ def test_qsym_case(case_id, argv, interval_dir):
 @pytest.mark.parametrize("case_id, argv", GROUPS["alexander"], ids=_ids("alexander"))
 def test_alexander_case(case_id, argv, interval_dir):
     check_case("alexander", case_id, in_dir(interval_dir, argv), interval_dir)
+
+
+@pytest.mark.parametrize("case_id, argv", GROUPS["sweep"], ids=_ids("sweep"))
+def test_sweep_case(case_id, argv, interval_dir):
+    check_case("sweep", case_id, in_dir(interval_dir, argv), interval_dir)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex.jsontext import json_text
+from cdindex.jsontext import JsonText, alexander_rows, json_text, quote
 
 _leaves = (
     st.text()  # non-ASCII, astral, control, quote and backslash characters included
@@ -71,3 +71,16 @@ def test_shared_subtree_is_no_cycle():
     shared = {"x": [1]}
     value = [shared, shared, {"again": shared}]
     assert json_text(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    st.tuples(st.lists(st.text(), max_size=3), st.integers(), st.integers(), st.booleans()),
+    max_size=4,
+))
+def test_alexander_rows_as_json_dumps(rows):
+    dicts = [{"subset": names, "lhs": lhs, "rhs": rhs, "equal": equal} for names, lhs, rhs, equal in rows]
+    splits = [(tuple(map(quote, names)), (lhs, rhs, equal)) for names, lhs, rhs, equal in rows]
+    text = alexander_rows(iter(splits))
+    assert text == json.dumps(dicts, indent=2, sort_keys=True)
+    assert type(text) is JsonText and json_text(text) is text
