@@ -35,8 +35,10 @@ free as a variable:
   them into every split's value, the sum over T within S of c_T, by one
   subset-sum pass over the 2^k splits of k interior vertices.  It checks
   the empty split against :func:`alexander_check`, returns the interior
-  in topological order and the rows indexed by bitmask, bit i for the
-  i-th interior vertex, and it alone bounds k (``MAX_SWEEP_INTERIOR``).
+  in topological order and the two sides as int lists ``lhs`` and ``rhs``
+  indexed by bitmask, bit i for the i-th interior vertex, so the verdict
+  for every split is ``lhs == rhs``; and it alone bounds k
+  (``MAX_SWEEP_INTERIOR``).
   ``--subset`` calls :func:`alexander_check`, two point sweeps, so one
   split of a graph of any size stays cheap.
 
@@ -73,9 +75,9 @@ __all__ = [
 ]
 
 # alexander_sweep tabulates 2**k values for k interior vertices, and
-# alexander --all prints a row for each: 18 take about 1.2 to 1.9 s and
-# 0.2 GB with --json, most of it for the rows, and each further vertex
-# doubles both
+# alexander --all prints a row for each: 18 take about 0.8 to 1.1 s and
+# 187 MiB with --json, 1.0 to 1.5 s and 27 MiB as text, most of it for the
+# rows, and each further vertex doubles both
 MAX_SWEEP_INTERIOR = 18
 
 
@@ -334,18 +336,20 @@ def _sign(parity: ParityResult) -> int:
     return 1 if parity.longest % 2 else -1
 
 
-def alexander_sweep(g: LabeledDigraph) -> tuple[tuple, list[AlexanderResult]]:
-    """The rows of :func:`alexander_check` for all 2^k splits of the interior.
+def alexander_sweep(g: LabeledDigraph) -> tuple[tuple, list[int], list[int]]:
+    """Both sides of :func:`alexander_check` for all 2^k splits of the interior.
 
-    Returns the k interior vertices in topological order and the 2^k rows
-    indexed by bitmask: bit i of m stands for ``interior[i]`` in S.  An
-    unbounded graph raises PreconditionFailed, and more than
-    ``MAX_SWEEP_INTERIOR`` interior vertices raise ``GraphError`` before
-    any balance check or sweep; the other hypotheses are checked as
-    :func:`alexander_check` would.  Every row is read off one table of the
-    falling values of all splits (:func:`_falling_table`): the row of S is
-    (value(S), sign * value(T)) with sign = (-1) ** (longest length - 1).
-    No use is made of the duality itself.  The row of the empty split is
+    Returns ``(interior, lhs, rhs)``: the k interior vertices in
+    topological order and the two sides as lists of 2^k ints indexed by
+    bitmask, bit i of m standing for ``interior[i]`` in S, so the duality
+    holds for every split exactly when ``lhs == rhs``.  An unbounded graph
+    raises PreconditionFailed, and more than ``MAX_SWEEP_INTERIOR``
+    interior vertices raise ``GraphError`` before any balance check or
+    sweep; the other hypotheses are checked as :func:`alexander_check`
+    would.  ``lhs`` is one table of the falling values of all splits
+    (:func:`_falling_table`), and entry m of ``rhs`` is sign * value(T),
+    T the complement of S and sign = (-1) ** (longest length - 1).  No use
+    is made of the duality itself.  The two sides of the empty split are
     also computed by :func:`alexander_check`, from two point sweeps, and a
     disagreement raises ``InternalError``.
     """
@@ -359,19 +363,16 @@ def alexander_sweep(g: LabeledDigraph) -> tuple[tuple, list[AlexanderResult]]:
             f"{MAX_SWEEP_INTERIOR}; check single subsets instead"
         )
     guard = alexander_check(g, ())
-    table = _falling_table(g)
+    lhs = _falling_table(g)
     sign = _sign(parity)
     # the complement of split m is split 2^k - 1 - m: entry m of the reversed table
-    rows = [
-        AlexanderResult(lhs, rhs, lhs == rhs)
-        for lhs, rhs in zip(table, [sign * v for v in reversed(table)])
-    ]
-    if rows[0] != guard:
+    rhs = [sign * v for v in reversed(lhs)]
+    if (lhs[0], rhs[0]) != guard[:2]:
         raise InternalError(
-            f"the falling table gives {rows[0]} for the empty split, "
+            f"the falling table gives lhs={lhs[0]}, rhs={rhs[0]} for the empty split, "
             f"alexander_check {guard}"
         )
-    return interior, rows
+    return interior, lhs, rhs
 
 
 def _falling_table(g: LabeledDigraph) -> list[int]:

@@ -6,9 +6,11 @@ mathematical outcome (an unbalanced graph, a failed identity, a search
 hit), 2 on bad input, 3 on an internal error (a bug, reported in one line
 instead of a traceback).  Every command returns its exit status, a JSON
 payload and its text lines, and ``main`` alone prints them: the payload
-behind ``--json``, the lines otherwise.  ``alexander --all`` fills in only
-the form asked for, and its payload is already JSON text (a
-``jsontext.JsonText``, which ``json_text`` returns as it is).
+behind ``--json``, the lines otherwise.  ``alexander`` fills in only the
+form asked for, and its payload is already JSON text: ``--all`` and
+``--subset`` write their rows through one template
+(``jsontext.alexander_rows``, a ``JsonText``, which ``json_text`` returns
+as it is).
 """
 
 from __future__ import annotations
@@ -115,43 +117,48 @@ def cmd_balance(args):
     ]
 
 
-def _splits(names, bits, results):
-    """(the names of S, S's row) for every split, by size and then in the order of ``names``.
+def _splits(names, bits, lhs, rhs):
+    """(the names of S, lhs, rhs) for every split, by size and then in the order of ``names``.
 
-    ``bits[i]`` is the bitmask bit of ``names[i]``, and ``results`` holds
-    the rows by bitmask.
+    ``bits[i]`` is the bitmask bit of ``names[i]``, and ``lhs`` and ``rhs``
+    hold the two sides by bitmask.
     """
     for k in range(len(names) + 1):
-        for c, m in zip(itertools.combinations(names, k), itertools.combinations(bits, k)):
-            yield c, results[sum(m)]
+        for c, m in zip(itertools.combinations(names, k), map(sum, itertools.combinations(bits, k))):
+            yield c, lhs[m], rhs[m]
 
 
-def _alexander_line(names, result) -> str:
-    lhs, rhs, equal = result
+def _alexander_line(names, lhs, rhs) -> str:
     subset_text = ",".join(names) or "(empty)"
-    return f"S={{{subset_text}}} lhs={lhs} rhs={rhs} {'equal' if equal else 'UNEQUAL'}"
+    return f"S={{{subset_text}}} lhs={lhs} rhs={rhs} {'equal' if lhs == rhs else 'UNEQUAL'}"
 
 
 def cmd_alexander(args):
     graph = load_graph(args.graph)
     graph.zero_hat(), graph.one_hat()  # an unbounded graph: name its sources or sinks
-    if not args.all:
+    if args.all:
+        # the sweep refuses more than alexander.MAX_SWEEP_INTERIOR interior vertices
+        interior, lhs, rhs = alexander_mod.alexander_sweep(graph)
+        # a row names its vertices by str(v): refuse names that print alike, as
+        # --subset does, and names --subset or the empty row would read otherwise
+        _vertices_named(graph, map(str, interior))
+        named = sorted((str(v), 1 << i) for i, v in enumerate(interior))
+        names, bits = [name for name, _ in named], [bit for _, bit in named]
+        for name in names:
+            if _parse_subset(name) != {name} or name == "(empty)":
+                raise GraphError(f"vertex name {name!r} would read back as another split; rename it")
+    else:
         subset = _vertices_named(graph, _parse_subset(args.subset))
         names = sorted(map(str, subset))
-        result = alexander_mod.alexander_check(graph, subset)
-        row = {"subset": names, "lhs": result.lhs, "rhs": result.rhs, "equal": result.equal}
-        return EXIT_OK if result.equal else EXIT_NEGATIVE, [row], [_alexander_line(names, result)]
-    # the sweep refuses more than alexander.MAX_SWEEP_INTERIOR interior vertices
-    interior, results = alexander_mod.alexander_sweep(graph)
-    # a row names its vertices by str(v): refuse names that print alike, as --subset does
-    _vertices_named(graph, map(str, interior))
-    named = sorted((str(v), 1 << i) for i, v in enumerate(interior))
-    names, bits = [name for name, _ in named], [bit for _, bit in named]
-    code = EXIT_OK if all(equal for _, _, equal in results) else EXIT_NEGATIVE
+        lhs, rhs, _ = alexander_mod.alexander_check(graph, subset)
+    # two int lists for --all, two ints for --subset
+    code = EXIT_OK if lhs == rhs else EXIT_NEGATIVE
     # only the form asked for is written; the JSON rows quote each name once
+    quoted = list(map(quote, names)) if args.json else names
+    splits = _splits(quoted, bits, lhs, rhs) if args.all else [(quoted, lhs, rhs)]
     if args.json:
-        return code, alexander_rows(_splits(list(map(quote, names)), bits, results)), ()
-    return code, None, itertools.starmap(_alexander_line, _splits(names, bits, results))
+        return code, alexander_rows(splits), ()
+    return code, None, itertools.starmap(_alexander_line, splits)
 
 
 def cmd_qsym(args):

@@ -10,11 +10,11 @@ that escapes strings with json's C escaper and appends one piece per item.
 The recursion follows the nesting of the value, a few levels for every
 payload the package writes, not its size.
 
-``alexander --all`` prints 2^k rows of one shape, so :func:`alexander_rows`
-writes them from one template instead: the text ``json_text`` gives for
-the list of row dicts with sorted keys, from names escaped once each by
-:func:`quote`.  It returns a :class:`JsonText`, which ``json_text``
-returns as is.
+``alexander`` prints rows of one shape, 2^k of them under ``--all`` and
+one under ``--subset``, so :func:`alexander_rows` writes both from one
+template instead: the text ``json_text`` gives for the list of row dicts
+with sorted keys, from names escaped once each by :func:`quote`.  It
+returns a :class:`JsonText`, which ``json_text`` returns as is.
 """
 
 from __future__ import annotations
@@ -128,14 +128,13 @@ _EQUAL = ("false", "true")
 def alexander_rows(splits) -> JsonText:
     """``json_text(rows, sort_keys=True)`` for the rows of ``alexander``, one template each.
 
-    ``splits`` yields (names, (lhs, rhs, equal)) with the names of S
-    already quoted by :func:`quote`, lhs and rhs exact ints and equal a
-    bool; the row of each split is ``{"subset": [...names], "lhs": lhs,
-    "rhs": rhs, "equal": equal}``.
+    ``splits`` yields (names, lhs, rhs) with the names of S already quoted
+    by :func:`quote` and lhs and rhs exact ints; the row of each split is
+    ``{"subset": [...names], "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}``.
     """
     join = _NEXT_NAME.join
     rows = [
-        _ROW % (_EQUAL[equal], lhs, rhs, join(names)) if names else _EMPTY_ROW % (_EQUAL[equal], lhs, rhs)
-        for names, (lhs, rhs, equal) in splits
+        _ROW % (_EQUAL[lhs == rhs], lhs, rhs, join(names)) if names else _EMPTY_ROW % (_EQUAL[lhs == rhs], lhs, rhs)
+        for names, lhs, rhs in splits
     ]
     return JsonText("[\n  " + ",\n  ".join(rows) + "\n]" if rows else "[]")

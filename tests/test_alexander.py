@@ -336,18 +336,18 @@ class TestAlexanderSweep:
             return alexander_check(graph, subset)
 
         monkeypatch.setattr(alexander, "alexander_check", counted)
-        interior, rows = alexander_sweep(g)
+        interior, lhs, rhs = alexander_sweep(g)
         monkeypatch.undo()
-        return interior, rows, len(calls)
+        return interior, lhs, rhs, len(calls)
 
     def assert_matches_oracle(self, monkeypatch, name, g):
-        interior, rows, calls = self.sweep_counting(monkeypatch, g)
+        interior, lhs, rhs, calls = self.sweep_counting(monkeypatch, g)
         assert interior == g.topological_order[1:-1], name
-        assert len(rows) == 2 ** len(interior), name
-        for m, row in enumerate(rows):
+        assert len(lhs) == len(rhs) == 2 ** len(interior), name
+        for m, row in enumerate(zip(lhs, rhs)):
             subset = {v for i, v in enumerate(interior) if m >> i & 1}
-            assert row == alexander_check(g, subset), (name, sorted(subset))
-        assert all(row.equal for row in rows), name
+            assert row == alexander_check(g, subset)[:2], (name, sorted(subset))
+        assert lhs == rhs, name
         # one check, of the empty split, guards the table of all 2^k splits
         assert calls == 1, name
 
@@ -369,12 +369,12 @@ class TestAlexanderSweep:
 
     def test_bit_i_is_the_ith_interior_vertex(self):
         g = realize(parse_cd("cc + d"))
-        interior, rows = alexander_sweep(g)
+        interior, lhs, rhs = alexander_sweep(g)
         assert interior == ("v1", "v2", "v3", "v4", "v5", "v6")
         # {v3, v6} and its mirror image {v2, v5} differ, so rows indexed
         # with the bits reversed would swap them
-        assert rows[0b100100] == alexander_check(g, {"v3", "v6"}) == (1, 1, True)
-        assert rows[0b010010] == alexander_check(g, {"v2", "v5"}) == (0, 0, True)
+        assert (lhs[0b100100], rhs[0b100100]) == alexander_check(g, {"v3", "v6"})[:2] == (1, 1)
+        assert (lhs[0b010010], rhs[0b010010]) == alexander_check(g, {"v2", "v5"})[:2] == (0, 0)
 
     def test_one_frame_for_all_subsets(self, monkeypatch, graph_b3):
         assert vars(graph_b3).get("_view") is None
@@ -386,11 +386,25 @@ class TestAlexanderSweep:
             return zero_hat(g)
 
         monkeypatch.setattr(LabeledDigraph, "zero_hat", counted)
-        _, rows = alexander_sweep(graph_b3)
+        _, lhs, rhs = alexander_sweep(graph_b3)
         monkeypatch.undo()
-        assert len(rows) == 64 and all(row.equal for row in rows)
+        assert len(lhs) == 64 and lhs == rhs
         assert len(calls) == 1
         assert vars(graph_b3).get("_view") is None  # no Edge tuple was built
+
+    def test_one_result_for_all_subsets(self, monkeypatch, graph_b3):
+        # the guard's check of the empty split is the only AlexanderResult built
+        built = []
+
+        class Counted(alexander.AlexanderResult):
+            def __new__(cls, *args, **kwargs):
+                built.append((args, kwargs))
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(alexander, "AlexanderResult", Counted)
+        _, lhs, rhs = alexander_sweep(graph_b3)
+        assert len(lhs) == 64 and lhs == rhs
+        assert built == [((), {"lhs": lhs[0], "rhs": rhs[0], "equal": True})]
 
     def test_errors_raised(self, graph_fig1_left):
         with pytest.raises(PreconditionFailed, match="parity"):
@@ -401,10 +415,12 @@ class TestAlexanderSweep:
     def test_smallest_graphs_keep_their_rows(self):
         # source = sink, and one edge with an empty interior
         one = LabeledDigraph(["x"], [], LinearRelation([]))
-        assert alexander_sweep(one) == ((), [(0, 0, True)])
-        assert alexander_sweep(chain(["1"])) == ((), [(1, 1, True)])
+        assert alexander_sweep(one) == ((), [0], [0])
+        assert alexander_sweep(chain(["1"])) == ((), [1], [1])
         for g in (one, chain(["1"])):
-            assert alexander_sweep(g)[1] == [alexander_check(g, ())]
+            _, lhs, rhs = alexander_sweep(g)
+            check = alexander_check(g, ())
+            assert (lhs, rhs) == ([check.lhs], [check.rhs])
 
     def test_realized_graphs_match_per_subset_checks(self, monkeypatch):
         for text in REALIZED:

@@ -346,18 +346,36 @@ class TestAlexanderCommand:
             list(c) for k in range(len(names) + 1) for c in itertools.combinations(names, k)
         ]
 
-    @pytest.fixture
-    def escaped_b3(self, tmp_path):
-        # fig3_b3 with interior names that JSON escapes, and two that are JSON ints
-        names = {"1": 'q"uote', "2": "back\\slash", "3": "\u00e9\U0001f600", "12": "\x07bell", "13": 10, "23": 2}
+    @staticmethod
+    def renamed_b3(path, names) -> str:
+        """fig3_b3 written to ``path`` with the vertices in ``names`` renamed."""
         data = json.loads(fixture_bytes("fig3_b3"))
         data["vertices"] = [names.get(v, v) for v in data["vertices"]]
         for edge in data["edges"]:
             for end in ("tail", "head"):
                 edge[end] = names.get(edge[end], edge[end])
-        path = tmp_path / "escaped.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         return str(path)
+
+    @pytest.fixture
+    def escaped_b3(self, tmp_path):
+        # fig3_b3 with interior names that JSON escapes, and two that are JSON ints
+        names = {"1": 'q"uote', "2": "back\\slash", "3": "\u00e9\U0001f600", "12": "\x07bell", "13": 10, "23": 2}
+        return self.renamed_b3(tmp_path / "escaped.json", names)
+
+    @pytest.mark.parametrize("names", [
+        {"1": "1,2", "2": "1"},  # the row of {"1,2"} would read as {1, 2}
+        {"1": " 1"},
+        {"1": "1 "},
+        {"1": ""},
+        {"1": "(empty)"},  # its row would print as the empty split's
+    ])
+    def test_all_refuses_names_a_row_cannot_give_back(self, capsys, tmp_path, names):
+        path = self.renamed_b3(tmp_path / "renamed.json", names)
+        for form in ([], ["--json"]):
+            code, out, err = run(capsys, "alexander", "--graph", path, "--all", *form)
+            assert (code, out) == (2, "")
+            assert err == f"error: vertex name {names['1']!r} would read back as another split; rename it\n"
 
     @pytest.mark.parametrize("graph", ["fig3_b3", "cc + d", "escaped"])
     def test_each_all_line_is_the_subset_line(self, capsys, fixture_dir, escaped_b3, graph):
@@ -381,19 +399,18 @@ class TestAlexanderCommand:
         sweep = alexander.alexander_sweep
 
         def one_unequal(graph):
-            interior, rows = sweep(graph)
-            lhs, rhs, _ = rows[5]  # the split of interior[0] and interior[2]
-            rows[5] = alexander.AlexanderResult(lhs, rhs + 1, False)
-            return interior, rows
+            interior, lhs, rhs = sweep(graph)
+            rhs[5] += 1  # the split of interior[0] and interior[2]
+            return interior, lhs, rhs
 
         monkeypatch.setattr(alexander, "alexander_sweep", one_unequal)
-        interior, rows = one_unequal(load_graph(escaped_b3))
+        interior, lhs, rhs = one_unequal(load_graph(escaped_b3))
         named = sorted((str(v), 1 << i) for i, v in enumerate(interior))
         want = [
-            {"subset": [name for name, _ in c], "lhs": row.lhs, "rhs": row.rhs, "equal": row.equal}
+            {"subset": [name for name, _ in c], "lhs": lhs[m], "rhs": rhs[m], "equal": lhs[m] == rhs[m]}
             for k in range(len(named) + 1)
             for c in itertools.combinations(named, k)
-            for row in [rows[sum(bit for _, bit in c)]]
+            for m in [sum(bit for _, bit in c)]
         ]
         code, out, err = run(capsys, "alexander", "--graph", escaped_b3, "--all", "--json")
         assert (code, out, err) == (1, json.dumps(want, indent=2, sort_keys=True) + "\n", "")
@@ -404,6 +421,25 @@ class TestAlexanderCommand:
             f"S={{{','.join(unequal['subset'])}}} lhs={unequal['lhs']} rhs={unequal['rhs']} UNEQUAL"
         ]
         assert sorted(unequal["subset"]) == sorted(map(str, (interior[0], interior[2])))
+
+    def test_unequal_subset_row(self, capsys, monkeypatch, escaped_b3):
+        # the --subset twin of test_unequal_row, through the same row writer
+        check = alexander.alexander_check
+
+        def unequal(graph, subset):
+            lhs, rhs, _ = check(graph, subset)
+            return alexander.AlexanderResult(lhs, rhs + 1, False)
+
+        monkeypatch.setattr(alexander, "alexander_check", unequal)
+        graph = load_graph(escaped_b3)
+        split = graph.topological_order[1], graph.topological_order[3]
+        names = sorted(map(str, split))
+        lhs, rhs, _ = unequal(graph, split)
+        row = {"subset": names, "lhs": lhs, "rhs": rhs, "equal": False}
+        code, out, err = run(capsys, "alexander", "--graph", escaped_b3, "--subset", ",".join(names), "--json")
+        assert (code, out, err) == (1, json.dumps([row], indent=2, sort_keys=True) + "\n", "")
+        code, out, err = run(capsys, "alexander", "--graph", escaped_b3, "--subset", ",".join(names))
+        assert (code, out, err) == (1, f"S={{{','.join(names)}}} lhs={lhs} rhs={rhs} UNEQUAL\n", "")
 
 
 class TestVertexNames:

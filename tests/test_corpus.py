@@ -35,12 +35,21 @@ Each group has its own manifest under ``corpus/``:
   B3 with two vertices that print alike, an unbalanced chain and the
   mixed-parity ``fig1_left``.  The graphs are written to a temporary
   directory beside the S4 intervals.
+* ``exits``: exits 1 and 2, and one seeded search, each as text and as
+  ``--json``: the exit-2 refusals of ``MAX_REALIZE_EDGES``,
+  ``MAX_CHECK_AB_WORDS``, ``MAX_SEARCH_VERTICES``, ``MAX_M`` and
+  ``MAX_M_TERMS`` (``qsym --basis M`` on an 18-edge rising chain), a
+  directed cycle, malformed JSON, ``cdindex``'s exit-1 residual on a
+  falling chain, and ``search --trials 1000 --seed 42``.  Its graph files
+  are named relative to the directory the cases run in, because the
+  malformed file's message names the file as it was given.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import tempfile
@@ -136,8 +145,10 @@ def s4_intervals() -> dict:
 
 
 def write_intervals(root: Path) -> None:
-    for name, data in {**s4_intervals(), **sweep_graphs()}.items():
-        (root / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    """Write every graph the corpus reads into ``root``; a str is a file's text as it is."""
+    for name, data in {**s4_intervals(), **sweep_graphs(), **exits_graphs()}.items():
+        text = data if isinstance(data, str) else json.dumps(data)
+        (root / f"{name}.json").write_text(text, encoding="utf-8")
 
 
 def qsym_cases() -> list:
@@ -228,6 +239,54 @@ def sweep_cases() -> list:
     ]
 
 
+def _chain(labels: list) -> dict:
+    """A path graph v0 -> v1 -> ... whose edges carry ``labels``, ordered as ints."""
+    return {
+        "vertices": [f"v{i}" for i in range(len(labels) + 1)],
+        "edges": [{"tail": f"v{i}", "head": f"v{i + 1}", "label": str(l)} for i, l in enumerate(labels)],
+        "relation": {"mode": "linear", "order": [str(l) for l in sorted(labels)]},
+    }
+
+
+@lru_cache(maxsize=None)
+def exits_graphs() -> dict:
+    """The graph files of the ``exits`` group, by file name; malformed JSON as its text."""
+    return {
+        "rising18": _chain(list(range(18))),
+        "falling3": _chain([3, 2, 1]),
+        "cycle": {
+            "vertices": ["x", "y", "z"],
+            "edges": [{"tail": t, "head": h, "label": "1"} for t, h in ["xy", "yz", "zx"]],
+            "relation": {"mode": "linear", "order": ["1"]},
+        },
+        "malformed": '{"vertices": [',
+    }
+
+
+def exits_cases() -> list:
+    """(case id, argv) of every command of the ``exits`` group and output form.
+
+    The graph files are named relative to the directory ``write_intervals``
+    fills, and the cases run inside it.
+    """
+    commands = {
+        "construct-edges": ["construct", "--cd", "15001*c"],
+        "construct-ab-words": ["construct", "--cd", "c" * 17],
+        "search-vertices": ["search", "--trials", "1", "--seed", "1", "--max-vertices", "20001"],
+        "bruhat-m": ["bruhat", "--type", "I2", "--m", "513", "--k", "1"],
+        "qsym-M-terms": ["qsym", "--basis", "M", "--graph", "rising18.json"],
+        "cycle": ["balance", "--graph", "cycle.json"],
+        "malformed": ["balance", "--graph", "malformed.json"],
+        "cdindex-residual": ["cdindex", "--graph", "falling3.json"],
+        "search-seed-42": ["search", "--trials", "1000", "--seed", "42"],
+    }
+    return [
+        (f"{name}/{form}", [*argv, *extra])
+        for name, argv in commands.items()
+        for form, extra in (("text", []), ("json", ["--json"]))
+    ]
+
+
 def in_dir(root: Path, argv: list) -> list:
     """argv with a relative graph file name resolved inside ``root``; absolute ones stay."""
     return [str(root / a) if a.endswith(".json") else a for a in argv]
@@ -240,6 +299,7 @@ GROUPS = {
     "qsym": qsym_cases(),
     "alexander": alexander_cases(),
     "sweep": sweep_cases(),
+    "exits": exits_cases(),
 }
 
 
@@ -318,14 +378,23 @@ def test_sweep_case(case_id, argv, interval_dir):
     check_case("sweep", case_id, in_dir(interval_dir, argv), interval_dir)
 
 
+@pytest.mark.parametrize("case_id, argv", GROUPS["exits"], ids=_ids("exits"))
+def test_exits_case(case_id, argv, interval_dir, monkeypatch):
+    monkeypatch.chdir(interval_dir)
+    check_case("exits", case_id, argv, interval_dir)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --write")
     CORPUS_DIR.mkdir(exist_ok=True)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         write_intervals(Path(tmp))
+        os.chdir(tmp)  # relative graph file names point into it
         for group, group_cases in GROUPS.items():
-            cases = [{"id": case_id, **digest(*run_case(in_dir(Path(tmp), argv)))} for case_id, argv in group_cases]
+            cases = [{"id": case_id, **digest(*run_case(argv))} for case_id, argv in group_cases]
             path = CORPUS_DIR / f"{group}.json"
             path.write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
             print(f"wrote {len(cases)} cases to {path.name}")
+        os.chdir(cwd)
