@@ -75,9 +75,10 @@ __all__ = [
 ]
 
 # alexander_sweep tabulates 2**k values for k interior vertices, and
-# alexander --all prints a row for each: 18 take about 0.8 to 1.1 s and
-# 187 MiB with --json, 1.0 to 1.5 s and 27 MiB as text, most of it for the
-# rows, and each further vertex doubles both
+# alexander --all prints a row for each, one at a time: 18 take about 0.5
+# to 0.9 s and 21 to 25 MiB, as text or with --json, most of the time for
+# the rows and most of the memory for the two tables of 2**k ints, and
+# each further vertex doubles both
 MAX_SWEEP_INTERIOR = 18
 
 

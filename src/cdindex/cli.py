@@ -6,11 +6,11 @@ mathematical outcome (an unbalanced graph, a failed identity, a search
 hit), 2 on bad input, 3 on an internal error (a bug, reported in one line
 instead of a traceback).  Every command returns its exit status, a JSON
 payload and its text lines, and ``main`` alone prints them: the payload
-behind ``--json``, the lines otherwise.  ``alexander`` fills in only the
-form asked for, and its payload is already JSON text: ``--all`` and
-``--subset`` write their rows through one template
-(``jsontext.alexander_rows``, a ``JsonText``, which ``json_text`` returns
-as it is).
+behind ``--json``, the lines otherwise.  ``alexander`` gives no payload
+and the lines of the form asked for, which ``main`` prints as they come:
+its ``--all`` rows, 2^k of them for k interior vertices, are written one
+by one and never held, as text or as the lines of ``json_text(rows,
+sort_keys=True)``.  Both row writers are here, side by side.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import coxeter as coxeter_mod
 from . import fixtures as fixtures_mod
 from . import qsym as qsym_mod
 from .digraph import GraphError, InternalError, load_graph, to_json_dict
-from .jsontext import alexander_rows, json_text, quote
+from .jsontext import json_text, quote
 from .ncpoly import NotInSpan, ab_to_cd, parse_cd
 
 EXIT_OK = 0
@@ -133,6 +133,24 @@ def _alexander_line(names, lhs, rhs) -> str:
     return f"S={{{subset_text}}} lhs={lhs} rhs={rhs} {'equal' if lhs == rhs else 'UNEQUAL'}"
 
 
+def _alexander_json_lines(splits):
+    """The lines of ``json_text(rows, sort_keys=True)``, one piece per row of ``splits``.
+
+    ``splits`` yields (names, lhs, rhs) with the names already quoted, and
+    its row is ``{"subset": [...names], "lhs": lhs, "rhs": rhs, "equal":
+    lhs == rhs}``.  A piece starts with the previous row's closing brace
+    (the first with the list's ``[``), so ``print``'s newline falls where
+    json puts one.
+    """
+    head = "["
+    for names, lhs, rhs in splits:
+        subset = "[\n      " + ",\n      ".join(names) + "\n    ]" if names else "[]"
+        equal = "true" if lhs == rhs else "false"
+        yield f'{head}\n  {{\n    "equal": {equal},\n    "lhs": {lhs},\n    "rhs": {rhs},\n    "subset": ' + subset
+        head = "  },"
+    yield "[]" if head == "[" else "  }\n]"
+
+
 def cmd_alexander(args):
     graph = load_graph(args.graph)
     graph.zero_hat(), graph.one_hat()  # an unbounded graph: name its sources or sinks
@@ -156,9 +174,8 @@ def cmd_alexander(args):
     # only the form asked for is written; the JSON rows quote each name once
     quoted = list(map(quote, names)) if args.json else names
     splits = _splits(quoted, bits, lhs, rhs) if args.all else [(quoted, lhs, rhs)]
-    if args.json:
-        return code, alexander_rows(splits), ()
-    return code, None, itertools.starmap(_alexander_line, splits)
+    lines = _alexander_json_lines(splits) if args.json else itertools.starmap(_alexander_line, splits)
+    return code, None, lines
 
 
 def cmd_qsym(args):
@@ -338,11 +355,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, lines = args.func(args)
-        if args.json:
-            print(json_text(payload, sort_keys=True))
-        else:
-            for line in lines:
-                print(line)
+        if args.json and payload is not None:
+            lines = [json_text(payload, sort_keys=True)]
+        for line in lines:
+            print(line)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

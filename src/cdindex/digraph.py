@@ -1153,8 +1153,11 @@ def from_json_dict(data: dict) -> LabeledDigraph:
         edge_dicts = data["edges"]
         rel = data["relation"]
         mode = rel["mode"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GraphError(f"malformed graph description: missing {exc}") from None
+    except TypeError:  # a list, a string or a number where an object belongs
+        what = "its relation" if isinstance(data, dict) else "it"
+        raise GraphError(f"malformed graph description: {what} is not a JSON object") from None
     vertices = [_json_key(v, "vertex") for v in _json_list(vertices, "vertices")]
     edges = []
     for d in _json_list(edge_dicts, "edges"):

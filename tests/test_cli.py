@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON mirrors, fixtures."""
 
+import contextlib
 import itertools
 import json
 import os
@@ -10,13 +11,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdindex import alexander, construct, qsym
-from cdindex.cli import build_parser, main
+from cdindex.cli import _alexander_json_lines, build_parser, main
 from cdindex.construct import Counterexample, SearchReport
 from cdindex.coxeter import _dihedral_bruhat_graph
 from cdindex.digraph import load_graph, to_json_dict
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
+from cdindex.jsontext import quote
 from cdindex.ncpoly import parse_cd
 
 # the directory the cdindex package is imported from, for child processes
@@ -440,6 +444,39 @@ class TestAlexanderCommand:
         assert (code, out, err) == (1, json.dumps([row], indent=2, sort_keys=True) + "\n", "")
         code, out, err = run(capsys, "alexander", "--graph", escaped_b3, "--subset", ",".join(names))
         assert (code, out, err) == (1, f"S={{{','.join(names)}}} lhs={lhs} rhs={rhs} UNEQUAL\n", "")
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_all_rows_are_written_one_at_a_time(self, fixture_dir, form):
+        # stdout sees one row per write, so no write holds all 2^k of them
+        class Writes(list):
+            def write(self, text):
+                self.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        writes = Writes()
+        with contextlib.redirect_stdout(writes):
+            code = main(["alexander", "--graph", str(fixture_dir / "fig3_b3.json"), "--all", *form])
+        assert code == 0 and "".join(writes).count("equal") == 64
+        assert max(text.count("equal") for text in writes) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    # rhs is lhs about half the time, so rows of both verdicts are drawn
+    st.tuples(st.lists(st.text(), max_size=3), st.integers(), st.booleans(), st.integers()).map(
+        lambda row: (row[0], row[1], row[1] if row[2] else row[3])
+    ),
+    max_size=4,
+))
+def test_alexander_json_lines_as_json_dumps(rows):
+    dicts = [{"subset": names, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs} for names, lhs, rhs in rows]
+    lines = list(_alexander_json_lines((tuple(map(quote, names)), lhs, rhs) for names, lhs, rhs in rows))
+    # main prints each line, so the lines joined by newlines are the text
+    assert "\n".join(lines) == json.dumps(dicts, indent=2, sort_keys=True)
+    assert len(lines) == len(rows) + 1  # a line for each row, and the closing one
 
 
 class TestVertexNames:

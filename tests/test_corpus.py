@@ -28,7 +28,7 @@ Each group has its own manifest under ``corpus/``:
   others, with a seeded split of half the interior; each as text and as
   ``--json``;
 * ``sweep``: ``alexander --all``, each as text and as ``--json``, on the
-  realized c^1, ..., c^7, on a seeded sample of S5 intervals with 14 and
+  realized c^1, ..., c^8, on a seeded sample of S5 intervals with 14 and
   16 interior vertices, on the Boolean lattice B3 renamed so that its
   vertex names need JSON escapes or are JSON ints, and on four graphs it
   refuses with exit status 2: the realized c^10 (20 interior vertices),
@@ -39,8 +39,9 @@ Each group has its own manifest under ``corpus/``:
   ``--json``: the exit-2 refusals of ``MAX_REALIZE_EDGES``,
   ``MAX_CHECK_AB_WORDS``, ``MAX_SEARCH_VERTICES``, ``MAX_M`` and
   ``MAX_M_TERMS`` (``qsym --basis M`` on an 18-edge rising chain), a
-  directed cycle, malformed JSON, ``cdindex``'s exit-1 residual on a
-  falling chain, and ``search --trials 1000 --seed 42``.  Its graph files
+  directed cycle, malformed JSON, a graph file that is a JSON list and
+  one whose relation is, ``cdindex``'s exit-1 residual on a falling
+  chain, and ``search --trials 1000 --seed 42``.  Its graph files
   are named relative to the directory the cases run in, because the
   malformed file's message names the file as it was given.
 * ``search``: ``search --trials 1000`` at seeds 1, 2 and 3 with vertex
@@ -210,7 +211,7 @@ def _renamed(data: dict, names: dict) -> dict:
 @lru_cache(maxsize=None)
 def sweep_graphs() -> dict:
     """The graphs of the ``sweep`` group in graph-file form, by file name."""
-    graphs = {f"c{i}": to_json_dict(realize(CdPoly({"c" * i: 1}))) for i in (*range(1, 8), 10)}
+    graphs = {f"c{i}": to_json_dict(realize(CdPoly({"c" * i: 1}))) for i in (*range(1, 9), 10)}
     s5 = bruhat_intervals(5)
     by_size: dict = {}
     for name, data in s5.items():
@@ -263,6 +264,8 @@ def exits_graphs() -> dict:
             "relation": {"mode": "linear", "order": ["1"]},
         },
         "malformed": '{"vertices": [',
+        "not-object": "[1, 2]",
+        "relation-list": {**_chain([1]), "relation": ["linear", "1"]},
     }
 
 
@@ -280,6 +283,8 @@ def exits_cases() -> list:
         "qsym-M-terms": ["qsym", "--basis", "M", "--graph", "rising18.json"],
         "cycle": ["balance", "--graph", "cycle.json"],
         "malformed": ["balance", "--graph", "malformed.json"],
+        "not-object": ["balance", "--graph", "not-object.json"],
+        "relation-list": ["balance", "--graph", "relation-list.json"],
         "cdindex-residual": ["cdindex", "--graph", "falling3.json"],
         "search-seed-42": ["search", "--trials", "1000", "--seed", "42"],
     }

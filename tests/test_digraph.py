@@ -126,6 +126,25 @@ class TestLoadAndValidate:
         with pytest.raises(GraphError):
             from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [[1, 2], "graph", 5, None, list(range(10**4))])
+    def test_description_not_an_object(self, data):
+        # the message names no part of the value, which may be large
+        with pytest.raises(GraphError) as exc:
+            from_json_dict(data)
+        assert str(exc.value) == "malformed graph description: it is not a JSON object"
+
+    @pytest.mark.parametrize("relation", [["linear", "1"], "linear", 5, None])
+    def test_relation_not_an_object(self, relation):
+        data = {"vertices": ["x", "y"], "edges": [{"tail": "x", "head": "y", "label": "1"}], "relation": relation}
+        with pytest.raises(GraphError) as exc:
+            from_json_dict(data)
+        assert str(exc.value) == "malformed graph description: its relation is not a JSON object"
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(GraphError) as exc:
+            from_json_dict({"vertices": [], "edges": [], "relation": {}})
+        assert str(exc.value) == "malformed graph description: missing 'mode'"
+
     def test_unknown_vertex_is_graph_error(self, graph_b3):
         # an unhashable value is no vertex either, and raises no TypeError
         g = graph_b3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex.jsontext import JsonText, alexander_rows, json_text, quote
+from cdindex.jsontext import json_text
 
 _leaves = (
     st.text()  # non-ASCII, astral, control, quote and backslash characters included
@@ -72,17 +72,3 @@ def test_shared_subtree_is_no_cycle():
     value = [shared, shared, {"again": shared}]
     assert json_text(value) == json.dumps(value, indent=2)
 
-
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(
-    # rhs is lhs about half the time, so rows of both verdicts are drawn
-    st.tuples(st.lists(st.text(), max_size=3), st.integers(), st.booleans(), st.integers()).map(
-        lambda row: (row[0], row[1], row[1] if row[2] else row[3])
-    ),
-    max_size=4,
-))
-def test_alexander_rows_as_json_dumps(rows):
-    dicts = [{"subset": names, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs} for names, lhs, rhs in rows]
-    text = alexander_rows((tuple(map(quote, names)), lhs, rhs) for names, lhs, rhs in rows)
-    assert text == json.dumps(dicts, indent=2, sort_keys=True)
-    assert type(text) is JsonText and json_text(text) is text
