@@ -4,13 +4,15 @@ One subcommand per computation, all operating on the JSON graph format or
 on Coxeter group generators.  Exit status: 0 on success, 1 on a negative
 mathematical outcome (an unbalanced graph, a failed identity, a search
 hit), 2 on bad input, 3 on an internal error (a bug, reported in one line
-instead of a traceback).  Every command returns its exit status, a JSON
-payload and its text lines, and ``main`` alone prints them: the payload
-behind ``--json``, the lines otherwise.  ``alexander`` gives no payload
-and the lines of the form asked for, which ``main`` prints as they come:
-its ``--all`` rows, 2^k of them for k interior vertices, are written one
-by one and never held, as text or as the lines of ``json_text(rows,
-sort_keys=True)``.  Both row writers are here, side by side.
+instead of a traceback), 141 when its reader closes the stdout pipe
+(``head``, say), which ends the output with nothing on stderr.  Every
+command returns its exit status, a JSON payload and its text lines, and
+``main`` alone prints them: the payload behind ``--json``, the lines
+otherwise.  ``alexander`` gives no payload and the lines of the form
+asked for, which ``main`` prints as they come: its ``--all`` rows, 2^k of
+them for k interior vertices, are written one by one and never held, as
+text or as the lines of ``json_text(rows, sort_keys=True)``.  Both row
+writers are here, side by side.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 def _parse_subset(text: str) -> frozenset:
@@ -359,7 +363,15 @@ def main(argv=None) -> int:
             lines = [json_text(payload, sort_keys=True)]
         for line in lines:
             print(line)
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send what is left to
+        # the null device so that flush neither fails nor prints
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,8 +15,6 @@ Besides ring arithmetic the module provides the structural maps used
 throughout the package:
 
 * the deletion coproduct on ab-polynomials and its Newtonian identity,
-* the algebra maps kappa (a -> a-b, b -> 0) and lambda (a -> 0,
-  b -> b-a) that extract rising and falling chain counts,
 * the involutions bar (swap a and b) and star (reverse words),
 * the expansion of cd-polynomials into ab-polynomials and the exact
   first-letter recursion going the other way (``ab_to_cd``).
@@ -40,8 +38,6 @@ __all__ = [
     "TensorPoly",
     "TensorSquare",
     "ab_to_cd",
-    "apply_kappa",
-    "apply_lambda",
     "bar",
     "cd_expand",
     "cd_sort_key",
@@ -49,8 +45,6 @@ __all__ = [
     "cd_word_degree",
     "cd_words_of_degree",
     "coproduct",
-    "kappa_counit_check",
-    "lambda_counit_check",
     "parse_ab",
     "parse_cd",
     "star",
@@ -457,11 +451,7 @@ def star(p: AbPoly) -> AbPoly:
     return AbPoly._trusted({w[::-1]: c for w, c in p.items()})
 
 
-_A = AbPoly.monomial("a")
-_B = AbPoly.monomial("b")
-_KAPPA = {"a": _A - _B, "b": AbPoly.zero()}
-_LAMBDA = {"a": AbPoly.zero(), "b": _B - _A}
-_CD_EXPANSION = {"c": _A + _B, "d": AbPoly({"ab": 1, "ba": 1})}
+_CD_EXPANSION = {"c": AbPoly({"a": 1, "b": 1}), "d": AbPoly({"ab": 1, "ba": 1})}
 
 
 def _algebra_map(p: FreeModule, images: dict) -> AbPoly:
@@ -475,38 +465,6 @@ def _algebra_map(p: FreeModule, images: dict) -> AbPoly:
                 break
         result = result + coeff * factor
     return result
-
-
-def apply_kappa(p: AbPoly) -> AbPoly:
-    """Algebra map sending a to a-b and b to 0; kills words containing b."""
-    return _algebra_map(p, _KAPPA)
-
-
-def apply_lambda(p: AbPoly) -> AbPoly:
-    """Algebra map sending a to 0 and b to b-a; kills words containing a."""
-    return _algebra_map(p, _LAMBDA)
-
-
-def _counit_residual(p: AbPoly, images: dict, letter: AbPoly) -> AbPoly:
-    """kappa_counit_check for the algebra map by ``images`` and the inserted ``letter``."""
-    total = _algebra_map(p, images)
-    for (u, v), coeff in coproduct(p).items():
-        piece = _algebra_map(AbPoly.monomial(u), images) * letter * AbPoly.monomial(v)
-        total = total + coeff * piece
-    return p - total
-
-
-def kappa_counit_check(p: AbPoly) -> AbPoly:
-    """Residual of the counit-style identity for kappa; zero for every input.
-
-    Computes p - kappa(p) - sum over the coproduct of kappa(p_(1)) * b * p_(2).
-    """
-    return _counit_residual(p, _KAPPA, _B)
-
-
-def lambda_counit_check(p: AbPoly) -> AbPoly:
-    """Twin of kappa_counit_check with lambda and the letter a."""
-    return _counit_residual(p, _LAMBDA, _A)
 
 
 def cd_expand(p: CdPoly) -> AbPoly:

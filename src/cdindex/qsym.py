@@ -9,11 +9,12 @@ A quasisymmetric element is stored as a finite integer combination of
 fundamental elements L_alpha, the basis in which the path invariants
 below are sums.  There omega complements each index, the antipode sends
 L_alpha to (-1)^n L of the complement of the reversed index, gamma is a
-change of key, and the product sums L over the descent sets of shuffles.
-The monomial basis M, with L_alpha the sum of M over the refinements of
-alpha, is where the coproduct splits an index in two and the product is
-the quasi-shuffle of indices; an element reaches it, and comes back, by
-one transform over descent-set bitmasks, one descent position at a time.
+change of key, the product sums L over the descent sets of shuffles, and
+the coproduct cuts L_alpha of degree n at each of its n + 1 places, in
+L (x) L.  The monomial basis M, with L_alpha the sum of M over the
+refinements of alpha, is only read and printed; an element reaches it,
+and comes back, by one transform over descent-set bitmasks, one descent
+position at a time.
 
 The linear map gamma identifies ab-polynomials with zero-constant
 quasisymmetric functions by sending the degree n-1 word with descents D to
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .digraph import LabeledDigraph, Unbounded
-from .ncpoly import AbPoly, FreeModule, NotInSpan, TensorSquare, _merge, ab_to_cd
+from .ncpoly import AbPoly, FreeModule, NotInSpan, TensorSquare, _format_terms, _merge, ab_to_cd
 
 __all__ = [
     "MAX_M_TERMS",
@@ -276,51 +277,12 @@ def _product(left: dict, right: dict) -> dict:
     }
 
 
-def _quasi_shuffle(out: dict, alpha: tuple, beta: tuple, coeff: int) -> None:
-    """Add coeff times each quasi-shuffle of alpha and beta into ``out``.
-
-    An explicit stack takes alpha's next part, beta's, or their sum, depth
-    first in that order, so no composition is too long for the recursion limit.
-    """
-    m, n = len(alpha), len(beta)
-    stack = [(0, 0, ())]
-    while stack:
-        i, j, prefix = stack.pop()
-        if i == m:
-            _merge(out, prefix + beta[j:], coeff)
-        elif j == n:
-            _merge(out, prefix + alpha[i:], coeff)
-        else:
-            a, b = alpha[i], beta[j]
-            stack += (
-                (i + 1, j + 1, prefix + (a + b,)),
-                (i, j + 1, prefix + (b,)),
-                (i + 1, j, prefix + (a,)),
-            )
-
-
 def _render_composition(alpha: tuple, basis: str = "M") -> str:
     return f"{basis}[{','.join(map(str, alpha))}]"
 
 
 def _composition_order(alpha: tuple):
     return (sum(alpha), len(alpha), alpha)
-
-
-class _Monomials(FreeModule):
-    """Integer combination of monomial elements M_alpha, under the quasi-shuffle.
-
-    The basis the coproduct is defined in: ``QSymTensor`` is its tensor
-    square, and ``to_string("M")`` prints through it.
-    """
-
-    __slots__ = ()
-    _UNIT = ()
-    _key = staticmethod(_validate)
-    _mul_keys = staticmethod(_quasi_shuffle)
-    word_degree = staticmethod(sum)
-    _sort_key = staticmethod(_composition_order)
-    _render = staticmethod(_render_composition)
 
 
 class QSymElement(FreeModule):
@@ -384,29 +346,44 @@ class QSymElement(FreeModule):
                     f"printing in the basis M expands into {count} terms, more than the "
                     f"bound {MAX_M_TERMS}; print in the basis L instead"
                 )
-            return str(_Monomials._trusted(self.m_coefficients()))
+            return _format_terms(self.m_coefficients(), _composition_order, _render_composition)
         raise ValueError(f"unknown basis {basis!r}")
 
 
 class QSymTensor(TensorSquare):
-    """Integer combination of ordered pairs of compositions, in the basis M (x) M."""
+    """Integer combination of ordered pairs of compositions, in the basis L (x) L.
+
+    It adds and is scaled by ints, and a product of two raises TypeError:
+    the key product it inherits from QSymElement would concatenate
+    compositions, and a componentwise shuffle product in L (x) L grows far
+    faster than the quasi-shuffle product in M (x) M.
+    """
 
     __slots__ = ()
-    _FACTOR = _Monomials
+    _FACTOR = QSymElement
     _UNIT = ((), ())
 
-    @classmethod
-    def tensor(cls, f: QSymElement, g: QSymElement) -> "QSymTensor":
-        """The tensor f (x) g of two quasisymmetric elements, expanded in M (x) M."""
-        return super().tensor(f.m_coefficients(), g.m_coefficients())
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return super().__mul__(other)
+        raise TypeError("QSymTensor has no product; it is only added and scaled by ints")
+
+    __rmul__ = __mul__
 
 
 def qsym_coproduct(f: QSymElement) -> QSymTensor:
-    """Deconcatenation of monomial indices."""
+    """Cut each L_alpha, alpha a composition of n, at each of its n + 1 places.
+
+    The cut at i gives L of alpha's descents below i, a composition of i,
+    tensor L of its descents above i shifted down by i, a composition of
+    n - i; a descent at i itself is the cut.
+    """
     data: dict[tuple, int] = {}
-    for alpha, coeff in f.m_coefficients().items():
-        for i in range(len(alpha) + 1):
-            _merge(data, (alpha[:i], alpha[i:]), coeff)
+    for alpha, coeff in f.items():
+        n, mask = sum(alpha), _mask(alpha)
+        for i in range(n + 1):
+            cut = (_composition(mask & (1 << i) - 1, i), _composition(mask >> i & ~1, n - i))
+            _merge(data, cut, coeff)
     return QSymTensor._trusted(data)
 
 

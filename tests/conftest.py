@@ -12,6 +12,8 @@ from cdindex.fixtures import (
     fig2_relation_ii,
     fig3_b3,
 )
+from cdindex.ncpoly import FreeModule, TensorSquare
+from cdindex.qsym import L_in_M
 
 
 def run_compositions(labels, relation) -> tuple[tuple, tuple]:
@@ -134,6 +136,63 @@ def chain(labels, order=None) -> LabeledDigraph:
     if order is None:
         order = sorted(set(labels))
     return LabeledDigraph(vertices, edges, LinearRelation(order))
+
+
+def quasi_shuffle(alpha, beta) -> dict:
+    """Oracle: the monomial product M_alpha M_beta, part by part."""
+    if not alpha or not beta:
+        return {alpha + beta: 1}
+    out = {}
+    for head, rests in (
+        (alpha[0], (alpha[1:], beta)),
+        (beta[0], (alpha, beta[1:])),
+        (alpha[0] + beta[0], (alpha[1:], beta[1:])),
+    ):
+        for key, c in quasi_shuffle(*rests).items():
+            out[(head,) + key] = out.get((head,) + key, 0) + c
+    return out
+
+
+class Monomials(FreeModule):
+    """Oracle: an integer combination of monomial elements M_alpha, under the quasi-shuffle."""
+
+    __slots__ = ()
+    _UNIT = ()
+    _key = staticmethod(tuple)
+    word_degree = staticmethod(sum)
+
+    @staticmethod
+    def _mul_keys(out, alpha, beta, coeff):
+        for key, c in quasi_shuffle(alpha, beta).items():
+            out[key] = out.get(key, 0) + coeff * c
+
+
+class MonomialTensor(TensorSquare):
+    """Oracle: the tensor square M (x) M, multiplied componentwise by quasi-shuffles."""
+
+    __slots__ = ()
+    _FACTOR = Monomials
+    _UNIT = ((), ())
+
+
+def deconcatenation(terms) -> MonomialTensor:
+    """Oracle: the coproduct in M (x) M, each monomial index cut at every place."""
+    out = {}
+    for alpha, c in terms.items():
+        for i in range(len(alpha) + 1):
+            key = (alpha[:i], alpha[i:])
+            out[key] = out.get(key, 0) + c
+    return MonomialTensor(out)
+
+
+def in_monomials(tensor) -> MonomialTensor:
+    """An L (x) L tensor with both factors of each term expanded into M."""
+    out = {}
+    for (u, v), c in tensor.items():
+        for a, ca in L_in_M(u).items():
+            for b, cb in L_in_M(v).items():
+                out[(a, b)] = out.get((a, b), 0) + c * ca * cb
+    return MonomialTensor(out)
 
 
 @pytest.fixture

@@ -462,6 +462,21 @@ class TestAlexanderCommand:
         assert code == 0 and "".join(writes).count("equal") == 64
         assert max(text.count("equal") for text in writes) == 1
 
+    def test_closed_stdout_pipe_exits_quietly(self, capsys, tmp_path):
+        # the realized c^8 has 65,536 rows, far more than a pipe buffer
+        # holds, so the writer meets the closed pipe while it prints
+        graph_file = str(tmp_path / "c8.json")
+        assert run(capsys, "construct", "--cd", "cccccccc", "--out", graph_file)[0] == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cdindex.cli", "alexander", "--graph", graph_file, "--all", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        )
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(

@@ -37,9 +37,17 @@ from cdindex.qsym import (
     sigma_involution,
     sigma_leq,
 )
-from cdindex.qsym import _Monomials, _truncate
+from cdindex.qsym import _truncate
 
-from conftest import chain, run_compositions
+from conftest import (
+    MonomialTensor,
+    Monomials,
+    chain,
+    deconcatenation,
+    in_monomials,
+    quasi_shuffle,
+    run_compositions,
+)
 
 compositions_st = st.lists(st.integers(1, 4), max_size=4).map(tuple)
 qsym_dicts = st.dictionaries(compositions_st, st.integers(-3, 3), max_size=3)
@@ -48,17 +56,18 @@ small_compositions_st = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 small_qsym_dicts = st.dictionaries(small_compositions_st, st.integers(-2, 2), max_size=2)
 small_qsym_elements = small_qsym_dicts.map(QSymElement)
 # the same draws read in the monomial basis, where they are sparse
-monomial_elements = qsym_dicts.map(_Monomials)
-small_monomial_elements = small_qsym_dicts.map(_Monomials)
+monomial_elements = qsym_dicts.map(Monomials)
+small_monomial_elements = small_qsym_dicts.map(Monomials)
 # The raw constructor reads L, and the L expansion of a product grows with
 # its degree whatever the factors' shapes, so three laws draw smaller
 # factors than the rest.  Commutativity draws small_qsym_elements: a pair
 # of degree 26, L[1,4,4,4] * L[4,4,4,1], has 1,665,079 terms.  Three
 # factors of degree 6 take 21 s ((L[3,3] - L[2,3])^3 has 116,332 terms),
 # so associativity draws degree at most 4.  The coproduct law multiplies
-# two coproducts in M (x) M, where the coproduct of L[3,3] - L[3,2]
-# already has 116 terms; a pair of degree-9 factors took over 6 minutes,
-# so it draws degree at most 6 (about 2 s for the largest pair).
+# two coproducts in M (x) M, since L (x) L has no product, where the
+# coproduct of L[3,3] - L[3,2] already has 116 terms; a pair of degree-9
+# factors took over 6 minutes, so it draws degree at most 6 (about 2 s for
+# the largest pair).
 tiny_qsym_elements = st.dictionaries(
     st.lists(st.integers(1, 2), max_size=2).map(tuple), st.integers(-2, 2), max_size=2
 ).map(QSymElement)
@@ -87,31 +96,6 @@ def _shuffle_of_words(alpha, beta):
         descents = [k + 1 for k in range(size - 1) if w[k] > w[k + 1]]
         key = composition_from_descents(descents, size)
         out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _deconcatenation(f):
-    """Oracle: the coproduct of a monomial combination, each index cut at every place."""
-    out = {}
-    for alpha, c in f.items():
-        for i in range(len(alpha) + 1):
-            key = (alpha[:i], alpha[i:])
-            out[key] = out.get(key, 0) + c
-    return QSymTensor(out)
-
-
-def _quasi_shuffle(alpha, beta):
-    """Oracle: the monomial product M_alpha M_beta, part by part."""
-    if not alpha or not beta:
-        return {alpha + beta: 1}
-    out = {}
-    for head, rests in (
-        (alpha[0], (alpha[1:], beta)),
-        (beta[0], (alpha, beta[1:])),
-        (alpha[0] + beta[0], (alpha[1:], beta[1:])),
-    ):
-        for key, c in _quasi_shuffle(*rests).items():
-            out[(head,) + key] = out.get((head,) + key, 0) + c
     return out
 
 
@@ -200,10 +184,50 @@ class TestBases:
 
 class TestHopf:
     def test_coproduct_of_m21(self):
+        # M[2,1] = L[2,1] - L[1,1,1], and in M (x) M its coproduct cuts the
+        # index at each of its three places
         got = qsym_coproduct(QSymElement.M((2, 1)))
         assert got == QSymTensor(
+            {
+                ((), (2, 1)): 1,
+                ((), (1, 1, 1)): -1,
+                ((2,), (1,)): 1,
+                ((1, 1), (1,)): -1,
+                ((2, 1), ()): 1,
+                ((1, 1, 1), ()): -1,
+            }
+        )
+        assert in_monomials(got) == MonomialTensor(
             {((), (2, 1)): 1, ((2,), (1,)): 1, ((2, 1), ()): 1}
         )
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_cut_coproduct_matches_the_monomial_route(self, n):
+        # n + 1 cuts of L_alpha, against the deconcatenation of its M expansion
+        for alpha in compositions(n):
+            got = qsym_coproduct(QSymElement.L(alpha))
+            assert len(got.terms) == n + 1, alpha
+            assert in_monomials(got) == deconcatenation(L_in_M(alpha)), alpha
+
+    def test_coproduct_of_a_long_fundamental_element(self):
+        # L[40] has 2**39 monomial terms, and 41 cuts
+        got = qsym_coproduct(QSymElement.L((40,)))
+        assert len(got.terms) == 41
+        cuts = {((), (40,)): 1, ((40,), ()): 1}
+        cuts.update({((i,), (40 - i,)): 1 for i in range(1, 40)})
+        assert got == QSymTensor(cuts)
+
+    def test_tensor_has_no_product(self):
+        t = qsym_coproduct(QSymElement.L((2, 1)))
+        for other in (t, QSymTensor.one(), QSymTensor.zero()):
+            with pytest.raises(TypeError):
+                t * other
+            with pytest.raises(TypeError):
+                other * t
+        with pytest.raises(TypeError):
+            t ** 2
+        assert 2 * t == t * 2 == t + t
+        assert (0 * t).is_zero()
 
     @pytest.mark.parametrize("n", range(9))
     def test_shuffle_product_matches_quasi_shuffle(self, n):
@@ -214,7 +238,7 @@ class TestHopf:
                 want = QSymElement.zero()
                 for a, ca in L_in_M(alpha).items():
                     for b, cb in L_in_M(beta).items():
-                        for key, c in _quasi_shuffle(a, b).items():
+                        for key, c in quasi_shuffle(a, b).items():
                             want = want + QSymElement.M(key, ca * cb * c)
                 assert QSymElement.L(alpha) * QSymElement.L(beta) == want, (alpha, beta)
 
@@ -233,8 +257,6 @@ class TestHopf:
         want.update({(1,) * k + (2,) + (1,) * (1199 - k): 1 for k in range(1200)})
         got = QSymElement.M((1,) * 1200) * QSymElement.M((1,))
         assert got.m_coefficients() == want
-        got = QSymTensor({((), (1,) * 1200): 1}) * QSymTensor({((), (1,)): 1})
-        assert got == QSymTensor({((), alpha): c for alpha, c in want.items()})
 
     def test_product_truncation_cross_check(self):
         # in two variables: (w1 + w2)^2 = w1^2 + w2^2 + 2*w1*w2
@@ -258,11 +280,13 @@ class TestHopf:
     @given(degree6_qsym_elements, degree6_qsym_elements)
     @settings(max_examples=20, deadline=None)
     def test_coproduct_is_algebra_map(self, f, g):
-        assert qsym_coproduct(f * g) == qsym_coproduct(f) * qsym_coproduct(g)
+        # L (x) L has no product, so both sides are read in M (x) M
+        lhs = in_monomials(qsym_coproduct(f * g))
+        assert lhs == in_monomials(qsym_coproduct(f)) * in_monomials(qsym_coproduct(g))
 
-    # The same three laws on the monomial basis, which multiplies by
-    # quasi-shuffles and is the factor of QSymTensor, at the factor sizes
-    # the L-basis laws cannot afford.
+    # The same three laws on the monomial oracle, which multiplies by
+    # quasi-shuffles and is the factor of MonomialTensor, at the factor
+    # sizes the L-basis laws cannot afford.
 
     @given(small_monomial_elements, small_monomial_elements, small_monomial_elements)
     @settings(max_examples=20, deadline=None)
@@ -277,7 +301,7 @@ class TestHopf:
     @given(small_monomial_elements, small_monomial_elements)
     @settings(max_examples=20, deadline=None)
     def test_monomial_coproduct_is_algebra_map(self, f, g):
-        assert _deconcatenation(f * g) == _deconcatenation(f) * _deconcatenation(g)
+        assert deconcatenation(f * g) == deconcatenation(f) * deconcatenation(g)
 
     # the factors of the L-basis associativity and coproduct laws; in M a
     # factor of degree 9 is dense (L[3,3,3] * L[3,3] takes 3.4 s there)
@@ -286,7 +310,7 @@ class TestHopf:
     @given(data=st.data())
     def test_product_agrees_with_the_monomial_product(self, elements, data):
         f, g = data.draw(elements), data.draw(elements)
-        want = _Monomials(f.m_coefficients()) * _Monomials(g.m_coefficients())
+        want = Monomials(f.m_coefficients()) * Monomials(g.m_coefficients())
         assert (f * g).m_coefficients() == dict(want.items())
 
 
@@ -354,17 +378,17 @@ class TestOmegaAntipode:
     def test_antipode_antihomomorphism(self, f, g):
         assert antipode(f * g) == antipode(g) * antipode(f)
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_antipode_defining_relation_on_basis(self, n):
-        # multiply-then-fold of (S (x) id) applied to the coproduct is zero
-        # in positive degree
+        # multiply-then-fold of (S (x) id) applied to the coproduct of
+        # L_alpha is zero in positive degree
         for alpha in compositions(n):
             total = QSymElement.zero()
-            for (beta, rest), c in qsym_coproduct(QSymElement.M(alpha)).items():
+            for (beta, rest), c in qsym_coproduct(QSymElement.L(alpha)).items():
                 total = total + c * (
-                    antipode(QSymElement.M(beta)) * QSymElement.M(rest)
+                    antipode(QSymElement.L(beta)) * QSymElement.L(rest)
                 )
-            assert total.is_zero()
+            assert total.is_zero(), alpha
 
 
 class TestRunCompositions:
@@ -504,14 +528,17 @@ class TestPathFunctions:
                     if not g.leq(x, y):
                         continue
                     for fn in (F_rising, F_falling):
-                        lhs = qsym_coproduct(fn(g.interval(x, y)))
+                        f = fn(g.interval(x, y))
                         rhs = QSymTensor.zero()
                         for z in g.vertices:
                             if g.leq(x, z) and g.leq(z, y):
                                 rhs = rhs + QSymTensor.tensor(
                                     fn(g.interval(x, z)), fn(g.interval(z, y))
                                 )
-                        assert lhs == rhs
+                        assert qsym_coproduct(f) == rhs
+                        # and with each factor expanded into M, against the
+                        # deconcatenation of f's M expansion
+                        assert in_monomials(rhs) == deconcatenation(f.m_coefficients())
 
     def test_multiplicative_over_cartesian_product(self):
         g = chain(["1", "2"])
