@@ -30,7 +30,8 @@ the draw as it comes: unbalanced trials (most of them) are rejected
 before any vertex is named or any graph built; only balanced trials are
 built.  The test first compares the rising and falling two-edge paths
 from the source to each vertex, which rejects about 99% of the
-unbalanced draws without a sweep; the balance witness decides the rest.
+unbalanced draws without a sweep; the balance witness decides the rest,
+and most draws that reach it are balanced.
 The search refuses a vertex cap above ``MAX_SEARCH_VERTICES``.
 No counterexample is expected; any candidate is re-verified by
 brute-force path enumeration before being reported, and reports are
@@ -51,11 +52,12 @@ from .digraph import (
     LabeledDigraph,
     LinearRelation,
     Unbounded,
+    _checked_cd,
     _kahn,
     _witness,
     to_json_dict,
 )
-from .ncpoly import CdPoly, ab_to_cd, cd_sort_key
+from .ncpoly import CdPoly, cd_sort_key
 
 MAX_LABELS = 4
 # a search trial costs time and memory linear in its vertex count: one at
@@ -529,7 +531,10 @@ def conjecture_search(seed: int, trials: int, max_vertices: int = 8) -> SearchRe
         )
         if not negative:
             continue
-        verified_cd = ab_to_cd(g.ab_index_by_paths(g.zero_hat(), g.one_hat()))
+        verified_cd = _checked_cd(
+            g.ab_index_by_paths(g.zero_hat(), g.one_hat()),
+            f"trial {trial}: the path re-check of a balanced graph has no cd-index",
+        )
         still_negative = tuple(
             word for word, coeff in sorted(verified_cd.items()) if coeff < 0
         )

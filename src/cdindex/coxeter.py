@@ -36,8 +36,8 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath
-from .ncpoly import CdPoly, IntPoly, NotInSpan, ab_to_cd
+from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath, _checked_cd
+from .ncpoly import CdPoly, IntPoly
 
 __all__ = [
     "BruhatGraph",
@@ -135,19 +135,6 @@ class HalfPowerResidue(ArithmeticError):
     """A Dyer evaluation would leave a genuine half power of q behind."""
 
 
-def _checked_cd(sub: LabeledDigraph, u, v, failure: str) -> CdPoly:
-    """The cd-index of [u, v] in sub; InternalError if there is none.
-
-    ``failure`` is the message, formatted with u and v and followed by the
-    residual of the conversion in factored form.
-    """
-    try:
-        return ab_to_cd(sub.ab_index(u, v))
-    except NotInSpan as exc:
-        residual = exc.factored_residual
-        raise InternalError(f"{failure.format(u=u, v=v)} (residual {residual})") from None
-
-
 class BruhatGraph:
     """The full Bruhat graph of one finite group, with group metadata.
 
@@ -220,14 +207,14 @@ class BruhatGraph:
         so it aborts loudly instead of returning a residual.
         """
         return _checked_cd(
-            self.interval(u, v), u, v,
-            "interval [{u}, {v}] has no cd-index; the reflection ordering is broken",
+            self.interval(u, v).ab_index(u, v),
+            f"interval [{u}, {v}] has no cd-index; the reflection ordering is broken",
         )
 
     def poset_cd_index(self, u, v) -> CdPoly:
         """cd-index of the graded order underneath (cover edges only)."""
         return _checked_cd(
-            self.cover_interval(u, v), u, v, "cover interval [{u}, {v}] has no cd-index"
+            self.cover_interval(u, v).ab_index(u, v), f"cover interval [{u}, {v}] has no cd-index"
         )
 
     def rtilde(self, u, v) -> IntPoly:

@@ -63,22 +63,23 @@ checks it and reports either a witness interval or the cd-index.
 
 The balance check runs the same sweep on run counts (a length -> count
 table for rising paths and one for falling paths) from many sources at
-once.  The first position in topological order goes alone, with plain
-counts, so a graph unbalanced there (most random graphs) costs one sweep.
-The rest but the last, a sink, go in chunks of ``_CHUNK`` consecutive
-positions.  Source i of a chunk is seeded with ``1 << block*i`` along its
-out-edges, so every count holds one ``block``-bit field per source, and
-each addition of the sweep adds all the fields at once; a chunk of one
-source is not packed.  ``block`` is the bit length of the largest
-N(y) = 1 + the sum of N(t) over the in-edges t -> y, the number of paths
-ending at y from any start, found by the same prepass.  A field
+once.  The sources are every position but the last two: a path from the
+second-to-last position has one edge, and a one-edge path both rises
+and falls, so neither that position nor the sink starts an unbalanced
+interval.  They go in chunks of ``_CHUNK`` consecutive positions from
+position 0.  Source i of a chunk is seeded with ``1 << block*i`` along
+its out-edges, so every count holds one ``block``-bit field per source,
+and each addition of the sweep adds all the fields at once.  ``block``
+is the bit length of the largest N(y) = 1 + the sum of N(t) over the
+in-edges t -> y, the number of paths ending at y from any start, found
+once per graph by the same prepass.  A field
 counts paths from one source to y, fewer than N(y), so it stays below
 ``2**block`` and never carries into the next.  The XOR of the rising and
 falling counts at a position has its lowest set bit in the field of the
 lowest source that differs there; its first such position and the
 smallest differing length, read from its fields, are the witness.
-``check_balance_equivalence`` compares the same packed counts, in chunks
-from position 0, since it never stops early.
+``check_balance_equivalence`` compares the same packed counts from the
+same sources, without stopping early.
 """
 
 from __future__ import annotations
@@ -251,11 +252,10 @@ _BITS_TO_AB = str.maketrans("01", "ab")
 # rest ride in the table key (see _sweep)
 _LOW = 10
 
-# sources sharing one run-count sweep of the balance check, after the lone
-# first one (see _witness).  On the whole S6 Bruhat graph and
-# on a 15,942-vertex realized graph, chunks of 32, 64 and 128 took 0.25,
-# 0.19 and 0.16 s and 0.73, 0.63 and 0.60 s (medians of 7, Python 3.11.7,
-# 2 vCPUs); 256 gained no more
+# sources sharing one run-count sweep of the balance check (see _witness).
+# On the whole S6 Bruhat graph and on a 15,942-vertex realized graph,
+# chunks of 32, 64 and 128 took 0.25, 0.19 and 0.16 s and 0.73, 0.63 and
+# 0.60 s (medians of 7, Python 3.11.7, 2 vCPUs); 256 gained no more
 _CHUNK = 128
 
 
@@ -321,7 +321,9 @@ class BalanceReport:
 
     ``cd_index`` is the cd-index of [source, sink], computed on first read
     and kept: callers that need only the verdict never pay for it.  It is
-    None for an unbalanced or unbounded graph.
+    None for an unbalanced or unbounded graph.  A balanced graph whose
+    ab-index is no cd-polynomial is a fault of the library, reported as
+    InternalError (see :func:`_checked_cd`).
     """
 
     balanced: bool
@@ -333,8 +335,9 @@ class BalanceReport:
         g = self._graph
         if not self.balanced or g is None or not g.is_bounded():
             return None
-        bot, top = g.zero_hat(), g.one_hat()
-        return ab_to_cd(g.ab_index(bot, top)) if bot != top else CdPoly.zero()
+        # a balanced graph's ab-index is a cd-polynomial; [x, x]'s is 0
+        psi = g.ab_index(g.zero_hat(), g.one_hat())
+        return _checked_cd(psi, "a graph found balanced has no cd-index")
 
 
 @dataclass(frozen=True)
@@ -354,6 +357,19 @@ class BalanceEquivalenceReport:
     @property
     def verdict(self) -> bool:
         return self.per_length
+
+
+def _checked_cd(psi: AbPoly, failure: str) -> CdPoly:
+    """The cd-polynomial ``psi`` rewrites to, where it must; InternalError if it does not.
+
+    Balance makes every ab-index of the graph a cd-polynomial, so a residual
+    here is a fault of the library, not of its input.  The message is
+    ``failure`` followed by the residual of the conversion in factored form.
+    """
+    try:
+        return ab_to_cd(psi)
+    except NotInSpan as exc:
+        raise InternalError(f"{failure} (residual {exc.factored_residual})") from None
 
 
 def _sweep(
@@ -516,48 +532,43 @@ def _witness(out: list, masks: list) -> BalanceWitness | None:
 
     The witness names positions; :meth:`LabeledDigraph._balance_witness`
     names vertices, and ``construct.conjecture_search`` reads the verdict
-    off its draws before it builds a graph.  Position 0 goes alone and
-    unpacked, so a graph that is unbalanced there costs one plain sweep,
-    as most random graphs are; then ``_CHUNK`` consecutive positions share
-    each sweep, and the field width is computed once, before the first
-    sweep of two or more sources.  The last position is a sink and starts
-    no interval, so it is never a source.  At each position a chunk's
+    off its draws before it builds a graph.  The sources are every
+    position but the last two: a path from the second-to-last position
+    is one edge, and one-edge paths both rise and fall, so neither it nor
+    the sink starts an unbalanced interval.  They go ``_CHUNK`` at a time
+    from position 0, in fields as wide as the bit length of the largest
+    count of :func:`_path_counts`, computed once; a graph of two vertices
+    has no source and sweeps nothing.  At each position a chunk's
     differing sources are the fields set in the XOR of the rising and
     falling counts over the lengths; the lowest set bit names the lowest
     such source.  Positions come in order, so the first position at which
     the lowest source differs is kept, and the sweep stops once the
     chunk's first source differs.
     """
-    last = len(out) - 1
-    start, count, block = 0, min(1, last), 0
-    while count > 0:
+    sources = len(out) - 2
+    if sources < 1:
+        return None
+    block = _path_counts(out)[1].bit_length()
+    for start in range(0, sources, _CHUNK):
         found = None  # (source, position, r, f) of the lowest differing source
-        for p, table in _sweep(out, masks, start, 0, count, block):
+        for p, table in _sweep(out, masks, start, 0, min(_CHUNK, sources - start), block):
             r, f = _sums(table)
             if r == f:
                 continue
-            i = 0
-            if block:
-                diff = 0
-                for k in r.keys() | f.keys():
-                    diff |= r.get(k, 0) ^ f.get(k, 0)
-                i = ((diff & -diff).bit_length() - 1) // block
+            diff = 0
+            for k in r.keys() | f.keys():
+                diff |= r.get(k, 0) ^ f.get(k, 0)
+            i = ((diff & -diff).bit_length() - 1) // block
             if found is None or i < found[0]:
                 found = i, p, r, f
                 if not i:
                     break
         if found is not None:
             i, p, r, f = found
-            if block:  # the lowest differing source's own counts
-                shift, mask = block * i, (1 << block) - 1
-                r = {k: c >> shift & mask for k, c in r.items()}
-                f = {k: c >> shift & mask for k, c in f.items()}
+            shift, mask = block * i, (1 << block) - 1  # the lowest differing source's own counts
+            r, f = ({k: c >> shift & mask for k, c in t.items()} for t in (r, f))
             k = min(k for k in r.keys() | f.keys() if r.get(k, 0) != f.get(k, 0))
             return BalanceWitness(start + i, p, k, r.get(k, 0), f.get(k, 0))
-        start += count
-        count = min(_CHUNK, last - start)
-        if count > 1 and not block:
-            block = _path_counts(out)[1].bit_length()
     return None
 
 
@@ -1003,19 +1014,19 @@ class LabeledDigraph:
         and every path length; (even length) same restricted to even
         lengths; (cd span) the ab-index of every interval is a
         cd-polynomial.  Raises InternalError if the three disagree, since
-        they are provably equivalent.  The two counting verdicts compare
-        the packed counts of run-count sweeps from ``_CHUNK`` sources each,
-        every source's field at once (this check never stops early, so
-        position 0 does not go alone as in :meth:`is_balanced`), with the
-        field width of :func:`_path_counts`; the cd-span verdict decodes
-        one ab-word sweep per source.
+        they are provably equivalent.  The sources are those of
+        :func:`_witness`, every position but the last two.  The two
+        counting verdicts compare the packed counts of run-count sweeps
+        from ``_CHUNK`` sources each, every source's field at once, with
+        the field width of :func:`_path_counts`; the cd-span verdict
+        decodes one ab-word sweep per source.
         """
         out = self._out
-        per_length = True
-        even_length = True
+        per_length = even_length = True
+        sources = len(out) - 2
         block = _path_counts(out)[1].bit_length()
-        for start in range(0, len(out), _CHUNK):
-            count = min(_CHUNK, len(out) - start)
+        for start in range(0, sources, _CHUNK):
+            count = min(_CHUNK, sources - start)
             for _, table in _sweep(out, self._masks, start, 0, count, block):
                 r, f = _sums(table)
                 if r != f:
@@ -1023,7 +1034,7 @@ class LabeledDigraph:
                 if any(r.get(k, 0) != f.get(k, 0) for k in r.keys() | f.keys() if k % 2 == 0):
                     even_length = False
         cd_span = True
-        for start in range(len(out)):
+        for start in range(sources):
             for _, psi in self._ab_sweep(start):
                 try:
                     ab_to_cd(psi)

@@ -278,7 +278,8 @@ def _product(left: dict, right: dict) -> dict:
 
 
 def _render_composition(alpha: tuple, basis: str = "M") -> str:
-    return f"{basis}[{','.join(map(str, alpha))}]"
+    """``M[2,1]`` or ``L[2,1]``; the unit () renders as "" and prints as its bare coefficient."""
+    return f"{basis}[{','.join(map(str, alpha))}]" if alpha else ""
 
 
 def _composition_order(alpha: tuple):

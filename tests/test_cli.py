@@ -18,10 +18,10 @@ from cdindex import alexander, construct, qsym
 from cdindex.cli import _alexander_json_lines, build_parser, main
 from cdindex.construct import Counterexample, SearchReport
 from cdindex.coxeter import _dihedral_bruhat_graph
-from cdindex.digraph import load_graph, to_json_dict
+from cdindex.digraph import LabeledDigraph, load_graph, to_json_dict
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.jsontext import quote
-from cdindex.ncpoly import parse_cd
+from cdindex.ncpoly import parse_ab, parse_cd
 
 # the directory the cdindex package is imported from, for child processes
 SRC_DIR = str(Path(alexander.__file__).parents[1])
@@ -234,6 +234,11 @@ class TestCdIndexCommand:
         assert payload["residual"] is None
 
 
+# the one stderr line of a command whose balanced graph has no cd-index,
+# with ab_index patched to return the ab-word a
+NO_CD_INDEX = "internal error: InternalError: a graph found balanced has no cd-index (residual -b)\n"
+
+
 class TestBalanceCommand:
     def test_balanced_graph(self, capsys, fixture_dir):
         code, out, _ = run(
@@ -274,6 +279,13 @@ class TestBalanceCommand:
         payload = json.loads(out)
         assert payload["balanced"] is True
         assert payload["cd_index"] == "cc - d"
+
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_no_cd_index_is_internal_error(self, capsys, monkeypatch, fixture_dir, form):
+        # balance makes every ab-index a cd-polynomial: a residual is the library's fault
+        monkeypatch.setattr(LabeledDigraph, "ab_index", lambda self, x, y: parse_ab("a"))
+        code, out, err = run(capsys, "balance", "--graph", str(fixture_dir / "fig1_left.json"), *form)
+        assert (code, out, err) == (3, "", NO_CD_INDEX)
 
 
 class TestAlexanderCommand:
@@ -618,6 +630,16 @@ class TestQsymCommand:
         assert code == 0
         assert "M[" in out
 
+    @pytest.mark.parametrize("basis", ["L", "M"])
+    def test_one_vertex_prints_the_unit_as_1(self, capsys, tmp_path, basis):
+        f = tmp_path / "one.json"
+        f.write_text(json.dumps({
+            "vertices": ["x"], "edges": [], "relation": {"mode": "linear", "order": []},
+        }))
+        code, out, _ = run(capsys, "qsym", "--graph", str(f), "--basis", basis)
+        assert code == 0
+        assert out.splitlines()[:2] == ["F_rising: 1", "F_falling: 1"]
+
     @staticmethod
     def rising_chain(tmp_path, n):
         """A chain of n edges with increasing labels: F_rising = L[n], 2^(n-1) terms in M."""
@@ -809,6 +831,11 @@ class TestConstructCommand:
         code, _, err = run(capsys, "construct", "--cd", "cc - d")
         assert code == 2
         assert "negative" in err
+
+    def test_no_cd_index_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(LabeledDigraph, "ab_index", lambda self, x, y: parse_ab("a"))
+        code, out, err = run(capsys, "construct", "--cd", "cc + d", "--json")
+        assert (code, out, err) == (3, "", NO_CD_INDEX)
 
 
 class TestSearchCommand:

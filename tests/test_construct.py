@@ -28,7 +28,7 @@ from cdindex.digraph import (
     from_json_dict,
     to_json_dict,
 )
-from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_cd
+from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_ab, parse_cd
 
 from conftest import chain, witness_by_pairs
 
@@ -430,17 +430,18 @@ class TestConstructCost:
 
 
 class TestChunkedBalance:
-    """A realized graph wide enough for several run-count sweeps of the balance check."""
+    """A realized graph wide enough for two run-count sweeps of the balance check."""
 
     def realized(self):
+        # every vertex but the last two is a source
         g = realize(parse_cd("20*cccc + 9*dcc"))
-        assert len(g.vertices) == 216 > 1 + digraph_mod._CHUNK
+        assert len(g.vertices) == 216 > 2 + digraph_mod._CHUNK
         return g
 
     def test_balanced_across_chunks(self):
         assert self.realized().is_balanced().balanced
 
-    def test_witness_in_the_third_chunk(self):
+    def test_witness_in_the_second_chunk(self):
         # exchanging the labels of the sink's in-edges from v213 and v214
         # leaves every interval from a source below v155 balanced
         g = self.realized()
@@ -453,7 +454,7 @@ class TestChunkedBalance:
         h = LabeledDigraph(g.vertices, edges, g.relation)
         witness = h.is_balanced().witness
         position = h.topological_order.index(witness.x)
-        assert 1 + digraph_mod._CHUNK <= position < 1 + 2 * digraph_mod._CHUNK
+        assert digraph_mod._CHUNK <= position < 2 * digraph_mod._CHUNK
         expected = witness_by_pairs(h)
         assert tuple(witness) == expected == ("v155", "v215", 2, 0, 2)
         for chunk in (1, 64):
@@ -624,6 +625,23 @@ def balanced_found_by_building(seed, trials, max_vertices):
     )
 
 
+# B_3 with its vertices 0, 1, 2, 3, 12, 13, 23, 123 numbered 0 .. 7, and a
+# labeling by three label ranks that repeats labels along paths: the
+# library finds it balanced, with cd-index 2cc - d
+B3_TIES_EDGES = [
+    (0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (3, 6), (4, 7), (5, 7), (6, 7),
+]
+B3_TIES_RANKS = [0, 2, 2, 0, 1, 1, 0, 1, 2, 0, 0, 2]
+
+
+def b3_ties_draw(rng=None, max_vertices=None):
+    """The B_3 labeling above as a draw of ``construct._draw_dag``, whatever is asked."""
+    out = [[] for _ in range(8)]
+    for (t, h), rank in zip(B3_TIES_EDGES, B3_TIES_RANKS):
+        out[t].append((h, rank, None))
+    return 8, list(B3_TIES_EDGES), list(B3_TIES_RANKS), 3, out
+
+
 class TestConjectureSearch:
     @pytest.mark.parametrize(
         "trials, max_vertices",
@@ -681,6 +699,33 @@ class TestConjectureSearch:
         report = conjecture_search(seed=42, trials=1000, max_vertices=8)
         assert report.balanced_found == 178
         assert len(witness_calls) == 185
+
+    def test_negative_draw_is_rechecked_and_reported(self, monkeypatch):
+        monkeypatch.setattr(construct_mod, "_draw_dag", b3_ties_draw)
+        report = conjecture_search(seed=1, trials=3, max_vertices=8)
+        assert report.balanced_found == 3
+        graph = to_json_dict(construct_mod._named_dag(b3_ties_draw()))
+        assert report.counterexamples == tuple(
+            construct_mod.Counterexample(
+                trial=trial, graph=graph, cd_index="2*cc - d", negative_words=("d",), verified=True
+            )
+            for trial in range(3)
+        )
+
+    def test_negative_draw_exits_negative(self, capsys, monkeypatch):
+        monkeypatch.setattr(construct_mod, "_draw_dag", b3_ties_draw)
+        assert main(["search", "--trials", "1", "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "  trial 0: cd-index 2*cc - d (negative at d; verified=True)" in out.splitlines()
+
+    def test_a_recheck_without_cd_index_is_internal(self, monkeypatch):
+        monkeypatch.setattr(construct_mod, "_draw_dag", b3_ties_draw)
+        monkeypatch.setattr(LabeledDigraph, "ab_index_by_paths", lambda self, x, y: parse_ab("a"))
+        with pytest.raises(
+            digraph_mod.InternalError,
+            match=r"^trial 0: the path re-check of a balanced graph has no cd-index \(residual -b\)$",
+        ):
+            conjecture_search(seed=1, trials=1, max_vertices=8)
 
     def test_disagreeing_verdicts_raise(self, monkeypatch):
         monkeypatch.setattr(construct_mod, "_draw_is_balanced", lambda draw: True)

@@ -16,8 +16,8 @@ Each group has its own manifest under ``corpus/``:
 * ``dihedral``: ``bruhat --type I2`` with all four value flags on every
   interval [identity, length-k element] of I2(m), 2 <= m <= 8, each as
   text and as ``--json``;
-* ``realized``: ``construct --json`` on c^0, ..., c^10 and on 20 seeded
-  nonnegative cd-polynomials of degree at most 5;
+* ``realized``: ``construct --json`` on c^0, ..., c^10, on 20 seeded
+  nonnegative cd-polynomials of degree at most 5 and on dcd + 2*cdd + c;
 * ``qsym``: ``qsym`` and ``qsym --basis M`` on every Bruhat interval
   [u, v] of S4 with u < v, each as text and as ``--json``.  The intervals
   are written to a temporary directory with vertices in one-line notation,
@@ -41,7 +41,10 @@ Each group has its own manifest under ``corpus/``:
   ``MAX_M_TERMS`` (``qsym --basis M`` on an 18-edge rising chain), a
   directed cycle, malformed JSON, a graph file that is a JSON list and
   one whose relation is, ``cdindex``'s exit-1 residual on a falling
-  chain, and ``search --trials 1000 --seed 42``.  Its graph files
+  chain, ``search --trials 1000 --seed 42``, then the exit-2 refusals
+  of an edge entry missing its label, an edge entry that is a list, an
+  unknown relation mode, a label twice in a linear order, a vertex
+  listed twice, and ``bruhat --n 4`` on an interval of S3.  Its graph files
   are named relative to the directory the cases run in, because the
   malformed file's message names the file as it was given.
 * ``search``: ``search --trials 1000`` at seeds 1, 2 and 3 with vertex
@@ -66,7 +69,7 @@ from cdindex.cli import main
 from cdindex.construct import realize
 from cdindex.coxeter import bruhat_graph_sn
 from cdindex.digraph import to_json_dict
-from cdindex.ncpoly import CdPoly, cd_words_of_degree
+from cdindex.ncpoly import CdPoly, cd_words_of_degree, parse_cd
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
@@ -105,7 +108,7 @@ def dihedral_cases() -> list:
 
 
 def realized_polynomials() -> list:
-    """c^0 .. c^10, then 20 more seeded nonnegative cd-polynomials of degree at most 5."""
+    """c^0 .. c^10, 20 seeded nonnegative cd-polynomials of degree at most 5, then dcd + 2*cdd + c."""
     rng = random.Random(27)
     polys = [CdPoly({"c" * i: 1}) for i in range(11)]
     while len(polys) < 31:
@@ -114,7 +117,7 @@ def realized_polynomials() -> list:
             terms[rng.choice(list(cd_words_of_degree(rng.randint(0, 5))))] = rng.randint(1, 3)
         if CdPoly(terms) not in polys:
             polys.append(CdPoly(terms))
-    return polys
+    return polys + [parse_cd("dcd + 2*cdd + c")]
 
 
 def realized_cases() -> list:
@@ -266,6 +269,11 @@ def exits_graphs() -> dict:
         "malformed": '{"vertices": [',
         "not-object": "[1, 2]",
         "relation-list": {**_chain([1]), "relation": ["linear", "1"]},
+        "edge-no-label": {**_chain([1]), "edges": [{"tail": "v0", "head": "v1"}]},
+        "edge-list": {**_chain([1]), "edges": [["v0", "v1", "1"]]},
+        "relation-mode": {**_chain([1]), "relation": {"mode": "partial", "order": ["1"]}},
+        "labels-twice": {**_chain([1]), "relation": {"mode": "linear", "order": ["1", "1"]}},
+        "vertex-twice": {**_chain([1]), "vertices": ["v0", "v1", "v0"]},
     }
 
 
@@ -287,6 +295,12 @@ def exits_cases() -> list:
         "relation-list": ["balance", "--graph", "relation-list.json"],
         "cdindex-residual": ["cdindex", "--graph", "falling3.json"],
         "search-seed-42": ["search", "--trials", "1000", "--seed", "42"],
+        "edge-no-label": ["balance", "--graph", "edge-no-label.json"],
+        "edge-list": ["balance", "--graph", "edge-list.json"],
+        "relation-mode": ["balance", "--graph", "relation-mode.json"],
+        "labels-twice": ["balance", "--graph", "labels-twice.json"],
+        "vertex-twice": ["balance", "--graph", "vertex-twice.json"],
+        "bruhat-interval-n": ["bruhat", "--n", "4", "--interval", "123:4321"],
     }
     return [
         (f"{name}/{form}", [*argv, *extra])

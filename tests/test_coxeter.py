@@ -631,6 +631,12 @@ class TestDihedral:
         assert len(g.vertices) == 2
         assert len(g.edges) == 1
 
+    @pytest.mark.parametrize("build", [dihedral_graph, dihedral_cover_interval])
+    @pytest.mark.parametrize("m, k", [(5, 6), (5, 0)])
+    def test_length_beyond_the_group_is_refused(self, build, m, k):
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= m, got k={k}, m={m}$"):
+            build(m, k)
+
     @pytest.mark.parametrize("m,k", [(3, 2), (4, 3), (5, 4), (5, 5), (6, 3)])
     def test_cover_cd_index_is_power_of_c(self, m, k):
         bg = dihedral_bruhat_graph(m)

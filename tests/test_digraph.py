@@ -9,7 +9,7 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cdindex.digraph as digraph_mod
@@ -179,6 +179,15 @@ class TestLoadAndValidate:
             (e.tail, e.head, e.label) for e in graph_b3.edges
         ]
         assert again.relation.to_json() == graph_b3.relation.to_json()
+
+    @pytest.mark.parametrize(
+        "vertices, label, message",
+        [([1, "y"], "a", "vertex 1 is not a string"), (["x", "y"], 2, "label 2 is not a string")],
+    )
+    def test_json_dict_needs_string_names(self, vertices, label, message):
+        g = LabeledDigraph(vertices, [(vertices[0], "y", label)], LinearRelation([label]))
+        with pytest.raises(GraphError, match=f"^{message}; not serializable$"):
+            to_json_dict(g)
 
 
 class TestInterval:
@@ -960,17 +969,19 @@ class TestRisingFallingSweep:
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     @settings(max_examples=60, deadline=None)
     @given(g=random_dags())
+    # v0's four rising 2-paths to v2 fill the top bit of a field as wide as N(v2) = 7
+    @example(g=ladder([["p", "p"]] * 2))
     def test_witness_matches_brute_force_in_small_chunks(self, chunk, g):
-        # every graph of more than chunk + 1 vertices spans several sweeps
+        # every graph of more than chunk + 2 vertices spans several sweeps
         with mock.patch.object(digraph_mod, "_CHUNK", chunk):
             assert_witness_is_brute_force(g)
 
     def test_lowest_source_of_a_chunk_wins(self):
-        # r goes alone; a and b share the next sweep.  [b, y] holds one
-        # rising 2-path and y comes before z, the end of a's first unbalanced
-        # interval [a, z]: a rising 3-path (1, 2, 3) and none falling
+        # a and b share the first sweep.  [b, y] holds one rising 2-path and
+        # y comes before z, the end of a's first unbalanced interval [a, z]:
+        # a rising 3-path (1, 2, 3) and none falling
         g = LabeledDigraph(
-            ["r", "a", "b", "p", "q", "w", "z", "m", "y"],
+            ["a", "b", "p", "q", "w", "z", "m", "y"],
             [
                 ("a", "p", "1"), ("a", "q", "2"), ("p", "w", "2"), ("q", "w", "1"),
                 ("w", "z", "3"), ("b", "m", "1"), ("m", "y", "2"),
@@ -978,28 +989,84 @@ class TestRisingFallingSweep:
             LinearRelation(["1", "2", "3"]),
         )
         topo = g.topological_order
-        assert topo[:3] == ("r", "a", "b") and topo.index("y") < topo.index("z")
+        assert topo[:2] == ("a", "b") and topo.index("y") < topo.index("z")
         assert tuple(g.is_balanced().witness) == ("a", "z", 3, 1, 0) == brute_force_witness(g)
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """One entry per kernel call while the test runs: ("_sweep", start, count) for a sweep."""
+        calls = []
+        path_counts, sweep = digraph_mod._path_counts, digraph_mod._sweep
+
+        def counted_path_counts(out, *args):
+            calls.append(("_path_counts",))
+            return path_counts(out, *args)
+
+        def counted_sweep(out, masks, start, width=0, count=1, block=0):
+            calls.append(("_sweep", start, count))
+            return sweep(out, masks, start, width, count, block)
+
+        monkeypatch.setattr(digraph_mod, "_path_counts", counted_path_counts)
+        monkeypatch.setattr(digraph_mod, "_sweep", counted_sweep)
+        return calls
+
+    def test_two_vertices_sweep_nothing(self, sweeps):
+        # every path from the second-to-last position is one edge, which
+        # both rises and falls: neither it nor the sink is a source
+        g = LabeledDigraph(
+            ["x", "y"], [("x", "y", "2"), ("x", "y", "1")], LinearRelation(["1", "2"])
+        )
+        assert g.is_balanced().balanced
+        assert sweeps == []
+
+    def test_three_vertices_sweep_one_source(self, sweeps):
+        # the rising chain, and the balanced pair of 2-paths (1, 1) and (2, 1)
+        balanced = LabeledDigraph(
+            ["v0", "v1", "v2"],
+            [("v0", "v1", "1"), ("v0", "v1", "2"), ("v1", "v2", "1")],
+            LinearRelation(["1", "2"]),
+        )
+        for g, witness in ((chain(["1", "2"]), ("v0", "v2", 2, 1, 0)), (balanced, None)):
+            sweeps.clear()
+            report = g.is_balanced()
+            assert (report.witness and tuple(report.witness)) == witness
+            assert sweeps == [("_path_counts",), ("_sweep", 0, 1)]
+
+    def test_witness_at_the_last_source(self):
+        # u and v reach z by one edge each; the one unbalanced interval,
+        # [x, z], starts at position len - 3, the last source
+        g = LabeledDigraph(
+            ["u", "v", "x", "y", "z"],
+            [("u", "z", "1"), ("v", "z", "2"), ("x", "y", "1"), ("y", "z", "2")],
+            LinearRelation(["1", "2"]),
+        )
+        assert g.topological_order.index("x") == len(g.vertices) - 3
+        expected = ("x", "z", 2, 1, 0)
+        assert tuple(g.is_balanced().witness) == expected == brute_force_witness(g)
+        for chunk in (1, 2):
+            with mock.patch.object(digraph_mod, "_CHUNK", chunk):
+                assert tuple(g._balance_witness()) == expected
+        rep = g.check_balance_equivalence()
+        assert not (rep.per_length or rep.even_length or rep.cd_span)
 
     @pytest.mark.parametrize("related", ["alternating", "all"])
     def test_fields_near_their_width(self, related):
         # the ladder of 16 doubling rungs: 2**k paths from v0 to vk, and with
-        # every label related to every label all of them rise.  An isolated r
-        # takes position 0, so v0 .. v16 share one sweep with 17-bit fields,
-        # and v0's count of rising 16-paths fills the top bit of its field
+        # every label related to every label all of them rise.  v0 .. v16
+        # share one sweep with 17-bit fields, and v0's count of rising
+        # 16-paths fills the top bit of its field
         pairs = [("x", "y"), ("y", "x")] if related == "alternating" else [
             (l, m) for l in "xy" for m in "xy"
         ]
-        base = ladder([["x", "y"]] * 16, PairsRelation(pairs))
-        g = LabeledDigraph(["r", *base.vertices], [e[:3] for e in base.edges], base.relation)
+        g = ladder([["x", "y"]] * 16, PairsRelation(pairs))
         topo = g.topological_order
         counts, largest = digraph_mod._path_counts(g._out)
         block = largest.bit_length()
         assert counts[topo.index("v16")] == largest == 2 ** 17 - 1
-        assert topo[:2] == ("r", "v0") and block == 17
+        assert topo[0] == "v0" and block == 17
         fields = 0
-        for p, table in digraph_mod._sweep(g._out, g._masks, 1, count=17, block=block):
-            for i, x in enumerate(topo[1:p]):
+        for p, table in digraph_mod._sweep(g._out, g._masks, 0, count=17, block=block):
+            for i, x in enumerate(topo[:p]):
                 r, f = (
                     IntPoly({k - 1: c >> block * i & (1 << block) - 1 for k, c in t.items()})
                     for t in digraph_mod._sums(table)
@@ -1017,16 +1084,16 @@ class TestRisingFallingSweep:
             assert (witness and tuple(witness)) == expected
 
     def test_a_count_filling_the_top_bit_of_its_field(self):
-        # an isolated r goes alone, so s and y share one sweep.  N(z) = 2**16 + 2
-        # gives 17-bit fields, and the 2**16 rising 2-paths from s to z fill
-        # the top bit of s's field: one bit less would carry them into y's
+        # s and y, the sources, share one sweep.  N(t) = 2**16 + 3 gives
+        # 17-bit fields, and the 2**16 rising 2-paths from s to z fill the
+        # top bit of s's field: one bit less would carry them into y's
         m = 2 ** 16
         g = LabeledDigraph(
-            ["r", "s", "y", "z"],
-            [("s", "y", "1")] * m + [("y", "z", "2")],
-            LinearRelation(["1", "2"]),
+            ["s", "y", "z", "t"],
+            [("s", "y", "1")] * m + [("y", "z", "2"), ("z", "t", "3")],
+            LinearRelation(["1", "2", "3"]),
         )
-        assert g.topological_order == ("r", "s", "y", "z")
+        assert g.topological_order == ("s", "y", "z", "t")
         assert digraph_mod._path_counts(g._out)[1].bit_length() == 17
         assert tuple(g.is_balanced().witness) == ("s", "z", 2, m, 0)
 

@@ -181,6 +181,16 @@ class TestBases:
             assert QSymElement.M(alpha).terms == M_in_L(alpha)
             assert QSymElement.L(alpha).m_coefficients() == L_in_M(alpha)
 
+    def test_unit_prints_as_its_coefficient(self):
+        # as in every FreeModule: the unit renders as "" and prints bare
+        one = QSymElement.one()
+        assert str(one) == one.to_string("M") == str(AbPoly.one()) == "1"
+        assert str(3 * one - QSymElement.L((1,))) == "3 - L[1]"
+        assert (3 * one - QSymElement.M((1,))).to_string("M") == "3 - M[1]"
+        assert str(qsym_coproduct(QSymElement.L((2, 1)))) == (
+            "1(x)L[2,1] + L[1](x)L[1,1] + L[2](x)L[1] + L[2,1](x)1"
+        )
+
 
 class TestHopf:
     def test_coproduct_of_m21(self):
