@@ -100,36 +100,47 @@ class AlexanderResult(NamedTuple):
 class _SequenceRelation:
     """The relation of G_S's sequence labels: l ~ m iff the base relates l[-1] to m[0].
 
-    ``related`` is the base relation's predicate; no pair of sequence
-    labels is listed.
+    ``base`` is the base graph's relation; no pair of sequence labels is
+    listed.  The base label read off the left label is at index ``ends``
+    and the one read off the right label at ``starts``.  The reverse, for
+    :func:`~cdindex.digraph.dual`, swaps the two indexes and reverses the
+    base: l ~ m iff the base relates m[-1] to l[0].
     """
 
-    def __init__(self, related):
-        self._related = related
+    def __init__(self, base, ends: int = -1, starts: int = 0):
+        self._base = base
+        self._ends = ends
+        self._starts = starts
 
     def related(self, l, m) -> bool:
-        return self._related(l[-1], m[0])
+        return self._base.related(l[self._ends], m[self._starts])
 
     def ascent_masks(self, labels) -> list[int]:
         """Bit i of entry j is set iff labels[i] ~ labels[j].
 
-        The labels are grouped by their last and by their first base
-        label, so the base relation is asked once per pair of base labels
-        that end and start them.
+        The labels are grouped by the base labels that end and that start
+        them, so the base relation is asked once per pair of base labels.
         """
+        ends, starts, related = self._ends, self._starts, self._base.related
         ending, starting = {}, {}
         for i, label in enumerate(labels):
-            ending[label[-1]] = ending.get(label[-1], 0) | 1 << i
-            starting.setdefault(label[0], []).append(i)
+            ending[label[ends]] = ending.get(label[ends], 0) | 1 << i
+            starting.setdefault(label[starts], []).append(i)
         masks = [0] * len(labels)
         for b, js in starting.items():
             mask = 0
             for a, below in ending.items():
-                if self._related(a, b):
+                if related(a, b):
                     mask |= below
             for j in js:
                 masks[j] = mask
         return masks
+
+    def reverse(self) -> "_SequenceRelation":
+        return _SequenceRelation(self._base.reverse(), self._starts, self._ends)
+
+    def __repr__(self):
+        return f"_SequenceRelation({self._base!r}, ends={self._ends}, starts={self._starts})"
 
 
 class RestrictedDigraph:
@@ -180,7 +191,7 @@ class RestrictedDigraph:
                     pending.pop()
                     if trail:
                         trail.pop()
-        return LabeledDigraph(order, edges, _SequenceRelation(rel))
+        return LabeledDigraph(order, edges, _SequenceRelation(g.relation))
 
     def falling_at_minus_one(self) -> int:
         """Falling-path generating polynomial of [source, sink] in G_S, at -1.

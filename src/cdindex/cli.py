@@ -143,8 +143,8 @@ def _alexander_json_lines(splits):
     ``splits`` yields (names, lhs, rhs) with the names already quoted, and
     its row is ``{"subset": [...names], "lhs": lhs, "rhs": rhs, "equal":
     lhs == rhs}``.  A piece starts with the previous row's closing brace
-    (the first with the list's ``[``), so ``print``'s newline falls where
-    json puts one.
+    (the first with the list's ``[``), so the newline ``main`` ends it with
+    falls where json puts one.
     """
     head = "["
     for names, lhs, rhs in splits:
@@ -361,8 +361,9 @@ def main(argv=None) -> int:
         code, payload, lines = args.func(args)
         if args.json and payload is not None:
             lines = [json_text(payload, sort_keys=True)]
+        write = sys.stdout.write  # one write per line: print writes the newline apart
         for line in lines:
-            print(line)
+            write(f"{line}\n")
         sys.stdout.flush()
         return code
     except BrokenPipeError:

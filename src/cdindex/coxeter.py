@@ -433,7 +433,8 @@ def dihedral_graph(m: int, k: int) -> LabeledDigraph:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     bg = dihedral_bruhat_graph(m)
     w = _dihedral_top(m, k)
-    assert bg.lengths[w] == k
+    if bg.lengths[w] != k:
+        raise InternalError(f"the top element of I2({m}) at length {k} has length {bg.lengths[w]}")
     return bg.interval(bg.identity, w)
 
 

@@ -52,8 +52,12 @@ every word's count at once by one big-int shift.  The slot width comes from
 a prepass, :func:`_path_counts`, that counts the paths from
 the source to every vertex: no slot can exceed that count, since
 coefficients count paths and never cancel, so no slot carries into the
-next.  Each result is decoded once, and its coefficients must sum to the
-prepass's path count, or InternalError is raised.
+next.  :meth:`LabeledDigraph._ab_sweep` is the one reader of these tables:
+it sizes the slots, sweeps, and decodes each result once, whose
+coefficients must sum to the prepass's path count, or InternalError is
+raised.  ``ab_index`` reads its one table at the target, ``ab_index_from``
+and the cd-span verdict read every table.  The rising and falling
+polynomials read one run-count table (below) at the target instead.
 
 A graph is *balanced* when every interval has, for each length k, equally
 many rising paths (all ascents) and falling paths (all descents).  Balance
@@ -78,8 +82,9 @@ counts paths from one source to y, fewer than N(y), so it stays below
 falling counts at a position has its lowest set bit in the field of the
 lowest source that differs there; its first such position and the
 smallest differing length, read from its fields, are the witness.
-``check_balance_equivalence`` compares the same packed counts from the
-same sources, without stopping early.
+``check_balance_equivalence`` takes its per-length verdict from this
+witness, and compares the same packed counts from the same sources at
+even lengths, without stopping early.
 """
 
 from __future__ import annotations
@@ -644,10 +649,6 @@ class LabeledDigraph:
         except (KeyError, TypeError):  # an unhashable value is no vertex either
             raise GraphError(f"vertex {v!r} not in the graph") from None
 
-    def _require(self, *vertices) -> None:
-        for v in vertices:
-            self._place(v)
-
     @cached_property
     def _view(self) -> tuple:
         """(edges, out-edges by position, in-edges by position), built on first use.
@@ -793,12 +794,7 @@ class LabeledDigraph:
         members' out-edges, not to the whole graph.
         """
         members = tuple(members)
-        pos = self._pos
-        try:
-            places = [pos[v] for v in members]
-        except (KeyError, TypeError):
-            self._require(*members)  # names the first vertex missing
-            raise
+        places = [*map(self._place, members)]
         local = [-1] * len(self._out)
         for i, p in enumerate(places):
             if local[p] >= 0:
@@ -875,12 +871,21 @@ class LabeledDigraph:
 
     # -- dynamic programming ----------------------------------------------
 
-    def _ab_sweep(self, start: int) -> Iterator[tuple]:
-        """(p, ab-index of [x, v]) for the position p of every v that x, at ``start``, reaches."""
-        counts, largest = _path_counts(self._out, start)
+    def _ab_sweep(self, start: int, end: int | None = None) -> Iterator[tuple]:
+        """(p, ab-index of [x, v]) for the position p of every v that x, at ``start``, reaches.
+
+        The one reader of packed ab-word tables: it sizes their slots from
+        :func:`_path_counts` and decodes each table under its path count.
+        With an ``end`` position, the slots are sized by the counts up to
+        it, and the sweep yields ``end`` alone, if it reaches it, and stops.
+        """
+        counts, largest = _path_counts(self._out, start, end)
         width = (largest.bit_length() + 7) & -8
         for p, table in _sweep(self._out, self._masks, start, width):
-            yield p, self._decode(_sums(table)[0], width, counts[p])
+            if end is None or p == end:
+                yield p, self._decode(_sums(table)[0], width, counts[p])
+            if p == end:
+                return
 
     def _decode(self, table: dict, width: int, paths: int) -> AbPoly:
         """The AbPoly of a packed ab-word table, checked against its number of paths."""
@@ -914,10 +919,9 @@ class LabeledDigraph:
 
     def ab_index_from(self, x) -> dict:
         """ab-indexes of [x, v] for every v, by one pass in topological order."""
-        self._require(x)
         topo = self._topo
         psi = dict.fromkeys(self._vertices, AbPoly.zero())
-        psi.update((topo[p], poly) for p, poly in self._ab_sweep(self._pos[x]))
+        psi.update((topo[p], poly) for p, poly in self._ab_sweep(self._place(x)))
         return psi
 
     def ab_index(self, x, y) -> AbPoly:
@@ -926,23 +930,11 @@ class LabeledDigraph:
         Raises NoPath when y is not reachable from x; returns the zero
         polynomial for x == y (an empty sum).
         """
-        self._require(x, y)
-        if x == y:
+        start, end = self._place(x), self._place(y)
+        if start == end:
             return AbPoly.zero()
-        end = self._pos[y]
-        counts, largest = _path_counts(self._out, self._pos[x], end)
-        width = (largest.bit_length() + 7) & -8
-        return self._decode(self._end_state(x, y, width)[0], width, counts[end])
-
-    def _end_state(self, x, y, width: int = 0) -> tuple[dict, dict]:
-        """y's (asc, desc) pair in the sweep from x, summed over its last labels.
-
-        The sweep stops at y; NoPath is raised when it never reaches y.
-        """
-        end = self._pos[y]
-        for p, table in _sweep(self._out, self._masks, self._pos[x], width):
-            if p == end:
-                return _sums(table)
+        for _, psi in self._ab_sweep(start, end):
+            return psi
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     @staticmethod
@@ -950,28 +942,33 @@ class LabeledDigraph:
         """The polynomial summing q^(len - shift) over a length -> count table."""
         return IntPoly._trusted({k - shift: c for k, c in counts.items()})
 
+    def _run_polys(self, x, y, shift: int, empty: IntPoly) -> tuple[IntPoly, IntPoly]:
+        """(rising, falling) polynomials of [x, y] by q^(len - shift); ``empty`` twice for x == y.
+
+        The run-count sweep from x stops at y; NoPath is raised when it never reaches y.
+        """
+        start, end = self._place(x), self._place(y)
+        if start == end:
+            return empty, empty
+        for p, table in _sweep(self._out, self._masks, start):
+            if p == end:
+                r, f = _sums(table)
+                return self._poly(r, shift), self._poly(f, shift)
+        raise NoPath(f"no directed path from {x!r} to {y!r}")
+
     def rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(r, f) where r sums q^(len-1) over rising x->y paths and f over falling ones."""
-        self._require(x, y)
-        if x == y:
-            return IntPoly.zero(), IntPoly.zero()
-        r, f = self._end_state(x, y)
-        return self._poly(r, 1), self._poly(f, 1)
+        return self._run_polys(x, y, 1, IntPoly.zero())
 
     def capital_rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(R, F) with R = q*r and F = q*f for x < y; both 1 when x == y."""
-        self._require(x, y)
-        if x == y:
-            return IntPoly.one(), IntPoly.one()
-        r, f = self._end_state(x, y)
-        return self._poly(r, 0), self._poly(f, 0)
+        return self._run_polys(x, y, 0, IntPoly.one())
 
     def capital_rising_falling_from(self, x) -> dict:
         """(R, F) of [x, v] for x and every v reachable from it, by one sweep from x."""
-        self._require(x)
         topo = self._topo
         capitals = {x: (IntPoly.one(), IntPoly.one())}
-        for p, table in _sweep(self._out, self._masks, self._pos[x]):
+        for p, table in _sweep(self._out, self._masks, self._place(x)):
             r, f = _sums(table)
             capitals[topo[p]] = self._poly(r, 0), self._poly(f, 0)
         return capitals
@@ -1014,23 +1011,24 @@ class LabeledDigraph:
         and every path length; (even length) same restricted to even
         lengths; (cd span) the ab-index of every interval is a
         cd-polynomial.  Raises InternalError if the three disagree, since
-        they are provably equivalent.  The sources are those of
-        :func:`_witness`, every position but the last two.  The two
-        counting verdicts compare the packed counts of run-count sweeps
-        from ``_CHUNK`` sources each, every source's field at once, with
-        the field width of :func:`_path_counts`; the cd-span verdict
-        decodes one ab-word sweep per source.
+        they are provably equivalent.  The per-length verdict is the one
+        :meth:`is_balanced` reports, from the early-stopping :func:`_witness`,
+        so the check cross-checks it.  The sources are those of
+        :func:`_witness`, every position but the last two.  The even-length
+        verdict compares the packed counts of run-count sweeps from
+        ``_CHUNK`` sources each, every source's field at once, with the
+        field width of :func:`_path_counts`; the cd-span verdict decodes
+        one ab-word sweep per source.
         """
         out = self._out
-        per_length = even_length = True
+        per_length = self.is_balanced().balanced
+        even_length = True
         sources = len(out) - 2
         block = _path_counts(out)[1].bit_length()
         for start in range(0, sources, _CHUNK):
             count = min(_CHUNK, sources - start)
             for _, table in _sweep(out, self._masks, start, 0, count, block):
                 r, f = _sums(table)
-                if r != f:
-                    per_length = False
                 if any(r.get(k, 0) != f.get(k, 0) for k in r.keys() | f.keys() if k % 2 == 0):
                     even_length = False
         cd_span = True

@@ -28,8 +28,9 @@ from cdindex.digraph import (
     NoPath,
     PairsRelation,
     Unbounded,
+    dual,
 )
-from cdindex.ncpoly import IntPoly, parse_cd
+from cdindex.ncpoly import IntPoly, parse_cd, star
 
 from conftest import chain, signed_path_sums_by_paths
 
@@ -159,6 +160,10 @@ class TestRestrict:
             related = gs.relation.related
             assert [(l, m) for l in labels for m in labels if related(l, m)] == pairs, name
             assert gs._masks == PairsRelation(pairs).ascent_masks(labels), (name, sorted(subset))
+            # the dual reverses the relation and keeps the labels
+            flipped = dual(gs)
+            assert flipped._masks == PairsRelation((m, l) for l, m in pairs).ascent_masks(flipped._labels)
+            assert dual(flipped)._masks == gs._masks
 
     def test_relation_is_the_listed_pairs(self, graph_b3, graph_fig1_left, graph_fig1_right,
                                           graph_fig2_i, graph_fig2_ii):
@@ -177,6 +182,19 @@ class TestRestrict:
             if len(subsets) > 256:
                 subsets = random.Random(name).sample(subsets, 256)
             self.assert_relation_is_the_listed_pairs(name, g, subsets)
+
+    def test_dual_and_repr(self, graph_b3):
+        gs = restrict(graph_b3, S_FIG3).graph
+        for g in (gs, dual(gs), dual(dual(gs))):
+            assert " at 0x" not in repr(g)
+        assert repr(gs.relation) == (
+            "_SequenceRelation(LinearRelation(['1', '2', '3']), ends=-1, starts=0)"
+        )
+        assert repr(dual(gs).relation) == (
+            "_SequenceRelation(LinearRelation(['3', '2', '1']), ends=0, starts=-1)"
+        )
+        # the dual's paths are the reversed paths, with their descent words reversed
+        assert dual(gs).ab_index("123", "0") == star(gs.ab_index("0", "123"))
 
     def test_long_chain(self):
         # one rising segment of 3,000 edges, past the default recursion limit

@@ -33,6 +33,17 @@ def fixture_dir(tmp_path):
     return tmp_path
 
 
+class Writes(list):
+    """A stdout that keeps each write's text."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -460,19 +471,20 @@ class TestAlexanderCommand:
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
     def test_all_rows_are_written_one_at_a_time(self, fixture_dir, form):
         # stdout sees one row per write, so no write holds all 2^k of them
-        class Writes(list):
-            def write(self, text):
-                self.append(text)
-                return len(text)
-
-            def flush(self):
-                pass
-
         writes = Writes()
         with contextlib.redirect_stdout(writes):
             code = main(["alexander", "--graph", str(fixture_dir / "fig3_b3.json"), "--all", *form])
         assert code == 0 and "".join(writes).count("equal") == 64
         assert max(text.count("equal") for text in writes) == 1
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_each_line_reaches_stdout_in_one_write(self, fixture_dir, form):
+        # a line and its newline go together: unbuffered, that is one system call per line
+        writes = Writes()
+        with contextlib.redirect_stdout(writes):
+            code = main(["alexander", "--graph", str(fixture_dir / "fig3_b3.json"), "--all", *form])
+        assert code == 0 and len(writes) == 64 + bool(form)  # JSON closes the list on a line of its own
+        assert all(text.endswith("\n") for text in writes)
 
     def test_closed_stdout_pipe_exits_quietly(self, capsys, tmp_path):
         # the realized c^8 has 65,536 rows, far more than a pipe buffer

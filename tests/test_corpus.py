@@ -50,6 +50,12 @@ Each group has its own manifest under ``corpus/``:
 * ``search``: ``search --trials 1000`` at seeds 1, 2 and 3 with vertex
   caps 2, 3, 5, 12 and 40, and ``search --trials 200 --seed 42
   --max-vertices 40``, each as text and as ``--json``.
+* ``conjecture``: ``balance``, ``cdindex``, ``cdindex --ab``, ``qsym`` and
+  ``alexander --all``, each as text and as ``--json``, on the labeling of
+  the Boolean lattice B3 by 0 < 1 < 2 that repeats labels along paths,
+  which the library calls balanced with cd-index 2cc - d, and on its
+  strict twin: x ~ y iff x < y, each label l replaced by 2 - l.  The
+  graphs are written to a temporary directory beside the S4 intervals.
 """
 
 import contextlib
@@ -153,7 +159,8 @@ def s4_intervals() -> dict:
 
 def write_intervals(root: Path) -> None:
     """Write every graph the corpus reads into ``root``; a str is a file's text as it is."""
-    for name, data in {**s4_intervals(), **sweep_graphs(), **exits_graphs()}.items():
+    graphs = {**s4_intervals(), **sweep_graphs(), **exits_graphs(), **conjecture_graphs()}
+    for name, data in graphs.items():
         text = data if isinstance(data, str) else json.dumps(data)
         (root / f"{name}.json").write_text(text, encoding="utf-8")
 
@@ -322,6 +329,38 @@ def search_cases() -> list:
     ]
 
 
+# the labels 0 < 1 < 2 of the B3 fixture's edges, in its edge order, in the ``conjecture`` group
+B3_TIES_LABELS = (0, 2, 2, 0, 1, 1, 0, 1, 2, 0, 0, 2)
+
+
+@lru_cache(maxsize=None)
+def conjecture_graphs() -> dict:
+    """The B3 labeling with ties and its strict twin in graph-file form, by file name."""
+    b3 = json.loads((FIXTURE_DIR / "fig3_b3.json").read_text(encoding="utf-8"))
+
+    def labeled(labels, relation):
+        edges = [{**e, "label": str(l)} for e, l in zip(b3["edges"], labels)]
+        return {**b3, "edges": edges, "relation": relation}
+
+    return {
+        "b3-ties": labeled(B3_TIES_LABELS, {"mode": "linear", "order": ["0", "1", "2"]}),
+        "b3-strict": labeled(
+            [2 - l for l in B3_TIES_LABELS],
+            {"mode": "pairs", "pairs": [["0", "1"], ["0", "2"], ["1", "2"]]},
+        ),
+    }
+
+
+def conjecture_cases() -> list:
+    """(case id, argv) of every command of the ``conjecture`` group on both graphs and output form."""
+    return [
+        (f"{name}/{command}/{form}", [*COMMANDS[command], "--graph", f"{name}.json", *extra])
+        for name in conjecture_graphs()
+        for command in ("balance", "cdindex", "cdindex-ab", "qsym", "alexander-all")
+        for form, extra in (("text", []), ("json", ["--json"]))
+    ]
+
+
 def in_dir(root: Path, argv: list) -> list:
     """argv with a relative graph file name resolved inside ``root``; absolute ones stay."""
     return [str(root / a) if a.endswith(".json") else a for a in argv]
@@ -336,6 +375,7 @@ GROUPS = {
     "sweep": sweep_cases(),
     "exits": exits_cases(),
     "search": search_cases(),
+    "conjecture": conjecture_cases(),
 }
 
 
@@ -423,6 +463,11 @@ def test_exits_case(case_id, argv, interval_dir, monkeypatch):
 @pytest.mark.parametrize("case_id, argv", GROUPS["search"], ids=_ids("search"))
 def test_search_case(case_id, argv):
     check_case("search", case_id, argv)
+
+
+@pytest.mark.parametrize("case_id, argv", GROUPS["conjecture"], ids=_ids("conjecture"))
+def test_conjecture_case(case_id, argv, interval_dir):
+    check_case("conjecture", case_id, in_dir(interval_dir, argv), interval_dir)
 
 
 if __name__ == "__main__":

@@ -654,6 +654,16 @@ class TestDihedral:
             edges_sym, sym.lengths, edges_dih, dih.lengths
         )
 
+    def test_wrong_top_element_is_internal(self):
+        # a top one reflection short of length k: an InternalError naming m and k, also under -O
+        top = coxeter._dihedral_top
+        dihedral_bruhat_graph(5)  # the group is built, and cached, with the real tops
+        with mock.patch.object(coxeter, "_dihedral_top", lambda m, k: top(m, k - 1)):
+            with pytest.raises(
+                InternalError, match=r"^the top element of I2\(5\) at length 3 has length 2$"
+            ):
+                dihedral_graph(5, 3)
+
     def test_dihedral_intervals_balanced(self):
         for m, k in [(4, 4), (5, 3)]:
             assert dihedral_graph(m, k).is_balanced().balanced

@@ -363,6 +363,72 @@ class TestAbIndex:
                         assert g.ab_index(x, y) == g.ab_index_by_paths(x, y)
 
 
+class TestEndpoints:
+    """What the interval reads do with their endpoints, whichever table they read."""
+
+    READS = ("ab_index", "rising_falling", "capital_rising_falling")
+
+    @pytest.mark.parametrize("read", READS)
+    @pytest.mark.parametrize("x, y", [("123", "0"), ("1", "2"), ("12", "3")])
+    def test_unreachable_target_message(self, graph_b3, read, x, y):
+        # ("1", "2"): the target comes later in topological order, yet is not above
+        with pytest.raises(NoPath, match=f"^no directed path from '{x}' to '{y}'$"):
+            getattr(graph_b3, read)(x, y)
+
+    @pytest.mark.parametrize("read", READS)
+    def test_unknown_source_named_first(self, graph_b3, read):
+        for x, y, named in (("p", "q", "p"), ("p", "0", "p"), ("0", "q", "q"), ([], "q", [])):
+            with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(named))} not in the graph$"):
+                getattr(graph_b3, read)(x, y)
+
+    @pytest.mark.parametrize("read", ["ab_index_from", "capital_rising_falling_from"])
+    def test_unknown_source_of_a_whole_sweep(self, graph_b3, read):
+        with pytest.raises(GraphError, match="^vertex 'p' not in the graph$"):
+            getattr(graph_b3, read)("p")
+
+    def test_induced_names_its_first_missing_member(self, graph_b3):
+        for members, named in ((["0", "p", "q"], "p"), (["q", "1"], "q"), (["1", {}], {})):
+            with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(named))} not in the graph$"):
+                graph_b3.induced(members)
+
+    def test_empty_interval_on_a_sink(self, graph_b3):
+        assert graph_b3.ab_index("123", "123") == AbPoly.zero()
+        assert graph_b3.rising_falling("123", "123") == (IntPoly.zero(), IntPoly.zero())
+        assert graph_b3.capital_rising_falling("123", "123") == (IntPoly.one(), IntPoly.one())
+
+
+class TestB3WithTies:
+    """B3 labeled by 0 < 1 < 2 with labels repeated along paths, and its strict twin.
+
+    The library calls both balanced, and their cd-index 2cc - d has a
+    negative coefficient; both verdicts are checked here against path
+    enumeration.
+    """
+
+    LABELS = (0, 2, 2, 0, 1, 1, 0, 1, 2, 0, 0, 2)  # in the edge order of the B3 fixture
+
+    def graphs(self):
+        b3 = fig3_b3()
+        edges = [(e.tail, e.head, l) for e, l in zip(b3.edges, self.LABELS)]
+        ties = LabeledDigraph(b3.vertices, edges, LinearRelation([0, 1, 2]))
+        strict = LabeledDigraph(
+            b3.vertices,
+            [(t, h, 2 - l) for t, h, l in edges],
+            PairsRelation([(0, 1), (0, 2), (1, 2)]),
+        )
+        return ties, strict
+
+    def test_verdicts_match_path_enumeration(self):
+        for g in self.graphs():
+            assert brute_force_witness(g) is None
+            assert g.is_balanced().balanced
+            for x in g.vertices:
+                for y in g.descendants(x) - {x}:
+                    assert g.ab_index(x, y) == g.ab_index_by_paths(x, y)
+            assert g.ab_index("0", "123") == parse_ab("2*aa + ab + ba + 2*bb")
+            assert g.is_balanced().cd_index == parse_cd("2*cc - d")
+
+
 class TestRisingFalling:
     def test_fig1_left(self, graph_fig1_left):
         r, f = graph_fig1_left.rising_falling("0", "1")
