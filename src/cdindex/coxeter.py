@@ -9,7 +9,8 @@ defining betweenness property (for i < j < k the transposition (i, k)
 sits strictly between (i, j) and (j, k)), which is validated rather than
 trusted.  With such an ordering every interval is balanced, so complete
 cd-indexes exist; restricting to the covers (length difference one) gives
-the cd-index of the underlying graded order.
+the cd-index of the underlying graded order, which is the top-degree part
+of the complete one (see ``BruhatGraph.poset_cd_index``).
 
 Each group's graph is built once per process: ``bruhat_graph_sn`` checks its
 size cap and then reads a cache keyed on n alone, so every caller shares one
@@ -19,7 +20,10 @@ graphs that its builder makes with the public constructor: ``graph``, with
 every edge, and ``cover``, with the cover edges only.  The Bruhat order is
 reachability in ``graph``, so ``leq`` and ``interval`` are the graph's own
 queries (see :mod:`cdindex.digraph` for their index), and
-``cover_interval(u, v)`` takes the interval's members from ``cover``.
+``cover_interval(u, v)`` takes the interval's members from ``cover``.  Both
+cd-indexes are read off one complete ab-index per interval, so no library
+route builds a cover interval; it is the oracle the poset cd-index is
+tested against.
 
 R-polynomials are computed two independent ways: by the classical
 three-case recursion over a right descent, and from rising paths of the
@@ -34,10 +38,11 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Sequence
 
 from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath, _checked_cd
-from .ncpoly import CdPoly, IntPoly
+from .ncpoly import AbPoly, CdPoly, IntPoly
 
 __all__ = [
     "BruhatGraph",
@@ -179,9 +184,12 @@ class BruhatGraph:
     def interval(self, u, v) -> LabeledDigraph:
         """The interval [u, v] of the Bruhat graph, its members in vertex order.
 
-        The most recent interval is kept in a single slot, so the complete
-        cd-index, the cover interval and the rising paths asked of one
-        (u, v) share one build.
+        The most recent interval is kept in a single slot, with its complete
+        ab-index once one is asked for, so the complete and poset cd-indexes
+        and the rising paths asked of one (u, v) share one build and one
+        ab-index sweep.  The slot is one tuple (u, v, interval, ab-index or
+        None), replaced whole, so no reader pairs an interval with another
+        interval's ab-index.
         """
         last = self._last_interval
         if last is not None and last[0] == u and last[1] == v:
@@ -189,14 +197,26 @@ class BruhatGraph:
         if not self.graph.leq(u, v):
             raise NoPath(f"{u} is not below {v} in the Bruhat order")
         sub = self.graph.interval(u, v)
-        self._last_interval = (u, v, sub)
+        self._last_interval = (u, v, sub, None)
         return sub
+
+    def _ab_index(self, u, v) -> AbPoly:
+        """The complete ab-index of [u, v], swept once and kept in the interval's slot."""
+        last = self._last_interval
+        if last is not None and last[0] == u and last[1] == v and last[3] is not None:
+            return last[3]
+        sub = self.interval(u, v)
+        psi = sub.ab_index(u, v)
+        self._last_interval = (u, v, sub, psi)
+        return psi
 
     def cover_interval(self, u, v) -> LabeledDigraph:
         """The interval keeping only cover edges (length difference one).
 
         It is the cover graph's subgraph on the interval's members, so it
         has the interval's vertices and its cover edges in the same order.
+        No cd-index is computed from it: ``poset_cd_index`` reads the cover
+        chains off the complete ab-index, and this graph is its oracle.
         """
         return self.cover.induced(self.interval(u, v).vertices)
 
@@ -207,14 +227,24 @@ class BruhatGraph:
         so it aborts loudly instead of returning a residual.
         """
         return _checked_cd(
-            self.interval(u, v).ab_index(u, v),
+            self._ab_index(u, v),
             f"interval [{u}, {v}] has no cd-index; the reflection ordering is broken",
         )
 
     def poset_cd_index(self, u, v) -> CdPoly:
-        """cd-index of the graded order underneath (cover edges only)."""
+        """cd-index of the graded order underneath (cover edges only).
+
+        Every Bruhat edge raises the length by at least one, so a path of
+        L = l(v) - l(u) edges from u to v is a chain of covers, and every
+        chain of covers from u to v has L edges.  The degree L - 1 part of
+        the complete ab-index is therefore, word for word, the ab-index of
+        ``cover_interval(u, v)``, and ab-to-cd conversion keeps degrees; so
+        it is read off the complete ab-index, swept once for both cd-indexes.
+        """
+        psi = self._ab_index(u, v)  # raises for a non-element, or u not below v
         return _checked_cd(
-            self.cover_interval(u, v).ab_index(u, v), f"cover interval [{u}, {v}] has no cd-index"
+            psi.homogeneous_part(self.lengths[v] - self.lengths[u] - 1),
+            f"cover interval [{u}, {v}] has no cd-index",
         )
 
     def rtilde(self, u, v) -> IntPoly:
@@ -260,21 +290,25 @@ class BruhatGraph:
         paths, count_k of them of length k.  It is an integer polynomial
         exactly when every such k has the parity of the length difference L
         and k <= L: otherwise the top term of the wrong parity class, or the
-        lowest term, cannot cancel, and HalfPowerResidue is raised.
+        lowest term, cannot cancel, and HalfPowerResidue is raised.  Each
+        (q-1)^k is expanded by the binomial theorem, the coefficient of q^j
+        being (-1)^(k-j) * C(k, j), into one table of coefficients.
         """
         if not self.leq(u, v):
             return IntPoly.zero()
         ell = self.lengths[v] - self.lengths[u]
-        q_minus_1 = IntPoly.q() - 1
-        total = IntPoly.zero()
+        terms: dict = {}
         for k, count in self.rtilde(u, v).items():
             if k > ell or (ell - k) % 2:
                 raise HalfPowerResidue(
                     f"a rising path of length {k} in [{u}, {v}] of length {ell} "
                     "leaves a half power of q"
                 )
-            total = total + IntPoly.monomial((ell - k) // 2, count) * q_minus_1 ** k
-        return total
+            shift = (ell - k) // 2
+            for j in range(k + 1):
+                c = count * comb(k, j)
+                terms[shift + j] = terms.get(shift + j, 0) + (-c if (k - j) % 2 else c)
+        return IntPoly._trusted({e: c for e, c in terms.items() if c})
 
     def __repr__(self):
         return f"BruhatGraph({self.name}, {len(self.graph.vertices)} elements)"

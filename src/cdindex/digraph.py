@@ -877,14 +877,16 @@ class LabeledDigraph:
         The one reader of packed ab-word tables: it sizes their slots from
         :func:`_path_counts` and decodes each table under its path count.
         With an ``end`` position, the slots are sized by the counts up to
-        it, and the sweep yields ``end`` alone, if it reaches it, and stops.
+        it, and the sweep yields ``end`` alone, if it reaches it, and stops
+        at the first position it reaches at or past ``end``: positions come
+        in order, so one past it means ``end`` is out of reach.
         """
         counts, largest = _path_counts(self._out, start, end)
         width = (largest.bit_length() + 7) & -8
         for p, table in _sweep(self._out, self._masks, start, width):
             if end is None or p == end:
                 yield p, self._decode(_sums(table)[0], width, counts[p])
-            if p == end:
+            if end is not None and p >= end:
                 return
 
     def _decode(self, table: dict, width: int, paths: int) -> AbPoly:
@@ -945,7 +947,8 @@ class LabeledDigraph:
     def _run_polys(self, x, y, shift: int, empty: IntPoly) -> tuple[IntPoly, IntPoly]:
         """(rising, falling) polynomials of [x, y] by q^(len - shift); ``empty`` twice for x == y.
 
-        The run-count sweep from x stops at y; NoPath is raised when it never reaches y.
+        The run-count sweep from x stops at the first position at or past
+        y's; NoPath is raised when that position is not y's.
         """
         start, end = self._place(x), self._place(y)
         if start == end:
@@ -954,6 +957,8 @@ class LabeledDigraph:
             if p == end:
                 r, f = _sums(table)
                 return self._poly(r, shift), self._poly(f, shift)
+            if p > end:
+                break
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
     def rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:

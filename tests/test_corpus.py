@@ -56,6 +56,10 @@ Each group has its own manifest under ``corpus/``:
   which the library calls balanced with cd-index 2cc - d, and on its
   strict twin: x ~ y iff x < y, each label l replaced by 2 - l.  The
   graphs are written to a temporary directory beside the S4 intervals.
+* ``bruhat``: ``bruhat --n`` with all four value flags on every Bruhat
+  interval [u, v] of S4 with u < v and on a seeded sample of
+  ``BRUHAT_S5_SAMPLE`` such intervals of S5, each as text and as
+  ``--json``.
 """
 
 import contextlib
@@ -361,6 +365,27 @@ def conjecture_cases() -> list:
     ]
 
 
+# the number of S5 intervals in the ``bruhat`` group, drawn by a seeded generator
+BRUHAT_S5_SAMPLE = 30
+
+
+def bruhat_pairs(n: int) -> list:
+    """Every pair (u, v) of Sn with u < v in the Bruhat order, in vertex order."""
+    bg = bruhat_graph_sn(n)
+    return [(u, v) for u in bg.graph.vertices for v in bg.graph.vertices if u != v and bg.leq(u, v)]
+
+
+def bruhat_cases() -> list:
+    """(case id, argv) of ``bruhat`` with every value flag, per S4 interval, S5 sample and form."""
+    pairs = bruhat_pairs(4) + random.Random(5).sample(bruhat_pairs(5), BRUHAT_S5_SAMPLE)
+    values = ["--complete-cd", "--poset-cd", "--r-poly", "--r-poly-dyer"]
+    return [
+        (f"{u}-{v}/{form}", ["bruhat", "--n", str(len(u)), "--interval", f"{u}:{v}", *values, *extra])
+        for u, v in pairs
+        for form, extra in (("text", []), ("json", ["--json"]))
+    ]
+
+
 def in_dir(root: Path, argv: list) -> list:
     """argv with a relative graph file name resolved inside ``root``; absolute ones stay."""
     return [str(root / a) if a.endswith(".json") else a for a in argv]
@@ -376,6 +401,7 @@ GROUPS = {
     "exits": exits_cases(),
     "search": search_cases(),
     "conjecture": conjecture_cases(),
+    "bruhat": bruhat_cases(),
 }
 
 
@@ -468,6 +494,11 @@ def test_search_case(case_id, argv):
 @pytest.mark.parametrize("case_id, argv", GROUPS["conjecture"], ids=_ids("conjecture"))
 def test_conjecture_case(case_id, argv, interval_dir):
     check_case("conjecture", case_id, in_dir(interval_dir, argv), interval_dir)
+
+
+@pytest.mark.parametrize("case_id, argv", GROUPS["bruhat"], ids=_ids("bruhat"))
+def test_bruhat_case(case_id, argv):
+    check_case("bruhat", case_id, argv)
 
 
 if __name__ == "__main__":

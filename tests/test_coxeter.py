@@ -513,21 +513,30 @@ class TestCompleteCdIndex:
             bruhat_graph_sn(7)
 
     def test_no_cd_index_aborts_with_the_residual(self):
-        bg = bruhat_graph_sn(3)
-        with pytest.raises(NotInSpan) as caught:
-            ab_to_cd(parse_ab("a"))
-        residual = caught.value.residual
-        with mock.patch.object(LabeledDigraph, "ab_index", return_value=parse_ab("a")):
+        # a fresh BruhatGraph on S3's tables: its interval slot is empty, so the
+        # patched ab_index is read, and the shared S3 graph never keeps its value
+        s3 = bruhat_graph_sn(3)
+        bg = BruhatGraph(
+            s3.graph, s3.cover, s3.lengths, s3.identity, s3.gen_action, s3.reflection_order, s3.name
+        )
+
+        def residual(text):
+            with pytest.raises(NotInSpan) as caught:
+                ab_to_cd(parse_ab(text))
+            return caught.value.factored_residual
+
+        # [e, w0] has length 3: the poset route converts the degree-2 part aa alone
+        with mock.patch.object(LabeledDigraph, "ab_index", return_value=parse_ab("aa + b")):
             with pytest.raises(InternalError) as full:
                 bg.complete_cd_index(E3, W3)
             with pytest.raises(InternalError) as cover:
                 bg.poset_cd_index(E3, W3)
         assert str(full.value) == (
             f"interval [{E3}, {W3}] has no cd-index; "
-            f"the reflection ordering is broken (residual {residual})"
+            f"the reflection ordering is broken (residual {residual('aa + b')})"
         )
         assert str(cover.value) == (
-            f"cover interval [{E3}, {W3}] has no cd-index (residual {residual})"
+            f"cover interval [{E3}, {W3}] has no cd-index (residual {residual('aa')})"
         )
 
 
@@ -587,6 +596,59 @@ class TestRPolynomials:
             bg = BruhatGraph(graph, cover, lengths, "u", [], (), "broken")
             with pytest.raises(HalfPowerResidue):
                 bg.r_polynomial_dyer("u", "v")
+
+
+def _interval_pairs(bg, sample=None):
+    """Every (u, v) with u <= v in vertex order, or a seeded sample of ``sample`` of them."""
+    pairs = [(u, v) for u in bg.graph.vertices for v in bg.graph.vertices if bg.leq(u, v)]
+    if sample is None:
+        return pairs
+    return [pairs[i] for i in sorted(random.Random(7).sample(range(len(pairs)), sample))]
+
+
+# S4 whole, a seeded S5 sample and every dihedral group up to I2(8); each
+# list keeps the pairs of one u together, so the one-interval slot is asked
+# about a new v right after an old one
+ORACLE_GROUPS = [
+    pytest.param(lambda: (bruhat_graph_sn(4), None), id="S4"),
+    pytest.param(lambda: (bruhat_graph_sn(5), 300), id="S5-sample"),
+    *(pytest.param(lambda m=m: (dihedral_bruhat_graph(m), None), id=f"I2({m})") for m in range(2, 9)),
+]
+
+
+def _dyer_by_powers(bg, u, v):
+    """The Dyer R-polynomial as a sum of IntPoly products, (q - 1)^k taken as a power."""
+    if not bg.leq(u, v):
+        return IntPoly.zero()
+    ell = bg.lengths[v] - bg.lengths[u]
+    q_minus_1 = IntPoly.q() - 1
+    total = IntPoly.zero()
+    for k, count in bg.rtilde(u, v).items():
+        total = total + IntPoly.monomial((ell - k) // 2, count) * q_minus_1 ** k
+    return total
+
+
+class TestAgainstIndependentRoutes:
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_poset_cd_index_is_the_cover_intervals(self, group):
+        bg, sample = group()
+        for u, v in _interval_pairs(bg, sample):
+            poset = bg.poset_cd_index(u, v)  # first, so it reads the slot a previous v left
+            full = bg.complete_cd_index(u, v)
+            cover = bg.cover_interval(u, v).ab_index(u, v)
+            psi = bg.interval(u, v).ab_index(u, v)
+            assert psi.homogeneous_part(bg.lengths[v] - bg.lengths[u] - 1) == cover, (u, v)
+            assert poset == ab_to_cd(cover), (u, v)
+            assert full == ab_to_cd(psi), (u, v)
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_dyer_is_the_power_route_and_the_recursion(self, group):
+        bg, sample = group()
+        for u, v in _interval_pairs(bg, sample):
+            dyer = bg.r_polynomial_dyer(u, v)
+            assert dyer == _dyer_by_powers(bg, u, v), (u, v)
+            assert dyer == bg.r_polynomial_recursive(u, v), (u, v)
+            assert 0 not in dyer.terms.values()
 
 
 def _relabel_by_rank(graph, order):

@@ -376,6 +376,31 @@ class TestEndpoints:
             getattr(graph_b3, read)(x, y)
 
     @pytest.mark.parametrize("read", READS)
+    def test_sweep_ends_at_the_first_position_past_the_target(self, monkeypatch, read):
+        # positions come in order, so the first one past y's shows y out of reach:
+        # the sweep may yield it, and is then closed, never yielding another
+        sweep = digraph_mod._sweep
+        yielded = []
+
+        def counted(*args):
+            for p, table in sweep(*args):
+                yielded.append(p)
+                yield p, table
+
+        monkeypatch.setattr(digraph_mod, "_sweep", counted)
+        g = bruhat_graph_sn(4).graph
+        topo = g.topological_order
+        for x in topo:
+            for y in topo:
+                if x == y or g.leq(x, y):
+                    continue
+                yielded.clear()
+                end = topo.index(y)
+                with pytest.raises(NoPath, match=f"^no directed path from {re.escape(repr(x))} to "):
+                    getattr(g, read)(x, y)
+                assert all(p < end for p in yielded[:-1]), (x, y, yielded)
+
+    @pytest.mark.parametrize("read", READS)
     def test_unknown_source_named_first(self, graph_b3, read):
         for x, y, named in (("p", "q", "p"), ("p", "0", "p"), ("0", "q", "q"), ([], "q", [])):
             with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(named))} not in the graph$"):
