@@ -21,9 +21,10 @@ every edge, and ``cover``, with the cover edges only.  The Bruhat order is
 reachability in ``graph``, so ``leq`` and ``interval`` are the graph's own
 queries (see :mod:`cdindex.digraph` for their index), and
 ``cover_interval(u, v)`` takes the interval's members from ``cover``.  Both
-cd-indexes are read off one complete ab-index per interval, so no library
-route builds a cover interval; it is the oracle the poset cd-index is
-tested against.
+cd-indexes come from one ab-index sweep and one ab-to-cd conversion per
+interval: the poset cd-index is the top-degree part of the complete one,
+kept with the interval.  So no library route builds a cover interval; it
+is the oracle the poset cd-index is tested against.
 
 R-polynomials are computed two independent ways: by the classical
 three-case recursion over a right descent, and from rising paths of the
@@ -42,7 +43,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .digraph import InternalError, LabeledDigraph, LinearRelation, NoPath, _checked_cd
-from .ncpoly import AbPoly, CdPoly, IntPoly
+from .ncpoly import CdPoly, IntPoly
 
 __all__ = [
     "BruhatGraph",
@@ -185,11 +186,11 @@ class BruhatGraph:
         """The interval [u, v] of the Bruhat graph, its members in vertex order.
 
         The most recent interval is kept in a single slot, with its complete
-        ab-index once one is asked for, so the complete and poset cd-indexes
-        and the rising paths asked of one (u, v) share one build and one
-        ab-index sweep.  The slot is one tuple (u, v, interval, ab-index or
-        None), replaced whole, so no reader pairs an interval with another
-        interval's ab-index.
+        cd-index once one is asked for, so the complete and poset cd-indexes
+        and the rising paths asked of one (u, v) share one build, one
+        ab-index sweep and one ab-to-cd conversion.  The slot is one tuple
+        (u, v, interval, complete cd-index or None), replaced whole, so no
+        reader pairs an interval with another interval's cd-index.
         """
         last = self._last_interval
         if last is not None and last[0] == u and last[1] == v:
@@ -200,36 +201,32 @@ class BruhatGraph:
         self._last_interval = (u, v, sub, None)
         return sub
 
-    def _ab_index(self, u, v) -> AbPoly:
-        """The complete ab-index of [u, v], swept once and kept in the interval's slot."""
-        last = self._last_interval
-        if last is not None and last[0] == u and last[1] == v and last[3] is not None:
-            return last[3]
-        sub = self.interval(u, v)
-        psi = sub.ab_index(u, v)
-        self._last_interval = (u, v, sub, psi)
-        return psi
-
     def cover_interval(self, u, v) -> LabeledDigraph:
         """The interval keeping only cover edges (length difference one).
 
         It is the cover graph's subgraph on the interval's members, so it
         has the interval's vertices and its cover edges in the same order.
         No cd-index is computed from it: ``poset_cd_index`` reads the cover
-        chains off the complete ab-index, and this graph is its oracle.
+        chains off the complete cd-index, and this graph is its oracle.
         """
         return self.cover.induced(self.interval(u, v).vertices)
 
     def complete_cd_index(self, u, v) -> CdPoly:
-        """cd-index of the full interval in the Bruhat graph.
+        """cd-index of the full interval in the Bruhat graph, converted once and kept in its slot.
 
         Conversion failure is impossible for a genuine reflection ordering,
         so it aborts loudly instead of returning a residual.
         """
-        return _checked_cd(
-            self._ab_index(u, v),
+        last = self._last_interval
+        if last is not None and last[0] == u and last[1] == v and last[3] is not None:
+            return last[3]
+        sub = self.interval(u, v)  # raises for a non-element, or u not below v
+        phi = _checked_cd(
+            sub.ab_index(u, v),
             f"interval [{u}, {v}] has no cd-index; the reflection ordering is broken",
         )
+        self._last_interval = (u, v, sub, phi)
+        return phi
 
     def poset_cd_index(self, u, v) -> CdPoly:
         """cd-index of the graded order underneath (cover edges only).
@@ -238,14 +235,12 @@ class BruhatGraph:
         L = l(v) - l(u) edges from u to v is a chain of covers, and every
         chain of covers from u to v has L edges.  The degree L - 1 part of
         the complete ab-index is therefore, word for word, the ab-index of
-        ``cover_interval(u, v)``, and ab-to-cd conversion keeps degrees; so
-        it is read off the complete ab-index, swept once for both cd-indexes.
+        ``cover_interval(u, v)``.  ``ab_to_cd`` splits its input by degree
+        and converts each degree on its own, so the degree L - 1 part of the
+        complete cd-index is its cd-index: both come from one conversion.
         """
-        psi = self._ab_index(u, v)  # raises for a non-element, or u not below v
-        return _checked_cd(
-            psi.homogeneous_part(self.lengths[v] - self.lengths[u] - 1),
-            f"cover interval [{u}, {v}] has no cd-index",
-        )
+        phi = self.complete_cd_index(u, v)
+        return phi.homogeneous_part(self.lengths[v] - self.lengths[u] - 1)
 
     def rtilde(self, u, v) -> IntPoly:
         """Sum of q^len over rising paths from u to v (1 when u == v)."""

@@ -96,7 +96,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .ncpoly import AbPoly, CdPoly, IntPoly, NotInSpan, ab_to_cd
+from .ncpoly import AbPoly, CdPoly, IntPoly, NotInSpan, _BITS_TO_AB, ab_to_cd
 
 __all__ = [
     "BalanceEquivalenceReport",
@@ -250,8 +250,6 @@ class Edge(NamedTuple):
 
 
 Path = tuple  # tuple of Edge with matching heads and tails
-
-_BITS_TO_AB = str.maketrans("01", "ab")
 
 # letters of an ab-word packed into the slot index of a sweep table; the
 # rest ride in the table key (see _sweep)
@@ -411,7 +409,12 @@ def _sweep(
 
     A run-count table maps a path length to a count: asc counts the
     rising paths and desc the falling ones, and a one-edge path is in
-    both.  A run-count sweep may start from ``count`` sources at once:
+    both.  Most paths neither rise nor fall, so a run-count state is made
+    only once a rising or falling path reaches it, and a label whose
+    table for the next edge is empty is skipped.  A reached position
+    still gets its row, empty if no such path reaches it, and is yielded:
+    zero counts there differ from a position never yielded, which no
+    path reaches.  A run-count sweep may start from ``count`` sources at once:
     positions ``start`` up to ``start + count - 1``.  Source i owns bits
     ``block*i`` up to ``block*(i+1)`` of every count, seeded with
     ``1 << block*i`` along its out-edges at length 1, and the additions
@@ -461,29 +464,38 @@ def _sweep(
             if row is None:
                 row = state[h] = {}
             pair = row.get(last)
+            if not words:
+                # a pair is made once a rising or falling path reaches it
+                for label, (asc, desc) in table.items():
+                    rise = mask >> label & 1
+                    src = asc if rise else desc
+                    if not src:
+                        continue
+                    if pair is None:
+                        pair = row[last] = ({}, {})
+                    dst = pair[0] if rise else pair[1]
+                    for k, c in src.items():
+                        k += 1
+                        dst[k] = dst.get(k, 0) + c
+                continue
             if pair is None:
-                asc_to = {}
-                pair = row[last] = (asc_to, asc_to if words else {})
-            asc_to, desc_to = pair
-            for label, (asc, desc) in table.items():
+                pair = row[last] = ({},) * 2
+            dst = pair[0]
+            for label, (asc, _) in table.items():
                 if mask >> label & 1:
-                    src, dst = asc, asc_to
-                elif words:
-                    for key, n in desc.items():
-                        # a key with high letters exceeds n > _LOW + 1, so
-                        # key <= _LOW means hi = 0 and a letter at key - 1 < _LOW
-                        if key <= _LOW:
-                            n <<= width << (key - 1)
-                            key += 1
-                        else:
-                            key += 1 + (stride << (key % stride - 1 - _LOW))
-                        desc_to[key] = desc_to.get(key, 0) + n
+                    for k, c in asc.items():
+                        k += 1
+                        dst[k] = dst.get(k, 0) + c
                     continue
-                else:
-                    src, dst = desc, desc_to
-                for k, c in src.items():
-                    k += 1
-                    dst[k] = dst.get(k, 0) + c
+                for key, n in asc.items():
+                    # a key with high letters exceeds n > _LOW + 1, so
+                    # key <= _LOW means hi = 0 and a letter at key - 1 < _LOW
+                    if key <= _LOW:
+                        n <<= width << (key - 1)
+                        key += 1
+                    else:
+                        key += 1 + (stride << (key % stride - 1 - _LOW))
+                    dst[key] = dst.get(key, 0) + n
 
 
 def _sums(table: dict) -> tuple[dict, dict]:

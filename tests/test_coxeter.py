@@ -525,19 +525,17 @@ class TestCompleteCdIndex:
                 ab_to_cd(parse_ab(text))
             return caught.value.factored_residual
 
-        # [e, w0] has length 3: the poset route converts the degree-2 part aa alone
-        with mock.patch.object(LabeledDigraph, "ab_index", return_value=parse_ab("aa + b")):
-            with pytest.raises(InternalError) as full:
-                bg.complete_cd_index(E3, W3)
-            with pytest.raises(InternalError) as cover:
-                bg.poset_cd_index(E3, W3)
-        assert str(full.value) == (
+        # the poset route reads the complete cd-index, so both raise the
+        # complete route's error, naming the residual of the whole ab-index
+        message = (
             f"interval [{E3}, {W3}] has no cd-index; "
             f"the reflection ordering is broken (residual {residual('aa + b')})"
         )
-        assert str(cover.value) == (
-            f"cover interval [{E3}, {W3}] has no cd-index (residual {residual('aa')})"
-        )
+        with mock.patch.object(LabeledDigraph, "ab_index", return_value=parse_ab("aa + b")):
+            for route in (bg.complete_cd_index, bg.poset_cd_index):
+                with pytest.raises(InternalError) as caught:
+                    route(E3, W3)
+                assert str(caught.value) == message
 
 
 class TestRPolynomials:
@@ -649,6 +647,20 @@ class TestAgainstIndependentRoutes:
             assert dyer == _dyer_by_powers(bg, u, v), (u, v)
             assert dyer == bg.r_polynomial_recursive(u, v), (u, v)
             assert 0 not in dyer.terms.values()
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_rtilde_is_the_c_powers_of_the_complete_cd_index(self, group):
+        # a cd-word with a d expands only into words with a b, so the coefficient
+        # of a^(k - 1) in the ab-index, the number of rising paths of length k,
+        # is that of c^(k - 1) in the cd-index: the run-count sweep against the
+        # ab-word sweep and the conversion
+        bg, sample = group()
+        for u, v in _interval_pairs(bg, sample):
+            if u == v:
+                continue
+            phi = bg.complete_cd_index(u, v)
+            powers = IntPoly({len(w) + 1: c for w, c in phi.items() if "d" not in w})
+            assert bg.rtilde(u, v) == powers, (u, v)
 
 
 def _relabel_by_rank(graph, order):

@@ -489,6 +489,25 @@ class TestRisingFalling:
         g = chain(["1"])
         assert g.capital_rising_falling("v0", "v1") == (IntPoly.q(), IntPoly.q())
 
+    def test_reachable_vertex_with_no_rising_or_falling_path(self):
+        # x -2-> a -3-> b -1-> y: the one path to y rises, then falls; w -1-> z
+        # lies apart, so z is out of x's reach
+        g = LabeledDigraph(
+            ["x", "a", "b", "y", "w", "z"],
+            [("x", "a", 2), ("a", "b", 3), ("b", "y", 1), ("w", "z", 1)],
+            LinearRelation([1, 2, 3]),
+        )
+        zero = IntPoly.zero()
+        assert g.ab_index("x", "y") == AbPoly.monomial("ab")
+        assert g.rising_falling("x", "b") == (IntPoly.q(), zero)
+        assert g.rising_falling("x", "y") == (zero, zero)
+        assert g.capital_rising_falling("x", "y") == (zero, zero)
+        assert g.capital_rising_falling_from("x")["y"] == (zero, zero)
+        assert "z" not in g.capital_rising_falling_from("x")
+        for read in (g.rising_falling, g.capital_rising_falling):
+            with pytest.raises(NoPath):
+                read("x", "z")
+
     def test_capitals_from_one_sweep_match_per_pair_calls(self, all_fixture_graphs):
         # the whole S4 graph holds every S4 interval [x, y]; its cover graph too
         bg = bruhat_graph_sn(4)

@@ -1,11 +1,13 @@
 """Exact arithmetic and the structural maps on ab/cd-polynomials."""
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdindex import ncpoly
 from cdindex.ncpoly import (
     AbPoly,
     CdPoly,
@@ -13,6 +15,8 @@ from cdindex.ncpoly import (
     NotInSpan,
     TensorPoly,
     _algebra_map,
+    _dense_to_cd,
+    _sparse_to_cd,
     ab_to_cd,
     bar,
     cd_expand,
@@ -396,6 +400,103 @@ class TestAbToCd:
             ab_to_cd(p)
         assert time.perf_counter() - start < 1.0
         assert not exc.value.residual.is_zero()
+
+
+def _both_paths(p: AbPoly) -> list:
+    """(result, leftovers) of the dense, then the sparse recursion run on every degree of p."""
+    runs = []
+    for convert in (_dense_to_cd, _sparse_to_cd):
+        result, leftovers = {}, []
+        for n in dict.fromkeys(len(w) for w in p.terms):  # ab_to_cd's order of degrees
+            convert(n, p.homogeneous_part(n).terms, result, leftovers)
+        runs.append((result, leftovers))
+    return runs
+
+
+def _path_taken(p: AbPoly) -> set:
+    """The recursions ab_to_cd runs on p, by name."""
+    with mock.patch.object(ncpoly, "_dense_to_cd", wraps=_dense_to_cd) as dense, \
+            mock.patch.object(ncpoly, "_sparse_to_cd", wraps=_sparse_to_cd) as sparse:
+        try:
+            ab_to_cd(p)
+        except NotInSpan:
+            pass
+    return {name for name, spy in (("dense", dense), ("sparse", sparse)) if spy.called}
+
+
+class TestDenseAndSparsePaths:
+    def _check(self, p: AbPoly) -> None:
+        (dense, dense_left), (sparse, sparse_left) = _both_paths(p)
+        assert dense == sparse
+        assert list(dense) == list(sparse)  # the same nodes in the same order
+        assert dense_left == sparse_left
+        try:
+            expected = _eliminate(p)
+        except NotInSpan:
+            expected = None
+        if not dense_left:
+            assert CdPoly._trusted(dense) == expected == ab_to_cd(p)
+            return
+        assert expected is None
+        with pytest.raises(NotInSpan) as caught:
+            ab_to_cd(p)
+        for leftovers in (dense_left, sparse_left):
+            exc = NotInSpan(leftovers)
+            assert str(exc) == str(caught.value)
+            assert exc.factored_residual == caught.value.factored_residual
+            ab_to_cd(p - exc.residual)
+
+    @given(deep_cd_polys, ab_polys, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_paths_agree_with_each_other_and_the_elimination(self, w, noise, in_span):
+        p = cd_expand(w)
+        self._check(p if in_span else p + noise)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "7", "-2 + a + b", "a", "b", "2*a + b", "a + b", "aba + baa", "aaa", "aaaa",
+            "baaa - bbaa + a",  # degree 4 fails first, so its leftover comes first
+        ],
+    )
+    def test_low_degrees_and_single_words(self, text):
+        self._check(parse_ab(text))
+
+    @pytest.mark.parametrize(
+        "p, path",
+        [
+            # below degree 4 every slot filled still goes to the sparse path
+            (AbPoly({"": 3}), "sparse"),
+            (parse_ab("a + b"), "sparse"),
+            (cd_expand(C * C * C), "sparse"),
+            (parse_ab("aaba + abab"), "dense"),  # 16 slots for 2 terms: the threshold
+            (parse_ab("aaba"), "sparse"),  # 16 slots for 1 term
+            (cd_expand(D * D), "dense"),  # 16 slots for 4 terms
+            (cd_expand(D * D * D), "dense"),  # 64 slots for 8 terms: the threshold
+            (cd_expand(C * C * C * D * D * D), "dense"),  # 512 slots for 64 terms
+            (cd_expand(D * D * D * D), "sparse"),  # 256 slots for 16 terms
+            (cd_expand(C * C * C * D * D * D * D), "sparse"),  # 2048 slots for 128 terms
+        ],
+    )
+    def test_the_threshold_picks_the_path(self, p, path):
+        assert (ncpoly._DENSE, ncpoly._DENSE_MIN_DEGREE) == (8, 4)
+        assert _path_taken(p) == {path}
+        self._check(p)
+
+    def test_mixed_degrees_pick_a_path_each(self):
+        p = cd_expand(D * D * D * D + D * D) + parse_ab("a + b")
+        assert _path_taken(p) == {"dense", "sparse"}
+        self._check(p)
+
+    def test_a_long_sparse_word_takes_the_sparse_path(self):
+        # the ab-index of a 40-edge rising chain; 2**39 slots would not fit
+        p = AbPoly.monomial("a" * 39)
+        with mock.patch.object(ncpoly, "_dense_to_cd", side_effect=AssertionError("dense path")):
+            with pytest.raises(NotInSpan) as caught:
+                ab_to_cd(p)
+        assert caught.value.factored_residual == "-" + " - ".join(
+            "c" * k + "b" + "a" * (38 - k) for k in range(39)
+        )
 
 
 int_polys = st.lists(st.integers(-4, 4), max_size=4).map(IntPoly)
