@@ -15,16 +15,19 @@ of the complete one (see ``BruhatGraph.poset_cd_index``).
 Each group's graph is built once per process: ``bruhat_graph_sn`` checks its
 size cap and then reads a cache keyed on n alone, so every caller shares one
 graph whatever cap it passed, and ``dihedral_bruhat_graph`` checks m and then
-reads a cache keyed on the plain int.  A :class:`BruhatGraph` is group data over two
-graphs that its builder makes with the public constructor: ``graph``, with
-every edge, and ``cover``, with the cover edges only.  The Bruhat order is
-reachability in ``graph``, so ``leq`` and ``interval`` are the graph's own
-queries (see :mod:`cdindex.digraph` for their index), and
-``cover_interval(u, v)`` takes the interval's members from ``cover``.  Both
-cd-indexes come from one ab-index sweep and one ab-to-cd conversion per
-interval: the poset cd-index is the top-degree part of the complete one,
-kept with the interval.  So no library route builds a cover interval; it
-is the oracle the poset cd-index is tested against.
+reads a cache keyed on the plain int.  Each edge of S_n is read off the
+permutation: u*(i, j) is longer than u exactly when u(i) < u(j), so no
+product is formed to test a transposition.  A :class:`BruhatGraph` is
+group data over ``graph``, made with the public constructor, with every
+edge.  The Bruhat order is reachability in ``graph``, so ``leq`` and
+``interval`` are the graph's own queries (see :mod:`cdindex.digraph` for
+their index).  Both cd-indexes come from one ab-index sweep and one
+ab-to-cd conversion per interval: the poset cd-index is the top-degree
+part of the complete one, kept with the interval.  So no library route
+builds a cover graph: ``cover``, with the cover edges only, is built from
+``graph`` on its first read, and ``cover_interval(u, v)`` takes the
+interval's members from it, as the oracle the poset cd-index is tested
+against.
 
 R-polynomials are computed two independent ways: by the classical
 three-case recursion over a right descent, and from rising paths of the
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -63,7 +66,7 @@ __all__ = [
 
 DEFAULT_MAX_N = 6
 # the dihedral group graph has m^2 edges and stays cached for the process:
-# m = 512 takes 0.7 s and a 103 MiB peak RSS, the import included
+# m = 512 takes 0.4-0.5 s and a 102 MiB peak RSS, the import included
 # (Python 3.11.7, 2 vCPUs)
 MAX_M = 512
 
@@ -144,18 +147,16 @@ class HalfPowerResidue(ArithmeticError):
 class BruhatGraph:
     """The full Bruhat graph of one finite group, with group metadata.
 
-    ``graph`` is the labeled digraph on all group elements and ``cover`` the
-    one keeping only its cover edges (length difference one), with the same
-    vertices and relation; ``lengths`` maps each element to its Coxeter
-    length; ``gen_action`` lists, per generator, the right-multiplication
-    table used by the R-polynomial recursion.  Reachability in the graph is
-    the Bruhat order.
+    ``graph`` is the labeled digraph on all group elements; ``lengths`` maps
+    each element to its Coxeter length; ``gen_action`` lists, per generator,
+    the right-multiplication table used by the R-polynomial recursion.
+    Reachability in the graph is the Bruhat order.  ``cover``, the graph
+    keeping only the cover edges, is built from ``graph`` on first read.
     """
 
     def __init__(
         self,
         graph: LabeledDigraph,
-        cover: LabeledDigraph,
         lengths: dict,
         identity,
         gen_action: list[dict],
@@ -163,7 +164,6 @@ class BruhatGraph:
         name: str,
     ):
         self.graph = graph
-        self.cover = cover
         self.lengths = lengths
         self.identity = identity
         self.gen_action = gen_action
@@ -171,6 +171,18 @@ class BruhatGraph:
         self.name = name
         self._rpoly_memo: dict = {}
         self._last_interval: tuple | None = None
+
+    @cached_property
+    def cover(self) -> LabeledDigraph:
+        """The graph keeping only the cover edges (length difference one).
+
+        It is built through the public constructor on first read, with the
+        graph's vertices and relation object and its cover edges in the
+        graph's order.  No library value reads it; ``cover_interval`` does.
+        """
+        lengths, graph = self.lengths, self.graph
+        covers = [e[:3] for e in graph.edges if lengths[e.head] - lengths[e.tail] == 1]
+        return LabeledDigraph(graph.vertices, covers, graph.relation)
 
     def top(self):
         return max(self.graph.vertices, key=lambda v: self.lengths[v])
@@ -204,10 +216,11 @@ class BruhatGraph:
     def cover_interval(self, u, v) -> LabeledDigraph:
         """The interval keeping only cover edges (length difference one).
 
-        It is the cover graph's subgraph on the interval's members, so it
-        has the interval's vertices and its cover edges in the same order.
-        No cd-index is computed from it: ``poset_cd_index`` reads the cover
-        chains off the complete cd-index, and this graph is its oracle.
+        It is the subgraph of ``cover`` on the interval's members, so it has
+        the interval's vertices and its cover edges in the same order; the
+        first call builds ``cover``.  No cd-index is computed from it:
+        ``poset_cd_index`` reads the cover chains off the complete cd-index,
+        and this graph is its oracle.
         """
         return self.cover.induced(self.interval(u, v).vertices)
 
@@ -331,44 +344,44 @@ def bruhat_graph_sn(n: int, max_n: int = DEFAULT_MAX_N) -> BruhatGraph:
 
 @lru_cache(maxsize=None)
 def _bruhat_graph_sn(n: int) -> BruhatGraph:
+    """The graph of S_n, read off the permutations with no product formed.
+
+    The length is the inversion count, so right multiplication by (i, j),
+    which swaps places i and j, raises it exactly when u(i) < u(j)
+    (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.5).  Vertices
+    are sorted by (length, element): the permutations come in
+    lexicographic order and the sort by length is stable.  Each u gets an
+    edge to u*(i, j), labeled (i, j), for each rising transposition in
+    lexicographic order, which is the label order.  A rearrangement of a
+    permutation is one, so no product is validated.
+    """
     refl = transpositions(n)
     if n >= 3 and not reflection_order_validate(refl, n):
         raise InternalError("lexicographic transposition order failed validation")
-    return _bruhat_graph(
-        {u: u.length for u in map(Permutation, itertools.permutations(range(1, n + 1)))},
-        lambda u, t: u.swap(*t),
-        refl,
-        refl,
-        [(i, i + 1) for i in range(1, n)],
-        Permutation(range(1, n + 1)),
-        f"S{n}",
-    )
+    new = tuple.__new__
 
+    def swapper(a, b):  # u -> u*(a + 1, b + 1), read as the values in their new order
+        order = list(range(n))
+        order[a], order[b] = b, a
+        return operator.itemgetter(*order)
 
-def _bruhat_graph(
-    lengths: dict, act, reflections, labels, generators, identity, name: str
-) -> BruhatGraph:
-    """The Bruhat graph of a group given by its lengths and right action ``act``.
-
-    Vertices are sorted by (length, element).  Each u, in that order, gets
-    an edge to ``act(u, t)`` for each reflection t in order, labeled by t's
-    entry of ``labels``, when the length rises; ``labels`` is also the label
-    order.  ``gen_action`` lists ``act(u, g)`` for each generator g.
-    """
-    vertices = sorted(lengths, key=lambda u: (lengths[u], u))
-    edges = []
-    for u in vertices:
-        lu = lengths[u]
-        for t, label in zip(reflections, labels):
-            v = act(u, t)
-            if lengths[v] > lu:
-                edges.append((u, v, label))
-    relation = LinearRelation(labels)
-    graph = LabeledDigraph(vertices, edges, relation)
-    cover_edges = [e for e in edges if lengths[e[1]] - lengths[e[0]] == 1]
-    cover = LabeledDigraph(vertices, cover_edges, relation)
-    gen_action = [{u: act(u, g) for u in vertices} for g in generators]
-    return BruhatGraph(graph, cover, lengths, identity, gen_action, tuple(reflections), name)
+    places = [(i - 1, j - 1) for i, j in refl]
+    swaps = [swapper(a, b) for a, b in places]
+    lengths = {
+        new(Permutation, u): sum(u[a] > u[b] for a, b in places)
+        for u in itertools.permutations(range(1, n + 1))
+    }
+    vertices = sorted(lengths, key=lengths.__getitem__)
+    edges = [
+        (u, new(Permutation, times(u)), t)
+        for u in vertices
+        for t, (a, b), times in zip(refl, places, swaps)
+        if u[a] < u[b]
+    ]
+    graph = LabeledDigraph(vertices, edges, LinearRelation(refl))
+    generators = map(swapper, range(n - 1), range(1, n))
+    gen_action = [{u: new(Permutation, times(u)) for u in vertices} for times in generators]
+    return BruhatGraph(graph, lengths, Permutation(range(1, n + 1)), gen_action, refl, f"S{n}")
 
 
 def _coerce_perm(u) -> Permutation:
@@ -440,15 +453,29 @@ def dihedral_bruhat_graph(m: int) -> BruhatGraph:
 
 @lru_cache(maxsize=None)
 def _dihedral_bruhat_graph(m: int) -> BruhatGraph:
-    return _bruhat_graph(
-        {u: k for k, level in enumerate(_dihedral_levels(m)) for u in level},
-        lambda u, v: (u[0] * v[0], (u[0] * v[1] + u[1]) % m),
-        _dihedral_reflections(m),
-        range(1, m + 1),
-        [(-1, 0), (-1, 1)],
-        (1, 0),
-        f"I2({m})",
-    )
+    """The graph of I2(m), its vertices sorted by (length, element).
+
+    Each u gets an edge to u*t for each reflection t in order, labeled by
+    t's place in that order, when the length rises.
+    """
+    levels = _dihedral_levels(m)
+    lengths = {u: k for k, level in enumerate(levels) for u in level}
+    vertices = [u for level in levels for u in level]
+
+    def times(u, v):
+        return (u[0] * v[0], (u[0] * v[1] + u[1]) % m)
+
+    reflections = _dihedral_reflections(m)
+    edges = []
+    for u in vertices:
+        lu = lengths[u]
+        for label, t in enumerate(reflections, 1):
+            v = times(u, t)
+            if lengths[v] > lu:
+                edges.append((u, v, label))
+    graph = LabeledDigraph(vertices, edges, LinearRelation(range(1, m + 1)))
+    gen_action = [{u: times(u, g) for u in vertices} for g in [(-1, 0), (-1, 1)]]
+    return BruhatGraph(graph, lengths, (1, 0), gen_action, tuple(reflections), f"I2({m})")
 
 
 def dihedral_graph(m: int, k: int) -> LabeledDigraph:

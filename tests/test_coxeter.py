@@ -119,10 +119,11 @@ class TestGraphShape:
 
 
 def _assert_built_by_definition(bg, vertices, length, times, reflections, labels, generators):
-    """A Bruhat graph against its definition.
+    """A freshly built Bruhat graph against its definition.
 
     Vertices sorted by (length, element); u -> u*t for each reflection t in
-    order, labeled by t's entry of ``labels``, when the length rises.
+    order, labeled by t's entry of ``labels``, when the length rises.  The
+    cover graph is not built until it is first read.
     """
     vertices = sorted(vertices, key=lambda u: (length(u), u))
     edges = [
@@ -131,20 +132,22 @@ def _assert_built_by_definition(bg, vertices, length, times, reflections, labels
         for t, label in zip(reflections, labels)
         if length(times(u, t)) > length(u)
     ]
-    assert bg.graph.vertices == bg.cover.vertices == tuple(vertices)
+    assert bg.graph.vertices == tuple(vertices)
     assert [tuple(e[:3]) for e in bg.graph.edges] == edges
-    cover = [e for e in edges if length(e[1]) == length(e[0]) + 1]
-    assert [tuple(e[:3]) for e in bg.cover.edges] == cover
-    assert bg.graph.relation.order == bg.cover.relation.order == tuple(labels)
+    assert bg.graph.relation.order == tuple(labels)
     assert bg.gen_action == [{u: times(u, g) for u in vertices} for g in generators]
     assert bg.lengths == {u: length(u) for u in vertices}
     assert bg.reflection_order == tuple(reflections)
+    assert "cover" not in vars(bg)
+    cover = [e for e in edges if length(e[1]) == length(e[0]) + 1]
+    assert bg.cover.vertices == tuple(vertices)
+    assert [tuple(e[:3]) for e in bg.cover.edges] == cover
+    assert bg.cover.relation is bg.graph.relation
 
 
 class TestBuiltFromTheDefinition:
-    def test_s4(self):
-        n = 4
-
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric(self, n):
         def length(w):  # inversions
             return sum(w[i] > w[j] for i, j in combinations(range(n), 2))
 
@@ -155,22 +158,23 @@ class TestBuiltFromTheDefinition:
 
         refl = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         gens = [(i, i + 1) for i in range(1, n)]
-        bg = bruhat_graph_sn(n)
+        bg = coxeter._bruhat_graph_sn.__wrapped__(n)
         perms = permutations(range(1, n + 1))
         _assert_built_by_definition(bg, perms, length, times, refl, refl, gens)
-        assert bg.identity == (1, 2, 3, 4) and bg.name == "S4"
+        assert bg.identity == tuple(range(1, n + 1)) and bg.name == f"S{n}"
 
-    def test_dihedral_5(self):
-        # the symmetries of the m-gon on Z/m, composed as tuples of images
-        # right to left; an element is named by its affine form x -> eps*x + j
-        m = 5
-
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_dihedral(self, m):
+        # the symmetries of the m-gon on its m vertices and m edge midpoints,
+        # Z/2m with the vertices even (faithful for m = 2 too), composed as
+        # tuples of images right to left; an element is named by its affine
+        # form x -> eps*x + j on the vertices, y -> eps*y + 2j on Z/2m
         def images(u):
-            return tuple((u[0] * x + u[1]) % m for x in range(m))
+            return tuple((u[0] * y + 2 * u[1]) % (2 * m) for y in range(2 * m))
 
         def times(u, v):
-            w = tuple(images(u)[x] for x in images(v))
-            return (1 if w[1] == (w[0] + 1) % m else -1, w[0])
+            w = tuple(images(u)[y] for y in images(v))
+            return (1 if w[1] == (w[0] + 1) % (2 * m) else -1, w[0] // 2)
 
         identity, s, t = (1, 0), (-1, 0), (-1, 1)  # s: x -> -x, t: x -> 1 - x
         length = {identity: 0}
@@ -186,10 +190,10 @@ class TestBuiltFromTheDefinition:
         while len(reflections) < m:
             reflections.append(times(times(reflections[-1], t), s))
         assert len(length) == 2 * m and reflections[-1] == t
-        bg = dihedral_bruhat_graph(m)
+        bg = coxeter._dihedral_bruhat_graph.__wrapped__(m)
         labels = range(1, m + 1)
         _assert_built_by_definition(bg, length, length.get, times, reflections, labels, (s, t))
-        assert bg.identity == identity and bg.name == "I2(5)"
+        assert bg.identity == identity and bg.name == f"I2({m})"
 
 
 def _same_subgraph(got, want):
@@ -516,9 +520,7 @@ class TestCompleteCdIndex:
         # a fresh BruhatGraph on S3's tables: its interval slot is empty, so the
         # patched ab_index is read, and the shared S3 graph never keeps its value
         s3 = bruhat_graph_sn(3)
-        bg = BruhatGraph(
-            s3.graph, s3.cover, s3.lengths, s3.identity, s3.gen_action, s3.reflection_order, s3.name
-        )
+        bg = BruhatGraph(s3.graph, s3.lengths, s3.identity, s3.gen_action, s3.reflection_order, s3.name)
 
         def residual(text):
             with pytest.raises(NotInSpan) as caught:
@@ -589,9 +591,7 @@ class TestRPolynomials:
         for edges, lengths in cases:
             relation = LinearRelation([1, 2])
             graph = LabeledDigraph(list(lengths), edges, relation)
-            covers = [e for e in edges if lengths[e[1]] - lengths[e[0]] == 1]
-            cover = LabeledDigraph(list(lengths), covers, relation)
-            bg = BruhatGraph(graph, cover, lengths, "u", [], (), "broken")
+            bg = BruhatGraph(graph, lengths, "u", [], (), "broken")
             with pytest.raises(HalfPowerResidue):
                 bg.r_polynomial_dyer("u", "v")
 
