@@ -17,7 +17,11 @@ size cap and then reads a cache keyed on n alone, so every caller shares one
 graph whatever cap it passed, and ``dihedral_bruhat_graph`` checks m and then
 reads a cache keyed on the plain int.  Each edge of S_n is read off the
 permutation: u*(i, j) is longer than u exactly when u(i) < u(j), so no
-product is formed to test a transposition.  A :class:`BruhatGraph` is
+product is formed to test a transposition.  In I2(m) the reflections are the
+elements of odd length, so u -> v is an edge exactly when v is longer by an
+odd length; one builder writes the group's graph, ``dihedral_graph``'s
+intervals and ``dihedral_cover_interval``'s covers by that rule, and the
+intervals read no group graph.  A :class:`BruhatGraph` is
 group data over ``graph``, made with the public constructor, with every
 edge.  The Bruhat order is reachability in ``graph``, so ``leq`` and
 ``interval`` are the graph's own queries (see :mod:`cdindex.digraph` for
@@ -65,8 +69,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 6
-# the dihedral group graph has m^2 edges and stays cached for the process:
-# m = 512 takes 0.4-0.5 s and a 102 MiB peak RSS, the import included
+# the dihedral group graph has m^2 edges, written from closed forms, and stays
+# cached for the process: m = 512 builds in 0.23-0.27 s, and a process that
+# imports the module and builds it takes 0.37-0.54 s and an 82 MiB peak RSS
 # (Python 3.11.7, 2 vCPUs)
 MAX_M = 512
 
@@ -432,6 +437,38 @@ def _dihedral_levels(m: int) -> list:
     return [sorted({_dihedral_top(m, k), ((-1) ** k, -(-k // 2) % m)}) for k in range(m + 1)]
 
 
+def _checked_m(m) -> int:
+    """m as a plain int, refused unless 2 <= m <= ``MAX_M``."""
+    m = operator.index(m)
+    if m < 2:
+        raise ValueError("the dihedral group needs m >= 2")
+    if m > MAX_M:
+        raise ValueError(f"m={m} exceeds the bound {MAX_M}")
+    return m
+
+
+def _dihedral_interval(m: int, k: int, covers: bool) -> LabeledDigraph:
+    """[e, w] in I2(m), w the alternating word s t s ... of length k, by one edge rule.
+
+    Every element shorter than w is below it, so the members are the levels
+    below k and w, in that order; at k = m they are the whole group.  The
+    reflections are the elements of odd length, so u -> v is an edge exactly
+    when v is longer than u by an odd length, and u^-1 v = (-1, eps_u *
+    (j_v - j_u)) is the reflection labeled eps_u * (j_u - j_v) + 1 (mod m).
+    With ``covers`` only the level right above u is read.  Each u's edges
+    come in label order, as the group's graph lists them.
+    """
+    levels = _dihedral_levels(m)[:k] + [[_dihedral_top(m, k)]]
+    edges = []
+    for length, level in enumerate(levels):
+        above = [v for up in levels[length + 1 : length + 2 if covers else None : 2] for v in up]
+        for u in level:
+            eps, j = u
+            edges += sorted(((u, v, eps * (j - v[1]) % m + 1) for v in above), key=operator.itemgetter(2))
+    vertices = [u for level in levels for u in level]
+    return LabeledDigraph(vertices, edges, LinearRelation(range(1, m + 1)))
+
+
 def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     """Bruhat graph of the dihedral group with 2m elements (m >= 2).
 
@@ -443,39 +480,20 @@ def dihedral_bruhat_graph(m: int) -> BruhatGraph:
     is built once per m and process, an int subclass such as an ``IntEnum``
     member sharing the int's graph.
     """
-    m = operator.index(m)
-    if m < 2:
-        raise ValueError("the dihedral group needs m >= 2")
-    if m > MAX_M:
-        raise ValueError(f"m={m} exceeds the bound {MAX_M}")
-    return _dihedral_bruhat_graph(m)
+    return _dihedral_bruhat_graph(_checked_m(m))
 
 
 @lru_cache(maxsize=None)
 def _dihedral_bruhat_graph(m: int) -> BruhatGraph:
-    """The graph of I2(m), its vertices sorted by (length, element).
+    """The graph of I2(m) from its closed forms, its vertices sorted by (length, element).
 
-    Each u gets an edge to u*t for each reflection t in order, labeled by
-    t's place in that order, when the length rises.
+    A generator g in {s, t} = {(-1, 0), (-1, 1)} acts on the right as
+    (eps, j) -> (-eps, (eps * j_g + j) mod m).
     """
-    levels = _dihedral_levels(m)
-    lengths = {u: k for k, level in enumerate(levels) for u in level}
-    vertices = [u for level in levels for u in level]
-
-    def times(u, v):
-        return (u[0] * v[0], (u[0] * v[1] + u[1]) % m)
-
-    reflections = _dihedral_reflections(m)
-    edges = []
-    for u in vertices:
-        lu = lengths[u]
-        for label, t in enumerate(reflections, 1):
-            v = times(u, t)
-            if lengths[v] > lu:
-                edges.append((u, v, label))
-    graph = LabeledDigraph(vertices, edges, LinearRelation(range(1, m + 1)))
-    gen_action = [{u: times(u, g) for u in vertices} for g in [(-1, 0), (-1, 1)]]
-    return BruhatGraph(graph, lengths, (1, 0), gen_action, tuple(reflections), f"I2({m})")
+    graph = _dihedral_interval(m, m, covers=False)
+    lengths = {u: k for k, level in enumerate(_dihedral_levels(m)) for u in level}
+    gen_action = [{(eps, j): (-eps, (eps * g + j) % m) for eps, j in graph.vertices} for g in (0, 1)]
+    return BruhatGraph(graph, lengths, (1, 0), gen_action, tuple(_dihedral_reflections(m)), f"I2({m})")
 
 
 def dihedral_graph(m: int, k: int) -> LabeledDigraph:
@@ -483,35 +501,24 @@ def dihedral_graph(m: int, k: int) -> LabeledDigraph:
 
     All reflection edges are included, not just covers.  For k < m the top
     is the alternating word starting with the first generator; for k = m it
-    is the unique longest element.
+    is the unique longest element.  Every element shorter than the top is
+    below it, so only the interval's 2k elements are built: the group's
+    graph is neither built nor cached.  It equals ``interval`` of the
+    identity and that top in ``dihedral_bruhat_graph(m)``, and after the
+    check of k it refuses m as that does.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    bg = dihedral_bruhat_graph(m)
-    w = _dihedral_top(m, k)
-    if bg.lengths[w] != k:
-        raise InternalError(f"the top element of I2({m}) at length {k} has length {bg.lengths[w]}")
-    return bg.interval(bg.identity, w)
+    return _dihedral_interval(_checked_m(m), k, covers=False)
 
 
 def dihedral_cover_interval(m: int, k: int) -> LabeledDigraph:
-    """The cover edges of ``dihedral_graph(m, k)``, without the group's graph.
+    """The cover edges of ``dihedral_graph(m, k)``, built from its 2k elements.
 
     Equal to ``cover_interval`` of that interval in ``dihedral_bruhat_graph(m)``
-    (same vertex order, edge order and labels), but built from the
-    interval's 2k elements: every element shorter than the top is below it,
-    and any two elements whose lengths differ by one differ by a reflection.
-    The m^2 edges of the group graph are never built.
+    (same vertex order, edge order and labels).  The group's graph is
+    never built, and m is not bounded by ``MAX_M``.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    levels = _dihedral_levels(m)[:k] + [[_dihedral_top(m, k)]]
-    edges = []
-    for below, above in zip(levels, levels[1:]):
-        for u in below:
-            # u^-1 v = (-1, eps_u * (j_v - j_u)), the reflection labeled eps_u * (j_u - j_v) + 1
-            edges += sorted(
-                ((u, v, u[0] * (u[1] - v[1]) % m + 1) for v in above), key=lambda e: e[2]
-            )
-    vertices = [u for level in levels for u in level]
-    return LabeledDigraph(vertices, edges, LinearRelation(range(1, m + 1)))
+    return _dihedral_interval(m, k, covers=True)

@@ -196,10 +196,14 @@ class TestBuiltFromTheDefinition:
         assert bg.identity == identity and bg.name == f"I2({m})"
 
 
-def _same_subgraph(got, want):
+def _same_subgraph(got, want, shared_relation=True):
+    """``shared_relation=False`` compares the relations' orders, for a graph built on its own."""
     assert got.vertices == want.vertices
     assert got.edges == want.edges
-    assert got.relation is want.relation
+    if shared_relation:
+        assert got.relation is want.relation
+    else:
+        assert got.relation.order == want.relation.order
     _same_as_built(got)
 
 
@@ -396,6 +400,59 @@ class TestDihedralClosedForms:
             assert coxeter._dihedral_reflections(m) == _walk_reflections(m)
             assert coxeter._dihedral_levels(m) == _walk_levels(m)
             assert [coxeter._dihedral_top(m, k) for k in range(m + 1)] == _walk_tops(m)
+
+
+class TestDihedralInterval:
+    """``dihedral_graph`` builds its 2k elements, never the group's graph."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_equals_the_interval_of_the_group_graph(self, m):
+        bg = dihedral_bruhat_graph(m)
+        for k in range(1, m + 1):
+            got = dihedral_graph(m, k)
+            want = bg.interval(bg.identity, coxeter._dihedral_top(m, k))
+            _same_subgraph(got, want, shared_relation=False)
+            assert got.topological_order == want.topological_order
+
+    def test_largest_m_builds_no_group_graph(self):
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
+        assert len(dihedral_graph(MAX_M, 4).vertices) == 8
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
+
+    # every refusal, message for message, as when the interval was read off the
+    # group: k is checked first, with m as given, then m as ``dihedral_bruhat_graph``
+    # checks it
+    @pytest.mark.parametrize(
+        "m, k, error, message",
+        [
+            (7.0, 1, TypeError, "'float' object cannot be interpreted as an integer"),
+            ("7", 1, TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+            (None, 1, TypeError, "'<=' not supported between instances of 'int' and 'NoneType'"),
+            (True, 1, ValueError, "the dihedral group needs m >= 2"),
+            (1, 1, ValueError, "the dihedral group needs m >= 2"),
+            (MAX_M + 1, 1, ValueError, f"m={MAX_M + 1} exceeds the bound {MAX_M}"),
+            (5, 0, ValueError, "need 1 <= k <= m, got k=0, m=5"),
+            (5, 6, ValueError, "need 1 <= k <= m, got k=6, m=5"),
+            (1, 2, ValueError, "need 1 <= k <= m, got k=2, m=1"),
+            (True, 2, ValueError, "need 1 <= k <= m, got k=2, m=True"),
+            (7.0, 8, ValueError, "need 1 <= k <= m, got k=8, m=7.0"),
+            (MAX_M + 1, MAX_M + 2, ValueError, f"need 1 <= k <= m, got k={MAX_M + 2}, m={MAX_M + 1}"),
+        ],
+    )
+    def test_refusals_kept(self, m, k, error, message):
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
+        with pytest.raises(error) as caught:
+            dihedral_graph(m, k)
+        assert type(caught.value) is error and str(caught.value) == message
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
+
+    @pytest.mark.parametrize("build", [dihedral_graph, dihedral_cover_interval])
+    @pytest.mark.parametrize("k", [2.0, 2.5])
+    def test_k_must_be_an_int(self, build, k):
+        built = coxeter._dihedral_bruhat_graph.cache_info().currsize
+        with pytest.raises(TypeError):
+            build(7, k)
+        assert coxeter._dihedral_bruhat_graph.cache_info().currsize == built
 
 
 class TestDihedralCoverInterval:
@@ -727,16 +784,6 @@ class TestDihedral:
         assert _isomorphic_as_labeled_digraphs(
             edges_sym, sym.lengths, edges_dih, dih.lengths
         )
-
-    def test_wrong_top_element_is_internal(self):
-        # a top one reflection short of length k: an InternalError naming m and k, also under -O
-        top = coxeter._dihedral_top
-        dihedral_bruhat_graph(5)  # the group is built, and cached, with the real tops
-        with mock.patch.object(coxeter, "_dihedral_top", lambda m, k: top(m, k - 1)):
-            with pytest.raises(
-                InternalError, match=r"^the top element of I2\(5\) at length 3 has length 2$"
-            ):
-                dihedral_graph(5, 3)
 
     def test_dihedral_intervals_balanced(self):
         for m, k in [(4, 4), (5, 3)]:
