@@ -12,8 +12,7 @@ For a balanced graph in which every source-to-sink path length has the
 same parity, the falling paths of G_S and of the complementary restriction
 G_T satisfy a duality: evaluating each falling-path generating polynomial
 at -1 gives values that agree up to the sign (-1)^(longest length - 1).
-The module checks this identity and also evaluates the underlying signed
-path sums directly on the base graph.
+The module checks this identity.
 
 A falling path of G_S is the same thing as a base source-to-sink path that
 descends at every vertex of S and ascends at every other interior vertex,
@@ -28,8 +27,7 @@ free as a variable:
 
 - one split is one point of the polynomial, every s_v fixed, so
   :meth:`RestrictedDigraph.falling_at_minus_one` is a sweep linear in the
-  graph that never builds G_S, and the two signed path sums of a split
-  are that point and the same point with ascent and descent exchanged;
+  graph that never builds G_S;
 - :func:`alexander_sweep`, behind ``cdindex alexander --all``, leaves
   every s_v free, gets the coefficient c_T of every monomial, and turns
   them into every split's value, the sum over T within S of c_T, by one
@@ -71,7 +69,6 @@ __all__ = [
     "alexander_sweep",
     "parity_condition",
     "restrict",
-    "signed_path_sums",
 ]
 
 # alexander_sweep tabulates 2**k values for k interior vertices, and
@@ -426,23 +423,3 @@ def _subset_sums(table: list[int]) -> None:
                 table[lo + b:lo + step] = map(add, table[lo + b:lo + step], table[lo:lo + b])
         b = step
 
-
-def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int, int]:
-    """The two signed path sums attached to an interior split S, T.
-
-    The first sum runs over source-to-sink paths whose ascent vertices lie
-    in T and descent vertices in S, the second over paths with the roles of
-    S and T exchanged; both weight a path by (-1)^(number of interior
-    vertices in S).  The two agree whenever every interval of g has equally
-    many rising and falling paths (no per-length matching is needed).
-
-    Every interior vertex of a path is an ascent or a descent, so the first
-    sum is the falling polynomial at the point s_v = [v in S], the value
-    of :meth:`RestrictedDigraph.falling_at_minus_one`, and the second is
-    the same point with ascent and descent exchanged: two sweeps over the
-    base graph, each linear in its size.
-    """
-    pos = g._pos
-    split = {pos[v]: 0 for v in _checked_subset(g, subset)}
-    first = _falling_polynomial(g, split).get(0, 0)
-    return first, _falling_polynomial(g, split, ascent=0).get(0, 0)

@@ -28,9 +28,8 @@ edge.  The Bruhat order is reachability in ``graph``, so ``leq`` and
 their index).  Both cd-indexes come from one ab-index sweep and one
 ab-to-cd conversion per interval: the poset cd-index is the top-degree
 part of the complete one, kept with the interval.  So no library route
-builds a cover graph: ``cover``, with the cover edges only, is built from
-``graph`` on its first read, and ``cover_interval(u, v)`` takes the
-interval's members from it, as the oracle the poset cd-index is tested
+builds a cover graph: ``cover_interval(u, v)`` keeps the interval's edges
+that raise the length by one, as the oracle the poset cd-index is tested
 against.
 
 R-polynomials are computed two independent ways: by the classical
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -155,8 +154,7 @@ class BruhatGraph:
     ``graph`` is the labeled digraph on all group elements; ``lengths`` maps
     each element to its Coxeter length; ``gen_action`` lists, per generator,
     the right-multiplication table used by the R-polynomial recursion.
-    Reachability in the graph is the Bruhat order.  ``cover``, the graph
-    keeping only the cover edges, is built from ``graph`` on first read.
+    Reachability in the graph is the Bruhat order.
     """
 
     def __init__(
@@ -176,18 +174,6 @@ class BruhatGraph:
         self.name = name
         self._rpoly_memo: dict = {}
         self._last_interval: tuple | None = None
-
-    @cached_property
-    def cover(self) -> LabeledDigraph:
-        """The graph keeping only the cover edges (length difference one).
-
-        It is built through the public constructor on first read, with the
-        graph's vertices and relation object and its cover edges in the
-        graph's order.  No library value reads it; ``cover_interval`` does.
-        """
-        lengths, graph = self.lengths, self.graph
-        covers = [e[:3] for e in graph.edges if lengths[e.head] - lengths[e.tail] == 1]
-        return LabeledDigraph(graph.vertices, covers, graph.relation)
 
     def top(self):
         return max(self.graph.vertices, key=lambda v: self.lengths[v])
@@ -221,13 +207,15 @@ class BruhatGraph:
     def cover_interval(self, u, v) -> LabeledDigraph:
         """The interval keeping only cover edges (length difference one).
 
-        It is the subgraph of ``cover`` on the interval's members, so it has
-        the interval's vertices and its cover edges in the same order; the
-        first call builds ``cover``.  No cd-index is computed from it:
-        ``poset_cd_index`` reads the cover chains off the complete cd-index,
-        and this graph is its oracle.
+        It has the interval's vertices and relation object and the
+        interval's cover edges in the same order, built through the public
+        constructor; no cover graph of the whole group is built.  No
+        cd-index is computed from it: ``poset_cd_index`` reads the cover
+        chains off the complete cd-index, and this graph is its oracle.
         """
-        return self.cover.induced(self.interval(u, v).vertices)
+        sub, lengths = self.interval(u, v), self.lengths
+        covers = [e[:3] for e in sub.edges if lengths[e.head] - lengths[e.tail] == 1]
+        return LabeledDigraph(sub.vertices, covers, sub.relation)
 
     def complete_cd_index(self, u, v) -> CdPoly:
         """cd-index of the full interval in the Bruhat graph, converted once and kept in its slot.

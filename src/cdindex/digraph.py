@@ -663,7 +663,7 @@ class LabeledDigraph:
 
     @cached_property
     def _view(self) -> tuple:
-        """(edges, out-edges by position, in-edges by position), built on first use.
+        """(edges, out-edges by position), built on first use.
 
         Each position's out-edges come out in the order of its int out-list.
         """
@@ -671,15 +671,13 @@ class LabeledDigraph:
         found = [(key, p, h, lab) for p, row in enumerate(self._out) for h, lab, key in row]
         found.sort()
         outs: list[list] = [[] for _ in topo]
-        ins: list[list] = [[] for _ in topo]
         edges = []
         new = tuple.__new__  # the fields need no check: skip Edge's Python-level __new__
         for eid, (_, p, h, lab) in enumerate(found):
             e = new(Edge, (topo[p], topo[h], labels[lab], eid))
             edges.append(e)
             outs[p].append(e)
-            ins[h].append(e)
-        return tuple(edges), outs, ins
+        return tuple(edges), outs
 
     @cached_property
     def _reach(self) -> tuple[list, list]:
@@ -730,7 +728,8 @@ class LabeledDigraph:
         return tuple(self._view[1][self._place(v)])
 
     def in_edges(self, v) -> tuple:
-        return tuple(self._view[2][self._place(v)])
+        head = self._topo[self._place(v)]  # the object every edge into v holds
+        return tuple([e for e in self.edges if e.head is head])
 
     def sources(self) -> tuple:
         # Kahn's queue starts with the sources, in vertex order
@@ -980,15 +979,6 @@ class LabeledDigraph:
     def capital_rising_falling(self, x, y) -> tuple[IntPoly, IntPoly]:
         """(R, F) with R = q*r and F = q*f for x < y; both 1 when x == y."""
         return self._run_polys(x, y, 0, IntPoly.one())
-
-    def capital_rising_falling_from(self, x) -> dict:
-        """(R, F) of [x, v] for x and every v reachable from it, by one sweep from x."""
-        topo = self._topo
-        capitals = {x: (IntPoly.one(), IntPoly.one())}
-        for p, table in _sweep(self._out, self._masks, self._place(x)):
-            r, f = _sums(table)
-            capitals[topo[p]] = self._poly(r, 0), self._poly(f, 0)
-        return capitals
 
     # -- balance -----------------------------------------------------------
 

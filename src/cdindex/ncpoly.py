@@ -42,7 +42,6 @@ __all__ = [
     "bar",
     "cd_expand",
     "cd_sort_key",
-    "cd_word_cmp",
     "cd_word_degree",
     "cd_words_of_degree",
     "coproduct",
@@ -347,19 +346,6 @@ def _cd_order_key(word: str) -> tuple:
 def cd_sort_key(word: str) -> tuple:
     """Canonical sort key for cd-words: degree, then the fixed-degree order."""
     return (cd_word_degree(word),) + _cd_order_key(word)
-
-
-def cd_word_cmp(u: str, v: str) -> int:
-    """Compare two cd-words of equal degree; returns -1, 0 or 1.
-
-    Raises ValueError on a degree mismatch (the order is defined within a
-    fixed degree; cross-degree ordering is handled separately by sorting
-    on degree first).
-    """
-    if cd_word_degree(u) != cd_word_degree(v):
-        raise ValueError(f"cd-words {u!r} and {v!r} have different degrees")
-    ku, kv = _cd_order_key(u), _cd_order_key(v)
-    return (ku > kv) - (ku < kv)
 
 
 def cd_words_of_degree(n: int) -> Iterator[str]:

@@ -33,7 +33,6 @@ enumerates the paths, through ``LabeledDigraph.ab_index_by_paths``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .digraph import LabeledDigraph, Unbounded
@@ -44,25 +43,19 @@ __all__ = [
     "Composition",
     "F_falling",
     "F_rising",
-    "L_in_M",
     "M_in_L",
-    "MultichainComparison",
     "QSymElement",
     "QSymTensor",
     "antipode",
     "complement",
     "composition_from_descents",
     "compositions",
-    "descent_set",
     "gamma",
     "gamma_inverse",
-    "multichain_specialization",
     "omega",
     "peak_membership",
     "qsym_coproduct",
-    "reverse_composition",
     "sigma_involution",
-    "sigma_leq",
 ]
 
 Composition = tuple
@@ -119,12 +112,6 @@ def _from_word(word: str) -> tuple:
     return tuple([len(run) + 1 for run in word.split("b")])
 
 
-def descent_set(alpha: Sequence[int]) -> frozenset:
-    """Partial sums of alpha except the last; a subset of {1, ..., n-1}."""
-    mask = _mask(_validate(alpha))
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def composition_from_descents(descents, n: int) -> tuple:
     """The composition of n whose descent set is the given subset of {1..n-1}."""
     cuts = list(descents)
@@ -144,18 +131,6 @@ def complement(alpha: Sequence[int]) -> tuple:
     if not alpha:
         raise ValueError("the empty composition has no complement")
     return _complement(alpha)
-
-
-def reverse_composition(alpha: Sequence[int]) -> tuple:
-    return tuple(reversed(_validate(alpha)))
-
-
-def sigma_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
-    """alpha <= beta iff beta refines alpha (beta splits parts of alpha)."""
-    alpha, beta = _validate(alpha), _validate(beta)
-    if sum(alpha) != sum(beta):
-        raise ValueError(f"{alpha} and {beta} compose different integers")
-    return not _mask(alpha) & ~_mask(beta)
 
 
 def compositions(n: int) -> Iterator[tuple]:
@@ -202,11 +177,6 @@ def _refine(tables: dict, sign: int) -> dict:
             if coeff:
                 out[_composition(mask, n)] = coeff
     return out
-
-
-def L_in_M(alpha: Sequence[int]) -> dict:
-    """Monomial-basis coefficients of the fundamental element L_alpha."""
-    return _refine(_masks([(_validate(alpha), 1)]), 1)
 
 
 def M_in_L(alpha: Sequence[int]) -> dict:
@@ -464,96 +434,6 @@ def peak_membership(f: QSymElement) -> bool:
     except NotInSpan:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class MultichainComparison:
-    """Both sides of the multichain identities in m variables.
-
-    Each polynomial is a dict from an exponent tuple of length m to an
-    integer coefficient.  The left sides truncate F_rising / F_falling to
-    the first m variables; the right sides sum, over all multichains
-    source = x0 <= x1 <= ... <= xm = sink, the products of one-variable
-    rising (falling) polynomials R(x_{i-1}, x_i) in the i-th variable.
-    """
-
-    rising_lhs: dict
-    rising_rhs: dict
-    falling_lhs: dict
-    falling_rhs: dict
-
-    @property
-    def agree(self) -> bool:
-        return self.rising_lhs == self.rising_rhs and self.falling_lhs == self.falling_rhs
-
-
-def _truncate(f: QSymElement, m: int) -> dict:
-    """f in the first m variables, as a dict from exponent tuple to coefficient.
-
-    L_alpha there is the sum of M_beta over the refinements beta of alpha
-    with at most m parts, and M_beta the sum of x^beta over the ways to
-    place beta's parts, in order, on m variables.  The refinements are
-    generated from alpha's descent set by adding at most m - len(alpha) of
-    its other positions, so none with more parts is ever built.
-    """
-    out: dict[tuple, int] = {}
-    for alpha, coeff in f.items():
-        spare = m - len(alpha)
-        if spare < 0:
-            continue
-        n, descents = sum(alpha), _mask(alpha)
-        free = [i for i in range(1, n) if not descents >> i & 1]
-        for r in range(min(spare, len(free)) + 1):
-            for cuts in itertools.combinations(free, r):
-                beta = _composition(descents | sum(1 << c for c in cuts), n)
-                for positions in itertools.combinations(range(m), len(beta)):
-                    exps = [0] * m
-                    for pos, part in zip(positions, beta):
-                        exps[pos] = part
-                    _merge(out, tuple(exps), coeff)
-    return out
-
-
-def multichain_specialization(g: LabeledDigraph, m: int) -> MultichainComparison:
-    """Evaluate both sides of the rising and falling multichain identities."""
-    if m < 1:
-        raise ValueError("need at least one variable")
-    if not g.is_bounded():
-        raise Unbounded("multichain specialization needs a bounded graph")
-    bot, top = g.zero_hat(), g.one_hat()
-
-    # capitals[x][y] = (R, F) of [x, y] for every y >= x, one sweep per x
-    capitals = {x: g.capital_rising_falling_from(x) for x in g.vertices}
-
-    def chain_sum(index: int) -> dict:
-        # (v, nonzero exponents of the first d variables as (variable,
-        # exponent) pairs) -> summed coefficient of the multichains
-        # source = x0 <= ... <= xd = v; one step per variable, and a step
-        # that stays at v (exponent 0) leaves the key's tuple as it is
-        states: dict[tuple, int] = {(bot, ()): 1}
-        for depth in range(m):
-            step: dict[tuple, int] = {}
-            for (v, sparse), coeff in states.items():
-                for w in (top,) if depth == m - 1 else capitals[v]:
-                    for k, c in capitals[v][w][index].items():
-                        key = (w, sparse + ((depth, k),) if k else sparse)
-                        _merge(step, key, coeff * c)
-            states = step
-        out: dict[tuple, int] = {}
-        for (_, sparse), coeff in states.items():
-            exps = [0] * m
-            for i, k in sparse:
-                exps[i] = k
-            out[tuple(exps)] = coeff
-        return out
-
-    rising = F_rising(g)
-    return MultichainComparison(
-        rising_lhs=_truncate(rising, m),
-        rising_rhs=chain_sum(0),
-        falling_lhs=_truncate(omega(rising), m),
-        falling_rhs=chain_sum(1),
-    )
 
 
 def sigma_involution(g: LabeledDigraph, p1: tuple, p2: tuple) -> tuple:

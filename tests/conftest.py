@@ -13,7 +13,8 @@ from cdindex.fixtures import (
     fig3_b3,
 )
 from cdindex.ncpoly import FreeModule, TensorSquare
-from cdindex.qsym import L_in_M
+
+from oracles import L_in_M
 
 
 def run_compositions(labels, relation) -> tuple[tuple, tuple]:

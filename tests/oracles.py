@@ -1,0 +1,181 @@
+"""Second routes to library values, for the tests only.
+
+No command of the package reaches these; the tests compare them with what
+the library computes.  They read the library's private helpers, so each
+stays the code it was when it lived beside them:
+
+* composition helpers: ``descent_set``, ``sigma_leq`` and ``L_in_M``;
+* ``cd_word_cmp``, the fixed-degree order on cd-words as a comparison;
+* ``signed_path_sums``, the two signed path sums of an interior split;
+* ``capital_rising_falling_from``, the (R, F) pairs of every interval
+  [x, v] by one run-count sweep from x;
+* ``multichain_specialization``, both sides of the rising and falling
+  multichain identities in m variables.
+
+pytest collects no test from this module; test modules import it by name,
+as they import ``conftest``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Sequence
+
+from cdindex.alexander import _checked_subset, _falling_polynomial
+from cdindex.digraph import LabeledDigraph, Unbounded, _sums, _sweep
+from cdindex.ncpoly import IntPoly, _cd_order_key, _merge, cd_word_degree
+from cdindex.qsym import F_rising, QSymElement, _composition, _mask, _masks, _refine, _validate, omega
+
+
+def descent_set(alpha: Sequence[int]) -> frozenset:
+    """Partial sums of alpha except the last; a subset of {1, ..., n-1}."""
+    mask = _mask(_validate(alpha))
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def sigma_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
+    """alpha <= beta iff beta refines alpha (beta splits parts of alpha)."""
+    alpha, beta = _validate(alpha), _validate(beta)
+    if sum(alpha) != sum(beta):
+        raise ValueError(f"{alpha} and {beta} compose different integers")
+    return not _mask(alpha) & ~_mask(beta)
+
+
+def L_in_M(alpha: Sequence[int]) -> dict:
+    """Monomial-basis coefficients of the fundamental element L_alpha."""
+    return _refine(_masks([(_validate(alpha), 1)]), 1)
+
+
+def cd_word_cmp(u: str, v: str) -> int:
+    """Compare two cd-words of equal degree; returns -1, 0 or 1.
+
+    Raises ValueError on a degree mismatch (the order is defined within a
+    fixed degree; cross-degree ordering is handled separately by sorting
+    on degree first).
+    """
+    if cd_word_degree(u) != cd_word_degree(v):
+        raise ValueError(f"cd-words {u!r} and {v!r} have different degrees")
+    ku, kv = _cd_order_key(u), _cd_order_key(v)
+    return (ku > kv) - (ku < kv)
+
+
+def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int, int]:
+    """The two signed path sums attached to an interior split S, T.
+
+    The first sum runs over source-to-sink paths whose ascent vertices lie
+    in T and descent vertices in S, the second over paths with the roles of
+    S and T exchanged; both weight a path by (-1)^(number of interior
+    vertices in S).  The two agree whenever every interval of g has equally
+    many rising and falling paths (no per-length matching is needed).
+
+    Every interior vertex of a path is an ascent or a descent, so the first
+    sum is the falling polynomial at the point s_v = [v in S], the value
+    of :meth:`RestrictedDigraph.falling_at_minus_one`, and the second is
+    the same point with ascent and descent exchanged: two sweeps over the
+    base graph, each linear in its size.
+    """
+    pos = g._pos
+    split = {pos[v]: 0 for v in _checked_subset(g, subset)}
+    first = _falling_polynomial(g, split).get(0, 0)
+    return first, _falling_polynomial(g, split, ascent=0).get(0, 0)
+
+
+def capital_rising_falling_from(g: LabeledDigraph, x) -> dict:
+    """(R, F) of [x, v] for x and every v reachable from it, by one sweep from x."""
+    topo = g._topo
+    capitals = {x: (IntPoly.one(), IntPoly.one())}
+    for p, table in _sweep(g._out, g._masks, g._place(x)):
+        r, f = _sums(table)
+        capitals[topo[p]] = g._poly(r, 0), g._poly(f, 0)
+    return capitals
+
+
+@dataclass(frozen=True)
+class MultichainComparison:
+    """Both sides of the multichain identities in m variables.
+
+    Each polynomial is a dict from an exponent tuple of length m to an
+    integer coefficient.  The left sides truncate F_rising / F_falling to
+    the first m variables; the right sides sum, over all multichains
+    source = x0 <= x1 <= ... <= xm = sink, the products of one-variable
+    rising (falling) polynomials R(x_{i-1}, x_i) in the i-th variable.
+    """
+
+    rising_lhs: dict
+    rising_rhs: dict
+    falling_lhs: dict
+    falling_rhs: dict
+
+    @property
+    def agree(self) -> bool:
+        return self.rising_lhs == self.rising_rhs and self.falling_lhs == self.falling_rhs
+
+
+def _truncate(f: QSymElement, m: int) -> dict:
+    """f in the first m variables, as a dict from exponent tuple to coefficient.
+
+    L_alpha there is the sum of M_beta over the refinements beta of alpha
+    with at most m parts, and M_beta the sum of x^beta over the ways to
+    place beta's parts, in order, on m variables.  The refinements are
+    generated from alpha's descent set by adding at most m - len(alpha) of
+    its other positions, so none with more parts is ever built.
+    """
+    out: dict[tuple, int] = {}
+    for alpha, coeff in f.items():
+        spare = m - len(alpha)
+        if spare < 0:
+            continue
+        n, descents = sum(alpha), _mask(alpha)
+        free = [i for i in range(1, n) if not descents >> i & 1]
+        for r in range(min(spare, len(free)) + 1):
+            for cuts in itertools.combinations(free, r):
+                beta = _composition(descents | sum(1 << c for c in cuts), n)
+                for positions in itertools.combinations(range(m), len(beta)):
+                    exps = [0] * m
+                    for pos, part in zip(positions, beta):
+                        exps[pos] = part
+                    _merge(out, tuple(exps), coeff)
+    return out
+
+
+def multichain_specialization(g: LabeledDigraph, m: int) -> MultichainComparison:
+    """Evaluate both sides of the rising and falling multichain identities."""
+    if m < 1:
+        raise ValueError("need at least one variable")
+    if not g.is_bounded():
+        raise Unbounded("multichain specialization needs a bounded graph")
+    bot, top = g.zero_hat(), g.one_hat()
+
+    # capitals[x][y] = (R, F) of [x, y] for every y >= x, one sweep per x
+    capitals = {x: capital_rising_falling_from(g, x) for x in g.vertices}
+
+    def chain_sum(index: int) -> dict:
+        # (v, nonzero exponents of the first d variables as (variable,
+        # exponent) pairs) -> summed coefficient of the multichains
+        # source = x0 <= ... <= xd = v; one step per variable, and a step
+        # that stays at v (exponent 0) leaves the key's tuple as it is
+        states: dict[tuple, int] = {(bot, ()): 1}
+        for depth in range(m):
+            step: dict[tuple, int] = {}
+            for (v, sparse), coeff in states.items():
+                for w in (top,) if depth == m - 1 else capitals[v]:
+                    for k, c in capitals[v][w][index].items():
+                        key = (w, sparse + ((depth, k),) if k else sparse)
+                        _merge(step, key, coeff * c)
+            states = step
+        out: dict[tuple, int] = {}
+        for (_, sparse), coeff in states.items():
+            exps = [0] * m
+            for i, k in sparse:
+                exps[i] = k
+            out[tuple(exps)] = coeff
+        return out
+
+    rising = F_rising(g)
+    return MultichainComparison(
+        rising_lhs=_truncate(rising, m),
+        rising_rhs=chain_sum(0),
+        falling_lhs=_truncate(omega(rising), m),
+        falling_rhs=chain_sum(1),
+    )

@@ -16,7 +16,6 @@ from cdindex.alexander import (
     alexander_sweep,
     parity_condition,
     restrict,
-    signed_path_sums,
 )
 from cdindex.construct import random_labeled_dag, realize
 from cdindex.coxeter import bruhat_graph_sn
@@ -33,6 +32,7 @@ from cdindex.digraph import (
 from cdindex.ncpoly import IntPoly, parse_cd, star
 
 from conftest import chain, signed_path_sums_by_paths
+from oracles import signed_path_sums
 
 S_FIG3 = {"1", "13"}
 T_FIG3 = {"2", "3", "12", "23"}

@@ -60,6 +60,8 @@ Each group has its own manifest under ``corpus/``:
   interval [u, v] of S4 with u < v and on a seeded sample of
   ``BRUHAT_S5_SAMPLE`` such intervals of S5, each as text and as
   ``--json``.
+* ``intervals``: ``cdindex`` and ``balance`` on the same S4 interval
+  files as ``qsym``, each as text and as ``--json``.
 """
 
 import contextlib
@@ -184,6 +186,16 @@ def qsym_cases() -> list:
 
 # the largest interior ``alexander --all`` runs on in the ``alexander`` group
 SWEPT_INTERIOR = 12
+
+
+def intervals_cases() -> list:
+    """(case id, argv) of ``cdindex`` and ``balance`` on every S4 interval and output form."""
+    return [
+        (f"{name}/{command}/{form}", [*COMMANDS[command], "--graph", f"{name}.json", *extra])
+        for name in s4_intervals()
+        for command in ("cdindex", "balance")
+        for form, extra in (("text", []), ("json", ["--json"]))
+    ]
 
 
 def alexander_cases() -> list:
@@ -402,6 +414,7 @@ GROUPS = {
     "search": search_cases(),
     "conjecture": conjecture_cases(),
     "bruhat": bruhat_cases(),
+    "intervals": intervals_cases(),
 }
 
 
@@ -499,6 +512,11 @@ def test_conjecture_case(case_id, argv, interval_dir):
 @pytest.mark.parametrize("case_id, argv", GROUPS["bruhat"], ids=_ids("bruhat"))
 def test_bruhat_case(case_id, argv):
     check_case("bruhat", case_id, argv)
+
+
+@pytest.mark.parametrize("case_id, argv", GROUPS["intervals"], ids=_ids("intervals"))
+def test_intervals_case(case_id, argv, interval_dir):
+    check_case("intervals", case_id, in_dir(interval_dir, argv), interval_dir)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from cdindex.ncpoly import (
     ab_to_cd,
     bar,
     cd_expand,
-    cd_word_cmp,
     cd_word_degree,
     cd_words_of_degree,
     coproduct,
@@ -28,6 +27,8 @@ from cdindex.ncpoly import (
     parse_cd,
     star,
 )
+
+from oracles import cd_word_cmp
 
 A = AbPoly.monomial("a")
 B = AbPoly.monomial("b")

@@ -18,7 +18,6 @@ from cdindex.ncpoly import AbPoly, IntPoly, parse_ab
 from cdindex.qsym import (
     F_falling,
     F_rising,
-    L_in_M,
     M_in_L,
     QSymElement,
     QSymTensor,
@@ -26,19 +25,13 @@ from cdindex.qsym import (
     complement,
     composition_from_descents,
     compositions,
-    descent_set,
     gamma,
     gamma_inverse,
-    multichain_specialization,
     omega,
     peak_membership,
     qsym_coproduct,
-    reverse_composition,
     sigma_involution,
-    sigma_leq,
 )
-from cdindex.qsym import _truncate
-
 from conftest import (
     MonomialTensor,
     Monomials,
@@ -48,6 +41,7 @@ from conftest import (
     quasi_shuffle,
     run_compositions,
 )
+from oracles import L_in_M, _truncate, descent_set, multichain_specialization, sigma_leq
 
 compositions_st = st.lists(st.integers(1, 4), max_size=4).map(tuple)
 qsym_dicts = st.dictionaries(compositions_st, st.integers(-3, 3), max_size=3)
