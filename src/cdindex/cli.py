@@ -9,10 +9,10 @@ instead of a traceback), 141 when its reader closes the stdout pipe
 command returns its exit status, a JSON payload and its text lines, and
 ``main`` alone prints them: the payload behind ``--json``, the lines
 otherwise.  ``alexander`` gives no payload and the lines of the form
-asked for, which ``main`` prints as they come: its ``--all`` rows, 2^k of
-them for k interior vertices, are written one by one and never held, as
-text or as the lines of ``json_text(rows, sort_keys=True)``.  Both row
-writers are here, side by side.
+asked for, which ``main`` prints as they come: its ``--all`` rows, 2^k
+of them for k interior vertices, are written ``_BATCH`` lines at a time
+and never held whole, as text or as the lines of ``json_text(rows,
+sort_keys=True)``.  Both row writers are here, side by side.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
+
+# lines joined into one write: an unbuffered stdout makes each write one
+# system call, and a batch this size keeps the rows of ``alexander --all``
+# from being held whole
+_BATCH = 256
 
 
 def _parse_subset(text: str) -> frozenset:
@@ -361,9 +366,10 @@ def main(argv=None) -> int:
         code, payload, lines = args.func(args)
         if args.json and payload is not None:
             lines = [json_text(payload, sort_keys=True)]
-        write = sys.stdout.write  # one write per line: print writes the newline apart
-        for line in lines:
-            write(f"{line}\n")
+        write = sys.stdout.write
+        lines = iter(lines)
+        while batch := [*itertools.islice(lines, _BATCH)]:
+            write("".join(f"{line}\n" for line in batch))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -37,7 +37,9 @@ three-case recursion over a right descent, and from rising paths of the
 interval via q^((L - len)/2) * (q - 1)^len summed over rising paths of
 length len, where L is the length difference.  A rising path whose length
 exceeds L or differs from it in parity would leave a half power of q; it
-signals a broken reflection ordering and raises.
+signals a broken reflection ordering and raises.  The rising paths are
+counted by the ab-index sweep that the cd-indexes of the same interval
+made, when they were asked first, and by a run-count sweep otherwise.
 """
 
 from __future__ import annotations
@@ -191,9 +193,10 @@ class BruhatGraph:
         The most recent interval is kept in a single slot, with its complete
         cd-index once one is asked for, so the complete and poset cd-indexes
         and the rising paths asked of one (u, v) share one build, one
-        ab-index sweep and one ab-to-cd conversion.  The slot is one tuple
-        (u, v, interval, complete cd-index or None), replaced whole, so no
-        reader pairs an interval with another interval's cd-index.
+        ab-index sweep (see ``rtilde``) and one ab-to-cd conversion.  The
+        slot is one tuple (u, v, interval, complete cd-index or None),
+        replaced whole, so no reader pairs an interval with another
+        interval's cd-index.
         """
         last = self._last_interval
         if last is not None and last[0] == u and last[1] == v:
@@ -249,7 +252,12 @@ class BruhatGraph:
         return phi.homogeneous_part(self.lengths[v] - self.lengths[u] - 1)
 
     def rtilde(self, u, v) -> IntPoly:
-        """Sum of q^len over rising paths from u to v (1 when u == v)."""
+        """Sum of q^len over rising paths from u to v (1 when u == v).
+
+        Read by ``capital_rising_falling`` on the kept interval: off the
+        ab-index a cd-index of the same (u, v) has swept, as the
+        coefficients of a^(len - 1), or else by a run-count sweep.
+        """
         if not self.leq(u, v):
             return IntPoly.zero()
         if u == v:
@@ -277,10 +285,12 @@ class BruhatGraph:
             if self.lengths[us] < self.lengths[u]:
                 result = self.r_polynomial_recursive(us, vs)
             else:
-                q = IntPoly.q()
-                result = q * self.r_polynomial_recursive(us, vs) + (
-                    q - 1
-                ) * self.r_polynomial_recursive(u, vs)
+                # q*R(us, vs) + (q - 1)*R(u, vs), formed in one table
+                terms = {k + 1: c for k, c in self.r_polynomial_recursive(us, vs).items()}
+                for k, c in self.r_polynomial_recursive(u, vs).items():
+                    terms[k + 1] = terms.get(k + 1, 0) + c
+                    terms[k] = terms.get(k, 0) - c
+                result = IntPoly._trusted({k: c for k, c in terms.items() if c})
         memo[key] = result
         return result
 
@@ -294,6 +304,9 @@ class BruhatGraph:
         lowest term, cannot cancel, and HalfPowerResidue is raised.  Each
         (q-1)^k is expanded by the binomial theorem, the coefficient of q^j
         being (-1)^(k-j) * C(k, j), into one table of coefficients.
+        After a cd-index of the same (u, v), the counts come from the
+        ab-index that sweep kept, so the query sweeps the interval once
+        (see ``rtilde``).
         """
         if not self.leq(u, v):
             return IntPoly.zero()

@@ -57,7 +57,9 @@ it sizes the slots, sweeps, and decodes each result once, whose
 coefficients must sum to the prepass's path count, or InternalError is
 raised.  ``ab_index`` reads its one table at the target, ``ab_index_from``
 and the cd-span verdict read every table.  The rising and falling
-polynomials read one run-count table (below) at the target instead.
+polynomials read one run-count table (below) at the target instead,
+unless ``ab_index`` has just swept the same interval: then they read the
+coefficients of a^(k-1) and b^(k-1) off the ab-index it keeps.
 
 A graph is *balanced* when every interval has, for each length k, equally
 many rising paths (all ascents) and falling paths (all descents).  Balance
@@ -653,6 +655,7 @@ class LabeledDigraph:
         self.relation = relation
         self._frame = None  # kept by alexander._frame
         self._balance = None  # kept by is_balanced
+        self._ab = None  # (start, end, ab-index) of the last ab_index sweep
 
     def _place(self, v) -> int:
         """The position of vertex v; GraphError names v when it is none."""
@@ -941,12 +944,16 @@ class LabeledDigraph:
         """Sum of descent words over all paths from x to y.
 
         Raises NoPath when y is not reachable from x; returns the zero
-        polynomial for x == y (an empty sum).
+        polynomial for x == y (an empty sum).  The result is kept with its
+        two positions, replacing the last one kept, and the rising and
+        falling polynomials of the same pair are read off it with no second
+        sweep (see ``_run_polys``).
         """
         start, end = self._place(x), self._place(y)
         if start == end:
             return AbPoly.zero()
         for _, psi in self._ab_sweep(start, end):
+            self._ab = start, end, psi
             return psi
         raise NoPath(f"no directed path from {x!r} to {y!r}")
 
@@ -958,12 +965,25 @@ class LabeledDigraph:
     def _run_polys(self, x, y, shift: int, empty: IntPoly) -> tuple[IntPoly, IntPoly]:
         """(rising, falling) polynomials of [x, y] by q^(len - shift); ``empty`` twice for x == y.
 
-        The run-count sweep from x stops at the first position at or past
+        A rising path of k edges has the descent word a^(k-1) and a falling
+        one b^(k-1), the empty word counting both at k = 1.  So when
+        ``ab_index(x, y)`` was the last ab-index swept, the counts are those
+        words' coefficients in it, looked up for every k up to the number
+        of positions from x to y, which bounds a path's length.  Otherwise
+        the run-count sweep from x stops at the first position at or past
         y's; NoPath is raised when that position is not y's.
         """
         start, end = self._place(x), self._place(y)
         if start == end:
             return empty, empty
+        kept = self._ab
+        if kept is not None and kept[:2] == (start, end):
+            get = kept[2]._terms.get
+            r, f = (
+                {k: c for k in range(1, end - start + 1) if (c := get(letter * (k - 1)))}
+                for letter in "ab"
+            )
+            return self._poly(r, shift), self._poly(f, shift)
         for p, table in _sweep(self._out, self._masks, start):
             if p == end:
                 r, f = _sums(table)

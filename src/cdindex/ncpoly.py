@@ -332,20 +332,15 @@ def cd_word_degree(word: str) -> int:
     return len(word) + word.count("d")
 
 
-def _cd_order_key(word: str) -> tuple:
-    """Sort key for the linear order on cd-words of a fixed degree.
-
-    Words with fewer d's come first; ties are broken lexicographically on
-    the vector of c-run lengths (i0, i1, ..., ip) where the word is
-    c^i0 d c^i1 d ... d c^ip.
-    """
-    runs = tuple(len(run) for run in word.split("d"))
-    return (word.count("d"), runs)
-
-
 def cd_sort_key(word: str) -> tuple:
-    """Canonical sort key for cd-words: degree, then the fixed-degree order."""
-    return (cd_word_degree(word),) + _cd_order_key(word)
+    """Canonical sort key for cd-words: degree, then the fixed-degree order.
+
+    Within a degree, words with fewer d's come first; ties are broken
+    lexicographically on the vector of c-run lengths (i0, i1, ..., ip)
+    where the word is c^i0 d c^i1 d ... d c^ip.
+    """
+    d = word.count("d")
+    return len(word) + d, d, tuple(map(len, word.split("d")))
 
 
 def cd_words_of_degree(n: int) -> Iterator[str]:

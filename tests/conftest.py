@@ -129,6 +129,33 @@ def signed_path_sums_by_paths(g: LabeledDigraph):
     return sums
 
 
+def assert_kept_reads_match_sweeps(g: LabeledDigraph, pairs) -> None:
+    """After ``g.ab_index(x, y)``, g's rising and falling reads against a fresh graph's.
+
+    The fresh graph is g rebuilt through the constructor, which keeps no
+    ab-index, so each of its reads runs the run-count sweep.  Each (x, y)
+    of ``pairs`` needs x < y.  After ``ab_index(x, y)`` the reads of (x, y)
+    come off the kept ab-index; those of the pair before, read again, come
+    off a sweep.  A ``NoPath`` from ``ab_index`` leaves the kept ab-index
+    as it was.
+    """
+    fresh = LabeledDigraph(g.vertices, [e[:3] for e in g.edges], g.relation)
+    before = None
+    for x, y in pairs:
+        psi = g.ab_index(x, y)
+        kept = g._ab
+        assert kept[2] is psi, (x, y)
+        for pair in filter(None, ((x, y), before)):
+            for read in ("rising_falling", "capital_rising_falling"):
+                assert getattr(g, read)(*pair) == getattr(fresh, read)(*pair), (read, pair, (x, y))
+        stray = next((z for z in g.vertices if z != x and not g.leq(x, z)), None)
+        if stray is not None:
+            with pytest.raises(NoPath):
+                g.ab_index(x, stray)
+            assert g._ab is kept, (x, stray)
+        before = x, y
+
+
 def chain(labels, order=None) -> LabeledDigraph:
     """A path graph v0 -> v1 -> ... with the given edge labels."""
     n = len(labels)

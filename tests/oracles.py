@@ -5,7 +5,8 @@ the library computes.  They read the library's private helpers, so each
 stays the code it was when it lived beside them:
 
 * composition helpers: ``descent_set``, ``sigma_leq`` and ``L_in_M``;
-* ``cd_word_cmp``, the fixed-degree order on cd-words as a comparison;
+* ``cd_word_cmp``, the fixed-degree order on cd-words as a comparison,
+  with its key ``_cd_order_key``;
 * ``signed_path_sums``, the two signed path sums of an interior split;
 * ``capital_rising_falling_from``, the (R, F) pairs of every interval
   [x, v] by one run-count sweep from x;
@@ -24,7 +25,7 @@ from typing import Hashable, Iterable, Sequence
 
 from cdindex.alexander import _checked_subset, _falling_polynomial
 from cdindex.digraph import LabeledDigraph, Unbounded, _sums, _sweep
-from cdindex.ncpoly import IntPoly, _cd_order_key, _merge, cd_word_degree
+from cdindex.ncpoly import IntPoly, _merge, cd_word_degree
 from cdindex.qsym import F_rising, QSymElement, _composition, _mask, _masks, _refine, _validate, omega
 
 
@@ -45,6 +46,17 @@ def sigma_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
 def L_in_M(alpha: Sequence[int]) -> dict:
     """Monomial-basis coefficients of the fundamental element L_alpha."""
     return _refine(_masks([(_validate(alpha), 1)]), 1)
+
+
+def _cd_order_key(word: str) -> tuple:
+    """Sort key for the linear order on cd-words of a fixed degree.
+
+    Words with fewer d's come first; ties are broken lexicographically on
+    the vector of c-run lengths (i0, i1, ..., ip) where the word is
+    c^i0 d c^i1 d ... d c^ip.
+    """
+    runs = tuple(len(run) for run in word.split("d"))
+    return (word.count("d"), runs)
 
 
 def cd_word_cmp(u: str, v: str) -> int:

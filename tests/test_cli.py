@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex import alexander, construct, qsym
+from cdindex import alexander, cli, construct, digraph, qsym
 from cdindex.cli import _alexander_json_lines, build_parser, main
 from cdindex.construct import Counterexample, SearchReport
-from cdindex.coxeter import _dihedral_bruhat_graph
+from cdindex.coxeter import _dihedral_bruhat_graph, bruhat_graph_sn, dihedral_bruhat_graph
 from cdindex.digraph import LabeledDigraph, load_graph, to_json_dict
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.jsontext import quote
@@ -469,21 +469,25 @@ class TestAlexanderCommand:
         assert (code, out, err) == (1, f"S={{{','.join(names)}}} lhs={lhs} rhs={rhs} UNEQUAL\n", "")
 
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
-    def test_all_rows_are_written_one_at_a_time(self, fixture_dir, form):
-        # stdout sees one row per write, so no write holds all 2^k of them
+    def test_all_rows_are_written_a_batch_at_a_time(self, fixture_dir, monkeypatch, form):
+        # stdout sees at most _BATCH rows per write, so no write holds all 2^k of them
+        monkeypatch.setattr(cli, "_BATCH", 5)
         writes = Writes()
         with contextlib.redirect_stdout(writes):
             code = main(["alexander", "--graph", str(fixture_dir / "fig3_b3.json"), "--all", *form])
         assert code == 0 and "".join(writes).count("equal") == 64
-        assert max(text.count("equal") for text in writes) == 1
+        assert max(text.count("equal") for text in writes) == 5
 
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
-    def test_each_line_reaches_stdout_in_one_write(self, fixture_dir, form):
-        # a line and its newline go together: unbuffered, that is one system call per line
+    def test_each_line_reaches_stdout_in_one_write(self, fixture_dir, monkeypatch, form):
+        # a line and its newline go together, _BATCH lines to a write: unbuffered,
+        # that is one system call per batch
+        monkeypatch.setattr(cli, "_BATCH", 5)
         writes = Writes()
         with contextlib.redirect_stdout(writes):
             code = main(["alexander", "--graph", str(fixture_dir / "fig3_b3.json"), "--all", *form])
-        assert code == 0 and len(writes) == 64 + bool(form)  # JSON closes the list on a line of its own
+        lines = 64 + bool(form)  # JSON closes the list on a line of its own
+        assert code == 0 and len(writes) == -(-lines // 5)
         assert all(text.endswith("\n") for text in writes)
 
     def test_closed_stdout_pipe_exits_quietly(self, capsys, tmp_path):
@@ -775,6 +779,27 @@ class TestBruhatCommand:
     ])
     def test_group_size_errors(self, capsys, argv, message):
         assert run(capsys, "bruhat", *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, group", [
+        (["--n", "4", "--interval", "1234:4321", "--complete-cd", "--poset-cd", "--r-poly", "--r-poly-dyer"],
+         lambda: bruhat_graph_sn(4)),
+        (["--type", "I2", "--m", "5", "--k", "4", "--complete-cd", "--r-poly-dyer"], lambda: dihedral_bruhat_graph(5)),
+        (["--n", "4", "--interval", "1234:4321", "--r-poly-dyer"], lambda: bruhat_graph_sn(4)),
+        (["--type", "I2", "--m", "5", "--k", "4", "--r-poly-dyer"], lambda: dihedral_bruhat_graph(5)),
+    ], ids=["S4-every-value", "I2-cd-and-dyer", "S4-dyer", "I2-dyer"])
+    def test_one_sweep_per_query(self, capsys, monkeypatch, argv, group):
+        # the Dyer R-polynomial reads its rising paths off the ab-index that the
+        # cd-index swept; asked alone, it runs the run-count sweep instead
+        monkeypatch.setattr(group(), "_last_interval", None)  # no interval kept by an earlier test
+        sweep, calls = digraph._sweep, []
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(digraph, "_sweep", counted)
+        assert run(capsys, "bruhat", *argv)[0] == 0
+        assert len(calls) == 1
 
     def test_m_cap(self, capsys):
         built = _dihedral_bruhat_graph.cache_info().currsize

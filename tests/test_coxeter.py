@@ -26,7 +26,7 @@ from cdindex.coxeter import (
 from cdindex.digraph import GraphError, InternalError, LabeledDigraph, LinearRelation, NoPath
 from cdindex.ncpoly import IntPoly, NotInSpan, ab_to_cd, bar, parse_ab, parse_cd
 
-from conftest import reach_by_fixpoint
+from conftest import assert_kept_reads_match_sweeps, reach_by_fixpoint
 
 E3 = Permutation((1, 2, 3))
 W3 = Permutation((3, 2, 1))
@@ -704,11 +704,16 @@ class TestAgainstIndependentRoutes:
             assert 0 not in dyer.terms.values()
 
     @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_kept_ab_index_reads_match_the_sweep(self, group):
+        bg, sample = group()
+        assert_kept_reads_match_sweeps(bg.graph, [(u, v) for u, v in _interval_pairs(bg, sample) if u != v])
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
     def test_rtilde_is_the_c_powers_of_the_complete_cd_index(self, group):
         # a cd-word with a d expands only into words with a b, so the coefficient
         # of a^(k - 1) in the ab-index, the number of rising paths of length k,
-        # is that of c^(k - 1) in the cd-index: the run-count sweep against the
-        # ab-word sweep and the conversion
+        # is that of c^(k - 1) in the cd-index: rtilde reads it off the ab-index
+        # the interval keeps, so this checks that read against the conversion
         bg, sample = group()
         for u, v in _interval_pairs(bg, sample):
             if u == v:

@@ -43,9 +43,16 @@ from cdindex.ncpoly import (
     parse_cd,
     star,
 )
+from cdindex.construct import realize
 from cdindex.fixtures import fig3_b3
 
-from conftest import chain, interval_by_filter, reach_by_fixpoint, witness_by_pairs
+from conftest import (
+    assert_kept_reads_match_sweeps,
+    chain,
+    interval_by_filter,
+    reach_by_fixpoint,
+    witness_by_pairs,
+)
 from oracles import capital_rising_falling_from
 
 
@@ -472,8 +479,8 @@ class TestRisingFalling:
                 for y in g.vertices:
                     if x == y or not g.leq(x, y):
                         continue
+                    r, f = g.rising_falling(x, y)  # by the sweep: no ab-index of (x, y) kept yet
                     psi = g.ab_index(x, y)
-                    r, f = g.rising_falling(x, y)
                     assert r == IntPoly(
                         [psi.coefficient("a" * k) for k in range(psi.degree() + 1)]
                     )
@@ -1058,7 +1065,25 @@ def assert_witness_is_brute_force(g):
         assert tuple(report.witness) == witness
 
 
+def reachable_pairs(g):
+    return [(x, y) for x in g.vertices for y in g.vertices if x != y and g.leq(x, y)]
+
+
 class TestRisingFallingSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(random_dags())
+    def test_kept_ab_index_reads_match_the_sweep(self, g):
+        pairs = reachable_pairs(g)  # up to 2,700 with the chain: every k-th, about 200
+        assert_kept_reads_match_sweeps(g, pairs[:: 1 + len(pairs) // 200])
+
+    def test_kept_ab_index_reads_match_the_sweep_on_realized_graphs(self):
+        for text in ("2*c + 3", "cc + d", "ccc + 2*d", "dcd + 2*cdd + c"):
+            g = realize(parse_cd(text))
+            labels = g.relation.order
+            pairs = PairsRelation((l, m) for l in labels for m in labels if g.relation.related(l, m))
+            for h in (g, LabeledDigraph(g.vertices, [e[:3] for e in g.edges], pairs)):
+                assert_kept_reads_match_sweeps(h, reachable_pairs(h))
+
     @settings(max_examples=40, deadline=None)
     @given(random_dags())
     def test_counts_match_path_enumeration(self, g):
