@@ -100,8 +100,9 @@ class _SequenceRelation:
     ``base`` is the base graph's relation; no pair of sequence labels is
     listed.  The base label read off the left label is at index ``ends``
     and the one read off the right label at ``starts``.  The reverse, for
-    :func:`~cdindex.digraph.dual`, swaps the two indexes and reverses the
-    base: l ~ m iff the base relates m[-1] to l[0].
+    the dual graph (every edge reversed, as ``dual`` in ``tests/oracles.py``
+    builds it), swaps the two indexes and reverses the base: l ~ m iff the
+    base relates m[-1] to l[0].
     """
 
     def __init__(self, base, ends: int = -1, starts: int = 0):

@@ -14,7 +14,10 @@ last edge used), so the exponentially many paths are never materialized;
 brute-force enumeration is kept available through :meth:`LabeledDigraph.paths`,
 and :meth:`LabeledDigraph.ab_index_by_paths` sums the descent words of the
 enumerated paths: the one place where paths become ab-words, and the
-oracle the dynamic programme is tested against.
+oracle the dynamic programme is tested against.  It reads the words a
+batch of paths at a time, one column of labels per position, and asks
+``relation.related`` once per distinct pair of adjacent labels, so its
+cost per letter is a dict lookup and its memory one batch.
 
 The dynamic programme runs on an int form of the graph that the
 constructor builds in place of hashed edge lists.  A vertex is its
@@ -43,7 +46,9 @@ x's upper set AND y's lower set, in vertex order, to ``induced``.  The index
 takes about V**2/8 bytes per direction for V vertices (65 kB for S6).
 :meth:`LabeledDigraph.paths` prunes by its own linear scan instead, so the
 path oracle does not share the index it checks, and re-checking a search's
-counterexample on 200,000 vertices needs no 5 GB index.
+counterexample on 200,000 vertices needs no 5 GB index.  The scan lists,
+per position reaching y, the out-edges whose heads reach y, and the walk
+reads only those.
 
 The sweep behind the ab-index keeps, per state, a table from path length
 (and the letters past the first ``_LOW``) to one Python int that packs the
@@ -96,6 +101,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ncpoly import AbPoly, CdPoly, IntPoly, NotInSpan, _BITS_TO_AB, ab_to_cd
@@ -116,7 +123,6 @@ __all__ = [
     "Unbounded",
     "UnknownLabel",
     "cartesian_product",
-    "dual",
     "from_json_dict",
     "load_graph",
     "stanley_product",
@@ -263,11 +269,29 @@ _LOW = 10
 # 0.60 s (medians of 7, Python 3.11.7, 2 vCPUs); 256 gained no more
 _CHUNK = 128
 
+# paths turned into ab-words at a time by ab_index_by_paths, which holds
+# one batch and its label and letter columns at once.  On the 162,482
+# paths of S5 [e, w0], batches of 256, 1,024, 4,096 and 16,384 took 0.31,
+# 0.30, 0.31 and 0.35 s; on the 65,536 of the realized c^16, 1,024 peaked
+# at 6.5 MiB and 4,096 at 7.8 (Python 3.11.7, 2 vCPUs)
+_PATH_BATCH = 1024
+
 
 @lru_cache(maxsize=None)
 def _low_words(m: int) -> tuple:
     """The m-letter ab-words by slot index: letter i is bit i, a = 0 and b = 1."""
     return tuple(bin(w | 1 << m)[:2:-1].translate(_BITS_TO_AB) for w in range(1 << m))
+
+
+class _Letters(dict):
+    """The descent letter of each (label, next label) pair, asking ``related`` once per pair."""
+
+    def __init__(self, related):
+        self.related = related
+
+    def __missing__(self, pair):
+        letter = self[pair] = "a" if self.related(*pair) else "b"
+        return letter
 
 
 def _find_cycle(vertices: tuple, out: list, order: list) -> list:
@@ -342,6 +366,7 @@ class BalanceReport:
             return None
         # a balanced graph's ab-index is a cd-polynomial; [x, x]'s is 0
         psi = g.ab_index(g.zero_hat(), g.one_hat())
+        g._ab = None  # nothing asks the report's copy for (r, f): it keeps no ab-index
         return _checked_cd(psi, "a graph found balanced has no cd-index")
 
 
@@ -730,10 +755,6 @@ class LabeledDigraph:
     def out_edges(self, v) -> tuple:
         return tuple(self._view[1][self._place(v)])
 
-    def in_edges(self, v) -> tuple:
-        head = self._topo[self._place(v)]  # the object every edge into v holds
-        return tuple([e for e in self.edges if e.head is head])
-
     def sources(self) -> tuple:
         # Kahn's queue starts with the sources, in vertex order
         return self._topo[:self._nsources]
@@ -830,31 +851,37 @@ class LabeledDigraph:
 
         Exponential in general; the dynamic programming methods below avoid
         this, and enumeration is intended for small graphs and oracles.
-        The walk keeps an explicit stack, so path length is not bounded by
-        the recursion limit.  It prunes by a linear scan and does not build
-        the reachability index that ``leq`` and ``interval`` use.
+        One backward scan from y down to x gives each position that reaches
+        y its row: the (head position, Edge) pairs of its out-edges, in eid
+        order, whose heads reach y.  There is none when x does not reach y,
+        and then nothing is walked.  The walk reads rows only, so every edge
+        it takes leads on to y, and it keeps an explicit stack, so path
+        length is not bounded by the recursion limit.  The scan is linear
+        and builds no reachability index of the kind ``leq`` and
+        ``interval`` use.
         """
         start, end = self._place(x), self._place(y)
         if end <= start:
             return
-        # the positions from which y is reachable, by one backward scan down
-        # to x: linear in memory, and independent of the reachability index
+        # by one backward scan down to x, the row of each position that
+        # reaches y: its (head position, Edge) pairs whose head reaches y
         out, outs = self._out, self._view[1]
-        useful = {end}
+        rows: dict = {end: ()}
         for q in range(end - 1, start - 1, -1):
-            for h, _, _ in out[q]:
-                if h in useful:
-                    useful.add(q)
-                    break
+            row = [(h, e) for (h, _, _), e in zip(out[q], outs[q]) if h in rows]
+            if row:
+                rows[q] = row
+        if start not in rows:
+            return
         trail: list[Edge] = []
-        pending = [zip(out[start], outs[start])]
+        pending = [iter(rows[start])]
         while pending:
-            for (h, _, _), e in pending[-1]:
+            for h, e in pending[-1]:
                 if h == end:
                     yield (*trail, e)
-                elif h in useful:
+                else:
                     trail.append(e)
-                    pending.append(zip(out[h], outs[h]))
+                    pending.append(iter(rows[h]))
                     break
             else:
                 pending.pop()
@@ -874,8 +901,31 @@ class LabeledDigraph:
 
         Exponential in general: the oracle for :meth:`ab_index`, and the
         enumeration behind the rising and falling quasisymmetric functions.
+        The paths come ``_PATH_BATCH`` at a time, grouped by length.  A
+        group's labels are read one position at a time as a column, and
+        each pair of adjacent columns becomes a column of letters through a
+        memo that asks ``relation.related`` once per distinct pair of
+        labels; a path's word joins its letters across the columns.  No
+        mask or label id of the int form is read, so the sweep is checked
+        against the relation itself; besides the sum, memory holds one
+        batch.
         """
-        return AbPoly._trusted(Counter(map(self.descent_word, self.paths(x, y))))
+        letter = _Letters(self.relation.related).__getitem__
+        label = itemgetter(2)
+        words: Counter = Counter()
+        found = self.paths(x, y)
+        while batch := list(islice(found, _PATH_BATCH)):
+            groups: dict = {}
+            for path in batch:
+                groups.setdefault(len(path), []).append(path)
+            for k, group in groups.items():
+                if k == 1:
+                    words[""] += len(group)
+                    continue
+                labels = [[*map(label, map(itemgetter(i), group))] for i in range(k)]
+                letters = [map(letter, zip(a, b)) for a, b in zip(labels, labels[1:])]
+                words.update(map("".join, zip(*letters)))
+        return AbPoly._trusted(words)
 
     def is_rising(self, path: Path) -> bool:
         return "b" not in self.descent_word(path)
@@ -1079,15 +1129,6 @@ class LabeledDigraph:
             f"LabeledDigraph({len(self._vertices)} vertices, "
             f"{sum(map(len, self._out))} edges, {self.relation!r})"
         )
-
-
-def dual(g: LabeledDigraph) -> LabeledDigraph:
-    """Reverse every edge, keep labels, reverse the relation."""
-    return LabeledDigraph(
-        g.vertices[::-1],
-        [(e.head, e.tail, e.label) for e in g.edges],
-        g.relation.reverse(),
-    )
 
 
 def _pairs_on_used_labels(edges: list, related) -> PairsRelation:

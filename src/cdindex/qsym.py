@@ -27,7 +27,9 @@ bounded labeled digraph, F_rising (the sum of L over the rising-run
 compositions of the source-to-sink paths) is gamma of the ab-index, and
 F_falling, the same sum over the falling-run compositions, is
 omega(F_rising), for any relation on the labels.  F_rising still
-enumerates the paths, through ``LabeledDigraph.ab_index_by_paths``.
+enumerates the paths, through ``LabeledDigraph.ab_index_by_paths``, which
+reads the descent letters of a batch of paths one column at a time and
+asks the relation once per distinct pair of adjacent labels.
 """
 
 from __future__ import annotations
@@ -388,7 +390,8 @@ def F_rising(g: LabeledDigraph) -> QSymElement:
 
     The rising runs of a path break exactly at its descents, which is how
     gamma reads the path's descent word, so this is gamma of the ab-index,
-    here summed over the enumerated paths.
+    here summed over the enumerated paths by ``ab_index_by_paths``: a
+    route that reads the relation itself, not the sweep's ascent masks.
     """
     if not g.is_bounded():
         raise Unbounded("rising/falling quasisymmetric functions need a bounded graph")

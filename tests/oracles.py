@@ -11,7 +11,13 @@ stays the code it was when it lived beside them:
 * ``capital_rising_falling_from``, the (R, F) pairs of every interval
   [x, v] by one run-count sweep from x;
 * ``multichain_specialization``, both sides of the rising and falling
-  multichain identities in m variables.
+  multichain identities in m variables;
+* ``dual``, the graph with every edge reversed, and ``in_edges``, a
+  vertex's in-edges read off the edge list;
+* ``paths_by_zip_walk``, the path walk that tests every out-edge's head
+  against the set of positions reaching y, and
+  ``ab_index_by_descent_words``, the ab-index summed one
+  ``descent_word`` call per path over that walk.
 
 pytest collects no test from this module; test modules import it by name,
 as they import ``conftest``.
@@ -20,12 +26,13 @@ as they import ``conftest``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from cdindex.alexander import _checked_subset, _falling_polynomial
-from cdindex.digraph import LabeledDigraph, Unbounded, _sums, _sweep
-from cdindex.ncpoly import IntPoly, _merge, cd_word_degree
+from cdindex.digraph import Edge, LabeledDigraph, Unbounded, _sums, _sweep
+from cdindex.ncpoly import AbPoly, IntPoly, _merge, cd_word_degree
 from cdindex.qsym import F_rising, QSymElement, _composition, _mask, _masks, _refine, _validate, omega
 
 
@@ -91,6 +98,58 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
     split = {pos[v]: 0 for v in _checked_subset(g, subset)}
     first = _falling_polynomial(g, split).get(0, 0)
     return first, _falling_polynomial(g, split, ascent=0).get(0, 0)
+
+
+def dual(g: LabeledDigraph) -> LabeledDigraph:
+    """Reverse every edge, keep labels, reverse the relation."""
+    return LabeledDigraph(
+        g.vertices[::-1],
+        [(e.head, e.tail, e.label) for e in g.edges],
+        g.relation.reverse(),
+    )
+
+
+def in_edges(g: LabeledDigraph, v) -> tuple:
+    head = g._topo[g._place(v)]  # the object every edge into v holds
+    return tuple([e for e in g.edges if e.head is head])
+
+
+def paths_by_zip_walk(g: LabeledDigraph, x, y) -> Iterator[tuple]:
+    """All directed paths from x to y, by a walk that tests each out-edge's head.
+
+    The positions reaching y come from one backward scan down to x; the
+    walk then zips each position's int out-list with its Edge tuples and
+    skips every edge whose head is not among them.
+    """
+    start, end = g._place(x), g._place(y)
+    if end <= start:
+        return
+    out, outs = g._out, g._view[1]
+    useful = {end}
+    for q in range(end - 1, start - 1, -1):
+        for h, _, _ in out[q]:
+            if h in useful:
+                useful.add(q)
+                break
+    trail: list[Edge] = []
+    pending = [zip(out[start], outs[start])]
+    while pending:
+        for (h, _, _), e in pending[-1]:
+            if h == end:
+                yield (*trail, e)
+            elif h in useful:
+                trail.append(e)
+                pending.append(zip(out[h], outs[h]))
+                break
+        else:
+            pending.pop()
+            if trail:
+                trail.pop()
+
+
+def ab_index_by_descent_words(g: LabeledDigraph, x, y) -> AbPoly:
+    """The ab-index of [x, y] as one ``descent_word`` per path of the zip walk."""
+    return AbPoly._trusted(Counter(map(g.descent_word, paths_by_zip_walk(g, x, y))))
 
 
 def capital_rising_falling_from(g: LabeledDigraph, x) -> dict:

@@ -27,12 +27,11 @@ from cdindex.digraph import (
     NoPath,
     PairsRelation,
     Unbounded,
-    dual,
 )
 from cdindex.ncpoly import IntPoly, parse_cd, star
 
 from conftest import chain, signed_path_sums_by_paths
-from oracles import signed_path_sums
+from oracles import dual, signed_path_sums
 
 S_FIG3 = {"1", "13"}
 T_FIG3 = {"2", "3", "12", "23"}

@@ -31,6 +31,7 @@ from cdindex.digraph import (
 from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_ab, parse_cd
 
 from conftest import chain, witness_by_pairs
+from oracles import in_edges
 
 
 def cd_index_of(g) -> CdPoly:
@@ -445,7 +446,7 @@ class TestChunkedBalance:
         # exchanging the labels of the sink's in-edges from v213 and v214
         # leaves every interval from a source below v155 balanced
         g = self.realized()
-        label = {e.tail: e.label for e in g.in_edges("v215")}
+        label = {e.tail: e.label for e in in_edges(g, "v215")}
         swap = {"v213": label["v214"], "v214": label["v213"]}
         edges = [
             (e.tail, e.head, swap.get(e.tail, e.label) if e.head == "v215" else e.label)

@@ -27,7 +27,6 @@ from cdindex.digraph import (
     Unbounded,
     UnknownLabel,
     cartesian_product,
-    dual,
     from_json_dict,
     stanley_product,
     to_json_dict,
@@ -53,7 +52,13 @@ from conftest import (
     reach_by_fixpoint,
     witness_by_pairs,
 )
-from oracles import capital_rising_falling_from
+from oracles import (
+    ab_index_by_descent_words,
+    capital_rising_falling_from,
+    dual,
+    in_edges,
+    paths_by_zip_walk,
+)
 
 
 class TestLoadAndValidate:
@@ -170,7 +175,7 @@ class TestLoadAndValidate:
                 lambda: g.interval("0", zz),
                 lambda: g.induced(["1", zz]),
                 lambda: g.out_edges(zz),
-                lambda: g.in_edges(zz),
+                lambda: in_edges(g, zz),
                 lambda: next(g.paths(zz, "123")),
                 lambda: g.rising_falling("0", zz),
                 lambda: g.rising_falling(zz, zz),
@@ -882,7 +887,7 @@ class TestIntWordKernel:
                 else:
                     assert psi[v] == AbPoly.zero()
         if "c70" in g.vertices:
-            junction = g.in_edges("c1")[0].tail
+            junction = in_edges(g, "c1")[0].tail
             assert [len(w) for w, _ in g.ab_index(junction, "c70").items()] == [69]
 
     def test_leading_a_letters_survive(self):
@@ -913,6 +918,71 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestPathEnumeration:
+    """``paths`` and ``ab_index_by_paths`` against the zip walk and one descent word per path."""
+
+    BATCHES = [digraph_mod._PATH_BATCH, 1, 2, 3]
+
+    @staticmethod
+    def assert_matches_oracles(g, pairs):
+        swept = {}  # x -> the sweep's ab-index of [x, v] for every v, zero where v is not above x
+        for x, y in pairs:
+            assert list(g.paths(x, y)) == list(paths_by_zip_walk(g, x, y))
+            psi = g.ab_index_by_paths(x, y)
+            assert psi == ab_index_by_descent_words(g, x, y)
+            if x not in swept:
+                swept[x] = g.ab_index_from(x)
+            assert psi == swept[x][y]
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_every_ordered_pair_of_the_fixtures(self, all_fixture_graphs, batch):
+        # unreachable pairs and x == y included: both have no path
+        with mock.patch.object(digraph_mod, "_PATH_BATCH", batch):
+            for g in all_fixture_graphs.values():
+                self.assert_matches_oracles(g, [(x, y) for x in g.vertices for y in g.vertices])
+
+    @settings(max_examples=15, deadline=None)
+    @given(random_dags(), st.sampled_from(BATCHES))
+    def test_random_dags(self, g, batch):
+        with mock.patch.object(digraph_mod, "_PATH_BATCH", batch):
+            self.assert_matches_oracles(g, [(x, y) for x in g.vertices for y in g.vertices])
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_paths_of_two_lengths_across_a_batch(self, batch):
+        # 4,096 paths of 12 edges and 2,048 of 13
+        g = realize(parse_cd("cccccccccccc + ccccccccccc"))
+        ends = g.zero_hat(), g.one_hat()
+        assert sum(1 for _ in g.paths(*ends)) == 6144
+        with mock.patch.object(digraph_mod, "_PATH_BATCH", batch):
+            self.assert_matches_oracles(g, [ends])
+
+    def test_related_is_asked_once_per_pair_of_labels(self):
+        # three letters from two distinct pairs, and a word a swap of a and b changes
+        g = chain(["1", "2", "1", "2"])
+        calls = []
+        related = g.relation.related
+
+        def counting(x, y):
+            calls.append((x, y))
+            return related(x, y)
+
+        with mock.patch.object(g.relation, "related", counting):
+            psi = g.ab_index_by_paths("v0", "v4")
+        assert psi == parse_ab("aba") == g.ab_index("v0", "v4")
+        assert sorted(calls) == [("1", "2"), ("2", "1")]
+
+    def test_memory_stays_within_the_oracle(self):
+        # 65,536 paths: the batches keep the peak near the oracle's, which
+        # holds one path and its word at a time
+        g = realize(parse_cd("c" * 16))
+        ends = g.zero_hat(), g.one_hat()
+        g.edges  # the Edge tuples are built before either peak is read
+        want, oracle_peak = traced_peak(lambda: ab_index_by_descent_words(g, *ends))
+        got, peak = traced_peak(lambda: g.ab_index_by_paths(*ends))
+        assert got == want
+        assert peak <= 1.5 * oracle_peak, (peak, oracle_peak)
 
 
 class TestPackedTables:
@@ -1298,6 +1368,14 @@ class TestRisingFallingSweep:
         assert unbounded.is_balanced().balanced
         assert unbounded.is_balanced().cd_index is None
         assert len(calls) == 1
+
+    def test_cd_index_read_keeps_no_ab_index(self, graph_fig1_left):
+        # the report's graph copy gives its [source, sink] ab-index up after the read
+        g = realize(parse_cd("cccc + 2*dc"))
+        for graph in (g, graph_fig1_left):
+            report = graph.is_balanced()
+            assert report.cd_index is not None
+            assert report._graph._ab is None and graph._ab is None
 
 
 class TestDeepGraphs:

@@ -36,7 +36,7 @@ def test_public_names_are_pinned():
         "alexander_sweep", "antipode", "bar", "bruhat_graph_sn", "bruhat_leq", "butterfly",
         "cartesian_product", "cd_expand", "cd_sort_key", "cd_word_degree", "cd_words_of_degree",
         "complement", "composition_from_descents", "compositions", "conjecture_search", "coproduct",
-        "d_join", "dihedral_bruhat_graph", "dihedral_cover_interval", "dihedral_graph", "dual",
+        "d_join", "dihedral_bruhat_graph", "dihedral_cover_interval", "dihedral_graph",
         "from_json_dict", "gamma", "gamma_inverse", "glue_sum", "load_graph", "omega", "parity_condition",
         "parse_ab", "parse_cd", "parse_permutation", "peak_membership", "qsym_coproduct",
         "random_labeled_dag", "realize", "reflection_order_validate", "restrict", "sigma_involution",
