@@ -98,20 +98,14 @@ class _SequenceRelation:
     """The relation of G_S's sequence labels: l ~ m iff the base relates l[-1] to m[0].
 
     ``base`` is the base graph's relation; no pair of sequence labels is
-    listed.  The base label read off the left label is at index ``ends``
-    and the one read off the right label at ``starts``.  The reverse, for
-    the dual graph (every edge reversed, as ``dual`` in ``tests/oracles.py``
-    builds it), swaps the two indexes and reverses the base: l ~ m iff the
-    base relates m[-1] to l[0].
+    listed.
     """
 
-    def __init__(self, base, ends: int = -1, starts: int = 0):
+    def __init__(self, base):
         self._base = base
-        self._ends = ends
-        self._starts = starts
 
     def related(self, l, m) -> bool:
-        return self._base.related(l[self._ends], m[self._starts])
+        return self._base.related(l[-1], m[0])
 
     def ascent_masks(self, labels) -> list[int]:
         """Bit i of entry j is set iff labels[i] ~ labels[j].
@@ -119,11 +113,11 @@ class _SequenceRelation:
         The labels are grouped by the base labels that end and that start
         them, so the base relation is asked once per pair of base labels.
         """
-        ends, starts, related = self._ends, self._starts, self._base.related
+        related = self._base.related
         ending, starting = {}, {}
         for i, label in enumerate(labels):
-            ending[label[ends]] = ending.get(label[ends], 0) | 1 << i
-            starting.setdefault(label[starts], []).append(i)
+            ending[label[-1]] = ending.get(label[-1], 0) | 1 << i
+            starting.setdefault(label[0], []).append(i)
         masks = [0] * len(labels)
         for b, js in starting.items():
             mask = 0
@@ -134,11 +128,8 @@ class _SequenceRelation:
                 masks[j] = mask
         return masks
 
-    def reverse(self) -> "_SequenceRelation":
-        return _SequenceRelation(self._base.reverse(), self._starts, self._ends)
-
     def __repr__(self):
-        return f"_SequenceRelation({self._base!r}, ends={self._ends}, starts={self._starts})"
+        return f"_SequenceRelation({self._base!r})"
 
 
 class RestrictedDigraph:
@@ -290,12 +281,20 @@ def _falling_polynomial(g: LabeledDigraph, split: dict[int, int], ascent: int = 
 
 
 def _checked_subset(g: LabeledDigraph, subset: Iterable[Hashable]) -> frozenset:
-    """The subset as a frozenset of interior vertices; ValueError otherwise."""
-    subset = frozenset(subset)
-    if not subset <= _frame(g).interior:
-        unknown = subset - set(g.vertices)
+    """The subset as a frozenset of interior vertices; ValueError otherwise.
+
+    A subset that is not iterable raises TypeError.
+    """
+    members = list(subset)
+    interior = _frame(g).interior
+    try:
+        subset = frozenset(members)
+    except TypeError:  # an unhashable member is no vertex either
+        subset = None
+    if subset is None or not subset <= interior:
+        unknown = {str(v) for v in members if v not in g.vertices}
         if unknown:
-            raise ValueError(f"subset contains unknown vertices: {sorted(map(str, unknown))}")
+            raise ValueError(f"subset contains unknown vertices: {sorted(unknown)}")
         raise ValueError("subset must avoid the source and the sink")
     return subset
 
@@ -329,12 +328,13 @@ def alexander_check(g: LabeledDigraph, subset: Iterable[Hashable]) -> AlexanderR
     """
     if not g.is_bounded():
         raise PreconditionFailed("bounded: the graph must have a unique source and sink")
-    subset = frozenset(subset)
+    subset = list(subset)  # a subset that is not iterable raises TypeError here
     if not g.is_balanced().balanced:
         raise PreconditionFailed("balanced: some interval has unequal rising/falling counts")
     parity = parity_condition(g)
     if not parity.uniform:
         raise PreconditionFailed("parity: source-to-sink path lengths have mixed parity")
+    subset = _checked_subset(g, subset)
     complement = _frame(g).interior - subset
     lhs = restrict(g, subset).falling_at_minus_one()
     rhs = _sign(parity) * restrict(g, complement).falling_at_minus_one()

@@ -27,8 +27,9 @@ rising with the eid.  The relation supplies, per label id, an ascent
 mask: bit i of ``masks[j]`` is set iff label i ~ label j.  So the
 kernel indexes lists by position and tests ``masks[last] >> label & 1``
 for a linear order and for a list of pairs alike, with no call to
-``relation.related``; that predicate stays behind :meth:`descent_word` and
-the path oracle, which therefore do not share the masks they check.
+``relation.related``; that predicate stays behind the path oracle and
+:meth:`is_rising` and :meth:`is_falling`, which therefore do not share
+the masks they check.
 The kernels on the int form, :func:`_sweep`, :func:`_path_counts` and
 :func:`_witness`, take the out-lists and masks themselves, so the search
 in :mod:`cdindex.construct` runs the balance verdict on its draws before
@@ -199,9 +200,6 @@ class LinearRelation:
             masks[i] = below
         return masks
 
-    def reverse(self) -> "LinearRelation":
-        return LinearRelation(self._order[::-1])
-
     def to_json(self) -> dict:
         return {"mode": "linear", "order": list(self._order)}
 
@@ -239,9 +237,6 @@ class PairsRelation:
                 if j is not None:
                     masks[j] |= 1 << i
         return masks
-
-    def reverse(self) -> "PairsRelation":
-        return PairsRelation((y, x) for x, y in self._pairs)
 
     def to_json(self) -> dict:
         return {"mode": "pairs", "pairs": sorted(map(list, self._pairs))}
@@ -888,14 +883,6 @@ class LabeledDigraph:
                 if trail:
                     trail.pop()
 
-    def descent_word(self, path: Path) -> str:
-        """Word over {a, b} with an a at each ascent of the path's labels."""
-        rel = self.relation.related
-        return "".join(
-            "a" if rel(e.label, f.label) else "b"
-            for e, f in zip(path, path[1:])
-        )
-
     def ab_index_by_paths(self, x, y) -> AbPoly:
         """The ab-index of [x, y] by enumerating its paths (zero if there are none).
 
@@ -928,10 +915,12 @@ class LabeledDigraph:
         return AbPoly._trusted(words)
 
     def is_rising(self, path: Path) -> bool:
-        return "b" not in self.descent_word(path)
+        rel = self.relation.related
+        return all(rel(e.label, f.label) for e, f in zip(path, path[1:]))
 
     def is_falling(self, path: Path) -> bool:
-        return "a" not in self.descent_word(path)
+        rel = self.relation.related
+        return not any(rel(e.label, f.label) for e, f in zip(path, path[1:]))
 
     # -- dynamic programming ----------------------------------------------
 

@@ -15,7 +15,6 @@ Besides ring arithmetic the module provides the structural maps used
 throughout the package:
 
 * the deletion coproduct on ab-polynomials and its Newtonian identity,
-* the involutions bar (swap a and b) and star (reverse words),
 * the expansion of cd-polynomials into ab-polynomials and the exact
   first-letter recursion going the other way (``ab_to_cd``).
 
@@ -39,15 +38,12 @@ __all__ = [
     "TensorPoly",
     "TensorSquare",
     "ab_to_cd",
-    "bar",
     "cd_expand",
     "cd_sort_key",
     "cd_word_degree",
     "cd_words_of_degree",
     "coproduct",
-    "parse_ab",
     "parse_cd",
-    "star",
 ]
 
 
@@ -422,17 +418,6 @@ def coproduct(p: AbPoly) -> TensorPoly:
     return TensorPoly._trusted(data)
 
 
-def bar(p: AbPoly) -> AbPoly:
-    """Exchange a and b uniformly in every word."""
-    swap = str.maketrans("ab", "ba")
-    return AbPoly._trusted({w.translate(swap): c for w, c in p.items()})
-
-
-def star(p: AbPoly) -> AbPoly:
-    """Reverse every word."""
-    return AbPoly._trusted({w[::-1]: c for w, c in p.items()})
-
-
 _CD_EXPANSION = {"c": AbPoly({"a": 1, "b": 1}), "d": AbPoly({"ab": 1, "ba": 1})}
 
 
@@ -635,9 +620,6 @@ class IntPoly(FreeModule):
         zero = 0 if isinstance(x, int) else type(x).zero()
         return sum((c * x**k for k, c in self._terms.items()), zero)
 
-    def odd_part(self) -> "IntPoly":
-        return self._trusted({k: c for k, c in self._terms.items() if k % 2})
-
 
 _TERM_RE = re.compile(r"^(?P<coeff>\d+)?(?P<star>\*)?(?P<word>[a-d1]+)?$")
 
@@ -669,11 +651,6 @@ def _parse(text: str, cls):
             )
         result = result + cls.monomial(word, sign * coeff)
     return result
-
-
-def parse_ab(text: str) -> AbPoly:
-    """Parse text like ``2*ab + 3`` or ``aa - ab`` into an AbPoly."""
-    return _parse(text, AbPoly)
 
 
 def parse_cd(text: str) -> CdPoly:

@@ -2,19 +2,18 @@
 
 Compositions of n are tuples of positive parts; refining a composition by
 splitting parts gives a partial order isomorphic to the subsets of
-{1, ..., n-1} via descent sets, and the complement operation swaps a
-descent set with its complement.
+{1, ..., n-1} via descent sets, and the complement of a composition
+complements its descent set.
 
 A quasisymmetric element is stored as a finite integer combination of
 fundamental elements L_alpha, the basis in which the path invariants
-below are sums.  There omega complements each index, the antipode sends
-L_alpha to (-1)^n L of the complement of the reversed index, gamma is a
-change of key, the product sums L over the descent sets of shuffles, and
-the coproduct cuts L_alpha of degree n at each of its n + 1 places, in
-L (x) L.  The monomial basis M, with L_alpha the sum of M over the
-refinements of alpha, is only read and printed; an element reaches it,
-and comes back, by one transform over descent-set bitmasks, one descent
-position at a time.
+below are sums.  There omega complements each index, gamma is a change
+of key, and the product sums L over the descent sets of shuffles.  The
+monomial basis M, with L_alpha the sum of M over the refinements of
+alpha, is only read and printed; an element reaches it, and comes back,
+by one transform over descent-set bitmasks, one descent position at a
+time.  No command prints the coproduct or the antipode, so they live with
+the tests that check F_rising against them, in ``tests/oracles.py``.
 
 The linear map gamma identifies ab-polynomials with zero-constant
 quasisymmetric functions by sending the degree n-1 word with descents D to
@@ -34,33 +33,23 @@ asks the relation once per distinct pair of adjacent labels.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .digraph import LabeledDigraph, Unbounded
-from .ncpoly import AbPoly, FreeModule, NotInSpan, TensorSquare, _format_terms, _merge, ab_to_cd
+from .ncpoly import AbPoly, FreeModule, NotInSpan, _format_terms, ab_to_cd
 
 __all__ = [
     "MAX_M_TERMS",
-    "Composition",
     "F_falling",
     "F_rising",
     "M_in_L",
     "QSymElement",
-    "QSymTensor",
-    "antipode",
-    "complement",
-    "composition_from_descents",
-    "compositions",
     "gamma",
     "gamma_inverse",
     "omega",
     "peak_membership",
-    "qsym_coproduct",
     "sigma_involution",
 ]
-
-Composition = tuple
 
 # QSymElement.to_string("M") refuses an element whose L terms expand into
 # more monomial terms than this: the 17-edge rising chain's F_rising =
@@ -112,37 +101,6 @@ def _word(alpha: tuple) -> str:
 def _from_word(word: str) -> tuple:
     """The composition of len(word) + 1 with a descent after each b of the word."""
     return tuple([len(run) + 1 for run in word.split("b")])
-
-
-def composition_from_descents(descents, n: int) -> tuple:
-    """The composition of n whose descent set is the given subset of {1..n-1}."""
-    cuts = list(descents)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n={n!r} is not a nonnegative int")
-    if not all(isinstance(c, int) and 0 < c < n for c in cuts) or len(set(cuts)) < len(cuts):
-        raise ValueError(f"descents {cuts} are not distinct ints in 1..{n - 1}")
-    return _composition(sum(1 << c for c in cuts), n)
-
-
-def complement(alpha: Sequence[int]) -> tuple:
-    """The complementary composition: swap commas and plus signs.
-
-    Equivalently, complement the descent set inside {1, ..., n-1}.
-    """
-    alpha = _validate(alpha)
-    if not alpha:
-        raise ValueError("the empty composition has no complement")
-    return _complement(alpha)
-
-
-def compositions(n: int) -> Iterator[tuple]:
-    """All compositions of n (the empty composition for n = 0)."""
-    if n == 0:
-        yield ()
-        return
-    for r in range(n):
-        for cuts in itertools.combinations(range(1, n), r):
-            yield composition_from_descents(cuts, n)
 
 
 def _masks(terms) -> dict:
@@ -295,10 +253,6 @@ class QSymElement(FreeModule):
     def constant_term(self) -> int:
         return self.coefficient(())
 
-    def l_coefficients(self) -> dict:
-        """Coefficients in the fundamental basis."""
-        return dict(self._terms)
-
     def m_coefficients(self) -> dict:
         """Coefficients in the monomial basis."""
         return _refine(_masks(self._terms.items()), 1)
@@ -323,43 +277,6 @@ class QSymElement(FreeModule):
         raise ValueError(f"unknown basis {basis!r}")
 
 
-class QSymTensor(TensorSquare):
-    """Integer combination of ordered pairs of compositions, in the basis L (x) L.
-
-    It adds and is scaled by ints, and a product of two raises TypeError:
-    the key product it inherits from QSymElement would concatenate
-    compositions, and a componentwise shuffle product in L (x) L grows far
-    faster than the quasi-shuffle product in M (x) M.
-    """
-
-    __slots__ = ()
-    _FACTOR = QSymElement
-    _UNIT = ((), ())
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return super().__mul__(other)
-        raise TypeError("QSymTensor has no product; it is only added and scaled by ints")
-
-    __rmul__ = __mul__
-
-
-def qsym_coproduct(f: QSymElement) -> QSymTensor:
-    """Cut each L_alpha, alpha a composition of n, at each of its n + 1 places.
-
-    The cut at i gives L of alpha's descents below i, a composition of i,
-    tensor L of its descents above i shifted down by i, a composition of
-    n - i; a descent at i itself is the cut.
-    """
-    data: dict[tuple, int] = {}
-    for alpha, coeff in f.items():
-        n, mask = sum(alpha), _mask(alpha)
-        for i in range(n + 1):
-            cut = (_composition(mask & (1 << i) - 1, i), _composition(mask >> i & ~1, n - i))
-            _merge(data, cut, coeff)
-    return QSymTensor._trusted(data)
-
-
 def omega(f: QSymElement) -> QSymElement:
     """The involution sending each fundamental element to its complement.
 
@@ -367,21 +284,6 @@ def omega(f: QSymElement) -> QSymElement:
     """
     return QSymElement._trusted(
         {_complement(alpha) if alpha else alpha: coeff for alpha, coeff in f.items()}
-    )
-
-
-def antipode(f: QSymElement) -> QSymElement:
-    """S(L_alpha) = (-1)^n L of the complement of the reversed alpha, extended linearly.
-
-    In the monomial basis this is S(M_alpha) = (-1)^n omega(M of the
-    reversed alpha): reversal commutes with refinement, so it reverses
-    fundamental indices too.
-    """
-    return QSymElement._trusted(
-        {
-            _complement(alpha[::-1]) if alpha else alpha: -coeff if sum(alpha) % 2 else coeff
-            for alpha, coeff in f.items()
-        }
     )
 
 

@@ -4,7 +4,15 @@ No command of the package reaches these; the tests compare them with what
 the library computes.  They read the library's private helpers, so each
 stays the code it was when it lived beside them:
 
-* composition helpers: ``descent_set``, ``sigma_leq`` and ``L_in_M``;
+* ab-polynomial helpers: ``parse_ab``, and the involutions ``bar``
+  (swap a and b) and ``star`` (reverse words);
+* composition helpers: ``descent_set``, ``sigma_leq``, ``L_in_M``,
+  ``composition_from_descents``, ``complement`` and ``compositions``;
+* the Hopf structure of QSym: ``QSymTensor``, the combinations in
+  L (x) L, ``qsym_coproduct``, which cuts each L_alpha of degree n at each
+  of its n + 1 places, and ``antipode``, which sends L_alpha to (-1)^n L
+  of the complement of the reversed alpha;
+* ``odd_part``, the odd-degree terms of an ``IntPoly``;
 * ``cd_word_cmp``, the fixed-degree order on cd-words as a comparison,
   with its key ``_cd_order_key``;
 * ``signed_path_sums``, the two signed path sums of an interior split;
@@ -12,8 +20,10 @@ stays the code it was when it lived beside them:
   [x, v] by one run-count sweep from x;
 * ``multichain_specialization``, both sides of the rising and falling
   multichain identities in m variables;
-* ``dual``, the graph with every edge reversed, and ``in_edges``, a
+* ``dual``, the graph with every edge reversed, whose relation lists the
+  reversed related pairs of the graph's labels, and ``in_edges``, a
   vertex's in-edges read off the edge list;
+* ``descent_word``, a path's word with an a at each ascent;
 * ``paths_by_zip_walk``, the path walk that tests every out-edge's head
   against the set of positions reaching y, and
   ``ab_index_by_descent_words``, the ab-index summed one
@@ -31,9 +41,39 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from cdindex.alexander import _checked_subset, _falling_polynomial
-from cdindex.digraph import Edge, LabeledDigraph, Unbounded, _sums, _sweep
-from cdindex.ncpoly import AbPoly, IntPoly, _merge, cd_word_degree
-from cdindex.qsym import F_rising, QSymElement, _composition, _mask, _masks, _refine, _validate, omega
+from cdindex.digraph import Edge, LabeledDigraph, PairsRelation, Unbounded, _sums, _sweep
+from cdindex.ncpoly import AbPoly, IntPoly, TensorSquare, _merge, _parse, cd_word_degree
+from cdindex.qsym import (
+    F_rising,
+    QSymElement,
+    _complement,
+    _composition,
+    _mask,
+    _masks,
+    _refine,
+    _validate,
+    omega,
+)
+
+
+def bar(p: AbPoly) -> AbPoly:
+    """Exchange a and b uniformly in every word."""
+    swap = str.maketrans("ab", "ba")
+    return AbPoly._trusted({w.translate(swap): c for w, c in p.items()})
+
+
+def star(p: AbPoly) -> AbPoly:
+    """Reverse every word."""
+    return AbPoly._trusted({w[::-1]: c for w, c in p.items()})
+
+
+def parse_ab(text: str) -> AbPoly:
+    """Parse text like ``2*ab + 3`` or ``aa - ab`` into an AbPoly."""
+    return _parse(text, AbPoly)
+
+
+def odd_part(p: IntPoly) -> IntPoly:
+    return IntPoly._trusted({k: c for k, c in p.items() if k % 2})
 
 
 def descent_set(alpha: Sequence[int]) -> frozenset:
@@ -53,6 +93,89 @@ def sigma_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
 def L_in_M(alpha: Sequence[int]) -> dict:
     """Monomial-basis coefficients of the fundamental element L_alpha."""
     return _refine(_masks([(_validate(alpha), 1)]), 1)
+
+
+def composition_from_descents(descents, n: int) -> tuple:
+    """The composition of n whose descent set is the given subset of {1..n-1}."""
+    cuts = list(descents)
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n={n!r} is not a nonnegative int")
+    if not all(isinstance(c, int) and 0 < c < n for c in cuts) or len(set(cuts)) < len(cuts):
+        raise ValueError(f"descents {cuts} are not distinct ints in 1..{n - 1}")
+    return _composition(sum(1 << c for c in cuts), n)
+
+
+def complement(alpha: Sequence[int]) -> tuple:
+    """The complementary composition: swap commas and plus signs.
+
+    Equivalently, complement the descent set inside {1, ..., n-1}.
+    """
+    alpha = _validate(alpha)
+    if not alpha:
+        raise ValueError("the empty composition has no complement")
+    return _complement(alpha)
+
+
+def compositions(n: int) -> Iterator[tuple]:
+    """All compositions of n (the empty composition for n = 0)."""
+    if n == 0:
+        yield ()
+        return
+    for r in range(n):
+        for cuts in itertools.combinations(range(1, n), r):
+            yield composition_from_descents(cuts, n)
+
+
+class QSymTensor(TensorSquare):
+    """Integer combination of ordered pairs of compositions, in the basis L (x) L.
+
+    It adds and is scaled by ints, and a product of two raises TypeError:
+    the key product it inherits from QSymElement would concatenate
+    compositions, and a componentwise shuffle product in L (x) L grows far
+    faster than the quasi-shuffle product in M (x) M.
+    """
+
+    __slots__ = ()
+    _FACTOR = QSymElement
+    _UNIT = ((), ())
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return super().__mul__(other)
+        raise TypeError("QSymTensor has no product; it is only added and scaled by ints")
+
+    __rmul__ = __mul__
+
+
+def qsym_coproduct(f: QSymElement) -> QSymTensor:
+    """Cut each L_alpha, alpha a composition of n, at each of its n + 1 places.
+
+    The cut at i gives L of alpha's descents below i, a composition of i,
+    tensor L of its descents above i shifted down by i, a composition of
+    n - i; a descent at i itself is the cut.
+    """
+    data: dict[tuple, int] = {}
+    for alpha, coeff in f.items():
+        n, mask = sum(alpha), _mask(alpha)
+        for i in range(n + 1):
+            cut = (_composition(mask & (1 << i) - 1, i), _composition(mask >> i & ~1, n - i))
+            _merge(data, cut, coeff)
+    return QSymTensor._trusted(data)
+
+
+def antipode(f: QSymElement) -> QSymElement:
+    """S(L_alpha) = (-1)^n L of the complement of the reversed alpha, extended linearly.
+
+    In the monomial basis this is S(M_alpha) = (-1)^n omega(M of the
+    reversed alpha): reversal commutes with refinement, so it reverses
+    fundamental indices too.
+    """
+    return QSymElement._trusted(
+        {
+            _complement(alpha[::-1]) if alpha else alpha: -coeff if sum(alpha) % 2 else coeff
+            for alpha, coeff in f.items()
+        }
+    )
 
 
 def _cd_order_key(word: str) -> tuple:
@@ -101,17 +224,27 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
 
 
 def dual(g: LabeledDigraph) -> LabeledDigraph:
-    """Reverse every edge, keep labels, reverse the relation."""
+    """Reverse every edge, keep labels, reverse the relation, as pairs over the labels."""
+    labels, rel = g._labels, g.relation.related
     return LabeledDigraph(
         g.vertices[::-1],
         [(e.head, e.tail, e.label) for e in g.edges],
-        g.relation.reverse(),
+        PairsRelation((m, l) for l in labels for m in labels if rel(l, m)),
     )
 
 
 def in_edges(g: LabeledDigraph, v) -> tuple:
     head = g._topo[g._place(v)]  # the object every edge into v holds
     return tuple([e for e in g.edges if e.head is head])
+
+
+def descent_word(g: LabeledDigraph, path: tuple) -> str:
+    """Word over {a, b} with an a at each ascent of the path's labels."""
+    rel = g.relation.related
+    return "".join(
+        "a" if rel(e.label, f.label) else "b"
+        for e, f in zip(path, path[1:])
+    )
 
 
 def paths_by_zip_walk(g: LabeledDigraph, x, y) -> Iterator[tuple]:
@@ -149,7 +282,7 @@ def paths_by_zip_walk(g: LabeledDigraph, x, y) -> Iterator[tuple]:
 
 def ab_index_by_descent_words(g: LabeledDigraph, x, y) -> AbPoly:
     """The ab-index of [x, y] as one ``descent_word`` per path of the zip walk."""
-    return AbPoly._trusted(Counter(map(g.descent_word, paths_by_zip_walk(g, x, y))))
+    return AbPoly._trusted(Counter(descent_word(g, path) for path in paths_by_zip_walk(g, x, y)))
 
 
 def capital_rising_falling_from(g: LabeledDigraph, x) -> dict:

@@ -28,10 +28,10 @@ from cdindex.digraph import (
     PairsRelation,
     Unbounded,
 )
-from cdindex.ncpoly import IntPoly, parse_cd, star
+from cdindex.ncpoly import IntPoly, parse_cd
 
 from conftest import chain, signed_path_sums_by_paths
-from oracles import dual, signed_path_sums
+from oracles import dual, signed_path_sums, star
 
 S_FIG3 = {"1", "13"}
 T_FIG3 = {"2", "3", "12", "23"}
@@ -186,11 +186,12 @@ class TestRestrict:
         gs = restrict(graph_b3, S_FIG3).graph
         for g in (gs, dual(gs), dual(dual(gs))):
             assert " at 0x" not in repr(g)
-        assert repr(gs.relation) == (
-            "_SequenceRelation(LinearRelation(['1', '2', '3']), ends=-1, starts=0)"
-        )
+        assert repr(gs.relation) == "_SequenceRelation(LinearRelation(['1', '2', '3']))"
+        # the dual lists its relation as pairs over G_S's labels: (m, l) for each l ~ m
         assert repr(dual(gs).relation) == (
-            "_SequenceRelation(LinearRelation(['3', '2', '1']), ends=0, starts=-1)"
+            "PairsRelation([(('1',), ('1',)), (('2',), ('1',)), (('2',), ('2',)), "
+            "(('2', '3'), ('1',)), (('2', '3'), ('2',)), (('3',), ('1',)), "
+            "(('3',), ('2',)), (('3',), ('2', '3')), (('3',), ('3',))])"
         )
         # the dual's paths are the reversed paths, with their descent words reversed
         assert dual(gs).ab_index("123", "0") == star(gs.ab_index("0", "123"))
@@ -689,9 +690,15 @@ class TestSignedPathSums:
 
     @pytest.mark.parametrize(
         "subset, message",
-        [({"zz"}, "unknown vertices"), ({"0"}, "avoid the source"), ({"123"}, "avoid the source")],
+        [
+            ({"zz"}, "unknown vertices"),
+            ({"0"}, "avoid the source"),
+            ({"123"}, "avoid the source"),
+            # an unhashable member is no vertex either, and raises no TypeError
+            ([[1]], "unknown vertices"),
+        ],
     )
     def test_rejects_subset_like_restrict(self, graph_b3, subset, message):
-        for fn in (restrict, signed_path_sums):
+        for fn in (restrict, signed_path_sums, alexander_check):
             with pytest.raises(ValueError, match=message):
                 fn(graph_b3, subset)

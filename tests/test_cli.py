@@ -21,7 +21,9 @@ from cdindex.coxeter import _dihedral_bruhat_graph, bruhat_graph_sn, dihedral_br
 from cdindex.digraph import LabeledDigraph, load_graph, to_json_dict
 from cdindex.fixtures import FIXTURE_BUILDERS, fixture_bytes, write_fixture_files
 from cdindex.jsontext import quote
-from cdindex.ncpoly import parse_ab, parse_cd
+from cdindex.ncpoly import parse_cd
+
+from oracles import parse_ab
 
 # the directory the cdindex package is imported from, for child processes
 SRC_DIR = str(Path(alexander.__file__).parents[1])

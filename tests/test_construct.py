@@ -28,10 +28,10 @@ from cdindex.digraph import (
     from_json_dict,
     to_json_dict,
 )
-from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_ab, parse_cd
+from cdindex.ncpoly import CdPoly, ab_to_cd, cd_sort_key, cd_words_of_degree, parse_cd
 
 from conftest import chain, witness_by_pairs
-from oracles import in_edges
+from oracles import descent_word, in_edges, parse_ab
 
 
 def cd_index_of(g) -> CdPoly:
@@ -120,7 +120,7 @@ class TestDJoin:
         words = {}
         for p in g.paths(g.zero_hat(), g.one_hat()):
             (junction,) = [e for e in p if e.label in (lo, hi)]
-            words[junction.label] = g.descent_word(p)
+            words[junction.label] = descent_word(g, p)
         assert words == {lo: "ba", hi: "ab"}
 
     def test_butterfly_then_edge(self):

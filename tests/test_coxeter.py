@@ -24,10 +24,10 @@ from cdindex.coxeter import (
     transpositions,
 )
 from cdindex.digraph import GraphError, InternalError, LabeledDigraph, LinearRelation, NoPath
-from cdindex.ncpoly import IntPoly, NotInSpan, ab_to_cd, bar, parse_ab, parse_cd
+from cdindex.ncpoly import IntPoly, NotInSpan, ab_to_cd, parse_cd
 
 from conftest import assert_kept_reads_match_sweeps, reach_by_fixpoint
-from oracles import in_edges
+from oracles import bar, in_edges, parse_ab
 
 E3 = Permutation((1, 2, 3))
 W3 = Permutation((3, 2, 1))

@@ -38,9 +38,7 @@ from cdindex.ncpoly import (
     TensorPoly,
     ab_to_cd,
     coproduct,
-    parse_ab,
     parse_cd,
-    star,
 )
 from cdindex.construct import realize
 from cdindex.fixtures import fig3_b3
@@ -55,9 +53,12 @@ from conftest import (
 from oracles import (
     ab_index_by_descent_words,
     capital_rising_falling_from,
+    descent_word,
     dual,
     in_edges,
+    parse_ab,
     paths_by_zip_walk,
+    star,
 )
 
 
@@ -309,7 +310,7 @@ class TestInterval:
 class TestDescentWord:
     def test_single_edge(self, graph_fig1_left):
         (path,) = [p for p in graph_fig1_left.paths("0", "1") if len(p) == 1 and p[0].label == "3"]
-        assert graph_fig1_left.descent_word(path) == ""
+        assert descent_word(graph_fig1_left, path) == ""
 
     def test_classical_chain(self, graph_b3):
         path = next(
@@ -318,12 +319,12 @@ class TestDescentWord:
             if [e.head for e in p] == ["1", "12", "123"]
         )
         assert [e.label for e in path] == ["1", "2", "3"]
-        assert graph_b3.descent_word(path) == "aa"
+        assert descent_word(graph_b3, path) == "aa"
 
     def test_descent(self):
         g = chain(["2", "1"])
         (path,) = g.paths("v0", "v2")
-        assert g.descent_word(path) == "b"
+        assert descent_word(g, path) == "b"
 
     def test_rising_and_falling_against_the_relation(self, all_fixture_graphs):
         # a path of one edge is both; a loop on one label under pairs makes
@@ -921,7 +922,7 @@ def traced_peak(fn):
 
 
 class TestPathEnumeration:
-    """``paths`` and ``ab_index_by_paths`` against the zip walk and one descent word per path."""
+    """``paths`` and what reads them against the zip walk and one descent word per path."""
 
     BATCHES = [digraph_mod._PATH_BATCH, 1, 2, 3]
 
@@ -929,7 +930,12 @@ class TestPathEnumeration:
     def assert_matches_oracles(g, pairs):
         swept = {}  # x -> the sweep's ab-index of [x, v] for every v, zero where v is not above x
         for x, y in pairs:
-            assert list(g.paths(x, y)) == list(paths_by_zip_walk(g, x, y))
+            paths = list(g.paths(x, y))
+            assert paths == list(paths_by_zip_walk(g, x, y))
+            for path in paths:
+                word = descent_word(g, path)
+                assert g.is_rising(path) == ("b" not in word)
+                assert g.is_falling(path) == ("a" not in word)
             psi = g.ab_index_by_paths(x, y)
             assert psi == ab_index_by_descent_words(g, x, y)
             if x not in swept:
@@ -1394,7 +1400,7 @@ class TestDeepGraphs:
         g = chain(["1"] * self.N)
         (path,) = g.paths("v0", f"v{self.N}")
         assert len(path) == self.N
-        assert g.descent_word(path) == "a" * (self.N - 1)
+        assert descent_word(g, path) == "a" * (self.N - 1)
 
     def test_ab_index_on_long_chain(self):
         g = chain(["2", "1"] * (self.N // 2))

@@ -18,17 +18,14 @@ from cdindex.ncpoly import (
     _dense_to_cd,
     _sparse_to_cd,
     ab_to_cd,
-    bar,
     cd_expand,
     cd_word_degree,
     cd_words_of_degree,
     coproduct,
-    parse_ab,
     parse_cd,
-    star,
 )
 
-from oracles import cd_word_cmp
+from oracles import bar, cd_word_cmp, odd_part, parse_ab, star
 
 A = AbPoly.monomial("a")
 B = AbPoly.monomial("b")
@@ -508,7 +505,7 @@ class TestStanleySpan:
     @settings(max_examples=40)
     def test_matching_odd_parts_land_in_span(self, p, base):
         # force matching odd parts: q = base with p's odd part grafted in
-        q = base - base.odd_part() + p.odd_part()
+        q = base - odd_part(base) + odd_part(p)
         combo = p(A - B) + q(B - A)
         roundtrip = cd_expand(ab_to_cd(combo))
         assert roundtrip == combo
@@ -545,7 +542,7 @@ class TestIntPoly:
         p = IntPoly((0, 3, 0, -2))
         assert p == IntPoly({1: 3, 3: -2}) and p.coeffs == (0, 3, 0, -2)
         assert str(p) == "-2*q^3 + 3*q" and p.degree() == 3
-        assert p.odd_part() == p and IntPoly((5, 1)).odd_part() == IntPoly.q()
+        assert odd_part(p) == p and odd_part(IntPoly((5, 1))) == IntPoly.q()
         assert IntPoly.monomial(2, 4) == IntPoly((0, 0, 4))
         assert IntPoly.monomial(2, 0).is_zero() and IntPoly.zero().coeffs == ()
         assert IntPoly((7,)) == 7 and hash(IntPoly((7,))) == hash(IntPoly({0: 7}))

@@ -14,22 +14,16 @@ from cdindex.digraph import (
     Unbounded,
     cartesian_product,
 )
-from cdindex.ncpoly import AbPoly, IntPoly, parse_ab
+from cdindex.ncpoly import AbPoly, IntPoly
 from cdindex.qsym import (
     F_falling,
     F_rising,
     M_in_L,
     QSymElement,
-    QSymTensor,
-    antipode,
-    complement,
-    composition_from_descents,
-    compositions,
     gamma,
     gamma_inverse,
     omega,
     peak_membership,
-    qsym_coproduct,
     sigma_involution,
 )
 from conftest import (
@@ -41,7 +35,20 @@ from conftest import (
     quasi_shuffle,
     run_compositions,
 )
-from oracles import L_in_M, _truncate, descent_set, multichain_specialization, sigma_leq
+from oracles import (
+    L_in_M,
+    QSymTensor,
+    _truncate,
+    antipode,
+    complement,
+    composition_from_descents,
+    compositions,
+    descent_set,
+    multichain_specialization,
+    parse_ab,
+    qsym_coproduct,
+    sigma_leq,
+)
 
 compositions_st = st.lists(st.integers(1, 4), max_size=4).map(tuple)
 qsym_dicts = st.dictionaries(compositions_st, st.integers(-3, 3), max_size=3)
@@ -170,7 +177,7 @@ class TestBases:
             for beta, c in M_in_L(alpha).items():
                 back = back + QSymElement.L(beta, c)
             assert back == QSymElement.M(alpha)
-            assert QSymElement.L(alpha).l_coefficients() == {alpha: 1}
+            assert QSymElement.L(alpha).terms == {alpha: 1}
             # elements are stored in the fundamental basis
             assert QSymElement.M(alpha).terms == M_in_L(alpha)
             assert QSymElement.L(alpha).m_coefficients() == L_in_M(alpha)
@@ -321,7 +328,7 @@ class TestHopf:
 def _omega_via_fundamental(f):
     """Oracle: expand in the L basis, complement each index, and expand back."""
     out = QSymElement.zero()
-    for alpha, coeff in f.l_coefficients().items():
+    for alpha, coeff in f.terms.items():
         if alpha == ():
             out = out + coeff
         else:
