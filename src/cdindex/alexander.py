@@ -280,12 +280,22 @@ def _falling_polynomial(g: LabeledDigraph, split: dict[int, int], ascent: int = 
     return {t: sum(row.values()) for t, row in state[end].items()}
 
 
+def _listed(subset: Iterable[Hashable]) -> list:
+    """The subset's members as a list; TypeError for a str or a non-iterable.
+
+    A str is refused rather than read as the set of its characters.
+    """
+    if isinstance(subset, str):
+        raise TypeError(f"subset must be a collection of vertices, not the str {subset!r}")
+    return list(subset)
+
+
 def _checked_subset(g: LabeledDigraph, subset: Iterable[Hashable]) -> frozenset:
     """The subset as a frozenset of interior vertices; ValueError otherwise.
 
-    A subset that is not iterable raises TypeError.
+    A str or a subset that is not iterable raises TypeError.
     """
-    members = list(subset)
+    members = _listed(subset)
     interior = _frame(g).interior
     try:
         subset = frozenset(members)
@@ -328,7 +338,7 @@ def alexander_check(g: LabeledDigraph, subset: Iterable[Hashable]) -> AlexanderR
     """
     if not g.is_bounded():
         raise PreconditionFailed("bounded: the graph must have a unique source and sink")
-    subset = list(subset)  # a subset that is not iterable raises TypeError here
+    subset = _listed(subset)  # a str or a non-iterable subset raises TypeError here
     if not g.is_balanced().balanced:
         raise PreconditionFailed("balanced: some interval has unequal rising/falling counts")
     parity = parity_condition(g)

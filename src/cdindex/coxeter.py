@@ -177,9 +177,6 @@ class BruhatGraph:
         self._rpoly_memo: dict = {}
         self._last_interval: tuple | None = None
 
-    def top(self):
-        return max(self.graph.vertices, key=lambda v: self.lengths[v])
-
     def leq(self, u, v) -> bool:
         """Bruhat order: u <= v iff the graph has a directed path.
 

@@ -41,10 +41,10 @@ use.
 Reachability has one index, built on its first query and kept: per
 position, a bitset of the vertices above it and one of those below it, bit
 i standing for ``vertices[i]``, each filled by one pass in (reverse)
-topological order.  ``leq`` is one bit test, ``descendants`` and
-``ancestors`` read one bitset, and ``interval(x, y)`` passes the members of
-x's upper set AND y's lower set, in vertex order, to ``induced``.  The index
-takes about V**2/8 bytes per direction for V vertices (65 kB for S6).
+topological order.  ``leq`` is one bit test, and ``interval(x, y)`` passes
+the members of x's upper set AND y's lower set, in vertex order, to
+``induced``.  The index takes about V**2/8 bytes per direction for V
+vertices (65 kB for S6).
 :meth:`LabeledDigraph.paths` prunes by its own linear scan instead, so the
 path oracle does not share the index it checks, and re-checking a search's
 counterexample on 200,000 vertices needs no 5 GB index.  The scan lists,
@@ -164,8 +164,6 @@ class InternalError(RuntimeError):
 class LinearRelation:
     """Labels carry a total order; x ~ y iff x comes no later than y."""
 
-    mode = "linear"
-
     def __init__(self, order: Sequence[Hashable]):
         order = tuple(order)
         if len(set(order)) != len(order):
@@ -210,14 +208,8 @@ class LinearRelation:
 class PairsRelation:
     """Explicit relation: x ~ y iff the ordered pair (x, y) was listed."""
 
-    mode = "pairs"
-
     def __init__(self, pairs: Iterable[tuple]):
         self._pairs = frozenset((x, y) for x, y in pairs)
-
-    @property
-    def pairs(self) -> frozenset:
-        return self._pairs
 
     @property
     def labels(self) -> frozenset:
@@ -378,10 +370,6 @@ class BalanceEquivalenceReport:
     per_length: bool
     even_length: bool
     cd_span: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.per_length
 
 
 def _checked_cd(psi: AbPoly, failure: str) -> CdPoly:
@@ -778,27 +766,12 @@ class LabeledDigraph:
             raise Unbounded(f"graph has {len(snk)} sinks")
         return snk[0]
 
-    def descendants(self, x) -> frozenset:
-        """Vertices reachable from x, including x itself.
-
-        The first call of this, ``ancestors``, ``leq`` or ``interval``
-        builds the reachability index: about V**2/8 bytes per direction for
-        V vertices, 16 MB for 8,785.  ``paths`` does not build it.
-        """
-        return frozenset(self._members(self._reach[0][self._place(x)]))
-
-    def ancestors(self, y) -> frozenset:
-        """Vertices from which y is reachable, including y itself.
-
-        The first call builds the reachability index (see ``descendants``).
-        """
-        return frozenset(self._members(self._reach[1][self._place(y)]))
-
     def leq(self, x, y) -> bool:
         """The reachability order: x <= y iff a directed path runs from x to y.
 
-        One bit test, but the first call builds the reachability index of
-        about V**2/8 bytes per direction (see ``descendants``).
+        One bit test, but the first call of this or ``interval`` builds the
+        reachability index: about V**2/8 bytes per direction for V
+        vertices, 16 MB for 8,785.  ``paths`` does not build it.
         """
         return bool(self._reach[0][self._place(x)] >> self._index[self._place(y)] & 1)
 
@@ -807,7 +780,7 @@ class LabeledDigraph:
 
         Its vertices come in this graph's vertex order; it is empty unless x <= y.
         The first call builds the reachability index of about V**2/8 bytes
-        per direction (see ``descendants``).
+        per direction (see ``leq``).
         """
         above, below = self._reach
         return self.induced(self._members(above[self._place(x)] & below[self._place(y)]))
@@ -1007,21 +980,17 @@ class LabeledDigraph:
         A rising path of k edges has the descent word a^(k-1) and a falling
         one b^(k-1), the empty word counting both at k = 1.  So when
         ``ab_index(x, y)`` was the last ab-index swept, the counts are those
-        words' coefficients in it, looked up for every k up to the number
-        of positions from x to y, which bounds a path's length.  Otherwise
-        the run-count sweep from x stops at the first position at or past
-        y's; NoPath is raised when that position is not y's.
+        words' coefficients in it, read in one pass over its words.
+        Otherwise the run-count sweep from x stops at the first position at
+        or past y's; NoPath is raised when that position is not y's.
         """
         start, end = self._place(x), self._place(y)
         if start == end:
             return empty, empty
         kept = self._ab
         if kept is not None and kept[:2] == (start, end):
-            get = kept[2]._terms.get
-            r, f = (
-                {k: c for k in range(1, end - start + 1) if (c := get(letter * (k - 1)))}
-                for letter in "ab"
-            )
+            terms = kept[2]._terms
+            r, f = ({len(w) + 1: c for w, c in terms.items() if other not in w} for other in "ba")
             return self._poly(r, shift), self._poly(f, shift)
         for p, table in _sweep(self._out, self._masks, start):
             if p == end:

@@ -15,8 +15,9 @@ Besides ring arithmetic the module provides the structural maps used
 throughout the package:
 
 * the deletion coproduct on ab-polynomials and its Newtonian identity,
-* the expansion of cd-polynomials into ab-polynomials and the exact
-  first-letter recursion going the other way (``ab_to_cd``).
+* the exact first-letter recursion that rewrites an ab-polynomial in c
+  and d (``ab_to_cd``).  Its inverse, the expansion of cd-polynomials
+  into ab-polynomials, lives with the tests in ``tests/oracles.py``.
 
 All coefficients are Python ints, so arithmetic never overflows.
 """
@@ -38,7 +39,6 @@ __all__ = [
     "TensorPoly",
     "TensorSquare",
     "ab_to_cd",
-    "cd_expand",
     "cd_sort_key",
     "cd_word_degree",
     "cd_words_of_degree",
@@ -51,12 +51,13 @@ class NotInSpan(ValueError):
     """Raised when an ab-polynomial is not a cd-polynomial.
 
     Carries the leftovers of the conversion, a list of (cd-prefix,
-    {ab-word: coefficient}) pairs.  ``residual`` is the nonzero r, the sum
-    of the leftovers each multiplied by the expansion of its cd-prefix, such
+    {ab-word: coefficient}) pairs.  The residual r is the nonzero sum of
+    the leftovers each multiplied by the expansion of its cd-prefix, such
     that the polynomial minus r is a cd-polynomial, so callers can report a
-    witness.  It can have exponentially many terms, so it is built on its
-    first read, and the message names only the number of leftovers and the
-    first prefix.  ``factored_residual`` prints r without the expansion.
+    witness.  Expanded, r can have exponentially many terms, so the
+    message names only the number of leftovers and the first prefix, and
+    ``factored_residual`` prints r without the expansion; the expanded r
+    is the ``residual`` oracle in ``tests/oracles.py``.
     """
 
     def __init__(self, leftovers: list):
@@ -65,13 +66,6 @@ class NotInSpan(ValueError):
             f"the first at cd-prefix {leftovers[0][0]!r}"
         )
         self.leftovers = leftovers
-
-    @cached_property
-    def residual(self) -> "AbPoly":
-        residual = AbPoly.zero()
-        for prefix, leftover in self.leftovers:
-            residual = residual + cd_expand(CdPoly.monomial(prefix)) * AbPoly._trusted(leftover)
-        return residual
 
     @cached_property
     def factored_residual(self) -> str:
@@ -418,27 +412,6 @@ def coproduct(p: AbPoly) -> TensorPoly:
     return TensorPoly._trusted(data)
 
 
-_CD_EXPANSION = {"c": AbPoly({"a": 1, "b": 1}), "d": AbPoly({"ab": 1, "ba": 1})}
-
-
-def _algebra_map(p: FreeModule, images: dict) -> AbPoly:
-    """Substitute ``images[letter]`` for every letter of every word of p and expand."""
-    result = AbPoly.zero()
-    for word, coeff in p.items():
-        factor = AbPoly.one()
-        for letter in word:
-            factor = factor * images[letter]
-            if factor.is_zero():
-                break
-        result = result + coeff * factor
-    return result
-
-
-def cd_expand(p: CdPoly) -> AbPoly:
-    """Substitute c -> a+b and d -> ab+ba and expand."""
-    return _algebra_map(p, _CD_EXPANSION)
-
-
 # a degree n of at least _DENSE_MIN_DEGREE goes to the dense recursion of
 # ab_to_cd when its 2**n slots are at most _DENSE times its term count (see
 # ab_to_cd for the choice of both)
@@ -483,8 +456,8 @@ def ab_to_cd(p: AbPoly) -> CdPoly:
 
     Where a check fails the node takes V = 0 and U = P_a, which leaves
     -b*(P_a - P_b) behind.  If any check fails, p is not a cd-polynomial
-    and NotInSpan carries the leftovers; its residual p - cd_expand(q),
-    where q is the cd-polynomial so built, is computed from them when read.
+    and NotInSpan carries the leftovers; its residual is p minus the
+    expansion of the cd-polynomial so built.
     """
     parts: dict[int, dict] = {}
     for word, coeff in p.items():
@@ -606,19 +579,10 @@ class IntPoly(FreeModule):
     def _render(k: int) -> str:
         return "" if k == 0 else "q" if k == 1 else f"q^{k}"
 
-    @classmethod
-    def q(cls) -> "IntPoly":
-        return cls._trusted({1: 1})
-
     @property
     def coeffs(self) -> tuple:
         """The dense coefficients c0, c1, ..., up to the degree."""
         return tuple(self._terms.get(k, 0) for k in range(self.degree() + 1))
-
-    def __call__(self, x):
-        """Evaluate term by term; x may be an int or any polynomial here."""
-        zero = 0 if isinstance(x, int) else type(x).zero()
-        return sum((c * x**k for k, c in self._terms.items()), zero)
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>\d+)?(?P<star>\*)?(?P<word>[a-d1]+)?$")

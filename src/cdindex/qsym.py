@@ -10,10 +10,11 @@ fundamental elements L_alpha, the basis in which the path invariants
 below are sums.  There omega complements each index, gamma is a change
 of key, and the product sums L over the descent sets of shuffles.  The
 monomial basis M, with L_alpha the sum of M over the refinements of
-alpha, is only read and printed; an element reaches it, and comes back,
-by one transform over descent-set bitmasks, one descent position at a
-time.  No command prints the coproduct or the antipode, so they live with
-the tests that check F_rising against them, in ``tests/oracles.py``.
+alpha, is only read and printed; an element reaches it by one transform
+over descent-set bitmasks, one descent position at a time.  No command
+builds an element from M, prints the coproduct or takes the antipode, so
+these live with the tests that check F_rising against them, in
+``tests/oracles.py``.
 
 The linear map gamma identifies ab-polynomials with zero-constant
 quasisymmetric functions by sending the degree n-1 word with descents D to
@@ -42,7 +43,6 @@ __all__ = [
     "MAX_M_TERMS",
     "F_falling",
     "F_rising",
-    "M_in_L",
     "QSymElement",
     "gamma",
     "gamma_inverse",
@@ -139,11 +139,6 @@ def _refine(tables: dict, sign: int) -> dict:
     return out
 
 
-def M_in_L(alpha: Sequence[int]) -> dict:
-    """Fundamental-basis coefficients of M_alpha, by inclusion-exclusion."""
-    return _refine(_masks([(_validate(alpha), 1)]), -1)
-
-
 def _shuffle_masks(acc: dict, du: int, n: int, dv: int, m: int, coeff: int) -> None:
     """Add coeff times L_alpha L_beta into ``acc``, keyed by descent-set bitmask.
 
@@ -220,9 +215,10 @@ class QSymElement(FreeModule):
     """Finite integer combination of fundamental quasisymmetric elements L_alpha.
 
     Keys are compositions, graded by their sum; the raw constructor,
-    ``items()`` and ``coefficient()`` read fundamental coefficients, and
-    ``M`` and ``m_coefficients()`` the monomial ones.  A product is taken
-    in the fundamental basis, by shuffles.
+    ``monomial``, ``items()`` and ``coefficient()`` read fundamental
+    coefficients, and ``m_coefficients()`` and ``to_string("M")`` the
+    monomial ones.  A product is taken in the fundamental basis, by
+    shuffles.
     """
 
     __slots__ = ()
@@ -239,16 +235,6 @@ class QSymElement(FreeModule):
         if not isinstance(other, QSymElement):
             return super().__mul__(other)
         return QSymElement._trusted(_product(self._terms, other._terms))
-
-    @classmethod
-    def M(cls, alpha: Sequence[int], coeff: int = 1) -> "QSymElement":
-        if not coeff:
-            return cls.zero()
-        return cls._trusted({beta: c * coeff for beta, c in M_in_L(alpha).items()})
-
-    @classmethod
-    def L(cls, alpha: Sequence[int], coeff: int = 1) -> "QSymElement":
-        return cls.monomial(tuple(alpha), coeff)
 
     def constant_term(self) -> int:
         return self.coefficient(())

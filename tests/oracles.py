@@ -6,13 +6,18 @@ stays the code it was when it lived beside them:
 
 * ab-polynomial helpers: ``parse_ab``, and the involutions ``bar``
   (swap a and b) and ``star`` (reverse words);
+* ``cd_expand``, which substitutes c -> a+b and d -> ab+ba, through
+  ``_algebra_map``, and ``residual``, the expanded residual of a
+  ``NotInSpan``;
 * composition helpers: ``descent_set``, ``sigma_leq``, ``L_in_M``,
-  ``composition_from_descents``, ``complement`` and ``compositions``;
+  ``M_in_L``, ``composition_from_descents``, ``complement`` and
+  ``compositions``, and ``M``, the monomial quasisymmetric element;
 * the Hopf structure of QSym: ``QSymTensor``, the combinations in
   L (x) L, ``qsym_coproduct``, which cuts each L_alpha of degree n at each
   of its n + 1 places, and ``antipode``, which sends L_alpha to (-1)^n L
   of the complement of the reversed alpha;
-* ``odd_part``, the odd-degree terms of an ``IntPoly``;
+* ``odd_part``, the odd-degree terms of an ``IntPoly``, and ``evaluate``,
+  its value at an int or a polynomial;
 * ``cd_word_cmp``, the fixed-degree order on cd-words as a comparison,
   with its key ``_cd_order_key``;
 * ``signed_path_sums``, the two signed path sums of an interior split;
@@ -42,7 +47,17 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 from cdindex.alexander import _checked_subset, _falling_polynomial
 from cdindex.digraph import Edge, LabeledDigraph, PairsRelation, Unbounded, _sums, _sweep
-from cdindex.ncpoly import AbPoly, IntPoly, TensorSquare, _merge, _parse, cd_word_degree
+from cdindex.ncpoly import (
+    AbPoly,
+    CdPoly,
+    FreeModule,
+    IntPoly,
+    NotInSpan,
+    TensorSquare,
+    _merge,
+    _parse,
+    cd_word_degree,
+)
 from cdindex.qsym import (
     F_rising,
     QSymElement,
@@ -72,8 +87,42 @@ def parse_ab(text: str) -> AbPoly:
     return _parse(text, AbPoly)
 
 
+_CD_EXPANSION = {"c": AbPoly({"a": 1, "b": 1}), "d": AbPoly({"ab": 1, "ba": 1})}
+
+
+def _algebra_map(p: FreeModule, images: dict) -> AbPoly:
+    """Substitute ``images[letter]`` for every letter of every word of p and expand."""
+    result = AbPoly.zero()
+    for word, coeff in p.items():
+        factor = AbPoly.one()
+        for letter in word:
+            factor = factor * images[letter]
+            if factor.is_zero():
+                break
+        result = result + coeff * factor
+    return result
+
+
+def cd_expand(p: CdPoly) -> AbPoly:
+    """Substitute c -> a+b and d -> ab+ba and expand."""
+    return _algebra_map(p, _CD_EXPANSION)
+
+
+def residual(exc: NotInSpan) -> AbPoly:
+    residual = AbPoly.zero()
+    for prefix, leftover in exc.leftovers:
+        residual = residual + cd_expand(CdPoly.monomial(prefix)) * AbPoly._trusted(leftover)
+    return residual
+
+
 def odd_part(p: IntPoly) -> IntPoly:
     return IntPoly._trusted({k: c for k, c in p.items() if k % 2})
+
+
+def evaluate(p: IntPoly, x):
+    """Evaluate term by term; x may be an int or any polynomial here."""
+    zero = 0 if isinstance(x, int) else type(x).zero()
+    return sum((c * x**k for k, c in p._terms.items()), zero)
 
 
 def descent_set(alpha: Sequence[int]) -> frozenset:
@@ -93,6 +142,17 @@ def sigma_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
 def L_in_M(alpha: Sequence[int]) -> dict:
     """Monomial-basis coefficients of the fundamental element L_alpha."""
     return _refine(_masks([(_validate(alpha), 1)]), 1)
+
+
+def M_in_L(alpha: Sequence[int]) -> dict:
+    """Fundamental-basis coefficients of M_alpha, by inclusion-exclusion."""
+    return _refine(_masks([(_validate(alpha), 1)]), -1)
+
+
+def M(alpha: Sequence[int], coeff: int = 1) -> QSymElement:
+    if not coeff:
+        return QSymElement.zero()
+    return QSymElement._trusted({beta: c * coeff for beta, c in M_in_L(alpha).items()})
 
 
 def composition_from_descents(descents, n: int) -> tuple:

@@ -31,7 +31,7 @@ from cdindex.digraph import (
 from cdindex.ncpoly import IntPoly, parse_cd
 
 from conftest import chain, signed_path_sums_by_paths
-from oracles import dual, signed_path_sums, star
+from oracles import dual, evaluate, signed_path_sums, star
 
 S_FIG3 = {"1", "13"}
 T_FIG3 = {"2", "3", "12", "23"}
@@ -66,7 +66,7 @@ def built_falling_at_minus_one(r):
         _, f = r.graph.rising_falling(bot, top)
     except NoPath:
         f = IntPoly.zero()
-    return f(-1)
+    return evaluate(f, -1)
 
 
 class TestRestrict:
@@ -696,9 +696,12 @@ class TestSignedPathSums:
             ({"123"}, "avoid the source"),
             # an unhashable member is no vertex either, and raises no TypeError
             ([[1]], "unknown vertices"),
+            # a str names the vertex "13", not the subset {"1", "3"}: TypeError
+            ("13", "not the str '13'"),
         ],
     )
     def test_rejects_subset_like_restrict(self, graph_b3, subset, message):
+        error = TypeError if isinstance(subset, str) else ValueError
         for fn in (restrict, signed_path_sums, alexander_check):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 fn(graph_b3, subset)

@@ -756,7 +756,7 @@ class TestConjectureSearch:
     def test_nonlinear_negative_example_out_of_scope(self, graph_fig2_ii):
         # the known balanced graph with a negative cd-coefficient uses a
         # relation that is not a linear order, so the harness never emits it
-        assert graph_fig2_ii.relation.mode == "pairs"
+        assert graph_fig2_ii.relation.to_json()["mode"] == "pairs"
         cd = graph_fig2_ii.is_balanced().cd_index
         assert any(c < 0 for c in cd.terms.values())
 

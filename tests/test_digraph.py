@@ -170,8 +170,6 @@ class TestLoadAndValidate:
                 lambda: g.ab_index_from(zz),
                 lambda: g.leq(zz, "123"),
                 lambda: g.leq("0", zz),
-                lambda: g.descendants(zz),
-                lambda: g.ancestors(zz),
                 lambda: g.interval(zz, "123"),
                 lambda: g.interval("0", zz),
                 lambda: g.induced(["1", zz]),
@@ -246,8 +244,6 @@ class TestInterval:
             g = LabeledDigraph(vertices, edges, LinearRelation("pqr"))
             reach = reach_by_fixpoint(g)
             for x in g.vertices:
-                assert g.descendants(x) == reach[x]
-                assert g.ancestors(x) == {z for z in g.vertices if x in reach[z]}
                 for y in g.vertices:
                     assert g.leq(x, y) == (y in reach[x])
                     # the oracle builds its graph from scratch, checking everything
@@ -465,9 +461,8 @@ class TestB3WithTies:
         for g in self.graphs():
             assert brute_force_witness(g) is None
             assert g.is_balanced().balanced
-            for x in g.vertices:
-                for y in g.descendants(x) - {x}:
-                    assert g.ab_index(x, y) == g.ab_index_by_paths(x, y)
+            for x, y in reachable_pairs(g):
+                assert g.ab_index(x, y) == g.ab_index_by_paths(x, y)
             assert g.ab_index("0", "123") == parse_ab("2*aa + ab + ba + 2*bb")
             assert g.is_balanced().cd_index == parse_cd("2*cc - d")
 
@@ -505,7 +500,7 @@ class TestRisingFalling:
 
     def test_single_edge_capitals(self):
         g = chain(["1"])
-        assert g.capital_rising_falling("v0", "v1") == (IntPoly.q(), IntPoly.q())
+        assert g.capital_rising_falling("v0", "v1") == (IntPoly.monomial(1), IntPoly.monomial(1))
 
     def test_reachable_vertex_with_no_rising_or_falling_path(self):
         # x -2-> a -3-> b -1-> y: the one path to y rises, then falls; w -1-> z
@@ -517,7 +512,7 @@ class TestRisingFalling:
         )
         zero = IntPoly.zero()
         assert g.ab_index("x", "y") == AbPoly.monomial("ab")
-        assert g.rising_falling("x", "b") == (IntPoly.q(), zero)
+        assert g.rising_falling("x", "b") == (IntPoly.monomial(1), zero)
         assert g.rising_falling("x", "y") == (zero, zero)
         assert g.capital_rising_falling("x", "y") == (zero, zero)
         assert capital_rising_falling_from(g, "x")["y"] == (zero, zero)
@@ -529,12 +524,12 @@ class TestRisingFalling:
     def test_capitals_from_one_sweep_match_per_pair_calls(self, all_fixture_graphs):
         # the whole S4 graph holds every S4 interval [x, y]; its cover graph too
         bg = bruhat_graph_sn(4)
-        top = bg.top()
+        top = max(bg.lengths, key=bg.lengths.get)
         graphs = [*all_fixture_graphs.values(), bg.graph, bg.cover_interval(bg.identity, top)]
         for g in graphs:
             for x in g.vertices:
                 capitals = capital_rising_falling_from(g, x)
-                assert set(capitals) == g.descendants(x)
+                assert set(capitals) == {y for y in g.vertices if g.leq(x, y)}
                 for y, pair in capitals.items():
                     assert pair == g.capital_rising_falling(x, y)
 
@@ -762,7 +757,7 @@ class TestProductsAgainstBranches:
                 pairs = {(l, m) for l in labels for m in labels if related(l, m)}
                 assert prod.vertices == tuple(vertices)
                 assert [tuple(e[:3]) for e in prod.edges] == edges
-                assert prod.relation.pairs == pairs
+                assert prod.relation.to_json()["pairs"] == sorted(map(list, pairs))
                 expected = LabeledDigraph(vertices, edges, PairsRelation(pairs))
                 assert prod.topological_order == expected.topological_order
 
@@ -812,7 +807,7 @@ class TestDpOracle:
         for _ in range(50):
             g = random_labeled_dag(rng, max_vertices=8)
             rep = g.check_balance_equivalence()
-            verdicts.add(rep.verdict)
+            verdicts.add(rep.per_length)
             assert rep.per_length == rep.even_length == rep.cd_span
         assert verdicts  # at least evaluated
 
@@ -828,7 +823,7 @@ class TestDpOracle:
                 assert rep.per_length == rep.even_length == rep.cd_span == (
                     brute_force_witness(g) is None
                 )
-                verdicts.add(rep.verdict)
+                verdicts.add(rep.per_length)
         assert verdicts == {True, False}
 
 
@@ -1163,13 +1158,12 @@ class TestRisingFallingSweep:
     @settings(max_examples=40, deadline=None)
     @given(random_dags())
     def test_counts_match_path_enumeration(self, g):
-        for x in g.vertices:
-            for y in g.descendants(x) - {x}:
-                paths = list(g.paths(x, y))
-                assert g.rising_falling(x, y) == (
-                    length_poly(filter(g.is_rising, paths)),
-                    length_poly(filter(g.is_falling, paths)),
-                )
+        for x, y in reachable_pairs(g):
+            paths = list(g.paths(x, y))
+            assert g.rising_falling(x, y) == (
+                length_poly(filter(g.is_rising, paths)),
+                length_poly(filter(g.is_falling, paths)),
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(random_dags())

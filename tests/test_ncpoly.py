@@ -14,18 +14,26 @@ from cdindex.ncpoly import (
     IntPoly,
     NotInSpan,
     TensorPoly,
-    _algebra_map,
     _dense_to_cd,
     _sparse_to_cd,
     ab_to_cd,
-    cd_expand,
     cd_word_degree,
     cd_words_of_degree,
     coproduct,
     parse_cd,
 )
 
-from oracles import bar, cd_word_cmp, odd_part, parse_ab, star
+from oracles import (
+    _algebra_map,
+    bar,
+    cd_expand,
+    cd_word_cmp,
+    evaluate,
+    odd_part,
+    parse_ab,
+    residual,
+    star,
+)
 
 A = AbPoly.monomial("a")
 B = AbPoly.monomial("b")
@@ -288,15 +296,15 @@ class TestAbToCd:
     def test_not_in_span(self):
         with pytest.raises(NotInSpan) as exc:
             ab_to_cd(A)
-        assert not exc.value.residual.is_zero()
+        assert not residual(exc.value).is_zero()
 
     def test_residual_witness(self):
         # the degree-1 cd-span is spanned by a+b, so 2a+b leaves a residual
         with pytest.raises(NotInSpan) as exc:
             ab_to_cd(2 * A + B)
-        assert exc.value.residual == -B
+        assert residual(exc.value) == -B
         # the witness plus some cd-expansion recovers the input
-        assert (2 * A + B - exc.value.residual) == cd_expand(2 * C)
+        assert (2 * A + B - residual(exc.value)) == cd_expand(2 * C)
 
     @given(cd_polys)
     @settings(max_examples=60)
@@ -332,9 +340,9 @@ class TestAbToCd:
         except NotInSpan as exc:
             # the two residuals may differ; each is a valid witness
             assert expected is None
-            assert not exc.residual.is_zero()
-            ab_to_cd(p - exc.residual)
-            assert read_factored(exc.factored_residual) == exc.residual
+            assert not residual(exc).is_zero()
+            ab_to_cd(p - residual(exc))
+            assert read_factored(exc.factored_residual) == residual(exc)
         else:
             assert got == expected
 
@@ -345,10 +353,9 @@ class TestAbToCd:
         exc = caught.value
         assert str(exc) == "not in the span of cd-words: 1 leftover(s), the first at cd-prefix 'c'"
         assert exc.leftovers == [("c", {"b": -1})]
-        assert "residual" not in vars(exc)
-        assert exc.residual == -(A + B) * B
-        assert exc.residual is exc.residual
-        assert ab_to_cd(p - exc.residual) == C * C
+        assert vars(exc).keys() == {"leftovers"}  # nothing expanded
+        assert residual(exc) == -(A + B) * B
+        assert ab_to_cd(p - residual(exc)) == C * C
 
     @pytest.mark.parametrize(
         "text, factored, expanded",
@@ -364,9 +371,9 @@ class TestAbToCd:
             ab_to_cd(parse_ab(text))
         exc = caught.value
         assert exc.factored_residual == factored
-        assert "residual" not in vars(exc)  # printing expands nothing
-        assert str(exc.residual) == expanded
-        assert read_factored(factored) == exc.residual
+        assert vars(exc).keys() == {"leftovers", "factored_residual"}  # printing expands nothing
+        assert str(residual(exc)) == expanded
+        assert read_factored(factored) == residual(exc)
 
     def test_factored_residual_of_a_long_word(self):
         # a^n leaves n terms, where the expanded residual has 2^n - 1
@@ -386,7 +393,7 @@ class TestAbToCd:
         assert str(caught.value) == (
             "not in the span of cd-words: 3000 leftover(s), the first at cd-prefix ''"
         )
-        assert "residual" not in vars(caught.value)
+        assert vars(caught.value).keys() == {"leftovers"}
 
     def test_long_word_is_not_in_span(self):
         # the elimination walks all Fib(n) cd-words of the degree (about 1 s
@@ -397,7 +404,7 @@ class TestAbToCd:
         with pytest.raises(NotInSpan) as exc:
             ab_to_cd(p)
         assert time.perf_counter() - start < 1.0
-        assert not exc.value.residual.is_zero()
+        assert not residual(exc.value).is_zero()
 
 
 def _both_paths(p: AbPoly) -> list:
@@ -442,7 +449,7 @@ class TestDenseAndSparsePaths:
             exc = NotInSpan(leftovers)
             assert str(exc) == str(caught.value)
             assert exc.factored_residual == caught.value.factored_residual
-            ab_to_cd(p - exc.residual)
+            ab_to_cd(p - residual(exc))
 
     @given(deep_cd_polys, ab_polys, st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -506,14 +513,14 @@ class TestStanleySpan:
     def test_matching_odd_parts_land_in_span(self, p, base):
         # force matching odd parts: q = base with p's odd part grafted in
         q = base - odd_part(base) + odd_part(p)
-        combo = p(A - B) + q(B - A)
+        combo = evaluate(p, A - B) + evaluate(q, B - A)
         roundtrip = cd_expand(ab_to_cd(combo))
         assert roundtrip == combo
 
     @given(int_polys)
     @settings(max_examples=40)
     def test_one_sided_combination(self, p):
-        combo = p(A - B) * B + p(B - A) * A
+        combo = evaluate(p, A - B) * B + evaluate(p, B - A) * A
         roundtrip = cd_expand(ab_to_cd(combo))
         assert roundtrip == combo
 
@@ -521,13 +528,13 @@ class TestStanleySpan:
 class TestIntPoly:
     def test_eval(self):
         p = IntPoly((-1, 2, -2, 1))
-        assert p(1) == 0
-        assert p(-1) == -6
-        assert p(0) == -1
+        assert evaluate(p, 1) == 0
+        assert evaluate(p, -1) == -6
+        assert evaluate(p, 0) == -1
 
     def test_eval_at_ab_poly(self):
         p = IntPoly((0, 0, 1))  # q^2
-        assert p(A - B) == (A - B) * (A - B)
+        assert evaluate(p, A - B) == (A - B) * (A - B)
 
     def test_normalization(self):
         assert IntPoly((1, 0, 0)) == IntPoly((1,))
@@ -542,7 +549,7 @@ class TestIntPoly:
         p = IntPoly((0, 3, 0, -2))
         assert p == IntPoly({1: 3, 3: -2}) and p.coeffs == (0, 3, 0, -2)
         assert str(p) == "-2*q^3 + 3*q" and p.degree() == 3
-        assert odd_part(p) == p and odd_part(IntPoly((5, 1))) == IntPoly.q()
+        assert odd_part(p) == p and odd_part(IntPoly((5, 1))) == IntPoly.monomial(1)
         assert IntPoly.monomial(2, 4) == IntPoly((0, 0, 4))
         assert IntPoly.monomial(2, 0).is_zero() and IntPoly.zero().coeffs == ()
         assert IntPoly((7,)) == 7 and hash(IntPoly((7,))) == hash(IntPoly({0: 7}))

@@ -2,25 +2,37 @@
 
 Every public name has a caller: the library, its CLI or the acceptance
 tests read it, unless ``UNCALLED`` names the planned work that will.
+Every public member of a public class is read too: by the library, the
+acceptance tests or the benchmark, unless ``UNREAD`` names the planned
+work that will.
 """
 
 import ast
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import cdindex
+from cdindex import cli
 
 MODULES = ("ncpoly", "digraph", "alexander", "qsym", "coxeter", "construct")
 
 LIBRARY = sorted(Path(cdindex.__file__).resolve().parent.glob("*.py"))
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+BENCH = sorted(Path(__file__).resolve().parent.parent.joinpath("bench").glob("*.py"))
 
 # public names nothing calls yet, each with the ROADMAP item that will
 UNCALLED = {
     "bruhat_leq": "items 6 and 24c",
     "cartesian_product": "item 11",
+}
+
+# public members nothing reads yet, each with the ROADMAP item that will
+UNREAD = {
+    "Permutation.swap": "items 6 and 24c",
 }
 
 
@@ -71,6 +83,50 @@ def _called() -> set:
     return called
 
 
+def _members() -> list:
+    """``Class.member`` for each public member of a class in ``cdindex.__all__``.
+
+    A member is a method, property or class attribute defined on the class
+    itself; private names, dunders and NamedTuple or dataclass fields are
+    not members.
+    """
+    members = []
+    for name in cdindex.__all__:
+        cls = getattr(cdindex, name)
+        if not isinstance(cls, type):
+            continue
+        fields = set(getattr(cls, "_fields", ()))
+        if dataclasses.is_dataclass(cls):
+            fields |= {f.name for f in dataclasses.fields(cls)}
+        members += [f"{name}.{m}" for m in vars(cls) if not m.startswith("_") and m not in fields]
+    return members
+
+
+def _read_members() -> set:
+    """The member names read, bare or as ``Class.member``.
+
+    An attribute anywhere in the library, the acceptance tests or
+    ``bench/*.py`` reads its bare name, a bench span target such as
+    ``"cdindex.digraph:LabeledDigraph.ab_index"`` reads its
+    ``Class.member``, and the ``bruhat`` command reads the method names
+    it passes to ``getattr``.
+    """
+    read = set(cli._BRUHAT_VALUES.values())
+    for path in [*LIBRARY, ACCEPTANCE, *BENCH]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if target := re.fullmatch(r"cdindex\.\w+:(\w+\.\w+)", node.value):
+                    read.add(target[1])
+    return read
+
+
+def _unread_members() -> list:
+    read = _read_members()
+    return [m for m in _members() if m not in read and m.split(".")[1] not in read]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_public_name_is_bound_in_the_package(name):
     module = importlib.import_module(f"cdindex.{name}")
@@ -92,11 +148,11 @@ def test_public_names_are_pinned():
         "DanglingVertex", "Edge", "F_falling", "F_rising", "FreeModule", "GraphError",
         "HalfPowerResidue", "IntPoly", "InternalError", "LabeledDigraph", "LinearRelation",
         "MAX_CHECK_AB_WORDS", "MAX_M", "MAX_M_TERMS", "MAX_REALIZE_EDGES", "MAX_SEARCH_VERTICES",
-        "MAX_SWEEP_INTERIOR", "M_in_L", "NegativeCoefficient", "NoPath", "NotInSpan",
+        "MAX_SWEEP_INTERIOR", "NegativeCoefficient", "NoPath", "NotInSpan",
         "PairsRelation", "ParityResult", "Permutation", "PreconditionFailed", "QSymElement",
         "RestrictedDigraph", "SearchReport", "TensorPoly", "TensorSquare", "Unbounded",
         "UnknownLabel", "ZeroPolynomial", "ab_to_cd", "alexander_check", "alexander_sweep",
-        "bruhat_graph_sn", "bruhat_leq", "butterfly", "cartesian_product", "cd_expand",
+        "bruhat_graph_sn", "bruhat_leq", "butterfly", "cartesian_product",
         "cd_sort_key", "cd_word_degree", "cd_words_of_degree", "conjecture_search", "coproduct",
         "d_join", "dihedral_bruhat_graph", "dihedral_cover_interval", "dihedral_graph",
         "from_json_dict", "gamma", "gamma_inverse", "glue_sum", "load_graph", "omega",
@@ -114,3 +170,11 @@ def test_every_public_name_has_a_caller():
 def test_every_uncalled_entry_is_still_uncalled():
     called = _called()
     assert {name for name in UNCALLED if name in cdindex.__all__ and name not in called} == set(UNCALLED)
+
+
+def test_every_public_member_is_read():
+    assert [member for member in _unread_members() if member not in UNREAD] == []
+
+
+def test_every_unread_entry_is_still_unread():
+    assert {member for member in _unread_members() if member in UNREAD} == set(UNREAD)
