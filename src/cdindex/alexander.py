@@ -234,19 +234,21 @@ def _frame(g: LabeledDigraph) -> _Frame:
     return frame
 
 
-def _falling_polynomial(g: LabeledDigraph, split: dict[int, int], ascent: int = 1) -> dict:
+def _falling_polynomial(g: LabeledDigraph, split: dict[int, int]) -> dict:
     """The falling polynomial of a bounded graph, with some variables fixed.
 
     The sum over source-to-sink paths of the product over their interior
     positions p of ([ascent at p] - s_p), as {T bitmask: coefficient} for
     the monomial of the variables in T.  s_p is 0 for p not in ``split``,
     1 where ``split[p]`` is 0, and otherwise the variable of the single
-    bit ``split[p]``; no two positions may share a bit.  ``ascent=0``
-    exchanges ascent and descent.  Both a path's weight and whether it
-    counts are decided position by position, so one pass over the int
-    form's (position, last label) states sums every path: each state holds
-    the polynomial of the paths reaching it.  A state is kept T outermost,
-    so where every s_p is fixed it holds one T and one int per last label.
+    bit ``split[p]``; no two positions may share a bit.  Ascent and
+    descent exchange places under the complementary relation, so the
+    polynomial with them exchanged is this one of the same graph under
+    that relation.  Both a path's weight and whether it counts are
+    decided position by position, so one pass over the int form's
+    (position, last label) states sums every path: each state holds the
+    polynomial of the paths reaching it.  A state is kept T outermost, so
+    where every s_p is fixed it holds one T and one int per last label.
     """
     out, masks = g._out, g._masks
     start, end, _, _ = _frame(g)
@@ -257,7 +259,7 @@ def _falling_polynomial(g: LabeledDigraph, split: dict[int, int], ascent: int = 
     for p in range(start + 1, end):
         bit = split.get(p)
         # a path through p gains [ascent], or -[descent] where s_p is 1
-        want, sign = (1 - ascent, -1) if bit == 0 else (ascent, 1)
+        want, sign = (0, -1) if bit == 0 else (1, 1)
         for t, row in state[p].items():
             items = row.items()
             # and -s_p where s_p is a variable, whatever its next step

@@ -175,10 +175,6 @@ class LinearRelation:
     def order(self) -> tuple:
         return self._order
 
-    @property
-    def labels(self) -> frozenset:
-        return frozenset(self._order)
-
     def related(self, x, y) -> bool:
         return self._rank[x] <= self._rank[y]
 

@@ -7,14 +7,14 @@ complements its descent set.
 
 A quasisymmetric element is stored as a finite integer combination of
 fundamental elements L_alpha, the basis in which the path invariants
-below are sums.  There omega complements each index, gamma is a change
-of key, and the product sums L over the descent sets of shuffles.  The
-monomial basis M, with L_alpha the sum of M over the refinements of
-alpha, is only read and printed; an element reaches it by one transform
-over descent-set bitmasks, one descent position at a time.  No command
-builds an element from M, prints the coproduct or takes the antipode, so
-these live with the tests that check F_rising against them, in
-``tests/oracles.py``.
+below are sums.  There omega complements each index and gamma is a
+change of key.  The monomial basis M, with L_alpha the sum of M over the
+refinements of alpha, is only read and printed; an element reaches it by
+one transform over descent-set bitmasks, one descent position at a time.
+No command multiplies two elements, builds one from M, prints the
+coproduct or takes the antipode, so the shuffle product and the rest of
+the Hopf structure live with the tests that check F_rising against them,
+in ``tests/oracles.py``.
 
 The linear map gamma identifies ab-polynomials with zero-constant
 quasisymmetric functions by sending the degree n-1 word with descents D to
@@ -34,6 +34,7 @@ asks the relation once per distinct pair of adjacent labels.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .digraph import LabeledDigraph, Unbounded
@@ -60,7 +61,11 @@ MAX_M_TERMS = 2 ** 16
 
 
 def _validate(alpha: Sequence[int]) -> tuple:
-    alpha = tuple(alpha)
+    """alpha as a tuple of ints; TypeError for a part that is not an int, ValueError below 1.
+
+    A bool part is stored as its int.
+    """
+    alpha = tuple(map(operator.index, alpha))
     if any(part < 1 for part in alpha):
         raise ValueError(f"composition parts must be positive: {alpha}")
     return alpha
@@ -114,12 +119,11 @@ def _masks(terms) -> dict:
     return tables
 
 
-def _refine(tables: dict, sign: int) -> dict:
+def _refine(tables: dict) -> dict:
     """Spread every coefficient over the refinements of its composition.
 
-    With sign 1 this sends fundamental coefficients to monomial ones
-    (L_alpha is the sum of M_beta over the refinements beta of alpha);
-    with sign -1 it is the inverse, Moebius inversion.  The tables of
+    This sends fundamental coefficients to monomial ones (L_alpha is the
+    sum of M_beta over the refinements beta of alpha).  The tables of
     ``_masks`` are transformed in place one descent position at a time, so
     each position costs one pass over the masks of its degree rather than
     one term per (term, refinement) pair.  Returns the nonzero results
@@ -132,74 +136,11 @@ def _refine(tables: dict, sign: int) -> dict:
             for mask, coeff in list(table.items()):
                 if coeff and not mask & bit:
                     finer = mask | bit
-                    table[finer] = table.get(finer, 0) + sign * coeff
+                    table[finer] = table.get(finer, 0) + coeff
         for mask, coeff in table.items():
             if coeff:
                 out[_composition(mask, n)] = coeff
     return out
-
-
-def _shuffle_masks(acc: dict, du: int, n: int, dv: int, m: int, coeff: int) -> None:
-    """Add coeff times L_alpha L_beta into ``acc``, keyed by descent-set bitmask.
-
-    alpha composes n with descent mask du, beta composes m with mask dv.
-    Take a word u with descent composition alpha and a word v with descent
-    composition beta whose letters all exceed u's; L_alpha L_beta is the sum
-    of L over the descent compositions of the shuffles of u and v.  A
-    shuffle places u's or v's next letter at each step, making a descent
-    within u or v at their own descents, always from v to u, and never from
-    u to v.  Shuffles are merged by (letters of u placed, side of the last
-    letter, descent mask so far), one step at a time.
-    """
-    # (letters of u placed, last side: 0 for u, 1 for v, None at the start) -> {mask: coeff}
-    layer: dict = {(0, None): {0: coeff}}
-    for t in range(n + m):
-        bit = 1 << t  # a descent between letters t and t + 1
-        step: dict = {}
-        for (i, last), masks in layer.items():
-            if i < n:
-                down = last == 1 or last == 0 and du >> i & 1
-                _spread(step, (i + 1, 0), masks, bit if down else 0)
-            if t - i < m:
-                down = last == 1 and dv >> t - i & 1
-                _spread(step, (i, 1), masks, bit if down else 0)
-        layer = step
-    for masks in layer.values():
-        for mask, c in masks.items():
-            acc[mask] = acc.get(mask, 0) + c
-
-
-def _spread(step: dict, state: tuple, masks: dict, bit: int) -> None:
-    """Add each mask of ``masks``, with ``bit`` set, into step[state].
-
-    No mask has the bit yet, so setting it keeps them apart.
-    """
-    target = step.get(state)
-    if target is None:
-        step[state] = {mask | bit: c for mask, c in masks.items()}
-    else:
-        for mask, c in masks.items():
-            target[mask | bit] = target.get(mask | bit, 0) + c
-
-
-def _product(left: dict, right: dict) -> dict:
-    """The product of two fundamental expansions, summed over shuffles.
-
-    Each pair of terms is shuffled by ``_shuffle_masks`` into one table
-    per total degree, keyed by descent mask, so a composition is built
-    once per result term rather than once per (pair, result) pair.
-    """
-    tables: dict[int, dict[int, int]] = {}
-    right_tables = _masks(right.items())
-    for n, left_table in _masks(left.items()).items():
-        for m, right_table in right_tables.items():
-            acc = tables.setdefault(n + m, {})
-            for du, a in left_table.items():
-                for dv, b in right_table.items():
-                    _shuffle_masks(acc, du, n, dv, m, a * b)
-    return {
-        _composition(mask, n): c for n, acc in tables.items() for mask, c in acc.items() if c
-    }
 
 
 def _render_composition(alpha: tuple, basis: str = "M") -> str:
@@ -217,8 +158,11 @@ class QSymElement(FreeModule):
     Keys are compositions, graded by their sum; the raw constructor,
     ``monomial``, ``items()`` and ``coefficient()`` read fundamental
     coefficients, and ``m_coefficients()`` and ``to_string("M")`` the
-    monomial ones.  A product is taken in the fundamental basis, by
-    shuffles.
+    monomial ones.  Elements add and are scaled by ints; the product of
+    two raises TypeError, as no command multiplies them, and the shuffle
+    product the tests check F_rising with is ``product`` in
+    ``tests/oracles.py``.  The product that ``FreeModule`` would give
+    concatenates compositions, which no basis here means.
     """
 
     __slots__ = ()
@@ -232,16 +176,16 @@ class QSymElement(FreeModule):
         return _render_composition(alpha, "L")
 
     def __mul__(self, other):
-        if not isinstance(other, QSymElement):
+        if isinstance(other, int):
             return super().__mul__(other)
-        return QSymElement._trusted(_product(self._terms, other._terms))
+        raise TypeError("QSymElement has no product; it is only added and scaled by ints")
 
     def constant_term(self) -> int:
         return self.coefficient(())
 
     def m_coefficients(self) -> dict:
         """Coefficients in the monomial basis."""
-        return _refine(_masks(self._terms.items()), 1)
+        return _refine(_masks(self._terms.items()))
 
     def to_string(self, basis: str = "L") -> str:
         """Render as e.g. ``3*L[1] + 2*L[2] + 2*L[1,1]`` (basis L or M).

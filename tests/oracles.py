@@ -10,17 +10,22 @@ stays the code it was when it lived beside them:
   ``_algebra_map``, and ``residual``, the expanded residual of a
   ``NotInSpan``;
 * composition helpers: ``descent_set``, ``sigma_leq``, ``L_in_M``,
-  ``M_in_L``, ``composition_from_descents``, ``complement`` and
-  ``compositions``, and ``M``, the monomial quasisymmetric element;
-* the Hopf structure of QSym: ``QSymTensor``, the combinations in
-  L (x) L, ``qsym_coproduct``, which cuts each L_alpha of degree n at each
+  ``M_in_L``, which sums over the refinements directly rather than
+  inverting ``L_in_M``'s transform, ``composition_from_descents``,
+  ``complement`` and ``compositions``, and ``M``, the monomial
+  quasisymmetric element;
+* the Hopf structure of QSym: ``product``, the shuffle product in the
+  basis L, through ``_product``, ``_shuffle_masks`` and ``_spread``;
+  ``QSymTensor``, the combinations in L (x) L, ``qsym_coproduct``,
+  which cuts each L_alpha of degree n at each
   of its n + 1 places, and ``antipode``, which sends L_alpha to (-1)^n L
   of the complement of the reversed alpha;
 * ``odd_part``, the odd-degree terms of an ``IntPoly``, and ``evaluate``,
   its value at an int or a polynomial;
 * ``cd_word_cmp``, the fixed-degree order on cd-words as a comparison,
   with its key ``_cd_order_key``;
-* ``signed_path_sums``, the two signed path sums of an interior split;
+* ``signed_path_sums``, the two signed path sums of an interior split,
+  the second on the graph under the complementary relation;
 * ``capital_rising_falling_from``, the (R, F) pairs of every interval
   [x, v] by one run-count sweep from x;
 * ``multichain_specialization``, both sides of the rising and falling
@@ -141,12 +146,23 @@ def sigma_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
 
 def L_in_M(alpha: Sequence[int]) -> dict:
     """Monomial-basis coefficients of the fundamental element L_alpha."""
-    return _refine(_masks([(_validate(alpha), 1)]), 1)
+    return _refine(_masks([(_validate(alpha), 1)]))
 
 
 def M_in_L(alpha: Sequence[int]) -> dict:
-    """Fundamental-basis coefficients of M_alpha, by inclusion-exclusion."""
-    return _refine(_masks([(_validate(alpha), 1)]), -1)
+    """Fundamental-basis coefficients of M_alpha, by inclusion-exclusion.
+
+    Each refinement beta of alpha, made by adding descents alpha lacks,
+    has coefficient (-1)^(len(beta) - len(alpha)).
+    """
+    alpha = _validate(alpha)
+    n, descents = sum(alpha), _mask(alpha)
+    free = [i for i in range(1, n) if not descents >> i & 1]
+    return {
+        _composition(descents | sum(1 << c for c in cuts), n): (-1) ** r
+        for r in range(len(free) + 1)
+        for cuts in itertools.combinations(free, r)
+    }
 
 
 def M(alpha: Sequence[int], coeff: int = 1) -> QSymElement:
@@ -205,6 +221,74 @@ class QSymTensor(TensorSquare):
         raise TypeError("QSymTensor has no product; it is only added and scaled by ints")
 
     __rmul__ = __mul__
+
+
+def _shuffle_masks(acc: dict, du: int, n: int, dv: int, m: int, coeff: int) -> None:
+    """Add coeff times L_alpha L_beta into ``acc``, keyed by descent-set bitmask.
+
+    alpha composes n with descent mask du, beta composes m with mask dv.
+    Take a word u with descent composition alpha and a word v with descent
+    composition beta whose letters all exceed u's; L_alpha L_beta is the sum
+    of L over the descent compositions of the shuffles of u and v.  A
+    shuffle places u's or v's next letter at each step, making a descent
+    within u or v at their own descents, always from v to u, and never from
+    u to v.  Shuffles are merged by (letters of u placed, side of the last
+    letter, descent mask so far), one step at a time.
+    """
+    # (letters of u placed, last side: 0 for u, 1 for v, None at the start) -> {mask: coeff}
+    layer: dict = {(0, None): {0: coeff}}
+    for t in range(n + m):
+        bit = 1 << t  # a descent between letters t and t + 1
+        step: dict = {}
+        for (i, last), masks in layer.items():
+            if i < n:
+                down = last == 1 or last == 0 and du >> i & 1
+                _spread(step, (i + 1, 0), masks, bit if down else 0)
+            if t - i < m:
+                down = last == 1 and dv >> t - i & 1
+                _spread(step, (i, 1), masks, bit if down else 0)
+        layer = step
+    for masks in layer.values():
+        for mask, c in masks.items():
+            acc[mask] = acc.get(mask, 0) + c
+
+
+def _spread(step: dict, state: tuple, masks: dict, bit: int) -> None:
+    """Add each mask of ``masks``, with ``bit`` set, into step[state].
+
+    No mask has the bit yet, so setting it keeps them apart.
+    """
+    target = step.get(state)
+    if target is None:
+        step[state] = {mask | bit: c for mask, c in masks.items()}
+    else:
+        for mask, c in masks.items():
+            target[mask | bit] = target.get(mask | bit, 0) + c
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The product of two fundamental expansions, summed over shuffles.
+
+    Each pair of terms is shuffled by ``_shuffle_masks`` into one table
+    per total degree, keyed by descent mask, so a composition is built
+    once per result term rather than once per (pair, result) pair.
+    """
+    tables: dict[int, dict[int, int]] = {}
+    right_tables = _masks(right.items())
+    for n, left_table in _masks(left.items()).items():
+        for m, right_table in right_tables.items():
+            acc = tables.setdefault(n + m, {})
+            for du, a in left_table.items():
+                for dv, b in right_table.items():
+                    _shuffle_masks(acc, du, n, dv, m, a * b)
+    return {
+        _composition(mask, n): c for n, acc in tables.items() for mask, c in acc.items() if c
+    }
+
+
+def product(f: QSymElement, g: QSymElement) -> QSymElement:
+    """The shuffle product f g, in the fundamental basis."""
+    return QSymElement._trusted(_product(f._terms, g._terms))
 
 
 def qsym_coproduct(f: QSymElement) -> QSymTensor:
@@ -274,13 +358,20 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
     Every interior vertex of a path is an ascent or a descent, so the first
     sum is the falling polynomial at the point s_v = [v in S], the value
     of :meth:`RestrictedDigraph.falling_at_minus_one`, and the second is
-    the same point with ascent and descent exchanged: two sweeps over the
-    base graph, each linear in its size.
+    the same point with ascent and descent exchanged: the same sweep over
+    the same graph under the complementary relation, whose ascents are
+    g's descents.  Two sweeps, each linear in the graph's size.
     """
-    pos = g._pos
-    split = {pos[v]: 0 for v in _checked_subset(g, subset)}
-    first = _falling_polynomial(g, split).get(0, 0)
-    return first, _falling_polynomial(g, split, ascent=0).get(0, 0)
+    subset = _checked_subset(g, subset)
+    labels, rel = g._labels, g.relation.related
+    flipped = LabeledDigraph(
+        g.vertices,
+        [e[:3] for e in g.edges],
+        PairsRelation((l, m) for l in labels for m in labels if not rel(l, m)),
+    )
+    return tuple(
+        _falling_polynomial(h, {h._pos[v]: 0 for v in subset}).get(0, 0) for h in (g, flipped)
+    )
 
 
 def dual(g: LabeledDigraph) -> LabeledDigraph:

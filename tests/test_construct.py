@@ -149,6 +149,13 @@ class TestDJoin:
         with pytest.raises(ValueError):
             d_join(chain(["2", "1"]), butterfly(0))
 
+    def test_rejects_unbounded(self):
+        two_sinks = LabeledDigraph(["x", "y", "z"], [("x", "y", "1"), ("x", "z", "2")], LinearRelation(["1", "2"]))
+        point = LabeledDigraph(["x"], [], LinearRelation([]))
+        for g in (two_sinks, point):
+            with pytest.raises(Unbounded, match="^d_join argument 1 graph must be bounded with source != sink$"):
+                d_join(g, butterfly(0))
+
 
 def _reversed_fig1_left():
     """fig1_left with its vertex list reversed: not in topological order, not v0, v1, ..."""

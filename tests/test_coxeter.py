@@ -64,6 +64,16 @@ class TestPermutation:
         assert parse_permutation("312") == Permutation((3, 1, 2))
         assert parse_permutation("3,1,2") == Permutation((3, 1, 2))
 
+    def test_str_past_nine_letters_uses_commas(self):
+        u = Permutation((10, *range(1, 10)))
+        assert str(u) == "10,1,2,3,4,5,6,7,8,9"
+        assert parse_permutation(str(u)) == u
+        assert str(W3) == "321"
+
+    def test_bruhat_leq_needs_equal_sizes(self):
+        with pytest.raises(ValueError, match="^permutations of different sizes$"):
+            bruhat_leq((1, 2), (1, 2, 3))
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_bruhat_leq_criterion_matches_graph(self, n):
         bg = bruhat_graph_sn(n)
@@ -77,6 +87,9 @@ class TestGraphShape:
         bg = bruhat_graph_sn(2)
         assert len(bg.graph.vertices) == 2
         assert len(bg.graph.edges) == 1
+
+    def test_repr(self):
+        assert repr(bruhat_graph_sn(3)) == "BruhatGraph(S3, 6 elements)"
 
     def test_s3_edges(self):
         bg = bruhat_graph_sn(3)
@@ -299,6 +312,13 @@ class TestIntervalExtraction:
 class TestGroupCache:
     def test_one_graph_per_n(self):
         assert bruhat_graph_sn(4) is bruhat_graph_sn(4, max_n=4) is bruhat_graph_sn(4, max_n=8)
+
+    def test_a_failed_reflection_order_is_internal(self):
+        # the unwrapped builder keeps nothing in the cache
+        with mock.patch.object(coxeter, "reflection_order_validate", return_value=False):
+            with pytest.raises(InternalError, match="^lexicographic transposition order failed validation$"):
+                coxeter._bruhat_graph_sn.__wrapped__(3)
+        assert len(bruhat_graph_sn(3).graph.vertices) == 6
 
     def test_cap_still_checked(self):
         bruhat_graph_sn(5)
@@ -607,6 +627,12 @@ class TestRPolynomials:
         u, v = Permutation((2, 1, 3)), Permutation((1, 3, 2))
         assert bg.r_polynomial_recursive(u, v) == IntPoly.zero()
         assert bg.r_polynomial_dyer(u, v) == IntPoly.zero()
+
+    def test_rtilde_of_an_incomparable_pair_is_zero(self):
+        bg = bruhat_graph_sn(3)
+        u, v = Permutation((2, 1, 3)), Permutation((1, 3, 2))
+        assert not bg.leq(u, v)
+        assert bg.rtilde(u, v) == IntPoly.zero()
 
     def test_e_to_w0_s3(self):
         bg = bruhat_graph_sn(3)

@@ -35,6 +35,7 @@ from cdindex.ncpoly import (
     AbPoly,
     CdPoly,
     IntPoly,
+    NotInSpan,
     TensorPoly,
     ab_to_cd,
     coproduct,
@@ -430,6 +431,16 @@ class TestEndpoints:
             with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(named))} not in the graph$"):
                 graph_b3.induced(members)
 
+    def test_induced_rejects_a_repeated_member(self, graph_b3):
+        with pytest.raises(GraphError, match="^duplicate vertex identifier$"):
+            graph_b3.induced(["0", "1", "0"])
+
+    def test_two_sources_have_no_zero_hat(self):
+        g = LabeledDigraph(["x", "y", "z"], [("x", "z", "1"), ("y", "z", "1")], LinearRelation(["1"]))
+        with pytest.raises(Unbounded, match="^graph has 2 sources$"):
+            g.zero_hat()
+        assert g.one_hat() == "z"
+
     def test_empty_interval_on_a_sink(self, graph_b3):
         assert graph_b3.ab_index("123", "123") == AbPoly.zero()
         assert graph_b3.rising_falling("123", "123") == (IntPoly.zero(), IntPoly.zero())
@@ -564,6 +575,18 @@ class TestBalance:
     def test_equivalence_report(self, graph_fig1_left):
         rep = graph_fig1_left.check_balance_equivalence()
         assert rep.per_length and rep.even_length and rep.cd_span
+
+    def test_disagreeing_characterizations_are_internal(self, graph_fig1_left, monkeypatch):
+        # a balanced graph whose ab-indexes ab_to_cd is made to refuse
+        def refuse(psi):
+            raise NotInSpan([("", psi.terms)])
+
+        monkeypatch.setattr(digraph_mod, "ab_to_cd", refuse)
+        with pytest.raises(
+            InternalError,
+            match="^balance characterizations disagree: per_length=True even_length=True cd_span=False$",
+        ):
+            graph_fig1_left.check_balance_equivalence()
 
     def test_equivalence_unbalanced(self):
         rep = chain(["2", "1"]).check_balance_equivalence()

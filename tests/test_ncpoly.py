@@ -78,6 +78,27 @@ class TestArithmetic:
         assert AbPoly({"ab": 0}).is_zero()
         assert not (A - A)
 
+    def test_invalid_word_is_rejected(self):
+        with pytest.raises(ValueError, match="^invalid word 'ac' over"):
+            AbPoly({"ac": 1})
+
+    def test_negative_power_is_rejected(self):
+        assert (A + B) ** 0 == AbPoly.one()
+        with pytest.raises(ValueError, match="^negative power"):
+            (A + B) ** -1
+
+    def test_different_types_do_not_mix(self):
+        # neither side takes the other, so + and * raise TypeError, and ==
+        # falls back to identity
+        with pytest.raises(TypeError):
+            AbPoly.one() + CdPoly.one()
+        with pytest.raises(TypeError):
+            AbPoly.one() * "x"
+        assert (AbPoly.one() == CdPoly.one()) is False
+
+    def test_repr_names_the_type(self):
+        assert repr(2 * A - B) == "AbPoly(2*a - b)"
+
 
 class TestCoproduct:
     def test_two_letter_word(self):
@@ -100,6 +121,9 @@ class TestCoproduct:
         left = TensorPoly.tensor(v, AbPoly.one()) * coproduct(w)
         right = coproduct(v) * TensorPoly.tensor(AbPoly.one(), w)
         assert coproduct(v * w) == left + right
+
+    def test_tensor_degree_adds_the_factors(self):
+        assert TensorPoly.tensor(AbPoly.monomial("ab"), B + 1).degree() == 3
 
 
 # The algebra maps kappa (a -> a - b, b -> 0) and lambda (a -> 0, b -> b - a)
@@ -608,7 +632,7 @@ class TestTextForms:
     def test_parse_render_roundtrip_ab(self, p):
         assert parse_ab(str(p)) == p
 
-    @pytest.mark.parametrize("bad", ["", "e + c", "2**c", "c+", "1.5*c"])
+    @pytest.mark.parametrize("bad", ["", "e + c", "2**c", "c+", "1.5*c", "2*", "cb"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_cd(bad)
