@@ -57,7 +57,7 @@ from functools import cached_property
 from operator import add
 from typing import Hashable, Iterable, NamedTuple
 
-from .digraph import GraphError, InternalError, LabeledDigraph
+from .digraph import GraphError, InternalError, LabeledDigraph, _pairs_on_used_labels
 
 __all__ = [
     "MAX_SWEEP_INTERIOR",
@@ -94,44 +94,6 @@ class AlexanderResult(NamedTuple):
     equal: bool
 
 
-class _SequenceRelation:
-    """The relation of G_S's sequence labels: l ~ m iff the base relates l[-1] to m[0].
-
-    ``base`` is the base graph's relation; no pair of sequence labels is
-    listed.
-    """
-
-    def __init__(self, base):
-        self._base = base
-
-    def related(self, l, m) -> bool:
-        return self._base.related(l[-1], m[0])
-
-    def ascent_masks(self, labels) -> list[int]:
-        """Bit i of entry j is set iff labels[i] ~ labels[j].
-
-        The labels are grouped by the base labels that end and that start
-        them, so the base relation is asked once per pair of base labels.
-        """
-        related = self._base.related
-        ending, starting = {}, {}
-        for i, label in enumerate(labels):
-            ending[label[-1]] = ending.get(label[-1], 0) | 1 << i
-            starting.setdefault(label[0], []).append(i)
-        masks = [0] * len(labels)
-        for b, js in starting.items():
-            mask = 0
-            for a, below in ending.items():
-                if related(a, b):
-                    mask |= below
-            for j in js:
-                masks[j] = mask
-        return masks
-
-    def __repr__(self):
-        return f"_SequenceRelation({self._base!r})"
-
-
 class RestrictedDigraph:
     """The digraph G_S: kept vertices joined by maximal rising segments.
 
@@ -152,8 +114,8 @@ class RestrictedDigraph:
         is the tuple of base labels along the path.  Rising-path counts
         between kept vertices are preserved by construction.  Two sequence
         labels are related when the base relation relates the last label
-        of the first to the first label of the second
-        (:class:`_SequenceRelation`).
+        of the first to the first label of the second; the relation is a
+        ``PairsRelation`` listing those pairs of the labels G_S uses.
         """
         g = self.base
         members = self.kept | {g.zero_hat(), g.one_hat()}
@@ -180,7 +142,7 @@ class RestrictedDigraph:
                     pending.pop()
                     if trail:
                         trail.pop()
-        return LabeledDigraph(order, edges, _SequenceRelation(g.relation))
+        return LabeledDigraph(order, edges, _pairs_on_used_labels(edges, lambda l, m: rel(l[-1], m[0])))
 
     def falling_at_minus_one(self) -> int:
         """Falling-path generating polynomial of [source, sink] in G_S, at -1.
@@ -346,10 +308,9 @@ def alexander_check(g: LabeledDigraph, subset: Iterable[Hashable]) -> AlexanderR
     parity = parity_condition(g)
     if not parity.uniform:
         raise PreconditionFailed("parity: source-to-sink path lengths have mixed parity")
-    subset = _checked_subset(g, subset)
-    complement = _frame(g).interior - subset
-    lhs = restrict(g, subset).falling_at_minus_one()
-    rhs = _sign(parity) * restrict(g, complement).falling_at_minus_one()
+    part = restrict(g, subset)
+    lhs = part.falling_at_minus_one()
+    rhs = _sign(parity) * restrict(g, _frame(g).interior - part.kept).falling_at_minus_one()
     return AlexanderResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

@@ -81,7 +81,7 @@ class Permutation(tuple):
     """One-line notation on {1, ..., n}; the length is the inversion count."""
 
     def __new__(cls, values: Iterable[int]):
-        values = tuple(values)
+        values = tuple(map(operator.index, values))  # a float raises TypeError; a bool becomes its int
         if sorted(values) != list(range(1, len(values) + 1)):
             raise ValueError(f"{values} is not a permutation of 1..{len(values)}")
         return super().__new__(cls, values)

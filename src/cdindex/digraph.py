@@ -226,11 +226,17 @@ class PairsRelation:
                     masks[j] |= 1 << i
         return masks
 
+    def _sorted(self) -> list:
+        try:
+            return sorted(self._pairs)
+        except TypeError:  # labels of mixed types have no common order
+            return sorted(self._pairs, key=repr)
+
     def to_json(self) -> dict:
-        return {"mode": "pairs", "pairs": sorted(map(list, self._pairs))}
+        return {"mode": "pairs", "pairs": [list(pair) for pair in self._sorted()]}
 
     def __repr__(self):
-        return f"PairsRelation({sorted(self._pairs)})"
+        return f"PairsRelation({self._sorted()})"
 
 
 class Edge(NamedTuple):

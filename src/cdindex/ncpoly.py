@@ -151,6 +151,7 @@ class FreeModule:
         if terms:
             key = self._key
             for k, coeff in terms.items():
+                coeff = operator.index(coeff)  # TypeError for a float; a bool is stored as its int
                 if coeff:
                     _merge(data, key(k), coeff)
         self._terms = data
@@ -567,7 +568,7 @@ class IntPoly(FreeModule):
     def _key(k):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent {k!r} is not a nonnegative int")
-        return k
+        return int(k)  # a bool or an int subclass is stored as its int
 
     word_degree = staticmethod(int)  # q^k has degree k
 

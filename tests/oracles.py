@@ -48,10 +48,19 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from cdindex.alexander import _checked_subset, _falling_polynomial
-from cdindex.digraph import Edge, LabeledDigraph, PairsRelation, Unbounded, _sums, _sweep
+from cdindex.digraph import (
+    Edge,
+    LabeledDigraph,
+    PairsRelation,
+    Unbounded,
+    _pairs_on_used_labels,
+    _sums,
+    _sweep,
+)
 from cdindex.ncpoly import (
     AbPoly,
     CdPoly,
@@ -363,15 +372,17 @@ def signed_path_sums(g: LabeledDigraph, subset: Iterable[Hashable]) -> tuple[int
     g's descents.  Two sweeps, each linear in the graph's size.
     """
     subset = _checked_subset(g, subset)
-    labels, rel = g._labels, g.relation.related
-    flipped = LabeledDigraph(
-        g.vertices,
-        [e[:3] for e in g.edges],
-        PairsRelation((l, m) for l in labels for m in labels if not rel(l, m)),
-    )
     return tuple(
-        _falling_polynomial(h, {h._pos[v]: 0 for v in subset}).get(0, 0) for h in (g, flipped)
+        _falling_polynomial(h, {h._pos[v]: 0 for v in subset}).get(0, 0) for h in (g, _flipped(g))
     )
+
+
+@lru_cache(maxsize=8)
+def _flipped(g: LabeledDigraph) -> LabeledDigraph:
+    """g under the complementary relation, built once per graph for all its splits."""
+    rel = g.relation.related
+    edges = [e[:3] for e in g.edges]
+    return LabeledDigraph(g.vertices, edges, _pairs_on_used_labels(edges, lambda l, m: not rel(l, m)))
 
 
 def dual(g: LabeledDigraph) -> LabeledDigraph:

@@ -186,7 +186,12 @@ class TestRestrict:
         gs = restrict(graph_b3, S_FIG3).graph
         for g in (gs, dual(gs), dual(dual(gs))):
             assert " at 0x" not in repr(g)
-        assert repr(gs.relation) == "_SequenceRelation(LinearRelation(['1', '2', '3']))"
+        # G_S lists its relation as pairs over its labels: (l, m) for each l[-1] ~ m[0]
+        assert repr(gs.relation) == (
+            "PairsRelation([(('1',), ('1',)), (('1',), ('2',)), (('1',), ('2', '3')), "
+            "(('1',), ('3',)), (('2',), ('2',)), (('2',), ('2', '3')), (('2',), ('3',)), "
+            "(('2', '3'), ('3',)), (('3',), ('3',))])"
+        )
         # the dual lists its relation as pairs over G_S's labels: (m, l) for each l ~ m
         assert repr(dual(gs).relation) == (
             "PairsRelation([(('1',), ('1',)), (('2',), ('1',)), (('2',), ('2',)), "

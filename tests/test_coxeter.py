@@ -3,6 +3,7 @@
 import enum
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
 
@@ -59,6 +60,16 @@ class TestPermutation:
     def test_validation(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
+
+    def test_entries_are_ints_and_the_repr_reads_back(self):
+        assert repr(Permutation((True, 2))) == "Permutation(12)"
+        for values in ((True, 2), (2, True), (3, True, 2), (True, *range(2, 11))):
+            u = Permutation(values)
+            assert all(type(x) is int for x in u)
+            assert parse_permutation(repr(u).removeprefix("Permutation(").removesuffix(")")) == u
+        for values in ((1.0, 2), (2, 1.0), (Fraction(1), 2)):
+            with pytest.raises(TypeError):
+                Permutation(values)
 
     def test_parse(self):
         assert parse_permutation("312") == Permutation((3, 1, 2))

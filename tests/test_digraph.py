@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cdindex.digraph as digraph_mod
+from cdindex.alexander import restrict
 from cdindex.coxeter import bruhat_graph_sn
 from cdindex.digraph import (
     _LOW,
@@ -192,6 +193,23 @@ class TestLoadAndValidate:
             (e.tail, e.head, e.label) for e in graph_b3.edges
         ]
         assert again.relation.to_json() == graph_b3.relation.to_json()
+
+    def test_pairs_over_mixed_label_types_print(self):
+        # ints and strs have no common order: the pairs are listed in the order of their reprs
+        data = {
+            "vertices": ["x", "y", "z"],
+            "edges": [{"tail": "x", "head": "y", "label": 1}, {"tail": "y", "head": "z", "label": "a"}],
+            "relation": {"mode": "pairs", "pairs": [[1, "a"], ["a", 1]]},
+        }
+        g = from_json_dict(data)
+        assert repr(g) == "LabeledDigraph(3 vertices, 2 edges, PairsRelation([('a', 1), (1, 'a')]))"
+        assert g.relation.to_json() == {"mode": "pairs", "pairs": [["a", 1], [1, "a"]]}
+        again = from_json_dict({**data, "relation": g.relation.to_json()})
+        assert again.relation.to_json() == g.relation.to_json()
+        # G_S's labels are tuples of such labels
+        gs = restrict(g, {"y"}).graph
+        assert repr(gs.relation) == "PairsRelation([(('a',), (1,)), ((1,), ('a',))])"
+        assert gs.relation.to_json()["pairs"] == [[("a",), (1,)], [(1,), ("a",)]]
 
     @pytest.mark.parametrize(
         "vertices, label, message",

@@ -1,6 +1,7 @@
 """The laws every sparse integer combination (FreeModule subclass) obeys."""
 
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -60,3 +61,26 @@ def test_container_laws(cls, keys, data):
     assert same == p and hash(same) == hash(p)
     rebuilt = cls(dict(reversed(list(p.items()))))
     assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+# one basis key of each module
+KEYS = {
+    AbPoly: "ab",
+    CdPoly: "cd",
+    QSymElement: (2, 1),
+    TensorPoly: ("a", "b"),
+    MonomialTensor: ((1,), (2,)),
+    IntPoly: 3,
+}
+
+
+@pytest.mark.parametrize("cls", KEYS, ids=[cls.__name__ for cls in KEYS])
+def test_coefficients_are_ints(cls):
+    key = KEYS[cls]
+    # a bool is stored as its int; a zero of any kind is still checked
+    for coeff, stored in ((True, {key: 1}), (False, {})):
+        terms = cls({key: coeff}).terms
+        assert terms == stored and all(type(c) is int for c in terms.values())
+    for coeff in (1.5, 2.0, 0.0, Fraction(1), Fraction(1, 2), "1"):
+        with pytest.raises(TypeError):
+            cls({key: coeff})

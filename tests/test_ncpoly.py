@@ -583,6 +583,11 @@ class TestIntPoly:
         with pytest.raises(ValueError):
             IntPoly(bad)
 
+    def test_a_bool_exponent_is_stored_as_its_int(self):
+        p = IntPoly({True: 2, False: -1})
+        assert p.terms == {1: 2, 0: -1} and all(type(k) is int for k in p.terms)
+        assert p == IntPoly((-1, 2)) and p.coeffs == (-1, 2)
+
 
 class TestTextForms:
     @pytest.mark.parametrize(
